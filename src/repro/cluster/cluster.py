@@ -870,8 +870,19 @@ class Cluster:
     def ingest_edge(
         self, src: int, dst: int, label: str, props: Optional[dict] = None
     ) -> None:
-        """Insert an out-edge on the source vertex's owning server."""
+        """Insert an out-edge on the source vertex's owning server.
+
+        On a cluster built with the reverse index (``planner="cost"``) the
+        ``~label`` record is also written on the destination's owner, so
+        reversed chains and ``back()`` see the edge; a destination not
+        stored there is skipped, as at load time."""
         owner = self.routing.owner(src)
         if not self.servers[owner].store.has_vertex(src):
             raise SimulationError(f"edge source {src} has not been ingested")
-        self.servers[owner].store.insert_edge(src, dst, label, dict(props or {}))
+        props = dict(props or {})
+        self.servers[owner].store.insert_edge(src, dst, label, props)
+        planner = self.coordinator.planner
+        if planner is not None and planner.reverse_available:
+            dst_store = self.servers[self.routing.owner(dst)].store
+            if dst_store.has_vertex(dst):
+                dst_store.insert_reverse_edge(dst, src, label, props)

@@ -32,7 +32,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.engine.batch import BatchFrontier, batch_eligible
 from repro.engine.cache import TraversalAffiliateCache
 from repro.engine.frontier import (
     EMPTY_ANCHORS,
@@ -313,20 +312,14 @@ class AsyncServerEngine:
 
         sinks = ExpandSinks()
         decoded0 = self.store.decoded_blocks
-        batch_width = 0
-        if batch_eligible(self.opts, plan):
-            batch_width = yield from self._process_batched(
-                work, plan, level, items, sinks, level0_override, unit_span
+        first_in_batch = True
+        for vid, anchors in items:
+            did_io = yield from self._visit(
+                work, plan, level, vid, anchors, sinks, rtn_levels,
+                level0_override, first_in_batch, unit_span,
             )
-        else:
-            first_in_batch = True
-            for vid, anchors in items:
-                did_io = yield from self._visit(
-                    work, plan, level, vid, anchors, sinks, rtn_levels,
-                    level0_override, first_in_batch, unit_span,
-                )
-                if did_io:
-                    first_in_batch = False
+            if did_io:
+                first_in_batch = False
 
         created, results_sent = self._flush(work, plan, sinks, entry.epoch)
         self.spans.end(unit_span, vertices=len(items), created=len(created))
@@ -340,7 +333,6 @@ class AsyncServerEngine:
             cache_hits=work.n_cache_hits,
             combined=work.n_combined,
             decoded_blocks=self.store.decoded_blocks - decoded0,
-            batch_width=batch_width,
         )
         self._report_status(
             travel_id, attempt, work.exec_id, tuple(created), results_sent, level,
@@ -361,131 +353,6 @@ class AsyncServerEngine:
         if info.index_type is not None:
             return sorted(self.store.local_vertices_of_type(info.index_type))
         return sorted(self.store.local_vertices())
-
-    # -- batched unit body (DESIGN.md §16) ---------------------------------------------
-
-    def _process_batched(
-        self,
-        work: PendingWork,
-        plan,
-        level: int,
-        items: list[tuple[VertexId, Anchors]],
-        sinks: ExpandSinks,
-        level0_override: Optional[FilterSet],
-        unit_span: int,
-    ):
-        """Batch-vectorized unit body: per-vertex I/O, cache, visit, and
-        execution-merging accounting identical to :meth:`_visit`, with
-        current-level expansion deferred to one
-        :class:`~repro.engine.batch.BatchFrontier` pass at the end. Merged
-        same-vertex requests at *other* levels (§V-B) share this vertex's
-        disk access and expand immediately per-vertex — they belong to
-        different frontiers than the batch.
-
-        The unit's reads are coalesced into chunks of
-        ``opts.batch_io_chunk`` vertices: per-vertex costs (seek discount
-        included) are summed and slept once per chunk instead of one
-        simulated event per vertex — the key-ordered elevator pass over
-        whole adjacency blocks. Chunking (rather than one sleep for the
-        whole unit) keeps virtual time advancing mid-unit, which is what
-        lets later vertices merge same-vertex requests that arrive while
-        earlier chunks are on the disk.
-        Returns the batch width (vertices surviving the level's filters).
-        """
-        travel_id = work.travel_id
-        server = self.ctx.server_id
-        tkey = work.travel_key
-        batch = BatchFrontier(plan, level, level0_override)
-        want_labels = labels_needed(plan, [level])
-        want_props = needs_props(plan, [level], level0_override)
-        edge_preds: Optional[dict[str, FilterSet]] = None
-        if plan.pushdown and level < plan.final_level:
-            step = plan.steps[level]
-            if step.edge_filters:
-                edge_preds = {l: step.edge_filters for l in step.labels}
-        total_cost = IOCost()
-        n_accesses = 0
-        first_in_batch = True
-        for vid, anchors in items:
-            if not self.store.has_vertex(vid):
-                continue
-            if self.opts.cache_enabled:
-                stored = self.seen.lookup(tkey, level, vid)
-                if stored is not None and anchors_covered(anchors, stored):
-                    self.board.visit(travel_id, server, "redundant")
-                    self.metrics.count("cache.affiliate_hits", server=server)
-                    work.n_cache_hits += 1
-                    continue
-            merged: list[tuple[int, Anchors]] = []
-            if self.opts.merge_enabled:
-                merged = self._extract_merged(tkey, vid, level)
-                if merged:
-                    self.metrics.count(
-                        "engine.merged_items", len(merged), server=server
-                    )
-            if merged:
-                levels = [level] + [lvl for lvl, _ in merged]
-                w_labels = labels_needed(plan, levels)
-                w_props = needs_props(plan, levels, level0_override)
-                e_preds = None  # other levels may need other edges
-            else:
-                w_labels, w_props, e_preds = want_labels, want_props, edge_preds
-            if w_labels or w_props:
-                data = read_vertex(self.store, vid, w_labels, w_props, e_preds)
-                cost = data.cost
-                if not first_in_batch and cost.seeks:
-                    cost.seeks *= self.opts.batch_seek_factor
-                cost.cache_hits += len(merged)
-                total_cost += cost
-                n_accesses += 1
-                if cost.seeks > 0 or cost.blocks > 0:
-                    first_in_batch = False
-                if n_accesses >= self.opts.batch_io_chunk:
-                    yield from self._flush_batch_io(
-                        total_cost, n_accesses, level, unit_span
-                    )
-                    total_cost = IOCost()
-                    n_accesses = 0
-            else:
-                data = VisitData(props=None, edges={}, cost=IOCost())
-            self.board.visit(travel_id, server, "real")
-            self.metrics.count("engine.real_visits", server=server)
-            work.n_real += 1
-            vertex_type = self.store.namespace_of(vid)
-            stored = self.seen.lookup(tkey, level, vid)
-            if stored is None or not anchors_covered(anchors, stored):
-                self.seen.insert(tkey, level, vid, anchors)
-                batch.add(vid, data, vertex_type)
-            if merged:
-                self.board.visit(travel_id, server, "combined", len(merged))
-                work.n_combined += len(merged)
-                for lvl, anc in merged:
-                    stored = self.seen.lookup(tkey, lvl, vid)
-                    if stored is not None and anchors_covered(anc, stored):
-                        continue
-                    self.seen.insert(tkey, lvl, vid, anc)
-                    expand_vertex(
-                        plan, lvl, vid, anc, data, self.owner_fn, sinks, (),
-                        vertex_type, level0_override if lvl == 0 else None,
-                    )
-        if n_accesses:
-            yield from self._flush_batch_io(total_cost, n_accesses, level, unit_span)
-        batch.expand(self.owner_fn, sinks)
-        return batch.width
-
-    def _flush_batch_io(self, cost: IOCost, accesses: int, level: int, unit_span: int):
-        """Sleep one coalesced disk access covering ``accesses`` vertex reads."""
-        server = self.ctx.server_id
-        disk_span = self.spans.begin(
-            "disk", f"batch[{accesses}]", parent=unit_span,
-            server=server, level=level,
-        )
-        io_start = self.ctx.now()
-        yield self.ctx.disk(cost, level=level, accesses=accesses)
-        self.metrics.observe(
-            "disk.access_seconds", self.ctx.now() - io_start, server=server
-        )
-        self.spans.end(disk_span)
 
     # -- per-vertex visit ------------------------------------------------------------
 

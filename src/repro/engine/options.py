@@ -50,19 +50,6 @@ class EngineOptions:
     #: serving a key-ordered batch approximates an elevator pass over the
     #: SSTables, so later seeks are cheaper. 1.0 disables the effect.
     batch_seek_factor: float = 0.45
-    #: batch-vectorized frontier expansion (DESIGN.md §16): expand a work
-    #: unit's surviving vertices in one set-operation pass instead of one
-    #: ``expand_vertex`` call each. Per-vertex I/O accounting is unchanged;
-    #: plans with intermediate ``rtn()`` marks keep the per-vertex path
-    #: (see :func:`repro.engine.batch.batch_eligible`). Off by default.
-    batch_frontier: bool = False
-    #: when batching, coalesce this many per-vertex reads into one simulated
-    #: disk access (the elevator pass over whole adjacency blocks). Small
-    #: enough that virtual time keeps advancing mid-unit — later vertices
-    #: can still merge same-vertex requests arriving while earlier chunks
-    #: are on the disk; large chunks trade merge opportunities for fewer
-    #: events. 1 restores one event per vertex.
-    batch_io_chunk: int = 8
     #: plan-time optimizer mode: "off" executes chains as written (the
     #: paper's behaviour), "rules" applies statistics-free rewrites (filter
     #: fusion, predicate pushdown, final-step short-circuit), "cost" adds

@@ -25,20 +25,10 @@ from repro.lang.plan import AggregateSpec, TraversalPlan, reduce_aggregate
 
 
 class ReferenceEngine:
-    """Sequential oracle over the whole (unpartitioned) graph.
+    """Sequential oracle over the whole (unpartitioned) graph."""
 
-    ``batch_frontier`` mirrors the distributed engines' option of the same
-    name (DESIGN.md §16): forward levels advance by whole-frontier set
-    union — collect every step destination, dedup once, filter each
-    distinct vertex once — instead of the per-vertex loop. Semantically
-    identical (filters are deterministic, so first-encounter filtering and
-    filter-after-dedup agree); the equivalence suite runs the oracle both
-    ways to prove it.
-    """
-
-    def __init__(self, graph: PropertyGraph, batch_frontier: bool = False):
+    def __init__(self, graph: PropertyGraph):
         self.graph = graph
-        self.batch_frontier = batch_frontier
 
     def _source_level(self, plan: TraversalPlan) -> set[VertexId]:
         if plan.source_ids is None:
@@ -55,8 +45,6 @@ class ReferenceEngine:
 
     def _forward_levels(self, plan: TraversalPlan) -> list[set[VertexId]]:
         """Level sets L0..Ln under forward evaluation."""
-        if self.batch_frontier:
-            return self._forward_levels_batched(plan)
         levels = [self._source_level(plan)]
         for step in plan.steps:
             frontier = levels[-1]
@@ -71,24 +59,6 @@ class ReferenceEngine:
                         continue
                     nxt.add(dst)
             levels.append(nxt)
-        return levels
-
-    def _forward_levels_batched(self, plan: TraversalPlan) -> list[set[VertexId]]:
-        """Whole-frontier set-union stepping; each distinct destination is
-        filtered exactly once, after dedup."""
-        levels = [self._source_level(plan)]
-        for step in plan.steps:
-            dsts: set[VertexId] = set()
-            for vid in levels[-1]:
-                dsts.update(dst for dst, _ in self._step_edges(vid, step))
-            if step.vertex_filters:
-                vf = step.vertex_filters
-                dsts = {
-                    dst
-                    for dst in dsts
-                    if vf.matches(self.graph.vertex(dst).effective_props())
-                }
-            levels.append(dsts)
         return levels
 
     def _step_edges(self, vid: VertexId, step) -> list[tuple[VertexId, dict]]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from repro.engine.batch import BatchFrontier, batch_eligible
 from repro.engine.frontier import EMPTY_ANCHORS, intermediate_rtn_levels, merge_entries
 from repro.engine.options import EngineOptions
 from repro.engine.registry import TravelEntry, TravelRegistry
@@ -199,11 +198,6 @@ class SyncServerEngine:
             step_ = plan.steps[level]
             if step_.edge_filters:
                 edge_preds = {l: step_.edge_filters for l in step_.labels}
-        batch: Optional[BatchFrontier] = (
-            BatchFrontier(plan, level, level0_override)
-            if batch_eligible(self.opts, plan)
-            else None
-        )
         decoded0 = self.store.decoded_blocks
         first_in_batch = True
         n_real = 0
@@ -232,16 +226,11 @@ class SyncServerEngine:
             self.board.visit(travel_id, self.ctx.server_id, "real")
             self.metrics.count("engine.real_visits", server=server)
             n_real += 1
-            if batch is not None:
-                batch.add(vid, data, self.store.namespace_of(vid))
-            else:
-                expand_vertex(
-                    plan, level, vid, anchors, data, self.owner_fn, sinks, rtn_levels,
-                    self.store.namespace_of(vid),
-                    level0_override,
-                )
-        if batch is not None:
-            batch.expand(self.owner_fn, sinks)
+            expand_vertex(
+                plan, level, vid, anchors, data, self.owner_fn, sinks, rtn_levels,
+                self.store.namespace_of(vid),
+                level0_override,
+            )
 
         results_sent = self._emit_results(travel_id, attempt, coord_epoch, plan, sinks)
         sent_counts: dict[ServerId, int] = {}
@@ -289,7 +278,6 @@ class SyncServerEngine:
             results_sent=results_sent,
             real=n_real,
             decoded_blocks=self.store.decoded_blocks - decoded0,
-            batch_width=batch.width if batch is not None else 0,
         )
         self.metrics.count("engine.status_reports", server=server)
         self._send_coord(

@@ -60,6 +60,28 @@ class UnknownEdgeLayout(StorageError):
         self.choices = choices
 
 
+class EdgeLayoutMismatch(StorageError):
+    """An edge record arriving from outside a store is not of its layout.
+
+    Raised by ``GraphStore.import_vertices`` and
+    ``GraphStore.rebuild_edge_accounting`` when an entry-per-edge record
+    reaches a columnar store, or an adjacency block a grouped or
+    interleaved one: the store's read path looks only in its own key
+    region, so absorbing the record would make the edge silently
+    unreadable. Carries the store's ``layout``, the ``vid`` and the
+    record's key ``tag``.
+    """
+
+    def __init__(self, layout: str, vid: int, tag: bytes):
+        super().__init__(
+            f"edge record tagged {tag!r} of vertex {vid} does not belong to "
+            f"a {layout!r} store"
+        )
+        self.layout = layout
+        self.vid = vid
+        self.tag = tag
+
+
 class CorruptJournal(StorageError):
     """A traversal-journal record failed its integrity check on replay.
 

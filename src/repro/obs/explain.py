@@ -36,7 +36,6 @@ _STEP_STATS = (
     "filtered",
     "absorbed",
     "decoded_blocks",
-    "batch_width",
 )
 
 

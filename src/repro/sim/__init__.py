@@ -7,13 +7,11 @@ Public surface:
 * :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.PriorityStore`
 * :class:`~repro.sim.rng.RngRegistry` for named seeded random streams
-* :class:`~repro.sim.trace.Tracer` / :class:`~repro.sim.trace.MetricSet`
 """
 
 from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.resources import PriorityStore, Request, Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.trace import MetricSet, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -30,7 +28,4 @@ __all__ = [
     "TokenBucket",
     "RngRegistry",
     "derive_seed",
-    "MetricSet",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -200,8 +200,8 @@ def vertex_key_tag(key: bytes) -> tuple[str, int, bytes]:
     """Classify any vertex-region key: (namespace, vid, region tag byte).
 
     The tag is one of ``b"A"`` (attribute), ``b"B"`` (columnar block), or
-    ``b"E"`` (entry-per-edge record). Used to detect legacy entry-per-edge
-    data arriving at (or restored into) a columnar store.
+    ``b"E"`` (entry-per-edge record). Used to reject edge records of
+    another layout arriving at (or restored into) a store.
     """
     ns, rest = key.split(_SEP, 1)
     if rest[:1] != _VPREFIX:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.errors import KeyNotFound, UnknownEdgeLayout
+from repro.errors import EdgeLayoutMismatch, KeyNotFound, UnknownEdgeLayout
 from repro.graph.builder import PropertyGraph
 from repro.ids import VertexId
 from repro.storage import columnar, encoding as enc
@@ -60,11 +60,10 @@ class GraphStore:
       list is one point lookup plus one decode, and bytes/edge drops to the
       delta-packed column size.
 
-    A columnar store remains able to read vertices whose edges arrived as
-    legacy entry-per-edge records (a grouped-era checkpoint restored, or a
-    migration chunk exported from a grouped source): those vertices are
-    tracked in ``_legacy_edge_vids`` and their reads transparently merge
-    the old ``'E'`` key region with the block region.
+    A store reads only its own layout's forward-edge records: every server
+    of a cluster shares one layout and a checkpoint restores under the
+    layout it recorded, so a chunk or checkpoint carrying the other record
+    kind is rejected with :class:`~repro.errors.EdgeLayoutMismatch`.
     """
 
     def __init__(self, config: Optional[LSMConfig] = None, edge_layout: str = "grouped"):
@@ -72,8 +71,6 @@ class GraphStore:
         self.edge_layout = validate_edge_layout(edge_layout)
         self._ns_of: dict[VertexId, str] = {}  # vertex location/type index
         self._by_type: dict[str, list[VertexId]] = {}
-        #: vertices whose out-edges (also) live as entry-per-edge records
-        self._legacy_edge_vids: set[VertexId] = set()
         #: forward-edge storage footprint (keys + values) and edge count,
         #: surfaced as the ``storage.bytes_per_edge`` gauge
         self._edge_bytes = 0
@@ -190,6 +187,14 @@ class GraphStore:
         if items is not None:
             items.append((key, value))
 
+    def _edge_record_count(self, vid: VertexId, tag: bytes, value: bytes) -> int:
+        """Edges held by one forward-edge record arriving from outside this
+        store; a record of the other layout's kind is rejected."""
+        columnar_store = self.edge_layout == "columnar"
+        if (tag == b"B") != columnar_store:
+            raise EdgeLayoutMismatch(self.edge_layout, vid, tag)
+        return columnar.block_entry_count(value) if columnar_store else 1
+
     # -- live updates -----------------------------------------------------
 
     def insert_vertex(self, vid: VertexId, vtype: str, props: dict[str, Any]) -> None:
@@ -232,6 +237,20 @@ class GraphStore:
             )
             self.kv.put(key, value)
 
+    def insert_reverse_edge(
+        self, dst: VertexId, src: VertexId, label: str, props: dict[str, Any]
+    ) -> None:
+        """Live insert of the ``~label`` reverse-adjacency record of the edge
+        ``src -> dst``, on the store holding ``dst`` (see
+        :meth:`load_partition`: the region is label-grouped in every layout)."""
+        rns = "~" + self._require_ns(dst)
+        rlabel = "~" + label
+        existing, _ = self.kv.scan_prefix(enc.edges_prefix(rns, dst, rlabel))
+        self.kv.put(
+            enc.edge_key(rns, dst, rlabel, len(existing)),
+            enc.pack_edge_record(src, props),
+        )
+
     def set_vertex_prop(self, vid: VertexId, prop: str, value: Any) -> None:
         ns = self._require_ns(vid)
         self.kv.put(enc.attr_key(ns, vid, prop), enc.pack_value(value))
@@ -254,7 +273,6 @@ class GraphStore:
             self.kv.delete(key)
         del self._ns_of[vid]
         self._by_type[ns].remove(vid)
-        self._legacy_edge_vids.discard(vid)
 
     # -- shard migration (repro.rebalance) ---------------------------------
 
@@ -290,24 +308,16 @@ class GraphStore:
         puts identical values under identical keys, and already-indexed
         vertices are not double-indexed. Returns newly indexed vertices.
 
-        Chunks exported from another layout are absorbed as-is: a columnar
-        store receiving legacy entry-per-edge records marks their vertices
-        in ``_legacy_edge_vids`` so reads merge the old key region, and the
-        bytes/edge accounting follows whatever representation arrived.
+        A chunk exported from a store of the other record kind raises
+        :class:`~repro.errors.EdgeLayoutMismatch` at its first edge record.
         """
         fresh = {vid for vid, _ in meta if vid not in self._ns_of}
         for key, value in pairs:
             kns, vid, tag = enc.vertex_key_tag(key)
-            if not kns.startswith("~"):
-                if tag == b"E":
-                    if self.edge_layout == "columnar":
-                        self._legacy_edge_vids.add(vid)
-                    if vid in fresh:
-                        self._account_edges(key, value, 1)
-                elif tag == b"B" and vid in fresh:
-                    self._account_edges(
-                        key, value, columnar.block_entry_count(value)
-                    )
+            if not kns.startswith("~") and tag != b"A":
+                n_edges = self._edge_record_count(vid, tag, value)
+                if vid in fresh:
+                    self._account_edges(key, value, n_edges)
             self.kv.put(key, value)
         added = 0
         for vid, ns in meta:
@@ -446,22 +456,6 @@ class GraphStore:
         out: list[tuple[VertexId, dict[str, Any]]] = []
         if value is not None:
             out = self._filter_decoded(self._decode_block(vid, label, value), pred)
-        if vid in self._legacy_edge_vids:
-            # backward-compat read: this vertex's edges (also) live as
-            # legacy grouped entry-per-edge records
-            prefix = enc.edges_prefix(ns, vid, label)
-            if pred is None:
-                pairs, c = self.kv.scan_prefix(prefix)
-            else:
-                def accept(key: bytes, val: bytes) -> bool:
-                    _, props = enc.unpack_edge_record(val)
-                    return pred(props)
-
-                pairs, c = self.kv.scan_filtered(
-                    prefix, enc.prefix_end(prefix), accept
-                )
-            cost += c
-            out.extend(enc.unpack_edge_record(val) for _, val in pairs)
         return out, cost
 
     def all_edges(
@@ -509,27 +503,6 @@ class GraphStore:
                 preds.get(label) if preds else None,
             )
             out.extend((label, dst, p) for dst, p in decoded)
-        if vid in self._legacy_edge_vids:
-            prefix = enc.all_edges_prefix(ns, vid)
-
-            def decode(key: bytes, value: bytes):
-                dst, props = enc.unpack_edge_record(value)
-                _, _, label, _ = enc.parse_edge_key(key)
-                return label, dst, props
-
-            if preds:
-                def accept(key: bytes, value: bytes) -> bool:
-                    label, _, props = decode(key, value)
-                    pred = preds.get(label)
-                    return pred is None or pred(props)
-
-                pairs, c = self.kv.scan_filtered(
-                    prefix, enc.prefix_end(prefix), accept
-                )
-            else:
-                pairs, c = self.kv.scan_prefix(prefix)
-            cost += c
-            out.extend(decode(key, value) for key, value in pairs)
         return out, cost
 
     # -- index queries (served from the in-memory location index) ----------
@@ -550,33 +523,29 @@ class GraphStore:
         self.kv.cache.clear()
 
     def rebuild_edge_accounting(self) -> None:
-        """Recompute the bytes/edge gauge and the legacy-edge vid set from
-        the store's live contents.
+        """Recompute the bytes/edge gauge from the store's live contents.
 
         A checkpoint restore brings back raw SSTables without replaying the
         writes that maintain the incremental accounting, so
         :func:`~repro.storage.persist.restore_graph_store` calls this once
-        after loading. Also classifies restored entry-per-edge records on a
-        columnar store as legacy data needing the merge read path.
+        after loading. Restored edge records of the other layout's kind
+        raise :class:`~repro.errors.EdgeLayoutMismatch`.
         """
         from repro.storage.memtable import TOMBSTONE
         from repro.storage.sstable import merge_runs
 
         self._edge_bytes = 0
         self._edge_count = 0
-        self._legacy_edge_vids = set()
         runs: list[list[tuple[bytes, object]]] = [self.kv.memtable.items_sorted()]
         runs.extend(list(zip(t.keys, t.values)) for t in self.kv.sstables)
         for key, value in merge_runs(runs, drop_tombstones=True):
             if value is TOMBSTONE or key.split(b"\x00", 1)[0].startswith(b"~"):
                 continue
             _, vid, tag = enc.vertex_key_tag(key)
-            if tag == b"E":
-                if self.edge_layout == "columnar":
-                    self._legacy_edge_vids.add(vid)
-                self._account_edges(key, value, 1)
-            elif tag == b"B":
-                self._account_edges(key, value, columnar.block_entry_count(value))
+            if tag != b"A":
+                self._account_edges(
+                    key, value, self._edge_record_count(vid, tag, value)
+                )
 
     def metrics_snapshot(self) -> dict[str, float]:
         """Storage counters (LSM ops, block cache, bloom filters) plus the

@@ -11,8 +11,8 @@ result bounded by the two snapshots:
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.engine import EngineKind, ReferenceEngine
-from repro.graph import GraphBuilder, hpc_metadata_schema
+from repro.engine import EngineKind, ReferenceEngine, options_for
+from repro.graph import GraphBuilder, PropertyGraph, hpc_metadata_schema
 from repro.lang import GTravel
 
 
@@ -80,3 +80,25 @@ def test_ingested_subgraph_fully_visible_to_later_traversal():
     out = cluster.traverse(plan)
     assert 556 in out.result.vertices
     assert set(execs) <= set(out.result.vertices)
+
+
+@pytest.mark.parametrize("kind", [EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK])
+def test_ingested_edges_reach_the_reverse_index(kind):
+    """A cluster built with the cost planner materialises ``~label`` reverse
+    adjacency; edges ingested afterwards must land there too, or ``back()``
+    (evaluated over reverse edges) silently misses every ingested path."""
+    graph = PropertyGraph()
+    for vid in range(1, 9):
+        graph.add_vertex(vid, "T", {})
+    for src, dst in ((1, 2), (1, 3), (2, 4), (3, 5)):
+        graph.add_edge(src, dst, "e", {})
+    cluster = Cluster.build(
+        graph, ClusterConfig(nservers=2, engine=options_for(kind, planner="cost"))
+    )
+    for src, dst in ((6, 7), (7, 8)):
+        cluster.ingest_edge(src, dst, "e")
+        graph.add_edge(src, dst, "e", {})
+    query = GTravel.v(1, 6).as_("a").e("e").e("e").back("a")
+    expected = ReferenceEngine(graph).run(query.compile())
+    assert expected.vertices == {1, 6}
+    assert cluster.traverse(query).result.same_vertices(expected)

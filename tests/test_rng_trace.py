@@ -1,7 +1,6 @@
-"""Tests for seeded RNG streams and the trace collector."""
+"""Tests for seeded RNG streams."""
 
-from repro.sim import MetricSet, RngRegistry, Tracer, derive_seed
-from repro.sim.rng import RngRegistry as _RR
+from repro.sim import RngRegistry, derive_seed
 
 
 def test_derive_seed_deterministic():
@@ -28,63 +27,3 @@ def test_fork_changes_streams():
     reg = RngRegistry(1)
     child = reg.fork("run2")
     assert reg.stream("a").random() != child.stream("a").random()
-
-
-def test_tracer_records_with_time():
-    tracer = Tracer()
-    clock = [0.0]
-    tracer.bind_clock(lambda: clock[0])
-    tracer.emit("visit", server=1)
-    clock[0] = 2.5
-    tracer.emit("visit", server=2)
-    records = tracer.of("visit")
-    assert [(r.time, r.fields["server"]) for r in records] == [(0.0, 1), (2.5, 2)]
-
-
-def test_tracer_category_filtering():
-    tracer = Tracer(enabled_categories={"keep"})
-    tracer.emit("keep", x=1)
-    tracer.emit("drop", x=2)
-    assert len(tracer.records) == 1
-    assert not tracer.wants("drop")
-
-
-def test_tracer_disabled_records_nothing():
-    tracer = Tracer(enabled_categories=set())
-    tracer.emit("anything")
-    assert tracer.records == []
-
-
-def test_tracer_count_by_and_series():
-    tracer = Tracer()
-    for server in (1, 1, 2):
-        tracer.emit("visit", server=server)
-    assert tracer.count_by("visit", "server") == {1: 2, 2: 1}
-    assert [v for _, v in tracer.series("visit", "server")] == [1, 1, 2]
-
-
-def test_tracer_clear():
-    tracer = Tracer()
-    tracer.emit("a")
-    tracer.clear()
-    assert tracer.records == []
-
-
-def test_metricset_add_get_total():
-    m = MetricSet()
-    m.add("io", label=0, n=3)
-    m.add("io", label=1)
-    assert m.get("io", 0) == 3
-    assert m.total("io") == 4
-    assert set(m.labels("io")) == {0, 1}
-
-
-def test_metricset_merge():
-    a, b = MetricSet(), MetricSet()
-    a.add("x", "s1", 2)
-    b.add("x", "s1", 3)
-    b.add("y", "s2")
-    a.merge(b)
-    assert a.get("x", "s1") == 5
-    assert a.get("y", "s2") == 1
-    assert a.as_dict()["x"] == {"s1": 5}
