@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import BenchEnvironment, metrics_payload, save_results
-from repro.obs.export import validate_snapshot
+from repro.obs.exporter import validate_snapshot
 
 
 @pytest.fixture(scope="session")

@@ -316,10 +316,10 @@ class Cluster:
         )
         migration_wire["migrator"] = migrator
 
-        # Observability wiring: spans timestamp off the runtime clock, and a
-        # pull collector turns the push-free layers (storage, network) into
-        # gauges at snapshot time. Collectors must SET, never increment —
-        # snapshot() may run any number of times.
+        # Observability wiring: trace events timestamp off the runtime clock,
+        # and a pull collector turns the push-free layers (storage, network)
+        # into gauges at snapshot time. Collectors must SET, never increment
+        # — snapshot() may run any number of times.
         obs = board.obs
         if hasattr(runtime, "sim"):
             obs.bind_clock(lambda: runtime.sim.now)
@@ -350,7 +350,6 @@ class Cluster:
                 runtime,
                 config=reliable_cfg,
                 metrics=obs.metrics,
-                spans=obs.spans,
                 trace=obs.trace,
                 seed=config.fault_plan.seed if config.fault_plan is not None else 0,
             )
@@ -686,9 +685,9 @@ class Cluster:
 
     def health_json(self) -> str:
         """Canonical byte-stable health document."""
-        import json
+        from repro.obs.metrics import canonical_json
 
-        return json.dumps(self.health(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.health())
 
     def openmetrics(self) -> str:
         """One OpenMetrics text exposition: the metrics snapshot plus the
@@ -702,17 +701,11 @@ class Cluster:
             health=self.health(),
         )
 
-    def span_timeline(self) -> list[dict]:
-        """All recorded traversal spans, ordered by start time."""
-        return self.board.obs.spans.timeline()
-
     def export_observability(self, path):
-        """Write the canonical metrics+spans+trace payload to ``path``."""
-        from repro.obs.export import write_observability
+        """Write the canonical metrics+trace payload to ``path``."""
+        from repro.obs.exporter import write_observability
 
-        return write_observability(
-            path, self.board.obs.metrics, self.board.obs.spans, self.board.obs.trace
-        )
+        return write_observability(path, self.board.obs.metrics, self.board.obs.trace)
 
     # -- tracing / EXPLAIN / PROFILE ------------------------------------------------
 
@@ -805,9 +798,7 @@ class Cluster:
             outcome = self.traverse(plan, cold=cold, limit=limit)
         except TraversalFailed as err:
             dag = self.trace_dag(err.travel_id)
-            report = profile_traversal(
-                dag, plan, spans=self.board.obs.spans, planned=planned
-            )
+            report = profile_traversal(dag, plan, planned=planned)
             return None, report
         finally:
             recorder.configure(sampling=saved_sampling)
@@ -816,7 +807,6 @@ class Cluster:
         report = profile_traversal(
             dag,
             plan,
-            spans=self.board.obs.spans,
             elapsed=outcome.stats.elapsed,
             result_count=len(outcome.result.vertices),
             queue_wait=self._queue_wait(travel_id),

@@ -143,6 +143,14 @@ class CompositeTravel:
     done: bool = False
 
 
+#: terminal status -> (outcome counter, flight-recorder event kind)
+_TERMINAL = {
+    "ok": ("coord.completed", "travel.complete"),
+    "failed": ("coord.failed", "travel.failed"),
+    "cancelled": ("coord.cancelled", "travel.cancelled"),
+}
+
+
 class Coordinator:
     """One coordinator actor per cluster (hosted on a backend server)."""
 
@@ -167,7 +175,6 @@ class Coordinator:
         self.owner_fn = owner_fn
         self.board = board
         self.metrics = board.obs.metrics
-        self.spans = board.obs.spans
         self.trace = board.obs.trace
         self.engine_kind = engine_kind
         self.config = config or CoordinatorConfig()
@@ -273,9 +280,6 @@ class Coordinator:
             )
         self._active[travel_id] = at
         self.metrics.count("coord.submitted")
-        self.spans.travel_span(
-            travel_id, engine=self.engine_kind.value, steps=executed.final_level
-        )
         self.trace.record(
             "travel.submit",
             travel_id=travel_id,
@@ -435,9 +439,6 @@ class Coordinator:
         self._composites[travel_id] = ct
         self.metrics.count("coord.submitted")
         self.metrics.count("coord.composite_submitted")
-        self.spans.travel_span(
-            travel_id, engine=self.engine_kind.value, steps=plan.final_level
-        )
         self.trace.record(
             "travel.submit",
             travel_id=travel_id,
@@ -516,9 +517,6 @@ class Coordinator:
         )
 
     def _finish_composite(self, ct: CompositeTravel, frontier, aggregate) -> None:
-        ct.done = True
-        self._journal_terminal(ct.travel_id, "ok")
-        del self._composites[ct.travel_id]
         stats = ct.stats
         network = self.runtime.network  # type: ignore[attr-defined]
         submit_hop = network.client_latency(512)
@@ -531,59 +529,62 @@ class Coordinator:
             self.ctx.now() - ct.submit_time
             + submit_hop + network.client_latency(reply_bytes)
         )
-        self.metrics.count("coord.completed")
         self.metrics.observe(
             "travel.elapsed_seconds", stats.elapsed, engine=self.engine_kind.value
         )
         self.metrics.observe("travel.result_vertices", total)
-        self.spans.finish_travel(
-            ct.travel_id, status="ok", results=total, restarts=stats.restarts
-        )
-        self.trace.record(
-            "travel.complete",
-            travel_id=ct.travel_id,
-            server_id=self.ctx.server_id,
-            attempt=0,
-            results=total,
-            restarts=stats.restarts,
-            children=ct.children,
-        )
         result = TraversalResult(
             travel_id=ct.travel_id,
             returned={ct.plan.final_level: frozenset(frontier)},
             aggregate=aggregate,
         )
-        if self.on_complete is not None:
-            self.on_complete(ct.travel_id)
-        ct.client_event.succeed(
+        self._terminate(
+            ct,
+            "ok",
             TraversalOutcome(
                 result=result, stats=stats, plan=ct.plan, executed_plan=None
-            )
+            ),
+            results=total,
+            restarts=stats.restarts,
+            children=ct.children,
         )
-        if self.on_terminal is not None:
-            self.on_terminal(ct.travel_id, "ok")
 
     def _fail_composite(self, ct: CompositeTravel, exc: TraversalError) -> None:
-        ct.done = True
-        self._composites.pop(ct.travel_id, None)
-        cancelled = isinstance(exc, TraversalCancelled)
-        status = "cancelled" if cancelled else "failed"
-        self._journal_terminal(ct.travel_id, status)
-        self.metrics.count("coord.cancelled" if cancelled else "coord.failed")
-        self.spans.finish_travel(ct.travel_id, status=status)
+        status = "cancelled" if isinstance(exc, TraversalCancelled) else "failed"
+        self._terminate(ct, status, exc, restarts=ct.stats.restarts, reason=str(exc))
+
+    def _terminate(
+        self,
+        travel: Union[ActiveTravel, CompositeTravel],
+        status: str,
+        resolution,
+        **trace_attrs,
+    ) -> None:
+        """The one terminal sequence of a traversal, linear or composite.
+        ``resolution`` is the outcome for ``"ok"``, else the error;
+        ``on_terminal`` runs last so the telemetry hook chained on it still
+        finds the scheduler's QoS entry."""
+        travel_id = travel.travel_id
+        travel.done = True
+        if self.journal is not None:
+            self.journal.append("terminal", tid=travel_id, status=status)
+        self._active.pop(travel_id, None)
+        self._composites.pop(travel_id, None)
+        self.registry.unregister(travel_id)
+        self.board.pop(travel_id)
+        counter, kind = _TERMINAL[status]
+        self.metrics.count(counter)
         self.trace.record(
-            "travel.cancelled" if cancelled else "travel.failed",
-            travel_id=ct.travel_id,
-            server_id=self.ctx.server_id,
-            attempt=0,
-            restarts=ct.stats.restarts,
-            reason=str(exc),
+            kind, travel_id=travel_id, server_id=self.ctx.server_id, **trace_attrs
         )
         if self.on_complete is not None:
-            self.on_complete(ct.travel_id)
-        ct.client_event.fail(exc)
+            self.on_complete(travel_id)
+        if status == "ok":
+            travel.client_event.succeed(resolution)
+        else:
+            travel.client_event.fail(resolution)
         if self.on_terminal is not None:
-            self.on_terminal(ct.travel_id, status)
+            self.on_terminal(travel_id, status)
 
     # -- message handling --------------------------------------------------------
 
@@ -760,9 +761,7 @@ class Coordinator:
             at.streamer_busy or any(at.stream_backlog.values())
         ):
             return  # the streamer finalizes once the pipeline drains
-        at.done = True
-        self._journal_terminal(at.travel_id, "ok")
-        stats = self.board.pop(at.travel_id)
+        stats = self.board.stats(at.travel_id)
         network = self.runtime.network  # type: ignore[attr-defined]
         submit_hop = network.client_latency(512)  # GTravel instance upload
         total_results = sum(len(v) for v in at.returned.values())
@@ -779,22 +778,10 @@ class Coordinator:
                 self.ctx.now() - at.submit_time
                 + submit_hop + network.client_latency(64 + 8 * total_results)
             )
-        self.metrics.count("coord.completed")
         self.metrics.observe(
             "travel.elapsed_seconds", stats.elapsed, engine=self.engine_kind.value
         )
         self.metrics.observe("travel.result_vertices", total_results)
-        self.spans.finish_travel(
-            at.travel_id, status="ok", results=total_results, restarts=stats.restarts
-        )
-        self.trace.record(
-            "travel.complete",
-            travel_id=at.travel_id,
-            server_id=self.ctx.server_id,
-            attempt=at.entry.attempt,
-            results=total_results,
-            restarts=stats.restarts,
-        )
         # a reversed plan returns levels in its own numbering; map them back
         # to the original chain's levels before the client sees them
         returned: dict[int, set[VertexId]] = at.returned
@@ -814,19 +801,18 @@ class Coordinator:
             returned={lvl: frozenset(v) for lvl, v in returned.items()},
             aggregate=aggregate,
         )
-        del self._active[at.travel_id]
-        self.registry.unregister(at.travel_id)
-        if self.on_complete is not None:
-            self.on_complete(at.travel_id)
         original = at.planned.original if at.planned is not None else at.plan
         executed = at.plan if original is not at.plan else None
-        at.client_event.succeed(
+        self._terminate(
+            at,
+            "ok",
             TraversalOutcome(
                 result=result, stats=stats, plan=original, executed_plan=executed
-            )
+            ),
+            attempt=at.entry.attempt,
+            results=total_results,
+            restarts=stats.restarts,
         )
-        if self.on_terminal is not None:
-            self.on_terminal(at.travel_id, "ok")
 
     # -- cancellation (scheduler deadlines / explicit cancel) ---------------------------
 
@@ -847,25 +833,13 @@ class Coordinator:
         at = self._active.get(travel_id)
         if at is None or at.done:
             return False
-        at.done = True
-        self._journal_terminal(travel_id, "cancelled")
-        del self._active[travel_id]
-        self.registry.unregister(travel_id)
-        self.board.pop(travel_id)
-        self.metrics.count("coord.cancelled")
-        self.spans.finish_travel(travel_id, status="cancelled")
-        self.trace.record(
-            "travel.cancelled",
-            travel_id=travel_id,
-            server_id=self.ctx.server_id,
+        self._terminate(
+            at,
+            "cancelled",
+            TraversalCancelled(travel_id, reason),
             attempt=at.entry.attempt,
             reason=reason,
         )
-        if self.on_complete is not None:
-            self.on_complete(travel_id)
-        at.client_event.fail(TraversalCancelled(travel_id, reason))
-        if self.on_terminal is not None:
-            self.on_terminal(travel_id, "cancelled")
         return True
 
     def _cancel_composite(self, ct: CompositeTravel, reason: str) -> bool:
@@ -922,28 +896,17 @@ class Coordinator:
             ):
                 continue
             if restarts >= self.config.max_restarts:
-                at.done = True
-                self._journal_terminal(at.travel_id, "failed")
-                del self._active[at.travel_id]
-                self.registry.unregister(at.travel_id)
-                self.metrics.count("coord.failed")
-                self.spans.finish_travel(at.travel_id, status="failed", restarts=restarts)
-                self.trace.record(
-                    "travel.failed",
-                    travel_id=at.travel_id,
-                    server_id=self.ctx.server_id,
+                self._terminate(
+                    at,
+                    "failed",
+                    TraversalFailed(
+                        at.travel_id,
+                        f"no progress for {idle:.1f}s after {restarts} restarts",
+                    ),
                     attempt=at.entry.attempt,
                     restarts=restarts,
                     reason=f"no progress for {idle:.1f}s",
                 )
-                at.client_event.fail(
-                    TraversalFailed(
-                        at.travel_id,
-                        f"no progress for {idle:.1f}s after {restarts} restarts",
-                    )
-                )
-                if self.on_terminal is not None:
-                    self.on_terminal(at.travel_id, "failed")
                 return
             restarts += 1
             self._restart(at)
@@ -1020,7 +983,6 @@ class Coordinator:
         """Restart the traversal from scratch under a new attempt number."""
         attempt = self.registry.bump_attempt(at.travel_id)
         self.metrics.count("coord.restarts")
-        self.spans.annotate(self.spans.travel_span(at.travel_id), restarts=attempt)
         self.trace.record(
             "travel.restart",
             travel_id=at.travel_id,
@@ -1250,10 +1212,6 @@ class Coordinator:
             self.on_complete(travel_id)
 
     # -- plumbing -----------------------------------------------------------------------------
-
-    def _journal_terminal(self, travel_id: TravelId, status: str) -> None:
-        if self.journal is not None:
-            self.journal.append("terminal", tid=travel_id, status=status)
 
     def _journal_progress(
         self, at: ActiveTravel, *, statuses: int = 0, results: int = 0

@@ -119,7 +119,6 @@ class AsyncServerEngine:
         self.opts = opts
         self.board = board
         self.metrics = board.obs.metrics
-        self.spans = board.obs.spans
         self.trace = board.obs.trace
         self.queue = ctx.queue(priority=opts.priority_schedule, name="requests")
         self._pending: dict[tuple[TravelKey, int], PendingWork] = {}
@@ -295,15 +294,6 @@ class AsyncServerEngine:
             "engine.queue_wait_seconds", self.ctx.now() - work.enqueued_at, server=server
         )
         self.metrics.observe("engine.unit_vertices", len(items), server=server)
-        unit_span = self.spans.begin(
-            "unit",
-            f"s{server}:L{level}",
-            parent=self.spans.level_span(travel_id, level),
-            server=server,
-            level=level,
-            exec_id=work.exec_id,
-            absorbed=work.absorbed,
-        )
         yield self.ctx.cpu(
             self.opts.cpu_per_request
             + self.opts.cpu_async_overhead
@@ -316,13 +306,12 @@ class AsyncServerEngine:
         for vid, anchors in items:
             did_io = yield from self._visit(
                 work, plan, level, vid, anchors, sinks, rtn_levels,
-                level0_override, first_in_batch, unit_span,
+                level0_override, first_in_batch,
             )
             if did_io:
                 first_in_batch = False
 
         created, results_sent = self._flush(work, plan, sinks, entry.epoch)
-        self.spans.end(unit_span, vertices=len(items), created=len(created))
         self._record_terminated(
             travel_id, work.exec_id, level, attempt, "ok",
             vertices=len(items),
@@ -367,7 +356,6 @@ class AsyncServerEngine:
         rtn_levels: tuple[int, ...],
         level0_override: Optional[FilterSet],
         first_in_batch: bool,
-        unit_span: int = 0,
     ):
         """Serve one vertex request; returns True if it reached the disk."""
         travel_id = work.travel_id
@@ -415,15 +403,11 @@ class AsyncServerEngine:
             # Execution merging shares the seek/scan, but each merged item
             # still decodes the block it needs (one re-read from cache).
             cost.cache_hits += len(todo) - 1
-            disk_span = self.spans.begin(
-                "disk", f"v{vid}", parent=unit_span, server=server, level=level
-            )
             io_start = self.ctx.now()
             yield self.ctx.disk(cost, level=level, accesses=1)
             self.metrics.observe(
                 "disk.access_seconds", self.ctx.now() - io_start, server=server
             )
-            self.spans.end(disk_span)
 
         self.board.visit(travel_id, server, "real")
         self.board.visit(travel_id, server, "combined", len(todo) - 1)

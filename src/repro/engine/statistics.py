@@ -6,7 +6,7 @@ inside the GraphTrek engine to collect the statistics during the execution"
 (§VII-A) — so recording costs no simulated time.
 
 The board also carries the cluster's :class:`~repro.obs.Observability`
-(metrics registry + span tracer), so every component that already holds the
+(metrics registry + flight recorder), so every component that already holds the
 board can record structured metrics without new constructor plumbing.
 """
 

@@ -74,7 +74,6 @@ class SyncServerEngine:
         self.opts = opts
         self.board = board
         self.metrics = board.obs.metrics
-        self.spans = board.obs.spans
         self.trace = board.obs.trace
         self.queue = ctx.queue(priority=False, name="sync-steps")
         self._buffers: dict[tuple[TravelKey, int], Entries] = {}
@@ -178,13 +177,6 @@ class SyncServerEngine:
         items = sorted(entries.items(), key=lambda iv: iv[0])
         server = self.ctx.server_id
         self.metrics.observe("engine.unit_vertices", len(items), server=server)
-        unit_span = self.spans.begin(
-            "unit",
-            f"s{server}:L{level}",
-            parent=self.spans.level_span(travel_id, level),
-            server=server,
-            level=level,
-        )
         yield self.ctx.cpu(
             self.opts.cpu_per_request + self.opts.cpu_per_vertex * len(items)
         )
@@ -211,15 +203,11 @@ class SyncServerEngine:
                 cost = data.cost
                 if not first_in_batch and cost.seeks:
                     cost.seeks *= self.opts.batch_seek_factor
-                disk_span = self.spans.begin(
-                    "disk", f"v{vid}", parent=unit_span, server=server, level=level
-                )
                 io_start = self.ctx.now()
                 yield self.ctx.disk(cost, level=level, accesses=1)
                 self.metrics.observe(
                     "disk.access_seconds", self.ctx.now() - io_start, server=server
                 )
-                self.spans.end(disk_span)
                 first_in_batch = False
             else:
                 data = VisitData(props=None, edges={}, cost=IOCost())
@@ -264,7 +252,6 @@ class SyncServerEngine:
         if sent_counts:
             self.metrics.count("engine.dispatches", len(sent_counts), server=server)
         self.board.execution(travel_id)
-        self.spans.end(unit_span, vertices=len(items))
         self.trace.record(
             "exec.terminated",
             travel_id=travel_id,

@@ -17,7 +17,6 @@ per-step selectivities and cardinalities. Everything is deterministic per
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro.graph.builder import PropertyGraph
 from repro.lang.filters import FilterOp, FilterSet, PropertyFilter
+from repro.obs.metrics import canonical_json
 
 
 @dataclass(frozen=True)
@@ -559,4 +559,4 @@ class GraphSummary:
 
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical summaries."""
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.payload())

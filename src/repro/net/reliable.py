@@ -88,7 +88,6 @@ class _InFlight:
     payload: Message
     frame: DataFrame
     attempts: int = 0
-    retry_span: int = 0
 
     @property
     def link(self) -> tuple[ServerId, ServerId]:
@@ -104,14 +103,12 @@ class ReliableChannel:
         *,
         config: Optional[ReliableConfig] = None,
         metrics=None,
-        spans=None,
         trace=None,
         seed: int = 0,
     ):
         self.runtime = runtime
         self.config = config or ReliableConfig()
         self.metrics = metrics
-        self.spans = spans
         self.trace = trace
         self._rng = np.random.default_rng(derive_seed(seed, "net.reliable"))
         self._seq = itertools.count(1)
@@ -200,23 +197,11 @@ class ReliableChannel:
             if entry.attempts > self.config.max_retries:
                 self._release(entry)
                 self._count("net.delivery_failed", dst=entry.dst)
-                if self.spans is not None and entry.retry_span:
-                    self.spans.end(
-                        entry.retry_span, outcome="failed", retries=entry.attempts - 1
-                    )
                 self._trace_event("net.delivery_failed", entry)
                 failed = entry
             else:
                 self._count("net.retries", type=type(entry.payload).__name__)
                 self._trace_event("net.retry", entry)
-                if self.spans is not None and entry.retry_span == 0:
-                    entry.retry_span = self.spans.begin(
-                        "retry",
-                        f"seq{entry.seq}",
-                        type=type(entry.payload).__name__,
-                        src=entry.src,
-                        dst=entry.dst,
-                    )
                 self._transmit(entry)
         # The failure callback runs OUTSIDE the channel lock: on the threaded
         # runtime it takes the coordinator's server lock, and a trampoline
@@ -242,8 +227,6 @@ class ReliableChannel:
             if entry is None:
                 return  # duplicate ack, or sender state lost to a crash
             self._count("net.acks")
-            if self.spans is not None and entry.retry_span:
-                self.spans.end(entry.retry_span, outcome="ok", retries=entry.attempts - 1)
             self._release(entry)
 
     def _on_data(self, addr: ServerId, frame: DataFrame) -> None:
@@ -301,8 +284,6 @@ class ReliableChannel:
             self._seen.pop(server, None)
             lost = [e for e in self._inflight.values() if e.src == server]
             for entry in lost:
-                if self.spans is not None and entry.retry_span:
-                    self.spans.end(entry.retry_span, outcome="crashed", retries=entry.attempts - 1)
                 self._inflight.pop(entry.seq, None)
                 link = entry.link
                 self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
@@ -330,11 +311,6 @@ class ReliableChannel:
             self._seen.pop(COORDINATOR, None)
             stale = [e for e in self._inflight.values() if e.dst == COORDINATOR]
             for entry in stale:
-                if self.spans is not None and entry.retry_span:
-                    self.spans.end(
-                        entry.retry_span, outcome="crashed",
-                        retries=entry.attempts - 1,
-                    )
                 self._inflight.pop(entry.seq, None)
                 link = entry.link
                 self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)

@@ -1,10 +1,10 @@
-"""Deterministic observability: metrics registry + traversal span tracer.
+"""Deterministic observability: metrics registry + traversal flight recorder.
 
 :class:`Observability` bundles the two instruments every layer records into.
 It travels on the :class:`~repro.engine.statistics.StatsBoard` so engines,
 the coordinator, storage collectors, and the interference injector all share
-one registry and one tracer without new plumbing. ``Cluster.build`` binds the
-runtime clock; on the simulated runtime that makes every snapshot and
+one registry and one recorder without new plumbing. ``Cluster.build`` binds
+the runtime clock; on the simulated runtime that makes every snapshot and
 timeline a pure function of (seed, configuration).
 """
 
@@ -12,12 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.export import (
-    canonical_json,
-    observability_payload,
-    validate_snapshot,
-    write_observability,
-)
 from repro.obs.explain import (
     ProfileReport,
     StepProfile,
@@ -27,12 +21,20 @@ from repro.obs.explain import (
 from repro.obs.exporter import (
     escape_label_value,
     health_payload,
+    observability_payload,
     render_openmetrics,
     validate_openmetrics,
+    validate_snapshot,
+    write_observability,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry, metric_key, render_key
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    canonical_json,
+    metric_key,
+    render_key,
+)
 from repro.obs.slo import SLOAlert, SLOConfig, SLOTracker
-from repro.obs.spans import SPAN_KINDS, Span, SpanTracer
 from repro.obs.telemetry import HotShardReport, TelemetryConfig, TelemetryPlane
 from repro.obs.trace import (
     EVENT_KINDS,
@@ -44,21 +46,18 @@ from repro.obs.trace import (
     assemble_trace,
     chrome_trace,
     sync_exec_id,
-    unit_span_count,
     validate_trace,
 )
 
 
 class Observability:
-    """One cluster's metrics registry, span tracer, and flight recorder,
-    clock-bound together. The flight recorder starts disabled — it is the
-    opt-in third instrument (``ClusterConfig.trace_enabled`` or
-    ``Cluster.enable_tracing``)."""
+    """One cluster's metrics registry and flight recorder, clock-bound
+    together. The registry is always on; the flight recorder — the only
+    per-traversal timeline — starts disabled and is opt-in
+    (``ClusterConfig.trace_enabled`` or ``Cluster.enable_tracing``)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.metrics = MetricsRegistry(enabled=enabled)
-        self.spans = SpanTracer(enabled=enabled)
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
         self.trace = FlightRecorder(enabled=False)
         self.trace.bind_metrics(self.metrics)
         #: the live telemetry plane + SLO tracker, installed by
@@ -67,23 +66,16 @@ class Observability:
         self.slo = None
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        self.spans.bind_clock(clock)
         self.trace.bind_clock(clock)
 
-    def payload(self) -> dict:
-        return observability_payload(self.metrics, self.spans, self.trace)
-
     def to_json(self) -> str:
-        return canonical_json(self.payload())
+        return canonical_json(observability_payload(self.metrics, self.trace))
 
 
 __all__ = [
     "Observability",
     "MetricsRegistry",
     "Histogram",
-    "SpanTracer",
-    "Span",
-    "SPAN_KINDS",
     "FlightRecorder",
     "SamplingPolicy",
     "TelemetryPlane",
@@ -104,7 +96,6 @@ __all__ = [
     "chrome_trace",
     "validate_trace",
     "sync_exec_id",
-    "unit_span_count",
     "explain_plan",
     "profile_traversal",
     "ProfileReport",

@@ -6,23 +6,21 @@ source selector, per-step edge labels and property filters, and rtn()
 redirection marks. No traversal runs.
 
 ``profile_traversal`` is the post-hoc half: given the flight-recorder DAG of
-a completed traversal (plus the PR-1 span timeline for wall-clock), it
-produces a per-step :class:`ProfileReport` — fan-out, visited/filtered
-counts, per-server execution counts and skew, wall-clock per step on the
-virtual clock, and cache-hit attribution. On the simulated runtime the
-report is a pure function of (seed, configuration).
+a completed traversal, it produces a per-step :class:`ProfileReport` —
+fan-out, visited/filtered counts, per-server execution counts and skew,
+wall-clock per step on the virtual clock, and cache-hit attribution. On the
+simulated runtime the report is a pure function of (seed, configuration).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.lang.filters import FilterSet
 from repro.lang.optimizer import PlannedQuery
 from repro.lang.plan import TraversalPlan
-from repro.obs.spans import SpanTracer
+from repro.obs.metrics import canonical_json
 from repro.obs.trace import TraversalDag
 
 #: node stat keys aggregated into per-step profiles, in display order
@@ -212,7 +210,8 @@ class StepProfile:
     executions: int = 0
     processed_units: int = 0
     fan_out: int = 0  # executions created out of this level
-    wall_clock: Optional[float] = None  # level-span duration, virtual seconds
+    #: first execution receipt at this level -> traversal terminal, virtual s
+    wall_clock: Optional[float] = None
     per_server: dict[int, int] = field(default_factory=dict)
     retries: int = 0
     replays: int = 0
@@ -297,7 +296,7 @@ class ProfileReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.payload())
 
     def format(self) -> str:
         """Human-readable per-step table (the README quickstart output)."""
@@ -326,25 +325,10 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _level_durations(spans: SpanTracer, travel_id: int) -> dict[int, float]:
-    out: dict[int, float] = {}
-    prefix = f"travel-{travel_id}/L"
-    for span in spans.timeline_spans():
-        if span.kind != "level" or not span.name.startswith(prefix):
-            continue
-        if span.end is None:
-            continue
-        level = span.attrs.get("level")
-        if isinstance(level, int):
-            out[level] = span.end - span.start
-    return out
-
-
 def profile_traversal(
     dag: TraversalDag,
     plan: TraversalPlan,
     *,
-    spans: Optional[SpanTracer] = None,
     elapsed: Optional[float] = None,
     result_count: Optional[int] = None,
     queue_wait: Optional[float] = None,
@@ -359,16 +343,12 @@ def profile_traversal(
     """
     if planned is not None:
         plan = planned.executed
-    durations = (
-        _level_durations(spans, dag.travel_id) if spans is not None else {}
-    )
     by_level: dict[int, StepProfile] = {}
 
     def step(level: int) -> StepProfile:
         sp = by_level.get(level)
         if sp is None:
             sp = by_level[level] = StepProfile(level=level)
-            sp.wall_clock = durations.get(level)
         return sp
 
     # Make every plan level present even if no execution reached it
@@ -392,6 +372,11 @@ def profile_traversal(
         for key in _STEP_STATS:
             if key in node.stats:
                 sp.stats[key] = sp.stats.get(key, 0) + int(node.stats[key])
+        # a level runs from its earliest execution receipt to the
+        # traversal's terminal (None while the traversal is running)
+        if dag.finished_at is not None and node.first_received is not None:
+            wall = dag.finished_at - node.first_received
+            sp.wall_clock = wall if sp.wall_clock is None else max(sp.wall_clock, wall)
 
     for edge in dag.edges.values():
         if edge.parent is None:

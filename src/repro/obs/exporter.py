@@ -1,4 +1,9 @@
-"""OpenMetrics text export, health snapshots, and the export linter.
+"""The one exporter: the canonical JSON document, OpenMetrics text, health
+snapshots, and the export linters.
+
+:func:`write_observability` exports ``{"metrics": {...}, "trace": [...]}``
+(metrics snapshot + flight-recorder event log) as canonical JSON;
+:func:`validate_snapshot` is its sanity gate.
 
 The wire formats of the telemetry plane (DESIGN.md §14):
 
@@ -26,9 +31,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Optional, Union
 
-from repro.obs.metrics import MetricKey
+from repro.obs.metrics import MetricKey, MetricsRegistry, canonical_json
+from repro.obs.trace import FlightRecorder
 
 #: OpenMetrics metric-name grammar (no dots — see :func:`metric_name`)
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -346,3 +353,53 @@ def health_payload(
     if journal is not None:
         doc["journal"] = journal
     return doc
+
+
+# -- canonical JSON document ---------------------------------------------------
+
+
+def observability_payload(
+    metrics: MetricsRegistry, trace: FlightRecorder
+) -> dict[str, Any]:
+    return {"metrics": metrics.snapshot(), "trace": trace.timeline()}
+
+
+def write_observability(
+    path: Union[str, Path], metrics: MetricsRegistry, trace: FlightRecorder
+) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(canonical_json(observability_payload(metrics, trace)))
+    return path
+
+
+def _is_bad(value: Any) -> bool:
+    return isinstance(value, float) and (math.isnan(value) or math.isinf(value))
+
+
+def validate_snapshot(
+    snapshot: dict[str, Any], *, require_histograms: bool = False
+) -> list[str]:
+    """Sanity problems in a metrics snapshot; empty list means healthy.
+
+    Flags NaN/inf anywhere and zero-count histograms. With
+    ``require_histograms`` the snapshot must contain at least one histogram —
+    the smoke target uses that to fail when instrumentation silently
+    disappears from the hot paths.
+    """
+    problems: list[str] = []
+    for section in ("counters", "gauges"):
+        for key, value in snapshot.get(section, {}).items():
+            if _is_bad(value):
+                problems.append(f"{section}[{key}] is {value}")
+    histograms = snapshot.get("histograms", {})
+    if require_histograms and not histograms:
+        problems.append("snapshot contains no histograms")
+    for key, summary in histograms.items():
+        if summary.get("count", 0) == 0:
+            problems.append(f"histograms[{key}] is empty")
+            continue
+        for stat, value in summary.items():
+            if _is_bad(value):
+                problems.append(f"histograms[{key}].{stat} is {value}")
+    return problems

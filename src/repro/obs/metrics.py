@@ -24,6 +24,11 @@ from typing import Any, Callable, Iterable, Optional
 MetricKey = tuple[str, tuple[tuple[str, Any], ...]]
 
 
+def canonical_json(payload: Any) -> str:
+    """The one byte-stable serialization: identical runs, identical bytes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def metric_key(name: str, labels: dict[str, Any]) -> MetricKey:
     return (name, tuple(sorted(labels.items())))
 
@@ -86,14 +91,12 @@ class Histogram:
 class MetricsRegistry:
     """Counters, gauges, and histograms keyed by (name, labels).
 
-    ``enabled=False`` turns every record method into a no-op so benchmark
-    sweeps can opt out without touching call sites. Collectors are pull-side
-    hooks (storage stats, runtime totals) run at snapshot time; they must
-    *set* gauges — never increment — so repeated snapshots agree.
+    Collectors are pull-side hooks (storage stats, runtime totals) run at
+    snapshot time; they must *set* gauges — never increment — so repeated
+    snapshots agree.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[MetricKey, float] = {}
         self._gauges: dict[MetricKey, float] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
@@ -105,7 +108,7 @@ class MetricsRegistry:
     # -- recording ---------------------------------------------------------
 
     def count(self, name: str, n: float = 1, **labels: Any) -> None:
-        if not self.enabled or n == 0:
+        if n == 0:
             return
         key = metric_key(name, labels)
         with self._lock:
@@ -116,8 +119,6 @@ class MetricsRegistry:
             self._watcher("counter", key, n)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
         key = metric_key(name, labels)
         with self._lock:
             self._gauges[key] = value
@@ -127,8 +128,6 @@ class MetricsRegistry:
             self._watcher("gauge", key, value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
         key = metric_key(name, labels)
         with self._lock:
             hist = self._histograms.get(key)
@@ -175,9 +174,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, Any]:
         """Fully sorted plain-dict view; runs collectors first."""
-        if self.enabled:
-            for fn in self._collectors:
-                fn(self)
+        for fn in self._collectors:
+            fn(self)
         with self._lock:
             return {
                 "counters": {
@@ -194,7 +192,7 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Canonical byte-stable JSON (same run → same bytes)."""
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.snapshot())
 
     def clear(self) -> None:
         with self._lock:

@@ -33,10 +33,11 @@ observation call, so on the simulated runtime the alert log and the
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from repro.obs.metrics import canonical_json
 
 #: the two per-tenant objectives, in evaluation (and alert-log) order
 OBJECTIVES = ("latency", "errors")
@@ -236,6 +237,4 @@ class SLOTracker:
 
     def to_json(self) -> str:
         """Canonical byte-stable alert-log JSON."""
-        return json.dumps(
-            self.alert_log_payload(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.alert_log_payload())

@@ -30,13 +30,12 @@ a pure function of (seed, configuration).
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.obs.metrics import Histogram, MetricKey, render_key
+from repro.obs.metrics import Histogram, MetricKey, canonical_json, render_key
 
 #: metric whose per-server rate drives the hot-shard score (both engines
 #: count one ``engine.real_visits`` per actually-processed work unit)
@@ -91,7 +90,7 @@ class HotShardReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_payload())
 
 
 class _CounterSeries:
@@ -457,7 +456,7 @@ class TelemetryPlane:
         }
 
     def rollups_json(self) -> str:
-        return json.dumps(self.rollups(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.rollups())
 
     def recent_rate(self, name: str, **labels: Any) -> float:
         """Mean per-second rate of one counter over its retained windows

@@ -3,9 +3,9 @@
 A traversal's execution is distributed and asynchronous: executions are
 created and terminated on backend servers, forwarded peer-to-peer, and
 rtn()-redirected away from the coordinator (paper §IV). Aggregate counters
-and flat spans cannot answer "why was *this* query slow" — the flight
-recorder can. Every causally-significant event of a traversal is logged as a
-structured :class:`TraceEvent` carrying
+cannot answer "why was *this* query slow" — the flight recorder, the only
+per-traversal timeline, can. Every causally-significant event of a
+traversal is logged as a structured :class:`TraceEvent` carrying
 ``(travel_id, exec_id, parent_exec_id, server_id, step, clock)``:
 
 * execution lifecycle — ``exec.created`` / ``exec.received`` /
@@ -35,7 +35,6 @@ duplicate nodes. :func:`chrome_trace` renders recorded traversals in Chrome
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 from collections import deque
@@ -43,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import TraceError
+from repro.obs.metrics import canonical_json
 
 #: event kinds the assembler understands (other kinds pass through exports)
 EVENT_KINDS = (
@@ -353,7 +353,7 @@ class FlightRecorder:
         return [e.as_dict() for e in self._view()]
 
     def to_json(self) -> str:
-        return json.dumps(self.timeline(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.timeline())
 
     def clear(self) -> None:
         with self._lock:
@@ -453,6 +453,9 @@ class TraversalDag:
     truncated: bool = False
     dropped_events: int = 0
     warnings: list[str] = field(default_factory=list)
+    #: clock of the ``travel.complete/failed/cancelled`` event; None while
+    #: the traversal is running (or its terminal was evicted)
+    finished_at: Optional[float] = None
 
     @property
     def roots(self) -> list[int]:
@@ -460,11 +463,9 @@ class TraversalDag:
 
     @property
     def processed_units(self) -> int:
-        """Work units actually processed — the span-tracer's unit count."""
+        """Work units actually processed (``exec.terminated`` with reason
+        "ok") — one ``engine.unit_vertices`` observation each."""
         return sum(n.process_count for n in self.nodes.values())
-
-    def children_of(self, exec_id: Optional[int]) -> list[int]:
-        return sorted(e.child for e in self.edges.values() if e.parent == exec_id)
 
     def reachable(self) -> set[int]:
         """Nodes reachable from the (synthetic) root via creation edges."""
@@ -557,7 +558,14 @@ class TraversalDag:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_payload())
+
+
+_TERMINAL_STATUS = {
+    "travel.complete": "ok",
+    "travel.failed": "failed",
+    "travel.cancelled": "cancelled",
+}
 
 
 def assemble_trace(
@@ -575,6 +583,7 @@ def assemble_trace(
     nodes: dict[int, DagNode] = {}
     edges: dict[tuple[Optional[int], int], DagEdge] = {}
     status = "running"
+    finished_at: Optional[float] = None
     attempts = 0
     nevents = 0
 
@@ -646,12 +655,9 @@ def assemble_trace(
         elif ev.kind == "net.dup_drop":
             if ev.exec_id is not None and ev.exec_id in nodes:
                 nodes[ev.exec_id].dup_drops += 1
-        elif ev.kind == "travel.complete":
-            status = "ok"
-        elif ev.kind == "travel.failed":
-            status = "failed"
-        elif ev.kind == "travel.cancelled":
-            status = "cancelled"
+        elif ev.kind in _TERMINAL_STATUS:
+            status = _TERMINAL_STATUS[ev.kind]
+            finished_at = ev.clock
 
     dag = TraversalDag(
         travel_id=travel_id,
@@ -662,6 +668,7 @@ def assemble_trace(
         events=nevents,
         truncated=dropped > 0,
         dropped_events=dropped,
+        finished_at=finished_at,
     )
     if dropped > 0:
         dag.warnings.append(
@@ -680,30 +687,6 @@ def assemble_all(recorder: FlightRecorder, *, verify: bool = True) -> list[Trave
         assemble_trace(events, tid, dropped=recorder.dropped_for(tid), verify=verify)
         for tid in recorder.travel_ids()
     ]
-
-
-# -- span/trace consistency ---------------------------------------------------
-
-
-def unit_span_count(spans, travel_id: int) -> int:
-    """Number of PR-1 ``unit`` spans recorded under one traversal's span tree.
-
-    The differential invariant: this equals the DAG's ``processed_units``
-    (executions carry one unit span per actual processing; coalesced, stale,
-    and rtn-confirm terminations have neither).
-    """
-    all_spans = spans.timeline_spans()
-    travel_sid = None
-    for s in all_spans:
-        if s.kind == "travel" and s.name == f"travel-{travel_id}":
-            travel_sid = s.span_id
-            break
-    if travel_sid is None:
-        return 0
-    level_ids = {
-        s.span_id for s in all_spans if s.kind == "level" and s.parent_id == travel_sid
-    }
-    return sum(1 for s in all_spans if s.kind == "unit" and s.parent_id in level_ids)
 
 
 # -- Chrome trace_event export ------------------------------------------------

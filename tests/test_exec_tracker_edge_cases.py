@@ -120,7 +120,7 @@ def test_timeout_triggered_restart_counters(metadata_graph):
     cluster = Cluster.build(
         graph,
         ClusterConfig(nservers=3, engine=EngineKind.GRAPHTREK,
-                      coordinator_config=_fast_watchdog()),
+                      coordinator_config=_fast_watchdog(), trace_enabled=True),
     )
     flt, dropped = _drop_first_forward()
     cluster.runtime.drop_filter = flt
@@ -130,9 +130,12 @@ def test_timeout_triggered_restart_counters(metadata_graph):
     metrics = cluster.obs.metrics
     assert metrics.counter_value("coord.timeouts") >= 1
     assert metrics.counter_value("coord.restarts") == 1
-    travel_spans = cluster.obs.spans.spans_of_kind("travel")
-    assert travel_spans and travel_spans[0].attrs["restarts"] == 1
-    assert travel_spans[0].attrs["status"] == "ok"
+    (complete,) = (
+        e
+        for e in cluster.obs.trace.events_for(out.result.travel_id)
+        if e.kind == "travel.complete"
+    )
+    assert complete.attrs["restarts"] == 1
 
 
 def test_replayed_executions_not_double_counted(metadata_graph):

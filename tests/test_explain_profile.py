@@ -77,6 +77,7 @@ def test_profile_reconstructs_full_dag_every_engine(metadata_graph):
         assert [s.level for s in report.steps][:4] == [0, 1, 2, 3]
         assert sum(s.processed_units for s in report.steps) == dag.processed_units
         assert sum(report.per_server.values()) == len(dag.nodes)
+        assert all(s.wall_clock > 0 for s in report.steps if s.executions), kind
         # the history recorded the run like a normal query
         assert client.history and client.history[-1].outcome is not None
 
@@ -87,6 +88,10 @@ def test_profile_reports_cache_hits_and_wall_clock(metadata_graph):
     _, report = cluster.profile(query_for(ids))
     final = report.steps[-1]
     assert final.wall_clock is not None and final.wall_clock > 0
+    # a level runs from its first receipt to the terminal, and level k+1 is
+    # first received after level k: wall-clock never grows along the chain
+    walls = [s.wall_clock for s in report.steps]
+    assert all(later <= earlier for earlier, later in zip(walls, walls[1:]))
     visited = sum(s.stats.get("vertices", 0) for s in report.steps)
     assert visited > 0
     assert report.result_count is not None and report.result_count > 0

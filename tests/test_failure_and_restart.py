@@ -12,9 +12,16 @@ from repro.cluster import (
 )
 from repro.engine import EngineKind, ReferenceEngine
 from repro.errors import TraversalFailed
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.ids import COORDINATOR
 from repro.lang import GTravel
 from repro.net.message import TraverseRequest
+from repro.workloads import (
+    paper_rmat1,
+    pick_start_vertex,
+    rmat_graph,
+    rmat_kstep_query,
+)
 from tests.conftest import ALL_ENGINES
 
 
@@ -67,6 +74,45 @@ def test_persistent_failure_exhausts_restarts(metadata_graph):
     plan = GTravel.v(*ids["users"]).e("run").e("hasExecutions").compile()
     with pytest.raises(TraversalFailed, match="restarts"):
         cluster.traverse(plan)
+
+
+@pytest.mark.parametrize("reliable", [False, True], ids=["raw", "reliable"])
+@pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.value)
+def test_exhausted_restarts_leave_no_travel_state(engine, reliable):
+    """A traversal that fails by exhausting its restart budget runs the same
+    terminal sequence as every other outcome: board, engine tables and
+    channel dedup state for the travel are all released."""
+    config = paper_rmat1(scale=7, edge_factor=8, seed=1)
+    # no status report ever reaches the coordinator, in any attempt
+    lost = FaultSpec(drop=1.0)
+    cluster = Cluster.build(
+        rmat_graph(config),
+        ClusterConfig(
+            nservers=4,
+            engine=engine,
+            coordinator_config=CoordinatorConfig(exec_timeout=0.5, max_restarts=1),
+            fault_plan=FaultPlan(
+                seed=1, per_type={"ExecStatus": lost, "SyncStepDone": lost}
+            ),
+            reliable=reliable,
+        ),
+    )
+    with pytest.raises(TraversalFailed, match="restarts") as err:
+        cluster.traverse(rmat_kstep_query(pick_start_vertex(config), 4))
+    travel_id = err.value.travel_id
+    assert travel_id not in cluster.board._stats
+    assert cluster.registry.get(travel_id) is None
+    assert travel_id not in cluster.coordinator._active
+    for server in cluster.servers:
+        eng = server.engine
+        if engine is EngineKind.SYNC:
+            tables = (eng._buffers, eng._batch_counts, eng._expected)
+        else:
+            tables = (eng._pending, eng._rtn_forwarded, eng._sent, eng.seen)
+        assert [len(t) for t in tables] == [0] * len(tables), server.server_id
+    if reliable:
+        seen = cluster.runtime.channel._seen
+        assert seen and all(travel_id not in per for per in seen.values())
 
 
 def test_sync_engine_restart_after_lost_batch(metadata_graph):

@@ -1,10 +1,14 @@
-"""The refactoring oracle as a test: pinned metric-snapshot digests.
+"""The refactoring oracle as a test: pinned metric-snapshot and trace digests.
 
 The simulator is deterministic, so a change that only removes or moves
 Python code cannot change a single counter, gauge or histogram bucket of a
 seeded run. Each cell below pins ``sha256(canonical_json(metrics_snapshot()))``
 for one engine on one seeded graph; a refactor passes unchanged, a change to
 virtual behaviour (event order, disk cost, message count) does not.
+
+``GOLDEN_TRACE`` pins the flight recorder's event stream the same way
+(``sha256(cluster.obs.trace.to_json())`` on a traced run): it moves when an
+event kind or attribute is added, removed or reordered.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
-from repro.obs.export import canonical_json
+from repro.obs.exporter import canonical_json
 from repro.workloads import (
     MetadataGraphConfig,
     generate_metadata_graph,
@@ -42,6 +46,13 @@ GOLDEN = {
     ("audit-seed3", "GraphTrek"): "5f4e60742e8f64e0f16603bc3d86c74c079c32ac7452bce99852cfe688277cd6",
 }
 
+#: engine -> sha256 of the flight-recorder timeline on the traced rmat-seed1 cell
+GOLDEN_TRACE = {
+    "Sync-GT": "0846d2bc6b3fb02e48492d787aaec1e6454d4b55f64baee06f8117c2251c1a07",
+    "Async-GT": "dc71b462816e5803048a0fd151ba1f977a4bcbeb1a434a50d0200e42e26e4997",
+    "GraphTrek": "d334c9debfdbf5159b2cd144abc556df0388ddbbf5bd6fb8cda9a3f91b4e6515",
+}
+
 
 def _rmat_cell(seed: int):
     config = paper_rmat1(scale=8, seed=seed)
@@ -60,12 +71,18 @@ WORKLOADS = {
 }
 
 
-def snapshot_digest(workload: str, engine: EngineKind) -> str:
+def run_cell(workload: str, engine: EngineKind, trace: bool = False) -> Cluster:
     graph, query = WORKLOADS[workload]()
-    cluster = Cluster.build(graph, ClusterConfig(nservers=NSERVERS, engine=engine))
+    cluster = Cluster.build(
+        graph, ClusterConfig(nservers=NSERVERS, engine=engine, trace_enabled=trace)
+    )
     outcome = cluster.traverse(query.compile(), cold=True)
     assert outcome.result.vertices, "golden cell returned nothing; it pins no work"
-    payload = canonical_json(cluster.metrics_snapshot())
+    return cluster
+
+
+def snapshot_digest(workload: str, engine: EngineKind) -> str:
+    payload = canonical_json(run_cell(workload, engine).metrics_snapshot())
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -78,4 +95,16 @@ def test_metrics_snapshot_matches_golden_digest(workload, engine):
         "A refactor must leave every seeded counter, gauge and histogram "
         "byte-identical; a digest may only be re-recorded by a PR that states "
         "why virtual behaviour changed."
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.value)
+def test_trace_timeline_matches_golden_digest(engine):
+    recorder = run_cell("rmat-seed1", engine, trace=True).obs.trace
+    digest = hashlib.sha256(recorder.to_json().encode()).hexdigest()
+    assert digest == GOLDEN_TRACE[engine.value], (
+        f"flight-recorder timeline of {engine.value} on rmat-seed1 drifted: got "
+        f"{digest}. A refactor must leave every event kind, attribute and "
+        "clock byte-identical; a digest may only be re-recorded by a PR that "
+        "states why the recorder's vocabulary or virtual behaviour changed."
     )

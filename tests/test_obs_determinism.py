@@ -1,8 +1,9 @@
 """Determinism of the observability layer on the simulated runtime.
 
 Identical seeds and configuration must yield *byte-identical* metrics
-snapshots and span timelines across independently built clusters — the
-contract that makes recorded instrument panels diffable between runs.
+snapshots and flight-recorder timelines across independently built
+clusters — the contract that makes recorded instrument panels diffable
+between runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
 from repro.graph import PropertyGraph
 from repro.lang import GTravel
-from repro.obs.export import canonical_json
+from repro.obs.exporter import canonical_json
 
 LABELS = ("calls", "reads")
 
@@ -35,9 +36,11 @@ def seeded_graph(seed: int, n: int = 40, extra_edges: int = 90) -> PropertyGraph
     return g
 
 
-def run_once(kind: EngineKind, seed: int = 11):
+def run_once(kind: EngineKind, seed: int = 11, trace: bool = False):
     graph = seeded_graph(seed)
-    cluster = Cluster.build(graph, ClusterConfig(nservers=3, engine=kind))
+    cluster = Cluster.build(
+        graph, ClusterConfig(nservers=3, engine=kind, trace_enabled=trace)
+    )
     plan = GTravel.v(0).e("calls").e(*LABELS).e(*LABELS).compile()
     outcome = cluster.traverse(plan)
     return cluster, outcome
@@ -56,12 +59,11 @@ def test_metrics_snapshots_byte_identical_across_runs(kind):
 @pytest.mark.parametrize(
     "kind", [EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK]
 )
-def test_span_timelines_byte_identical_across_runs(kind):
-    c1, _ = run_once(kind)
-    c2, _ = run_once(kind)
-    timeline = c1.span_timeline()
-    assert timeline, "instrumented run recorded no spans"
-    assert c1.obs.spans.to_json() == c2.obs.spans.to_json()
+def test_trace_timelines_byte_identical_across_runs(kind):
+    c1, _ = run_once(kind, trace=True)
+    c2, _ = run_once(kind, trace=True)
+    assert len(c1.obs.trace), "traced run recorded no events"
+    assert c1.obs.trace.to_json() == c2.obs.trace.to_json()
 
 
 def test_full_payload_byte_identical_and_snapshot_idempotent():
@@ -82,17 +84,22 @@ def test_export_writes_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_span_timeline_is_causally_well_formed():
-    cluster, _ = run_once(EngineKind.GRAPHTREK)
-    spans = cluster.span_timeline()
-    by_id = {s["span_id"]: s for s in spans}
-    kinds = {s["kind"] for s in spans}
-    assert {"travel", "level", "unit", "disk"} <= kinds
-    parent_kind = {"level": "travel", "unit": "level", "disk": "unit"}
-    for span in spans:
-        assert span["end"] is not None, f"span {span['span_id']} left open"
-        assert span["end"] >= span["start"]
-        if span["kind"] in parent_kind:
-            parent = by_id[span["parent_id"]]
-            assert parent["kind"] == parent_kind[span["kind"]]
-            assert parent["start"] <= span["start"]
+def test_trace_dag_is_causally_well_formed():
+    cluster, outcome = run_once(EngineKind.GRAPHTREK, trace=True)
+    travel_id = outcome.result.travel_id
+    dag = cluster.trace_dag(travel_id)
+    dag.verify()
+    assert not dag.warnings
+    (submitted,) = (
+        e.clock
+        for e in cluster.obs.trace.events_for(travel_id)
+        if e.kind == "travel.submit"
+    )
+    assert dag.status == "ok" and dag.finished_at is not None
+    processed = [n for n in dag.nodes.values() if n.process_count]
+    assert processed
+    for node in processed:
+        assert node.created_at <= node.first_received <= node.last_terminated
+    for node in dag.nodes.values():
+        for clock in (node.created_at, node.first_received, node.last_terminated):
+            assert clock is None or submitted <= clock <= dag.finished_at

@@ -1,4 +1,4 @@
-"""Unit tests for the observability layer: registry, histograms, spans."""
+"""Unit tests for the observability layer: registry, histograms, export."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Observability,
-    SpanTracer,
     metric_key,
     render_key,
     validate_snapshot,
 )
-from repro.obs.export import canonical_json, observability_payload
+from repro.obs.exporter import canonical_json, observability_payload
 
 
 class TestMetricKey:
@@ -80,14 +79,6 @@ class TestMetricsRegistry:
         reg.set_gauge("depth", 2)
         assert reg.gauge_value("depth") == 2
 
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.count("visits")
-        reg.set_gauge("depth", 1)
-        reg.observe("latency", 0.5)
-        snap = reg.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
     def test_collectors_run_at_snapshot_and_are_idempotent(self):
         reg = MetricsRegistry()
         source = {"value": 7}
@@ -119,73 +110,12 @@ class TestMetricsRegistry:
         assert snap["counters"] == {} and snap["histograms"] == {}
 
 
-class TestSpanTracer:
-    def _clocked_tracer(self):
-        tracer = SpanTracer()
-        state = {"t": 0.0}
-        tracer.bind_clock(lambda: state["t"])
-        return tracer, state
-
-    def test_begin_end_records_interval(self):
-        tracer, state = self._clocked_tracer()
-        sid = tracer.begin("unit", "s0:L0", server=0)
-        state["t"] = 1.5
-        tracer.end(sid, vertices=3)
-        (span,) = tracer.timeline_spans()
-        assert span.start == 0.0 and span.end == 1.5
-        assert span.attrs == {"server": 0, "vertices": 3}
-
-    def test_end_is_idempotent(self):
-        tracer, state = self._clocked_tracer()
-        sid = tracer.begin("disk", "v1")
-        state["t"] = 1.0
-        tracer.end(sid)
-        state["t"] = 2.0
-        tracer.end(sid)  # must not move the end time
-        assert tracer.timeline_spans()[0].end == 1.0
-
-    def test_disabled_tracer_returns_zero_ids(self):
-        tracer = SpanTracer(enabled=False)
-        assert tracer.begin("unit", "x") == 0
-        tracer.end(0)
-        assert len(tracer) == 0
-
-    def test_travel_and_level_spans_are_causally_linked(self):
-        tracer, state = self._clocked_tracer()
-        root = tracer.travel_span("t1", engine="graphtrek")
-        assert tracer.travel_span("t1") == root  # lazy: one per travel
-        lvl0 = tracer.level_span("t1", 0)
-        lvl1 = tracer.level_span("t1", 1)
-        assert tracer.level_span("t1", 0) == lvl0
-        unit = tracer.begin("unit", "s0:L1", parent=lvl1)
-        state["t"] = 3.0
-        tracer.end(unit)
-        tracer.finish_travel("t1", status="ok")
-        spans = {s.span_id: s for s in tracer.timeline_spans()}
-        assert spans[lvl0].parent_id == root
-        assert spans[lvl1].parent_id == root
-        assert spans[unit].parent_id == lvl1
-        # finish_travel closed every remaining open span
-        assert all(s.end is not None for s in spans.values())
-        assert spans[root].attrs["status"] == "ok"
-
-    def test_timeline_ordered_by_start_time(self):
-        tracer, state = self._clocked_tracer()
-        state["t"] = 5.0
-        late = tracer.begin("unit", "late")
-        state["t"] = 1.0
-        early = tracer.begin("unit", "early")
-        tracer.end(late)
-        tracer.end(early)
-        assert [s["span_id"] for s in tracer.timeline()] == [early, late]
-
-
 class TestExportValidation:
     def test_payload_bundles_metrics_and_spans(self):
         obs = Observability()
         obs.metrics.count("c")
-        payload = observability_payload(obs.metrics, obs.spans, obs.trace)
-        assert set(payload) == {"metrics", "spans", "trace"}
+        payload = observability_payload(obs.metrics, obs.trace)
+        assert set(payload) == {"metrics", "trace"}
         assert canonical_json(payload) == obs.to_json()
 
     def test_validate_flags_nan_and_empty(self):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.harness import metrics_payload, run_cell
 from repro.engine import EngineKind
-from repro.obs.export import validate_snapshot
+from repro.obs.exporter import validate_snapshot
 from repro.workloads import paper_rmat1, pick_start_vertex, rmat_graph, rmat_kstep_query
 
 SMOKE_SCALE = 8  # 256 vertices: seconds of wall time, all hot paths exercised
