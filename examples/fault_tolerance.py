@@ -24,8 +24,30 @@ from repro import (
     MetadataGraphConfig,
     generate_metadata_graph,
 )
+from repro.faults.inject import FaultDecision
 from repro.net.message import TraverseRequest
 from repro.storage.persist import checkpoint_graph_store, restore_graph_store
+
+
+class DropOneForward:
+    """A hand-written fault injector (anything with ``decide(src, dst, msg)
+    -> FaultDecision`` fits the runtime's injection slot; a seeded
+    ``FaultPlan`` is the declarative way): lose the first inter-server
+    dispatch, deliver everything else untouched."""
+
+    def __init__(self):
+        self.dropped = 0
+
+    def decide(self, src, dst, msg) -> FaultDecision:
+        if (
+            isinstance(msg, TraverseRequest)
+            and msg.level > 0
+            and self.dropped == 0
+            and src != dst
+        ):
+            self.dropped += 1
+            return FaultDecision(drop=True)
+        return FaultDecision()
 
 
 def lossy_cluster(graph, fine_grained: bool):
@@ -41,20 +63,7 @@ def lossy_cluster(graph, fine_grained: bool):
             ),
         ),
     )
-    state = {"dropped": 0}
-
-    def drop_one_forward(src, dst, msg):
-        if (
-            isinstance(msg, TraverseRequest)
-            and msg.level > 0
-            and state["dropped"] == 0
-            and src != dst
-        ):
-            state["dropped"] += 1
-            return True
-        return False
-
-    cluster.runtime.drop_filter = drop_one_forward
+    cluster.runtime.fault_injector = DropOneForward()
     return cluster
 
 

@@ -1192,7 +1192,7 @@ def exp_telemetry(
 
     Three claims (DESIGN.md §14):
 
-    * **Overhead** — the plane's watcher-based windowed rollups cost under
+    * **Overhead** — the plane's boundary-driven windowed rollups cost under
       5% wall clock versus ``telemetry_enabled=False`` on the 8-step run
       (min of ``repeats``), and exactly zero *virtual* time — telemetry
       never touches the simulation. The tail-sampled tracing leg is

@@ -36,7 +36,7 @@ from repro.lang.gtravel import GTravel
 from repro.lang.plan import TraversalPlan
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
 from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.telemetry import TelemetryConfig, TelemetryPlane
+from repro.obs.telemetry import TelemetryPlane
 from repro.obs.trace import SamplingPolicy
 from repro.partition.edge_cut import Partitioner, make_partitioner
 from repro.rebalance.migrate import MigrationConfig, ShardMigrator
@@ -68,7 +68,6 @@ class ClusterConfig:
     coordinator_server: ServerId = 0
     coordinator_config: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     interference: Optional[InterferencePolicy] = None
-    partition_salt: int = 0
     #: "simulated" (virtual time; the evaluation runtime) or "threaded"
     #: (real OS threads; functional cross-validation — timings are wall clock
     #: and nondeterministic).
@@ -79,14 +78,15 @@ class ClusterConfig:
     #: DESIGN.md §16). Unknown names raise the typed
     #: :class:`~repro.errors.UnknownEdgeLayout` at build time.
     edge_layout: str = "grouped"
-    #: declarative fault injection (drops/dups/delays/crashes); replaces the
-    #: raw ``runtime.drop_filter`` hook as the supported injection point.
+    #: declarative fault injection (drops/dups/delays/crashes), compiled
+    #: into the runtime's one injection slot (``runtime.fault_injector``).
     fault_plan: Optional[FaultPlan] = None
     #: wrap all messaging in the at-least-once ReliableChannel (acks,
     #: seeded-backoff retries, receiver dedup). Off by default: the fault-free
     #: wire needs no acks and the paper's timings are measured without them.
+    #: The ack timeout follows the runtime (wall-clock timers need a longer
+    #: one).
     reliable: bool = False
-    reliable_config: Optional[ReliableConfig] = None
     #: per-traversal flight recorder (exec lifecycle, forwards, retries,
     #: fault verdicts — see :mod:`repro.obs.trace`). Off by default; recording
     #: is out-of-band and never affects simulated timings, but the event
@@ -106,14 +106,12 @@ class ClusterConfig:
     #: where the journal bytes live; None = in-memory storage that models a
     #: GPFS-backed journal file (survives the simulated crash)
     journal_storage: Optional[JournalStorage] = None
-    #: journal records between compacting checkpoints
-    journal_checkpoint_interval: int = 256
     #: the live telemetry plane (DESIGN.md §14): windowed rollups over the
     #: metrics registry, per-tenant SLO burn-rate alerting, hot-shard
-    #: detection, and the tail-sampling keep decision. On by default — the
-    #: watcher-based ingestion is cheap and never touches simulated time.
+    #: detection, and the tail-sampling keep decision. On by default —
+    #: windows close at runtime clock boundaries, so the record path pays
+    #: nothing and simulated time is never touched.
     telemetry_enabled: bool = True
-    telemetry_config: Optional[TelemetryConfig] = None
     slo_config: Optional[SLOConfig] = None
     #: tail-based trace sampling policy (requires ``trace_enabled`` and the
     #: telemetry plane, which drives the per-traversal keep decision). None =
@@ -193,9 +191,7 @@ class Cluster:
         else:
             raise SimulationError(f"unknown runtime kind {config.runtime!r}")
         runtime.coordinator_server = config.coordinator_server
-        partitioner = make_partitioner(
-            config.partitioner, config.nservers, graph=graph, salt=config.partition_salt
-        )
+        partitioner = make_partitioner(config.partitioner, config.nservers, graph=graph)
         assignment = partitioner.assign(graph)
         # every routing decision in the cluster goes through the versioned
         # table so shard migrations can move ownership under live traffic
@@ -271,10 +267,7 @@ class Cluster:
 
         journal: Optional[TraversalJournal] = None
         if config.journal:
-            journal = TraversalJournal(
-                config.journal_storage,
-                checkpoint_interval=config.journal_checkpoint_interval,
-            )
+            journal = TraversalJournal(config.journal_storage)
         coordinator = Coordinator(
             ctx=runtime.context(config.coordinator_server),
             runtime=runtime,
@@ -288,7 +281,7 @@ class Cluster:
             journal=journal,
             routing=routing,
         )
-        runtime.register_coordinator(coordinator.on_message)
+        runtime.register_handler(COORDINATOR, coordinator.on_message)
 
         # The admission scheduler sits between Cluster.submit and the
         # coordinator; with the default (transparent) SchedulerConfig every
@@ -321,11 +314,7 @@ class Cluster:
         # into gauges at snapshot time. Collectors must SET, never increment
         # — snapshot() may run any number of times.
         obs = board.obs
-        if hasattr(runtime, "sim"):
-            obs.bind_clock(lambda: runtime.sim.now)
-        else:
-            ctx0 = runtime.context(0)
-            obs.bind_clock(ctx0.now)
+        obs.bind_clock(runtime.now)
         runtime.bind_metrics(obs.metrics)
         obs.trace.configure(
             enabled=config.trace_enabled, max_events=config.trace_max_events
@@ -339,16 +328,17 @@ class Cluster:
         if config.fault_plan is not None:
             runtime.install_faults(config.fault_plan)
         if config.reliable:
-            reliable_cfg = config.reliable_config
-            if reliable_cfg is None and config.runtime == "threaded":
-                # Wall-clock timers have ~millisecond resolution, so the
-                # virtual-seconds ack timeout must be large enough (after
-                # time_scale) that a real ack round trip beats the retry
-                # timer — otherwise every frame retries to exhaustion.
-                reliable_cfg = ReliableConfig(ack_timeout=0.5)
+            # Wall-clock timers have ~millisecond resolution, so on threads
+            # the virtual-seconds ack timeout must be large enough (after
+            # time_scale) that a real ack round trip beats the retry timer —
+            # otherwise every frame retries to exhaustion.
             channel = ReliableChannel(
                 runtime,
-                config=reliable_cfg,
+                config=(
+                    ReliableConfig(ack_timeout=0.5)
+                    if config.runtime == "threaded"
+                    else None
+                ),
                 metrics=obs.metrics,
                 trace=obs.trace,
                 seed=config.fault_plan.seed if config.fault_plan is not None else 0,
@@ -381,27 +371,9 @@ class Cluster:
             slo = SLOTracker(
                 config.slo_config, metrics=obs.metrics, trace=obs.trace
             )
-            telemetry = TelemetryPlane(
-                config.telemetry_config,
-                slo=slo,
-                thread_safe=(config.runtime == "threaded"),
-            )
-            if hasattr(runtime, "sim"):
-                # simulated runtime: pull-based windowing — rollup windows
-                # close at kernel clock-boundary crossings by diffing the
-                # registry, so the engines' record paths pay nothing. Only
-                # the SLO rejection feed keeps a (name-filtered) watcher.
-                sim = runtime.sim
-                telemetry.bind_clock(lambda: sim.now)
-                telemetry.install_pull(sim, obs.metrics)
-                obs.metrics.bind_watcher(
-                    telemetry.ingest, names={"sched.rejected"}
-                )
-            else:
-                # threaded runtime: no virtual clock to hook, so every
-                # recording is binned per event via the full watcher
-                telemetry.bind_clock(runtime.context(0).now)
-                obs.metrics.bind_watcher(telemetry.ingest)
+            telemetry = TelemetryPlane(slo=slo)
+            telemetry.install(runtime, obs.metrics)
+            scheduler.on_reject = slo.record_rejection
             telemetry.bind_recorder(obs.trace)
             obs.telemetry = telemetry
             obs.slo = slo
@@ -835,9 +807,7 @@ class Cluster:
 
     @property
     def now(self) -> float:
-        if hasattr(self.runtime, "sim"):
-            return self.runtime.sim.now
-        return self.runtime.context(0).now()
+        return self.runtime.now()
 
     def shutdown(self) -> None:
         """Release runtime resources (worker threads on the threaded runtime)."""

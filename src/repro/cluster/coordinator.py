@@ -253,31 +253,19 @@ class Coordinator:
             if client_event is not None
             else self.runtime.completion_event()
         )
-        tracker: Union[ExecTracker, SyncBarrierState]
-        tracker = SyncBarrierState() if self.is_sync else ExecTracker()
         at = ActiveTravel(
             travel_id=travel_id,
             entry=entry,
             submit_time=self.ctx.now() if submit_time is None else submit_time,
             client_event=event,
-            tracker=tracker,
+            tracker=self._new_tracker(entry.attempt),
             planned=planned,
             child_of=_child_of,
         )
-        if self.journal is not None:
-            # WAL discipline: the dispatch is durable before any of its
-            # side effects (messages, tracker registration) can run.
-            self.journal.append(
-                "dispatch",
-                tid=travel_id,
-                plan=executed,
-                attempt=entry.attempt,
-                epoch=self.epoch,
-                composite=False,
-                child_of=_child_of,
-                submit_time=at.submit_time,
-                planned=planned,
-            )
+        self._journal_dispatch(
+            travel_id, executed, entry.attempt,
+            child_of=_child_of, submit_time=at.submit_time, planned=planned,
+        )
         self._active[travel_id] = at
         self.metrics.count("coord.submitted")
         self.trace.record(
@@ -424,18 +412,7 @@ class Coordinator:
             submit_time=self.ctx.now() if submit_time is None else submit_time,
             stats=TraversalStats(engine=self.engine_kind),
         )
-        if self.journal is not None:
-            self.journal.append(
-                "dispatch",
-                tid=travel_id,
-                plan=plan,
-                attempt=0,
-                epoch=self.epoch,
-                composite=True,
-                child_of=None,
-                submit_time=ct.submit_time,
-                planned=None,
-            )
+        self._journal_dispatch(travel_id, plan, 0, submit_time=ct.submit_time)
         self._composites[travel_id] = ct
         self.metrics.count("coord.submitted")
         self.metrics.count("coord.composite_submitted")
@@ -552,6 +529,38 @@ class Coordinator:
     def _fail_composite(self, ct: CompositeTravel, exc: TraversalError) -> None:
         status = "cancelled" if isinstance(exc, TraversalCancelled) else "failed"
         self._terminate(ct, status, exc, restarts=ct.stats.restarts, reason=str(exc))
+
+    def _new_tracker(self, attempt: int) -> Union[ExecTracker, SyncBarrierState]:
+        """Fresh completion-tracking state for one attempt of a travel."""
+        if self.is_sync:
+            return SyncBarrierState(attempt=attempt)
+        return ExecTracker(attempt=attempt)
+
+    def _journal_dispatch(
+        self,
+        travel_id: TravelId,
+        plan: Union[TraversalPlan, CompositePlan],
+        attempt: int,
+        *,
+        submit_time: float,
+        child_of: Optional[TravelId] = None,
+        planned: Optional[PlannedQuery] = None,
+    ) -> None:
+        """WAL discipline: a launch (first dispatch, restart or post-crash
+        resume) is durable before any of its side effects (messages, tracker
+        registration) can run."""
+        if self.journal is not None:
+            self.journal.append(
+                "dispatch",
+                tid=travel_id,
+                plan=plan,
+                attempt=attempt,
+                epoch=self.epoch,
+                composite=isinstance(plan, CompositePlan),
+                child_of=child_of,
+                submit_time=submit_time,
+                planned=planned,
+            )
 
     def _terminate(
         self,
@@ -1000,23 +1009,15 @@ class Coordinator:
         at.stream_backlog.clear()
         at.streamed.clear()
         at.stream_chunks = 0
-        if self.is_sync:
-            at.tracker = SyncBarrierState(attempt=attempt)
-        else:
-            at.tracker = ExecTracker(attempt=attempt)
+        # the failed attempt's unflushed progress deltas die with it
+        at.pend_statuses = 0
+        at.pend_results = 0
+        at.tracker = self._new_tracker(attempt)
         at.tracker.last_activity = self.ctx.now()
-        if self.journal is not None:
-            self.journal.append(
-                "dispatch",
-                tid=at.travel_id,
-                plan=at.plan,
-                attempt=attempt,
-                epoch=self.epoch,
-                composite=False,
-                child_of=at.child_of,
-                submit_time=at.submit_time,
-                planned=at.planned,
-            )
+        self._journal_dispatch(
+            at.travel_id, at.plan, attempt,
+            child_of=at.child_of, submit_time=at.submit_time, planned=at.planned,
+        )
         self._dispatch(at)
 
     # -- progress (paper §IV-C) -----------------------------------------------------------
@@ -1112,18 +1113,12 @@ class Coordinator:
             return False
         attempt = self.registry.bump_attempt(travel_id)
         entry.epoch = self.epoch
-        tracker: Union[ExecTracker, SyncBarrierState]
-        tracker = (
-            SyncBarrierState(attempt=attempt)
-            if self.is_sync
-            else ExecTracker(attempt=attempt)
-        )
         at = ActiveTravel(
             travel_id=travel_id,
             entry=entry,
             submit_time=submit_time,
             client_event=client_event,
-            tracker=tracker,
+            tracker=self._new_tracker(attempt),
             planned=planned,
         )
         self._active[travel_id] = at
@@ -1137,18 +1132,9 @@ class Coordinator:
             attempt=attempt,
             epoch=self.epoch,
         )
-        if self.journal is not None:
-            self.journal.append(
-                "dispatch",
-                tid=travel_id,
-                plan=entry.plan,
-                attempt=attempt,
-                epoch=self.epoch,
-                composite=False,
-                child_of=None,
-                submit_time=submit_time,
-                planned=planned,
-            )
+        self._journal_dispatch(
+            travel_id, entry.plan, attempt, submit_time=submit_time, planned=planned
+        )
         at.tracker.last_activity = self.ctx.now()
         self._dispatch(at)
         self.ctx.spawn(self._watchdog(at), name=f"watchdog-{travel_id}")
@@ -1186,18 +1172,7 @@ class Coordinator:
             epoch=self.epoch,
             composite=True,
         )
-        if self.journal is not None:
-            self.journal.append(
-                "dispatch",
-                tid=travel_id,
-                plan=plan,
-                attempt=0,
-                epoch=self.epoch,
-                composite=True,
-                child_of=None,
-                submit_time=submit_time,
-                planned=None,
-            )
+        self._journal_dispatch(travel_id, plan, 0, submit_time=submit_time)
         self.ctx.spawn(self._orchestrate(ct), name=f"composite-{travel_id}")
 
     def cleanup_travel(self, travel_id: TravelId) -> None:

@@ -18,10 +18,10 @@ ServerId = int
 TravelId = int
 ExecId = int
 
-#: Typed destination sentinel for the coordinator actor. The coordinator is
-#: not a backend server: it is addressed out-of-band (it lives on
-#: ``coordinator_server`` but has its own handler), so delivery paths and
-#: fault filters use this constant instead of a bare ``-1``.
+#: The coordinator actor's address. The coordinator is not a backend server
+#: (it lives on ``coordinator_server`` but has its own handler), so it gets
+#: its own key in the runtime's handler table; senders and fault injectors
+#: use this constant instead of a bare ``-1``.
 COORDINATOR: ServerId = -1
 
 

@@ -20,7 +20,7 @@ TCP does over IP:
   replay of only the executions placed on it.
 
 Installed via :meth:`repro.runtime.base.Runtime.install_channel`, which
-re-points the registered handlers at the channel's frame handlers; engines
+re-points every registered handler at the channel's frame handler; engines
 and the coordinator are untouched. All channel bookkeeping is out-of-band
 (costs no simulated time); only frames on the wire pay network latency.
 """
@@ -117,8 +117,9 @@ class ReliableChannel:
         self._link_inflight: dict[tuple[ServerId, ServerId], int] = {}
         #: receiver address -> travel id -> {(attempt, seq), ...}
         self._seen: dict[ServerId, dict[TravelId, set]] = {}
+        #: receiver address (server id or COORDINATOR) -> the handler the
+        #: channel displaced
         self._upper: dict[ServerId, Callable[[Message], None]] = {}
-        self._upper_coord: Optional[Callable[[Message], None]] = None
         self._lock = threading.RLock()
         #: invoked as ``fn(src, dst, payload)`` when retries are exhausted
         self.on_delivery_failure: Optional[Callable[..., None]] = None
@@ -129,29 +130,20 @@ class ReliableChannel:
 
     # -- wiring (called by Runtime.install_channel) -------------------------
 
-    def attach(self, runtime, upper_handlers, upper_coordinator) -> None:
+    def attach(self, runtime, handlers) -> None:
         self.runtime = runtime
-        self._upper = dict(upper_handlers)
-        self._upper_coord = upper_coordinator
+        self._upper = dict(handlers)
 
-    def server_frame_handler(self, server_id: ServerId):
+    def frame_handler(self, addr: ServerId):
         def handle(msg: Message) -> None:
             if isinstance(msg, AckFrame):
                 self._on_ack(msg)
             elif isinstance(msg, DataFrame):
-                self._on_data(server_id, msg)
+                self._on_data(addr, msg)
             else:  # raw message injected below the channel (tests)
-                self._upper[server_id](msg)
+                self._upper[addr](msg)
 
         return handle
-
-    def coordinator_frame_handler(self, msg: Message) -> None:
-        if isinstance(msg, AckFrame):  # pragma: no cover - acks go to servers
-            self._on_ack(msg)
-        elif isinstance(msg, DataFrame):
-            self._on_data(COORDINATOR, msg)
-        else:
-            self._upper_coord(msg)
 
     # -- sending ------------------------------------------------------------
 
@@ -178,10 +170,7 @@ class ReliableChannel:
 
     def _transmit(self, entry: _InFlight) -> None:
         entry.attempts += 1
-        if entry.dst == COORDINATOR:
-            self.runtime.raw_deliver_to_coordinator(entry.src, entry.frame)
-        else:
-            self.runtime.raw_deliver(entry.src, entry.dst, entry.frame)
+        self.runtime.raw_deliver(entry.src, entry.dst, entry.frame)
         timeout = self.config.ack_timeout * (self.config.backoff ** (entry.attempts - 1))
         u = float(self._rng.uniform())
         timeout *= 1.0 + self.config.jitter * (2.0 * u - 1.0)
@@ -270,7 +259,7 @@ class ReliableChannel:
                     )
                 return
             seen.add(key)
-            handler = self._upper_coord if addr == COORDINATOR else self._upper[addr]
+            handler = self._upper[addr]
         handler(payload)
 
     # -- lifecycle ----------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 #: a metric identity: (name, ((label, value), ...)) with labels sorted
 MetricKey = tuple[str, tuple[tuple[str, Any], ...]]
@@ -101,8 +101,6 @@ class MetricsRegistry:
         self._gauges: dict[MetricKey, float] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
-        self._watcher: Optional[Callable[[str, MetricKey, float], None]] = None
-        self._watched: Optional[frozenset[str]] = None
         self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
@@ -113,19 +111,11 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + n
-        if self._watcher is not None and (
-            self._watched is None or name in self._watched
-        ):
-            self._watcher("counter", key, n)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         key = metric_key(name, labels)
         with self._lock:
             self._gauges[key] = value
-        if self._watcher is not None and (
-            self._watched is None or name in self._watched
-        ):
-            self._watcher("gauge", key, value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = metric_key(name, labels)
@@ -134,28 +124,9 @@ class MetricsRegistry:
             if hist is None:
                 hist = self._histograms[key] = Histogram()
             hist.observe(value)
-        if self._watcher is not None and (
-            self._watched is None or name in self._watched
-        ):
-            self._watcher("hist", key, value)
 
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
         self._collectors.append(fn)
-
-    def bind_watcher(
-        self,
-        fn: Optional[Callable[[str, MetricKey, float], None]],
-        names: Optional[Iterable[str]] = None,
-    ) -> None:
-        """Install a push-side observer: ``fn(kind, key, value)`` runs after
-        every recording (outside the registry lock), with the *increment*
-        for counters and the raw sample for gauges/histograms. The watcher
-        reads nothing back and the snapshot contract is untouched — this is
-        the telemetry plane's rollup/SLO feed. ``names`` restricts the hook
-        to those metric names, keeping the remaining record paths at a
-        single ``is not None`` check."""
-        self._watcher = fn
-        self._watched = None if names is None else frozenset(names)
 
     # -- reading -----------------------------------------------------------
 

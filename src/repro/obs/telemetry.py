@@ -6,21 +6,24 @@ production metadata service needs while traversals are still in flight
 (ROADMAP: elastic scale-out is blocked on a live hot-shard signal):
 
 * **Windowed rollups** — every counter increment, gauge sample, and
-  histogram observation is also binned into a fixed-width window on the
-  runtime clock (``window = floor(clock / width)``), held in a bounded ring
-  of recent windows per series. Counters roll up to per-window rates, gauges
+  histogram observation is binned into a fixed-width window on the runtime
+  clock (``window = floor(clock / width)``), held in a bounded ring of
+  recent windows per series. Counters roll up to per-window rates, gauges
   to their last sample, histograms to exact nearest-rank percentiles over
-  the window's samples. Ingestion rides the registry's watcher hook
-  (:meth:`MetricsRegistry.bind_watcher`), so the byte-identical snapshot
-  contract of the registry itself is untouched.
+  the window's samples. There is one ingestion mode on both runtimes: the
+  runtime's clock-boundary hook (:meth:`Runtime.on_clock_boundary`) closes
+  each window by diffing the registry against the previous close, so the
+  record path pays nothing and the registry's byte-identical snapshot
+  contract is untouched.
 * **Hot-shard detection** — a ranked :class:`HotShardReport` over per-server
   execution rates (windowed ``engine.real_visits``) and in-flight skew
   (:meth:`Coordinator.inflight_by_server`), the signal a future rebalancer
   subscribes to.
-* **SLO feeding** — traversal terminals and scheduler rejections are
-  forwarded to the per-tenant :class:`~repro.obs.slo.SLOTracker`, and the
-  combined verdict drives the flight recorder's tail-sampling keep decision
-  (failed / cancelled / slow / alert-matching / seeded 1-in-N).
+* **SLO feeding** — traversal terminals are forwarded to the per-tenant
+  :class:`~repro.obs.slo.SLOTracker` (the scheduler feeds its rejections
+  there itself), and the combined verdict drives the flight recorder's
+  tail-sampling keep decision (failed / cancelled / slow / alert-matching /
+  seeded 1-in-N).
 
 Determinism: the plane never reads the wall clock — windows are derived from
 the bound runtime clock — and holds no iteration-order-dependent state, so
@@ -53,12 +56,8 @@ class TelemetryConfig:
     #: histogram samples kept per window (first-N, deterministic); overflow
     #: is counted, never silently lost
     max_samples_per_window: int = 512
-    #: hot-shard score weights: rate skew vs in-flight skew
-    hot_rate_weight: float = 1.0
-    hot_inflight_weight: float = 1.0
-    #: a server is *hot* at or above this score (uniform load scores
-    #: ``hot_rate_weight + hot_inflight_weight``; 3.0 with the default
-    #: weights means ~1.5x the cluster mean)
+    #: a server is *hot* at or above this score (rate skew plus in-flight
+    #: skew: uniform load scores 2.0, so 3.0 means ~1.5x the cluster mean)
     hot_score_threshold: float = 3.0
 
 
@@ -93,80 +92,33 @@ class HotShardReport:
         return canonical_json(self.to_payload())
 
 
-class _CounterSeries:
-    __slots__ = ("windows",)
-
-    def __init__(self) -> None:
-        self.windows: deque[list] = deque()  # [window_index, total]
-
-
-class _GaugeSeries:
-    __slots__ = ("windows",)
-
-    def __init__(self) -> None:
-        self.windows: deque[list] = deque()  # [window_index, last_value]
-
-
-class _HistSeries:
-    __slots__ = ("windows",)
-
-    def __init__(self) -> None:
-        self.windows: deque[list] = deque()  # [window_index, samples, overflow]
-
-
-class _NullLock:
-    """No-op lock for the single-threaded simulated runtime — ingestion
-    rides the engines' hot paths, and an uncontended-but-real lock is still
-    measurable there."""
-
-    __slots__ = ()
-
-    def acquire(self) -> None:
-        pass
-
-    def release(self) -> None:
-        pass
-
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
 class TelemetryPlane:
     """Clock-driven rollups + SLO/sampling glue for one cluster.
 
-    ``Cluster.build`` creates one per cluster, binds the runtime clock and
-    the flight recorder, and installs :meth:`ingest` as the metrics
-    registry's watcher and :meth:`on_terminal` at the head of the
-    coordinator's terminal chain (so the scheduler's QoS entry is still
-    alive when the plane reads it).
+    ``Cluster.build`` creates one per cluster, installs it on the runtime
+    clock and the metrics registry (:meth:`install`), binds the flight
+    recorder, and puts :meth:`on_terminal` at the head of the coordinator's
+    terminal chain (so the scheduler's QoS entry is still alive when the
+    plane reads it).
     """
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        *,
-        slo=None,
-        thread_safe: bool = True,
-    ):
+    def __init__(self, config: Optional[TelemetryConfig] = None, *, slo=None):
         self.config = config or TelemetryConfig()
         self.slo = slo
-        self._clock: Callable[[], float] = lambda: 0.0
         self._recorder = None
         self._width = self.config.window_width
         self._inv_width = 1.0 / self.config.window_width
         self._max_windows = self.config.max_windows
         self._max_samples = self.config.max_samples_per_window
-        self._counters: dict[MetricKey, _CounterSeries] = {}
-        self._gauges: dict[MetricKey, _GaugeSeries] = {}
-        self._hists: dict[MetricKey, _HistSeries] = {}
-        self._lock = threading.Lock() if thread_safe else _NullLock()
-        # pull mode (simulated runtime): window contents come from diffing
-        # the registry at clock-boundary crossings instead of per-record
-        # ingestion — zero cost on the engines' hot paths
-        self._pull = False
+        # per-series bounded rings of window slots, oldest first
+        self._counters: dict[MetricKey, deque] = {}  # [window, total]
+        self._gauges: dict[MetricKey, deque] = {}  # [window, last value]
+        self._hists: dict[MetricKey, deque] = {}  # [window, samples, overflow]
+        self._lock = threading.Lock()
+        # set by install(): the runtime clock, the registry being windowed,
+        # and the marks (registry totals at the previous close) whose deltas
+        # fill the current window — zero cost on the engines' hot paths
+        self._clock: Optional[Callable[[], float]] = None
         self._registry = None
         self._cur_widx = 0
         self._counter_marks: dict[MetricKey, float] = {}
@@ -175,27 +127,24 @@ class TelemetryPlane:
 
     # -- wiring --------------------------------------------------------------
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
     def bind_recorder(self, recorder) -> None:
         self._recorder = recorder
 
-    def install_pull(self, sim, registry) -> None:
-        """Switch to pull-based windowing on the simulated runtime: the
-        kernel's boundary watcher closes each window by diffing ``registry``
-        totals against the previous close (:meth:`ingest` then only forwards
-        the SLO feed). Exact — every record between two crossings belongs to
-        the window being closed — and free on the record path."""
-        self._pull = True
+    def install(self, runtime, registry) -> None:
+        """Window ``registry`` on ``runtime``'s clock: the runtime's
+        clock-boundary hook closes each window by diffing registry totals
+        against the previous close. Exact — every record between two
+        crossings belongs to the window being closed — and free on the
+        record path."""
+        self._clock = runtime.now
         self._registry = registry
-        self._cur_widx = int(sim.now * self._inv_width)
-        sim.set_boundary_watcher(
+        self._cur_widx = int(runtime.now() * self._inv_width)
+        runtime.on_clock_boundary(
             self._on_boundary, (self._cur_widx + 1) * self._width
         )
 
     def _on_boundary(self, now: float) -> float:
-        """Kernel callback: the clock reached the next window boundary."""
+        """Runtime callback: the clock reached the next window boundary."""
         with self._lock:
             self._flush_window()
             self._cur_widx = int(now * self._inv_width)
@@ -204,150 +153,46 @@ class TelemetryPlane:
     def _flush_window(self) -> None:
         """Close (or top up) the current window from registry deltas.
 
-        Callers hold ``self._lock``. Safe to run repeatedly mid-window:
-        slots merge on window index, so read-time refreshes never double
-        count."""
+        Callers hold ``self._lock``; the registry is read under its own
+        lock, so a flush on the threaded runtime cannot race a recording
+        worker. Safe to run repeatedly mid-window: slots merge on window
+        index, so read-time refreshes never double count."""
         reg = self._registry
         widx = self._cur_widx
-        max_windows = self._max_windows
-        marks = self._counter_marks
-        for key, total in reg._counters.items():
-            delta = total - marks.get(key, 0)
-            if not delta:
-                continue
-            marks[key] = total
-            series = self._counters.get(key)
-            if series is None:
-                series = self._counters[key] = _CounterSeries()
-            ring = series.windows
-            if ring and ring[-1][0] == widx:
-                ring[-1][1] += delta
-            else:
-                ring.append([widx, delta])
-                if len(ring) > max_windows:
-                    ring.popleft()
-        gmarks = self._gauge_marks
-        for key, value in reg._gauges.items():
-            if gmarks.get(key) == value and key in gmarks:
-                continue
-            gmarks[key] = value
-            gseries = self._gauges.get(key)
-            if gseries is None:
-                gseries = self._gauges[key] = _GaugeSeries()
-            ring = gseries.windows
-            if ring and ring[-1][0] == widx:
-                ring[-1][1] = value
-            else:
-                ring.append([widx, value])
-                if len(ring) > max_windows:
-                    ring.popleft()
-        hmarks = self._hist_marks
-        max_samples = self._max_samples
-        for key, hist in reg._histograms.items():
-            start = hmarks.get(key, 0)
-            samples = hist.samples
-            if len(samples) <= start:
-                continue
-            hmarks[key] = len(samples)
-            fresh = samples[start:]
-            hseries = self._hists.get(key)
-            if hseries is None:
-                hseries = self._hists[key] = _HistSeries()
-            ring = hseries.windows
-            if ring and ring[-1][0] == widx:
-                slot = ring[-1]
-                room = max_samples - len(slot[1])
-                slot[1].extend(fresh[:room])
-                slot[2] += max(0, len(fresh) - room)
-            else:
-                ring.append(
-                    [widx, fresh[:max_samples],
-                     max(0, len(fresh) - max_samples)]
-                )
-                if len(ring) > max_windows:
-                    ring.popleft()
+        with reg._lock:
+            marks = self._counter_marks
+            for key, total in reg._counters.items():
+                delta = total - marks.get(key, 0)
+                if delta:
+                    marks[key] = total
+                    self._slot(self._counters, key, widx, 0)[1] += delta
+            gmarks = self._gauge_marks
+            for key, value in reg._gauges.items():
+                if key not in gmarks or gmarks[key] != value:
+                    gmarks[key] = value
+                    self._slot(self._gauges, key, widx, None)[1] = value
+            hmarks = self._hist_marks
+            for key, hist in reg._histograms.items():
+                start = hmarks.get(key, 0)
+                fresh = hist.samples[start:]
+                if fresh:
+                    hmarks[key] = start + len(fresh)
+                    slot = self._slot(self._hists, key, widx, [], 0)
+                    room = self._max_samples - len(slot[1])
+                    slot[1].extend(fresh[:room])
+                    slot[2] += max(0, len(fresh) - room)
 
-    def _refresh(self) -> None:
-        """Fold the in-progress window in before a read (pull mode only)."""
-        if self._pull:
-            with self._lock:
-                self._flush_window()
-
-    # -- ingestion (the MetricsRegistry watcher) ------------------------------
-
-    def ingest(self, kind: str, key: MetricKey, value: float) -> None:
-        """One registry recording: bin it into the current window.
-
-        Called by :class:`MetricsRegistry` after every ``count`` /
-        ``set_gauge`` / ``observe`` (outside the registry's lock). Must stay
-        cheap — this rides the engines' hot paths.
-        """
-        if self._pull:
-            # windows come from boundary flushes; only the SLO rejection
-            # feed below needs the per-event hook (the registry watcher is
-            # name-filtered to it on the simulated runtime)
-            if (
-                kind == "counter"
-                and key[0] == "sched.rejected"
-                and self.slo is not None
-            ):
-                tenant = dict(key[1]).get("tenant")
-                if tenant is not None:
-                    self.slo.record_rejection(str(tenant), self._clock())
-            return
-        widx = int(self._clock() * self._inv_width)
-        lock = self._lock
-        lock.acquire()
-        try:
-            if kind == "counter":
-                series = self._counters.get(key)
-                if series is None:
-                    series = self._counters[key] = _CounterSeries()
-                ring = series.windows
-                if ring and ring[-1][0] == widx:
-                    ring[-1][1] += value
-                else:
-                    ring.append([widx, value])
-                    if len(ring) > self._max_windows:
-                        ring.popleft()
-            elif kind == "gauge":
-                gseries = self._gauges.get(key)
-                if gseries is None:
-                    gseries = self._gauges[key] = _GaugeSeries()
-                ring = gseries.windows
-                if ring and ring[-1][0] == widx:
-                    ring[-1][1] = value
-                else:
-                    ring.append([widx, value])
-                    if len(ring) > self._max_windows:
-                        ring.popleft()
-            else:  # histogram
-                hseries = self._hists.get(key)
-                if hseries is None:
-                    hseries = self._hists[key] = _HistSeries()
-                ring = hseries.windows
-                if ring and ring[-1][0] == widx:
-                    slot = ring[-1]
-                    if len(slot[1]) < self._max_samples:
-                        slot[1].append(value)
-                    else:
-                        slot[2] += 1
-                else:
-                    ring.append([widx, [value], 0])
-                    if len(ring) > self._max_windows:
-                        ring.popleft()
-        finally:
-            lock.release()
-        # SLO forwarding happens after the lock is released: the tracker may
-        # record alert metrics, which re-enter ingest()
-        if (
-            kind == "counter"
-            and key[0] == "sched.rejected"
-            and self.slo is not None
-        ):
-            tenant = dict(key[1]).get("tenant")
-            if tenant is not None:
-                self.slo.record_rejection(str(tenant), self._clock())
+    def _slot(self, table: dict[MetricKey, deque], key: MetricKey, widx: int, *zero):
+        """The series' slot for window ``widx``, appended (evicting the
+        oldest window past the ring bound) when the window is new."""
+        ring = table.get(key)
+        if ring is None:
+            ring = table[key] = deque()
+        if not ring or ring[-1][0] != widx:
+            ring.append([widx, *zero])
+            if len(ring) > self._max_windows:
+                ring.popleft()
+        return ring[-1]
 
     # -- terminal hook (head of the coordinator's on_terminal chain) ----------
 
@@ -406,8 +251,8 @@ class TelemetryPlane:
 
     def rollups(self) -> dict[str, Any]:
         """The full windowed rollup state as a canonical, sorted payload."""
-        self._refresh()
         with self._lock:
+            self._flush_window()  # fold the in-progress window in
             counters = {
                 render_key(k): [
                     {
@@ -416,21 +261,21 @@ class TelemetryPlane:
                         "count": total,
                         "rate": total / self._width,
                     }
-                    for w, total in self._counters[k].windows
+                    for w, total in self._counters[k]
                 ]
                 for k in sorted(self._counters)
             }
             gauges = {
                 render_key(k): [
                     {"window": w, "start": self.window_start(w), "last": v}
-                    for w, v in self._gauges[k].windows
+                    for w, v in self._gauges[k]
                 ]
                 for k in sorted(self._gauges)
             }
             histograms = {}
             for k in sorted(self._hists):
                 rows = []
-                for w, samples, overflow in self._hists[k].windows:
+                for w, samples, overflow in self._hists[k]:
                     hist = Histogram()
                     hist.samples = samples
                     summary = hist.summary()
@@ -462,13 +307,13 @@ class TelemetryPlane:
         """Mean per-second rate of one counter over its retained windows
         (0.0 for a series that never recorded)."""
         key: MetricKey = (name, tuple(sorted(labels.items())))
-        self._refresh()
         with self._lock:
-            series = self._counters.get(key)
-            if series is None or not series.windows:
+            self._flush_window()
+            ring = self._counters.get(key)
+            if not ring:
                 return 0.0
-            total = sum(t for _w, t in series.windows)
-            span = (series.windows[-1][0] - series.windows[0][0] + 1) * self._width
+            total = sum(t for _w, t in ring)
+            span = (ring[-1][0] - ring[0][0] + 1) * self._width
         return total / span
 
     # -- hot-shard detection ---------------------------------------------------
@@ -478,12 +323,10 @@ class TelemetryPlane:
     ) -> HotShardReport:
         """Rank servers by combined execution-rate and in-flight skew.
 
-        ``score = w_rate * rate/mean_rate + w_inflight * inflight/mean_inflight``
-        (a term drops out while its cluster-wide mean is zero), so uniform
-        load scores ``w_rate + w_inflight`` everywhere and a hot shard
-        scores its skew multiple.
+        ``score = rate/mean_rate + inflight/mean_inflight`` (a term drops
+        out while its cluster-wide mean is zero), so uniform load scores 2.0
+        everywhere and a hot shard scores its skew multiple.
         """
-        cfg = self.config
         rates = [
             self.recent_rate(EXEC_RATE_METRIC, server=s) for s in range(nservers)
         ]
@@ -494,9 +337,9 @@ class TelemetryPlane:
         for s in range(nservers):
             score = 0.0
             if mean_rate > 0:
-                score += cfg.hot_rate_weight * rates[s] / mean_rate
+                score += rates[s] / mean_rate
             if mean_inflight > 0:
-                score += cfg.hot_inflight_weight * inflight[s] / mean_inflight
+                score += inflight[s] / mean_inflight
             rows.append(
                 {
                     "server": s,
@@ -507,7 +350,8 @@ class TelemetryPlane:
             )
         rows.sort(key=lambda r: (-r["score"], r["server"]))
         ranked = [r["server"] for r in rows]
-        hot = [r["server"] for r in rows if r["score"] >= cfg.hot_score_threshold]
+        threshold = self.config.hot_score_threshold
+        hot = [r["server"] for r in rows if r["score"] >= threshold]
         return HotShardReport(
             clock=self._clock(),
             window_width=self._width,
@@ -519,10 +363,15 @@ class TelemetryPlane:
     # -- maintenance -----------------------------------------------------------
 
     def clear(self) -> None:
-        with self._lock:
+        """Drop every window and re-baseline on the registry's current
+        totals, so only work recorded after the call shows up again."""
+        reg = self._registry
+        with self._lock, reg._lock:
             self._counters.clear()
             self._gauges.clear()
             self._hists.clear()
-            self._counter_marks.clear()
-            self._gauge_marks.clear()
-            self._hist_marks.clear()
+            self._counter_marks = dict(reg._counters)
+            self._gauge_marks = dict(reg._gauges)
+            self._hist_marks = {
+                key: len(hist.samples) for key, hist in reg._histograms.items()
+            }

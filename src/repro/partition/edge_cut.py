@@ -102,11 +102,11 @@ class GreedyBalancedEdgeCut(Partitioner):
 
 
 def make_partitioner(
-    kind: str, nservers: int, graph: Optional[PropertyGraph] = None, salt: int = 0
+    kind: str, nservers: int, graph: Optional[PropertyGraph] = None
 ) -> Partitioner:
     """Factory used by experiment configs: ``"hash"`` or ``"greedy"``."""
     if kind == "hash":
-        return HashEdgeCut(nservers, salt=salt)
+        return HashEdgeCut(nservers)
     if kind == "greedy":
         if graph is None:
             raise PartitionError("greedy partitioner requires the graph to fit")

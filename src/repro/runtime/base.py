@@ -16,8 +16,10 @@ runtime (:mod:`repro.runtime.threaded`). An engine yields the opaque
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from typing import Any, Callable, Optional, Protocol
 
+from repro.errors import SimulationError
 from repro.ids import COORDINATOR, ServerId
 from repro.faults.inject import CLEAN, FaultDecision, payload_type_name
 from repro.net.message import Message
@@ -38,6 +40,7 @@ class ServerContext(ABC):
 
     server_id: ServerId
     nservers: int
+    _rt: "Runtime"
 
     # -- time ------------------------------------------------------------
 
@@ -99,47 +102,79 @@ class ServerContext(ABC):
 
     # -- messaging ---------------------------------------------------------------
 
-    @abstractmethod
     def send(self, dst: ServerId, msg: Message) -> None:
         """Fire-and-forget message to another server's engine."""
+        self._rt.deliver(self.server_id, dst, msg)
 
-    @abstractmethod
     def send_coordinator(self, msg: Message) -> None:
         """Send to the coordinator actor of this traversal's cluster."""
+        self._rt.deliver(self.server_id, COORDINATOR, msg)
 
 
 class Runtime(ABC):
-    """Factory for server contexts plus message routing.
+    """The wire, the crash model and the fault seam of one cluster.
 
-    The base class carries the wire-fault machinery shared by both concrete
-    runtimes: an optional :class:`~repro.faults.plan.FaultPlan` (single
-    injection point, superseding the raw ``drop_filter`` hook), the set of
-    currently crashed servers, and the optional
-    :class:`~repro.net.reliable.ReliableChannel` that interposes on every
-    ``deliver`` call. Subclasses provide the clock (:meth:`schedule`) and
-    the raw one-shot delivery primitives.
+    Everything above the clock lives here once: one handler table addressed
+    by destination (:data:`~repro.ids.COORDINATOR` is an ordinary key — the
+    coordinator is one more actor on the same point-to-point fabric, paper
+    §IV-A), :meth:`deliver` (reliable-channel interposition),
+    :meth:`raw_deliver` (one-shot delivery over the faulty wire), the set of
+    crashed servers, and the single fault-injection slot
+    (``fault_injector``: any object with ``decide(src, dst, msg) ->
+    FaultDecision``, normally compiled from a
+    :class:`~repro.faults.plan.FaultPlan`). Subclasses provide only the
+    clock (:meth:`now`, :meth:`schedule`, :meth:`on_clock_boundary`) and the
+    concurrency primitive (:meth:`_dispatch`, ``_count_lock``,
+    :meth:`exclusive`).
     """
 
     nservers: int
     coordinator_server: ServerId = 0
-    #: legacy escape hatch: ``fn(src, dst, msg) -> True`` to swallow a message
-    drop_filter: Optional[Callable[..., bool]] = None
+    network: Any  # NetworkModel: per-message latency
     metrics = None  # bound MetricsRegistry, or None
     trace = None  # bound FlightRecorder, or None
     channel = None  # installed ReliableChannel, or None
     fault_plan = None
     fault_injector = None
-    messages_dropped: int = 0
+    #: guards the wire counters and the injector's draw order (a real lock
+    #: on the threaded runtime)
+    _count_lock: Any = nullcontext()
 
     @abstractmethod
     def context(self, server_id: ServerId) -> ServerContext: ...
 
-    # -- faults and reliability -------------------------------------------
+    def _init_wire(self) -> None:
+        """Called from subclass ``__init__``: the per-instance handler table,
+        wire counters and crash bookkeeping."""
+        self._handlers: dict[ServerId, Callable[[Message], None]] = {}
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        self.messages_dropped = 0
+        self._down: set[ServerId] = set()
+        self._crash_listeners: list[Callable[[ServerId], None]] = []
+        self._recovery_listeners: list[Callable[[ServerId], None]] = []
+
+    # -- clock ---------------------------------------------------------------
+
+    @abstractmethod
+    def now(self) -> float:
+        """Current runtime time (virtual, or scaled wall clock)."""
 
     @abstractmethod
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` runtime seconds (best effort; used
-        for fault events and transport retries, never for engine work)."""
+        for message arrivals, fault events and transport retries, never for
+        engine work)."""
+
+    @abstractmethod
+    def on_clock_boundary(
+        self, fn: Callable[[float], float], threshold: float
+    ) -> None:
+        """Call ``fn(now)`` once the clock reaches ``threshold``; it returns
+        the next threshold to watch for (``inf`` stops the watch). Fires
+        exactly once per crossed threshold and never after :meth:`shutdown`."""
+
+    # -- faults and reliability -------------------------------------------
 
     def bind_metrics(self, metrics) -> None:
         """Route ``net.*``/``faults.*`` counters to a metrics registry."""
@@ -170,23 +205,14 @@ class Runtime(ABC):
         handlers.
         """
         if self.channel is not None:
-            from repro.errors import SimulationError
-
             raise SimulationError("a reliable channel is already installed")
         self.channel = channel
-        channel.attach(self, dict(self._handlers), self._coordinator_handler)
-        for sid in list(self._handlers):
-            self._handlers[sid] = channel.server_frame_handler(sid)
-        self._coordinator_handler = channel.coordinator_frame_handler
+        channel.attach(self, self._handlers)
+        for addr in list(self._handlers):
+            self._handlers[addr] = channel.frame_handler(addr)
         self.add_crash_listener(channel.on_server_crash)
 
     # -- crash model --------------------------------------------------------
-
-    def _init_fault_state(self) -> None:
-        """Called from subclass ``__init__``: per-instance crash bookkeeping."""
-        self._down: set[ServerId] = set()
-        self._crash_listeners: list[Callable[[ServerId], None]] = []
-        self._recovery_listeners: list[Callable[[ServerId], None]] = []
 
     def add_crash_listener(self, fn: Callable[[ServerId], None]) -> None:
         self._crash_listeners.append(fn)
@@ -222,18 +248,16 @@ class Runtime(ABC):
 
     # -- wire verdicts ------------------------------------------------------
 
-    def _wire_verdict(self, src: ServerId, dst: ServerId, msg: Message):
-        """Decide what the wire does to one delivery: a FaultDecision whose
-        ``drop`` covers crashed endpoints, the legacy ``drop_filter``, and
-        the installed fault plan. Every drop is counted (``net.dropped``)."""
-        dst_host = self.coordinator_server if dst == COORDINATOR else dst
-        if self.is_down(src) or self.is_down(dst_host):
+    def _wire_verdict(
+        self, src: ServerId, dst: ServerId, host: ServerId, msg: Message
+    ):
+        """Decide what the wire does to one delivery to address ``dst`` on
+        server ``host``: a FaultDecision whose ``drop`` covers crashed
+        endpoints and the installed fault injector. Every drop is counted
+        (``net.dropped``)."""
+        if self.is_down(src) or self.is_down(host):
             self._note_drop(msg, "down")
             self._trace_verdict(src, dst, msg, "down")
-            return _DROP
-        if self.drop_filter is not None and self.drop_filter(src, dst, msg):
-            self._note_drop(msg, "filter")
-            self._trace_verdict(src, dst, msg, "filter")
             return _DROP
         if self.fault_injector is not None:
             decision = self.fault_injector.decide(src, dst, msg)
@@ -262,7 +286,7 @@ class Runtime(ABC):
         if self.trace is None:
             return
         payload = getattr(msg, "payload", msg)
-        kind = "fault.drop" if attrs.get("drop") or cause in ("down", "filter") else "fault.verdict"
+        kind = "fault.drop" if attrs.get("drop") or cause == "down" else "fault.verdict"
         self.trace.record(
             kind,
             travel_id=getattr(payload, "travel_id", None),
@@ -279,14 +303,56 @@ class Runtime(ABC):
         if self.metrics is not None:
             self.metrics.count(name, n, **labels)
 
-    @abstractmethod
+    # -- the wire -------------------------------------------------------------
+
     def register_handler(
-        self, server_id: ServerId, handler: Callable[[Message], None]
+        self, dst: ServerId, handler: Callable[[Message], None]
     ) -> None:
-        """Install the engine's ``on_message`` for a server."""
+        """Install the receiver for one address: an engine's ``on_message``
+        for a server id, the coordinator actor's for ``COORDINATOR``."""
+        self._handlers[dst] = handler
+
+    def deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
+        """Send ``msg`` to the actor at ``dst`` (through the reliable
+        channel when one is installed)."""
+        if self.channel is not None:
+            self.channel.send(src, dst, msg)
+            return
+        self.raw_deliver(src, dst, msg)
+
+    def raw_deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
+        """One-shot delivery over the (faulty) wire; the channel's transport."""
+        handler = self._handlers.get(dst)
+        if handler is None:
+            raise SimulationError(
+                "no coordinator registered"
+                if dst == COORDINATOR
+                else f"no handler registered for server {dst}"
+            )
+        host = self.coordinator_server if dst == COORDINATOR else dst
+        with self._count_lock:
+            verdict = self._wire_verdict(src, dst, host, msg)
+            if verdict.drop:
+                return
+            copies = 1 + verdict.duplicates
+            self.messages_sent += copies
+            self.bytes_sent += msg.nbytes * copies
+        delay = self.network.latency(src, host, msg.nbytes) + verdict.extra_delay
+
+        def arrive() -> None:
+            self._dispatch(host, handler, msg)
+
+        self.schedule(delay, arrive)
+        for i in range(verdict.duplicates):
+            self._count("faults.duplicated")
+            self.schedule(delay + (i + 1) * max(verdict.dup_spacing, 1e-6), arrive)
 
     @abstractmethod
-    def register_coordinator(self, handler: Callable[[Message], None]) -> None: ...
+    def _dispatch(
+        self, host: ServerId, handler: Callable[[Message], None], msg: Message
+    ) -> None:
+        """Run ``handler(msg)`` on ``host`` with run-to-completion semantics
+        (a direct call on the simulator, under the host's lock on threads)."""
 
     @abstractmethod
     def run_until_complete(self, waitable: Any, limit: Optional[float] = None) -> Any:
@@ -300,8 +366,6 @@ class Runtime(ABC):
         """Context manager serializing external calls into a server's engine
         or coordinator state. A no-op on the single-threaded simulator; the
         per-server lock on the threaded runtime."""
-        from contextlib import nullcontext
-
         return nullcontext()
 
     def shutdown(self) -> None:

@@ -10,10 +10,10 @@ identical event order and identical timings.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.ids import COORDINATOR, ServerId
+from repro.ids import ServerId
 from repro.net.message import Message
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
 from repro.runtime.base import InterferencePolicy, Runtime, ServerContext
@@ -76,14 +76,6 @@ class SimServerContext(ServerContext):
     def cpu(self, dt: float):
         return self._rt.sim.timeout(dt)
 
-    # -- messaging ------------------------------------------------------------------
-
-    def send(self, dst: ServerId, msg: Message) -> None:
-        self._rt.deliver(self.server_id, dst, msg)
-
-    def send_coordinator(self, msg: Message) -> None:
-        self._rt.deliver_to_coordinator(self.server_id, msg)
-
 
 class SimRuntime(Runtime):
     """The cluster-wide simulated runtime."""
@@ -107,15 +99,7 @@ class SimRuntime(Runtime):
         self._disks = [
             Resource(self.sim, disk_capacity, name=f"disk{s}") for s in range(nservers)
         ]
-        self._handlers: dict[ServerId, Callable[[Message], None]] = {}
-        self._coordinator_handler: Optional[Callable[[Message], None]] = None
-        #: legacy fault injection: return True to silently drop a message
-        #: (prefer ``install_faults`` with a FaultPlan)
-        self.drop_filter: Optional[Callable[[ServerId, ServerId, Message], bool]] = None
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_dropped = 0
-        self._init_fault_state()
+        self._init_wire()
 
     # -- wiring ------------------------------------------------------------
 
@@ -124,65 +108,19 @@ class SimRuntime(Runtime):
             raise SimulationError(f"server id {server_id} out of range")
         return SimServerContext(self, server_id)
 
-    def register_handler(self, server_id: ServerId, handler) -> None:
-        self._handlers[server_id] = handler
+    # -- clock and dispatch ----------------------------------------------------
 
-    def register_coordinator(self, handler) -> None:
-        self._coordinator_handler = handler
-
-    # -- message delivery -------------------------------------------------------
+    def now(self) -> float:
+        return self.sim.now
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         self.sim.schedule(delay, fn)
 
-    def deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
-        if self.channel is not None:
-            self.channel.send(src, dst, msg)
-            return
-        self.raw_deliver(src, dst, msg)
+    def on_clock_boundary(self, fn: Callable[[float], float], threshold: float) -> None:
+        self.sim.set_boundary_watcher(fn, threshold)
 
-    def deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
-        if self._coordinator_handler is None:
-            raise SimulationError("no coordinator registered")
-        if self.channel is not None:
-            self.channel.send(src, COORDINATOR, msg)
-            return
-        self.raw_deliver_to_coordinator(src, msg)
-
-    def raw_deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
-        """One-shot delivery over the (faulty) wire; the channel's transport."""
-        verdict = self._wire_verdict(src, dst, msg)
-        if verdict.drop:
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            raise SimulationError(f"no handler registered for server {dst}")
-        delay = self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
-        self._schedule_arrivals(handler, msg, delay, verdict)
-
-    def raw_deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
-        if self._coordinator_handler is None:
-            raise SimulationError("no coordinator registered")
-        verdict = self._wire_verdict(src, COORDINATOR, msg)
-        if verdict.drop:
-            return
-        delay = (
-            self.network.latency(src, self.coordinator_server, msg.nbytes)
-            + verdict.extra_delay
-        )
-        self._schedule_arrivals(self._coordinator_handler, msg, delay, verdict)
-
-    def _schedule_arrivals(self, handler, msg: Message, delay: float, verdict) -> None:
-        copies = 1 + verdict.duplicates
-        self.messages_sent += copies
-        self.bytes_sent += msg.nbytes * copies
-        self.sim.schedule(delay, lambda: handler(msg))
-        for i in range(verdict.duplicates):
-            self._count("faults.duplicated")
-            self.sim.schedule(
-                delay + (i + 1) * max(verdict.dup_spacing, 1e-6),
-                lambda: handler(msg),
-            )
+    def _dispatch(self, host: ServerId, handler, msg: Message) -> None:
+        handler(msg)
 
     # -- disk ----------------------------------------------------------------------
 

@@ -12,10 +12,11 @@ Design notes:
 
 * yielded ops are small command tuples interpreted by a per-process
   trampoline thread (``_Op``);
-* disk time = the cost model's virtual seconds times ``time_scale``, bounded
-  below so scheduling noise cannot starve progress;
-* message delivery uses ``threading.Timer`` for latency, then invokes the
-  destination handler under the destination's server lock;
+* disk time = the cost model's virtual seconds times ``time_scale``;
+* the wire itself lives in :class:`~repro.runtime.base.Runtime`; this module
+  supplies its clock (``threading.Timer`` arrivals, one ticker process for
+  clock boundaries) and runs each handler under the destination's server
+  lock;
 * ``shutdown()`` poisons every queue so worker threads exit.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import RuntimeUnavailable, SimulationError
-from repro.ids import COORDINATOR, ServerId
+from repro.ids import ServerId
 from repro.net.message import Message
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
 from repro.runtime.base import InterferencePolicy, Runtime, ServerContext
@@ -116,7 +117,7 @@ class ThreadServerContext(ServerContext):
         self.nservers = runtime.nservers
 
     def now(self) -> float:
-        return (time.monotonic() - self._rt.epoch) / self._rt.time_scale
+        return self._rt.now()
 
     def sleep(self, dt: float) -> _Op:
         return _Op("sleep", dt)
@@ -147,12 +148,6 @@ class ThreadServerContext(ServerContext):
     def cpu(self, dt: float) -> _Op:
         return _Op("sleep", dt)
 
-    def send(self, dst: ServerId, msg: Message) -> None:
-        self._rt.deliver(self.server_id, dst, msg)
-
-    def send_coordinator(self, msg: Message) -> None:
-        self._rt.deliver_to_coordinator(self.server_id, msg)
-
 
 class ThreadRuntime(Runtime):
     """Thread-per-worker runtime with per-server engine locks."""
@@ -166,7 +161,6 @@ class ThreadRuntime(Runtime):
         disk_capacity: int = 1,
         interference: Optional[InterferencePolicy] = None,
         time_scale: float = 0.02,
-        min_sleep: float = 0.0,
     ):
         if nservers < 1:
             raise SimulationError(f"nservers must be >= 1, got {nservers}")
@@ -175,23 +169,16 @@ class ThreadRuntime(Runtime):
         self.disk_model = disk_model
         self.interference = interference
         self.time_scale = time_scale
-        self.min_sleep = min_sleep
         self.epoch = time.monotonic()
         self._locks = [threading.RLock() for _ in range(nservers)]
         self._disks = [threading.Semaphore(disk_capacity) for _ in range(nservers)]
-        self._handlers: dict[ServerId, Callable[[Message], None]] = {}
-        self._coordinator_handler: Optional[Callable[[Message], None]] = None
         self._queues: list[_ThreadQueue] = []
         self._threads: list[threading.Thread] = []
         self._shutdown = threading.Event()
-        self.drop_filter: Optional[Callable[[ServerId, ServerId, Message], bool]] = None
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_dropped = 0
         self._count_lock = threading.Lock()
         self._intf_lock = threading.Lock()
         self._proc_ids = itertools.count()
-        self._init_fault_state()
+        self._init_wire()
 
     # -- wiring ---------------------------------------------------------------
 
@@ -199,13 +186,6 @@ class ThreadRuntime(Runtime):
         if not (0 <= server_id < self.nservers):
             raise SimulationError(f"server id {server_id} out of range")
         return ThreadServerContext(self, server_id)
-
-    def register_handler(self, server_id: ServerId, handler) -> None:
-        self._handlers[server_id] = handler
-
-    def register_coordinator(self, handler) -> None:
-        self._coordinator_handler = handler
-        self.coordinator_server = getattr(self, "coordinator_server", 0)
 
     # -- process trampoline --------------------------------------------------------
 
@@ -247,9 +227,8 @@ class ThreadRuntime(Runtime):
 
     def _perform(self, op: _Op) -> Any:
         if op.kind == "sleep":
-            dt = max(self.min_sleep, op.payload * self.time_scale)
-            if dt > 0:
-                time.sleep(dt)
+            if op.payload > 0:
+                time.sleep(op.payload * self.time_scale)
             return None
         if op.kind == "get":
             return op.payload.get_blocking()
@@ -266,18 +245,15 @@ class ThreadRuntime(Runtime):
                     for _ in range(max(1, accesses)):
                         service += self.interference.delay(server_id, level)
             with self._disks[server_id]:
-                dt = max(self.min_sleep, service * self.time_scale)
-                if dt > 0:
-                    time.sleep(dt)
+                if service > 0:
+                    time.sleep(service * self.time_scale)
             return None
         raise RuntimeUnavailable(f"threaded runtime cannot perform op {op.kind!r}")
 
-    # -- delivery ---------------------------------------------------------------------
+    # -- clock and dispatch ---------------------------------------------------------
 
-    def _dispatch(self, dst: ServerId, handler, msg: Message) -> None:
-        lock = self._locks[dst]
-        with lock:
-            handler(msg)
+    def now(self) -> float:
+        return (time.monotonic() - self.epoch) / self.time_scale
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         if self._shutdown.is_set():
@@ -286,63 +262,22 @@ class ThreadRuntime(Runtime):
         timer.daemon = True
         timer.start()
 
-    def deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
-        if self.channel is not None:
-            self.channel.send(src, dst, msg)
-            return
-        self.raw_deliver(src, dst, msg)
-
-    def deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
-        if self._coordinator_handler is None:
-            raise SimulationError("no coordinator registered")
-        if self.channel is not None:
-            self.channel.send(src, COORDINATOR, msg)
-            return
-        self.raw_deliver_to_coordinator(src, msg)
-
-    def raw_deliver(self, src: ServerId, dst: ServerId, msg: Message) -> None:
-        """One-shot delivery over the (faulty) wire; the channel's transport."""
-        if self._shutdown.is_set():
-            return
-        with self._count_lock:
-            verdict = self._wire_verdict(src, dst, msg)
-        if verdict.drop:
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            raise SimulationError(f"no handler registered for server {dst}")
-        delay = self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
-        self._schedule_arrivals(dst, handler, msg, delay, verdict)
-
-    def raw_deliver_to_coordinator(self, src: ServerId, msg: Message) -> None:
-        if self._coordinator_handler is None:
-            raise SimulationError("no coordinator registered")
-        if self._shutdown.is_set():
-            return
-        with self._count_lock:
-            verdict = self._wire_verdict(src, COORDINATOR, msg)
-        if verdict.drop:
-            return
-        dst = self.coordinator_server
-        delay = (
-            self.network.latency(src, dst, msg.nbytes) + verdict.extra_delay
+    def on_clock_boundary(self, fn: Callable[[float], float], threshold: float) -> None:
+        # One ticker process on the trampoline, so it stops with shutdown().
+        self._spawn(
+            self.coordinator_server, self._ticker(fn, threshold), "clock-boundary"
         )
-        self._schedule_arrivals(dst, self._coordinator_handler, msg, delay, verdict)
 
-    def _schedule_arrivals(
-        self, dst: ServerId, handler, msg: Message, delay: float, verdict
-    ) -> None:
-        copies = 1 + verdict.duplicates
-        with self._count_lock:
-            self.messages_sent += copies
-            self.bytes_sent += msg.nbytes * copies
-        self.schedule(delay, lambda: self._dispatch(dst, handler, msg))
-        for i in range(verdict.duplicates):
-            self._count("faults.duplicated")
-            self.schedule(
-                delay + (i + 1) * max(verdict.dup_spacing, 1e-6),
-                lambda: self._dispatch(dst, handler, msg),
-            )
+    def _ticker(self, fn: Callable[[float], float], threshold: float):
+        while threshold != float("inf"):
+            yield _Op("sleep", threshold - self.now())
+            now = self.now()
+            if now >= threshold:
+                threshold = fn(now)
+
+    def _dispatch(self, host: ServerId, handler, msg: Message) -> None:
+        with self._locks[host]:
+            handler(msg)
 
     # -- crash model -------------------------------------------------------------------
 

@@ -119,6 +119,9 @@ class TraversalScheduler:
         self._pumping = False
         self._repump = False
         self._poll_armed = False
+        #: SLO feed: ``fn(tenant, now)`` for every refused submission (set
+        #: by ``Cluster.build`` when the telemetry plane is on)
+        self.on_reject: Optional[Callable[[str, float], None]] = None
         coordinator.on_terminal = self._on_travel_terminal
 
     @classmethod
@@ -153,6 +156,11 @@ class TraversalScheduler:
 
     # -- submission ---------------------------------------------------------
 
+    def _count_rejection(self, tenant: str, now: float) -> None:
+        self.metrics.count("sched.rejected", tenant=tenant)
+        if self.on_reject is not None:
+            self.on_reject(tenant, now)
+
     def submit(
         self,
         plan: TraversalPlan,
@@ -170,10 +178,10 @@ class TraversalScheduler:
         now = self._ctx.now()
         cfg = self.config
         if self.runtime.is_down(self.runtime.coordinator_server):
-            self.metrics.count("sched.rejected", tenant=tenant)
+            self._count_rejection(tenant, now)
             raise AdmissionRejected(tenant, "coordinator host is down")
         if cfg.max_pending is not None and len(self._queued) >= cfg.max_pending:
-            self.metrics.count("sched.rejected", tenant=tenant)
+            self._count_rejection(tenant, now)
             self.trace.record(
                 "sched.reject", server_id=self._ctx.server_id,
                 tenant=tenant, pending=len(self._queued),

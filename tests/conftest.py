@@ -6,9 +6,22 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind, ReferenceEngine
+from repro.faults.inject import CLEAN, FaultDecision
 from repro.graph import GraphBuilder, PropertyGraph, hpc_metadata_schema
 
 ALL_ENGINES = (EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK)
+
+
+class DropWhen:
+    """Surgical stand-in for a compiled FaultPlan in the runtime's one
+    injection slot (``runtime.fault_injector = DropWhen(pred)``): drops
+    exactly the deliveries ``pred(src, dst, msg)`` selects."""
+
+    def __init__(self, pred):
+        self.pred = pred
+
+    def decide(self, src, dst, msg) -> FaultDecision:
+        return FaultDecision(drop=True) if self.pred(src, dst, msg) else CLEAN
 
 
 def build_cluster(graph: PropertyGraph, kind: EngineKind, nservers: int = 3, **cfg):

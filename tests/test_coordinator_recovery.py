@@ -16,7 +16,7 @@ idempotent-resubmission contract.
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
 from repro.cluster.client import GraphTrekClient
 from repro.engine import (
     EngineKind,
@@ -34,7 +34,8 @@ from repro.faults.chaos import (
 )
 from repro.faults.plan import sample_fault_plan
 from repro.lang import GTravel
-from repro.net.message import ExecStatus
+from repro.net.message import ExecStatus, TraverseRequest
+from tests.conftest import DropWhen
 
 
 RECOVERY_SEEDS = list(range(10))
@@ -256,12 +257,50 @@ def test_outbound_coordinator_messages_carry_epoch(metadata_graph):
         seen.append(getattr(msg, "epoch", None))
         return False
 
-    cluster.runtime.drop_filter = spy
+    cluster.runtime.fault_injector = DropWhen(spy)
     cluster.traverse(GTravel.v(ids["users"][0]).e("run").compile())
     assert seen and all(e == 0 for e in seen)
 
 
 # -- admission while the coordinator host is down ------------------------------
+
+
+def test_restart_discards_the_failed_attempts_unflushed_progress(metadata_graph):
+    """Progress deltas are journaled in batches; the remainder a failed
+    attempt had not flushed yet must not be journaled under the next one."""
+    graph, ids = metadata_graph
+    cluster = Cluster.build(
+        graph,
+        ClusterConfig(
+            nservers=3,
+            engine=EngineKind.GRAPHTREK,
+            journal=True,
+            coordinator_config=CoordinatorConfig(exec_timeout=0.5, watch_interval=0.1),
+        ),
+    )
+    dropped = []
+
+    def drop_first_forward(src, dst, msg):
+        first = isinstance(msg, TraverseRequest) and msg.level > 0 and not dropped
+        if first:
+            dropped.append(msg)
+        return first
+
+    cluster.runtime.fault_injector = DropWhen(drop_first_forward)
+    coordinator, pending = cluster.coordinator, []
+    restart = coordinator._restart
+
+    def spy(at):
+        before = at.pend_statuses + at.pend_results
+        restart(at)
+        pending.append((before, at.pend_statuses + at.pend_results))
+
+    coordinator._restart = spy
+    out = cluster.traverse(GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile())
+    assert out.stats.restarts == 1
+    ((before, after),) = pending
+    assert before > 0, "test premise: attempt 0 left unflushed progress deltas"
+    assert after == 0
 
 
 def test_submit_rejected_while_coordinator_host_down(metadata_graph):

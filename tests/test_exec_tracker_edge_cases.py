@@ -15,6 +15,7 @@ from repro.engine import EngineKind, ReferenceEngine
 from repro.engine.tracing import ExecTracker
 from repro.lang import GTravel
 from repro.net.message import ExecStatus, TraverseRequest
+from tests.conftest import DropWhen
 
 
 def status(eid, created=(), results=0, attempt=0, server=0):
@@ -123,7 +124,7 @@ def test_timeout_triggered_restart_counters(metadata_graph):
                       coordinator_config=_fast_watchdog(), trace_enabled=True),
     )
     flt, dropped = _drop_first_forward()
-    cluster.runtime.drop_filter = flt
+    cluster.runtime.fault_injector = DropWhen(flt)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert dropped and out.stats.restarts == 1
@@ -161,7 +162,7 @@ def test_replayed_executions_not_double_counted(metadata_graph):
         ),
     )
     flt, dropped = _drop_first_forward()
-    recovered.runtime.drop_filter = flt
+    recovered.runtime.fault_injector = DropWhen(flt)
     out = recovered.traverse(plan)
     assert dropped
     assert out.stats.restarts == 0 and out.stats.replays >= 1

@@ -22,7 +22,7 @@ from repro.workloads import (
     rmat_graph,
     rmat_kstep_query,
 )
-from tests.conftest import ALL_ENGINES
+from tests.conftest import ALL_ENGINES, DropWhen
 
 
 def fast_watchdog(**kwargs):
@@ -51,7 +51,7 @@ def test_lost_dispatch_detected_and_restarted(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_first_forward
+    cluster.runtime.fault_injector = DropWhen(drop_first_forward)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert dropped, "test premise: a dispatch must have been dropped"
@@ -68,9 +68,9 @@ def test_persistent_failure_exhausts_restarts(metadata_graph):
                       coordinator_config=fast_watchdog(max_restarts=1)),
     )
     # every forward dispatch to server 1 vanishes, in every attempt
-    cluster.runtime.drop_filter = lambda src, dst, msg: (
+    cluster.runtime.fault_injector = DropWhen(lambda src, dst, msg: (
         isinstance(msg, TraverseRequest) and dst == 1 and msg.level > 0 and src != dst
-    )
+    ))
     plan = GTravel.v(*ids["users"]).e("run").e("hasExecutions").compile()
     with pytest.raises(TraversalFailed, match="restarts"):
         cluster.traverse(plan)
@@ -136,7 +136,7 @@ def test_sync_engine_restart_after_lost_batch(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_one
+    cluster.runtime.fault_injector = DropWhen(drop_one)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert out.stats.restarts == 1
@@ -166,7 +166,7 @@ def test_restart_does_not_duplicate_results(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_late
+    cluster.runtime.fault_injector = DropWhen(drop_late)
     plan = GTravel.v(*ids["users"]).rtn().e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert out.result.same_vertices(ReferenceEngine(graph).run(plan))

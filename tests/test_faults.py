@@ -17,6 +17,7 @@ from repro.ids import COORDINATOR
 from repro.lang import GTravel
 from repro.net.message import ExecStatus, TraverseRequest
 from repro.net.reliable import AckFrame, DataFrame
+from tests.conftest import DropWhen
 
 
 # -- plan validation ------------------------------------------------------------
@@ -104,7 +105,7 @@ def _tiny_cluster(graph, **cfg):
     return Cluster.build(graph, ClusterConfig(nservers=3, engine=EngineKind.GRAPHTREK, **cfg))
 
 
-def test_legacy_drop_filter_counts_net_dropped(metadata_graph):
+def test_injected_drop_counts_net_dropped(metadata_graph):
     graph, ids = metadata_graph
     cluster = _tiny_cluster(graph)
     dropped = []
@@ -115,7 +116,7 @@ def test_legacy_drop_filter_counts_net_dropped(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_one
+    cluster.runtime.fault_injector = DropWhen(drop_one)
     from repro.cluster import CoordinatorConfig
 
     cluster.coordinator.config = CoordinatorConfig(exec_timeout=0.5, watch_interval=0.1)
@@ -124,7 +125,7 @@ def test_legacy_drop_filter_counts_net_dropped(metadata_graph):
     assert dropped
     assert out.result.same_vertices(ReferenceEngine(graph).run(plan))
     counters = cluster.metrics_snapshot()["counters"]
-    assert counters.get("net.dropped{reason=filter,type=TraverseRequest}") == 1
+    assert counters.get("net.dropped{reason=fault,type=TraverseRequest}") == 1
     assert cluster.runtime.messages_dropped == 1
 
 
@@ -183,7 +184,7 @@ def test_crash_and_recovery_counters_and_idempotence(metadata_graph):
 
 
 def test_coordinator_destination_is_typed(metadata_graph):
-    """The coordinator path hands COORDINATOR (not a raw -1) to filters."""
+    """The coordinator path hands COORDINATOR (not a raw -1) to the injector."""
     graph, ids = metadata_graph
     cluster = _tiny_cluster(graph)
     seen_dsts = []
@@ -192,7 +193,7 @@ def test_coordinator_destination_is_typed(metadata_graph):
         seen_dsts.append(dst)
         return False
 
-    cluster.runtime.drop_filter = spy
+    cluster.runtime.fault_injector = DropWhen(spy)
     cluster.traverse(GTravel.v(ids["users"][0]).e("run").compile())
     assert COORDINATOR in seen_dsts
     assert all(d == COORDINATOR or 0 <= d < 3 for d in seen_dsts)

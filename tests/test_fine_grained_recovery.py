@@ -12,6 +12,7 @@ from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
 from repro.engine import EngineKind, ReferenceEngine
 from repro.lang import GTravel
 from repro.net.message import ExecStatus, ReplayExec, SuccessReport, TraverseRequest
+from tests.conftest import DropWhen
 
 
 def recovery_config(**kwargs):
@@ -53,7 +54,7 @@ def test_lost_forward_request_replayed_without_restart(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_first_forward
+    cluster.runtime.fault_injector = DropWhen(drop_first_forward)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert dropped
@@ -73,7 +74,7 @@ def test_lost_initial_dispatch_replayed_by_coordinator(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_first_initial
+    cluster.runtime.fault_injector = DropWhen(drop_first_initial)
     plan = GTravel.v(*ids["users"]).e("run").compile()
     out = cluster.traverse(plan)
     assert dropped
@@ -93,7 +94,7 @@ def test_lost_success_report_replayed(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_first_success
+    cluster.runtime.fault_injector = DropWhen(drop_first_success)
     plan = GTravel.v(*ids["jobs"]).rtn().e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert dropped
@@ -119,7 +120,7 @@ def test_lost_status_falls_back_to_restart(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_status_with_children
+    cluster.runtime.fault_injector = DropWhen(drop_status_with_children)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert dropped
@@ -140,7 +141,7 @@ def test_persistent_loss_exhausts_replays_then_restarts(metadata_graph):
             and msg.attempt == 0
         )
 
-    cluster.runtime.drop_filter = drop_attempt0_to_1
+    cluster.runtime.fault_injector = DropWhen(drop_attempt0_to_1)
     plan = GTravel.v(*ids["users"]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert out.stats.restarts >= 1
@@ -175,7 +176,7 @@ def test_recovery_disabled_by_default(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_one
+    cluster.runtime.fault_injector = DropWhen(drop_one)
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
     out = cluster.traverse(plan)
     assert out.stats.restarts == 1  # paper-default behaviour: full restart

@@ -9,6 +9,12 @@ virtual behaviour (event order, disk cost, message count) does not.
 ``GOLDEN_TRACE`` pins the flight recorder's event stream the same way
 (``sha256(cluster.obs.trace.to_json())`` on a traced run): it moves when an
 event kind or attribute is added, removed or reordered.
+
+``GOLDEN_WIRE`` pins the same snapshot on the rmat-seed1 cell run over the
+reliable channel under a seeded fault plan, so every ``net.*``, ``faults.*``
+and ``runtime.*`` value of the delivery path (drops, duplicates, retries and
+acks included) is fixed; ``GOLDEN_TELEMETRY`` pins the rollup, SLO and health
+documents of a two-tenant cell with a rejected submission and a fired alert.
 """
 
 from __future__ import annotations
@@ -19,7 +25,11 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
+from repro.errors import AdmissionRejected
+from repro.faults.plan import sample_fault_plan
 from repro.obs.exporter import canonical_json
+from repro.obs.slo import SLOConfig
+from repro.sched.scheduler import SchedulerConfig
 from repro.workloads import (
     MetadataGraphConfig,
     generate_metadata_graph,
@@ -53,6 +63,17 @@ GOLDEN_TRACE = {
     "GraphTrek": "d334c9debfdbf5159b2cd144abc556df0388ddbbf5bd6fb8cda9a3f91b4e6515",
 }
 
+#: engine -> sha256 of the metrics snapshot of rmat-seed1 over the reliable
+#: channel under ``sample_fault_plan(1, nservers=4)``
+GOLDEN_WIRE = {
+    "Sync-GT": "9a08b8218271d8797cb1db289999bdddea894f86278123262d8308d6f877c5e9",
+    "Async-GT": "25390cf913e68c59a6b96800c355dd16e80b20726b9ed4d911f2310ffb5f43a0",
+    "GraphTrek": "c67ca11faf15e22c2291090757e3f8a00cbda2d9a1244057c2ba44ef5dd7d229",
+}
+
+#: sha256(rollups_json + slo.to_json + health_json) of the two-tenant cell
+GOLDEN_TELEMETRY = "d44bad819622c2b985fa128c64625d22cae5664f0f242f44276112600396bb9a"
+
 
 def _rmat_cell(seed: int):
     config = paper_rmat1(scale=8, seed=seed)
@@ -71,18 +92,21 @@ WORKLOADS = {
 }
 
 
-def run_cell(workload: str, engine: EngineKind, trace: bool = False) -> Cluster:
+def run_cell(
+    workload: str, engine: EngineKind, trace: bool = False, **cfg
+) -> Cluster:
     graph, query = WORKLOADS[workload]()
     cluster = Cluster.build(
-        graph, ClusterConfig(nservers=NSERVERS, engine=engine, trace_enabled=trace)
+        graph,
+        ClusterConfig(nservers=NSERVERS, engine=engine, trace_enabled=trace, **cfg),
     )
     outcome = cluster.traverse(query.compile(), cold=True)
     assert outcome.result.vertices, "golden cell returned nothing; it pins no work"
     return cluster
 
 
-def snapshot_digest(workload: str, engine: EngineKind) -> str:
-    payload = canonical_json(run_cell(workload, engine).metrics_snapshot())
+def snapshot_digest(workload: str, engine: EngineKind, **cfg) -> str:
+    payload = canonical_json(run_cell(workload, engine, **cfg).metrics_snapshot())
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -107,4 +131,60 @@ def test_trace_timeline_matches_golden_digest(engine):
         f"{digest}. A refactor must leave every event kind, attribute and "
         "clock byte-identical; a digest may only be re-recorded by a PR that "
         "states why the recorder's vocabulary or virtual behaviour changed."
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.value)
+def test_wire_snapshot_matches_golden_digest(engine):
+    digest = snapshot_digest(
+        "rmat-seed1",
+        engine,
+        reliable=True,
+        fault_plan=sample_fault_plan(1, nservers=NSERVERS),
+    )
+    assert digest == GOLDEN_WIRE[engine.value], (
+        f"metrics snapshot of {engine.value} on rmat-seed1 over the faulty wire "
+        f"drifted: got {digest}. A refactor must leave every seeded drop, "
+        "duplicate, retry and ack byte-identical; a digest may only be "
+        "re-recorded by a PR that states why virtual behaviour changed."
+    )
+
+
+def test_telemetry_documents_match_golden_digest():
+    graph, query = _rmat_cell(1)
+    cluster = Cluster.build(
+        graph,
+        ClusterConfig(
+            nservers=NSERVERS,
+            engine=EngineKind.GRAPHTREK,
+            scheduler_config=SchedulerConfig(max_pending=2, max_inflight=1),
+            slo_config=SLOConfig(latency_objective=1e-6, min_events=2),
+        ),
+    )
+    plan = query.compile()
+    rejected = 0
+    for _round in range(8):  # ~0.04 virtual s each: crosses a window boundary
+        events = []
+        for i in range(8):
+            try:
+                events.append(cluster.submit(plan, tenant=("alice", "bob")[i % 2])[1])
+            except AdmissionRejected:
+                rejected += 1
+        for event in events:
+            assert cluster.runtime.run_until_complete(event).result.vertices
+    visits = cluster.rollups()["counters"]["engine.real_visits{server=0}"]
+    assert len(visits) > 1, "golden cell closed no window; it pins no boundary"
+    assert rejected, "golden cell rejected nothing; it pins no rejection feed"
+    assert cluster.alert_log(), "golden cell fired no alert; it pins no SLO state"
+    payload = (
+        cluster.telemetry.rollups_json()
+        + cluster.slo.to_json()
+        + cluster.health_json()
+    )
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == GOLDEN_TELEMETRY, (
+        f"telemetry documents of the two-tenant cell drifted: got {digest}. A "
+        "refactor must leave every rollup window, SLO observation and alert "
+        "byte-identical; the digest may only be re-recorded by a PR that "
+        "states why virtual behaviour changed."
     )

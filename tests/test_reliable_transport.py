@@ -7,6 +7,7 @@ from repro.net.message import ExecStatus, TraverseRequest
 from repro.net.reliable import AckFrame, DataFrame, ReliableChannel, ReliableConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.simulated import SimRuntime
+from tests.conftest import DropWhen
 
 
 def make_runtime(nservers=2):
@@ -15,7 +16,7 @@ def make_runtime(nservers=2):
     coord_inbox = []
     for s in range(nservers):
         runtime.register_handler(s, lambda m, s=s: inboxes[s].append(m))
-    runtime.register_coordinator(coord_inbox.append)
+    runtime.register_handler(COORDINATOR, coord_inbox.append)
     return runtime, inboxes, coord_inbox
 
 
@@ -63,7 +64,7 @@ def test_dropped_frame_is_retried_until_delivered():
             return True
         return False
 
-    runtime.drop_filter = drop_first_two
+    runtime.fault_injector = DropWhen(drop_first_two)
     runtime.deliver(0, 1, payload())
     drain(runtime)
     assert len(inboxes[1]) == 1  # delivered despite two wire losses
@@ -83,7 +84,7 @@ def test_lost_ack_causes_retransmit_but_dedup_suppresses():
             return True
         return False
 
-    runtime.drop_filter = drop_first_ack
+    runtime.fault_injector = DropWhen(drop_first_ack)
     runtime.deliver(0, 1, payload())
     drain(runtime)
     # The receiver saw the frame twice but the engine handler only once.
@@ -97,7 +98,7 @@ def test_retry_exhaustion_reports_delivery_failure():
     channel, metrics = install(runtime, max_retries=2, ack_timeout=0.001)
     failures = []
     channel.on_delivery_failure = lambda src, dst, p: failures.append((src, dst, p))
-    runtime.drop_filter = lambda src, dst, msg: isinstance(msg, DataFrame) and dst == 1
+    runtime.fault_injector = DropWhen(lambda src, dst, msg: isinstance(msg, DataFrame) and dst == 1)
     msg = payload()
     runtime.deliver(0, 1, msg)
     drain(runtime)
@@ -128,7 +129,7 @@ def test_window_bounds_inflight_and_drains_in_order():
 def test_coordinator_destination_roundtrip():
     runtime, _, coord_inbox = make_runtime()
     channel, metrics = install(runtime)
-    runtime.deliver_to_coordinator(1, payload())
+    runtime.deliver(1, COORDINATOR, payload())
     drain(runtime)
     assert len(coord_inbox) == 1
     assert metrics.snapshot()["counters"]["net.acks"] == 1
@@ -137,7 +138,7 @@ def test_coordinator_destination_roundtrip():
 def test_sender_crash_abandons_inflight_frames():
     runtime, inboxes, _ = make_runtime()
     channel, metrics = install(runtime, ack_timeout=0.001)
-    runtime.drop_filter = lambda src, dst, msg: isinstance(msg, DataFrame)
+    runtime.fault_injector = DropWhen(lambda src, dst, msg: isinstance(msg, DataFrame))
     runtime.deliver(0, 1, payload())
     assert channel.inflight_count == 1
     runtime.crash_server(0)
@@ -195,7 +196,7 @@ def test_stale_epoch_frame_is_acked_but_never_delivered():
     channel.coordinator_epoch = 1  # the coordinator recovered into epoch 1
     stale = payload()
     stale.epoch = 0
-    runtime.deliver_to_coordinator(0, stale)
+    runtime.deliver(0, COORDINATOR, stale)
     drain(runtime, until=0.05)
     assert coord_inbox == []
     counters = metrics.snapshot()["counters"]
@@ -212,7 +213,7 @@ def test_current_epoch_frame_passes_the_fence():
     channel.coordinator_epoch = 2
     msg = payload()
     msg.epoch = 2
-    runtime.deliver_to_coordinator(0, msg)
+    runtime.deliver(0, COORDINATOR, msg)
     drain(runtime)
     assert len(coord_inbox) == 1
     assert metrics.snapshot()["counters"]["net.acks"] == 1
@@ -249,7 +250,7 @@ def test_coordinator_crash_drops_inflight_and_queued_frames():
     channel, metrics = install(runtime, window=2)
     runtime.crash_server(runtime.coordinator_server)
     for _ in range(5):
-        runtime.deliver_to_coordinator(1, payload())
+        runtime.deliver(1, COORDINATOR, payload())
     assert coord_inbox == []
     assert channel.inflight_count >= 1
     assert channel._queued

@@ -1,12 +1,20 @@
-"""Tests for the simulated runtime: contexts, delivery, disks, interference."""
+"""Tests for the simulated runtime (contexts, delivery, disks, interference)
+and the wire/clock contract both runtimes share."""
+
+import time
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults.inject import CLEAN, FaultDecision
+from repro.ids import COORDINATOR
 from repro.net.message import Message, TraverseRequest
 from repro.net.topology import NetworkModel
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.simulated import SimRuntime
+from repro.runtime.threaded import ThreadRuntime
 from repro.storage.costmodel import DiskCostModel, IOCost
+from tests.conftest import DropWhen
 
 
 def make_runtime(n=2, **kwargs) -> SimRuntime:
@@ -46,7 +54,7 @@ def test_delivery_to_unregistered_server_raises():
 def test_coordinator_delivery():
     rt = make_runtime(2)
     received = []
-    rt.register_coordinator(lambda msg: received.append(msg))
+    rt.register_handler(COORDINATOR, lambda msg: received.append(msg))
     rt.context(1).send_coordinator(Message(7))
     rt.sim.run()
     assert len(received) == 1 and received[0].travel_id == 7
@@ -55,14 +63,14 @@ def test_coordinator_delivery():
 def test_coordinator_unregistered_raises():
     rt = make_runtime(1)
     with pytest.raises(SimulationError):
-        rt.deliver_to_coordinator(0, Message(1))
+        rt.deliver(0, COORDINATOR, Message(1))
 
 
-def test_drop_filter_swallows_messages():
+def test_dropping_injector_swallows_messages():
     rt = make_runtime(2)
     received = []
     rt.register_handler(1, lambda msg: received.append(msg))
-    rt.drop_filter = lambda src, dst, msg: dst == 1
+    rt.fault_injector = DropWhen(lambda src, dst, msg: dst == 1)
     rt.context(0).send(1, Message(1))
     rt.sim.run()
     assert received == []
@@ -162,3 +170,92 @@ def test_completion_event_run_until():
 def test_invalid_server_count():
     with pytest.raises(SimulationError):
         SimRuntime(0)
+
+
+# -- the contract both runtimes share ------------------------------------------
+
+
+def _simulated():
+    rt = SimRuntime(3)
+    return rt, lambda done: rt.sim.run()
+
+
+def _threaded():
+    rt = ThreadRuntime(3, time_scale=1e-3)
+
+    def settle(done):
+        deadline = time.monotonic() + 5.0
+        while not done() and time.monotonic() < deadline:
+            time.sleep(0.002)
+
+    return rt, settle
+
+
+BOTH_RUNTIMES = pytest.mark.parametrize(
+    "make", [_simulated, _threaded], ids=["simulated", "threaded"]
+)
+
+
+class _Scripted:
+    """Travel 4 is dropped, travel 5 duplicated once, the rest pass."""
+
+    def decide(self, src, dst, msg):
+        if msg.travel_id == 4:
+            return FaultDecision(drop=True)
+        if msg.travel_id == 5:
+            return FaultDecision(duplicates=1)
+        return CLEAN
+
+
+@BOTH_RUNTIMES
+def test_scripted_sends_count_identically_on_both_runtimes(make):
+    rt, settle = make()
+    metrics = MetricsRegistry()
+    rt.bind_metrics(metrics)
+    received = []
+    for addr in (0, 1, 2, COORDINATOR):
+        rt.register_handler(addr, lambda m, a=addr: received.append((a, m.travel_id)))
+    rt.fault_injector = _Scripted()
+    rt.crash_server(2)
+    try:
+        rt.deliver(0, 1, Message(1))  # server -> server
+        rt.deliver(1, COORDINATOR, Message(2))  # the coordinator is an address
+        rt.deliver(0, 2, Message(3))  # to a crashed server
+        rt.deliver(0, 1, Message(4))  # through the dropping injector
+        rt.deliver(1, 0, Message(5))  # one duplicate verdict
+        settle(lambda: len(received) == 4)
+    finally:
+        rt.shutdown()
+    assert sorted(received) == [(COORDINATOR, 2), (0, 5), (0, 5), (1, 1)]
+    nbytes = Message(0).nbytes
+    assert (rt.messages_sent, rt.bytes_sent, rt.messages_dropped) == (4, 4 * nbytes, 2)
+    assert metrics.snapshot()["counters"] == {
+        "faults.crashes{server=2}": 1,
+        "faults.duplicated": 1,
+        "net.dropped{reason=down,type=Message}": 1,
+        "net.dropped{reason=fault,type=Message}": 1,
+    }
+
+
+@BOTH_RUNTIMES
+def test_clock_boundary_fires_once_per_crossed_threshold(make):
+    rt, settle = make()
+    fired = []  # (now, next threshold) per call; thresholds are 10, 20, ...
+
+    def on_boundary(now):
+        fired.append((now, (int(now // 10) + 1) * 10.0))
+        return fired[-1][1]
+
+    rt.on_clock_boundary(on_boundary, 10.0)
+    for t in (5.0, 15.0, 38.0):  # the simulator's clock only moves on events
+        rt.schedule(t, lambda: None)
+    settle(lambda: fired and fired[-1][1] > 38.0)
+    rt.shutdown()
+    watched = [10.0] + [nxt for _now, nxt in fired]
+    assert watched[-1] > 38.0  # every crossed threshold was seen ...
+    for (now, nxt), threshold in zip(fired, watched):
+        assert threshold <= now < nxt  # ... exactly once, and never early
+    time.sleep(0.03)  # a tick already in flight at shutdown() may finish
+    count = len(fired)
+    time.sleep(0.05)
+    assert len(fired) == count  # never after shutdown()

@@ -1,11 +1,13 @@
-"""Windowed rollups, pull-mode flushing, and hot-shard detection."""
+"""Windowed rollups, boundary flushing, and hot-shard detection."""
+
+import threading
+import time
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
 from repro.lang import GTravel
-from repro.obs.metrics import MetricsRegistry, metric_key
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     EXEC_RATE_METRIC,
     HotShardReport,
@@ -15,32 +17,45 @@ from repro.obs.telemetry import (
 from tests.conftest import ALL_ENGINES, build_cluster
 
 
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
+class FakeRuntime:
+    """The two things the plane needs from a runtime: a clock (moved by
+    hand here) and the boundary hook, fired on a crossing the way both real
+    runtimes fire it."""
 
-    def __call__(self):
+    def __init__(self):
+        self.t = 0.0
+        self._fn = None
+        self._threshold = float("inf")
+
+    def now(self):
         return self.t
+
+    def on_clock_boundary(self, fn, threshold):
+        self._fn, self._threshold = fn, threshold
+
+    def advance(self, t):
+        self.t = t
+        while t >= self._threshold:
+            self._threshold = self._fn(t)
 
 
 def make_plane(**cfg):
-    clock = FakeClock()
+    runtime, registry = FakeRuntime(), MetricsRegistry()
     plane = TelemetryPlane(TelemetryConfig(**cfg))
-    plane.bind_clock(clock)
-    return plane, clock
+    plane.install(runtime, registry)
+    return plane, registry, runtime
 
 
-# -- per-record (push) windowing ----------------------------------------------
+# -- windowing a registry on a clock ---------------------------------------------
 
 
 def test_counters_bin_into_clock_windows_with_rates():
-    plane, clock = make_plane(window_width=1.0)
-    key = metric_key("coord.submitted", {})
-    plane.ingest("counter", key, 2)
-    clock.t = 0.9
-    plane.ingest("counter", key, 1)
-    clock.t = 2.5  # skips window 1 entirely
-    plane.ingest("counter", key, 4)
+    plane, registry, runtime = make_plane(window_width=1.0)
+    registry.count("coord.submitted", 2)
+    runtime.advance(0.9)
+    registry.count("coord.submitted", 1)
+    runtime.advance(2.5)  # skips window 1 entirely
+    registry.count("coord.submitted", 4)
     windows = plane.rollups()["counters"]["coord.submitted"]
     assert [(w["window"], w["count"], w["rate"]) for w in windows] == [
         (0, 3, 3.0),
@@ -50,31 +65,30 @@ def test_counters_bin_into_clock_windows_with_rates():
 
 
 def test_window_ring_is_bounded_and_evicts_oldest():
-    plane, clock = make_plane(window_width=1.0, max_windows=4)
-    key = metric_key("x", {})
+    plane, registry, runtime = make_plane(window_width=1.0, max_windows=4)
     for w in range(10):
-        clock.t = float(w)
-        plane.ingest("counter", key, 1)
+        runtime.advance(float(w))
+        registry.count("x")
     windows = plane.rollups()["counters"]["x"]
     assert [w["window"] for w in windows] == [6, 7, 8, 9]
 
 
 def test_gauges_keep_last_sample_per_window():
-    plane, clock = make_plane(window_width=1.0)
-    key = metric_key("depth", {})
-    plane.ingest("gauge", key, 5)
-    plane.ingest("gauge", key, 7)
-    clock.t = 1.5
-    plane.ingest("gauge", key, 2)
+    plane, registry, runtime = make_plane(window_width=1.0)
+    registry.set_gauge("depth", 5)
+    registry.set_gauge("depth", 7)
+    runtime.advance(1.5)
+    registry.set_gauge("depth", 2)
     windows = plane.rollups()["gauges"]["depth"]
     assert [(w["window"], w["last"]) for w in windows] == [(0, 7), (1, 2)]
 
 
 def test_histogram_windows_summarize_with_bounded_samples():
-    plane, clock = make_plane(window_width=1.0, max_samples_per_window=3)
-    key = metric_key("lat", {})
+    plane, registry, _runtime = make_plane(
+        window_width=1.0, max_samples_per_window=3
+    )
     for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-        plane.ingest("hist", key, v)
+        registry.observe("lat", v)
     (row,) = plane.rollups()["histograms"]["lat"]
     # first-N retention: 3 samples kept, 2 counted as overflow, never lost
     assert row["count"] == 3 and row["overflow"] == 2
@@ -82,24 +96,45 @@ def test_histogram_windows_summarize_with_bounded_samples():
 
 
 def test_recent_rate_spans_retained_windows():
-    plane, clock = make_plane(window_width=0.5)
-    key = metric_key("hits", {"server": 1})
-    plane.ingest("counter", key, 3)
-    clock.t = 1.0  # window 2: span covers windows 0..2
-    plane.ingest("counter", key, 3)
+    plane, registry, runtime = make_plane(window_width=0.5)
+    registry.count("hits", 3, server=1)
+    runtime.advance(1.0)  # window 2: span covers windows 0..2
+    registry.count("hits", 3, server=1)
     assert plane.recent_rate("hits", server=1) == pytest.approx(6 / 1.5)
     assert plane.recent_rate("hits", server=9) == 0.0
 
 
 def test_clear_resets_all_series():
-    plane, _clock = make_plane()
-    plane.ingest("counter", metric_key("x", {}), 1)
+    plane, registry, _runtime = make_plane()
+    registry.count("x")
+    registry.observe("lat", 1.0)
     plane.clear()
     payload = plane.rollups()
     assert payload["counters"] == {} and payload["histograms"] == {}
 
 
-# -- pull mode (simulated runtime boundary flushes) ---------------------------
+def test_cluster_clear_rebaselines_on_the_registry_totals():
+    """``clear()`` empties the windows for good: the all-time registry totals
+    must not be folded back into the current window by the next read."""
+    graph, vids = small_graph()
+    cluster = build_cluster(graph, EngineKind.GRAPHTREK, nservers=2)
+    query = GTravel.v(vids[0]).e("link").e("link").e("link")
+    cluster.traverse(query)
+    before = cluster.metrics_snapshot()["counters"]
+    assert cluster.rollups()["counters"]
+    cluster.telemetry.clear()
+    assert cluster.rollups()["counters"] == {}
+    assert cluster.rollups()["counters"] == {}  # and stays empty on re-read
+    cluster.traverse(query)
+    after = cluster.metrics_snapshot()["counters"]
+    for rendered, windows in cluster.rollups()["counters"].items():
+        # only the second traversal's work is windowed
+        assert sum(w["count"] for w in windows) == pytest.approx(
+            after[rendered] - before.get(rendered, 0)
+        ), rendered
+
+
+# -- on a cluster (runtime boundary flushes) -----------------------------------
 
 
 def small_graph():
@@ -154,8 +189,9 @@ def test_registry_snapshot_bytes_unaffected_by_telemetry():
     assert run(True) == run(False)
 
 
-def test_threaded_runtime_uses_per_record_windowing():
+def test_threaded_runtime_closes_windows_at_boundaries():
     graph, vids = small_graph()
+    threads_before = set(threading.enumerate())
     cluster = build_cluster(
         graph, EngineKind.GRAPHTREK, nservers=2, runtime="threaded"
     )
@@ -163,28 +199,34 @@ def test_threaded_runtime_uses_per_record_windowing():
         cluster.traverse(GTravel.v(vids[0]).e("link").e("link"))
         rollups = cluster.rollups()
         # structural smoke only: threaded timing is not deterministic, but
-        # the watcher feed must still produce windows for the hot counters
+        # the boundary ticker must still produce windows for the hot counters
         assert any(
             rendered.startswith(EXEC_RATE_METRIC)
             for rendered in rollups["counters"]
         )
     finally:
         cluster.shutdown()
+    # the ticker is a runtime process: it exits with the workers, so the
+    # thread population is back to what it was before the build
+
+    def born_since_build():
+        return [t for t in threading.enumerate() if t not in threads_before]
+
+    deadline = time.monotonic() + 5.0
+    while born_since_build() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert born_since_build() == []
 
 
 # -- hot-shard detection ------------------------------------------------------
 
 
 def test_hot_shard_ranking_scores_and_threshold():
-    plane, clock = make_plane(window_width=1.0)
+    plane, registry, _runtime = make_plane(window_width=1.0)
     # server 0 does 6x the work of servers 1..2 and holds all the in-flight
-    for _ in range(12):
-        plane.ingest("counter", metric_key(EXEC_RATE_METRIC, {"server": 0}), 1)
+    registry.count(EXEC_RATE_METRIC, 12, server=0)
     for s in (1, 2):
-        for _ in range(2):
-            plane.ingest(
-                "counter", metric_key(EXEC_RATE_METRIC, {"server": s}), 1
-            )
+        registry.count(EXEC_RATE_METRIC, 2, server=s)
     report = plane.hot_shards({0: 4, 1: 0, 2: 0}, nservers=3)
     assert isinstance(report, HotShardReport)
     assert report.ranked == [0, 1, 2] and report.hottest == 0
@@ -194,11 +236,11 @@ def test_hot_shard_ranking_scores_and_threshold():
 
 
 def test_uniform_load_is_never_hot():
-    plane, clock = make_plane()
+    plane, registry, _runtime = make_plane()
     for s in range(4):
-        plane.ingest("counter", metric_key(EXEC_RATE_METRIC, {"server": s}), 5)
+        registry.count(EXEC_RATE_METRIC, 5, server=s)
     report = plane.hot_shards({s: 1 for s in range(4)}, nservers=4)
-    # uniform load scores w_rate + w_inflight = 2.0 < threshold everywhere
+    # uniform load scores rate 1.0 + in-flight 1.0 = 2.0 < threshold everywhere
     assert report.hot == []
     assert all(r["score"] == pytest.approx(2.0) for r in report.servers)
     assert report.ranked == [0, 1, 2, 3]  # deterministic tie-break

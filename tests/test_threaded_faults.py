@@ -15,6 +15,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.ids import COORDINATOR
 from repro.lang import GTravel
 from repro.net.message import SyncBatch, TraverseRequest
+from tests.conftest import DropWhen
 
 #: generous virtual-time watchdog so slow CI machines never trigger restarts
 RELAXED = CoordinatorConfig(exec_timeout=1e6, watch_interval=50.0)
@@ -35,9 +36,9 @@ def run_and_shutdown(cluster, plan):
         cluster.shutdown()
 
 
-def test_threaded_drop_filter_recovers_via_restart(metadata_graph):
+def test_threaded_injected_drop_recovers_via_restart(metadata_graph):
     """Port of test_failure_and_restart's lost-dispatch scenario: the
-    threaded runtime now honours drop_filter, and the watchdog restart
+    threaded runtime honours the fault-injection slot, and the watchdog restart
     converges to the oracle result."""
     graph, ids = metadata_graph
     plan = GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile()
@@ -55,12 +56,12 @@ def test_threaded_drop_filter_recovers_via_restart(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_first_forward
+    cluster.runtime.fault_injector = DropWhen(drop_first_forward)
     result = run_and_shutdown(cluster, plan)
     assert dropped, "test premise: a dispatch must have been dropped"
     assert result.same_vertices(ReferenceEngine(graph).run(plan))
     counters = cluster.metrics_snapshot()["counters"]
-    assert counters.get("net.dropped{reason=filter,type=TraverseRequest}") == 1
+    assert counters.get("net.dropped{reason=fault,type=TraverseRequest}") == 1
 
 
 def test_threaded_sync_drop_recovers(metadata_graph):
@@ -81,7 +82,7 @@ def test_threaded_sync_drop_recovers(metadata_graph):
             return True
         return False
 
-    cluster.runtime.drop_filter = drop_one
+    cluster.runtime.fault_injector = DropWhen(drop_one)
     result = run_and_shutdown(cluster, plan)
     assert dropped
     assert result.same_vertices(ReferenceEngine(graph).run(plan))
