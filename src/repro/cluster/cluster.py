@@ -246,7 +246,7 @@ class Cluster:
                     GraphSummary.from_graph(graph, assignment[server_id])
                 )
             engine_cls = SyncServerEngine if opts.kind is EngineKind.SYNC else AsyncServerEngine
-            engine = engine_cls(ctx, store, registry, routing.owner, opts, board)
+            engine = engine_cls(ctx, store, registry, routing, opts, board)
             runtime.register_handler(server_id, _server_handler(server_id, engine))
             servers.append(BackendServer(server_id, ctx, store, engine))
 
@@ -272,14 +272,13 @@ class Cluster:
             ctx=runtime.context(config.coordinator_server),
             runtime=runtime,
             registry=registry,
-            owner_fn=routing.owner,
+            routing=routing,
             board=board,
             engine_kind=opts.kind,
             config=config.coordinator_config,
             on_complete=_forget,
             planner=planner,
             journal=journal,
-            routing=routing,
         )
         runtime.register_handler(COORDINATOR, coordinator.on_message)
 

@@ -46,6 +46,7 @@ from repro.lang.composite import CompositePlan, composite_program
 from repro.lang.optimizer import PlannedQuery, QueryPlanner
 from repro.lang.plan import TraversalPlan, reduce_aggregate
 from repro.obs.trace import sync_exec_id
+from repro.rebalance.routing import RoutingTable
 from repro.net.message import (
     ExecStatus,
     Message,
@@ -159,7 +160,7 @@ class Coordinator:
         ctx: ServerContext,
         runtime: Runtime,
         registry: TravelRegistry,
-        owner_fn: Callable[[VertexId], ServerId],
+        routing: RoutingTable,
         board: StatsBoard,
         engine_kind: EngineKind,
         config: Optional[CoordinatorConfig] = None,
@@ -167,12 +168,10 @@ class Coordinator:
         planner: Optional[QueryPlanner] = None,
         on_terminal: Optional[Callable[[TravelId, str], None]] = None,
         journal: Optional[TraversalJournal] = None,
-        routing=None,
     ):
         self.ctx = ctx
         self.runtime = runtime
         self.registry = registry
-        self.owner_fn = owner_fn
         self.board = board
         self.metrics = board.obs.metrics
         self.trace = board.obs.trace
@@ -289,14 +288,10 @@ class Coordinator:
     def _source_groups(self, plan: TraversalPlan) -> dict[ServerId, list[VertexId]]:
         groups: dict[ServerId, list[VertexId]] = {}
         for vid in plan.source_ids or ():
-            if self.routing is not None:
-                # double-routing: a vertex mid-migration dispatches to both
-                # its source and target; set-union result merging (async)
-                # and per-vid batch merging (sync) dedupe downstream
-                owners = self.routing.owners(vid)
-            else:
-                owners = (self.owner_fn(vid),)
-            for server in owners:
+            # double-routing: a vertex mid-migration dispatches to both its
+            # source and target; set-union result merging (async) and
+            # per-vid batch merging (sync) dedupe downstream
+            for server in self.routing.owners(vid):
                 groups.setdefault(server, []).append(vid)
         return groups
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.engine.cache import TraversalAffiliateCache
 from repro.engine.frontier import (
@@ -47,6 +47,7 @@ from repro.engine.visit import (
     VisitData,
     expand_vertex,
     labels_needed,
+    needs_edge_props,
     needs_props,
     read_vertex,
 )
@@ -66,7 +67,17 @@ from repro.runtime.base import ServerContext
 from repro.storage.costmodel import IOCost
 from repro.storage.layout import GraphStore
 
+if TYPE_CHECKING:
+    from repro.rebalance.routing import RoutingTable
+
 TravelKey = tuple[TravelId, int]  # (travel id, attempt)
+
+_COUNTERS = (
+    "engine.requests", "engine.coalesced", "engine.units_enqueued",
+    "cache.affiliate_hits", "engine.merged_items", "engine.real_visits",
+    "engine.dispatches", "engine.status_reports",
+)
+_HISTOGRAMS = ("engine.queue_wait_seconds", "engine.unit_vertices", "disk.access_seconds")
 
 #: Effectively unbounded capacity for the Async-GT processed-set (it is
 #: bookkeeping, not the bounded cache optimization).
@@ -108,18 +119,24 @@ class AsyncServerEngine:
         ctx: ServerContext,
         store: GraphStore,
         registry: TravelRegistry,
-        owner_fn: Callable[[VertexId], ServerId],
+        routing: RoutingTable,
         opts: EngineOptions,
         board: StatsBoard,
     ):
         self.ctx = ctx
         self.store = store
         self.registry = registry
-        self.owner_fn = owner_fn
+        #: read ``routing.owner`` at each use: the table re-binds it on
+        #: every ownership mutation
+        self.routing = routing
         self.opts = opts
         self.board = board
         self.metrics = board.obs.metrics
         self.trace = board.obs.trace
+        # per-request and per-unit records, resolved to handles once
+        server = ctx.server_id
+        self._count = {n: self.metrics.counter(n, server=server) for n in _COUNTERS}
+        self._observe = {n: self.metrics.observer(n, server=server) for n in _HISTOGRAMS}
         self.queue = ctx.queue(priority=opts.priority_schedule, name="requests")
         self._pending: dict[tuple[TravelKey, int], PendingWork] = {}
         capacity = opts.cache_capacity if opts.cache_enabled else _UNBOUNDED
@@ -162,7 +179,7 @@ class AsyncServerEngine:
 
     def _on_request(self, msg: TraverseRequest) -> None:
         server = self.ctx.server_id
-        self.metrics.count("engine.requests", server=server)
+        self._count["engine.requests"]()
         self.trace.record(
             "exec.received",
             travel_id=msg.travel_id,
@@ -191,7 +208,7 @@ class AsyncServerEngine:
             merge_entries(work.entries, msg.entries)
             work.all_sources = work.all_sources or msg.all_sources
             work.absorbed += 1
-            self.metrics.count("engine.coalesced", server=server)
+            self._count["engine.coalesced"]()
             self._record_terminated(
                 msg.travel_id, msg.exec_id, msg.level, msg.attempt, "coalesced"
             )
@@ -210,7 +227,7 @@ class AsyncServerEngine:
             epoch=msg.epoch,
         )
         self._pending[key] = work
-        self.metrics.count("engine.units_enqueued", server=server)
+        self._count["engine.units_enqueued"]()
         priority = msg.level if self.opts.priority_schedule else 0
         self.ctx.queue_put(self.queue, (priority, next(self._seq), key))
 
@@ -290,10 +307,8 @@ class AsyncServerEngine:
                 (vid, EMPTY_ANCHORS) for vid in self._source_candidates(entry)
             )
         items.sort(key=lambda iv: iv[0])  # key-ordered batch (elevator pass)
-        self.metrics.observe(
-            "engine.queue_wait_seconds", self.ctx.now() - work.enqueued_at, server=server
-        )
-        self.metrics.observe("engine.unit_vertices", len(items), server=server)
+        self._observe["engine.queue_wait_seconds"](self.ctx.now() - work.enqueued_at)
+        self._observe["engine.unit_vertices"](len(items))
         yield self.ctx.cpu(
             self.opts.cpu_per_request
             + self.opts.cpu_async_overhead
@@ -303,13 +318,35 @@ class AsyncServerEngine:
         sinks = ExpandSinks()
         decoded0 = self.store.decoded_blocks
         first_in_batch = True
+        has_vertex = self.store.has_vertex
+        cache_enabled = self.opts.cache_enabled
+        tkey = work.travel_key
+        # The probes run here, in item order, so a request the cache drops
+        # costs two lookups and no generator. They stay interleaved with the
+        # survivors' disk yields (another worker may insert in between), and
+        # the hits summed so far are flushed before every survivor's visit —
+        # hence before every yield — so no observer sees a count late.
+        hits = 0
         for vid, anchors in items:
+            if not has_vertex(vid):
+                continue  # dangling dispatch; nothing stored here
+            if cache_enabled:
+                stored = self.seen.lookup(tkey, level, vid)
+                if stored is not None and (
+                    stored == anchors or anchors_covered(anchors, stored)
+                ):
+                    hits += 1  # affiliate-cache hit: safely abandon the request
+                    continue
+            if hits:
+                self._note_cache_hits(work, hits)
+                hits = 0
             did_io = yield from self._visit(
                 work, plan, level, vid, anchors, sinks, rtn_levels,
                 level0_override, first_in_batch,
             )
             if did_io:
                 first_in_batch = False
+        self._note_cache_hits(work, hits)
 
         created, results_sent = self._flush(work, plan, sinks, entry.epoch)
         self._record_terminated(
@@ -343,6 +380,11 @@ class AsyncServerEngine:
             return sorted(self.store.local_vertices_of_type(info.index_type))
         return sorted(self.store.local_vertices())
 
+    def _note_cache_hits(self, work: PendingWork, n: int) -> None:
+        self.board.visit(work.travel_id, self.ctx.server_id, "redundant", n)
+        self._count["cache.affiliate_hits"](n)
+        work.n_cache_hits += n
+
     # -- per-vertex visit ------------------------------------------------------------
 
     def _visit(
@@ -357,26 +399,17 @@ class AsyncServerEngine:
         level0_override: Optional[FilterSet],
         first_in_batch: bool,
     ):
-        """Serve one vertex request; returns True if it reached the disk."""
+        """Serve one vertex request that is stored here and survived the
+        affiliate cache (:meth:`_process` probes both); returns True if it
+        reached the disk."""
         travel_id = work.travel_id
         server = self.ctx.server_id
         tkey = work.travel_key
-        if not self.store.has_vertex(vid):
-            return False  # dangling dispatch; nothing stored here
-        if self.opts.cache_enabled:
-            stored = self.seen.lookup(tkey, level, vid)
-            if stored is not None and anchors_covered(anchors, stored):
-                # Traversal-affiliate cache hit: safely abandon the request.
-                self.board.visit(travel_id, server, "redundant")
-                self.metrics.count("cache.affiliate_hits", server=server)
-                work.n_cache_hits += 1
-                return False
-
         todo: list[tuple[int, Anchors]] = [(level, anchors)]
         if self.opts.merge_enabled:
             todo.extend(self._extract_merged(tkey, vid, level))
             if len(todo) > 1:
-                self.metrics.count("engine.merged_items", len(todo) - 1, server=server)
+                self._count["engine.merged_items"](len(todo) - 1)
 
         levels = [lvl for lvl, _ in todo]
         want_labels = labels_needed(plan, levels)
@@ -395,7 +428,8 @@ class AsyncServerEngine:
             data = None
         else:
             data = read_vertex(
-                self.store, vid, want_labels, want_props, edge_preds
+                self.store, vid, want_labels, want_props, edge_preds,
+                needs_edge_props(plan, levels),
             )
             cost = data.cost
             if not first_in_batch and cost.seeks:
@@ -405,19 +439,18 @@ class AsyncServerEngine:
             cost.cache_hits += len(todo) - 1
             io_start = self.ctx.now()
             yield self.ctx.disk(cost, level=level, accesses=1)
-            self.metrics.observe(
-                "disk.access_seconds", self.ctx.now() - io_start, server=server
-            )
+            self._observe["disk.access_seconds"](self.ctx.now() - io_start)
 
         self.board.visit(travel_id, server, "real")
         self.board.visit(travel_id, server, "combined", len(todo) - 1)
-        self.metrics.count("engine.real_visits", server=server)
+        self._count["engine.real_visits"]()
         work.n_real += 1
         work.n_combined += len(todo) - 1
 
         vertex_type = self.store.namespace_of(vid)
         if data is None:
             data = VisitData(props=None, edges={}, cost=IOCost())
+        owner_fn = self.routing.owner
         for lvl, anc in todo:
             stored = self.seen.lookup(tkey, lvl, vid)
             if stored is not None and anchors_covered(anc, stored):
@@ -427,7 +460,7 @@ class AsyncServerEngine:
                 continue
             self.seen.insert(tkey, lvl, vid, anc)
             expand_vertex(
-                plan, lvl, vid, anc, data, self.owner_fn, sinks, rtn_levels,
+                plan, lvl, vid, anc, data, owner_fn, sinks, rtn_levels,
                 vertex_type, level0_override if lvl == 0 else None,
             )
         return data.cost.seeks > 0 or data.cost.blocks > 0
@@ -502,10 +535,7 @@ class AsyncServerEngine:
             sent[eid] = (owner, success)
             self._send(travel_id, owner, success)
             self.metrics.count("engine.rtn_redirects", server=self.ctx.server_id)
-        if sinks.out:
-            self.metrics.count(
-                "engine.dispatches", len(sinks.out), server=self.ctx.server_id
-            )
+        self._count["engine.dispatches"](len(sinks.out))
         results_sent = 0
         if sinks.final_results and plan.final_level in plan.return_levels:
             self._send_coord(
@@ -566,7 +596,7 @@ class AsyncServerEngine:
         # The per-traversal ``executions`` statistic is counted by the
         # coordinator on *fresh* terminations only — counting here would
         # double-count replayed executions and stale-attempt reports.
-        self.metrics.count("engine.status_reports", server=self.ctx.server_id)
+        self._count["engine.status_reports"]()
         self._send_coord(
             travel_id,
             ExecStatus(

@@ -49,15 +49,20 @@ def extend_anchors(anchors: Anchors, vid: VertexId) -> Anchors:
 
 
 def merge_entry(entries: Entries, vid: VertexId, anchors: Anchors) -> None:
-    """Insert/merge one entry into a batch (anchor union on collision)."""
-    current = entries.get(vid)
-    if current is None:
-        entries[vid] = anchors
-    else:
+    """Insert/merge one entry into a batch (anchor union on collision).
+
+    Empty anchors add nothing to an entry that exists, so plans without an
+    intermediate ``rtn()`` pay one dict operation per entry."""
+    current = entries.setdefault(vid, anchors)
+    if anchors and current is not anchors:
         entries[vid] = anchors_union(current, anchors)
 
 
 def merge_entries(dst: Entries, src: Entries) -> None:
-    """Union ``src`` into ``dst`` (coalescing two requests)."""
+    """Union ``src`` into ``dst`` (coalescing two requests); the loop body
+    is :func:`merge_entry`, inlined because coalescing runs it per entry of
+    every absorbed request."""
     for vid, anchors in src.items():
-        merge_entry(dst, vid, anchors)
+        current = dst.setdefault(vid, anchors)
+        if anchors and current is not anchors:
+            dst[vid] = anchors_union(current, anchors)

@@ -22,7 +22,7 @@ coordinator as :class:`~repro.net.message.ResultReport` messages.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.engine.frontier import EMPTY_ANCHORS, intermediate_rtn_levels, merge_entries
 from repro.engine.options import EngineOptions
@@ -33,6 +33,7 @@ from repro.engine.visit import (
     VisitData,
     expand_vertex,
     labels_needed,
+    needs_edge_props,
     needs_props,
     read_vertex,
 )
@@ -52,6 +53,9 @@ from repro.runtime.base import ServerContext
 from repro.storage.costmodel import IOCost
 from repro.storage.layout import GraphStore
 
+if TYPE_CHECKING:
+    from repro.rebalance.routing import RoutingTable
+
 TravelKey = tuple[TravelId, int]
 
 
@@ -63,18 +67,23 @@ class SyncServerEngine:
         ctx: ServerContext,
         store: GraphStore,
         registry: TravelRegistry,
-        owner_fn: Callable[[VertexId], ServerId],
+        routing: RoutingTable,
         opts: EngineOptions,
         board: StatsBoard,
     ):
         self.ctx = ctx
         self.store = store
         self.registry = registry
-        self.owner_fn = owner_fn
+        #: read ``routing.owner`` at each use: the table re-binds it on
+        #: every ownership mutation
+        self.routing = routing
         self.opts = opts
         self.board = board
         self.metrics = board.obs.metrics
         self.trace = board.obs.trace
+        server = ctx.server_id  # the two per-vertex records, resolved to handles once
+        self._count_real = self.metrics.counter("engine.real_visits", server=server)
+        self._observe_disk = self.metrics.observer("disk.access_seconds", server=server)
         self.queue = ctx.queue(priority=False, name="sync-steps")
         self._buffers: dict[tuple[TravelKey, int], Entries] = {}
         self._batch_counts: dict[tuple[TravelKey, int], int] = {}
@@ -184,6 +193,7 @@ class SyncServerEngine:
         sinks = ExpandSinks()
         want_labels = labels_needed(plan, [level])
         want_props = needs_props(plan, [level], level0_override)
+        want_edge_props = needs_edge_props(plan, [level])
         edge_preds: Optional[dict[str, FilterSet]] = None
         if plan.pushdown and level < plan.final_level:
             # predicate pushdown: hand the step's edge filters to the scan
@@ -198,24 +208,23 @@ class SyncServerEngine:
                 continue
             if want_labels or want_props:
                 data = read_vertex(
-                    self.store, vid, want_labels, want_props, edge_preds
+                    self.store, vid, want_labels, want_props, edge_preds,
+                    want_edge_props,
                 )
                 cost = data.cost
                 if not first_in_batch and cost.seeks:
                     cost.seeks *= self.opts.batch_seek_factor
                 io_start = self.ctx.now()
                 yield self.ctx.disk(cost, level=level, accesses=1)
-                self.metrics.observe(
-                    "disk.access_seconds", self.ctx.now() - io_start, server=server
-                )
+                self._observe_disk(self.ctx.now() - io_start)
                 first_in_batch = False
             else:
                 data = VisitData(props=None, edges={}, cost=IOCost())
             self.board.visit(travel_id, self.ctx.server_id, "real")
-            self.metrics.count("engine.real_visits", server=server)
+            self._count_real()
             n_real += 1
             expand_vertex(
-                plan, level, vid, anchors, data, self.owner_fn, sinks, rtn_levels,
+                plan, level, vid, anchors, data, self.routing.owner, sinks, rtn_levels,
                 self.store.namespace_of(vid),
                 level0_override,
             )

@@ -19,8 +19,9 @@ from repro.net.message import Anchors, Entries
 from repro.storage.costmodel import IOCost
 from repro.storage.layout import GraphStore
 
-#: edges grouped by label: label -> [(dst, props), ...]
-EdgesByLabel = dict[str, list[tuple[VertexId, dict[str, Any]]]]
+#: edges grouped by label: label -> [(dst, props), ...]; ``props`` is None
+#: when the read projected edge properties away (see :func:`read_vertex`)
+EdgesByLabel = dict[str, list[tuple[VertexId, Optional[dict[str, Any]]]]]
 
 
 @dataclass
@@ -92,12 +93,23 @@ def needs_props(
     return False
 
 
+def needs_edge_props(plan: TraversalPlan, levels: list[int]) -> bool:
+    """True if expanding any of ``levels`` evaluates an ``ea()`` filter —
+    the only reader of edge properties, so other visits project them away."""
+    final_level = plan.final_level
+    for lvl in levels:
+        if lvl < final_level and plan.steps[lvl].edge_filters:
+            return True
+    return False
+
+
 def read_vertex(
     store: GraphStore,
     vid: VertexId,
     want_labels: set[str],
     want_props: bool,
     edge_preds: Optional[dict[str, FilterSet]] = None,
+    edge_props: bool = True,
 ) -> VisitData:
     """Perform the (single) storage access for a visit.
 
@@ -106,7 +118,9 @@ def read_vertex(
     execution merging requires. Attribute scan added only when filters need
     properties. ``edge_preds`` (label → edge FilterSet) pushes predicates
     into the storage scan — safe because :func:`expand_vertex` re-applies
-    every edge filter to whatever surfaces.
+    every edge filter to whatever surfaces. ``edge_props=False`` (see
+    :func:`needs_edge_props`) lets the store skip decoding edge properties:
+    same records, same cost, ``None`` in their place.
     """
     cost = IOCost()
     props: Optional[dict[str, Any]] = None
@@ -128,14 +142,14 @@ def read_vertex(
 
     if len(fwd_labels) == 1:
         label = next(iter(fwd_labels))
-        targets, c = store.edges(vid, label, _pred(label))
+        targets, c = store.edges(vid, label, _pred(label), edge_props)
         cost += c
         edges[label] = targets
     elif fwd_labels:
         preds = None
         if edge_preds:
             preds = {l: fs.matches for l, fs in edge_preds.items() if fs} or None
-        all_edges, c = store.all_edges(vid, preds)
+        all_edges, c = store.all_edges(vid, preds, edge_props)
         cost += c
         for label, dst, eprops in all_edges:
             if label in fwd_labels:
@@ -143,7 +157,7 @@ def read_vertex(
         for label in fwd_labels:
             edges.setdefault(label, [])
     for label in rev_labels:
-        targets, c = store.edges(vid, label, _pred(label))
+        targets, c = store.edges(vid, label, _pred(label), edge_props)
         cost += c
         edges[label] = targets
     return VisitData(props=props, edges=edges, cost=cost)
@@ -175,8 +189,9 @@ def expand_vertex(
             return "filtered"
     if level in rtn_levels:
         anchors = extend_anchors(anchors, vid)
-    if level == plan.final_level:
-        if plan.final_level in plan.return_levels:
+    final_level = plan.final_level
+    if level == final_level:
+        if final_level in plan.return_levels:
             sinks.final_results.add(vid)
             agg = plan.aggregate
             if agg is not None and agg.needs_keys:
@@ -197,14 +212,24 @@ def expand_vertex(
     # sender records destinations directly (legal because the planner only
     # sets the flag when the final step has no vertex filters and no
     # intermediate rtn marks compete for the anchors machinery)
-    short_circuit = plan.short_circuit_final and next_level == plan.final_level
+    short_circuit = plan.short_circuit_final and next_level == final_level
+    matches = step.edge_filters.matches if step.edge_filters else None
+    #: owner -> its (next_level, owner) bucket, resolved once per owner
+    buckets: dict[ServerId, Entries] = {}
     for label in step.labels:
-        for dst, eprops in data.edges.get(label, ()):
-            if step.edge_filters and not step.edge_filters.matches(eprops):
-                continue
-            if short_circuit:
-                sinks.final_results.add(dst)
-                continue
-            bucket = sinks.out.setdefault((next_level, owner_fn(dst)), {})
-            merge_entry(bucket, dst, anchors)
+        targets = data.edges.get(label, ())
+        if matches is not None:
+            targets = [edge for edge in targets if matches(edge[1])]
+        if short_circuit:
+            sinks.final_results.update([dst for dst, _ in targets])
+            continue
+        for dst, _ in targets:
+            owner = owner_fn(dst)
+            bucket = buckets.get(owner)
+            if bucket is None:
+                bucket = buckets[owner] = sinks.out.setdefault((next_level, owner), {})
+            if anchors:
+                merge_entry(bucket, dst, anchors)
+            else:  # nothing to union (see merge_entry): an insert
+                bucket.setdefault(dst, anchors)
     return "expanded"

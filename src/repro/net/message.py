@@ -52,6 +52,15 @@ class Message:
 
     @property
     def nbytes(self) -> int:
+        """Approximate wire size, computed once per message: its sender, the
+        wire counters and the latency model all read it, and nothing mutates
+        a message after it is built."""
+        size = self.__dict__.get("_nbytes")
+        if size is None:
+            size = self.__dict__["_nbytes"] = self._wire_size()
+        return size
+
+    def _wire_size(self) -> int:
         return _HEADER_BYTES
 
 
@@ -73,8 +82,7 @@ class TraverseRequest(Message):
     all_sources: bool = False
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + _PLAN_BYTES + entries_nbytes(self.entries)
 
 
@@ -95,8 +103,7 @@ class ExecStatus(Message):
     level: Optional[int] = None  # level the execution worked at (progress)
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + 20 * len(self.created)
 
 
@@ -116,8 +123,7 @@ class ResultReport(Message):
     groups: tuple = ()
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + 8 * len(self.vertices) + 16 * len(self.groups)
 
 
@@ -131,8 +137,7 @@ class SuccessReport(Message):
     exec_id: ExecId = 0
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + 8 * len(self.anchors)
 
 
@@ -173,8 +178,7 @@ class MigrateChunk(Message):
     routing_version: int = 0
     from_server: ServerId = -1
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         payload = sum(len(k) + len(v) for k, v in self.pairs)
         return _HEADER_BYTES + payload + 16 * len(self.meta)
 
@@ -201,8 +205,7 @@ class SyncBatch(Message):
     from_server: ServerId = -1
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + _PLAN_BYTES + entries_nbytes(self.entries)
 
 
@@ -230,6 +233,5 @@ class SyncStepDone(Message):
     anchor_counts: dict[ServerId, int] = field(default_factory=dict)
     attempt: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _HEADER_BYTES + 12 * len(self.sent_counts)

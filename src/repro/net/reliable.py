@@ -51,8 +51,7 @@ class DataFrame(Message):
     dst: ServerId = -1
     payload: Optional[Message] = None
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _FRAME_OVERHEAD + (self.payload.nbytes if self.payload else 0)
 
 
@@ -62,8 +61,7 @@ class AckFrame(Message):
 
     seq: int = 0
 
-    @property
-    def nbytes(self) -> int:
+    def _wire_size(self) -> int:
         return _FRAME_OVERHEAD
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial
 from typing import Any, Callable, Optional
 
 #: a metric identity: (name, ((label, value), ...)) with labels sorted
@@ -106,11 +107,18 @@ class MetricsRegistry:
     # -- recording ---------------------------------------------------------
 
     def count(self, name: str, n: float = 1, **labels: Any) -> None:
-        if n == 0:
-            return
-        key = metric_key(name, labels)
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + n
+        self._add(metric_key(name, labels), n)
+
+    def _add(self, key: MetricKey, n: float = 1) -> None:
+        if n:
+            with self._lock:
+                self._counters[key] = self._counters.get(key, 0) + n
+
+    def counter(self, name: str, **labels: Any) -> Callable[..., None]:
+        """Pre-bound handle: ``(name, labels)`` is resolved once, the returned
+        ``add(n=1)`` is the hot-path record. Nothing is created until the
+        first non-zero add, so binding never adds a key to a snapshot."""
+        return partial(self._add, metric_key(name, labels))
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         key = metric_key(name, labels)
@@ -118,12 +126,19 @@ class MetricsRegistry:
             self._gauges[key] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        key = metric_key(name, labels)
+        self._observe(metric_key(name, labels), value)
+
+    def _observe(self, key: MetricKey, value: float) -> None:
         with self._lock:
             hist = self._histograms.get(key)
             if hist is None:
                 hist = self._histograms[key] = Histogram()
-            hist.observe(value)
+            hist.samples.append(float(value))
+
+    def observer(self, name: str, **labels: Any) -> Callable[[float], None]:
+        """Pre-bound histogram handle (see :meth:`counter`): the returned
+        ``observe(value)`` creates the histogram on its first sample."""
+        return partial(self._observe, metric_key(name, labels))
 
     def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
         self._collectors.append(fn)

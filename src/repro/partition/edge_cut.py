@@ -58,9 +58,15 @@ class HashEdgeCut(Partitioner):
     def __init__(self, nservers: int, salt: int = 0):
         super().__init__(nservers)
         self.salt = salt
+        #: vertices already placed: the hash is pure, so a placement is
+        #: mixed once (by ``assign`` at build) and looked up afterwards
+        self._placed: dict[VertexId, ServerId] = {}
 
     def owner(self, vid: VertexId) -> ServerId:
-        return splitmix64(vid ^ self.salt) % self.nservers
+        server = self._placed.get(vid)
+        if server is None:
+            server = self._placed[vid] = splitmix64(vid ^ self.salt) % self.nservers
+        return server
 
 
 class GreedyBalancedEdgeCut(Partitioner):

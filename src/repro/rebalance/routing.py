@@ -38,11 +38,21 @@ class RoutingTable:
         self._overrides: dict[VertexId, ServerId] = {}
         #: vertices in a double-routing window: vid -> (source, target)
         self._dual: dict[VertexId, tuple[ServerId, ServerId]] = {}
+        self._publish()
 
     # -- routing (the hot path: every engine forward calls owner()) --------
 
-    def owner(self, vid: VertexId) -> ServerId:
-        """The vertex's *primary* owner right now.
+    def _publish(self) -> None:
+        """(Re)bind :attr:`owner` after a mutation: while no vertex is moved
+        or migrating the table *is* the base partitioner, so its ``owner`` is
+        published directly and a forward pays one lookup. Callers must read
+        ``routing.owner`` when they use it, never keep it across mutations."""
+        moved = self._dual or self._overrides
+        self.owner = self._moved_owner if moved else self.base_owner
+
+    def _moved_owner(self, vid: VertexId) -> ServerId:
+        """The vertex's *primary* owner right now (:attr:`owner` while any
+        dual window or override exists).
 
         During a double-routing window the source stays primary — it held
         the complete copy first, and keeping forwards on one side means a
@@ -101,6 +111,7 @@ class RoutingTable:
                 )
         for vid in vids:
             self._dual[vid] = (src, dst)
+        self._publish()
         return self._bump()
 
     def cutover(self, vids: Iterable[VertexId], dst: ServerId) -> int:
@@ -120,6 +131,7 @@ class RoutingTable:
                 self._overrides.pop(vid, None)  # back on the hash owner
             else:
                 self._overrides[vid] = dst
+        self._publish()
         return self._bump()
 
     def abort_dual(self, vids: Iterable[VertexId]) -> int:
@@ -127,6 +139,7 @@ class RoutingTable:
         reverts to whatever it was before ``begin_dual``."""
         for vid in vids:
             self._dual.pop(vid, None)
+        self._publish()
         return self._bump()
 
     def apply_override(self, vids: Iterable[VertexId], dst: ServerId) -> None:
@@ -139,6 +152,7 @@ class RoutingTable:
                 self._overrides.pop(vid, None)
             else:
                 self._overrides[vid] = dst
+        self._publish()
 
     def restore_version(self, floor: int) -> None:
         """Advance the version past a journaled high-water mark (never
@@ -152,6 +166,7 @@ class RoutingTable:
         journal's migration records (``ShardMigrator.recover``)."""
         self._overrides.clear()
         self._dual.clear()
+        self._publish()
 
     # -- introspection ------------------------------------------------------
 

@@ -335,9 +335,10 @@ class Runtime(ABC):
             if verdict.drop:
                 return
             copies = 1 + verdict.duplicates
+            nbytes = msg.nbytes
             self.messages_sent += copies
-            self.bytes_sent += msg.nbytes * copies
-        delay = self.network.latency(src, host, msg.nbytes) + verdict.extra_delay
+            self.bytes_sent += nbytes * copies
+        delay = self.network.latency(src, host, nbytes) + verdict.extra_delay
 
         def arrive() -> None:
             self._dispatch(host, handler, msg)

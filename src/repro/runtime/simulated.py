@@ -29,6 +29,7 @@ class SimServerContext(ServerContext):
         self._rt = runtime
         self.server_id = server_id
         self.nservers = runtime.nservers
+        self._disk_name = f"s{server_id}:disk"  # formatted once, not per access
 
     # -- time ----------------------------------------------------------
 
@@ -70,7 +71,7 @@ class SimServerContext(ServerContext):
     def disk(self, cost: IOCost, level: Optional[int] = None, accesses: int = 1):
         return self._rt.sim.process(
             self._rt._disk_proc(self.server_id, cost, level, accesses),
-            name=f"s{self.server_id}:disk",
+            name=self._disk_name,
         )
 
     def cpu(self, dt: float):

@@ -79,7 +79,7 @@ class Event:
         """Run ``fn(event)`` when the event triggers (immediately if it has)."""
         if self.triggered:
             # Deliver asynchronously to preserve run-to-completion semantics.
-            self.sim.schedule(0.0, lambda: fn(self))
+            self.sim.schedule(0.0, fn, self)
         else:
             self.callbacks.append(fn)
 
@@ -96,9 +96,9 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"timeout({delay})")
+        super().__init__(sim, name="timeout")
         self.delay = delay
-        sim.schedule(delay, lambda: self.succeed(value))
+        sim.schedule(delay, self.succeed, value)
 
 
 class AnyOf(Event):
@@ -137,7 +137,7 @@ class AllOf(Event):
         self._events = list(events)
         self._remaining = len(self._events)
         if self._remaining == 0:
-            sim.schedule(0.0, lambda: self.succeed([]))
+            sim.schedule(0.0, self.succeed, [])
             return
         for ev in self._events:
             ev.add_callback(self._on_child)
@@ -180,7 +180,7 @@ class Process(Event):
         self._body = body
         self._waiting_on: Optional[Event] = None
         # Kick off on the next scheduling round at the current time.
-        sim.schedule(0.0, lambda: self._step(None, None))
+        sim.schedule(0.0, self._step, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -190,12 +190,10 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
             return
-        target = self._waiting_on
-        self._waiting_on = None
         # Detach from whatever we were waiting on; the stale callback is
         # ignored via the _waiting_on identity check in _resume.
-        self.sim.schedule(0.0, lambda: self._step(None, Interrupt(cause)))
-        _ = target  # kept for clarity; stale wakeups are filtered in _resume
+        self._waiting_on = None
+        self.sim.schedule(0.0, self._step, None, Interrupt(cause))
 
     def _resume(self, ev: Event) -> None:
         if self.triggered or ev is not self._waiting_on:
@@ -262,7 +260,7 @@ class Simulator:
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._running = False
         #: (process name, exception) of processes that crashed with no waiter
@@ -292,17 +290,19 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after ``delay`` virtual seconds."""
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` virtual seconds. Every heap push
+        goes through here: the heap entry carries the arguments, so no caller
+        allocates a closure per event."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def _queue_callbacks(self, event: Event) -> None:
         callbacks, event.callbacks = event.callbacks, []
         for cb in callbacks:
-            self.schedule(0.0, lambda cb=cb: cb(event))
+            self.schedule(0.0, cb, event)
 
     # -- factories -----------------------------------------------------
 
@@ -335,7 +335,7 @@ class Simulator:
         processed = 0
         try:
             while self._heap:
-                t, _, fn = self._heap[0]
+                t, _, fn, args = self._heap[0]
                 if until is not None and t > until:
                     self.now = until
                     break
@@ -345,7 +345,7 @@ class Simulator:
                 self.now = t
                 if t >= self._boundary:
                     self._check_boundary(t)
-                fn()
+                fn(*args)
                 processed += 1
                 if max_events and processed >= max_events:
                     raise SimulationError(
@@ -374,16 +374,16 @@ class Simulator:
                 raise SimulationError(
                     f"deadlock: event {event.name!r} can never trigger"
                 )
-            t, _, fn = heapq.heappop(self._heap)
+            t, _, fn, args = heapq.heappop(self._heap)
             if limit is not None and t > limit:
-                heapq.heappush(self._heap, (t, 0, fn))
+                heapq.heappush(self._heap, (t, 0, fn, args))
                 raise SimulationError(
                     f"time limit {limit} passed before {event.name!r} triggered"
                 )
             self.now = t
             if t >= self._boundary:
                 self._check_boundary(t)
-            fn()
+            fn(*args)
         return event.value
 
     def peek(self) -> float:

@@ -31,7 +31,7 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: float):
-        super().__init__(resource.sim, name=f"request({resource.name})")
+        super().__init__(resource.sim, name=resource.name)
         self.resource = resource
         self.priority = priority
 
@@ -131,7 +131,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        ev = Event(self.sim, name=f"get({self.name})")
+        ev = Event(self.sim, name=self.name)
         if self._items:
             ev.succeed(self._items.pop(0))
         else:
@@ -161,7 +161,7 @@ class PriorityStore(Store):
             heapq.heappush(self._items, item)
 
     def get(self) -> Event:
-        ev = Event(self.sim, name=f"get({self.name})")
+        ev = Event(self.sim, name=self.name)
         if self._items:
             ev.succeed(heapq.heappop(self._items))
         else:

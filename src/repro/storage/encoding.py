@@ -32,6 +32,9 @@ _BLOCK = b"B"
 _EDGE = b"E"
 
 _Q = struct.Struct(">Q")
+#: the fixed-width destination every edge record starts with: a keys-only
+#: read decodes this and skips the property block
+EDGE_DST = _Q
 _D = struct.Struct(">d")
 _q = struct.Struct(">q")
 

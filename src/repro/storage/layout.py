@@ -372,8 +372,8 @@ class GraphStore:
         return props, cost
 
     def edges(
-        self, vid: VertexId, label: str, pred=None
-    ) -> tuple[list[tuple[VertexId, dict[str, Any]]], IOCost]:
+        self, vid: VertexId, label: str, pred=None, props: bool = True
+    ) -> tuple[list[tuple[VertexId, Optional[dict[str, Any]]]], IOCost]:
         """Out-edges of ``vid`` with ``label``.
 
         Grouped layout: one sequential scan of exactly that label's run.
@@ -392,6 +392,12 @@ class GraphStore:
         ``(vertex, label)`` block, decoded once; ``pred`` is applied to the
         decoded column (the rejected count still lands in
         ``entries_filtered``, mirroring the scan-pushdown contract).
+
+        ``props=False`` is the keys-only projection: with no ``pred`` to
+        feed, a label-grouped read decodes just each record's 8-byte
+        destination and returns ``None`` for the properties. Same scan, same
+        cost. Interleaved (its label lives in the props) and columnar (the
+        block decodes as a whole) return full records regardless.
         """
         ns = self._require_ns(vid)
         if label.startswith("~"):
@@ -399,22 +405,15 @@ class GraphStore:
         elif self.edge_layout == "columnar":
             return self._edges_columnar(ns, vid, label, pred)
         if self.edge_layout == "grouped" or label.startswith("~"):
-            prefix = enc.edges_prefix(ns, vid, label)
-            if pred is None:
-                pairs, cost = self.kv.scan_prefix(prefix)
-            else:
-                def accept(key: bytes, value: bytes) -> bool:
-                    _, props = enc.unpack_edge_record(value)
-                    return pred(props)
-
-                pairs, cost = self.kv.scan_filtered(
-                    prefix, enc.prefix_end(prefix), accept
-                )
-            out = [enc.unpack_edge_record(value) for _, value in pairs]
-            return out, cost
+            pairs, cost = self.kv.scan_prefix(enc.edges_prefix(ns, vid, label))
+            if props or pred is not None:
+                decoded = [enc.unpack_edge_record(value) for _, value in pairs]
+                return self._filter_decoded(decoded, pred), cost
+            dst_of = enc.EDGE_DST.unpack_from
+            return [(dst_of(value)[0], None) for _, value in pairs], cost
         preds = {label: pred} if pred is not None else None
         all_edges, cost = self.all_edges(vid, preds)
-        return [(dst, props) for lbl, dst, props in all_edges if lbl == label], cost
+        return [(dst, eprops) for lbl, dst, eprops in all_edges if lbl == label], cost
 
     def _decode_block(
         self, vid: VertexId, label: str, value: bytes
@@ -459,37 +458,40 @@ class GraphStore:
         return out, cost
 
     def all_edges(
-        self, vid: VertexId, preds: Optional[dict[str, Any]] = None
-    ) -> tuple[list[tuple[str, VertexId, dict[str, Any]]], IOCost]:
+        self,
+        vid: VertexId,
+        preds: Optional[dict[str, Any]] = None,
+        props: bool = True,
+    ) -> tuple[list[tuple[str, VertexId, Optional[dict[str, Any]]]], IOCost]:
         """Every out-edge of ``vid`` across labels (label, dst, props).
 
         ``preds`` maps label → (edge-props dict → bool); edges whose label
-        has a predicate that rejects them are dropped inside the scan.
-        Labels without a predicate always pass.
+        has a predicate that rejects them are dropped inside the scan (each
+        record is decoded once; rejections land in ``entries_filtered``).
+        Labels without a predicate always pass. ``props=False`` projects the
+        properties away as in :meth:`edges`.
         """
         ns = self._require_ns(vid)
         if self.edge_layout == "columnar":
             return self._all_edges_columnar(ns, vid, preds)
-        prefix = enc.all_edges_prefix(ns, vid)
-
-        def decode(key: bytes, value: bytes):
-            dst, props = enc.unpack_edge_record(value)
-            if self.edge_layout == "grouped":
-                _, _, label, _ = enc.parse_edge_key(key)
+        pairs, cost = self.kv.scan_prefix(enc.all_edges_prefix(ns, vid))
+        grouped = self.edge_layout == "grouped"
+        full = props or bool(preds) or not grouped
+        dst_of = enc.EDGE_DST.unpack_from
+        out = []
+        for key, value in pairs:
+            if full:
+                dst, eprops = enc.unpack_edge_record(value)
             else:
-                label = props.pop(_LABEL_PROP)
-            return label, dst, props
-
-        if preds:
-            def accept(key: bytes, value: bytes) -> bool:
-                label, _, props = decode(key, value)
+                dst, eprops = dst_of(value)[0], None
+            label = enc.parse_edge_key(key)[2] if grouped else eprops.pop(_LABEL_PROP)
+            if preds:
                 pred = preds.get(label)
-                return pred is None or pred(props)
-
-            pairs, cost = self.kv.scan_filtered(prefix, enc.prefix_end(prefix), accept)
-        else:
-            pairs, cost = self.kv.scan_prefix(prefix)
-        return [decode(key, value) for key, value in pairs], cost
+                if pred is not None and not pred(eprops):
+                    self.kv.stats.entries_filtered += 1
+                    continue
+            out.append((label, dst, eprops))
+        return out, cost
 
     def _all_edges_columnar(
         self, ns: str, vid: VertexId, preds: Optional[dict[str, Any]] = None

@@ -166,7 +166,9 @@ class LSMStore:
         """
         self.stats.scans += 1
         cost = IOCost()
-        runs: list[list[tuple[bytes, object]]] = [list(self.memtable.scan(start, end))]
+        buffered = list(self.memtable.scan(start, end)) if len(self.memtable) else []
+        runs: list[list[tuple[bytes, object]]] = [buffered] if buffered else []
+        tombstones = bool(buffered)  # a memtable run may hold one: never skip it
         for table in self.sstables:
             if not table.overlaps(start, end):
                 continue
@@ -177,29 +179,16 @@ class LSMStore:
             byte_end = table.offsets[hi]
             cost += self._charge_extent(table, byte_start, byte_end)
             runs.append(list(zip(table.keys[lo:hi], table.values[lo:hi])))
-        merged = merge_runs(runs, drop_tombstones=True)
+            tombstones = tombstones or table.has_tombstones
+        if len(runs) == 1 and not tombstones:
+            merged = runs[0]  # its own merge: the state of every bulk-loaded store
+        else:
+            merged = merge_runs(runs, drop_tombstones=True)
         self.stats.entries_scanned += len(merged)
-        return [(k, v) for k, v in merged], cost  # type: ignore[misc]
+        return merged, cost  # type: ignore[return-value]
 
     def scan_prefix(self, prefix: bytes) -> tuple[list[tuple[bytes, bytes]], IOCost]:
         return self.scan(prefix, prefix_end(prefix))
-
-    def scan_filtered(
-        self, start: bytes, end: bytes, accept
-    ) -> tuple[list[tuple[bytes, bytes]], IOCost]:
-        """Predicate-aware range scan: like :meth:`scan`, but entries failing
-        ``accept(key, value)`` never surface to the caller.
-
-        The I/O cost is identical to the unfiltered scan — the same blocks
-        are read — so pushing a predicate down buys fewer *surfaced records*
-        (tracked by ``entries_filtered``), not fewer bytes. That mirrors the
-        real-storage contract: filtering happens inside the scan operator,
-        below the engine.
-        """
-        pairs, cost = self.scan(start, end)
-        kept = [(k, v) for k, v in pairs if accept(k, v)]
-        self.stats.entries_filtered += len(pairs) - len(kept)
-        return kept, cost
 
     # -- introspection ------------------------------------------------------
 

@@ -27,12 +27,17 @@ class SSTable:
     so newer tables can mask older ones; dropped by full compaction).
     """
 
-    __slots__ = ("table_id", "keys", "values", "offsets", "bloom", "size_bytes")
+    __slots__ = (
+        "table_id", "keys", "values", "offsets", "bloom", "size_bytes",
+        "has_tombstones",
+    )
 
     def __init__(self, entries: Iterable[tuple[bytes, object]], fp_rate: float = 0.01):
         keys: list[bytes] = []
         values: list[object] = []
         offsets: list[int] = [0]
+        #: False lets a scan that touches only this table skip the merge
+        self.has_tombstones = False
         pos = 0
         prev: Optional[bytes] = None
         for key, value in entries:
@@ -41,7 +46,11 @@ class SSTable:
             prev = key
             keys.append(key)
             values.append(value)
-            vlen = 0 if value is TOMBSTONE else len(value)  # type: ignore[arg-type]
+            if value is TOMBSTONE:
+                vlen = 0
+                self.has_tombstones = True
+            else:
+                vlen = len(value)  # type: ignore[arg-type]
             pos += len(key) + vlen + 16  # 16 bytes of per-entry framing
             offsets.append(pos)
         self.table_id = next(_table_ids)

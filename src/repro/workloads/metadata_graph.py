@@ -23,6 +23,7 @@ See DESIGN.md ("What we cannot have, and what we substitute").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,14 +105,22 @@ class MetadataGraph:
         raise KeyError(name)
 
 
+@lru_cache(maxsize=8)
+def _zipf_probs(n: int, alpha: float) -> np.ndarray:
+    """The normalised rank-frequency vector over [0, n): a generation draws
+    from the same two or three vectors thousands of times, so it is built
+    once per ``(n, alpha)`` and shared read-only."""
+    probs = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
+    probs /= probs.sum()
+    probs.setflags(write=False)
+    return probs
+
+
 def _zipf_choice(
     rng: np.random.Generator, n: int, size: int, alpha: float
 ) -> np.ndarray:
     """Zipf-distributed indices over [0, n) (rank-frequency power law)."""
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    probs = ranks ** (-alpha)
-    probs /= probs.sum()
-    return rng.choice(n, size=size, p=probs)
+    return rng.choice(n, size=size, p=_zipf_probs(n, alpha))
 
 
 def generate_metadata_graph(config: MetadataGraphConfig) -> MetadataGraph:

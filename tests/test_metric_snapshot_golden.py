@@ -15,6 +15,12 @@ reliable channel under a seeded fault plan, so every ``net.*``, ``faults.*``
 and ``runtime.*`` value of the delivery path (drops, duplicates, retries and
 acks included) is fixed; ``GOLDEN_TELEMETRY`` pins the rollup, SLO and health
 documents of a two-tenant cell with a rejected submission and a fired alert.
+
+``GOLDEN_EVENT_ORDER`` pins the simulation kernel itself: the ``(now,
+label)`` log of a scripted ``Simulator`` run that crosses every tie-break
+(equal-time timeouts, zero-delay chains, a priority resource, both stores,
+``AnyOf``/``AllOf``, an interrupt), recorded before ISSUE 21 replaced the
+kernel's per-event closures with argument-carrying heap entries.
 """
 
 from __future__ import annotations
@@ -187,4 +193,99 @@ def test_telemetry_documents_match_golden_digest():
         "refactor must leave every rollup window, SLO observation and alert "
         "byte-identical; the digest may only be re-recorded by a PR that "
         "states why virtual behaviour changed."
+    )
+
+
+#: sha256 of the ``(now, label)`` log of the scripted kernel run below,
+#: recorded before the request-path diet touched ``sim/core.py``
+GOLDEN_EVENT_ORDER = "50ae60bc96af832c6a979cf88e5bd098cb0871d1afe381baeb57e2053bfacfb4"
+
+
+def _kernel_event_log() -> list[tuple[float, str]]:
+    """A seeded ``Simulator`` run that crosses every tie-break the kernel
+    has: eight processes contending on one ``Resource``, a ``Store`` and a
+    ``PriorityStore``, ``AnyOf``/``AllOf``, an interrupt, zero-delay chains,
+    equal-time timeouts and a callback added to an already-triggered event."""
+    import random
+
+    from repro.sim.core import Interrupt, Simulator
+    from repro.sim.resources import PriorityStore, Resource, Store
+
+    rng = random.Random(21)
+    sim = Simulator()
+    log: list[tuple[float, str]] = []
+    disk = Resource(sim, capacity=2, priority=True, name="disk")
+    inbox = Store(sim, name="inbox")
+    ranked = PriorityStore(sim, name="ranked")
+
+    def note(label: str) -> None:
+        log.append((sim.now, label))
+
+    def contender(i: int):
+        for round_ in range(3):
+            # delays drawn from a small grid so distinct processes collide
+            yield sim.timeout(rng.choice((0.0, 0.001, 0.002)))
+            note(f"c{i}.r{round_}.ask")
+            req = disk.request(priority=float(i % 3))
+            yield req
+            note(f"c{i}.r{round_}.granted")
+            try:
+                yield sim.timeout(rng.choice((0.001, 0.001, 0.003)))
+            finally:
+                disk.release(req)
+            note(f"c{i}.r{round_}.released")
+            inbox.put((i, round_))
+            ranked.put((rng.randrange(4), i, round_))
+        return i
+
+    def consumer(name: str, store, n: int):
+        for _ in range(n):
+            item = yield store.get()
+            note(f"{name}.got{item}")
+            yield sim.timeout(0.0)  # zero-delay chain
+            note(f"{name}.after{item}")
+
+    def sleeper():
+        try:
+            yield sim.timeout(1.0)
+            note("sleeper.woke")
+        except Interrupt as intr:
+            note(f"sleeper.interrupted:{intr.cause}")
+            yield sim.timeout(0.002)
+            note("sleeper.resumed")
+        return "slept"
+
+    def racer(procs):
+        first = yield sim.any_of([sim.timeout(0.002, "t2"), sim.timeout(0.002, "t2b")])
+        note(f"racer.any:{sorted(first.values())}")
+        done = yield sim.all_of(procs)
+        note(f"racer.all:{done}")
+        late = sim.event("late")
+        late.succeed("v")
+        late.add_callback(lambda ev: note(f"racer.late:{ev.value}"))
+        yield sim.all_of([])
+        note("racer.empty_all")
+
+    contenders = [sim.process(contender(i), name=f"c{i}") for i in range(8)]
+    sim.process(consumer("fifo", inbox, 24), name="fifo")
+    sim.process(consumer("prio", ranked, 24), name="prio")
+    nap = sim.process(sleeper(), name="sleeper")
+    sim.process(racer(contenders), name="racer")
+    sim.schedule(0.004, lambda: (note("poke"), nap.interrupt("poke")))
+    for k in range(4):  # equal-time bare callbacks: schedule order breaks the tie
+        sim.schedule(0.003, lambda k=k: note(f"tick{k}"))
+    sim.run()
+    note(f"end:{nap.value}")
+    return log
+
+
+def test_kernel_event_order_matches_golden_digest():
+    log = _kernel_event_log()
+    assert len(log) > 150, "golden kernel script logged too little to pin order"
+    digest = hashlib.sha256(canonical_json(log).encode()).hexdigest()
+    assert digest == GOLDEN_EVENT_ORDER, (
+        f"event order of the scripted kernel run drifted: got {digest}. A "
+        "refactor of the simulation kernel must run the same callbacks in the "
+        "same order at the same virtual times; the digest may only be "
+        "re-recorded by a PR that states why event order changed."
     )

@@ -134,3 +134,105 @@ def test_cutover_requires_a_matching_window():
     with pytest.raises(RebalanceError, match="no double-routing window"):
         t.cutover([0], dst=2)  # window targets 1, not 2
     assert t.owners(0) == (0, 1), "failed cutover left the window intact"
+
+
+# -- the published fast path -----------------------------------------------------
+#
+# While no vertex is moved or migrating the table publishes the base
+# partitioner's ``owner`` itself and re-binds on every mutation; these tests
+# hold it to the straight-line ``dual -> override -> base`` definition.
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_owner_matches_the_straight_line_reference_after_every_mutation(seed):
+    import random
+
+    from repro.partition.edge_cut import HashEdgeCut
+
+    nservers, vids = 4, range(48)
+    base = HashEdgeCut(nservers).owner
+    t = RoutingTable(base, nservers)
+    rng = random.Random(seed)
+    dual: dict[int, tuple[int, int]] = {}
+    overrides: dict[int, int] = {}
+
+    def ref_owner(v):
+        return dual[v][0] if v in dual else overrides.get(v, base(v))
+
+    def commit(moved, dst):
+        for v in moved:
+            dual.pop(v, None)
+            if base(v) == dst:
+                overrides.pop(v, None)
+            else:
+                overrides[v] = dst
+
+    for _ in range(60):
+        version = t.version
+        op = rng.choice(
+            ("begin_dual", "begin_dual", "cutover", "abort_dual",
+             "apply_override", "on_coordinator_crash", "restore_version")
+        )
+        if op == "begin_dual":
+            src, dst = rng.sample(range(nservers), 2)
+            movable = [v for v in vids if v not in dual and ref_owner(v) == src]
+            moved = rng.sample(movable, min(len(movable), rng.randint(1, 3)))
+            t.begin_dual(moved, src, dst)
+            dual.update({v: (src, dst) for v in moved})
+        elif op == "cutover" and dual:
+            dst = rng.choice(sorted({d for _, d in dual.values()}))
+            moved = [v for v, (_, d) in dual.items() if d == dst]
+            t.cutover(moved, dst)
+            commit(moved, dst)
+        elif op == "abort_dual" and dual:
+            moved = rng.sample(sorted(dual), rng.randint(1, len(dual)))
+            t.abort_dual(moved)
+            for v in moved:
+                del dual[v]
+        elif op == "apply_override":
+            moved, dst = rng.sample(vids, 3), rng.randrange(nservers)
+            t.apply_override(moved, dst)
+            commit(moved, dst)
+        elif op == "on_coordinator_crash":
+            t.on_coordinator_crash()
+            dual.clear()
+            overrides.clear()
+        elif op == "restore_version":
+            t.restore_version(t.version + rng.randint(-3, 3))
+        assert t.version >= version
+        for v in vids:
+            assert t.owner(v) == ref_owner(v), (op, v)
+            assert t.owners(v) == (dual[v] if v in dual else (ref_owner(v),)), (op, v)
+        assert (t.owner == base) == (not dual and not overrides), (
+            "the base owner is published exactly while nothing is moved"
+        )
+
+
+@pytest.mark.parametrize("engine", ["Sync-GT", "Async-GT", "GraphTrek"])
+def test_engine_built_before_a_cutover_forwards_to_the_new_owner(engine):
+    """Engines read ``routing.owner`` when they forward: a callable captured
+    at build would keep sending the migrated vertex's requests to the server
+    that dropped it, and its expansion would vanish from the result."""
+    from repro import Cluster, ClusterConfig, EngineKind, ReferenceEngine
+    from repro.lang import GTravel
+    from repro.workloads import paper_rmat1, rmat_graph
+
+    graph = rmat_graph(paper_rmat1(scale=7, seed=5))
+    cluster = Cluster.build(
+        graph, ClusterConfig(nservers=4, engine=EngineKind(engine))
+    )
+    owner = cluster.routing.owner
+    via, start = next(
+        (dst, src)
+        for src in sorted(graph.vertex_ids())
+        for _, dst, _ in graph.out_edges(src)
+        if owner(dst) != owner(src) and graph.out_degree(dst) > 0
+    )
+    plan = GTravel.v(start).e("link").e("link").compile()
+    want = ReferenceEngine(graph).run(plan)
+    assert cluster.traverse(plan).result.same_result(want)  # base owner in use
+    old, new = owner(via), (owner(via) + 1) % 4
+    assert cluster.rebalance(old, new, vids=[via]).phase == "done"
+    assert cluster.routing.owner(via) == new
+    assert not cluster.servers[old].store.has_vertex(via)
+    assert cluster.traverse(plan).result.same_result(want)

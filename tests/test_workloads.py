@@ -153,6 +153,42 @@ def test_metadata_deterministic():
     assert a.graph.num_edges == b.graph.num_edges
 
 
+#: seed -> sha256 of the generated graph's vertex + edge lists, recorded with
+#: the generator that rebuilt the Zipf vector on every draw (before ISSUE 21
+#: memoised it): the memo must not move a single ``rng.choice`` draw
+METADATA_GRAPH_DIGESTS = {
+    1: "7ad99196441de2954194e20e22a5deeb9bd21628aa019ef048ef3316cd3c1f3d",
+    2: "ac0e7b160d38c49a67cc86a5551734129d26c0b2572b88cfbe5e6ac639fc331d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(METADATA_GRAPH_DIGESTS))
+def test_metadata_graph_unchanged_by_zipf_memo(seed):
+    import hashlib
+
+    from repro.obs.metrics import canonical_json
+
+    graph = generate_metadata_graph(
+        MetadataGraphConfig(users=16, files=512, seed=seed)
+    ).graph
+    vids = sorted(graph.vertex_ids())
+    vertices = [(v, graph.vertex(v).vtype, graph.vertex(v).props) for v in vids]
+    edges = [(v, label, dst, props) for v in vids for label, dst, props in graph.out_edges(v)]
+    digest = hashlib.sha256(canonical_json([vertices, edges]).encode()).hexdigest()
+    assert digest == METADATA_GRAPH_DIGESTS[seed]
+
+
+def test_zipf_choice_draws_match_the_unmemoised_vector():
+    from repro.workloads.metadata_graph import _zipf_choice
+
+    for n, alpha in ((512, 1.1), (37, 1.2), (512, 1.1)):  # repeat: memo hit
+        probs = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
+        probs /= probs.sum()
+        want = np.random.default_rng(n).choice(n, size=64, p=probs)
+        got = _zipf_choice(np.random.default_rng(n), n, 64, alpha)
+        assert np.array_equal(got, want)
+
+
 def test_metadata_user_named(md):
     uid = md.user_named("user0003")
     assert md.graph.vertex(uid).props["name"] == "user0003"
