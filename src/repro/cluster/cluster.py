@@ -219,21 +219,6 @@ class Cluster:
                             (label, vid, eprops)
                         )
 
-        # migration wire traffic is routed to the ShardMigrator (bound after
-        # the coordinator exists) instead of the engines
-        migration_wire: dict = {"migrator": None}
-
-        def _server_handler(server_id: ServerId, engine):
-            def handler(msg):
-                if isinstance(msg, (MigrateChunk, MigrateAck)):
-                    migrator = migration_wire["migrator"]
-                    if migrator is not None:
-                        migrator.on_message(server_id, msg)
-                    return
-                engine.on_message(msg)
-
-            return handler
-
         servers: list[BackendServer] = []
         for server_id in range(config.nservers):
             ctx = runtime.context(server_id)
@@ -247,7 +232,6 @@ class Cluster:
                 )
             engine_cls = SyncServerEngine if opts.kind is EngineKind.SYNC else AsyncServerEngine
             engine = engine_cls(ctx, store, registry, routing, opts, board)
-            runtime.register_handler(server_id, _server_handler(server_id, engine))
             servers.append(BackendServer(server_id, ctx, store, engine))
 
         if opts.planner != "off":
@@ -306,7 +290,20 @@ class Cluster:
             forget=_forget,
             host=config.coordinator_server,
         )
-        migration_wire["migrator"] = migrator
+
+        # Per-server handlers: migration wire traffic goes to the migrator,
+        # everything else to the server's engine. Handlers are only read at
+        # delivery time; they must be registered before install_channel
+        # (below) captures them.
+        for server in servers:
+
+            def handler(msg, server_id=server.server_id, engine=server.engine):
+                if isinstance(msg, (MigrateChunk, MigrateAck)):
+                    migrator.on_message(server_id, msg)
+                else:
+                    engine.on_message(msg)
+
+            runtime.register_handler(server.server_id, handler)
 
         # Observability wiring: trace events timestamp off the runtime clock,
         # and a pull collector turns the push-free layers (storage, network)
@@ -362,10 +359,7 @@ class Cluster:
                 migrator=migrator,
             )
 
-        # The live telemetry plane (DESIGN.md §14). Wired LAST so its
-        # terminal wrapper is outermost: its logic runs before the
-        # scheduler/supervisor inner chain pops the QoS entry, so tenant and
-        # admission clock are still readable at terminal time.
+        # The live telemetry plane (DESIGN.md §14).
         if config.telemetry_enabled:
             slo = SLOTracker(
                 config.slo_config, metrics=obs.metrics, trace=obs.trace
@@ -379,22 +373,26 @@ class Cluster:
             if config.trace_sampling is not None:
                 obs.trace.configure(sampling=config.trace_sampling)
 
-            inner_terminal = coordinator.on_terminal
-
-            def _telemetry_terminal(travel_id: TravelId, status: str) -> None:
-                telemetry.on_terminal(
-                    travel_id, status, entry=scheduler.entry_for(travel_id)
-                )
-                if inner_terminal is not None:
-                    inner_terminal(travel_id, status)
-
-            coordinator.on_terminal = _telemetry_terminal
-
             def _on_crash(server: ServerId) -> None:
                 if server == config.coordinator_server:
                     telemetry.on_coordinator_crash()
 
             runtime.add_crash_listener(_on_crash)
+
+        # Terminal listeners, in the order notify_terminal walks them.
+        # Telemetry is first: it reads tenant and admission clock off the
+        # scheduler's QoS entry, which the scheduler's listener pops; the
+        # supervisor's binding drop is last.
+        telemetry = obs.telemetry
+        if telemetry is not None:
+            coordinator.terminal_listeners.append(
+                lambda travel_id, status: telemetry.on_terminal(
+                    travel_id, status, entry=scheduler.entry_for(travel_id)
+                )
+            )
+        coordinator.terminal_listeners.append(scheduler.on_travel_terminal)
+        if supervisor is not None:
+            coordinator.terminal_listeners.append(supervisor.drop_binding)
 
         def _collect_storage(metrics) -> None:
             for server in servers:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Union
 
 from repro.engine.base import (
@@ -94,7 +95,9 @@ class ActiveTravel:
     entry: TravelEntry
     submit_time: float
     client_event: object
-    tracker: Union[ExecTracker, SyncBarrierState]
+    #: this attempt's completion protocol; ``Coordinator._launch`` binds a
+    #: fresh one before anything reads it
+    tracker: Union[ExecTracker, SyncBarrierState] = field(init=False)
     returned: dict[int, set[VertexId]] = field(default_factory=dict)
     #: final-level group keys reported by the servers (``group_count`` plans)
     groups: dict[VertexId, Any] = field(default_factory=dict)
@@ -166,7 +169,6 @@ class Coordinator:
         config: Optional[CoordinatorConfig] = None,
         on_complete: Optional[Callable[[TravelId], None]] = None,
         planner: Optional[QueryPlanner] = None,
-        on_terminal: Optional[Callable[[TravelId, str], None]] = None,
         journal: Optional[TraversalJournal] = None,
     ):
         self.ctx = ctx
@@ -179,9 +181,9 @@ class Coordinator:
         self.config = config or CoordinatorConfig()
         self.on_complete = on_complete
         self.planner = planner
-        #: scheduler hook: called with (travel_id, "ok"|"failed"|"cancelled")
-        #: whenever a launched traversal reaches a terminal state
-        self.on_terminal = on_terminal
+        #: called in order with (travel_id, "ok"|"failed"|"cancelled") by
+        #: :meth:`notify_terminal`; ``Cluster.build`` states the order
+        self.terminal_listeners: list[Callable[[TravelId, str], None]] = []
         #: durable WAL of state transitions; None runs journal-free (legacy)
         self.journal = journal
         #: versioned routing table (repro.rebalance); when set, level-0
@@ -195,10 +197,17 @@ class Coordinator:
         self._composites: dict[TravelId, CompositeTravel] = {}
         self._travel_ids = IdAllocator(1)
         self._next_exec = IdAllocator((ctx.nservers + 1) << 32)
-
-    @property
-    def is_sync(self) -> bool:
-        return self.engine_kind is EngineKind.SYNC
+        # The one place the engine kind is consulted: it selects the
+        # completion protocol (paper §IV-C status tracing, or the §VI
+        # barrier controller) and that protocol's level-0 dispatch.
+        self._new_tracker: Callable[..., Union[ExecTracker, SyncBarrierState]]
+        self._dispatch: Callable[[ActiveTravel], None]
+        if engine_kind is EngineKind.SYNC:
+            self._new_tracker = partial(SyncBarrierState, ctx.nservers)
+            self._dispatch = self._dispatch_sync
+        else:
+            self._new_tracker = ExecTracker
+            self._dispatch = self._dispatch_async
 
     # -- submission --------------------------------------------------------
 
@@ -227,15 +236,17 @@ class Coordinator:
         admission and passes the admission time as ``submit_time`` so the
         reported elapsed time includes queue wait; direct callers omit all
         three and get the legacy launch-immediately behaviour."""
-        if isinstance(plan, CompositePlan):
-            return self._submit_composite(
-                plan,
-                travel_id=travel_id,
-                client_event=client_event,
-                submit_time=submit_time,
-            )
         if travel_id is None:
             travel_id = self._travel_ids.next()
+        if submit_time is None:
+            submit_time = self.ctx.now()
+        event = (
+            client_event
+            if client_event is not None
+            else self.runtime.completion_event()
+        )
+        if isinstance(plan, CompositePlan):
+            return self._submit_composite(plan, travel_id, event, submit_time)
         planned: Optional[PlannedQuery] = None
         executed = plan
         if self.planner is not None:
@@ -247,23 +258,13 @@ class Coordinator:
                     self.metrics.count(f"planner.rewrite.{rewrite.name}")
         entry = self.registry.register(travel_id, executed)
         entry.epoch = self.epoch
-        event = (
-            client_event
-            if client_event is not None
-            else self.runtime.completion_event()
-        )
         at = ActiveTravel(
             travel_id=travel_id,
             entry=entry,
-            submit_time=self.ctx.now() if submit_time is None else submit_time,
+            submit_time=submit_time,
             client_event=event,
-            tracker=self._new_tracker(entry.attempt),
             planned=planned,
             child_of=_child_of,
-        )
-        self._journal_dispatch(
-            travel_id, executed, entry.attempt,
-            child_of=_child_of, submit_time=at.submit_time, planned=planned,
         )
         self._active[travel_id] = at
         self.metrics.count("coord.submitted")
@@ -275,15 +276,22 @@ class Coordinator:
             steps=executed.final_level,
             planner_mode=planned.mode if planned is not None else "off",
         )
-        self._dispatch(at)
+        self._launch(at)
         self.ctx.spawn(self._watchdog(at), name=f"watchdog-{travel_id}")
         return travel_id, event
 
-    def _dispatch(self, at: ActiveTravel) -> None:
-        if self.is_sync:
-            self._dispatch_sync(at)
-        else:
-            self._dispatch_async(at)
+    def _launch(self, at: ActiveTravel) -> None:
+        """The launch tail of first submit, watchdog restart and post-crash
+        resume: a fresh tracker for the entry's current attempt, then the
+        WAL record, then level-0 dispatch — the launch is durable before any
+        of its side effects (messages, tracker registration) can run."""
+        attempt = at.entry.attempt
+        at.tracker = self._new_tracker(attempt=attempt, last_activity=self.ctx.now())
+        self._journal_dispatch(
+            at.travel_id, at.plan, attempt,
+            child_of=at.child_of, submit_time=at.submit_time, planned=at.planned,
+        )
+        self._dispatch(at)
 
     def _source_groups(self, plan: TraversalPlan) -> dict[ServerId, list[VertexId]]:
         groups: dict[ServerId, list[VertexId]] = {}
@@ -298,7 +306,6 @@ class Coordinator:
     def _dispatch_async(self, at: ActiveTravel) -> None:
         plan, attempt = at.plan, at.entry.attempt
         tracker: ExecTracker = at.tracker  # type: ignore[assignment]
-        tracker.attempt = attempt
         initial: list[tuple[int, ServerId, int]] = []
         if plan.source_ids is None:
             groups: list[tuple[ServerId, Optional[list]]] = [
@@ -336,10 +343,6 @@ class Coordinator:
 
     def _dispatch_sync(self, at: ActiveTravel) -> None:
         plan, attempt = at.plan, at.entry.attempt
-        barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]
-        barrier.attempt = attempt
-        barrier.reset_for_level(0)
-        barrier.last_activity = self.ctx.now()
         counts: Counter = Counter()
         if plan.source_ids is not None:
             for server, vids in sorted(self._source_groups(plan).items()):
@@ -385,30 +388,10 @@ class Coordinator:
     # -- composite orchestration (repeat / union / back) ---------------------------
 
     def _submit_composite(
-        self,
-        plan: CompositePlan,
-        *,
-        travel_id: Optional[TravelId] = None,
-        client_event: Optional[object] = None,
-        submit_time: Optional[float] = None,
+        self, plan: CompositePlan, travel_id: TravelId, event: object, submit_time: float
     ):
         """Register a composite traversal and spawn its orchestrator."""
-        if travel_id is None:
-            travel_id = self._travel_ids.next()
-        event = (
-            client_event
-            if client_event is not None
-            else self.runtime.completion_event()
-        )
-        ct = CompositeTravel(
-            travel_id=travel_id,
-            plan=plan,
-            client_event=event,
-            submit_time=self.ctx.now() if submit_time is None else submit_time,
-            stats=TraversalStats(engine=self.engine_kind),
-        )
-        self._journal_dispatch(travel_id, plan, 0, submit_time=ct.submit_time)
-        self._composites[travel_id] = ct
+        self._start_composite(travel_id, plan, event, submit_time)
         self.metrics.count("coord.submitted")
         self.metrics.count("coord.composite_submitted")
         self.trace.record(
@@ -420,8 +403,29 @@ class Coordinator:
             planner_mode=self.planner.mode if self.planner is not None else "off",
             composite=True,
         )
-        self.ctx.spawn(self._orchestrate(ct), name=f"composite-{travel_id}")
         return travel_id, event
+
+    def _start_composite(
+        self,
+        travel_id: TravelId,
+        plan: CompositePlan,
+        client_event: object,
+        submit_time: float,
+    ) -> CompositeTravel:
+        """Journal, register and start one composite's orchestrator (first
+        submit and post-crash resume). The orchestrator's first step runs on
+        the next scheduling round, after the caller's own bookkeeping."""
+        ct = CompositeTravel(
+            travel_id=travel_id,
+            plan=plan,
+            client_event=client_event,
+            submit_time=submit_time,
+            stats=TraversalStats(engine=self.engine_kind),
+        )
+        self._journal_dispatch(travel_id, plan, 0, submit_time=submit_time)
+        self._composites[travel_id] = ct
+        self.ctx.spawn(self._orchestrate(ct), name=f"composite-{travel_id}")
+        return ct
 
     def _orchestrate(self, ct: CompositeTravel):
         """Drive the shared composite program as a coordinator process.
@@ -490,21 +494,12 @@ class Coordinator:
 
     def _finish_composite(self, ct: CompositeTravel, frontier, aggregate) -> None:
         stats = ct.stats
-        network = self.runtime.network  # type: ignore[attr-defined]
-        submit_hop = network.client_latency(512)
         total = len(frontier)
         reply_bytes = 64 + 8 * total
         if aggregate is not None:
             # aggregates reply with the reduced groups, not the vertex set
             reply_bytes = 64 + 16 * max(1, len(aggregate.groups))
-        stats.elapsed = (
-            self.ctx.now() - ct.submit_time
-            + submit_hop + network.client_latency(reply_bytes)
-        )
-        self.metrics.observe(
-            "travel.elapsed_seconds", stats.elapsed, engine=self.engine_kind.value
-        )
-        self.metrics.observe("travel.result_vertices", total)
+        self._stamp_reply(stats, self.ctx.now(), ct.submit_time, reply_bytes, total)
         result = TraversalResult(
             travel_id=ct.travel_id,
             returned={ct.plan.final_level: frozenset(frontier)},
@@ -525,11 +520,26 @@ class Coordinator:
         status = "cancelled" if isinstance(exc, TraversalCancelled) else "failed"
         self._terminate(ct, status, exc, restarts=ct.stats.restarts, reason=str(exc))
 
-    def _new_tracker(self, attempt: int) -> Union[ExecTracker, SyncBarrierState]:
-        """Fresh completion-tracking state for one attempt of a travel."""
-        if self.is_sync:
-            return SyncBarrierState(attempt=attempt)
-        return ExecTracker(attempt=attempt)
+    def _stamp_reply(
+        self,
+        stats: TraversalStats,
+        finished_at: float,
+        submit_time: float,
+        reply_bytes: int,
+        results: int,
+    ) -> None:
+        """Stamp the client-observed elapsed time — coordinator time plus the
+        GTravel upload hop and a reply of ``reply_bytes`` over the client
+        link — and feed the two per-travel histograms."""
+        network = self.runtime.network  # type: ignore[attr-defined]
+        stats.elapsed = (
+            finished_at - submit_time
+            + network.client_latency(512) + network.client_latency(reply_bytes)
+        )
+        self.metrics.observe(
+            "travel.elapsed_seconds", stats.elapsed, engine=self.engine_kind.value
+        )
+        self.metrics.observe("travel.result_vertices", results)
 
     def _journal_dispatch(
         self,
@@ -541,9 +551,8 @@ class Coordinator:
         child_of: Optional[TravelId] = None,
         planned: Optional[PlannedQuery] = None,
     ) -> None:
-        """WAL discipline: a launch (first dispatch, restart or post-crash
-        resume) is durable before any of its side effects (messages, tracker
-        registration) can run."""
+        """Append the ``dispatch`` record of one launch (see :meth:`_launch`
+        and :meth:`_start_composite`, its only callers)."""
         if self.journal is not None:
             self.journal.append(
                 "dispatch",
@@ -565,9 +574,8 @@ class Coordinator:
         **trace_attrs,
     ) -> None:
         """The one terminal sequence of a traversal, linear or composite.
-        ``resolution`` is the outcome for ``"ok"``, else the error;
-        ``on_terminal`` runs last so the telemetry hook chained on it still
-        finds the scheduler's QoS entry."""
+        ``resolution`` is the outcome for ``"ok"``, else the error. The
+        listeners run last, after the client's event is settled."""
         travel_id = travel.travel_id
         travel.done = True
         if self.journal is not None:
@@ -587,8 +595,15 @@ class Coordinator:
             travel.client_event.succeed(resolution)
         else:
             travel.client_event.fail(resolution)
-        if self.on_terminal is not None:
-            self.on_terminal(travel_id, status)
+        self.notify_terminal(travel_id, status)
+
+    def notify_terminal(self, travel_id: TravelId, status: str) -> None:
+        """Tell every terminal listener, in registration order, that
+        ``travel_id`` is over — called by :meth:`_terminate`, and by the
+        scheduler for a travel cancelled in its queue, which the coordinator
+        never saw."""
+        for listener in self.terminal_listeners:
+            listener(travel_id, status)
 
     # -- message handling --------------------------------------------------------
 
@@ -651,12 +666,7 @@ class Coordinator:
                 at.groups.update(msg.groups)
             if self.config.stream_results:
                 self._stream_enqueue(at, msg.level, msg.vertices)
-            if self.is_sync:
-                barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]
-                barrier.results_received += 1
-                barrier.last_activity = self.ctx.now()
-            else:
-                at.tracker.on_result(self.ctx.now())  # type: ignore[union-attr]
+            at.tracker.on_result(self.ctx.now())
             self._journal_progress(at, results=1)
             self._check_complete(at)
         elif isinstance(msg, SyncStepDone):
@@ -668,27 +678,16 @@ class Coordinator:
 
     def _on_step_done(self, at: ActiveTravel, msg: SyncStepDone) -> None:
         barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]
-        if msg.level != barrier.level:
-            return  # late duplicate; cannot happen with exact batch counts
-        barrier.done_servers.add(msg.server)
-        barrier.last_activity = self.ctx.now()
-        for server, count in msg.sent_counts.items():
-            barrier.next_expected[server] += count
-        barrier.results_expected += msg.results_sent
-        if len(barrier.done_servers) < self.ctx.nservers:
-            return
-        # a short-circuited final step never runs its own barrier round —
-        # the level n-1 senders already shipped the final results
-        if barrier.level >= at.plan.effective_final_level:
-            barrier.finished_steps = True
+        expected = barrier.on_step_done(
+            msg, self.ctx.now(), at.plan.effective_final_level
+        )
+        if expected is None:
+            # a no-op unless that report finished the last level
             self._check_complete(at)
             return
-        expected = barrier.next_expected
-        next_level = barrier.level + 1
-        barrier.reset_for_level(next_level)
         self.ctx.spawn(
-            self._release_step(at, next_level, expected),
-            name=f"barrier-{at.travel_id}-{next_level}",
+            self._release_step(at, barrier.level, expected),
+            name=f"barrier-{at.travel_id}-{barrier.level}",
         )
         self.board.stats(at.travel_id).barrier_rounds += 1
         self.metrics.count("coord.barrier_rounds")
@@ -766,26 +765,18 @@ class Coordinator:
         ):
             return  # the streamer finalizes once the pipeline drains
         stats = self.board.stats(at.travel_id)
-        network = self.runtime.network  # type: ignore[attr-defined]
-        submit_hop = network.client_latency(512)  # GTravel instance upload
         total_results = sum(len(v) for v in at.returned.values())
+        # bulk reply: the whole result set crosses the client link now
+        finished_at = self.ctx.now()
+        reply_bytes = 64 + 8 * total_results
         if self.config.stream_results:
             # results already on the client; just the final status reply
-            stats.elapsed = (
-                max(self.ctx.now(), at.stream_done_time) - at.submit_time
-                + submit_hop + network.client_latency(64)
-            )
+            finished_at = max(finished_at, at.stream_done_time)
+            reply_bytes = 64
             stats.result_chunks = at.stream_chunks
-        else:
-            # bulk reply: the whole result set crosses the client link now
-            stats.elapsed = (
-                self.ctx.now() - at.submit_time
-                + submit_hop + network.client_latency(64 + 8 * total_results)
-            )
-        self.metrics.observe(
-            "travel.elapsed_seconds", stats.elapsed, engine=self.engine_kind.value
+        self._stamp_reply(
+            stats, finished_at, at.submit_time, reply_bytes, total_results
         )
-        self.metrics.observe("travel.result_vertices", total_results)
         # a reversed plan returns levels in its own numbering; map them back
         # to the original chain's levels before the client sees them
         returned: dict[int, set[VertexId]] = at.returned
@@ -866,18 +857,9 @@ class Coordinator:
         step-done report."""
         counts: dict[ServerId, int] = {}
         for at in self._active.values():
-            if at.done:
-                continue
-            if self.is_sync:
-                barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]
-                if not barrier.finished_steps:
-                    for server in range(self.ctx.nservers):
-                        if server not in barrier.done_servers:
-                            counts[server] = counts.get(server, 0) + 1
-            else:
-                tracker: ExecTracker = at.tracker  # type: ignore[assignment]
-                for target, _level, _origin in tracker.pending.values():
-                    counts[target] = counts.get(target, 0) + 1
+            if not at.done:
+                for server in at.tracker.owing_servers():
+                    counts[server] = counts.get(server, 0) + 1
         return counts
 
     # -- failure detection and restart (paper §IV-C) ------------------------------------
@@ -892,12 +874,7 @@ class Coordinator:
             if idle <= self.config.exec_timeout:
                 continue
             self.metrics.count("coord.timeouts")
-            if (
-                self.config.fine_grained_recovery
-                and not self.is_sync
-                and at.replay_rounds < self.config.max_replay_rounds
-                and self._replay_pending(at)
-            ):
+            if self._replay(at):
                 continue
             if restarts >= self.config.max_restarts:
                 self._terminate(
@@ -915,73 +892,58 @@ class Coordinator:
             restarts += 1
             self._restart(at)
 
-    def _replay_pending(self, at: ActiveTravel) -> bool:
-        """Fine-grained recovery: re-request every lost execution from its
-        creator instead of restarting the traversal. Returns False when any
-        pending execution cannot be replayed (caller falls back to restart).
-        """
-        tracker: ExecTracker = at.tracker  # type: ignore[assignment]
-        pending = list(tracker.pending.items())
-        if not pending or tracker.early_terminated:
-            # Orphan terminations mean creation reports were lost — replay
-            # cannot reconstruct those registrations; restart instead.
+    def _replay(self, at: ActiveTravel, server: Optional[ServerId] = None) -> bool:
+        """Fine-grained recovery: re-request every lost execution — or only
+        those pending on ``server`` — from its creator instead of restarting
+        the traversal. Returns False when the policy is off, the travel's
+        replay rounds are spent, or the tracker has nothing it can replay
+        (the watchdog then falls back to a restart)."""
+        if (
+            not self.config.fine_grained_recovery
+            or at.replay_rounds >= self.config.max_replay_rounds
+        ):
+            return False
+        lost = at.tracker.replayable(server)
+        if not lost:
             return False
         at.replay_rounds += 1
         self.metrics.count("coord.replay_rounds")
         stats = self.board.stats(at.travel_id)
-        for eid, (_target, _level, origin) in pending:
-            self._replay_one(at, stats, eid, origin)
-        tracker.last_activity = self.ctx.now()  # give replays time to land
-        return True
-
-    def _replay_one(self, at: ActiveTravel, stats, eid: int, origin: ServerId) -> None:
-        stats.replays += 1
-        self.metrics.count("coord.replays")
-        self.trace.record(
-            "exec.replayed",
-            travel_id=at.travel_id,
-            exec_id=eid,
-            server_id=origin,
-            attempt=at.entry.attempt,
-        )
-        if origin == COORDINATOR:
-            dst, request = at.initial_sent[eid]
-            self._send(at.travel_id, dst, request)
-        else:
-            self._send(
-                at.travel_id,
-                origin,
-                ReplayExec(at.travel_id, exec_id=eid, attempt=at.entry.attempt),
+        attempt = at.entry.attempt
+        for eid, origin in lost:
+            stats.replays += 1
+            self.metrics.count("coord.replays")
+            self.trace.record(
+                "exec.replayed",
+                travel_id=at.travel_id,
+                exec_id=eid,
+                server_id=origin,
+                attempt=attempt,
             )
+            if origin == COORDINATOR:
+                dst, request = at.initial_sent[eid]
+                self._send(at.travel_id, dst, request)
+            else:
+                self._send(
+                    at.travel_id,
+                    origin,
+                    ReplayExec(at.travel_id, exec_id=eid, attempt=attempt),
+                )
+        at.tracker.last_activity = self.ctx.now()  # give replays time to land
+        return True
 
     def on_suspect(self, server: ServerId) -> None:
         """Crash suspicion from the reliable transport (ack retries
         exhausted against ``server``). Instead of waiting out the watchdog
         timeout, immediately replay the executions pending *on the suspected
         server* from their creators' buffers (paper §IV-C's status trace
-        tells us exactly which those are). Sync mode has no per-execution
+        tells us exactly which those are). The barrier has nothing to
         replay; the watchdog restart stays its only recovery.
         """
         self.metrics.count("coord.suspected", server=server)
-        if self.is_sync or not self.config.fine_grained_recovery:
-            return
         for at in list(self._active.values()):
-            if at.done or at.replay_rounds >= self.config.max_replay_rounds:
-                continue
-            tracker: ExecTracker = at.tracker  # type: ignore[assignment]
-            targeted = [
-                (eid, origin)
-                for eid, (target, _level, origin) in tracker.pending.items()
-                if target == server
-            ]
-            if not targeted or tracker.early_terminated:
-                continue
-            at.replay_rounds += 1
-            self.metrics.count("coord.replay_rounds")
-            stats = self.board.stats(at.travel_id)
-            for eid, origin in targeted:
-                self._replay_one(at, stats, eid, origin)
-            tracker.last_activity = self.ctx.now()
+            if not at.done:
+                self._replay(at, server)
 
     def _restart(self, at: ActiveTravel) -> None:
         """Restart the traversal from scratch under a new attempt number."""
@@ -1007,13 +969,7 @@ class Coordinator:
         # the failed attempt's unflushed progress deltas die with it
         at.pend_statuses = 0
         at.pend_results = 0
-        at.tracker = self._new_tracker(attempt)
-        at.tracker.last_activity = self.ctx.now()
-        self._journal_dispatch(
-            at.travel_id, at.plan, attempt,
-            child_of=at.child_of, submit_time=at.submit_time, planned=at.planned,
-        )
-        self._dispatch(at)
+        self._launch(at)
 
     # -- progress (paper §IV-C) -----------------------------------------------------------
 
@@ -1028,10 +984,7 @@ class Coordinator:
         at = self._active.get(travel_id)
         if at is None:
             return {}
-        if self.is_sync:
-            barrier: SyncBarrierState = at.tracker  # type: ignore[assignment]
-            return {barrier.level: self.ctx.nservers - len(barrier.done_servers)}
-        return at.tracker.progress()  # type: ignore[union-attr]
+        return at.tracker.progress()
 
     # -- coordinator crash recovery (DESIGN.md §13) -------------------------------------
 
@@ -1113,7 +1066,6 @@ class Coordinator:
             entry=entry,
             submit_time=submit_time,
             client_event=client_event,
-            tracker=self._new_tracker(attempt),
             planned=planned,
         )
         self._active[travel_id] = at
@@ -1127,11 +1079,7 @@ class Coordinator:
             attempt=attempt,
             epoch=self.epoch,
         )
-        self._journal_dispatch(
-            travel_id, entry.plan, attempt, submit_time=submit_time, planned=planned
-        )
-        at.tracker.last_activity = self.ctx.now()
-        self._dispatch(at)
+        self._launch(at)
         self.ctx.spawn(self._watchdog(at), name=f"watchdog-{travel_id}")
         return True
 
@@ -1150,15 +1098,8 @@ class Coordinator:
         is element-identical); pre-crash children were cleaned up by the
         recovery supervisor and their in-flight traffic is epoch-fenced.
         """
-        ct = CompositeTravel(
-            travel_id=travel_id,
-            plan=plan,
-            client_event=client_event,
-            submit_time=submit_time,
-            stats=TraversalStats(engine=self.engine_kind),
-        )
+        ct = self._start_composite(travel_id, plan, client_event, submit_time)
         ct.stats.restarts += 1
-        self._composites[travel_id] = ct
         self.metrics.count("coord.resumed")
         self.trace.record(
             "coord.replay",
@@ -1167,8 +1108,6 @@ class Coordinator:
             epoch=self.epoch,
             composite=True,
         )
-        self._journal_dispatch(travel_id, plan, 0, submit_time=submit_time)
-        self.ctx.spawn(self._orchestrate(ct), name=f"composite-{travel_id}")
 
     def cleanup_travel(self, travel_id: TravelId) -> None:
         """Recovery-time disposal of a travel that will not be resumed

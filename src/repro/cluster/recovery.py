@@ -72,16 +72,6 @@ class RecoverySupervisor:
         self.trace = coordinator.trace
         self._bindings: dict[TravelId, ClientBinding] = {}
         self._host = runtime.coordinator_server
-        # chain terminal notifications after the scheduler's handler so the
-        # binding table tracks live travels only
-        inner = coordinator.on_terminal
-
-        def _terminal(travel_id: TravelId, status: str) -> None:
-            if inner is not None:
-                inner(travel_id, status)
-            self._bindings.pop(travel_id, None)
-
-        coordinator.on_terminal = _terminal
         runtime.add_crash_listener(self.on_server_crash)
         runtime.add_recovery_listener(self.on_server_recover)
 
@@ -106,6 +96,10 @@ class RecoverySupervisor:
             deadline_abs=deadline_abs,
             admit_time=admit_time,
         )
+
+    def drop_binding(self, travel_id: TravelId, status: str) -> None:
+        """Terminal listener: the binding table tracks live travels only."""
+        self._bindings.pop(travel_id, None)
 
     @property
     def live_bindings(self) -> int:
@@ -200,12 +194,8 @@ class RecoverySupervisor:
                     admit_time=binding.admit_time,
                 )
             else:
-                self.metrics.count("coord.lost")
                 self.journal.append("terminal", tid=tid, status="failed")
-                binding.client_event.fail(
-                    TraversalFailed(tid, "unrecoverable after coordinator crash")
-                )
-                self._bindings.pop(tid, None)
+                self._lose(tid, "unrecoverable after coordinator crash")
             restored.add(tid)
 
         # readmit never-launched travels in original admission order
@@ -233,11 +223,11 @@ class RecoverySupervisor:
         for tid in sorted(self._bindings):
             if tid in restored:
                 continue
-            binding = self._bindings[tid]
-            if binding.client_event.triggered:
-                continue
-            self.metrics.count("coord.lost")
-            binding.client_event.fail(
-                TraversalFailed(tid, "lost in coordinator crash")
-            )
-            self._bindings.pop(tid, None)
+            if not self._bindings[tid].client_event.triggered:
+                self._lose(tid, "lost in coordinator crash")
+
+    def _lose(self, tid: TravelId, reason: str) -> None:
+        """Fail a live client's event explicitly — never a hang — and forget
+        the binding."""
+        self.metrics.count("coord.lost")
+        self._bindings.pop(tid).client_event.fail(TraversalFailed(tid, reason))

@@ -13,16 +13,23 @@ terminates the parent), so
 
 Message reordering is handled: a child's termination may arrive before the
 parent's status registers its creation.
+
+The synchronous baseline's barrier controller (§VI) is the second completion
+protocol. Both trackers answer the coordinator's questions under the same
+names — ``complete``, ``last_activity``, ``on_result``, ``progress``,
+``owing_servers``, ``replayable`` — so the coordinator binds one class at
+construction and never asks which engine it serves again; only the message
+that feeds each protocol differs (``on_status`` / ``on_step_done``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.ids import COORDINATOR, ExecId, ServerId
-from repro.net.message import ExecStatus
+from repro.net.message import ExecStatus, SyncStepDone
 
 
 @dataclass
@@ -113,6 +120,27 @@ class ExecTracker:
             counts[level] += 1
         return dict(counts)
 
+    def owing_servers(self) -> Iterator[ServerId]:
+        """The target server of every outstanding execution (one entry per
+        execution: the scheduler's backpressure signal counts them)."""
+        return (target for target, _level, _origin in self.pending.values())
+
+    def replayable(
+        self, server: Optional[ServerId] = None
+    ) -> list[tuple[ExecId, ServerId]]:
+        """``(exec id, creator)`` of every lost execution the creator can be
+        asked to re-send — all pending ones, or only those targeted at
+        ``server``. Empty while orphan terminations are outstanding: their
+        creation reports were lost, and replay cannot reconstruct those
+        registrations (the caller falls back to a restart)."""
+        if self.early_terminated:
+            return []
+        return [
+            (eid, origin)
+            for eid, (target, _level, origin) in self.pending.items()
+            if server is None or target == server
+        ]
+
     def idle_for(self, now: float) -> float:
         return now - self.last_activity
 
@@ -130,6 +158,7 @@ class ExecTracker:
 class SyncBarrierState:
     """Barrier bookkeeping for the synchronous engine's coordinator."""
 
+    nservers: int
     attempt: int = 0
     level: int = 0
     done_servers: set[ServerId] = field(default_factory=set)
@@ -140,12 +169,56 @@ class SyncBarrierState:
     finished_steps: bool = False
     last_activity: float = 0.0
 
-    def reset_for_level(self, level: int) -> "SyncBarrierState":
-        self.level = level
+    def on_step_done(
+        self, msg: SyncStepDone, now: float, final_level: int
+    ) -> Optional[Counter]:
+        """Apply one server's step-done report. When it was the level's last
+        and a next level exists, advance ``level`` and return the batch
+        counts each server must expect there (the barrier to release);
+        otherwise None — after the last server of ``final_level``,
+        ``finished_steps`` is set."""
+        if msg.level != self.level:
+            return None  # late duplicate; cannot happen with exact batch counts
+        self.done_servers.add(msg.server)
+        self.last_activity = now
+        for server, count in msg.sent_counts.items():
+            self.next_expected[server] += count
+        self.results_expected += msg.results_sent
+        if len(self.done_servers) < self.nservers:
+            return None
+        # a short-circuited final step never runs its own barrier round —
+        # the level n-1 senders already shipped the final results
+        if self.level >= final_level:
+            self.finished_steps = True
+            return None
+        expected = self.next_expected
+        self.level += 1
         self.done_servers.clear()
         self.next_expected = Counter()
-        return self
+        return expected
+
+    def on_result(self, now: float) -> None:
+        self.results_received += 1
+        self.last_activity = now
 
     @property
     def complete(self) -> bool:
         return self.finished_steps and self.results_received >= self.results_expected
+
+    def progress(self) -> dict[int, int]:
+        """Servers still owing their step-done report at the current level."""
+        return {self.level: self.nservers - len(self.done_servers)}
+
+    def owing_servers(self) -> Iterator[ServerId]:
+        """One outstanding unit per server that has not reported the current
+        level done; none once the last level finished."""
+        if self.finished_steps:
+            return iter(())
+        return (s for s in range(self.nservers) if s not in self.done_servers)
+
+    def replayable(
+        self, server: Optional[ServerId] = None
+    ) -> list[tuple[ExecId, ServerId]]:
+        """The barrier has no per-execution replay: a restart is its only
+        recovery."""
+        return []

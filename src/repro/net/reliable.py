@@ -41,6 +41,11 @@ from repro.sim.rng import derive_seed
 
 _FRAME_OVERHEAD = 16  # seq + framing on top of the payload's wire size
 
+#: retransmission timer: ``ack_timeout * RETRY_BACKOFF**(attempts-1)``, scaled
+#: by a +/- RETRY_JITTER fraction drawn from the seeded stream
+RETRY_BACKOFF = 2.0
+RETRY_JITTER = 0.25
+
 
 @dataclass
 class DataFrame(Message):
@@ -70,8 +75,6 @@ class ReliableConfig:
     """Ack/retry policy, in virtual seconds."""
 
     ack_timeout: float = 0.002  # before the first retransmission
-    backoff: float = 2.0
-    jitter: float = 0.25  # +/- fraction, drawn from the seeded stream
     max_retries: int = 8
     window: int = 32  # per-(src, dst) unacked frames
 
@@ -169,9 +172,9 @@ class ReliableChannel:
     def _transmit(self, entry: _InFlight) -> None:
         entry.attempts += 1
         self.runtime.raw_deliver(entry.src, entry.dst, entry.frame)
-        timeout = self.config.ack_timeout * (self.config.backoff ** (entry.attempts - 1))
+        timeout = self.config.ack_timeout * (RETRY_BACKOFF ** (entry.attempts - 1))
         u = float(self._rng.uniform())
-        timeout *= 1.0 + self.config.jitter * (2.0 * u - 1.0)
+        timeout *= 1.0 + RETRY_JITTER * (2.0 * u - 1.0)
         expected = entry.attempts
         self.runtime.schedule(timeout, lambda: self._on_timeout(entry.seq, expected))
 

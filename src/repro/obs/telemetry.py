@@ -44,10 +44,14 @@ from repro.obs.metrics import Histogram, MetricKey, canonical_json, render_key
 #: count one ``engine.real_visits`` per actually-processed work unit)
 EXEC_RATE_METRIC = "engine.real_visits"
 
+#: a server is *hot* at or above this score (rate skew plus in-flight skew:
+#: uniform load scores 2.0, so 3.0 means ~1.5x the cluster mean)
+HOT_SCORE_THRESHOLD = 3.0
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Windowing and hot-shard knobs (clock units are virtual seconds)."""
+    """Windowing knobs (clock units are virtual seconds)."""
 
     #: fixed window width on the runtime clock
     window_width: float = 0.25
@@ -56,9 +60,6 @@ class TelemetryConfig:
     #: histogram samples kept per window (first-N, deterministic); overflow
     #: is counted, never silently lost
     max_samples_per_window: int = 512
-    #: a server is *hot* at or above this score (rate skew plus in-flight
-    #: skew: uniform load scores 2.0, so 3.0 means ~1.5x the cluster mean)
-    hot_score_threshold: float = 3.0
 
 
 @dataclass
@@ -97,8 +98,8 @@ class TelemetryPlane:
 
     ``Cluster.build`` creates one per cluster, installs it on the runtime
     clock and the metrics registry (:meth:`install`), binds the flight
-    recorder, and puts :meth:`on_terminal` at the head of the coordinator's
-    terminal chain (so the scheduler's QoS entry is still alive when the
+    recorder, and registers :meth:`on_terminal` as the coordinator's first
+    terminal listener (so the scheduler's QoS entry is still alive when the
     plane reads it).
     """
 
@@ -194,7 +195,7 @@ class TelemetryPlane:
                 ring.popleft()
         return ring[-1]
 
-    # -- terminal hook (head of the coordinator's on_terminal chain) ----------
+    # -- terminal hook (the coordinator's first terminal listener) ------------
 
     def on_terminal(self, travel_id: int, status: str, entry=None) -> None:
         """A traversal reached a terminal state; ``entry`` is the
@@ -350,8 +351,7 @@ class TelemetryPlane:
             )
         rows.sort(key=lambda r: (-r["score"], r["server"]))
         ranked = [r["server"] for r in rows]
-        threshold = self.config.hot_score_threshold
-        hot = [r["server"] for r in rows if r["score"] >= threshold]
+        hot = [r["server"] for r in rows if r["score"] >= HOT_SCORE_THRESHOLD]
         return HotShardReport(
             clock=self._clock(),
             window_width=self._width,

@@ -54,6 +54,11 @@ from repro.rebalance.routing import RoutingTable
 #: without ever colliding with a traversal
 MIGRATION_ID_BASE = 1 << 48
 
+#: poll intervals (virtual seconds) while a chunk job waits for its ack, and
+#: while a cutover drains the travels that were active when it committed
+ACK_POLL = 0.002
+DRAIN_POLL = 0.005
+
 
 @dataclass(frozen=True)
 class MigrationConfig:
@@ -65,12 +70,8 @@ class MigrationConfig:
     dual_window: float = 0.02
     #: per-chunk ack timeout before a resend
     ack_timeout: float = 0.25
-    #: poll interval while a chunk job waits for its ack
-    ack_poll: float = 0.002
     #: resends per chunk before the migration aborts
     max_resends: int = 8
-    #: poll interval while draining travels that were active at cutover
-    drain_poll: float = 0.005
     #: safety valve: drop the source copy after this long even if a
     #: traversal from before cutover is still running
     drain_timeout: float = 60.0
@@ -395,7 +396,7 @@ class ShardMigrator:
                 while self.ctx.now() < deadline:
                     if key in self._acked:
                         return
-                    yield self.ctx.sleep(cfg.ack_poll)
+                    yield self.ctx.sleep(ACK_POLL)
             raise RebalanceError(
                 f"chunk {seq} unacked after {cfg.max_resends} resends",
                 mid=state.mid,
@@ -417,7 +418,7 @@ class ShardMigrator:
             ]
             if not live:
                 return
-            yield self.ctx.sleep(cfg.drain_poll)
+            yield self.ctx.sleep(DRAIN_POLL)
         state.drained = False  # safety valve tripped; drop proceeds
 
     def _active_travel_ids(self):

@@ -14,8 +14,8 @@ configured policy and resource limits allow:
   traversal launches (dispatch throttling instead of queue explosion);
 * per-tenant token buckets (``quota_capacity`` / ``quota_refill_rate``)
   rate-limit launches per tenant, refilled on the runtime clock;
-* a deadline (per submission or ``default_deadline``) cancels a traversal
-  wherever it is — still queued, or mid-run via
+* a per-submission deadline cancels a traversal wherever it is — still
+  queued, or mid-run via
   :meth:`~repro.cluster.coordinator.Coordinator.cancel`, which quiesces
   outstanding executions through the stale-attempt machinery.
 
@@ -60,11 +60,11 @@ class SchedulerConfig:
     quota_capacity: Optional[float] = None
     #: tokens per virtual second
     quota_refill_rate: float = 1.0
-    #: seconds from admission after which a traversal is cancelled;
-    #: ``None`` = no deadline unless the submission sets one
-    default_deadline: Optional[float] = None
-    #: re-check interval while blocked on backpressure or quotas
-    backpressure_poll: float = 0.005
+
+
+#: re-check interval (virtual seconds) while launches are blocked on
+#: per-server backpressure
+BACKPRESSURE_POLL = 0.005
 
 
 @dataclass
@@ -122,7 +122,6 @@ class TraversalScheduler:
         #: SLO feed: ``fn(tenant, now)`` for every refused submission (set
         #: by ``Cluster.build`` when the telemetry plane is on)
         self.on_reject: Optional[Callable[[str, float], None]] = None
-        coordinator.on_terminal = self._on_travel_terminal
 
     @classmethod
     def for_cluster(
@@ -200,13 +199,9 @@ class TraversalScheduler:
             admit_time=now,
             seq=next(self._seq),
         )
-        entry.key = self.policy.key(entry)
-        relative = deadline if deadline is not None else cfg.default_deadline
-        if relative is not None:
-            entry.deadline = now + relative
-            self.runtime.schedule(
-                relative, lambda tid=travel_id: self._deadline_fire(tid)
-            )
+        if deadline is not None:
+            entry.deadline = now + deadline
+            self._arm_deadline(travel_id, deadline)
         if self.journal is not None:
             self.journal.append(
                 "admit",
@@ -218,18 +213,8 @@ class TraversalScheduler:
                 admit_time=now,
                 seq=entry.seq,
             )
-        self._queued[travel_id] = entry
-        heapq.heappush(self._heap, (entry.key, entry.seq, travel_id))
-        self.metrics.count("sched.submitted", tenant=tenant)
-        self.trace.record(
-            "sched.submit",
-            travel_id=travel_id,
-            server_id=self._ctx.server_id,
-            tenant=tenant,
-            policy=self.policy.name,
-            steps=plan.final_level,
-        )
-        self._pump()
+        self._note_submitted(entry)
+        self._enqueue(entry)
         return travel_id, event
 
     def submit_job(
@@ -264,20 +249,37 @@ class TraversalScheduler:
             seq=next(self._seq),
             job=job,
         )
-        entry.key = self.policy.key(entry)
-        self._queued[job_id] = entry
-        heapq.heappush(self._heap, (entry.key, entry.seq, job_id))
-        self.metrics.count("sched.submitted", tenant=tenant)
+        self._note_submitted(entry)
+        self._enqueue(entry)
+        return job_id, event
+
+    def _note_submitted(self, entry: QueuedTravel) -> None:
+        """Count and trace a fresh admission (a post-crash readmission is
+        not one: it only counts ``sched.readmitted``)."""
+        self.metrics.count("sched.submitted", tenant=entry.tenant)
         self.trace.record(
             "sched.submit",
-            travel_id=job_id,
+            travel_id=entry.travel_id,
             server_id=self._ctx.server_id,
-            tenant=tenant,
+            tenant=entry.tenant,
             policy=self.policy.name,
-            steps=0,
+            steps=entry.plan.final_level if entry.plan is not None else 0,
         )
+
+    def _enqueue(self, entry: QueuedTravel) -> None:
+        """The one admission: key the entry under the policy, queue it, and
+        pump — which may launch it before this returns."""
+        entry.key = self.policy.key(entry)
+        self._queued[entry.travel_id] = entry
+        heapq.heappush(self._heap, (entry.key, entry.seq, entry.travel_id))
         self._pump()
-        return job_id, event
+
+    def _arm_deadline(self, travel_id: TravelId, delay: float) -> None:
+        """Cancel ``travel_id`` wherever it is ``delay`` seconds from now.
+        The caller passes the delay it derived the absolute deadline from
+        (or the time remaining after a crash): re-deriving it here as
+        ``deadline - now`` would move the timer by an ulp."""
+        self.runtime.schedule(delay, lambda: self._deadline_fire(travel_id))
 
     # -- cancellation -------------------------------------------------------
 
@@ -292,26 +294,33 @@ class TraversalScheduler:
         entry = self._queued.pop(travel_id, None)
         if entry is not None:
             entry.state = "cancelled"
-            self.metrics.count(
-                "sched.cancelled", tenant=entry.tenant, where="queued"
-            )
-            self.trace.record(
-                "sched.cancel",
-                travel_id=travel_id,
-                server_id=self._ctx.server_id,
-                tenant=entry.tenant,
-                where="queued",
-                reason=reason,
-            )
-            if self.journal is not None:
-                self.journal.append("terminal", tid=travel_id, status="cancelled")
-            entry.client_event.fail(TraversalCancelled(travel_id, reason))
-            self._notify_terminal(travel_id)
+            self._cancel_queued(travel_id, entry.tenant, entry.client_event, reason)
             self._pump()
             return True
         if travel_id in self._inflight:
             return self.coordinator.cancel(travel_id, reason)
         return False
+
+    def _cancel_queued(
+        self, travel_id: TravelId, tenant: str, client_event: Any, reason: str
+    ) -> None:
+        """The terminal sequence of a travel that never launched (cancelled
+        in the queue, or found expired at readmission): count, trace,
+        journal, fail the client's event, then tell the coordinator's
+        terminal listeners, which never saw this travel run."""
+        self.metrics.count("sched.cancelled", tenant=tenant, where="queued")
+        self.trace.record(
+            "sched.cancel",
+            travel_id=travel_id,
+            server_id=self._ctx.server_id,
+            tenant=tenant,
+            where="queued",
+            reason=reason,
+        )
+        if self.journal is not None:
+            self.journal.append("terminal", tid=travel_id, status="cancelled")
+        client_event.fail(TraversalCancelled(travel_id, reason))
+        self.coordinator.notify_terminal(travel_id, "cancelled")
 
     def _deadline_fire(self, travel_id: TravelId) -> None:
         with self.runtime.exclusive(self.runtime.coordinator_server):
@@ -320,17 +329,10 @@ class TraversalScheduler:
                 return
             self.cancel(travel_id, reason="deadline exceeded")
 
-    def _notify_terminal(self, travel_id: TravelId) -> None:
-        """Tell downstream terminal listeners (the recovery supervisor
-        chains after this scheduler on ``coordinator.on_terminal``) about a
-        queued-side cancellation the coordinator never saw."""
-        handler = self.coordinator.on_terminal
-        if handler is not None and handler != self._on_travel_terminal:
-            handler(travel_id, "cancelled")
-
-    def _on_travel_terminal(self, travel_id: TravelId, status: str) -> None:
-        """Coordinator callback: a launched traversal reached a terminal
-        state (``ok`` / ``failed`` / ``cancelled``)."""
+    def on_travel_terminal(self, travel_id: TravelId, status: str) -> None:
+        """Terminal listener: a launched traversal reached a terminal state
+        (``ok`` / ``failed`` / ``cancelled``). A travel cancelled in the
+        queue is not in flight, so its notification is a no-op here."""
         entry = self._inflight.pop(travel_id, None)
         if entry is None:
             return
@@ -356,7 +358,7 @@ class TraversalScheduler:
 
         Re-entrant-safe: a launch can complete synchronously (zero-source
         traversals resolve inside ``Coordinator.submit``) and re-enter via
-        ``_on_travel_terminal``; the guard flag folds that into the loop.
+        ``on_travel_terminal``; the guard flag folds that into the loop.
         """
         if self._pumping:
             self._repump = True
@@ -381,7 +383,7 @@ class TraversalScheduler:
         ):
             return False  # a completion will pump again
         if self._backpressured():
-            self._arm_poll(cfg.backpressure_poll)
+            self._arm_poll(BACKPRESSURE_POLL)
             return False
         entry = self._pop_eligible()
         if entry is None:
@@ -462,7 +464,7 @@ class TraversalScheduler:
             failure = exc
         if entry.travel_id not in self._inflight:
             return  # crashed / cancelled while running; events re-settled elsewhere
-        self._on_travel_terminal(
+        self.on_travel_terminal(
             entry.travel_id, "failed" if failure is not None else "ok"
         )
         if not entry.client_event.triggered:
@@ -552,13 +554,7 @@ class TraversalScheduler:
         """
         now = self._ctx.now()
         if deadline_abs is not None and deadline_abs <= now:
-            self.metrics.count(
-                "sched.cancelled", tenant=tenant, where="queued"
-            )
-            if self.journal is not None:
-                self.journal.append("terminal", tid=travel_id, status="cancelled")
-            client_event.fail(TraversalCancelled(travel_id, "deadline exceeded"))
-            self._notify_terminal(travel_id)
+            self._cancel_queued(travel_id, tenant, client_event, "deadline exceeded")
             return False
         entry = QueuedTravel(
             travel_id=travel_id,
@@ -570,16 +566,10 @@ class TraversalScheduler:
             seq=next(self._seq),
             deadline=deadline_abs,
         )
-        entry.key = self.policy.key(entry)
         if deadline_abs is not None:
-            self.runtime.schedule(
-                max(deadline_abs - now, 1e-9),
-                lambda tid=travel_id: self._deadline_fire(tid),
-            )
-        self._queued[travel_id] = entry
-        heapq.heappush(self._heap, (entry.key, entry.seq, travel_id))
+            self._arm_deadline(travel_id, max(deadline_abs - now, 1e-9))
         self.metrics.count("sched.readmitted", tenant=tenant)
-        self._pump()
+        self._enqueue(entry)
         return True
 
     def restore_inflight(
@@ -610,9 +600,8 @@ class TraversalScheduler:
         if deadline_abs is not None:
             # expired deadlines fire on the next tick, after the resumed
             # travel is fully re-dispatched, and cancel it mid-run
-            self.runtime.schedule(
-                max(deadline_abs - self._ctx.now(), 1e-9),
-                lambda tid=travel_id: self._deadline_fire(tid),
+            self._arm_deadline(
+                travel_id, max(deadline_abs - self._ctx.now(), 1e-9)
             )
 
     # -- draining (tests / shutdown hygiene) --------------------------------

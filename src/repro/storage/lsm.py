@@ -49,7 +49,6 @@ class LSMConfig:
 
     memtable_flush_bytes: int = 4 * 1024 * 1024
     max_sstables: int = 8
-    bloom_fp_rate: float = 0.01
     block_cache_blocks: int = 0  # cold by default, per the paper's evaluation
     cost_model: DiskCostModel = field(default_factory=lambda: GPFS)
 
@@ -103,7 +102,7 @@ class LSMStore:
         """Freeze the memtable into a new SSTable (newest-first position)."""
         if len(self.memtable) == 0:
             return
-        table = SSTable(self.memtable.items_sorted(), self.config.bloom_fp_rate)
+        table = SSTable(self.memtable.items_sorted())
         self.sstables.insert(0, table)
         self.memtable.clear()
         self.stats.flushes += 1
@@ -119,7 +118,7 @@ class LSMStore:
         entries = list(items)
         if any(not isinstance(k, bytes) or not isinstance(v, bytes) for k, v in entries):
             raise StorageError("bulk_load requires bytes keys and values")
-        table = SSTable(entries, self.config.bloom_fp_rate)
+        table = SSTable(entries)
         self.sstables.insert(0, table)
 
     def compact(self) -> None:
@@ -130,7 +129,7 @@ class LSMStore:
         merged = merge_runs(runs, drop_tombstones=True)
         for table in self.sstables:
             self.cache.invalidate_table(table.table_id)
-        self.sstables = [SSTable(merged, self.config.bloom_fp_rate)] if merged else []
+        self.sstables = [SSTable(merged)] if merged else []
         self.stats.compactions += 1
 
     # -- reads ------------------------------------------------------------

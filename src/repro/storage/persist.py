@@ -220,7 +220,7 @@ def restore_store(
                 f"checkpoint table {name} has {len(entries)} entries, "
                 f"expected {expected}"
             )
-        store.sstables.append(SSTable(entries, store.config.bloom_fp_rate))
+        store.sstables.append(SSTable(entries))
     return store
 
 

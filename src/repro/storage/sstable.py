@@ -19,6 +19,9 @@ from repro.storage.memtable import TOMBSTONE
 
 _table_ids = itertools.count(1)
 
+#: target false-positive rate of every table's bloom filter
+BLOOM_FP_RATE = 0.01
+
 
 class SSTable:
     """One immutable sorted run.
@@ -32,7 +35,7 @@ class SSTable:
         "has_tombstones",
     )
 
-    def __init__(self, entries: Iterable[tuple[bytes, object]], fp_rate: float = 0.01):
+    def __init__(self, entries: Iterable[tuple[bytes, object]]):
         keys: list[bytes] = []
         values: list[object] = []
         offsets: list[int] = [0]
@@ -58,7 +61,7 @@ class SSTable:
         self.values = values
         self.offsets = offsets
         self.size_bytes = pos
-        self.bloom = BloomFilter(max(1, len(keys)), fp_rate)
+        self.bloom = BloomFilter(max(1, len(keys)), BLOOM_FP_RATE)
         self.bloom.update(keys)
 
     def __len__(self) -> int:

@@ -21,18 +21,28 @@ label)`` log of a scripted ``Simulator`` run that crosses every tie-break
 (equal-time timeouts, zero-delay chains, a priority resource, both stores,
 ``AnyOf``/``AllOf``, an interrupt), recorded before ISSUE 21 replaced the
 kernel's per-event closures with argument-carrying heap entries.
+
+``GOLDEN_CONTROL_PLANE`` pins the control plane end to end — scheduler,
+coordinator, recovery supervisor and journal together — on one journaled,
+traced cell that queues, cancels, replays, restarts and crosses two
+coordinator epochs: the metric snapshot, the trace timeline, the journal's
+replayed state and the order of every journal record, recorded before
+ISSUE 23 folded the coordinator's and the scheduler's copied sequences.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
-from repro.engine import EngineKind
-from repro.errors import AdmissionRejected
+from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
+from repro.engine import EngineKind, ReferenceEngine
+from repro.engine.options import options_for
+from repro.errors import AdmissionRejected, TraversalCancelled
 from repro.faults.plan import sample_fault_plan
+from repro.lang import GTravel
 from repro.obs.exporter import canonical_json
 from repro.obs.slo import SLOConfig
 from repro.sched.scheduler import SchedulerConfig
@@ -288,4 +298,165 @@ def test_kernel_event_order_matches_golden_digest():
         "refactor of the simulation kernel must run the same callbacks in the "
         "same order at the same virtual times; the digest may only be "
         "re-recorded by a PR that states why event order changed."
+    )
+
+
+#: engine -> sha256 of {metrics, trace, journal} of the control-plane cell
+#: below, recorded at the parent of ISSUE 23 (PR 21)
+GOLDEN_CONTROL_PLANE = {
+    "Sync-GT": "d8c2f085d6dd22345d860fa3d76c41e060a25be90d00771298c7ca7093178ee7",
+    "GraphTrek": "b2b16f85373e6071a5b8d2dd8d98aae2c617a24ca4bebc054645a233cd51703c",
+}
+
+
+def control_plane_run(engine: EngineKind) -> tuple[Cluster, dict]:
+    """Drive every control-plane sequence once on one seeded cell and return
+    the cluster with the document the digest hashes.
+
+    ``max_inflight=1`` under ``wfq`` makes every second submission queue.
+    Phase A: a linear 4-step travel runs while a union composite, a travel
+    whose deadline expires *in the queue of a live coordinator* and a travel
+    cancelled mid-run wait behind it. Phase B: a short crash of server 1
+    loses acked-but-unprocessed requests (GraphTrek: the watchdog replays
+    them from their creators), then a long outage of server 2 exhausts ack
+    retries (suspicion-driven replay, then the restart fallback; Sync-GT
+    restarts). Phase C: the coordinator host crashes under a running
+    deadline-armed linear travel with a composite and a second deadline-armed
+    travel queued; phase D: it crashes again inside a running composite with
+    a linear travel queued. Every surviving travel must equal the oracle.
+    """
+    config = paper_rmat1(scale=8, seed=1)
+    graph, start = rmat_graph(config), pick_start_vertex(config)
+    oracle = ReferenceEngine(graph)
+
+    def with_oracle(query):
+        plan = query.compile()
+        return plan, oracle.run(plan)
+
+    linear = with_oracle(rmat_kstep_query(start, 4))
+    composite = with_oracle(
+        GTravel.v(start).union(
+            GTravel.s().e("link").e("link"),
+            GTravel.s().e("link").e("link").e("link"),
+        )
+    )
+    cluster = Cluster.build(
+        graph,
+        ClusterConfig(
+            nservers=NSERVERS,
+            engine=replace(options_for(engine), scheduler="wfq"),
+            journal=True,
+            reliable=True,
+            trace_enabled=True,
+            scheduler_config=SchedulerConfig(max_inflight=1),
+            coordinator_config=CoordinatorConfig(
+                exec_timeout=2.0, watch_interval=0.5, fine_grained_recovery=True
+            ),
+        ),
+    )
+    runtime, journal = cluster.runtime, cluster.journal
+    records: list[list] = []
+    durable_append = journal.append
+
+    def logged_append(kind, **fields):
+        records.append(
+            [kind, *(fields.get(k) for k in ("tid", "status", "attempt", "epoch"))]
+        )
+        durable_append(kind, **fields)
+
+    journal.append = logged_append
+
+    def submit(query, **qos):
+        plan, want = query
+        travel_id, event = cluster.submit(plan, **qos)
+        return travel_id, event, want
+
+    def ok(submission):
+        _tid, event, want = submission
+        outcome = runtime.run_until_complete(event)
+        assert outcome.result.same_vertices(want)
+        return outcome
+
+    def cancelled(submission, reason):
+        with pytest.raises(TraversalCancelled) as caught:
+            runtime.run_until_complete(submission[1])
+        assert caught.value.reason == reason
+
+    def outage(server, start_in, lasts):
+        runtime.schedule(start_in, lambda: runtime.crash_server(server))
+        runtime.schedule(start_in + lasts, lambda: runtime.recover_server(server))
+
+    # A: queueing, a deadline that expires in the queue, a mid-run cancel
+    first = submit(linear, tenant="a")
+    union = submit(composite, tenant="b")
+    expiring = submit(linear, tenant="b", deadline=1e-4)
+    doomed = submit(linear, tenant="a")
+    assert cluster.scheduler.queue_depth == 3
+    span = ok(first).stats.elapsed  # one cold linear run, in virtual seconds
+    cancelled(expiring, "deadline exceeded")
+    cluster.cold_start()
+    began = runtime.now()
+    ok(union)
+    union_span = runtime.now() - began
+    assert cluster.scheduler.entry_for(doomed[0]).state == "running"
+    cluster.cold_start()
+    runtime.schedule(0.4 * span, lambda: cluster.cancel(doomed[0], "operator"))
+    cancelled(doomed, "operator")
+
+    # B: backend crashes under fine-grained recovery
+    cluster.cold_start()
+    lossy = submit(linear, tenant="a")
+    outage(1, 0.75 * span, 0.005)
+    healed = ok(lossy).stats
+    cluster.cold_start()
+    suspected = submit(linear, tenant="a")
+    outage(2, 0.3 * span, 1.2)
+    assert ok(suspected).stats.restarts == 1
+    if engine is EngineKind.GRAPHTREK:
+        assert healed.replays > 0 and healed.restarts == 0
+
+    # C: coordinator crash under a running linear travel
+    cluster.cold_start()
+    phase = [
+        submit(linear, tenant="a", deadline=30.0),
+        submit(composite, tenant="b"),
+        submit(linear, tenant="a", deadline=30.0),
+    ]
+    outage(0, 0.3 * span, 0.3 * span)
+    assert [ok(s).stats.restarts for s in phase] == [1, 0, 0]
+
+    # D: coordinator crash inside a running composite
+    cluster.cold_start()
+    phase = [submit(composite, tenant="b"), submit(linear, tenant="a")]
+    outage(0, 0.5 * union_span, 0.3 * span)
+    assert [ok(s).stats.restarts for s in phase] == [1, 0]
+
+    assert cluster.coordinator.epoch == 2
+    assert cluster.supervisor.live_bindings == 0
+    assert not cluster.scheduler.queue_depth and not cluster.scheduler.inflight_count
+    document = {
+        "metrics": cluster.metrics_snapshot(),
+        "trace": cluster.obs.trace.timeline(),
+        "journal": {"state": journal.replay().as_payload(), "records": records},
+    }
+    return cluster, document
+
+
+@pytest.mark.parametrize(
+    "engine", (EngineKind.SYNC, EngineKind.GRAPHTREK), ids=lambda e: e.value
+)
+def test_control_plane_matches_golden_digest(engine):
+    cluster, document = control_plane_run(engine)
+    counters = cluster.metrics_snapshot()["counters"]
+    assert counters["coord.crash"] == 2 and counters["coord.resumed"] == 2
+    assert counters["sched.cancelled{tenant=b,where=queued}"] == 1
+    assert counters["sched.cancelled{tenant=a,where=running}"] == 1
+    assert sum(v for k, v in counters.items() if k.startswith("sched.readmitted")) == 3
+    digest = hashlib.sha256(canonical_json(document).encode()).hexdigest()
+    assert digest == GOLDEN_CONTROL_PLANE[engine.value], (
+        f"control plane of {engine.value} drifted: got {digest}. A refactor "
+        "must leave every scheduler, coordinator and recovery decision — each "
+        "counter, trace event and journal record, in order — byte-identical; "
+        "the digest may only be re-recorded by a PR that states why virtual "
+        "behaviour changed."
     )
