@@ -1,30 +1,4 @@
-"""Benchmark harness: experiment configs, sweep runner, paper-style reports."""
-
-from repro.bench import harness, report
-from repro.bench.harness import (
-    BenchEnvironment,
-    Cell,
-    cell_lookup,
-    darshan_graph,
-    kstep_plan,
-    rmat1_graph,
-    rmat1_source,
-    run_cell,
-    run_engine_comparison,
-    save_results,
-)
-
-__all__ = [
-    "harness",
-    "report",
-    "BenchEnvironment",
-    "Cell",
-    "cell_lookup",
-    "darshan_graph",
-    "kstep_plan",
-    "rmat1_graph",
-    "rmat1_source",
-    "run_cell",
-    "run_engine_comparison",
-    "save_results",
-]
+"""The paper's evaluation as one path from declared experiment to artifact:
+``harness`` (the cluster seam and the one measure function), ``experiments``
+(the ``EXPERIMENTS`` registry), ``report`` (tables and the one reporter),
+``__main__`` (``python -m repro.bench <name>``)."""

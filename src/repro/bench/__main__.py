@@ -10,49 +10,21 @@ Usage::
     python -m repro.bench chaos --fault-plan 7 --exec-timeout 0.2 --max-restarts 2
 
 Prints the paper-style tables and writes JSON to benchmarks/results/.
-Exit code 1 if any shape check fails.
+Exit code 1 if any shape check fails, a metric snapshot carries NaN/inf, or
+under ``--trace`` the payload is malformed, a cell recorded no event, or the
+experiment reports no cells.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from repro.bench import experiments as exp
-from repro.bench.harness import (
-    BenchEnvironment,
-    metrics_payload,
-    save_results,
-    set_tracing,
-    trace_payload,
-)
-from repro.bench.report import banner
-from repro.obs.trace import validate_trace
-
-EXPERIMENTS = {
-    "table1": lambda env: exp.exp_table1(env),
-    "fig7": lambda env: exp.exp_fig7(env),
-    "fig8": lambda env: exp.exp_step_sweep(2, env),
-    "fig9": lambda env: exp.exp_step_sweep(4, env),
-    "fig10": lambda env: exp.exp_step_sweep(8, env),
-    "fig11": lambda env: exp.exp_fig11(env),
-    "table2": lambda env: exp.exp_table2(),
-    "table3": lambda env: exp.exp_table3(),
-    "concurrent": lambda env: exp.exp_concurrent_traversals(env),
-    "ablation_opts": lambda env: exp.exp_ablation_optimizations(env),
-    "planner": lambda env: exp.exp_ablation_planner(env),
-    "ablation_partition": lambda env: exp.exp_ablation_partitioning(env),
-    "ablation_layout": lambda env: exp.exp_ablation_layout(),
-    "chaos": lambda env: exp.exp_chaos(env),
-    "coordinator_recovery": lambda env: exp.exp_coordinator_recovery(env),
-    "scheduler": lambda env: exp.exp_scheduler(env),
-    "lang_ops": lambda env: exp.exp_lang_ops(env),
-    "telemetry": lambda env: exp.exp_telemetry(env),
-    "rebalance": lambda env: exp.exp_rebalance(env),
-    "columnar": lambda env: exp.exp_columnar(env),
-}
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.harness import BenchEnvironment
+from repro.bench.report import banner, report_experiment
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -93,7 +65,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         action="store_true",
         help="record a flight-recorder trace for every cell and write the "
         "merged Chrome trace_event file (open in chrome://tracing or "
-        "https://ui.perfetto.dev) as <experiment>_trace.json",
+        "https://ui.perfetto.dev) as <experiment>_trace.json; an experiment "
+        "that reports no cells fails under it",
     )
     parser.add_argument(
         "--trace-out",
@@ -108,57 +81,34 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
-    fault_knobs = (
-        args.fault_plan is not None
-        or args.exec_timeout is not None
-        or args.max_restarts is not None
-    )
-    names = args.names or (["chaos"] if fault_knobs else list(EXPERIMENTS))
+    chaos_knobs = {
+        key: value
+        for key, value in (
+            ("fault_seed", args.fault_plan),
+            ("exec_timeout", args.exec_timeout),
+            ("max_restarts", args.max_restarts),
+        )
+        if value is not None
+    }
+    names = args.names or (["chaos"] if chaos_knobs else list(EXPERIMENTS))
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)}")
         return 2
-    runners = dict(EXPERIMENTS)
-    runners["chaos"] = lambda env: exp.exp_chaos(
-        env,
-        fault_seed=args.fault_plan if args.fault_plan is not None else 0,
-        exec_timeout=args.exec_timeout,
-        max_restarts=args.max_restarts,
+    env = replace(
+        BenchEnvironment.from_env(),
+        trace=args.trace or args.trace_out is not None,
     )
-    tracing = args.trace or args.trace_out is not None
-    set_tracing(tracing)
-    env = BenchEnvironment.from_env()
     print(f"environment: scale={env.scale} edge_factor={env.edge_factor} "
           f"servers={env.servers}")
-    any_failed = False
+    all_passed = True
     for name in names:
         print(banner(name))
-        result = runners[name](env)
-        print(result.rendered)
-        for check in result.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"  [{status}] {check.name}: {check.detail}")
-            any_failed |= not check.passed
-        path = save_results(result.experiment, result.payload())
-        print(f"  results -> {path}")
-        snapshots = metrics_payload(result.cells)
-        if snapshots:
-            mpath = save_results(result.experiment + "_metrics", snapshots)
-            print(f"  metrics -> {mpath}")
-        if tracing:
-            chrome = trace_payload(result.cells)
-            problems = validate_trace(chrome)
-            for problem in problems[:8]:
-                print(f"  [FAIL] trace schema: {problem}")
-            any_failed |= bool(problems)
-            if args.trace_out is not None:
-                tpath = args.trace_out
-                tpath.parent.mkdir(parents=True, exist_ok=True)
-                tpath.write_text(json.dumps(chrome, sort_keys=True))
-            else:
-                tpath = save_results(result.experiment + "_trace", chrome)
-            print(f"  trace ({len(chrome['traceEvents'])} events) -> {tpath}")
-    return 1 if any_failed else 0
+        result = EXPERIMENTS[name](env, **(chaos_knobs if name == "chaos" else {}))
+        all_passed &= report_experiment(
+            name, result, traced=env.trace, trace_out=args.trace_out
+        )
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
 """Per-table/figure experiment definitions (see DESIGN.md §4).
 
-Each ``exp_*`` function runs one paper experiment end to end and returns an
-:class:`ExperimentResult` carrying the measured cells, a rendered paper-style
-report, and the shape checks the paper's claims imply. Benchmarks assert the
-checks; EXPERIMENTS.md records the outcomes.
+Each ``exp_*`` function takes the :class:`BenchEnvironment` of the run and
+returns an :class:`ExperimentResult` carrying the measured cells, a rendered
+paper-style report, the shape checks the paper's claims imply, and any text
+artifacts. Experiments write no files: ``EXPERIMENTS`` (bottom of this
+module) names them, ``report.report_experiment`` prints, validates and saves
+what they return. EXPERIMENTS.md records the outcomes.
 """
 
 from __future__ import annotations
 
+import json
+import statistics
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,10 +21,39 @@ import numpy as np
 from repro.bench import harness, report
 from repro.bench.harness import BenchEnvironment, Cell, cell_lookup
 from repro.cluster import paper_interference
-from repro.engine import EngineKind, ReferenceEngine
+from repro.engine import (
+    EngineKind,
+    EngineOptions,
+    ReferenceEngine,
+    graphtrek_options,
+    plain_async_options,
+)
+from repro.faults.chaos import (
+    chaos_check,
+    chaos_coordinator_config,
+    run_fault_free,
+    run_under_faults,
+)
+from repro.faults.plan import CrashEvent, FaultPlan, sample_fault_plan
 from repro.graph import in_degree_stats, out_degree_stats
 from repro.lang import GTravel
-from repro.workloads import PAPER_TABLE2, suspicious_user_query
+from repro.obs.exporter import validate_openmetrics
+from repro.obs.slo import SLOConfig
+from repro.obs.telemetry import EXEC_RATE_METRIC
+from repro.obs.trace import SamplingPolicy
+from repro.partition import HashEdgeCut, evaluate_partition, greedy_vertex_cut
+from repro.partition.edge_cut import GreedyBalancedEdgeCut
+from repro.rebalance import MigrationConfig, select_migration
+from repro.sched import POLICY_NAMES, SchedulerConfig
+from repro.workloads import (
+    PAPER_TABLE2,
+    agent_exploration,
+    audit_scan_query,
+    k_hop_lineage,
+    qos_mixed_workload,
+    rmat_kstep_query,
+    suspicious_user_query,
+)
 
 SYNC = EngineKind.SYNC.value
 ASYNC = EngineKind.ASYNC.value
@@ -49,11 +83,13 @@ class ShapeCheck:
 
 @dataclass
 class ExperimentResult:
-    experiment: str
     cells: list[Cell] = field(default_factory=list)
     rendered: str = ""
     checks: list[ShapeCheck] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
+    #: text artifacts (file name -> content) the reporter writes beside the
+    #: payload
+    artifacts: dict[str, str] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -64,7 +100,6 @@ class ExperimentResult:
 
     def payload(self) -> dict:
         return {
-            "experiment": self.experiment,
             "cells": harness.cells_payload(self.cells),
             "checks": [c.__dict__ for c in self.checks],
             "extra": self.extra,
@@ -75,15 +110,28 @@ def _ratio(lookup, engine: str, baseline: str, n: int) -> float:
     return lookup[(engine, n)].elapsed / lookup[(baseline, n)].elapsed
 
 
+def _counter_sum(counters: dict, prefix: str) -> int:
+    """Total of one counter family in a snapshot's ``name{labels}`` keys (a
+    live cluster answers ``obs.metrics.counter_total(name)`` itself)."""
+    return sum(v for k, v in counters.items() if k.startswith(prefix))
+
+
+def _hotspot(graph, owner, server: int, count: int, label: str):
+    """``count`` vertices owned by ``server`` and one query per vertex over a
+    no-match edge label, which pins every real visit onto the start vertex's
+    owner — all load lands on ``server``, none anywhere else."""
+    vids = [v for v in sorted(graph.vertex_ids()) if owner(v) == server][:count]
+    return vids, [GTravel.v(v).e(label) for v in vids]
+
+
 # -- Table I ------------------------------------------------------------------
 
 
-def exp_table1(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_table1(env: BenchEnvironment) -> ExperimentResult:
     """Table I: Sync-GT / Async-GT / GraphTrek, 8-step traversal on RMAT-1."""
-    env = env or BenchEnvironment.from_env()
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
-    cells = harness.run_engine_comparison(graph, plan, env.servers)
+    cells = harness.run_engine_comparison(graph, plan, env.servers, trace=env.trace)
     lookup = cell_lookup(cells)
     n_max, n_min = max(env.servers), min(env.servers)
     checks = [
@@ -127,20 +175,18 @@ def exp_table1(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
     rendered += "\n\n" + report.speedup_table(
         "relative to Sync-GT", cells, env.servers, SYNC, [ASYNC, GT]
     )
-    return ExperimentResult("table1", cells, rendered, checks)
+    return ExperimentResult(cells, rendered, checks)
 
 
 # -- Figure 7 --------------------------------------------------------------------
 
 
-def exp_fig7(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_fig7(env: BenchEnvironment) -> ExperimentResult:
     """Fig. 7: per-server visit breakdown of an 8-step GraphTrek run."""
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
-    cell = harness.run_cell(graph, plan, EngineKind.GRAPHTREK, nservers)
-    total = cell.real_io_visits + cell.combined_visits + cell.redundant_visits
+    cell = harness.run_cell(graph, plan, EngineKind.GRAPHTREK, nservers, trace=env.trace)
     # merging intensity vs storage weight per server (the paper found the
     # byte-heavy hub servers merge the most)
     per_server = cell.per_server
@@ -166,26 +212,25 @@ def exp_fig7(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
         ),
         ShapeCheck(
             "all_visits_accounted",
-            total == sum(sum(b.values()) for b in per_server.values()),
+            cell.visits == sum(sum(b.values()) for b in per_server.values()),
             "real + combined + redundant equals requests received",
         ),
     ]
     rendered = report.visit_breakdown_table(
         f"Fig. 7 — visit statistics, 8-step GraphTrek on {nservers} servers", cell
     )
-    return ExperimentResult("fig7", [cell], rendered, checks)
+    return ExperimentResult([cell], rendered, checks)
 
 
 # -- Figures 8, 9, 10 ---------------------------------------------------------------
 
 
-def exp_step_sweep(steps: int, env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_step_sweep(env: BenchEnvironment, steps: int) -> ExperimentResult:
     """Figs. 8/9/10: Sync-GT vs GraphTrek elapsed time by server count."""
-    env = env or BenchEnvironment.from_env()
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, steps)
     cells = harness.run_engine_comparison(
-        graph, plan, env.servers, engines=(EngineKind.SYNC, EngineKind.GRAPHTREK)
+        graph, plan, env.servers, (EngineKind.SYNC, EngineKind.GRAPHTREK), trace=env.trace
     )
     lookup = cell_lookup(cells)
     n_max, n_min = max(env.servers), min(env.servers)
@@ -221,25 +266,23 @@ def exp_step_sweep(steps: int, env: Optional[BenchEnvironment] = None) -> Experi
         f"{fig} — {steps}-step traversal on RMAT-1 (scale={env.scale})",
         cells, env.servers, [SYNC, GT],
     )
-    return ExperimentResult(f"fig_steps_{steps}", cells, rendered, checks)
+    return ExperimentResult(cells, rendered, checks)
 
 
 # -- Figure 11 -------------------------------------------------------------------------
 
 
-def exp_fig11(env: Optional[BenchEnvironment] = None, runs: int = 3) -> ExperimentResult:
+def exp_fig11(env: BenchEnvironment) -> ExperimentResult:
     """Fig. 11: 8-step traversal with simulated external stragglers.
 
     Interference: three stragglers at steps 1, 3 and 7 on three selected
     servers (round-robin), each a budget of delayed vertex accesses. The
     delay budget is scaled to this graph size (the paper's 500×50 ms targets
-    a 2^20-vertex deployment); see EXPERIMENTS.md. Each bar averages
-    ``runs`` traversals from different start vertices, as the paper averages
-    three runs.
+    a 2^20-vertex deployment); see EXPERIMENTS.md. Each bar averages three
+    traversals from different start vertices, as the paper does.
     """
-    env = env or BenchEnvironment.from_env()
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
-    delay, count = 1e-3, 500
+    delay, count, runs = 1e-3, 500, 3
 
     def interference():
         return paper_interference(servers=(0, 1, 2), levels=(1, 3, 7), delay=delay, count=count)
@@ -247,14 +290,13 @@ def exp_fig11(env: Optional[BenchEnvironment] = None, runs: int = 3) -> Experime
     averaged: list[Cell] = []
     for nservers in env.servers:
         for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK):
-            samples = []
-            for pick in range(runs):
-                plan = harness.kstep_plan(env, 8, pick=7 + pick)
-                samples.append(
-                    harness.run_cell(
-                        graph, plan, engine, nservers, interference_factory=interference
-                    )
+            samples = [
+                harness.run_cell(
+                    graph, harness.kstep_plan(env, 8, pick=7 + pick), engine, nservers,
+                    trace=env.trace, interference_factory=interference,
                 )
+                for pick in range(runs)
+            ]
             mean = samples[0]
             mean.elapsed = float(np.mean([s.elapsed for s in samples]))
             averaged.append(mean)
@@ -282,16 +324,17 @@ def exp_fig11(env: Optional[BenchEnvironment] = None, runs: int = 3) -> Experime
         f"(delay={delay * 1000:.0f} ms x {count}, steps 1/3/7; mean of {runs} runs)",
         averaged, env.servers, [SYNC, GT],
     )
-    return ExperimentResult(
-        "fig11", averaged, rendered, checks, extra={"delay": delay, "count": count}
-    )
+    return ExperimentResult(averaged, rendered, checks, extra={"delay": delay, "count": count})
 
 
 # -- Table II -------------------------------------------------------------------------------
 
 
-def exp_table2() -> ExperimentResult:
-    """Table II: statistics of the rich-metadata graph (ratio fidelity)."""
+def exp_table2(env: BenchEnvironment) -> ExperimentResult:
+    """Table II: statistics of the rich-metadata graph (ratio fidelity).
+
+    The graph has one fixed size; ``env`` is the registry's uniform argument.
+    """
     md = harness.darshan_graph()
     row = md.stats.row()
     ours = md.stats.ratios()
@@ -330,24 +373,29 @@ def exp_table2() -> ExperimentResult:
             "out-degree gini": f"{out_stats.gini:.2f}",
         },
     )
-    return ExperimentResult("table2", [], rendered, checks, extra={"row": row})
+    return ExperimentResult([], rendered, checks, extra={"row": row})
 
 
 # -- Table III ---------------------------------------------------------------------------------
 
 
-def exp_table3(nservers: int = 32) -> ExperimentResult:
-    """Table III: the 6-step suspicious-user audit on the Darshan graph."""
+def _darshan_audit():
+    """The Table III workload: the Darshan graph and the 6-step audit of its
+    fourth-busiest user."""
     md = harness.darshan_graph()
-    users_by_jobs = sorted(
-        md.user_ids, key=lambda u: -md.graph.out_degree(u, "run")
-    )
-    plan = suspicious_user_query(users_by_jobs[3]).compile()
+    users_by_jobs = sorted(md.user_ids, key=lambda u: -md.graph.out_degree(u, "run"))
+    return md, suspicious_user_query(users_by_jobs[3]).compile()
+
+
+def exp_table3(env: BenchEnvironment) -> ExperimentResult:
+    """Table III: the 6-step suspicious-user audit on the Darshan graph
+    (fixed size: the paper's 32 servers, whatever ``env.servers`` says)."""
+    nservers = 32
+    md, plan = _darshan_audit()
     expected = ReferenceEngine(md.graph).run(plan)
-    cells = []
-    for engine in harness.ENGINE_ORDER:
-        cell = harness.run_cell(md.graph, plan, engine, nservers, block_cache_blocks=0)
-        cells.append(cell)
+    cells = harness.run_engine_comparison(
+        md.graph, plan, [nservers], trace=env.trace, block_cache_blocks=0
+    )
     lookup = cell_lookup(cells)
     checks = [
         ShapeCheck(
@@ -370,10 +418,7 @@ def exp_table3(nservers: int = 32) -> ExperimentResult:
         cells, [nservers], [SYNC, ASYNC, GT],
     )
     return ExperimentResult(
-        "table3",
-        cells,
-        rendered,
-        checks,
+        cells, rendered, checks,
         extra={"result_size": len(expected.vertices), "paper_ms": PAPER_TABLE3_MS},
     )
 
@@ -381,11 +426,8 @@ def exp_table3(nservers: int = 32) -> ExperimentResult:
 # -- ablations (beyond the paper's tables; §V mechanisms individually) -------------------------
 
 
-def exp_ablation_optimizations(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_ablation_optimizations(env: BenchEnvironment) -> ExperimentResult:
     """Attribute GraphTrek's win to its mechanisms: cache / merge / schedule."""
-    from repro.engine import EngineOptions, graphtrek_options, plain_async_options
-
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
@@ -396,16 +438,12 @@ def exp_ablation_optimizations(env: Optional[BenchEnvironment] = None) -> Experi
         "sched-only": plain_async_options(priority_schedule=True),
         "graphtrek": graphtrek_options(),
     }
-    rows = {}
-    cells = []
-    for name, opts in variants.items():
-        cell = harness.run_cell(graph, plan, opts, nservers)
-        cell.engine = name
-        cells.append(cell)
-        rows[name] = report.fmt_time(cell.elapsed)
-    full = next(c for c in cells if c.engine == "graphtrek")
-    plain = next(c for c in cells if c.engine == "plain-async")
-    cache_only = next(c for c in cells if c.engine == "cache-only")
+    by = {
+        name: harness.run_cell(graph, plan, opts, nservers, label=name, trace=env.trace)
+        for name, opts in variants.items()
+    }
+    rows = {name: report.fmt_time(cell.elapsed) for name, cell in by.items()}
+    full, plain, cache_only = by["graphtrek"], by["plain-async"], by["cache-only"]
     checks = [
         ShapeCheck(
             "cache_is_the_dominant_optimization",
@@ -423,10 +461,10 @@ def exp_ablation_optimizations(env: Optional[BenchEnvironment] = None) -> Experi
     rendered = report.kv_table(
         f"Ablation — asynchronous optimizations, 8-step on {nservers} servers", rows
     )
-    return ExperimentResult("ablation_opts", cells, rendered, checks)
+    return ExperimentResult(list(by.values()), rendered, checks)
 
 
-def exp_ablation_planner(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_ablation_planner(env: BenchEnvironment) -> ExperimentResult:
     """Planner ablation: off / rules / cost on the two motivating queries.
 
     The Darshan audit scan is written forwards from the huge Execution set;
@@ -434,14 +472,8 @@ def exp_ablation_planner(env: Optional[BenchEnvironment] = None) -> ExperimentRe
     set. The 8-step RMAT chain has an unfiltered final hop, which the rule
     planner short-circuits (no final-level visits).
     """
-    from repro.engine import EngineOptions, graphtrek_options
-    from repro.workloads import audit_scan_query
-
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
-    audit_graph = harness.darshan_graph(
-        scale_users=max(16, env.scale * 8), seed=42
-    ).graph
+    audit_graph = harness.darshan_graph(scale_users=max(16, env.scale * 8), seed=42).graph
     workloads = {
         "audit": (audit_graph, audit_scan_query().compile()),
         "kstep8": (
@@ -449,32 +481,24 @@ def exp_ablation_planner(env: Optional[BenchEnvironment] = None) -> ExperimentRe
             harness.kstep_plan(env, 8),
         ),
     }
-    modes = ("off", "rules", "cost")
-    rows: dict[str, str] = {}
-    cells = []
-    for workload, (graph, plan) in workloads.items():
-        for mode in modes:
-            opts: EngineOptions = graphtrek_options(planner=mode)
-            cell = harness.run_cell(graph, plan, opts, nservers)
-            cell.engine = f"{workload}-{mode}"
-            cells.append(cell)
-            visits = (
-                cell.real_io_visits + cell.combined_visits + cell.redundant_visits
-            )
-            rows[cell.engine] = (
-                f"{report.fmt_time(cell.elapsed)}  ({visits} visits)"
-            )
-    by = {c.engine: c for c in cells}
-
-    def _visits(cell: Cell) -> int:
-        return cell.real_io_visits + cell.combined_visits + cell.redundant_visits
-
+    by = {
+        f"{workload}-{mode}": harness.run_cell(
+            graph, plan, graphtrek_options(planner=mode), nservers,
+            label=f"{workload}-{mode}", trace=env.trace,
+        )
+        for workload, (graph, plan) in workloads.items()
+        for mode in ("off", "rules", "cost")
+    }
+    rows = {
+        name: f"{report.fmt_time(cell.elapsed)}  ({cell.visits} visits)"
+        for name, cell in by.items()
+    }
     checks = [
         ShapeCheck(
             "audit_cost_fewer_visits",
-            _visits(by["audit-cost"]) < _visits(by["audit-off"]),
-            f"audit cost {_visits(by['audit-cost'])} visits < "
-            f"off {_visits(by['audit-off'])}",
+            by["audit-cost"].visits < by["audit-off"].visits,
+            f"audit cost {by['audit-cost'].visits} visits < "
+            f"off {by['audit-off'].visits}",
         ),
         ShapeCheck(
             "audit_cost_faster",
@@ -501,25 +525,21 @@ def exp_ablation_planner(env: Optional[BenchEnvironment] = None) -> ExperimentRe
     rendered = report.kv_table(
         f"Ablation — query planner (off/rules/cost) on {nservers} servers", rows
     )
-    return ExperimentResult("ablation_planner", cells, rendered, checks)
+    return ExperimentResult(list(by.values()), rendered, checks)
 
 
-def exp_concurrent_traversals(
-    env: Optional[BenchEnvironment] = None, depths: tuple[int, ...] = (2, 4, 6, 8)
-) -> ExperimentResult:
+def exp_concurrent_traversals(env: BenchEnvironment) -> ExperimentResult:
     """Concurrent-workload experiment (motivated by the paper's §I: "the
     interferences among traversals easily create stragglers").
 
-    A heterogeneous mix — one traversal per depth in ``depths``, different
+    A heterogeneous mix — one traversal per depth in 2/4/6/8, different
     start vertices — runs simultaneously on one cluster. The metric is each
     traversal's *latency inflation* versus running alone: under the
     synchronous engine a short query's barrier steps wait behind servers
     busy with the deep queries, while GraphTrek's smallest-step-first
     scheduling lets it cut through.
     """
-    from repro.cluster import Cluster, ClusterConfig
-
-    env = env or BenchEnvironment.from_env()
+    depths = (2, 4, 6, 8)
     # mid-sized deployment: interference is strongest when servers are busy
     nservers = sorted(env.servers)[len(env.servers) // 2]
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
@@ -528,21 +548,15 @@ def exp_concurrent_traversals(
     slowdowns: dict[str, list[float]] = {}
     cells = []
     for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK):
-        solo = []
-        for plan in plans:
-            cluster = Cluster.build(graph, ClusterConfig(nservers=nservers, engine=engine))
-            solo.append(cluster.traverse(plan).stats.elapsed)
-        cluster = Cluster.build(graph, ClusterConfig(nservers=nservers, engine=engine))
-        outcomes = cluster.traverse_many(list(plans))
+        solo = [harness.run_cell(graph, plan, engine, nservers).elapsed for plan in plans]
+        cluster = harness.build_cluster(graph, engine, nservers, trace=env.trace)
+        cell, outcomes = harness.measure(cluster, plans, stats_of=-1)
+        cells.append(cell)
         concurrent = [o.stats.elapsed for o in outcomes]
         slowdowns[engine.value] = [c / s for c, s in zip(concurrent, solo)]
-        rows[f"{engine.value} makespan"] = report.fmt_time(max(concurrent))
+        rows[f"{engine.value} makespan"] = report.fmt_time(cell.elapsed)
         rows[f"{engine.value} max slowdown"] = f"{max(slowdowns[engine.value]):.2f}x"
         rows[f"{engine.value} mean slowdown"] = f"{np.mean(slowdowns[engine.value]):.2f}x"
-        cell = harness.Cell.from_outcome(engine, nservers, outcomes[-1])
-        cell.elapsed = max(concurrent)
-        cell.metrics = cluster.metrics_snapshot()
-        cells.append(cell)
     checks = [
         ShapeCheck(
             "graphtrek_bounds_interference_on_short_queries",
@@ -562,41 +576,27 @@ def exp_concurrent_traversals(
         f"Concurrent workload — depths {depths} running simultaneously on "
         f"{nservers} servers (inflation vs running alone)", rows
     )
-    return ExperimentResult(
-        "concurrent", cells, rendered, checks, extra={"slowdowns": slowdowns},
-    )
+    return ExperimentResult(cells, rendered, checks, extra={"slowdowns": slowdowns})
 
 
-def exp_ablation_layout(nservers: int = 16) -> ExperimentResult:
+def exp_ablation_layout(env: BenchEnvironment) -> ExperimentResult:
     """Storage-layout ablation (paper §IV-B): "storing all the edges of one
     vertex together based on their type will provide better performance" —
     grouped (paper) vs interleaved (generic column layout) edge keys, on the
-    heterogeneous Darshan graph where label-selective scans matter."""
-    from repro.cluster import Cluster, ClusterConfig
-
-    md = harness.darshan_graph()
-    users_by_jobs = sorted(md.user_ids, key=lambda u: -md.graph.out_degree(u, "run"))
-    plan = suspicious_user_query(users_by_jobs[3]).compile()
-    rows = {}
-    cells = []
-    elapsed = {}
-    for layout in ("grouped", "interleaved"):
-        cluster = Cluster.build(
-            md.graph,
-            ClusterConfig(
-                nservers=nservers,
-                engine=EngineKind.GRAPHTREK,
-                edge_layout=layout,
-                block_cache_blocks=0,  # cold: layout differences are I/O
-            ),
+    heterogeneous Darshan graph where label-selective scans matter (fixed
+    size: 16 servers, whatever ``env.servers`` says)."""
+    nservers = 16
+    md, plan = _darshan_audit()
+    by = {
+        layout: harness.run_cell(
+            md.graph, plan, EngineKind.GRAPHTREK, nservers,
+            label=f"{GT}/{layout}", trace=env.trace, edge_layout=layout,
+            block_cache_blocks=0,  # cold: layout differences are I/O
         )
-        outcome = cluster.traverse(plan)
-        cell = harness.Cell.from_outcome(EngineKind.GRAPHTREK, nservers, outcome)
-        cell.engine = f"GraphTrek/{layout}"
-        cell.metrics = cluster.metrics_snapshot()
-        cells.append(cell)
-        elapsed[layout] = outcome.stats.elapsed
-        rows[f"{layout} layout"] = report.fmt_time(outcome.stats.elapsed)
+        for layout in ("grouped", "interleaved")
+    }
+    elapsed = {layout: cell.elapsed for layout, cell in by.items()}
+    rows = {f"{layout} layout": report.fmt_time(t) for layout, t in elapsed.items()}
     rows["interleaved / grouped"] = f"{elapsed['interleaved'] / elapsed['grouped']:.2f}x"
     checks = [
         ShapeCheck(
@@ -610,24 +610,22 @@ def exp_ablation_layout(nservers: int = 16) -> ExperimentResult:
     rendered = report.kv_table(
         f"Ablation — edge-key layout, Darshan audit query on {nservers} servers", rows
     )
-    return ExperimentResult("ablation_layout", cells, rendered, checks)
+    return ExperimentResult(list(by.values()), rendered, checks)
 
 
-def exp_ablation_partitioning(env: Optional[BenchEnvironment] = None) -> ExperimentResult:
+def exp_ablation_partitioning(env: BenchEnvironment) -> ExperimentResult:
     """§VI discussion: partitioning strategy vs straggler persistence."""
-    from repro.partition import HashEdgeCut, evaluate_partition, greedy_vertex_cut
-    from repro.partition.edge_cut import GreedyBalancedEdgeCut
-
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
-    cells = []
-    for name, part in (("hash", "hash"), ("greedy", "greedy")):
-        for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK):
-            cell = harness.run_cell(graph, plan, engine, nservers, partitioner=part)
-            cell.engine = f"{engine.value}/{name}"
-            cells.append(cell)
+    cells = [
+        harness.run_cell(
+            graph, plan, engine, nservers,
+            label=f"{engine.value}/{part}", trace=env.trace, partitioner=part,
+        )
+        for part in ("hash", "greedy")
+        for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK)
+    ]
     hash_report = evaluate_partition(graph, HashEdgeCut(nservers))
     greedy_report = evaluate_partition(graph, GreedyBalancedEdgeCut(nservers).fit(graph))
     vc = greedy_vertex_cut(graph, nservers)
@@ -660,41 +658,32 @@ def exp_ablation_partitioning(env: Optional[BenchEnvironment] = None) -> Experim
             "sync gain from balancing": f"{sync_gain * 100:.1f}%",
         },
     )
-    return ExperimentResult("ablation_partition", cells, rendered, checks)
+    return ExperimentResult(cells, rendered, checks)
 
 
 # -- Chaos (robustness) -------------------------------------------------------
 
 
 def exp_chaos(
-    env: Optional[BenchEnvironment] = None,
+    env: BenchEnvironment,
     *,
     fault_seed: int = 0,
-    plans: int = 10,
     exec_timeout: Optional[float] = None,
     max_restarts: Optional[int] = None,
 ) -> ExperimentResult:
-    """Chaos differential: ``plans`` sampled fault plans (seeds
-    ``fault_seed..fault_seed+plans-1``) against the fault-free baseline on
+    """Chaos differential: ten sampled fault plans (seeds
+    ``fault_seed..fault_seed+9``) against the fault-free baseline on
     the metadata graph, every third plan with a mid-traversal server crash.
 
     Each run must either reproduce the baseline result set exactly or fail
     cleanly with ``TraversalFailed``; on top, one plan is rerun to assert the
-    ``net.*``/``faults.*`` counter snapshot is deterministic.
+    ``net.*``/``faults.*`` counter snapshot is deterministic. The clusters
+    are built inside :mod:`repro.faults.chaos`, not through the harness seam,
+    so ``--trace`` has no cell to record here and the reporter fails it.
     """
-    from repro.faults.chaos import (
-        chaos_check,
-        chaos_coordinator_config,
-        run_fault_free,
-        run_under_faults,
-    )
-    from repro.faults.plan import sample_fault_plan
-
-    env = env or BenchEnvironment.from_env()
+    plans = 10
     md = harness.darshan_graph(scale_users=12, seed=env.seed)
-    query = (
-        GTravel.v(*md.user_ids).e("run").e("hasExecutions").e("read").compile()
-    )
+    query = GTravel.v(*md.user_ids).e("run").e("hasExecutions").e("read").compile()
     baseline, duration = run_fault_free(md.graph, query)
     cc = chaos_coordinator_config(duration)
     if exec_timeout is not None:
@@ -713,25 +702,21 @@ def exp_chaos(
         verdict = "match" if outcome.matched else (
             "clean-fail" if outcome.failed_cleanly else "WRONG RESULT"
         )
-        retries = sum(
-            v for k, v in outcome.net_counters.items() if k.startswith("net.retries")
-        )
-        crashes = sum(
-            v for k, v in outcome.net_counters.items() if k.startswith("faults.crashes")
-        )
         rows[f"plan seed {seed}"] = (
-            f"{verdict}  (retries={retries}, crashes={crashes})"
+            f"{verdict}  (retries={_counter_sum(outcome.net_counters, 'net.retries')}, "
+            f"crashes={_counter_sum(outcome.net_counters, 'faults.crashes')})"
         )
 
     # Determinism probe: replay the first crash plan twice, compare snapshots.
     probe = sample_fault_plan(
         seeds[1], nservers=3, crash_window=(0.2 * duration, 3.0 * duration)
     )
-    reruns = [
-        run_under_faults(md.graph, query, probe, coordinator_config=cc)
-        for _ in range(2)
-    ]
+    reruns = [run_under_faults(md.graph, query, probe, coordinator_config=cc) for _ in range(2)]
     deterministic = reruns[0] == reruns[1]
+    crash_bearing = [o for o in outcomes if o.plan.crashes]
+    crash_fired = sum(
+        any(k.startswith("faults.crashes") for k in o.net_counters) for o in crash_bearing
+    )
 
     checks = [
         ShapeCheck(
@@ -743,16 +728,10 @@ def exp_chaos(
         ),
         ShapeCheck(
             "crash_plans_actually_crashed",
-            any(
-                any(k.startswith("faults.crashes") for k in o.net_counters)
-                for o in outcomes
-                if o.plan.crashes
-            ),
             # a sampled crash time can land past the faulty run's completion,
             # so require that the machinery fired on at least one plan
-            f"crash fired on "
-            f"{sum(any(k.startswith('faults.crashes') for k in o.net_counters) for o in outcomes if o.plan.crashes)}"
-            f"/{sum(bool(o.plan.crashes) for o in outcomes)} crash-bearing plans",
+            crash_fired > 0,
+            f"crash fired on {crash_fired}/{len(crash_bearing)} crash-bearing plans",
         ),
         ShapeCheck(
             "fault_snapshots_deterministic",
@@ -762,13 +741,9 @@ def exp_chaos(
             else "rerun diverged — fault injection is not deterministic",
         ),
     ]
-    rows["watchdog"] = (
-        f"exec_timeout={cc.exec_timeout:.3f}s max_restarts={cc.max_restarts}"
-    )
+    rows["watchdog"] = f"exec_timeout={cc.exec_timeout:.3f}s max_restarts={cc.max_restarts}"
     rendered = report.kv_table(
-        f"Chaos — {plans} fault plans vs fault-free baseline "
-        f"(base seed {fault_seed})",
-        rows,
+        f"Chaos — {plans} fault plans vs fault-free baseline (base seed {fault_seed})", rows
     )
     extra = {
         "fault_seed": fault_seed,
@@ -785,21 +760,14 @@ def exp_chaos(
             for o in outcomes
         ],
     }
-    return ExperimentResult("chaos", [], rendered, checks, extra=extra)
+    return ExperimentResult([], rendered, checks, extra=extra)
 
 
-def exp_scheduler(
-    env: Optional[BenchEnvironment] = None,
-    *,
-    nscans: int = 3,
-    nsmall: int = 8,
-    nservers: int = 4,
-    max_inflight: int = 2,
-) -> ExperimentResult:
-    """Scheduler-policy ablation: the QoS mixed workload (``nscans`` 8-step
-    batch scans submitted ahead of ``nsmall`` 2-step interactive queries)
-    under every admission policy, same graph, same cluster shape, same
-    ``max_inflight`` cap.
+def exp_scheduler(env: BenchEnvironment) -> ExperimentResult:
+    """Scheduler-policy ablation: the QoS mixed workload (three 8-step batch
+    scans submitted ahead of eight 2-step interactive queries) under every
+    admission policy, same graph, same 4-server cluster, same
+    ``max_inflight=2`` cap.
 
     The metric is interactive-tenant latency *including queue wait* (the
     scheduler stamps submission time at admission, so ``stats.elapsed``
@@ -810,21 +778,13 @@ def exp_scheduler(
     p99. Result sets must be identical across policies: scheduling reorders
     work, never answers.
     """
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.engine.options import graphtrek_options
-    from repro.sched import POLICY_NAMES, SchedulerConfig
-    from repro.workloads import qos_mixed_workload
-
-    env = env or BenchEnvironment.from_env()
+    nscans, nsmall, nservers, max_inflight = 3, 8, 4, 2
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
-    items = qos_mixed_workload(
-        env.seed, 1 << env.scale, nscans=nscans, nsmall=nsmall
-    )
+    items = qos_mixed_workload(env.seed, 1 << env.scale, nscans=nscans, nsmall=nsmall)
     queries = [item["query"] for item in items]
     qos = [item["qos"] for item in items]
     sched_config = SchedulerConfig(
-        max_inflight=max_inflight,
-        tenant_weights={"interactive": 4.0, "batch": 1.0},
+        max_inflight=max_inflight, tenant_weights={"interactive": 4.0, "batch": 1.0}
     )
 
     cells = []
@@ -833,57 +793,37 @@ def exp_scheduler(
     result_sets: dict[str, list] = {}
     launched: dict[str, int] = {}
     for policy in POLICY_NAMES:
-        opts = graphtrek_options(scheduler=policy)
-        config = ClusterConfig(
-            nservers=nservers, engine=opts, scheduler_config=sched_config
+        cluster = harness.build_cluster(
+            graph, graphtrek_options(scheduler=policy), nservers,
+            trace=env.trace, scheduler_config=sched_config,
         )
-        if harness.tracing_enabled():
-            config.trace_enabled = True
-        cluster = Cluster.build(graph, config)
-        outcomes = cluster.traverse_many(queries, cold=True, qos=qos)
-        smalls = [
-            o.stats.elapsed
-            for o, item in zip(outcomes, items)
-            if item["kind"] == "small"
-        ]
-        scans = [
-            o.stats.elapsed
-            for o, item in zip(outcomes, items)
-            if item["kind"] == "scan"
-        ]
+        # Cell is keyed (engine, nservers); disambiguate the three
+        # same-engine cells by policy name.
+        cell, outcomes = harness.measure(cluster, queries, qos=qos, label=f"{GT}:{policy}")
+        cells.append(cell)
+        smalls, scans = (
+            [o.stats.elapsed for o, item in zip(outcomes, items) if item["kind"] == kind]
+            for kind in ("small", "scan")
+        )
         result_sets[policy] = [sorted(o.result.vertices) for o in outcomes]
-        snapshot = cluster.metrics_snapshot()
-        launched[policy] = sum(
-            v
-            for k, v in snapshot.get("counters", {}).items()
-            if k.startswith("sched.launched")
-        )
+        launched[policy] = cluster.obs.metrics.counter_total("sched.launched")
         per_policy[policy] = {
             "small_p50": float(np.percentile(smalls, 50)),
             "small_p99": float(np.percentile(smalls, 99)),
             "small_mean": float(np.mean(smalls)),
             "scan_max": max(scans),
-            "makespan": max(o.stats.elapsed for o in outcomes),
+            "makespan": cell.elapsed,
         }
-        rows[f"{policy} interactive p99"] = report.fmt_time(
-            per_policy[policy]["small_p99"]
-        )
-        rows[f"{policy} interactive p50"] = report.fmt_time(
-            per_policy[policy]["small_p50"]
-        )
-        rows[f"{policy} batch max"] = report.fmt_time(per_policy[policy]["scan_max"])
-        rows[f"{policy} makespan"] = report.fmt_time(per_policy[policy]["makespan"])
-        cell = harness.Cell.from_outcome(opts, nservers, outcomes[0])
-        cell.elapsed = per_policy[policy]["makespan"]
-        cell.metrics = snapshot
-        if harness.tracing_enabled():
-            cell.trace = cluster.trace_payload(label=f"sched-{policy}")
-        # Cell is keyed (engine, nservers); disambiguate the three
-        # same-engine cells by policy name.
-        cell.engine = f"{cell.engine}:{policy}"
-        cells.append(cell)
+        for row, key in (
+            ("interactive p99", "small_p99"),
+            ("interactive p50", "small_p50"),
+            ("batch max", "scan_max"),
+            ("makespan", "makespan"),
+        ):
+            rows[f"{policy} {row}"] = report.fmt_time(per_policy[policy][key])
 
     wfq, fifo = per_policy["wfq"], per_policy["fifo"]
+    agree = all(result_sets[p] == result_sets["fifo"] for p in POLICY_NAMES)
     checks = [
         ShapeCheck(
             "wfq_beats_fifo_on_interactive_p99",
@@ -895,11 +835,9 @@ def exp_scheduler(
         ),
         ShapeCheck(
             "policies_agree_on_results",
-            all(result_sets[p] == result_sets["fifo"] for p in POLICY_NAMES),
-            "every policy returned identical vertex sets for all "
-            f"{len(queries)} queries" if all(
-                result_sets[p] == result_sets["fifo"] for p in POLICY_NAMES
-            ) else "policies returned DIFFERENT result sets",
+            agree,
+            f"every policy returned identical vertex sets for all {len(queries)} queries"
+            if agree else "policies returned DIFFERENT result sets",
         ),
         ShapeCheck(
             "all_submissions_launched",
@@ -913,17 +851,13 @@ def exp_scheduler(
         f"queries, {nservers} servers, max_inflight={max_inflight}",
         rows,
     )
-    return ExperimentResult(
-        "scheduler", cells, rendered, checks, extra={"per_policy": per_policy}
-    )
+    return ExperimentResult(cells, rendered, checks, extra={"per_policy": per_policy})
 
 
 # -- traversal-operator ablation (repeat / union / back / aggregate) ----------
 
 
-def exp_lang_ops(
-    env: Optional[BenchEnvironment] = None, *, nservers: int = 4
-) -> ExperimentResult:
+def exp_lang_ops(env: BenchEnvironment) -> ExperimentResult:
     """Traversal-operator ablation on the Darshan metadata graph: the
     ``repeat``-based k-hop lineage, the server-side ``union``, and the mixed
     ``agent_exploration`` query (``as_``/``back`` + ``union`` +
@@ -935,19 +869,13 @@ def exp_lang_ops(
     time and message count, because the shared prefix runs once; and a rerun
     of every query is byte-identical (canonical ordering end to end).
     """
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.workloads import agent_exploration, k_hop_lineage
-
-    env = env or BenchEnvironment.from_env()
+    nservers = 4
     md = harness.darshan_graph(scale_users=12, seed=env.seed)
     user = md.user_ids[0]
-    lineage_src = md.file_ids[0]
     prefix = GTravel.v(user).e("run").e("hasExecutions")
     queries = {
-        "k_hop_lineage": k_hop_lineage(lineage_src, hops=3).compile(),
-        "union": prefix.union(
-            GTravel.s().e("read"), GTravel.s().e("write")
-        ).compile(),
+        "k_hop_lineage": k_hop_lineage(md.file_ids[0], hops=3).compile(),
+        "union": prefix.union(GTravel.s().e("read"), GTravel.s().e("write")).compile(),
         "agent_exploration": agent_exploration(user, kind="text").compile(),
     }
     client_legs = [
@@ -961,21 +889,15 @@ def exp_lang_ops(
     rerun_ok = True
     for qname, plan in queries.items():
         ref = ReferenceEngine(md.graph).run(plan)
-        for kind in (EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK):
-            config = ClusterConfig(nservers=nservers, engine=kind)
-            if harness.tracing_enabled():
-                config.trace_enabled = True
-            cluster = Cluster.build(md.graph, config)
-            outcome = cluster.traverse(plan)
+        for kind in harness.ENGINE_ORDER:
+            cluster = harness.build_cluster(md.graph, kind, nservers, trace=env.trace)
+            cell, (outcome,) = harness.measure(cluster, [plan], label=f"{kind.value}:{qname}")
+            cells.append(cell)
+            # after measure: the cell's snapshot and trace cover its own
+            # traversal, not this determinism leg
             rerun = cluster.traverse(plan)
             oracle_ok &= outcome.result.same_result(ref)
             rerun_ok &= rerun.result.same_result(outcome.result)
-            cell = harness.Cell.from_outcome(kind, nservers, outcome)
-            cell.engine = f"{cell.engine}:{qname}"
-            cell.metrics = cluster.metrics_snapshot()
-            if harness.tracing_enabled():
-                cell.trace = cluster.trace_payload(label=f"lang-{qname}")
-            cells.append(cell)
             rows[f"{qname} {kind.value}"] = (
                 f"{report.fmt_time(outcome.stats.elapsed)}  "
                 f"(msgs={outcome.stats.messages})"
@@ -984,8 +906,7 @@ def exp_lang_ops(
     # Client-side OR-composition baseline: two full cold traversals whose
     # results are merged at the client (the paper's workaround).
     server_cell = cell_lookup(cells)[(f"{GT}:union", nservers)]
-    cluster = Cluster.build(md.graph, ClusterConfig(nservers=nservers,
-                                                    engine=EngineKind.GRAPHTREK))
+    cluster = harness.build_cluster(md.graph, EngineKind.GRAPHTREK, nservers)
     legs = [cluster.traverse(p) for p in client_legs]
     client_elapsed = sum(o.stats.elapsed for o in legs)
     client_msgs = sum(o.stats.messages for o in legs)
@@ -1018,98 +939,66 @@ def exp_lang_ops(
     rendered = report.kv_table(
         f"Traversal operators — metadata graph, {nservers} servers", rows
     )
-    return ExperimentResult("lang_ops", cells, rendered, checks)
+    return ExperimentResult(cells, rendered, checks)
 
 
 # -- coordinator recovery ablation (DESIGN.md §13) ----------------------------
 
 
-def exp_coordinator_recovery(
-    env: Optional[BenchEnvironment] = None,
-    *,
-    crash_fractions: tuple = (0.3, 0.5, 0.7),
-) -> ExperimentResult:
+def exp_coordinator_recovery(env: BenchEnvironment) -> ExperimentResult:
     """Coordinator-recovery ablation on the Fig. 7 workload (8-step
     GraphTrek on RMAT-1): the traversal journal's on/off overhead in the
     fault-free case, and crash-recovery cost when the coordinator-hosting
-    server dies mid-traversal at each of ``crash_fractions`` of the
-    fault-free duration and recovers shortly after.
+    server dies mid-traversal at 30 %, 50 % and 70 % of the fault-free
+    duration and recovers shortly after.
 
     Measured per crash leg: recovery time (extra virtual time beyond the
     host's pure downtime), the recovered epoch, fenced stale messages, and
     the differential verdict — the recovered run must reproduce the
     journal-off baseline's result sets element-identically.
     """
-    from repro.faults.chaos import chaos_coordinator_config
-    from repro.faults.plan import CrashEvent, FaultPlan
-
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
 
-    from repro.cluster import Cluster, ClusterConfig
-
-    def fault_free(journal: bool):
-        cluster = Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=nservers, engine=EngineKind.GRAPHTREK, journal=journal
-            ),
-        )
+    def run_leg(**cluster_kwargs):
+        cluster = harness.build_cluster(graph, EngineKind.GRAPHTREK, nservers, **cluster_kwargs)
         start = cluster.now
         outcome = cluster.traverse(plan, cold=True)
-        elapsed = cluster.now - start
-        stats = None
-        if journal:
-            j = cluster.journal
-            stats = {
-                "records": j.records_appended,
-                "bytes": j.bytes_appended,
-                "size_bytes": j.size_bytes(),
-            }
-        cluster.shutdown()
-        return outcome.result.returned, elapsed, stats
+        return cluster, outcome.result.returned, cluster.now - start
 
-    baseline, t_off, _ = fault_free(journal=False)
-    on_result, t_on, journal_stats = fault_free(journal=True)
+    cluster, baseline, t_off = run_leg(journal=False)
+    cluster.shutdown()
+    cluster, on_result, t_on = run_leg(journal=True)
+    journal_stats = {
+        "records": cluster.journal.records_appended,
+        "bytes": cluster.journal.bytes_appended,
+        "size_bytes": cluster.journal.size_bytes(),
+    }
+    cluster.shutdown()
     overhead = (t_on - t_off) / t_off if t_off else 0.0
 
     cc = chaos_coordinator_config(t_on)
     legs = []
-    for i, frac in enumerate(crash_fractions):
+    for i, frac in enumerate((0.3, 0.5, 0.7)):
         at = frac * t_on
         recover_at = at + 0.25 * t_on
         fault_plan = FaultPlan(
             seed=i, crashes=(CrashEvent(server=0, at=at, recover_at=recover_at),)
         )
-        cluster = Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=nservers,
-                engine=EngineKind.GRAPHTREK,
-                journal=True,
-                reliable=True,
-                fault_plan=fault_plan,
-                coordinator_config=cc,
-            ),
+        cluster, returned, elapsed = run_leg(
+            journal=True, reliable=True, fault_plan=fault_plan, coordinator_config=cc
         )
-        start = cluster.now
-        outcome = cluster.traverse(plan, cold=True)
-        elapsed = cluster.now - start
-        counters = cluster.metrics_snapshot()["counters"]
         downtime = recover_at - at
         legs.append(
             {
                 "crash_fraction": frac,
-                "matched": outcome.result.returned == baseline,
+                "matched": returned == baseline,
                 "elapsed": elapsed,
                 "downtime": downtime,
                 "recovery_time": elapsed - t_on - downtime,
                 "epoch": cluster.coordinator.epoch,
-                "fenced": sum(
-                    v for k, v in counters.items() if k.startswith("coord.fenced")
-                ),
+                "fenced": cluster.obs.metrics.counter_total("coord.fenced"),
                 "journal_size_bytes": cluster.journal.size_bytes(),
                 "leaked_bindings": (
                     cluster.supervisor.live_bindings
@@ -1177,26 +1066,22 @@ def exp_coordinator_recovery(
         "journal_stats": journal_stats,
         "legs": legs,
     }
-    return ExperimentResult("coordinator_recovery", [], rendered, checks, extra=extra)
+    return ExperimentResult([], rendered, checks, extra=extra)
 
 
 # -- telemetry-plane ablation -------------------------------------------------
 
 
-def exp_telemetry(
-    env: Optional[BenchEnvironment] = None,
-    *,
-    repeats: int = 3,
-) -> ExperimentResult:
+def exp_telemetry(env: BenchEnvironment) -> ExperimentResult:
     """Telemetry-plane ablation on the Fig. 10 workload (8-step GraphTrek).
 
     Three claims (DESIGN.md §14):
 
-    * **Overhead** — the plane's boundary-driven windowed rollups cost under
-      5% wall clock versus ``telemetry_enabled=False`` on the 8-step run
-      (min of ``repeats``), and exactly zero *virtual* time — telemetry
-      never touches the simulation. The tail-sampled tracing leg is
-      reported informationally alongside.
+    * **Zero virtual cost** — the plane's boundary-driven windowed rollups
+      cost exactly zero *virtual* time versus ``telemetry_enabled=False`` and
+      change no result: telemetry never touches the simulation. (Its
+      wall-clock cost is ``benchmarks/perf``'s to measure: ``tenants_ops``
+      runs with the plane on and reports ``obs.self_share``.)
     * **Determinism** — the OpenMetrics dump, the health document, and the
       SLO alert log are byte-identical across reruns per (seed, config) on
       all three engines, and every dump passes the OpenMetrics linter.
@@ -1204,134 +1089,72 @@ def exp_telemetry(
       the detector ranks that server first and flags it hot.
 
     Artifacts: the GraphTrek cell's OpenMetrics text, health JSON, and
-    alert-log JSON are written to benchmarks/results/ for CI upload.
+    alert-log JSON are returned for the reporter to write (CI uploads them).
     """
-    import time
-
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.obs.exporter import validate_openmetrics
-    from repro.obs.slo import SLOConfig
-    from repro.obs.trace import SamplingPolicy
-
-    env = env or BenchEnvironment.from_env()
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
 
-    # -- overhead: telemetry off vs on (vs on + tail-sampled tracing) --------
-    def timed_run(**kwargs):
-        cluster = Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=nservers, engine=EngineKind.GRAPHTREK, **kwargs
-            ),
+    # -- virtual cost: telemetry off vs on ------------------------------------
+    def virtual_run(telemetry_enabled: bool):
+        cluster = harness.build_cluster(
+            graph, EngineKind.GRAPHTREK, nservers, telemetry_enabled=telemetry_enabled
         )
-        start = time.perf_counter()
         outcome = cluster.traverse(plan)
-        wall = time.perf_counter() - start
         cluster.shutdown()
-        return wall, outcome.stats.elapsed, outcome.result.returned
+        return outcome.stats.elapsed, outcome.result.returned
 
-    legs = {
-        "off": dict(telemetry_enabled=False),
-        "on": dict(telemetry_enabled=True),
-        "traced": dict(
+    virt_off, res_off = virtual_run(False)
+    virt_on, res_on = virtual_run(True)
+
+    # -- determinism: exports byte-identical across reruns, 3 engines --------
+    def exports(engine: EngineKind) -> tuple:
+        cluster = harness.build_cluster(
+            graph,
+            engine,
+            min(env.servers),
             telemetry_enabled=True,
             trace_enabled=True,
-            trace_sampling=SamplingPolicy(sample_every_n=16, seed=env.seed),
-        ),
-    }
-    timed_run(**legs["off"])  # discarded warmup (imports, graph cache)
-    walls = {name: float("inf") for name in legs}
-    virtuals, results = {}, {}
-    # legs interleave per repeat so machine drift hits all three equally;
-    # min-of-repeats then discards transient contention
-    for _ in range(repeats):
-        for name, kwargs in legs.items():
-            wall, virtual, returned = timed_run(**kwargs)
-            walls[name] = min(walls[name], wall)
-            virtuals[name], results[name] = virtual, returned
-    wall_off, wall_on, wall_traced = walls["off"], walls["on"], walls["traced"]
-    virt_off, virt_on = virtuals["off"], virtuals["on"]
-    res_off, res_on = results["off"], results["on"]
-    overhead = (wall_on - wall_off) / wall_off if wall_off else 0.0
-    traced_overhead = (wall_traced - wall_off) / wall_off if wall_off else 0.0
-
-    # -- determinism: artifacts byte-identical across reruns, 3 engines ------
-    def artifacts(engine: EngineKind) -> tuple:
-        cluster = Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=min(env.servers),
-                engine=engine,
-                telemetry_enabled=True,
-                trace_enabled=True,
-                trace_sampling=SamplingPolicy(sample_every_n=4, seed=env.seed),
-                # every completion breaches a 1 µs objective: the burn-rate
-                # alert deterministically fires, populating the alert log
-                slo_config=SLOConfig(latency_objective=1e-6, min_events=2),
-            ),
+            trace_sampling=SamplingPolicy(sample_every_n=4, seed=env.seed),
+            # every completion breaches a 1 µs objective: the burn-rate
+            # alert deterministically fires, populating the alert log
+            slo_config=SLOConfig(latency_objective=1e-6, min_events=2),
         )
         plans = [harness.kstep_plan(env, 4, pick=7 + i) for i in range(4)]
         qos = [{"tenant": ("alpha", "beta")[i % 2]} for i in range(4)]
         cluster.traverse_many(plans, qos=qos)
-        out = (
-            cluster.openmetrics(),
-            cluster.health_json(),
-            cluster.slo.to_json(),
-        )
+        out = (cluster.openmetrics(), cluster.health_json(), cluster.slo.to_json())
         cluster.shutdown()
         return out
 
     lint_problems: list[str] = []
     mismatched: list[str] = []
     alert_counts: dict[str, int] = {}
-    gt_artifacts = None
-    for engine in (EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK):
-        first, second = artifacts(engine), artifacts(engine)
+    artifacts: dict[str, str] = {}
+    for engine in harness.ENGINE_ORDER:
+        first, second = exports(engine), exports(engine)
         if first != second:
             mismatched.append(engine.value)
         lint_problems.extend(validate_openmetrics(first[0]))
-        import json as _json
-
-        alert_counts[engine.value] = len(_json.loads(first[2]))
+        alert_counts[engine.value] = len(json.loads(first[2]))
         if engine is EngineKind.GRAPHTREK:
-            gt_artifacts = first
+            artifacts = {
+                "telemetry_openmetrics.txt": first[0],
+                "telemetry_health.json": first[1],
+                "telemetry_alerts.json": first[2],
+            }
 
     # -- hot-shard detection: load concentrated on one server ----------------
     hot_server = 1
-    cluster = Cluster.build(
-        graph, ClusterConfig(nservers=4, engine=EngineKind.GRAPHTREK)
+    cluster = harness.build_cluster(graph, EngineKind.GRAPHTREK, 4)
+    _, pinned_plans = _hotspot(
+        graph, cluster.partitioner.owner, hot_server, 16, "__telemetry_hotspot__"
     )
-    owner = cluster.partitioner.owner
-    targets = [
-        v for v in sorted(graph.vertex_ids()) if owner(v) == hot_server
-    ][:16]
-    # a no-match edge label pins every real visit onto the start vertex's
-    # owner — all load lands on hot_server, none anywhere else
-    cluster.traverse_many(
-        [GTravel.v(v).e("__telemetry_hotspot__") for v in targets], cold=False
-    )
+    cluster.traverse_many(pinned_plans, cold=False)
     shard_report = cluster.hot_shard_report()
     cluster.shutdown()
 
-    # -- artifacts for CI ----------------------------------------------------
-    harness.RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    om_path = harness.RESULTS_DIR / "telemetry_openmetrics.txt"
-    om_path.write_text(gt_artifacts[0])
-    health_path = harness.RESULTS_DIR / "telemetry_health.json"
-    health_path.write_text(gt_artifacts[1])
-    alerts_path = harness.RESULTS_DIR / "telemetry_alerts.json"
-    alerts_path.write_text(gt_artifacts[2])
-
     checks = [
-        ShapeCheck(
-            "telemetry_overhead_under_5pct",
-            overhead < 0.05,
-            f"wall clock {wall_off:.3f}s -> {wall_on:.3f}s "
-            f"({overhead * 100:+.2f}%; with tail-sampled tracing "
-            f"{traced_overhead * 100:+.2f}%)",
-        ),
         ShapeCheck(
             "telemetry_costs_zero_virtual_time",
             virt_on == virt_off and res_on == res_off,
@@ -1355,52 +1178,29 @@ def exp_telemetry(
         ),
         ShapeCheck(
             "hot_shard_ranked_first",
-            shard_report.hottest == hot_server
-            and hot_server in shard_report.hot,
+            shard_report.hottest == hot_server and hot_server in shard_report.hot,
             f"hot-spotted server {hot_server}: ranked={shard_report.ranked} "
             f"hot={shard_report.hot}",
         ),
     ]
 
     rows = {
-        "telemetry off (wall)": f"{wall_off:.3f}s",
-        "telemetry on (wall)": f"{wall_on:.3f}s  ({overhead * 100:+.2f}%)",
-        "on + sampled tracing (wall)": (
-            f"{wall_traced:.3f}s  ({traced_overhead * 100:+.2f}%)"
-        ),
         "virtual elapsed (both)": report.fmt_time(virt_off),
         "alert transitions (gt)": str(alert_counts.get(GT, 0)),
         "hot-shard ranking": " > ".join(str(s) for s in shard_report.ranked),
-        "artifacts": f"{om_path.name}, {health_path.name}, {alerts_path.name}",
+        "artifacts": ", ".join(artifacts),
     }
     rendered = report.kv_table(
-        f"Telemetry plane — 8-step GraphTrek on {nservers} servers "
-        f"(scale {env.scale})",
-        rows,
+        f"Telemetry plane — 8-step GraphTrek on {nservers} servers (scale {env.scale})", rows
     )
-    extra = {
-        "wall_off": wall_off,
-        "wall_on": wall_on,
-        "wall_traced": wall_traced,
-        "overhead": overhead,
-        "traced_overhead": traced_overhead,
-        "alert_counts": alert_counts,
-        "hot_shard": shard_report.to_payload(),
-    }
-    return ExperimentResult("telemetry", [], rendered, checks, extra=extra)
+    extra = {"alert_counts": alert_counts, "hot_shard": shard_report.to_payload()}
+    return ExperimentResult([], rendered, checks, extra=extra, artifacts=artifacts)
 
 
 # -- elastic scale-out ablation -----------------------------------------------
 
 
-def exp_rebalance(
-    env: Optional[BenchEnvironment] = None,
-    *,
-    nservers: int = 4,
-    pinned: int = 16,
-    interactive: int = 24,
-    p99_tolerance: float = 1.25,
-) -> ExperimentResult:
+def exp_rebalance(env: BenchEnvironment) -> ExperimentResult:
     """Online shard-rebalancing ablation (DESIGN.md §15).
 
     A workload hot-spotted onto one server (no-match edge labels pin every
@@ -1415,42 +1215,30 @@ def exp_rebalance(
       versus the static cluster.
     * **Interactive p99 unharmed** — migration traffic rides the scheduler
       as a low-weight ``rebalance`` tenant under weighted-fair queueing, so
-      interactive latency *including queue wait* stays within
-      ``p99_tolerance`` of the migration-free baseline.
+      interactive latency *including queue wait* stays within 1.25x of the
+      migration-free baseline.
     * **Answers unchanged** — the interactive queries racing the migration
       return exactly the static cluster's result sets, and the migration
       finishes ``done`` with zero leaked protocol state.
     """
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.engine.options import graphtrek_options
-    from repro.obs.telemetry import EXEC_RATE_METRIC
-    from repro.rebalance import MigrationConfig, select_migration
-    from repro.sched import SchedulerConfig
-
-    env = env or BenchEnvironment.from_env()
+    nservers, pinned, interactive, p99_tolerance = 4, 16, 24, 1.25
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     sched_config = SchedulerConfig(
-        max_inflight=2,
-        tenant_weights={"interactive": 4.0, "rebalance": 0.5},
+        max_inflight=2, tenant_weights={"interactive": 4.0, "rebalance": 0.5}
     )
 
     def build():
-        return Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=nservers,
-                engine=graphtrek_options(scheduler="wfq"),
-                scheduler_config=sched_config,
-                migration=MigrationConfig(chunk_vertices=8, dual_window=0.01),
-                journal=True,
-            ),
+        return harness.build_cluster(
+            graph, graphtrek_options(scheduler="wfq"), nservers,
+            scheduler_config=sched_config,
+            migration=MigrationConfig(chunk_vertices=8, dual_window=0.01),
+            journal=True,
         )
 
     def per_server_visits(cluster):
-        counters = cluster.metrics_snapshot().get("counters", {})
+        counters = cluster.metrics_snapshot()["counters"]
         return {
-            s: counters.get(f"{EXEC_RATE_METRIC}{{server={s}}}", 0)
-            for s in range(nservers)
+            s: counters.get(f"{EXEC_RATE_METRIC}{{server={s}}}", 0) for s in range(nservers)
         }
 
     def visit_split(cluster, plans, hot):
@@ -1463,25 +1251,16 @@ def exp_rebalance(
         return delta, skew, delta[hot] / total
 
     hot = 1
-    interactive_plans = [
-        harness.kstep_plan(env, 4, pick=3 + i) for i in range(interactive)
-    ]
+    interactive_plans = [harness.kstep_plan(env, 4, pick=3 + i) for i in range(interactive)]
     qos = [{"tenant": "interactive"}] * interactive
 
     # -- static leg: the baseline twin (no migration ever starts) -----------
     static = build()
-    pinned_vids = [
-        v
-        for v in sorted(graph.vertex_ids())
-        if static.routing.owner(v) == hot
-    ][:pinned]
-    pinned_plans = [
-        GTravel.v(v).e("__rebalance_hotspot__") for v in pinned_vids
-    ]
-    _, skew_static, share_static = visit_split(static, pinned_plans, hot)
-    outcomes_static = static.traverse_many(
-        interactive_plans, cold=False, qos=qos
+    pinned_vids, pinned_plans = _hotspot(
+        graph, static.routing.owner, hot, pinned, "__rebalance_hotspot__"
     )
+    _, skew_static, share_static = visit_split(static, pinned_plans, hot)
+    outcomes_static = static.traverse_many(interactive_plans, cold=False, qos=qos)
     lat_static = [o.stats.elapsed for o in outcomes_static]
     results_static = [sorted(o.result.vertices) for o in outcomes_static]
     p99_static = float(np.percentile(lat_static, 99))
@@ -1496,26 +1275,14 @@ def exp_rebalance(
     # selector migrates half of the hot range rather than the whole thing
     # (moving it wholesale would just relocate the hot spot)
     loads = {
-        s.server_id: [
-            v for v in pinned_vids if live.routing.owner(v) == s.server_id
-        ]
+        s.server_id: [v for v in pinned_vids if live.routing.owner(v) == s.server_id]
         for s in live.servers
     }
-    choice = select_migration(
-        report_before, loads, require_hot=False, fraction=0.5
-    )
+    choice = select_migration(report_before, loads, require_hot=False, fraction=0.5)
     half = interactive // 2
-    events = [
-        live.submit(p, tenant="interactive")[1]
-        for p in interactive_plans[:half]
-    ]
-    _, mig_event = live.rebalance(
-        choice.src, choice.dst, vids=choice.vids, wait=False
-    )
-    events += [
-        live.submit(p, tenant="interactive")[1]
-        for p in interactive_plans[half:]
-    ]
+    events = [live.submit(p, tenant="interactive")[1] for p in interactive_plans[:half]]
+    _, mig_event = live.rebalance(choice.src, choice.dst, vids=choice.vids, wait=False)
+    events += [live.submit(p, tenant="interactive")[1] for p in interactive_plans[half:]]
     outcomes_live = [live.runtime.run_until_complete(e) for e in events]
     state = live.runtime.run_until_complete(mig_event)
     lat_live = [o.stats.elapsed for o in outcomes_live]
@@ -1563,12 +1330,8 @@ def exp_rebalance(
     ]
     rows = {
         "hot server / visit share": f"{hot} / {share_static * 100:.0f}%",
-        "selected move": (
-            f"{len(choice.vids)} vertices {choice.src} -> {choice.dst}"
-        ),
-        "visit skew (static -> rebalanced)": (
-            f"{skew_static:.2f} -> {skew_after:.2f}"
-        ),
+        "selected move": f"{len(choice.vids)} vertices {choice.src} -> {choice.dst}",
+        "visit skew (static -> rebalanced)": f"{skew_static:.2f} -> {skew_after:.2f}",
         "hot visit share (static -> rebalanced)": (
             f"{share_static * 100:.0f}% -> {share_after * 100:.0f}%"
         ),
@@ -1586,11 +1349,7 @@ def exp_rebalance(
     )
     extra = {
         "hot_server": hot,
-        "choice": {
-            "src": choice.src,
-            "dst": choice.dst,
-            "vertices": len(choice.vids),
-        },
+        "choice": {"src": choice.src, "dst": choice.dst, "vertices": len(choice.vids)},
         "skew_static": skew_static,
         "skew_after": skew_after,
         "share_static": share_static,
@@ -1600,17 +1359,10 @@ def exp_rebalance(
         "migration": state.payload(),
         "hot_shard_report": report_before.to_payload(),
     }
-    return ExperimentResult("rebalance", [], rendered, checks, extra=extra)
+    return ExperimentResult([], rendered, checks, extra=extra)
 
 
-def exp_columnar(
-    env: Optional[BenchEnvironment] = None,
-    *,
-    nservers: int = 8,
-    steps: int = 8,
-    starts: int = 8,
-    rounds: int = 2,
-) -> ExperimentResult:
+def exp_columnar(env: BenchEnvironment) -> ExperimentResult:
     """Columnar-adjacency layout ablation (DESIGN.md §16).
 
     The 8-step RMAT traversal on the GraphTrek engine over the two edge
@@ -1619,81 +1371,44 @@ def exp_columnar(
     * **grouped** — one LSM entry per edge;
     * **columnar** — one delta/varint-packed block per (vertex, label).
 
-    One long-lived cluster per layout serves ``starts`` seeded start
-    vertices ``rounds`` times over, cold block cache each traversal, the
-    two layouts taking turns so both see the same machine noise. Reported
-    per layout: median real wall clock (one block decode, memoized by
-    content, replaces many per-edge record unpacks — a cost virtual time
-    cannot see), median virtual time (denser blocks hit the block cache
-    more often), bytes/edge from the live storage gauges, plus a standalone
-    decode-throughput microbenchmark (edges/s through ``decode_block``)
-    and an element-identical result check — the speedup must not come
-    from answering differently.
+    One long-lived 8-server cluster per layout serves eight seeded start
+    vertices twice over, cold block cache each traversal.
+    Reported per layout: median virtual time (denser blocks hit the block
+    cache more often), bytes/edge from the live storage gauges, and an
+    element-identical result check — the layout must not answer
+    differently. The wall-clock side (one memoized block decode replaces
+    many per-edge record unpacks) is invisible to virtual time and is
+    ``benchmarks/perf``'s to measure (``storage.columnar.*`` probes).
     """
-    import statistics
-    import time
-
-    from repro.cluster import Cluster, ClusterConfig
-    from repro.storage.columnar import decode_block, encode_block
-    from repro.workloads import rmat_kstep_query
-
-    env = env or BenchEnvironment.from_env()
+    nservers, steps, starts, rounds = 8, 8, 8, 2
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plans = [
         rmat_kstep_query(
             harness.rmat1_source(env.scale, env.edge_factor, env.seed, pick), steps
         ).compile()
         for pick in range(starts)
-    ]
-    clusters = {
-        layout: Cluster.build(
-            graph,
-            ClusterConfig(
-                nservers=nservers, engine=EngineKind.GRAPHTREK, edge_layout=layout
-            ),
-        )
-        for layout in ("grouped", "columnar")
-    }
-    wall_runs = {name: [] for name in clusters}
-    virt_runs = {name: [] for name in clusters}
-    results = {name: [] for name in clusters}
-    outcomes = {}
-    for _ in range(rounds):
-        for plan in plans:
-            for name, cluster in clusters.items():
-                t0 = time.perf_counter()
-                outcome = cluster.traverse(plan)
-                wall_runs[name].append(time.perf_counter() - t0)
-                virt_runs[name].append(outcome.stats.elapsed)
-                results[name].append(
-                    {lv: frozenset(v) for lv, v in outcome.result.returned.items() if v}
-                )
-                outcomes[name] = outcome
+    ] * rounds
 
-    cells, walls, virt, bpe = [], {}, {}, {}
-    for name, cluster in clusters.items():
+    cells, virt, bpe, results = [], {}, {}, {}
+    for name in ("grouped", "columnar"):
+        cluster = harness.build_cluster(
+            graph, EngineKind.GRAPHTREK, nservers, trace=env.trace, edge_layout=name
+        )
+        outcomes = [cluster.traverse(plan) for plan in plans[:-1]]
+        # the cell reports the last traversal the long-lived cluster served
+        cell, last = harness.measure(cluster, plans[-1:], label=f"{GT}/{name}")
+        cells.append(cell)
+        outcomes += last
         snaps = [s.store.metrics_snapshot() for s in cluster.servers]
         edge_bytes = sum(s["edge_bytes"] for s in snaps)
         edge_count = sum(s["edge_count"] for s in snaps)
-        cell = harness.Cell.from_outcome(EngineKind.GRAPHTREK, nservers, outcomes[name])
-        cell.engine = f"GraphTrek/{name}"
-        cell.metrics = cluster.metrics_snapshot()
-        cells.append(cell)
-        walls[name] = statistics.median(wall_runs[name])
-        virt[name] = statistics.median(virt_runs[name])
+        virt[name] = statistics.median(o.stats.elapsed for o in outcomes)
         bpe[name] = edge_bytes / max(1, edge_count)
+        results[name] = [
+            {lv: frozenset(v) for lv, v in o.result.returned.items() if v}
+            for o in outcomes
+        ]
 
-    # decode throughput: one dense sorted block, timed standalone
-    ids = sorted(range(0, 200_000, 2))
-    buf = encode_block(ids)
-    t0 = time.perf_counter()
-    reps = 20
-    for _ in range(reps):
-        decode_block(buf)
-    decode_secs = time.perf_counter() - t0
-    decode_eps = reps * len(ids) / decode_secs
-
-    speedup = walls["grouped"] / walls["columnar"]
     checks = [
         ShapeCheck(
             "results_element_identical",
@@ -1713,34 +1428,44 @@ def exp_columnar(
             f"{report.fmt_time(virt['grouped'])}: denser blocks hit the block "
             "cache more often, so the paper metric must not rise",
         ),
-        ShapeCheck(
-            "end_to_end_wallclock_speedup",
-            speedup >= 1.0,
-            f"wall-clock {walls['grouped']:.3f}s -> {walls['columnar']:.3f}s "
-            f"({speedup:.2f}x, median of {starts * rounds} traversals)",
-        ),
     ]
     rows = {
-        "grouped wall (p50)": f"{walls['grouped']:.3f} s",
-        "columnar wall (p50)": f"{walls['columnar']:.3f} s",
-        "speedup": f"{speedup:.2f}x",
         "grouped virtual (p50)": report.fmt_time(virt["grouped"]),
         "columnar virtual (p50)": report.fmt_time(virt["columnar"]),
         "grouped bytes/edge": f"{bpe['grouped']:.1f}",
         "columnar bytes/edge": f"{bpe['columnar']:.1f}",
-        "decode throughput": f"{decode_eps / 1e6:.1f} M edges/s",
     }
     rendered = report.kv_table(
         f"Columnar adjacency — {steps}-step RMAT-1 "
         f"(scale={env.scale}, {nservers} servers, {starts} starts x {rounds})",
         rows,
     )
-    extra = {
-        "scale": env.scale,
-        "wall_seconds": walls,
-        "virtual_seconds": virt,
-        "bytes_per_edge": bpe,
-        "decode_edges_per_sec": decode_eps,
-        "speedup": speedup,
-    }
-    return ExperimentResult("columnar", cells, rendered, checks, extra=extra)
+    extra = {"scale": env.scale, "virtual_seconds": virt, "bytes_per_edge": bpe}
+    return ExperimentResult(cells, rendered, checks, extra=extra)
+
+
+#: name -> experiment, in report order. The name is the CLI name, the
+#: artifact stem and ``payload["experiment"]``; every entry is called as
+#: ``fn(env, **knobs)`` (only ``chaos`` has CLI knobs).
+EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
+    "table1": exp_table1,
+    "fig7": exp_fig7,
+    "fig8": partial(exp_step_sweep, steps=2),
+    "fig9": partial(exp_step_sweep, steps=4),
+    "fig10": partial(exp_step_sweep, steps=8),
+    "fig11": exp_fig11,
+    "table2": exp_table2,
+    "table3": exp_table3,
+    "concurrent": exp_concurrent_traversals,
+    "ablation_opts": exp_ablation_optimizations,
+    "planner": exp_ablation_planner,
+    "ablation_partition": exp_ablation_partitioning,
+    "ablation_layout": exp_ablation_layout,
+    "chaos": exp_chaos,
+    "coordinator_recovery": exp_coordinator_recovery,
+    "scheduler": exp_scheduler,
+    "lang_ops": exp_lang_ops,
+    "telemetry": exp_telemetry,
+    "rebalance": exp_rebalance,
+    "columnar": exp_columnar,
+}

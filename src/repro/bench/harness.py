@@ -1,11 +1,12 @@
 """Experiment harness: configuration, graph caching, and sweep execution.
 
-Every table/figure benchmark goes through :func:`run_engine_comparison`, which
-builds a fresh cluster per (engine, server-count) cell — cold start, same
-graph, same plan — and records virtual elapsed time plus the visit/message
-statistics. Wall-clock time of the *simulation* is what pytest-benchmark
-measures; the paper's metric (simulated elapsed time) is attached as
-``extra_info`` and printed in paper-style tables.
+Two seams carry every experiment. :func:`build_cluster` is the only place
+``repro.bench`` builds a cluster (and so the only place tracing is switched
+on); :func:`measure` is the only place a :class:`Cell` is made, labelled and
+given its metrics snapshot and its trace. :func:`run_cell` — a fresh cluster,
+one cold traversal — and :func:`run_engine_comparison` — every engine at
+every server count — are the two compositions the paper's grid needs. All
+numbers are virtual time; wall-clock belongs to ``benchmarks/perf``.
 
 Environment knobs (so the full paper scale can be attempted off-laptop):
 
@@ -21,10 +22,10 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.engine import EngineKind, TraversalOutcome
+from repro.engine import EngineKind, EngineOptions, TraversalOutcome
 from repro.graph.builder import PropertyGraph
 from repro.lang.plan import TraversalPlan
 from repro.workloads import (
@@ -43,19 +44,6 @@ PAPER_SERVERS = (2, 4, 8, 16, 32)
 
 ENGINE_ORDER = (EngineKind.SYNC, EngineKind.ASYNC, EngineKind.GRAPHTREK)
 
-#: process-wide tracing switch the bench CLI's ``--trace`` flag flips; every
-#: cell built while it is on records a flight-recorder trace (see
-#: :mod:`repro.obs.trace`) and attaches the Chrome payload to ``Cell.trace``.
-_TRACING = {"enabled": False}
-
-
-def set_tracing(enabled: bool) -> None:
-    _TRACING["enabled"] = enabled
-
-
-def tracing_enabled() -> bool:
-    return _TRACING["enabled"]
-
 
 @dataclass(frozen=True)
 class BenchEnvironment:
@@ -65,6 +53,9 @@ class BenchEnvironment:
     edge_factor: int = 16
     servers: tuple[int, ...] = PAPER_SERVERS
     seed: int = 1
+    #: the bench CLI's ``--trace``: every cluster built for a reported cell
+    #: records a flight-recorder trace (see :mod:`repro.obs.trace`)
+    trace: bool = False
 
     @classmethod
     def from_env(cls) -> "BenchEnvironment":
@@ -136,6 +127,11 @@ class Cell:
     #: separately as <experiment>_trace.json, excluded everywhere else)
     trace: dict = field(default_factory=dict)
 
+    @property
+    def visits(self) -> int:
+        """Requests received: real + combined + redundant."""
+        return self.real_io_visits + self.combined_visits + self.redundant_visits
+
     @classmethod
     def from_outcome(cls, engine, nservers: int, outcome: TraversalOutcome):
         st = outcome.stats
@@ -155,28 +151,65 @@ class Cell:
         )
 
 
-def run_cell(
+def build_cluster(
     graph: PropertyGraph,
-    plan: TraversalPlan,
-    engine: EngineKind,
+    engine: Union[EngineKind, EngineOptions],
     nservers: int,
     *,
+    trace: bool = False,
     interference_factory=None,
     **cluster_kwargs,
-) -> Cell:
-    """One cold-start traversal on a freshly built cluster."""
+) -> Cluster:
+    """The one cluster seam of ``repro.bench``."""
     config = ClusterConfig(nservers=nservers, engine=engine, **cluster_kwargs)
     if interference_factory is not None:
         config.interference = interference_factory()
-    if tracing_enabled():
+    if trace:
         config.trace_enabled = True
-    cluster = Cluster.build(graph, config)
-    outcome = cluster.traverse(plan)
-    cell = Cell.from_outcome(engine, nservers, outcome)
+    return Cluster.build(graph, config)
+
+
+def measure(
+    cluster: Cluster,
+    plans: Sequence,
+    *,
+    label: Optional[str] = None,
+    stats_of: int = 0,
+    qos: Optional[list[dict]] = None,
+) -> tuple[Cell, list[TraversalOutcome]]:
+    """Run ``plans`` as one concurrent batch on ``cluster`` and report it.
+
+    The cell takes its visit/message statistics from outcome ``stats_of``
+    and the batch's makespan as ``elapsed`` (for one plan, that plan's
+    elapsed); ``label`` replaces the engine name where several cells share
+    an engine. The snapshot and — when the cluster records one — the trace
+    cover everything the cluster has run so far. The outcomes come back for
+    experiment-specific reads; the caller still holds the cluster.
+    """
+    config = cluster.config
+    outcomes = cluster.traverse_many(list(plans), qos=qos)
+    cell = Cell.from_outcome(config.engine, config.nservers, outcomes[stats_of])
+    cell.elapsed = max(o.stats.elapsed for o in outcomes)
+    if label is not None:
+        cell.engine = label
     cell.metrics = cluster.metrics_snapshot()
-    if tracing_enabled():
-        cell.trace = cluster.trace_payload(label=f"{cell.engine}x{nservers}")
-    return cell
+    if config.trace_enabled:
+        cell.trace = cluster.trace_payload(label=f"{cell.engine}x{cell.nservers}")
+    return cell, outcomes
+
+
+def run_cell(
+    graph: PropertyGraph,
+    plan: TraversalPlan,
+    engine: Union[EngineKind, EngineOptions],
+    nservers: int,
+    *,
+    label: Optional[str] = None,
+    **build_kwargs,
+) -> Cell:
+    """One cold-start traversal on a freshly built cluster."""
+    cluster = build_cluster(graph, engine, nservers, **build_kwargs)
+    return measure(cluster, [plan], label=label)[0]
 
 
 def run_engine_comparison(
@@ -184,37 +217,31 @@ def run_engine_comparison(
     plan: TraversalPlan,
     servers: Sequence[int],
     engines: Sequence[EngineKind] = ENGINE_ORDER,
-    *,
-    interference_factory=None,
-    **cluster_kwargs,
+    **build_kwargs,
 ) -> list[Cell]:
     """The standard sweep: every engine at every server count."""
-    cells = []
-    for nservers in servers:
-        for engine in engines:
-            cells.append(
-                run_cell(
-                    graph,
-                    plan,
-                    engine,
-                    nservers,
-                    interference_factory=interference_factory,
-                    **cluster_kwargs,
-                )
-            )
-    return cells
+    return [
+        run_cell(graph, plan, engine, nservers, **build_kwargs)
+        for nservers in servers
+        for engine in engines
+    ]
 
 
 def cell_lookup(cells: Sequence[Cell]) -> dict[tuple[str, int], Cell]:
     return {(c.engine, c.nservers): c for c in cells}
 
 
+def save_text(filename: str, text: str) -> Path:
+    """Persist one artifact under benchmarks/results/."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path = RESULTS_DIR / filename
+    path.write_text(text)
+    return path
+
+
 def save_results(name: str, payload) -> Path:
     """Persist experiment output under benchmarks/results/<name>.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, default=str))
-    return path
+    return save_text(f"{name}.json", json.dumps(payload, indent=2, default=str))
 
 
 def cells_payload(cells: Sequence[Cell]) -> list[dict]:

@@ -8,9 +8,20 @@ check the *shape* claims directly from the benchmark log.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.bench.harness import Cell, cell_lookup
+from repro.bench.harness import (
+    Cell,
+    cell_lookup,
+    metrics_payload,
+    save_results,
+    save_text,
+    trace_payload,
+)
+from repro.obs.exporter import validate_snapshot
+from repro.obs.trace import validate_trace
 
 
 def fmt_time(seconds: float) -> str:
@@ -117,3 +128,56 @@ def kv_table(title: str, rows: dict) -> str:
 def banner(text: str) -> str:
     bar = "#" * (len(text) + 8)
     return f"\n{bar}\n### {text} ###\n{bar}"
+
+
+def report_experiment(
+    name: str, result, *, traced: bool = False, trace_out: Optional[Path] = None
+) -> bool:
+    """The one way an experiment's result becomes evidence: print the table
+    and the verdicts, save ``<name>.json``, the per-cell metric snapshots,
+    the merged Chrome trace of a traced run and the returned text artifacts.
+
+    Returns False when a shape check failed, a snapshot carries NaN/inf
+    (broken instrumentation), the trace is malformed, or a traced run
+    reports no cells or a cell that recorded no event.
+    """
+    print(result.rendered)
+    for check in result.checks:
+        print(f"  [{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
+    passed = result.all_passed
+    path = save_results(name, {"experiment": name, **result.payload()})
+    print(f"  results -> {path}")
+    snapshots = metrics_payload(result.cells)
+    if snapshots:
+        # empty histograms are tolerated here (tiny cells may skip paths)
+        # and caught strictly by the tier-1 smoke test instead
+        for cell_name, snap in snapshots.items():
+            for problem in validate_snapshot(snap):
+                if "is empty" not in problem:
+                    print(f"  [FAIL] metrics snapshot {cell_name}: {problem}")
+                    passed = False
+        print(f"  metrics -> {save_results(name + '_metrics', snapshots)}")
+    for filename, text in result.artifacts.items():
+        print(f"  artifact -> {save_text(filename, text)}")
+    if traced:
+        # a cell without events is a build site that dropped ``env.trace``
+        problems = [
+            f"cell {cell.engine}x{cell.nservers} recorded no trace events"
+            for cell in result.cells
+            if not cell.trace.get("traceEvents")
+        ]
+        if not result.cells:
+            problems = [f"{name} reports no cells, so --trace has nothing to record"]
+        chrome = trace_payload(result.cells)
+        if chrome["traceEvents"]:
+            problems += validate_trace(chrome)
+            if trace_out is not None:
+                trace_out.parent.mkdir(parents=True, exist_ok=True)
+                trace_out.write_text(json.dumps(chrome, sort_keys=True))
+            else:
+                trace_out = save_results(name + "_trace", chrome)
+            print(f"  trace ({len(chrome['traceEvents'])} events) -> {trace_out}")
+        for problem in problems[:8]:
+            print(f"  [FAIL] trace: {problem}")
+        passed &= not problems
+    return passed
