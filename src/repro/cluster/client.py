@@ -55,23 +55,21 @@ class GraphTrekClient:
     ) -> TraversalOutcome:
         """Submit a traversal and block until the result returns.
 
-        QoS attributes pass straight to the scheduler: ``tenant`` for fair
-        queueing/quotas, ``priority`` for the priority policy, ``deadline``
-        (seconds) for cancellation — which surfaces here as
-        :class:`~repro.errors.TraversalCancelled`."""
+        ``cold=True`` drops every server's block cache first, as
+        :meth:`Cluster.traverse` does. QoS attributes pass straight to the
+        scheduler: ``tenant`` for fair queueing/quotas, ``priority`` for the
+        priority policy, ``deadline`` (seconds) for cancellation — which
+        surfaces here as :class:`~repro.errors.TraversalCancelled`."""
         plan = query.compile() if isinstance(query, GTravel) else query
-        record = SubmissionRecord(travel_id=-1, plan=plan)
+        if cold:
+            self.cluster.cold_start()
         travel_id, event = self.cluster.submit(
             plan, tenant=tenant, priority=priority, deadline=deadline
         )
-        record.travel_id = travel_id
-        if cold:
-            # cold must be requested before submission to matter; the
-            # cluster-level API handles that ordering.
-            pass
         outcome = self.cluster.runtime.run_until_complete(event)
-        record.outcome = outcome
-        self.history.append(record)
+        self.history.append(
+            SubmissionRecord(travel_id=travel_id, plan=plan, outcome=outcome)
+        )
         return outcome
 
     def submit_idempotent(

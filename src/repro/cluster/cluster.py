@@ -23,7 +23,7 @@ from repro.cluster.coordinator import Coordinator, CoordinatorConfig
 from repro.cluster.journal import JournalStorage, TraversalJournal
 from repro.cluster.recovery import RecoverySupervisor
 from repro.cluster.server import BackendServer
-from repro.errors import SimulationError, TelemetryDisabled, UnsupportedProfileTarget
+from repro.errors import SimulationError, UnsupportedProfileTarget
 from repro.faults.plan import FaultPlan
 from repro.graph.builder import PropertyGraph
 from repro.graph.stats import GraphSummary
@@ -35,8 +35,8 @@ from repro.lang.composite import CompositePlan
 from repro.lang.gtravel import GTravel
 from repro.lang.plan import TraversalPlan
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
-from repro.obs.slo import SLOConfig, SLOTracker
-from repro.obs.telemetry import TelemetryPlane
+from repro.obs import Observability
+from repro.obs.slo import SLOConfig
 from repro.obs.trace import SamplingPolicy
 from repro.partition.edge_cut import Partitioner, make_partitioner
 from repro.rebalance.migrate import MigrationConfig, ShardMigrator
@@ -90,9 +90,9 @@ class ClusterConfig:
     #: per-traversal flight recorder (exec lifecycle, forwards, retries,
     #: fault verdicts — see :mod:`repro.obs.trace`). Off by default; recording
     #: is out-of-band and never affects simulated timings, but the event
-    #: stream costs memory on long runs (bounded by ``trace_max_events``).
+    #: stream costs memory on long runs (bounded by
+    #: ``Cluster.enable_tracing(max_events=)``).
     trace_enabled: bool = False
-    trace_max_events: Optional[int] = None
     #: admission/fairness/backpressure limits for the traversal scheduler
     #: (:mod:`repro.sched`). None = the transparent default config: no
     #: bounds, no quotas — submissions launch immediately, as before. The
@@ -106,16 +106,12 @@ class ClusterConfig:
     #: where the journal bytes live; None = in-memory storage that models a
     #: GPFS-backed journal file (survives the simulated crash)
     journal_storage: Optional[JournalStorage] = None
-    #: the live telemetry plane (DESIGN.md §14): windowed rollups over the
-    #: metrics registry, per-tenant SLO burn-rate alerting, hot-shard
-    #: detection, and the tail-sampling keep decision. On by default —
-    #: windows close at runtime clock boundaries, so the record path pays
-    #: nothing and simulated time is never touched.
-    telemetry_enabled: bool = True
+    #: per-tenant objectives of the SLO tracker every cluster's telemetry
+    #: plane (DESIGN.md §14) feeds; None uses the defaults
     slo_config: Optional[SLOConfig] = None
-    #: tail-based trace sampling policy (requires ``trace_enabled`` and the
-    #: telemetry plane, which drives the per-traversal keep decision). None =
-    #: legacy behavior: every recorded event is retained.
+    #: tail-based trace sampling policy (requires ``trace_enabled``; the
+    #: telemetry plane drives the per-traversal keep decision). None =
+    #: every recorded event is retained.
     trace_sampling: Optional[SamplingPolicy] = None
     #: knobs for online shard migrations (:mod:`repro.rebalance`); None uses
     #: the defaults. The migrator itself is always wired — migrations only
@@ -141,9 +137,9 @@ class Cluster:
         registry: TravelRegistry,
         board: StatsBoard,
         scheduler: TraversalScheduler,
+        routing: RoutingTable,
+        migrator: ShardMigrator,
         supervisor: Optional[RecoverySupervisor] = None,
-        routing: Optional[RoutingTable] = None,
-        migrator: Optional[ShardMigrator] = None,
     ):
         self.config = config
         self.runtime = runtime
@@ -197,7 +193,10 @@ class Cluster:
         # table so shard migrations can move ownership under live traffic
         routing = RoutingTable(partitioner.owner, config.nservers)
         registry = TravelRegistry()
-        board = StatsBoard(opts.kind)
+        # the metrics registry, flight recorder, SLO tracker and telemetry
+        # plane are built together; everything below records into them
+        obs = Observability(config.slo_config)
+        board = StatsBoard(opts.kind, obs)
         lsm_config = LSMConfig(
             block_cache_blocks=config.block_cache_blocks,
             cost_model=config.disk_model,
@@ -259,8 +258,8 @@ class Cluster:
             routing=routing,
             board=board,
             engine_kind=opts.kind,
-            config=config.coordinator_config,
             on_complete=_forget,
+            config=config.coordinator_config,
             planner=planner,
             journal=journal,
         )
@@ -268,9 +267,11 @@ class Cluster:
 
         # The admission scheduler sits between Cluster.submit and the
         # coordinator; with the default (transparent) SchedulerConfig every
-        # admitted traversal launches synchronously inside submit().
+        # admitted traversal launches synchronously inside submit(). Refused
+        # submissions spend the tenant's SLO error budget.
         scheduler = TraversalScheduler.for_cluster(
-            runtime, coordinator, opts.scheduler, config.scheduler_config
+            runtime, coordinator, opts.scheduler, obs.slo.record_rejection,
+            config.scheduler_config,
         )
 
         # Online shard rebalancing (repro.rebalance): the migrator moves
@@ -284,10 +285,8 @@ class Cluster:
             coordinator,
             board,
             config.migration,
-            graph=graph,
-            partition_vids=[set(assignment[s]) for s in range(config.nservers)],
-            journal=journal,
             forget=_forget,
+            journal=journal,
             host=config.coordinator_server,
         )
 
@@ -309,11 +308,10 @@ class Cluster:
         # and a pull collector turns the push-free layers (storage, network)
         # into gauges at snapshot time. Collectors must SET, never increment
         # — snapshot() may run any number of times.
-        obs = board.obs
         obs.bind_clock(runtime.now)
         runtime.bind_metrics(obs.metrics)
         obs.trace.configure(
-            enabled=config.trace_enabled, max_events=config.trace_max_events
+            enabled=config.trace_enabled, sampling=config.trace_sampling
         )
         runtime.bind_trace(obs.trace)
 
@@ -355,41 +353,30 @@ class Cluster:
         supervisor: Optional[RecoverySupervisor] = None
         if journal is not None:
             supervisor = RecoverySupervisor(
-                runtime, coordinator, scheduler, journal, channel=channel,
-                migrator=migrator,
+                runtime, coordinator, scheduler, journal, migrator,
+                channel=channel,
             )
 
-        # The live telemetry plane (DESIGN.md §14).
-        if config.telemetry_enabled:
-            slo = SLOTracker(
-                config.slo_config, metrics=obs.metrics, trace=obs.trace
-            )
-            telemetry = TelemetryPlane(slo=slo)
-            telemetry.install(runtime, obs.metrics)
-            scheduler.on_reject = slo.record_rejection
-            telemetry.bind_recorder(obs.trace)
-            obs.telemetry = telemetry
-            obs.slo = slo
-            if config.trace_sampling is not None:
-                obs.trace.configure(sampling=config.trace_sampling)
+        # The live telemetry plane (DESIGN.md §14): windows close at runtime
+        # clock boundaries, so the record path pays nothing.
+        telemetry = obs.telemetry
+        telemetry.install(runtime, obs.metrics)
 
-            def _on_crash(server: ServerId) -> None:
-                if server == config.coordinator_server:
-                    telemetry.on_coordinator_crash()
+        def _on_crash(server: ServerId) -> None:
+            if server == config.coordinator_server:
+                telemetry.on_coordinator_crash()
 
-            runtime.add_crash_listener(_on_crash)
+        runtime.add_crash_listener(_on_crash)
 
         # Terminal listeners, in the order notify_terminal walks them.
         # Telemetry is first: it reads tenant and admission clock off the
         # scheduler's QoS entry, which the scheduler's listener pops; the
         # supervisor's binding drop is last.
-        telemetry = obs.telemetry
-        if telemetry is not None:
-            coordinator.terminal_listeners.append(
-                lambda travel_id, status: telemetry.on_terminal(
-                    travel_id, status, entry=scheduler.entry_for(travel_id)
-                )
+        coordinator.terminal_listeners.append(
+            lambda travel_id, status: telemetry.on_terminal(
+                travel_id, status, entry=scheduler.entry_for(travel_id)
             )
+        )
         coordinator.terminal_listeners.append(scheduler.on_travel_terminal)
         if supervisor is not None:
             coordinator.terminal_listeners.append(supervisor.drop_binding)
@@ -419,7 +406,7 @@ class Cluster:
             config.interference.bind_metrics(obs.metrics)
         return cls(
             config, runtime, partitioner, servers, coordinator, registry, board,
-            scheduler, supervisor, routing, migrator,
+            scheduler, routing, migrator, supervisor,
         )
 
     # -- client API (paper §IV-A: submit the whole GTravel instance) ------------
@@ -547,9 +534,7 @@ class Cluster:
     ) -> Rebalancer:
         """Start the closed-loop rebalancer: it samples the hot-shard report
         every ``config.interval`` seconds and migrates ranges off flagged
-        servers. Requires the telemetry plane."""
-        if self.board.obs.telemetry is None:
-            raise TelemetryDisabled("start_rebalancer()")
+        servers."""
         telemetry = self.board.obs.telemetry
         nservers = self.config.nservers
 
@@ -586,13 +571,12 @@ class Cluster:
 
     @property
     def telemetry(self):
-        """The live :class:`~repro.obs.telemetry.TelemetryPlane`, or None
-        when built with ``telemetry_enabled=False``."""
+        """The live :class:`~repro.obs.telemetry.TelemetryPlane`."""
         return self.board.obs.telemetry
 
     @property
     def slo(self):
-        """The per-tenant :class:`~repro.obs.slo.SLOTracker`, or None."""
+        """The per-tenant :class:`~repro.obs.slo.SLOTracker`."""
         return self.board.obs.slo
 
     def metrics_snapshot(self) -> dict:
@@ -600,37 +584,26 @@ class Cluster:
         return self.board.obs.metrics.snapshot()
 
     def rollups(self) -> dict:
-        """The telemetry plane's windowed rollup payload (empty-shaped
-        payload when telemetry is disabled)."""
-        telemetry = self.board.obs.telemetry
-        if telemetry is None:
-            return {"window_width": 0.0, "max_windows": 0,
-                    "counters": {}, "gauges": {}, "histograms": {}}
-        return telemetry.rollups()
+        """The telemetry plane's windowed rollup payload."""
+        return self.board.obs.telemetry.rollups()
 
     def alert_log(self) -> list:
         """Every SLO burn-rate alert transition so far, in order."""
-        slo = self.board.obs.slo
-        return [] if slo is None else slo.alert_log_payload()
+        return self.board.obs.slo.alert_log_payload()
 
     def hot_shard_report(self):
-        """Ranked per-server load skew (rate + in-flight) right now.
-
-        Raises the typed :class:`~repro.errors.TelemetryDisabled` when the
-        cluster was built with ``telemetry_enabled=False``."""
-        telemetry = self.board.obs.telemetry
-        if telemetry is None:
-            raise TelemetryDisabled("hot_shard_report()")
+        """Ranked per-server load skew (rate + in-flight) right now."""
         with self.runtime.exclusive(self.config.coordinator_server):
             inflight = self.coordinator.inflight_by_server()
-        return telemetry.hot_shards(inflight, self.config.nservers)
+        return self.board.obs.telemetry.hot_shards(
+            inflight, self.config.nservers
+        )
 
     def health(self) -> dict:
         """The JSON health/readiness document: per-server liveness,
         coordinator epoch, scheduler depths, firing SLO alerts."""
         from repro.obs.exporter import health_payload
 
-        slo = self.board.obs.slo
         journal = self.coordinator.journal
         journal_doc = None
         if journal is not None:
@@ -648,7 +621,7 @@ class Cluster:
             queue_depth=self.scheduler.queue_depth,
             inflight=self.scheduler.inflight_count,
             policy=self.scheduler.policy.name,
-            active_alerts=[] if slo is None else slo.active_alerts(),
+            active_alerts=self.board.obs.slo.active_alerts(),
             journal=journal_doc,
         )
 
@@ -663,10 +636,9 @@ class Cluster:
         latest-window rollups and health gauges."""
         from repro.obs.exporter import render_openmetrics
 
-        telemetry = self.board.obs.telemetry
         return render_openmetrics(
             self.metrics_snapshot(),
-            rollups=None if telemetry is None else telemetry.rollups(),
+            rollups=self.rollups(),
             health=self.health(),
         )
 

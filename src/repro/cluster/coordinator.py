@@ -73,7 +73,6 @@ class CoordinatorConfig:
     #: their original dispatches. Receiver-side (travel, step, vertex)
     #: deduplication makes replays idempotent. Async engines only.
     fine_grained_recovery: bool = False
-    max_replay_rounds: int = 2
     #: buffered result pipeline (the paper's future work): stream result
     #: chunks to the client while the traversal is still running, instead of
     #: one bulk reply at the end. Pays off when the return set is large.
@@ -154,6 +153,10 @@ _TERMINAL = {
     "cancelled": ("coord.cancelled", "travel.cancelled"),
 }
 
+#: fine-grained replay rounds per traversal before :meth:`Coordinator._replay`
+#: gives up and the watchdog falls back to a full restart
+MAX_REPLAY_ROUNDS = 2
+
 
 class Coordinator:
     """One coordinator actor per cluster (hosted on a backend server)."""
@@ -166,8 +169,8 @@ class Coordinator:
         routing: RoutingTable,
         board: StatsBoard,
         engine_kind: EngineKind,
+        on_complete: Callable[[TravelId], None],
         config: Optional[CoordinatorConfig] = None,
-        on_complete: Optional[Callable[[TravelId], None]] = None,
         planner: Optional[QueryPlanner] = None,
         journal: Optional[TraversalJournal] = None,
     ):
@@ -589,8 +592,7 @@ class Coordinator:
         self.trace.record(
             kind, travel_id=travel_id, server_id=self.ctx.server_id, **trace_attrs
         )
-        if self.on_complete is not None:
-            self.on_complete(travel_id)
+        self.on_complete(travel_id)
         if status == "ok":
             travel.client_event.succeed(resolution)
         else:
@@ -900,7 +902,7 @@ class Coordinator:
         (the watchdog then falls back to a restart)."""
         if (
             not self.config.fine_grained_recovery
-            or at.replay_rounds >= self.config.max_replay_rounds
+            or at.replay_rounds >= MAX_REPLAY_ROUNDS
         ):
             return False
         lost = at.tracker.replayable(server)
@@ -1117,8 +1119,7 @@ class Coordinator:
         check as usual."""
         self.registry.unregister(travel_id)
         self.board.pop(travel_id)
-        if self.on_complete is not None:
-            self.on_complete(travel_id)
+        self.on_complete(travel_id)
 
     # -- plumbing -----------------------------------------------------------------------------
 

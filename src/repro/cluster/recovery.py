@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import TraversalFailed
-from repro.ids import COORDINATOR, ServerId, TravelId
+from repro.ids import ServerId, TravelId
 
 
 @dataclass
@@ -59,8 +59,7 @@ class RecoverySupervisor:
     """
 
     def __init__(
-        self, runtime, coordinator, scheduler, journal, channel=None,
-        migrator=None,
+        self, runtime, coordinator, scheduler, journal, migrator, channel=None
     ):
         self.runtime = runtime
         self.coordinator = coordinator
@@ -114,8 +113,7 @@ class RecoverySupervisor:
         self.scheduler.on_host_crash()
         if self.channel is not None:
             self.channel.on_coordinator_crash()
-        if self.migrator is not None:
-            self.migrator.on_coordinator_crash()
+        self.migrator.on_coordinator_crash()
 
     # -- recovery side -------------------------------------------------------
 
@@ -142,8 +140,7 @@ class RecoverySupervisor:
         # re-establish shard ownership BEFORE any traversal resumes: every
         # resumed dispatch routes through the rebuilt table, so committed
         # cutovers stay committed and half-done migrations roll back first
-        if self.migrator is not None:
-            self.migrator.recover(dict(state.migrations))
+        self.migrator.recover(dict(state.migrations))
 
         # pre-crash composite children are not resumed: the parent restarts
         # its (deterministic) program from scratch, so dispose of them and

@@ -184,23 +184,6 @@ class TraversalCancelled(TraversalError):
         self.reason = reason
 
 
-class TelemetryDisabled(ReproError):
-    """An operation needs the live telemetry plane, but the cluster was
-    built with ``telemetry_enabled=False``.
-
-    Carries the ``operation`` that was attempted so automation (the
-    rebalancer policy loop subscribes to ``hot_shard_report()``) can
-    distinguish "misconfigured cluster" from a transient failure.
-    """
-
-    def __init__(self, operation: str):
-        super().__init__(
-            f"{operation} requires the telemetry plane; build the cluster "
-            "with telemetry_enabled=True"
-        )
-        self.operation = operation
-
-
 class RebalanceError(ReproError):
     """Raised by the shard-migration subsystem (:mod:`repro.rebalance`) for
     invalid migration requests or unrecoverable migration failures.

@@ -17,7 +17,6 @@ per-step selectivities and cardinalities. Everything is deterministic per
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
@@ -118,15 +117,6 @@ def imbalance_factor(loads: np.ndarray) -> float:
     if mean == 0:
         return 1.0
     return float(loads.max() / mean)
-
-
-def entropy_bits(values: np.ndarray) -> float:
-    """Shannon entropy of a load distribution, in bits."""
-    total = values.sum()
-    if total <= 0:
-        return 0.0
-    p = values[values > 0] / total
-    return float(-np.sum(p * np.log2(p)))
 
 
 def small_world_summary(graph: PropertyGraph) -> dict[str, float]:

@@ -1,6 +1,7 @@
-"""Deterministic observability: metrics registry + traversal flight recorder.
+"""Deterministic observability: metrics registry, traversal flight recorder,
+and the live telemetry plane over them.
 
-:class:`Observability` bundles the two instruments every layer records into.
+:class:`Observability` bundles the instruments every layer records into.
 It travels on the :class:`~repro.engine.statistics.StatsBoard` so engines,
 the coordinator, storage collectors, and the interference injector all share
 one registry and one recorder without new plumbing. ``Cluster.build`` binds
@@ -10,7 +11,7 @@ timeline a pure function of (seed, configuration).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.obs.explain import (
     ProfileReport,
@@ -52,18 +53,17 @@ from repro.obs.trace import (
 
 class Observability:
     """One cluster's metrics registry and flight recorder, clock-bound
-    together. The registry is always on; the flight recorder — the only
-    per-traversal timeline — starts disabled and is opt-in
-    (``ClusterConfig.trace_enabled`` or ``Cluster.enable_tracing``)."""
+    together, with the SLO tracker and telemetry plane that read them. The
+    registry is always on; the flight recorder — the only per-traversal
+    timeline — starts disabled and is opt-in (``ClusterConfig.trace_enabled``
+    or ``Cluster.enable_tracing``); ``Cluster.build`` installs the plane on
+    the runtime clock."""
 
-    def __init__(self) -> None:
+    def __init__(self, slo_config: Optional[SLOConfig] = None) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = FlightRecorder(enabled=False)
-        self.trace.bind_metrics(self.metrics)
-        #: the live telemetry plane + SLO tracker, installed by
-        #: ``Cluster.build`` when ``ClusterConfig.telemetry_enabled``
-        self.telemetry = None
-        self.slo = None
+        self.trace = FlightRecorder(self.metrics)
+        self.slo = SLOTracker(slo_config, metrics=self.metrics, trace=self.trace)
+        self.telemetry = TelemetryPlane(slo=self.slo, recorder=self.trace)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self.trace.bind_clock(clock)

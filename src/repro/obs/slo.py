@@ -120,15 +120,14 @@ class SLOTracker:
     """Per-tenant burn-rate evaluation over the two traversal objectives.
 
     Observations arrive through :meth:`record_terminal` (the cluster's
-    terminal hook) and :meth:`record_rejection` (forwarded by the telemetry
-    plane from ``sched.rejected`` counter increments), each carrying the
-    runtime clock. Alert transitions are appended to :attr:`alert_log` and
-    mirrored as ``slo.alert`` flight-recorder events so a trace reader sees
-    them interleaved with the traversal lifecycle.
+    terminal hook) and :meth:`record_rejection` (the scheduler's
+    ``on_reject`` feed), each carrying the runtime clock. Alert transitions
+    are appended to :attr:`alert_log` and mirrored as ``slo.alert``
+    flight-recorder events so a trace reader sees them interleaved with the
+    traversal lifecycle.
     """
 
-    def __init__(self, config: Optional[SLOConfig] = None, *,
-                 metrics=None, trace=None):
+    def __init__(self, config: Optional[SLOConfig] = None, *, metrics, trace):
         self.config = config or SLOConfig()
         self.metrics = metrics
         self.trace = trace
@@ -199,20 +198,17 @@ class SLOTracker:
             window_events=n_slow,
         )
         self.alert_log.append(alert)
-        if self.metrics is not None:
-            self.metrics.count(
-                "slo.alerts", tenant=tenant, objective=objective,
-                state=alert.state,
-            )
-        if self.trace is not None:
-            self.trace.record(
-                "slo.alert",
-                tenant=tenant,
-                objective=objective,
-                state=alert.state,
-                burn_fast=round(burn_fast, 6),
-                burn_slow=round(burn_slow, 6),
-            )
+        self.metrics.count(
+            "slo.alerts", tenant=tenant, objective=objective, state=alert.state,
+        )
+        self.trace.record(
+            "slo.alert",
+            tenant=tenant,
+            objective=objective,
+            state=alert.state,
+            burn_fast=round(burn_fast, 6),
+            burn_slow=round(burn_slow, 6),
+        )
 
     # -- reading -------------------------------------------------------------
 

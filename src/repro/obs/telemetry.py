@@ -96,17 +96,20 @@ class HotShardReport:
 class TelemetryPlane:
     """Clock-driven rollups + SLO/sampling glue for one cluster.
 
-    ``Cluster.build`` creates one per cluster, installs it on the runtime
-    clock and the metrics registry (:meth:`install`), binds the flight
-    recorder, and registers :meth:`on_terminal` as the coordinator's first
-    terminal listener (so the scheduler's QoS entry is still alive when the
-    plane reads it).
+    Every :class:`~repro.obs.Observability` builds one beside the SLO
+    tracker and flight recorder it feeds; ``Cluster.build`` installs it on
+    the runtime clock and the metrics registry (:meth:`install`) and
+    registers :meth:`on_terminal` as the coordinator's first terminal
+    listener (so the scheduler's QoS entry is still alive when the plane
+    reads it).
     """
 
-    def __init__(self, config: Optional[TelemetryConfig] = None, *, slo=None):
+    def __init__(
+        self, config: Optional[TelemetryConfig] = None, *, slo, recorder
+    ):
         self.config = config or TelemetryConfig()
         self.slo = slo
-        self._recorder = None
+        self._recorder = recorder
         self._width = self.config.window_width
         self._inv_width = 1.0 / self.config.window_width
         self._max_windows = self.config.max_windows
@@ -127,9 +130,6 @@ class TelemetryPlane:
         self._hist_marks: dict[MetricKey, int] = {}
 
     # -- wiring --------------------------------------------------------------
-
-    def bind_recorder(self, recorder) -> None:
-        self._recorder = recorder
 
     def install(self, runtime, registry) -> None:
         """Window ``registry`` on ``runtime``'s clock: the runtime's
@@ -204,10 +204,10 @@ class TelemetryPlane:
         now = self._clock()
         tenant = entry.tenant if entry is not None else None
         latency = (now - entry.admit_time) if entry is not None else None
-        if self.slo is not None and tenant is not None:
+        if tenant is not None:
             self.slo.record_terminal(tenant, status, latency, now)
         recorder = self._recorder
-        if recorder is not None and recorder.sampling_active:
+        if recorder.sampling_active:
             reason = self._keep_reason(travel_id, status, tenant, latency)
             recorder.finalize_travel(
                 travel_id, keep=reason is not None, reason=reason
@@ -223,17 +223,11 @@ class TelemetryPlane:
         """Why this traversal's full trace is kept, or None to sample out."""
         if status != "ok":
             return f"terminal:{status}"
-        if self.slo is not None:
-            if self.slo.violates_latency(latency):
-                return "slow"
-            if tenant is not None and self.slo.alert_active(tenant):
-                return "alert"
-        recorder = self._recorder
-        if (
-            recorder is not None
-            and recorder.sampling is not None
-            and recorder.sampling.sampled(travel_id)
-        ):
+        if self.slo.violates_latency(latency):
+            return "slow"
+        if tenant is not None and self.slo.alert_active(tenant):
+            return "alert"
+        if self._recorder.sampling.sampled(travel_id):
             return "sampled"
         return None
 
@@ -241,9 +235,8 @@ class TelemetryPlane:
         """The coordinator's host crashed: every pending (undecided) trace
         buffer is kept — travels in flight across a control-plane crash are
         exactly the ones an operator will want to read back."""
-        recorder = self._recorder
-        if recorder is not None and recorder.sampling_active:
-            recorder.keep_all_pending(reason="coord.crash")
+        if self._recorder.sampling_active:
+            self._recorder.keep_all_pending(reason="coord.crash")
 
     # -- reading: rollups ------------------------------------------------------
 

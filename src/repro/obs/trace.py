@@ -169,7 +169,8 @@ class FlightRecorder:
     """
 
     def __init__(
-        self, enabled: bool = False, max_events: int = DEFAULT_MAX_EVENTS
+        self, metrics, enabled: bool = False,
+        max_events: int = DEFAULT_MAX_EVENTS,
     ):
         self.enabled = enabled
         self.max_events = max_events
@@ -186,16 +187,14 @@ class FlightRecorder:
         self._decisions: dict[int, tuple[bool, Optional[str]]] = {}
         self._dropped_by_travel: dict[Optional[int], int] = {}
         self._seq = itertools.count(1)
-        self._metrics = None
+        #: the registry every drop and keep decision is counted into
+        self._metrics = metrics
         self._lock = threading.Lock()
 
     # -- wiring --------------------------------------------------------------
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-
-    def bind_metrics(self, metrics) -> None:
-        self._metrics = metrics
 
     def configure(
         self,
@@ -280,14 +279,13 @@ class FlightRecorder:
                     self._note_drop(evicted.travel_id)
             else:
                 self.sampled_out += len(buffered)
-        if self._metrics is not None:
-            if keep:
-                self._metrics.count(
-                    "trace.kept_traces", reason=reason or "unspecified"
-                )
-            else:
-                self._metrics.count("trace.sampled_out_traces")
-                self._metrics.count("trace.sampled_out_events", len(buffered))
+        if keep:
+            self._metrics.count(
+                "trace.kept_traces", reason=reason or "unspecified"
+            )
+        else:
+            self._metrics.count("trace.sampled_out_traces")
+            self._metrics.count("trace.sampled_out_events", len(buffered))
 
     def keep_all_pending(self, reason: str) -> None:
         """Commit every undecided traversal's buffer (coordinator crash: the
@@ -303,11 +301,10 @@ class FlightRecorder:
         self._dropped_by_travel[travel_id] = (
             self._dropped_by_travel.get(travel_id, 0) + 1
         )
-        if self._metrics is not None:
-            # label value must always be a str: mixed int/str label values
-            # would break the snapshot's sorted-key rendering
-            label = str(travel_id) if travel_id is not None else "untracked"
-            self._metrics.count("trace.dropped_events", travel_id=label)
+        # label value must always be a str: mixed int/str label values
+        # would break the snapshot's sorted-key rendering
+        label = str(travel_id) if travel_id is not None else "untracked"
+        self._metrics.count("trace.dropped_events", travel_id=label)
 
     def dropped_for(self, travel_id: Optional[int]) -> int:
         """Ring evictions attributable to one traversal (plus the untracked

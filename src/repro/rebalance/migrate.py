@@ -29,8 +29,7 @@ ownership epoch):
 ``drop``     the source copy is dropped only after every traversal that
              was active at cutover has drained (those are the only ones
              that can still hold source-routed dispatches or replays),
-             then the per-partition GraphSummary stats move with the
-             range and the migration journals ``done``.
+             then the migration journals ``done``.
 
 Any failure before cutover aborts: the dual window (if open) closes, the
 target's partial copy is dropped, and routing is exactly what it was —
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.errors import RebalanceError
-from repro.graph.stats import GraphSummary
 from repro.ids import ServerId, TravelId, VertexId
 from repro.net.message import MigrateAck, MigrateChunk
 from repro.rebalance.routing import RoutingTable
@@ -144,10 +142,8 @@ class ShardMigrator:
         board,
         config: Optional[MigrationConfig] = None,
         *,
-        graph=None,
-        partition_vids: Optional[list[set]] = None,
+        forget: Callable[[TravelId], None],
         journal=None,
-        forget: Optional[Callable[[TravelId], None]] = None,
         host: ServerId = 0,
     ):
         self.runtime = runtime
@@ -159,10 +155,6 @@ class ShardMigrator:
         self.metrics = board.obs.metrics
         self.trace = board.obs.trace
         self.config = config or MigrationConfig()
-        self.graph = graph
-        #: graph-loaded vertex ids per server, kept current across
-        #: migrations so per-partition GraphSummary stats move with ranges
-        self.partition_vids = partition_vids
         self.journal = journal
         self.forget = forget
         self.host = host
@@ -293,7 +285,7 @@ class ShardMigrator:
             event=self.runtime.completion_event(),
         )
         self.active[mid] = state
-        self._journal(state, "copy", version=self.routing.version)
+        self._journal(mid, "copy", src, dst, vids, self.routing.version)
         self.metrics.count("rebalance.started")
         self.trace.record(
             "rebalance.start",
@@ -315,7 +307,10 @@ class ShardMigrator:
             if state.crashed:
                 return
             # -- double-routing window ---------------------------------
-            self._journal(state, "dual", version=self.routing.version + 1)
+            self._journal(
+                state.mid, "dual", state.src, state.dst, state.vids,
+                self.routing.version + 1,
+            )
             state.phase = "dual"
             self.routing.begin_dual(state.vids, state.src, state.dst)
             self._phase_trace(state, "dual")
@@ -326,7 +321,10 @@ class ShardMigrator:
             # source-routed dispatches or replay buffers after cutover
             watched = self._active_travel_ids()
             # -- atomic cutover ------------------------------------------
-            self._journal(state, "cutover", version=self.routing.version + 1)
+            self._journal(
+                state.mid, "cutover", state.src, state.dst, state.vids,
+                self.routing.version + 1,
+            )
             state.phase = "cutover"
             self.routing.cutover(state.vids, state.dst)
             self._phase_trace(state, "cutover")
@@ -335,9 +333,11 @@ class ShardMigrator:
             if state.crashed:
                 return
             self.servers[state.src].store.drop_vertices(state.vids)
-            self._move_stats(state)
             state.phase = "done"
-            self._journal(state, "done", version=self.routing.version)
+            self._journal(
+                state.mid, "done", state.src, state.dst, state.vids,
+                self.routing.version,
+            )
             self._finish(state, "done")
         except RebalanceError as exc:
             if not state.crashed:
@@ -439,7 +439,10 @@ class ShardMigrator:
             [v for v in partial if self.routing.owner(v) != state.dst]
         )
         state.phase = "aborted"
-        self._journal(state, "aborted", version=self.routing.version)
+        self._journal(
+            state.mid, "aborted", state.src, state.dst, state.vids,
+            self.routing.version,
+        )
         self._finish(state, "aborted")
 
     def _finish(self, state: MigrationState, status: str) -> None:
@@ -450,8 +453,7 @@ class ShardMigrator:
         self._applied_vids.pop(state.mid, None)
         self._applied = {k for k in self._applied if k[0] != state.mid}
         self._acked = {k for k in self._acked if k[0] != state.mid}
-        if self.forget is not None:
-            self.forget(state.mid)
+        self.forget(state.mid)
         self.metrics.count("rebalance.migrations", status=status)
         self.trace.record(
             "rebalance.terminal",
@@ -475,37 +477,15 @@ class ShardMigrator:
         )
 
     def _journal(
-        self, state: MigrationState, phase: str, *, version: int
+        self, mid: int, phase: str, src: ServerId, dst: ServerId, vids,
+        version: int,
     ) -> None:
+        """The one writer of the ``migration`` journal record."""
         if self.journal is not None:
             self.journal.append(
-                "migration",
-                mid=state.mid,
-                phase=phase,
-                src=state.src,
-                dst=state.dst,
-                vids=state.vids,
-                version=version,
+                "migration", mid=mid, phase=phase, src=src, dst=dst,
+                vids=vids, version=version,
             )
-
-    # -- partition statistics -------------------------------------------------
-
-    def _move_stats(self, state: MigrationState) -> None:
-        if self.partition_vids is None:
-            return
-        moved = set(state.vids) & self.partition_vids[state.src]
-        self.partition_vids[state.src] -= moved
-        self.partition_vids[state.dst] |= moved
-
-    def partition_summary(self, server: ServerId) -> Optional[GraphSummary]:
-        """The per-partition :class:`GraphSummary` for ``server``'s *current*
-        slice of the build-time graph — recomputed deterministically, so
-        statistics follow migrated ranges."""
-        if self.graph is None or self.partition_vids is None:
-            return None
-        return GraphSummary.from_graph(
-            self.graph, sorted(self.partition_vids[server])
-        )
 
     # -- coordinator crash / recovery ----------------------------------------
 
@@ -546,15 +526,10 @@ class ShardMigrator:
         for mid, rec in committed:
             self.routing.apply_override(rec["vids"], rec["dst"])
             self.servers[rec["src"]].store.drop_vertices(rec["vids"])
-            if rec["phase"] == "cutover" and self.journal is not None:
-                self.journal.append(
-                    "migration",
-                    mid=mid,
-                    phase="done",
-                    src=rec["src"],
-                    dst=rec["dst"],
-                    vids=rec["vids"],
-                    version=rec.get("version", 0),
+            if rec["phase"] == "cutover":
+                self._journal(
+                    mid, "done", rec["src"], rec["dst"], rec["vids"],
+                    rec.get("version", 0),
                 )
             self.metrics.count("rebalance.recovered", outcome="committed")
         # aborts run after every committed override is back, so ownership
@@ -564,16 +539,10 @@ class ShardMigrator:
             self.servers[dst].store.drop_vertices(
                 [v for v in rec["vids"] if self.routing.owner(v) != dst]
             )
-            if self.journal is not None:
-                self.journal.append(
-                    "migration",
-                    mid=mid,
-                    phase="aborted",
-                    src=rec["src"],
-                    dst=dst,
-                    vids=rec["vids"],
-                    version=rec.get("version", 0),
-                )
+            self._journal(
+                mid, "aborted", rec["src"], dst, rec["vids"],
+                rec.get("version", 0),
+            )
             self.metrics.count("rebalance.recovered", outcome="aborted")
         self.routing.restore_version(version_floor)
         # finalize the frozen in-memory states so no caller hangs
@@ -585,12 +554,9 @@ class ShardMigrator:
             state.phase = outcome_by_mid.get(mid, "aborted")
             if state.phase == "aborted" and state.abort_reason is None:
                 state.abort_reason = "coordinator crash"
-            if state.phase == "done":
-                self._move_stats(state)
             state.finished = now
             self.history.append(state)
-            if self.forget is not None:
-                self.forget(mid)
+            self.forget(mid)
             self.metrics.count("rebalance.migrations", status=state.phase)
             if state.event is not None and not state.event.triggered:
                 state.event.succeed(state)

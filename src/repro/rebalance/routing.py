@@ -177,6 +177,3 @@ class RoutingTable:
     @property
     def override_count(self) -> int:
         return len(self._overrides)
-
-    def overrides_snapshot(self) -> dict[VertexId, ServerId]:
-        return dict(self._overrides)

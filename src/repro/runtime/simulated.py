@@ -141,9 +141,6 @@ class SimRuntime(Runtime):
         finally:
             disk.release(req)
 
-    def disk_queue_length(self, server_id: ServerId) -> int:
-        return self._disks[server_id].queue_length
-
     # -- driving ----------------------------------------------------------------------
 
     def completion_event(self) -> Event:

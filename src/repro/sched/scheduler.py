@@ -101,6 +101,7 @@ class TraversalScheduler:
         runtime,
         coordinator,
         policy: SchedPolicy,
+        on_reject: Callable[[str, float], None],
         config: Optional[SchedulerConfig] = None,
     ):
         self.runtime = runtime
@@ -119,18 +120,18 @@ class TraversalScheduler:
         self._pumping = False
         self._repump = False
         self._poll_armed = False
-        #: SLO feed: ``fn(tenant, now)`` for every refused submission (set
-        #: by ``Cluster.build`` when the telemetry plane is on)
-        self.on_reject: Optional[Callable[[str, float], None]] = None
+        #: SLO feed: ``fn(tenant, now)`` for every refused submission
+        self.on_reject = on_reject
 
     @classmethod
     def for_cluster(
         cls, runtime, coordinator, scheduler_name: str,
+        on_reject: Callable[[str, float], None],
         config: Optional[SchedulerConfig] = None,
     ) -> "TraversalScheduler":
         config = config or SchedulerConfig()
         policy = make_policy(scheduler_name, dict(config.tenant_weights))
-        return cls(runtime, coordinator, policy, config)
+        return cls(runtime, coordinator, policy, on_reject, config)
 
     # -- introspection (collectors must SET gauges from these) --------------
 
@@ -157,8 +158,7 @@ class TraversalScheduler:
 
     def _count_rejection(self, tenant: str, now: float) -> None:
         self.metrics.count("sched.rejected", tenant=tenant)
-        if self.on_reject is not None:
-            self.on_reject(tenant, now)
+        self.on_reject(tenant, now)
 
     def submit(
         self,

@@ -182,10 +182,6 @@ class Process(Event):
         # Kick off on the next scheduling round at the current time.
         sim.schedule(0.0, self._step, None, None)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:

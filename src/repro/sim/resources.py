@@ -19,7 +19,7 @@ All waiting is expressed as events, so processes compose naturally::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
@@ -137,10 +137,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def peek_items(self) -> list[Any]:
-        """Snapshot of queued items (no removal); for tests/metrics."""
-        return list(self._items)
 
 
 class PriorityStore(Store):

@@ -200,10 +200,6 @@ class LSMStore:
     def table_count(self) -> int:
         return len(self.sstables)
 
-    @property
-    def approximate_bytes(self) -> int:
-        return self.memtable.size_bytes + sum(t.size_bytes for t in self.sstables)
-
     def metrics_snapshot(self) -> dict[str, int]:
         """Flat counter map for the observability registry.
 

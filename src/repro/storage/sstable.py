@@ -67,14 +67,6 @@ class SSTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def min_key(self) -> Optional[bytes]:
-        return self.keys[0] if self.keys else None
-
-    @property
-    def max_key(self) -> Optional[bytes]:
-        return self.keys[-1] if self.keys else None
-
     def may_contain(self, key: bytes) -> bool:
         """Bloom + key-range check; False means definitely absent."""
         if not self.keys or key < self.keys[0] or key > self.keys[-1]:

@@ -30,7 +30,3 @@ def sized_props(rng: np.random.Generator, total_bytes: int, **extra) -> dict:
     if remaining > 0:
         props["blob"] = rng.bytes(remaining)
     return props
-
-
-def random_label(rng: np.random.Generator, choices: tuple[str, ...]) -> str:
-    return choices[int(rng.integers(len(choices)))]

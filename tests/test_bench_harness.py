@@ -39,10 +39,13 @@ TINY = BenchEnvironment(scale=6, edge_factor=4, servers=(2, 3))
 # ``telemetry`` and ``columnar``: their parent payloads carried wall-clock
 # readings, so they are recorded after those keys (and the two checks gating
 # them) were deleted — every key they share with the parent's payload is
-# equal. A refactor must pass it unchanged; re-record a digest only when
-# virtual behaviour or a shape check is meant to change, and say why in the
-# PR. Tier-1 runs the entries under 1.5 s; CI runs all twenty (``-m ""``)
-# under PYTHONHASHSEED=0 and =random.
+# equal. ``telemetry`` was re-recorded once more when its telemetry-off leg
+# went (the plane is part of every cluster): the payload lost exactly the
+# ``telemetry_costs_zero_virtual_time`` check and nothing else. A refactor
+# must pass it unchanged; re-record a digest only when virtual behaviour or
+# a shape check is meant to change, and say why in the PR. Tier-1 runs the
+# entries under 1.5 s; CI runs all twenty (``-m ""``) under PYTHONHASHSEED=0
+# and =random.
 MANIFEST_ENV = BenchEnvironment(scale=8, edge_factor=16, servers=(2, 4), seed=1)
 TIER1_MANIFEST = {
     "table1": "aff466fa0fac1b4158cf367ebf2993900ded0eb6c9c8d5d2a9d92664bb0a7f20",
@@ -64,7 +67,7 @@ SLOW_MANIFEST = {
     "chaos": "dd19c6e99923da0d51425f1f59809010f287b2dd1d622822d828e841747ad240",
     "coordinator_recovery": "1b2b7aea3e95c7e651e6d7686047d59164f58e1afbc58dda36792225d00ee87a",
     "lang_ops": "492cfb09a7d442203a8a394f3f777093581893f7f16b18b288c050d92df6caaf",
-    "telemetry": "ea753a208cea0db37cf0570af3ef6bc3234e755dfe8b1572b85d5b4925828f9b",
+    "telemetry": "a8edb77b63800a0eeaab6d8e4822a1272caa111355911919d078e9b8499a7b39",
     "rebalance": "6365df438b583a50d59fcc0f78ec0d637a847eacae15413e418395f28498bfea",
     "columnar": "f8c68479725836684dc283d9aabf38b1950518727ed72015a7fc1eef79d7c678",
 }

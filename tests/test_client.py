@@ -45,3 +45,16 @@ def test_client_last_stats(metadata_graph):
     assert client.last_stats() is None
     client.query(GTravel.v(ids["users"][0]).e("run"))
     assert client.last_stats().elapsed > 0
+
+
+def test_client_cold_query_drops_caches_like_cluster_traverse(metadata_graph):
+    graph, ids = metadata_graph
+    query = GTravel.v(*ids["users"]).e("run").e("hasExecutions")
+    client = make_client(graph)
+    twin = make_client(graph).cluster
+    for cluster in (client.cluster, twin):  # identical warm-up on both
+        cluster.traverse(query, cold=True)
+    cold = client.query(query, cold=True).stats.elapsed
+    assert cold == twin.traverse(query, cold=True).stats.elapsed
+    # the caches really were dropped: a warm rerun is faster
+    assert client.query(query).stats.elapsed < cold

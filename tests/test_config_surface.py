@@ -1,0 +1,120 @@
+"""The configuration surface, pinned field by field.
+
+Every knob a user can set lives on one of these dataclasses. Pinning their
+field names (in declaration order) makes adding or removing a knob a
+one-line diff here, reviewed together with the code that needs it.
+
+Removed so far: ``ClusterConfig.telemetry_enabled`` (the telemetry plane is
+part of every cluster), ``ClusterConfig.trace_max_events``
+(``Cluster.enable_tracing(max_events=)`` bounds the recorder) and
+``CoordinatorConfig.max_replay_rounds`` (now the module constant
+``MAX_REPLAY_ROUNDS``).
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.cluster import ClusterConfig, CoordinatorConfig
+from repro.engine import EngineOptions
+from repro.net import ReliableConfig
+from repro.obs import SLOConfig, TelemetryConfig
+from repro.rebalance import MigrationConfig, RebalancerConfig
+from repro.sched import SchedulerConfig
+from repro.storage import LSMConfig
+
+SURFACE = {
+    ClusterConfig: (
+        "nservers",
+        "engine",
+        "partitioner",
+        "network",
+        "disk_model",
+        "disk_capacity",
+        "block_cache_blocks",
+        "coordinator_server",
+        "coordinator_config",
+        "interference",
+        "runtime",
+        "edge_layout",
+        "fault_plan",
+        "reliable",
+        "trace_enabled",
+        "scheduler_config",
+        "journal",
+        "journal_storage",
+        "slo_config",
+        "trace_sampling",
+        "migration",
+    ),
+    CoordinatorConfig: (
+        "exec_timeout",
+        "watch_interval",
+        "max_restarts",
+        "fine_grained_recovery",
+        "stream_results",
+        "stream_chunk_vertices",
+        "control_overhead_per_msg",
+    ),
+    EngineOptions: (
+        "kind",
+        "cache_enabled",
+        "merge_enabled",
+        "priority_schedule",
+        "cache_capacity",
+        "workers",
+        "cpu_per_request",
+        "cpu_async_overhead",
+        "cpu_per_vertex",
+        "batch_seek_factor",
+        "planner",
+        "scheduler",
+    ),
+    SchedulerConfig: (
+        "max_pending",
+        "max_inflight",
+        "per_server_inflight",
+        "tenant_weights",
+        "quota_capacity",
+        "quota_refill_rate",
+    ),
+    MigrationConfig: (
+        "chunk_vertices",
+        "dual_window",
+        "ack_timeout",
+        "max_resends",
+        "drain_timeout",
+        "tenant",
+        "priority",
+    ),
+    RebalancerConfig: (
+        "interval",
+        "fraction",
+        "max_vertices",
+        "cooldown",
+        "max_migrations",
+        "require_hot",
+    ),
+    SLOConfig: (
+        "latency_objective",
+        "error_budget",
+        "fast_window",
+        "slow_window",
+        "burn_threshold",
+        "min_events",
+    ),
+    TelemetryConfig: ("window_width", "max_windows", "max_samples_per_window"),
+    ReliableConfig: ("ack_timeout", "max_retries", "window"),
+    LSMConfig: (
+        "memtable_flush_bytes",
+        "max_sstables",
+        "block_cache_blocks",
+        "cost_model",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", SURFACE, ids=lambda cls: cls.__name__)
+def test_config_fields_are_pinned(config):
+    fields = tuple(f.name for f in dataclasses.fields(config))
+    assert fields == SURFACE[config]

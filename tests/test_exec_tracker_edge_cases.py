@@ -156,9 +156,7 @@ def test_replayed_executions_not_double_counted(metadata_graph):
         ClusterConfig(
             nservers=3,
             engine=EngineKind.GRAPHTREK,
-            coordinator_config=_fast_watchdog(
-                fine_grained_recovery=True, max_replay_rounds=2
-            ),
+            coordinator_config=_fast_watchdog(fine_grained_recovery=True),
         ),
     )
     flt, dropped = _drop_first_forward()

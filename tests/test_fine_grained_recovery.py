@@ -20,7 +20,6 @@ def recovery_config(**kwargs):
         exec_timeout=0.5,
         watch_interval=0.1,
         fine_grained_recovery=True,
-        max_replay_rounds=2,
     )
     defaults.update(kwargs)
     return CoordinatorConfig(**defaults)

@@ -8,10 +8,7 @@ and watch it move load off the hot server without changing any answer.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster import Cluster, ClusterConfig
-from repro.engine import EngineKind
 from repro.graph import GraphBuilder
 from repro.lang import GTravel
 from repro.obs.telemetry import HotShardReport
@@ -102,12 +99,16 @@ def test_single_server_report_is_never_actionable():
 # -- the closed loop on a live cluster -----------------------------------------
 
 
-def skewed_cluster():
+def chain_graph():
     b = GraphBuilder()
     vids = [b.vertex("n") for _ in range(30)]
     for i in range(29):
         b.edge(vids[i], vids[i + 1], "link")
-    graph = b.build()
+    return b.build(), vids
+
+
+def skewed_cluster():
+    graph, vids = chain_graph()
     cluster = Cluster.build(
         graph,
         ClusterConfig(
@@ -149,7 +150,7 @@ def test_rebalancer_moves_load_off_the_hot_server():
     after = len(cluster.servers[hot].store.local_vertices())
     assert after == before - len(state.vids) and len(state.vids) > 0
     # answers survive the autonomous move
-    fresh = Cluster.build(cluster.migrator.graph, ClusterConfig(nservers=3))
+    fresh = Cluster.build(chain_graph()[0], ClusterConfig(nservers=3))
     for v in vids[:6]:
         got = cluster.traverse(GTravel.v(v).e("link"), cold=False)
         want = fresh.traverse(GTravel.v(v).e("link"), cold=False)
@@ -172,16 +173,3 @@ def test_rebalancer_stop_halts_the_loop_and_leaks_nothing():
     assert len(rebalancer.migrations) == moved, "stopped loop kept migrating"
     assert cluster.migrator.active_count == 0
     assert cluster.migrator.leaked_state() == []
-
-
-def test_rebalancer_requires_telemetry():
-    from repro.errors import TelemetryDisabled
-
-    b = GraphBuilder()
-    b.vertex("n")
-    cluster = Cluster.build(
-        b.build(), ClusterConfig(nservers=2, telemetry_enabled=False)
-    )
-    with pytest.raises(TelemetryDisabled) as excinfo:
-        cluster.start_rebalancer()
-    assert excinfo.value.operation == "start_rebalancer()"

@@ -18,7 +18,7 @@ def make_tracker(**cfg):
     )
     defaults.update(cfg)
     metrics = MetricsRegistry()
-    trace = FlightRecorder(enabled=True)
+    trace = FlightRecorder(metrics, enabled=True)
     tracker = SLOTracker(SLOConfig(**defaults), metrics=metrics, trace=trace)
     return tracker, metrics, trace
 

@@ -43,7 +43,7 @@ def test_sampling_policy_edge_rates_and_determinism():
 
 
 def test_pending_events_commit_or_discard_at_the_terminal():
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
     rec.configure(sampling=NEVER)
     rec.record("exec.start", travel_id=1)
     rec.record("exec.start", travel_id=2)
@@ -56,7 +56,7 @@ def test_pending_events_commit_or_discard_at_the_terminal():
 
 
 def test_late_events_follow_the_stored_decision():
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
     rec.configure(sampling=NEVER)
     rec.record("exec.start", travel_id=1)
     rec.finalize_travel(1, keep=False)
@@ -69,14 +69,14 @@ def test_late_events_follow_the_stored_decision():
 
 
 def test_cluster_scope_events_bypass_sampling():
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
     rec.configure(sampling=NEVER)
     rec.record("slo.alert", tenant="a", state="firing")
     assert [e.kind for e in rec.events()] == ["slo.alert"]
 
 
 def test_keep_all_pending_retains_every_undecided_buffer():
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
     rec.configure(sampling=NEVER)
     for tid in (5, 3, 9):
         rec.record("exec.start", travel_id=tid)
@@ -88,9 +88,8 @@ def test_keep_all_pending_retains_every_undecided_buffer():
 
 
 def test_finalize_counts_kept_and_sampled_out_metrics():
-    rec = FlightRecorder(enabled=True)
     metrics = MetricsRegistry()
-    rec.bind_metrics(metrics)
+    rec = FlightRecorder(metrics, enabled=True)
     rec.configure(sampling=NEVER)
     rec.record("exec.start", travel_id=1)
     rec.record("exec.report", travel_id=1)
@@ -106,9 +105,8 @@ def test_finalize_counts_kept_and_sampled_out_metrics():
 
 
 def test_ring_evictions_attribute_to_the_owning_traversal():
-    rec = FlightRecorder(enabled=True, max_events=4)
     metrics = MetricsRegistry()
-    rec.bind_metrics(metrics)
+    rec = FlightRecorder(metrics, enabled=True, max_events=4)
     for _ in range(3):
         rec.record("exec.start", travel_id=7)
     for _ in range(4):
@@ -120,9 +118,8 @@ def test_ring_evictions_attribute_to_the_owning_traversal():
 
 
 def test_untracked_evictions_count_against_every_traversal():
-    rec = FlightRecorder(enabled=True, max_events=2)
     metrics = MetricsRegistry()
-    rec.bind_metrics(metrics)
+    rec = FlightRecorder(metrics, enabled=True, max_events=2)
     rec.record("fault.crash", server_id=0)  # no travel id
     rec.record("exec.start", travel_id=1)
     rec.record("exec.start", travel_id=1)

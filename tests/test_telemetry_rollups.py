@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import EngineKind
 from repro.lang import GTravel
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observability
 from repro.obs.telemetry import (
     EXEC_RATE_METRIC,
     HotShardReport,
@@ -40,10 +40,12 @@ class FakeRuntime:
 
 
 def make_plane(**cfg):
-    runtime, registry = FakeRuntime(), MetricsRegistry()
-    plane = TelemetryPlane(TelemetryConfig(**cfg))
-    plane.install(runtime, registry)
-    return plane, registry, runtime
+    runtime, obs = FakeRuntime(), Observability()
+    plane = TelemetryPlane(
+        TelemetryConfig(**cfg), slo=obs.slo, recorder=obs.trace
+    )
+    plane.install(runtime, obs.metrics)
+    return plane, obs.metrics, runtime
 
 
 # -- windowing a registry on a clock ---------------------------------------------
@@ -174,16 +176,20 @@ def test_pull_mode_is_deterministic_across_reruns():
 
 
 def test_registry_snapshot_bytes_unaffected_by_telemetry():
-    """The tentpole's non-negotiable: turning the plane on must not change
-    one byte of the registry's own snapshot."""
+    """Reading the plane must not change one byte of the registry's own
+    snapshot: rollups, hot-shard reports and OpenMetrics dumps taken between
+    traversals leave it exactly as a cluster nobody read."""
     graph, vids = small_graph()
     plan = GTravel.v(vids[0]).e("link").e("link")
 
-    def run(enabled):
-        cluster = build_cluster(
-            graph, EngineKind.GRAPHTREK, nservers=3, telemetry_enabled=enabled
-        )
-        cluster.traverse(plan)
+    def run(read_plane):
+        cluster = build_cluster(graph, EngineKind.GRAPHTREK, nservers=3)
+        for _ in range(2):
+            cluster.traverse(plan)
+            if read_plane:
+                cluster.rollups()
+                cluster.hot_shard_report()
+                cluster.openmetrics()
         return cluster.board.obs.metrics.to_json()
 
     assert run(True) == run(False)
@@ -259,23 +265,3 @@ def test_cluster_hot_shard_report_ranks_the_loaded_server(kind):
     report = cluster.hot_shard_report()
     assert report.hottest == owner
     assert report.to_json() == cluster.hot_shard_report().to_json()
-
-
-def test_hot_shard_report_requires_telemetry():
-    from repro.errors import ReproError, TelemetryDisabled
-
-    graph, vids = small_graph()
-    cluster = build_cluster(
-        graph, EngineKind.SYNC, nservers=2, telemetry_enabled=False
-    )
-    assert cluster.telemetry is None
-    with pytest.raises(TelemetryDisabled) as excinfo:
-        cluster.hot_shard_report()
-    # typed: catchable as the library base error, and self-describing
-    assert isinstance(excinfo.value, ReproError)
-    assert excinfo.value.operation == "hot_shard_report()"
-    assert "telemetry_enabled=True" in str(excinfo.value)
-    with pytest.raises(TelemetryDisabled):
-        cluster.start_rebalancer()
-    # rollups degrade to an empty-shaped payload instead of raising
-    assert cluster.rollups()["counters"] == {}

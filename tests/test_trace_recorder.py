@@ -26,7 +26,7 @@ from tests.conftest import build_cluster
 
 
 def test_recorder_disabled_is_a_noop():
-    rec = FlightRecorder()  # disabled by default
+    rec = FlightRecorder(MetricsRegistry())  # disabled by default
     rec.record("exec.created", travel_id=1, exec_id=2)
     assert len(rec) == 0
     assert rec.events() == []
@@ -35,8 +35,7 @@ def test_recorder_disabled_is_a_noop():
 
 def test_ring_buffer_evicts_oldest_and_counts_drops():
     metrics = MetricsRegistry()
-    rec = FlightRecorder(enabled=True, max_events=10)
-    rec.bind_metrics(metrics)
+    rec = FlightRecorder(metrics, enabled=True, max_events=10)
     for i in range(25):
         rec.record("exec.received", travel_id=1, exec_id=i)
     assert len(rec) == 10
@@ -48,7 +47,7 @@ def test_ring_buffer_evicts_oldest_and_counts_drops():
 
 
 def test_configure_shrink_evicts_immediately():
-    rec = FlightRecorder(enabled=True, max_events=100)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True, max_events=100)
     for i in range(20):
         rec.record("exec.received", travel_id=1, exec_id=i)
     rec.configure(max_events=5)
@@ -58,7 +57,7 @@ def test_configure_shrink_evicts_immediately():
 
 
 def test_timeline_is_canonical_json():
-    rec = FlightRecorder(enabled=True)
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
     rec.record("exec.created", travel_id=1, exec_id=7, zeta=1, alpha=2)
     payload = json.loads(rec.to_json())
     assert payload[0]["kind"] == "exec.created"
@@ -89,9 +88,8 @@ def test_profile_surfaces_truncation_warning(metadata_graph):
     """End to end: a tiny ring cap on a real traversal must show up as a
     truncation warning in the PROFILE report, not as a TraceError."""
     graph, ids = metadata_graph
-    cluster = build_cluster(
-        graph, EngineKind.GRAPHTREK, trace_enabled=True, trace_max_events=25
-    )
+    cluster = build_cluster(graph, EngineKind.GRAPHTREK)
+    cluster.enable_tracing(max_events=25)
     query = GTravel.v(*ids["users"]).e("run").e("hasExecutions")
     outcome, report = cluster.profile(query)
     assert outcome is not None
