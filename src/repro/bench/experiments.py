@@ -967,15 +967,13 @@ def exp_coordinator_recovery(env: BenchEnvironment) -> ExperimentResult:
         outcome = cluster.traverse(plan, cold=True)
         return cluster, outcome.result.returned, cluster.now - start
 
-    cluster, baseline, t_off = run_leg(journal=False)
-    cluster.shutdown()
+    _, baseline, t_off = run_leg(journal=False)
     cluster, on_result, t_on = run_leg(journal=True)
     journal_stats = {
         "records": cluster.journal.records_appended,
         "bytes": cluster.journal.bytes_appended,
         "size_bytes": cluster.journal.size_bytes(),
     }
-    cluster.shutdown()
     overhead = (t_on - t_off) / t_off if t_off else 0.0
 
     cc = chaos_coordinator_config(t_on)
@@ -1007,7 +1005,6 @@ def exp_coordinator_recovery(env: BenchEnvironment) -> ExperimentResult:
                 ),
             }
         )
-        cluster.shutdown()
 
     checks = [
         ShapeCheck(
@@ -1105,9 +1102,7 @@ def exp_telemetry(env: BenchEnvironment) -> ExperimentResult:
         plans = [harness.kstep_plan(env, 4, pick=7 + i) for i in range(4)]
         qos = [{"tenant": ("alpha", "beta")[i % 2]} for i in range(4)]
         cluster.traverse_many(plans, qos=qos)
-        out = (cluster.openmetrics(), cluster.health_json(), cluster.slo.to_json())
-        cluster.shutdown()
-        return out
+        return cluster.openmetrics(), cluster.health_json(), cluster.slo.to_json()
 
     lint_problems: list[str] = []
     mismatched: list[str] = []
@@ -1134,7 +1129,6 @@ def exp_telemetry(env: BenchEnvironment) -> ExperimentResult:
     )
     cluster.traverse_many(pinned_plans, cold=False)
     shard_report = cluster.hot_shard_report()
-    cluster.shutdown()
 
     checks = [
         ShapeCheck(
@@ -1240,7 +1234,6 @@ def exp_rebalance(env: BenchEnvironment) -> ExperimentResult:
     lat_static = [o.stats.elapsed for o in outcomes_static]
     results_static = [sorted(o.result.vertices) for o in outcomes_static]
     p99_static = float(np.percentile(lat_static, 99))
-    static.shutdown()
 
     # -- live leg: same heat, interactive workload racing one telemetry-
     # driven migration --------------------------------------------------------
@@ -1267,7 +1260,6 @@ def exp_rebalance(env: BenchEnvironment) -> ExperimentResult:
     _, skew_after, share_after = visit_split(live, pinned_plans, hot)
     leaks = live.migrator.leaked_state()
     dual_left = live.routing.dual_count
-    live.shutdown()
 
     checks = [
         ShapeCheck(

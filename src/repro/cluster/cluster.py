@@ -30,7 +30,7 @@ from repro.graph.stats import GraphSummary
 from repro.lang.optimizer import QueryPlanner
 from repro.ids import COORDINATOR, ServerId, TravelId
 from repro.net.message import MigrateAck, MigrateChunk
-from repro.net.reliable import ReliableChannel, ReliableConfig
+from repro.net.reliable import ReliableChannel
 from repro.lang.composite import CompositePlan
 from repro.lang.gtravel import GTravel
 from repro.lang.plan import TraversalPlan
@@ -42,8 +42,7 @@ from repro.partition.edge_cut import Partitioner, make_partitioner
 from repro.rebalance.migrate import MigrationConfig, ShardMigrator
 from repro.rebalance.policy import Rebalancer, RebalancerConfig
 from repro.rebalance.routing import RoutingTable
-from repro.runtime.base import InterferencePolicy
-from repro.runtime.simulated import SimRuntime
+from repro.runtime.simulated import InterferencePolicy, SimRuntime
 from repro.sched.scheduler import SchedulerConfig, TraversalScheduler
 from repro.storage.costmodel import GPFS, DiskCostModel
 from repro.storage.layout import GraphStore
@@ -68,10 +67,6 @@ class ClusterConfig:
     coordinator_server: ServerId = 0
     coordinator_config: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     interference: Optional[InterferencePolicy] = None
-    #: "simulated" (virtual time; the evaluation runtime) or "threaded"
-    #: (real OS threads; functional cross-validation — timings are wall clock
-    #: and nondeterministic).
-    runtime: str = "simulated"
     #: "grouped" (paper layout: same-label edges contiguous), "interleaved"
     #: (generic column layout; the §IV-B ablation baseline), or "columnar"
     #: (delta/varint-compressed per-(vertex, label) adjacency blocks,
@@ -84,8 +79,6 @@ class ClusterConfig:
     #: wrap all messaging in the at-least-once ReliableChannel (acks,
     #: seeded-backoff retries, receiver dedup). Off by default: the fault-free
     #: wire needs no acks and the paper's timings are measured without them.
-    #: The ack timeout follows the runtime (wall-clock timers need a longer
-    #: one).
     reliable: bool = False
     #: per-traversal flight recorder (exec lifecycle, forwards, retries,
     #: fault verdicts — see :mod:`repro.obs.trace`). Off by default; recording
@@ -125,7 +118,11 @@ class ClusterConfig:
 
 
 class Cluster:
-    """A running (simulated) GraphTrek deployment."""
+    """A running (simulated) GraphTrek deployment.
+
+    Single-threaded, like its runtime: calls run, and drive the simulator,
+    on the caller's thread. Do not share one cluster across OS threads.
+    """
 
     def __init__(
         self,
@@ -166,26 +163,13 @@ class Cluster:
     def build(cls, graph: PropertyGraph, config: Optional[ClusterConfig] = None) -> "Cluster":
         config = config or ClusterConfig()
         opts = config.engine_options()
-        if config.runtime == "simulated":
-            runtime = SimRuntime(
-                config.nservers,
-                network=config.network,
-                disk_model=config.disk_model,
-                disk_capacity=config.disk_capacity,
-                interference=config.interference,
-            )
-        elif config.runtime == "threaded":
-            from repro.runtime.threaded import ThreadRuntime
-
-            runtime = ThreadRuntime(
-                config.nservers,
-                network=config.network,
-                disk_model=config.disk_model,
-                disk_capacity=config.disk_capacity,
-                interference=config.interference,
-            )
-        else:
-            raise SimulationError(f"unknown runtime kind {config.runtime!r}")
+        runtime = SimRuntime(
+            config.nservers,
+            network=config.network,
+            disk_model=config.disk_model,
+            disk_capacity=config.disk_capacity,
+            interference=config.interference,
+        )
         runtime.coordinator_server = config.coordinator_server
         partitioner = make_partitioner(config.partitioner, config.nservers, graph=graph)
         assignment = partitioner.assign(graph)
@@ -322,17 +306,8 @@ class Cluster:
         if config.fault_plan is not None:
             runtime.install_faults(config.fault_plan)
         if config.reliable:
-            # Wall-clock timers have ~millisecond resolution, so on threads
-            # the virtual-seconds ack timeout must be large enough (after
-            # time_scale) that a real ack round trip beats the retry timer —
-            # otherwise every frame retries to exhaustion.
             channel = ReliableChannel(
                 runtime,
-                config=(
-                    ReliableConfig(ack_timeout=0.5)
-                    if config.runtime == "threaded"
-                    else None
-                ),
                 metrics=obs.metrics,
                 trace=obs.trace,
                 seed=config.fault_plan.seed if config.fault_plan is not None else 0,
@@ -340,9 +315,7 @@ class Cluster:
             runtime.install_channel(channel)
 
             def _suspect(src: ServerId, dst: ServerId, payload) -> None:
-                if dst == COORDINATOR:
-                    return
-                with runtime.exclusive(config.coordinator_server):
+                if dst != COORDINATOR:
                     coordinator.on_suspect(dst)
 
             channel.on_delivery_failure = _suspect
@@ -434,30 +407,28 @@ class Cluster:
         :class:`~repro.errors.AdmissionRejected` when the scheduler's
         pending queue is full.
         """
-        with self.runtime.exclusive(self.config.coordinator_server):
-            travel_id, event = self.scheduler.submit(
-                self._compile(query),
-                tenant=tenant,
-                priority=priority,
-                deadline=deadline,
-            )
-            if self.supervisor is not None:
-                entry = self.scheduler.entry_for(travel_id)
-                if entry is not None:  # still live (not already terminal)
-                    self.supervisor.note_submission(
-                        travel_id,
-                        event,
-                        tenant=entry.tenant,
-                        priority=entry.priority,
-                        deadline_abs=entry.deadline,
-                        admit_time=entry.admit_time,
-                    )
-            return travel_id, event
+        travel_id, event = self.scheduler.submit(
+            self._compile(query),
+            tenant=tenant,
+            priority=priority,
+            deadline=deadline,
+        )
+        if self.supervisor is not None:
+            entry = self.scheduler.entry_for(travel_id)
+            if entry is not None:  # still live (not already terminal)
+                self.supervisor.note_submission(
+                    travel_id,
+                    event,
+                    tenant=entry.tenant,
+                    priority=entry.priority,
+                    deadline_abs=entry.deadline,
+                    admit_time=entry.admit_time,
+                )
+        return travel_id, event
 
     def cancel(self, travel_id: TravelId, reason: str = "cancelled") -> bool:
         """Cancel a queued or running traversal; True if anything happened."""
-        with self.runtime.exclusive(self.config.coordinator_server):
-            return self.scheduler.cancel(travel_id, reason)
+        return self.scheduler.cancel(travel_id, reason)
 
     def traverse(
         self,
@@ -469,7 +440,10 @@ class Cluster:
         """Run one traversal to completion and return its outcome.
 
         ``cold=True`` drops every server's block cache first, matching the
-        paper's cold-start methodology.
+        paper's cold-start methodology. ``limit`` is an absolute virtual time
+        (compare :attr:`now`), not a duration: the run raises
+        :class:`~repro.errors.SimulationError` if the clock would pass it
+        before the traversal completes.
         """
         if cold:
             self.cold_start()
@@ -501,8 +475,7 @@ class Cluster:
 
     def progress(self, travel_id: TravelId) -> dict[int, int]:
         """Outstanding work per step for an in-flight traversal (§IV-C)."""
-        with self.runtime.exclusive(self.config.coordinator_server):
-            return self.coordinator.progress(travel_id)
+        return self.coordinator.progress(travel_id)
 
     # -- elastic scale-out (repro.rebalance) ---------------------------------
 
@@ -521,10 +494,7 @@ class Cluster:
         :class:`~repro.rebalance.migrate.MigrationState` is returned —
         check ``state.phase`` (``done`` / ``aborted``). With ``wait=False``
         returns ``(mid, completion event)`` immediately."""
-        with self.runtime.exclusive(self.config.coordinator_server):
-            mid, event = self.migrator.migrate(
-                src, dst, vids=vids, key_range=key_range
-            )
+        mid, event = self.migrator.migrate(src, dst, vids=vids, key_range=key_range)
         if not wait:
             return mid, event
         return self.runtime.run_until_complete(event)
@@ -538,10 +508,6 @@ class Cluster:
         telemetry = self.board.obs.telemetry
         nservers = self.config.nservers
 
-        # lock-free report/load sampling: the rebalancer loop runs *inside*
-        # the coordinator's context, where taking runtime.exclusive would
-        # self-deadlock on the threaded runtime (same discipline as the
-        # coordinator's watchdog)
         def report_fn():
             return telemetry.hot_shards(
                 self.coordinator.inflight_by_server(), nservers
@@ -593,10 +559,8 @@ class Cluster:
 
     def hot_shard_report(self):
         """Ranked per-server load skew (rate + in-flight) right now."""
-        with self.runtime.exclusive(self.config.coordinator_server):
-            inflight = self.coordinator.inflight_by_server()
         return self.board.obs.telemetry.hot_shards(
-            inflight, self.config.nservers
+            self.coordinator.inflight_by_server(), self.config.nservers
         )
 
     def health(self) -> dict:
@@ -777,10 +741,6 @@ class Cluster:
     @property
     def now(self) -> float:
         return self.runtime.now()
-
-    def shutdown(self) -> None:
-        """Release runtime resources (worker threads on the threaded runtime)."""
-        self.runtime.shutdown()
 
     def server_loads(self) -> list[int]:
         """Vertices per server (partition skew introspection)."""

@@ -26,6 +26,7 @@ predecessor's in-flight traffic.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,7 +43,7 @@ from repro.engine.registry import TravelEntry, TravelRegistry
 from repro.engine.statistics import StatsBoard
 from repro.engine.tracing import ExecTracker, SyncBarrierState
 from repro.errors import TraversalCancelled, TraversalError, TraversalFailed
-from repro.ids import COORDINATOR, IdAllocator, ServerId, TravelId, VertexId
+from repro.ids import COORDINATOR, ServerId, TravelId, VertexId
 from repro.lang.composite import CompositePlan, composite_program
 from repro.lang.optimizer import PlannedQuery, QueryPlanner
 from repro.lang.plan import TraversalPlan, reduce_aggregate
@@ -58,7 +59,7 @@ from repro.net.message import (
     SyncStepDone,
     TraverseRequest,
 )
-from repro.runtime.base import Runtime, ServerContext
+from repro.runtime.simulated import SimRuntime, SimServerContext
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ class Coordinator:
 
     def __init__(
         self,
-        ctx: ServerContext,
-        runtime: Runtime,
+        ctx: SimServerContext,
+        runtime: SimRuntime,
         registry: TravelRegistry,
         routing: RoutingTable,
         board: StatsBoard,
@@ -198,8 +199,8 @@ class Coordinator:
         self.epoch = 0
         self._active: dict[TravelId, ActiveTravel] = {}
         self._composites: dict[TravelId, CompositeTravel] = {}
-        self._travel_ids = IdAllocator(1)
-        self._next_exec = IdAllocator((ctx.nservers + 1) << 32)
+        self._travel_ids = itertools.count(1)
+        self._next_exec = itertools.count((ctx.nservers + 1) << 32)
         # The one place the engine kind is consulted: it selects the
         # completion protocol (paper §IV-C status tracing, or the §VI
         # barrier controller) and that protocol's level-0 dispatch.
@@ -217,7 +218,7 @@ class Coordinator:
     def allocate_travel_id(self) -> TravelId:
         """Hand out the next travel id (the scheduler allocates at admission
         so a still-queued traversal is already addressable for cancel)."""
-        return self._travel_ids.next()
+        return next(self._travel_ids)
 
     def submit(
         self,
@@ -240,7 +241,7 @@ class Coordinator:
         reported elapsed time includes queue wait; direct callers omit all
         three and get the legacy launch-immediately behaviour."""
         if travel_id is None:
-            travel_id = self._travel_ids.next()
+            travel_id = next(self._travel_ids)
         if submit_time is None:
             submit_time = self.ctx.now()
         event = (
@@ -317,7 +318,7 @@ class Coordinator:
         else:
             groups = sorted(self._source_groups(plan).items())  # type: ignore[assignment]
         for server, vids in groups:
-            eid = self._next_exec.next()
+            eid = next(self._next_exec)
             initial.append((eid, server, 0))
             self.trace.record(
                 "exec.created",
@@ -436,8 +437,8 @@ class Coordinator:
         Every child plan the program yields is submitted like an ordinary
         traversal (planned, tracked, restartable) and its result is sent
         back into the program. A failed child's completion event throws its
-        exception into this process — both runtimes inject it — which fails
-        the composite with the child's typed error.
+        exception into this process, which fails the composite with the
+        child's typed error.
         """
         reverse = bool(getattr(self.planner, "reverse_available", False))
         prog = composite_program(
@@ -1033,8 +1034,10 @@ class Coordinator:
         """
         self.epoch = epoch
         if next_travel_id is not None:
-            self._travel_ids = IdAllocator(max(next_travel_id, 1))
-        self._next_exec = IdAllocator(((self.ctx.nservers + 1) << 32) + (epoch << 40))
+            self._travel_ids = itertools.count(max(next_travel_id, 1))
+        self._next_exec = itertools.count(
+            ((self.ctx.nservers + 1) << 32) + (epoch << 40)
+        )
         self.metrics.count("coord.recover")
         self.trace.record(
             "coord.recover", server_id=self.ctx.server_id, epoch=epoch

@@ -61,7 +61,6 @@ class RecoverySupervisor:
     def __init__(
         self, runtime, coordinator, scheduler, journal, migrator, channel=None
     ):
-        self.runtime = runtime
         self.coordinator = coordinator
         self.scheduler = scheduler
         self.journal = journal
@@ -120,10 +119,6 @@ class RecoverySupervisor:
     def on_server_recover(self, server: ServerId) -> None:
         if server != self._host:
             return
-        with self.runtime.exclusive(self._host):
-            self._recover()
-
-    def _recover(self) -> None:
         state = self.journal.replay()
         epoch = state.epoch + 1
         # journal the epoch bump BEFORE resuming anything: a second crash

@@ -8,7 +8,7 @@ from typing import Union
 from repro.engine.async_engine import AsyncServerEngine
 from repro.engine.sync_engine import SyncServerEngine
 from repro.ids import ServerId
-from repro.runtime.base import ServerContext
+from repro.runtime.simulated import SimServerContext
 from repro.storage.layout import GraphStore
 
 ServerEngine = Union[AsyncServerEngine, SyncServerEngine]
@@ -19,7 +19,7 @@ class BackendServer:
     """One node of the cluster, for introspection by tests and benches."""
 
     server_id: ServerId
-    ctx: ServerContext
+    ctx: SimServerContext
     store: GraphStore
     engine: ServerEngine
 

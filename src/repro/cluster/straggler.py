@@ -31,7 +31,7 @@ class StragglerSpec:
 
 
 class ExternalInterference:
-    """An :class:`~repro.runtime.base.InterferencePolicy` built from specs."""
+    """An :class:`~repro.runtime.simulated.InterferencePolicy` built from specs."""
 
     def __init__(self, specs: Sequence[StragglerSpec]):
         self._budget: dict[tuple[ServerId, int], list] = {}

@@ -51,7 +51,7 @@ from repro.engine.visit import (
     needs_props,
     read_vertex,
 )
-from repro.ids import ExecId, IdAllocator, ServerId, TravelId, VertexId
+from repro.ids import ExecId, ServerId, TravelId, VertexId
 from repro.lang.filters import FilterSet
 from repro.net.message import (
     Anchors,
@@ -63,7 +63,7 @@ from repro.net.message import (
     SuccessReport,
     TraverseRequest,
 )
-from repro.runtime.base import ServerContext
+from repro.runtime.simulated import SimServerContext
 from repro.storage.costmodel import IOCost
 from repro.storage.layout import GraphStore
 
@@ -116,7 +116,7 @@ class AsyncServerEngine:
 
     def __init__(
         self,
-        ctx: ServerContext,
+        ctx: SimServerContext,
         store: GraphStore,
         registry: TravelRegistry,
         routing: RoutingTable,
@@ -146,8 +146,8 @@ class AsyncServerEngine:
         #: kept until the traversal completes.
         self._sent: dict[TravelKey, dict[ExecId, tuple[ServerId, Message]]] = {}
         self._seq = itertools.count()
-        # thread-safe: workers on the threaded runtime race into this
-        self._next_exec = IdAllocator((ctx.server_id + 1) << 32)
+        # exec ids are disjoint per server: the high bits carry the origin
+        self._next_exec = itertools.count((ctx.server_id + 1) << 32)
         self._workers = [
             ctx.spawn(self._worker(), name=f"worker{i}") for i in range(opts.workers)
         ]
@@ -488,7 +488,7 @@ class AsyncServerEngine:
         sent = self._sent.setdefault(work.travel_key, {})
         created: list[tuple[ExecId, ServerId, int]] = []
         for (nlvl, target), entries in sorted(sinks.out.items()):
-            eid = self._next_exec.next()
+            eid = next(self._next_exec)
             created.append((eid, target, nlvl))
             self.trace.record(
                 "exec.created",
@@ -512,7 +512,7 @@ class AsyncServerEngine:
             sent[eid] = (target, request)
             self._send(travel_id, target, request)
         for (rtn_level, owner), anchors in sorted(sinks.anchors_by_owner.items()):
-            eid = self._next_exec.next()
+            eid = next(self._next_exec)
             created.append((eid, owner, plan.final_level))
             self.trace.record(
                 "exec.created",

@@ -60,11 +60,10 @@ class TraversalResult:
 class TraversalStats:
     """Cost counters for one traversal run.
 
-    ``elapsed`` is virtual seconds on the simulated runtime (wall seconds on
-    the threaded runtime). The three visit counters mirror the paper's Fig. 7
-    instrumentation: every vertex request a server receives is exactly one of
-    *real I/O*, *combined* (merged into another request's disk access), or
-    *redundant* (dropped by the traversal-affiliate cache).
+    ``elapsed`` is in virtual seconds. The three visit counters mirror the
+    paper's Fig. 7 instrumentation: every vertex request a server receives
+    is exactly one of *real I/O*, *combined* (merged into another request's
+    disk access), or *redundant* (dropped by the traversal-affiliate cache).
     """
 
     engine: EngineKind = EngineKind.REFERENCE

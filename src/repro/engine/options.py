@@ -34,7 +34,8 @@ class EngineOptions:
     priority_schedule: bool = True
     #: preallocated traversal-affiliate cache capacity, in triples.
     cache_capacity: int = 1 << 20
-    #: worker threads per server pulling from the local request queue.
+    #: workers per server pulling from the local request queue (the
+    #: paper's worker threads, as simulated processes).
     workers: int = 4
     #: fixed CPU time to unpack/handle one queued request (RPC + dispatch).
     cpu_per_request: float = 120e-6

@@ -49,7 +49,7 @@ from repro.net.message import (
     SyncStepDone,
 )
 from repro.obs.trace import sync_exec_id
-from repro.runtime.base import ServerContext
+from repro.runtime.simulated import SimServerContext
 from repro.storage.costmodel import IOCost
 from repro.storage.layout import GraphStore
 
@@ -64,7 +64,7 @@ class SyncServerEngine:
 
     def __init__(
         self,
-        ctx: ServerContext,
+        ctx: SimServerContext,
         store: GraphStore,
         registry: TravelRegistry,
         routing: RoutingTable,

@@ -217,10 +217,6 @@ class StaleRoutingVersion(RebalanceError):
         self.what = what
 
 
-class RuntimeUnavailable(ReproError):
-    """Raised when an operation requires a runtime feature that is absent."""
-
-
 class TraceError(ReproError):
     """Raised when a recorded traversal trace cannot be reconstructed into a
     well-formed execution DAG (orphan executions, cycles)."""

@@ -89,7 +89,6 @@ def run_fault_free(
     start = cluster.now
     outcome = cluster.traverse(query)
     duration = cluster.now - start
-    cluster.shutdown()
     return _result_payload(outcome.result), duration
 
 
@@ -138,7 +137,6 @@ def run_under_faults(
         from repro.obs.trace import assemble_all
 
         traces = {d.travel_id: d for d in assemble_all(cluster.board.obs.trace)}
-    cluster.shutdown()
     return returned, error, counters, traces
 
 
@@ -445,7 +443,6 @@ def chaos_check_many(
                     f"vertex {vid} duplicated: owner {owner}, extra {holders}"
                 )
     counters = _net_counters(cluster.metrics_snapshot())
-    cluster.shutdown()
     return ChaosManyOutcome(
         seed=seed,
         plan=plan,

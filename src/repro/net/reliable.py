@@ -1,8 +1,8 @@
 """Reliable at-least-once transport over the unreliable wire.
 
-The raw runtimes deliver every message exactly once; with a fault plan
-installed they drop, duplicate, delay, and reorder — and crashed servers eat
-traffic silently. :class:`ReliableChannel` restores usable semantics the way
+The raw wire delivers every message exactly once; with a fault plan
+installed it drops, duplicates, delays, and reorders — and crashed servers
+eat traffic silently. :class:`ReliableChannel` restores usable semantics the way
 TCP does over IP:
 
 * every payload is wrapped in a :class:`DataFrame` with a globally unique
@@ -19,7 +19,7 @@ TCP does over IP:
   the coordinator uses to suspect a server crash and trigger fine-grained
   replay of only the executions placed on it.
 
-Installed via :meth:`repro.runtime.base.Runtime.install_channel`, which
+Installed via :meth:`repro.runtime.simulated.SimRuntime.install_channel`, which
 re-points every registered handler at the channel's frame handler; engines
 and the coordinator are untouched. All channel bookkeeping is out-of-band
 (costs no simulated time); only frames on the wire pay network latency.
@@ -28,7 +28,6 @@ and the coordinator are untouched. All channel bookkeeping is out-of-band
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -121,7 +120,6 @@ class ReliableChannel:
         #: receiver address (server id or COORDINATOR) -> the handler the
         #: channel displaced
         self._upper: dict[ServerId, Callable[[Message], None]] = {}
-        self._lock = threading.RLock()
         #: invoked as ``fn(src, dst, payload)`` when retries are exhausted
         self.on_delivery_failure: Optional[Callable[..., None]] = None
         #: the live coordinator incarnation; bumped by the recovery
@@ -129,7 +127,7 @@ class ReliableChannel:
         #: sender retries until its own stale attempt quiesces)
         self.coordinator_epoch: int = 0
 
-    # -- wiring (called by Runtime.install_channel) -------------------------
+    # -- wiring (called by SimRuntime.install_channel) ----------------------
 
     def attach(self, runtime, handlers) -> None:
         self.runtime = runtime
@@ -151,17 +149,16 @@ class ReliableChannel:
     def send(self, src: ServerId, dst: ServerId, payload: Message) -> None:
         """Queue one payload for reliable delivery (``dst`` may be
         :data:`~repro.ids.COORDINATOR`)."""
-        with self._lock:
-            seq = next(self._seq)
-            frame = DataFrame(payload.travel_id, seq=seq, src=src, dst=dst, payload=payload)
-            entry = _InFlight(seq=seq, src=src, dst=dst, payload=payload, frame=frame)
-            self._count("net.sends", type=type(payload).__name__)
-            link = entry.link
-            if self._link_inflight.get(link, 0) >= self.config.window:
-                self._queued.setdefault(link, deque()).append(entry)
-                self._count("net.window_stalls")
-                return
-            self._admit(entry)
+        seq = next(self._seq)
+        frame = DataFrame(payload.travel_id, seq=seq, src=src, dst=dst, payload=payload)
+        entry = _InFlight(seq=seq, src=src, dst=dst, payload=payload, frame=frame)
+        self._count("net.sends", type=type(payload).__name__)
+        link = entry.link
+        if self._link_inflight.get(link, 0) >= self.config.window:
+            self._queued.setdefault(link, deque()).append(entry)
+            self._count("net.window_stalls")
+            return
+        self._admit(entry)
 
     def _admit(self, entry: _InFlight) -> None:
         link = entry.link
@@ -179,26 +176,19 @@ class ReliableChannel:
         self.runtime.schedule(timeout, lambda: self._on_timeout(entry.seq, expected))
 
     def _on_timeout(self, seq: int, expected_attempts: int) -> None:
-        failed: Optional[_InFlight] = None
-        with self._lock:
-            entry = self._inflight.get(seq)
-            if entry is None or entry.attempts != expected_attempts:
-                return  # acked, lost to a crash, or superseded by a retry
-            if entry.attempts > self.config.max_retries:
-                self._release(entry)
-                self._count("net.delivery_failed", dst=entry.dst)
-                self._trace_event("net.delivery_failed", entry)
-                failed = entry
-            else:
-                self._count("net.retries", type=type(entry.payload).__name__)
-                self._trace_event("net.retry", entry)
-                self._transmit(entry)
-        # The failure callback runs OUTSIDE the channel lock: on the threaded
-        # runtime it takes the coordinator's server lock, and a trampoline
-        # holding a server lock may concurrently be waiting on the channel
-        # lock in send() — invoking under the lock would deadlock.
-        if failed is not None and self.on_delivery_failure is not None:
-            self.on_delivery_failure(failed.src, failed.dst, failed.payload)
+        entry = self._inflight.get(seq)
+        if entry is None or entry.attempts != expected_attempts:
+            return  # acked, lost to a crash, or superseded by a retry
+        if entry.attempts <= self.config.max_retries:
+            self._count("net.retries", type=type(entry.payload).__name__)
+            self._trace_event("net.retry", entry)
+            self._transmit(entry)
+            return
+        self._release(entry)
+        self._count("net.delivery_failed", dst=entry.dst)
+        self._trace_event("net.delivery_failed", entry)
+        if self.on_delivery_failure is not None:
+            self.on_delivery_failure(entry.src, entry.dst, entry.payload)
 
     def _release(self, entry: _InFlight) -> None:
         """Remove from in-flight and pump the freed window slot."""
@@ -212,12 +202,11 @@ class ReliableChannel:
     # -- receiving ----------------------------------------------------------
 
     def _on_ack(self, ack: AckFrame) -> None:
-        with self._lock:
-            entry = self._inflight.get(ack.seq)
-            if entry is None:
-                return  # duplicate ack, or sender state lost to a crash
-            self._count("net.acks")
-            self._release(entry)
+        entry = self._inflight.get(ack.seq)
+        if entry is None:
+            return  # duplicate ack, or sender state lost to a crash
+        self._count("net.acks")
+        self._release(entry)
 
     def _on_data(self, addr: ServerId, frame: DataFrame) -> None:
         payload = frame.payload
@@ -244,24 +233,22 @@ class ReliableChannel:
             getattr(payload, "attempt", 0),
             frame.seq,
         )
-        with self._lock:
-            seen = self._seen.setdefault(addr, {}).setdefault(frame.travel_id, set())
-            if key in seen:
-                self._count("net.dup_suppressed", type=type(payload).__name__)
-                if self.trace is not None:
-                    self.trace.record(
-                        "net.dup_drop",
-                        travel_id=frame.travel_id,
-                        exec_id=getattr(payload, "exec_id", None),
-                        server_id=addr,
-                        attempt=getattr(payload, "attempt", 0),
-                        seq=frame.seq,
-                        type=type(payload).__name__,
-                    )
-                return
-            seen.add(key)
-            handler = self._upper[addr]
-        handler(payload)
+        seen = self._seen.setdefault(addr, {}).setdefault(frame.travel_id, set())
+        if key in seen:
+            self._count("net.dup_suppressed", type=type(payload).__name__)
+            if self.trace is not None:
+                self.trace.record(
+                    "net.dup_drop",
+                    travel_id=frame.travel_id,
+                    exec_id=getattr(payload, "exec_id", None),
+                    server_id=addr,
+                    attempt=getattr(payload, "attempt", 0),
+                    seq=frame.seq,
+                    type=type(payload).__name__,
+                )
+            return
+        seen.add(key)
+        self._upper[addr](payload)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -270,17 +257,16 @@ class ReliableChannel:
         it originated stop retrying, and its receiver dedup set is cleared
         (retransmissions after recovery are re-delivered; the engines'
         idempotent replay handling absorbs them)."""
-        with self._lock:
-            self._seen.pop(server, None)
-            lost = [e for e in self._inflight.values() if e.src == server]
-            for entry in lost:
-                self._inflight.pop(entry.seq, None)
-                link = entry.link
-                self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
-            if lost:
-                self._count("net.inflight_lost", len(lost), server=server)
-            for link in [l for l in self._queued if l[0] == server]:
-                del self._queued[link]
+        self._seen.pop(server, None)
+        lost = [e for e in self._inflight.values() if e.src == server]
+        for entry in lost:
+            self._inflight.pop(entry.seq, None)
+            link = entry.link
+            self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
+        if lost:
+            self._count("net.inflight_lost", len(lost), server=server)
+        for link in [l for l in self._queued if l[0] == server]:
+            del self._queued[link]
 
     def on_coordinator_crash(self) -> None:
         """The coordinator actor died with its host: clear the COORDINATOR
@@ -297,23 +283,21 @@ class ReliableChannel:
         calls this again at recovery time to clear frames senders queued
         during the down window (post-recovery, stale frames that do reach
         the fence are acked-but-dropped, so they cannot re-clog it)."""
-        with self._lock:
-            self._seen.pop(COORDINATOR, None)
-            stale = [e for e in self._inflight.values() if e.dst == COORDINATOR]
-            for entry in stale:
-                self._inflight.pop(entry.seq, None)
-                link = entry.link
-                self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
-            if stale:
-                self._count("net.inflight_lost", len(stale), server=COORDINATOR)
-            for link in [l for l in self._queued if l[1] == COORDINATOR]:
-                del self._queued[link]
+        self._seen.pop(COORDINATOR, None)
+        stale = [e for e in self._inflight.values() if e.dst == COORDINATOR]
+        for entry in stale:
+            self._inflight.pop(entry.seq, None)
+            link = entry.link
+            self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
+        if stale:
+            self._count("net.inflight_lost", len(stale), server=COORDINATOR)
+        for link in [l for l in self._queued if l[1] == COORDINATOR]:
+            del self._queued[link]
 
     def forget_travel(self, travel_id: TravelId) -> None:
         """Prune receiver dedup state once a traversal completes."""
-        with self._lock:
-            for per_travel in self._seen.values():
-                per_travel.pop(travel_id, None)
+        for per_travel in self._seen.values():
+            per_travel.pop(travel_id, None)
 
     # -- introspection -------------------------------------------------------
 

@@ -17,7 +17,6 @@ the raw sample list (no interpolation, no numpy state).
 from __future__ import annotations
 
 import json
-import threading
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -102,7 +101,6 @@ class MetricsRegistry:
         self._gauges: dict[MetricKey, float] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
         self._collectors: list[Callable[[MetricsRegistry], None]] = []
-        self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
 
@@ -111,8 +109,7 @@ class MetricsRegistry:
 
     def _add(self, key: MetricKey, n: float = 1) -> None:
         if n:
-            with self._lock:
-                self._counters[key] = self._counters.get(key, 0) + n
+            self._counters[key] = self._counters.get(key, 0) + n
 
     def counter(self, name: str, **labels: Any) -> Callable[..., None]:
         """Pre-bound handle: ``(name, labels)`` is resolved once, the returned
@@ -121,19 +118,16 @@ class MetricsRegistry:
         return partial(self._add, metric_key(name, labels))
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        key = metric_key(name, labels)
-        with self._lock:
-            self._gauges[key] = value
+        self._gauges[metric_key(name, labels)] = value
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         self._observe(metric_key(name, labels), value)
 
     def _observe(self, key: MetricKey, value: float) -> None:
-        with self._lock:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = Histogram()
-            hist.samples.append(float(value))
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = Histogram()
+        hist.samples.append(float(value))
 
     def observer(self, name: str, **labels: Any) -> Callable[[float], None]:
         """Pre-bound histogram handle (see :meth:`counter`): the returned
@@ -162,26 +156,24 @@ class MetricsRegistry:
         """Fully sorted plain-dict view; runs collectors first."""
         for fn in self._collectors:
             fn(self)
-        with self._lock:
-            return {
-                "counters": {
-                    render_key(k): self._counters[k] for k in sorted(self._counters)
-                },
-                "gauges": {
-                    render_key(k): self._gauges[k] for k in sorted(self._gauges)
-                },
-                "histograms": {
-                    render_key(k): self._histograms[k].summary()
-                    for k in sorted(self._histograms)
-                },
-            }
+        return {
+            "counters": {
+                render_key(k): self._counters[k] for k in sorted(self._counters)
+            },
+            "gauges": {
+                render_key(k): self._gauges[k] for k in sorted(self._gauges)
+            },
+            "histograms": {
+                render_key(k): self._histograms[k].summary()
+                for k in sorted(self._histograms)
+            },
+        }
 
     def to_json(self) -> str:
         """Canonical byte-stable JSON (same run → same bytes)."""
         return canonical_json(self.snapshot())
 
     def clear(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()

@@ -10,8 +10,8 @@ production metadata service needs while traversals are still in flight
   clock (``window = floor(clock / width)``), held in a bounded ring of
   recent windows per series. Counters roll up to per-window rates, gauges
   to their last sample, histograms to exact nearest-rank percentiles over
-  the window's samples. There is one ingestion mode on both runtimes: the
-  runtime's clock-boundary hook (:meth:`Runtime.on_clock_boundary`) closes
+  the window's samples. There is one ingestion mode: the runtime's
+  clock-boundary hook (:meth:`SimRuntime.on_clock_boundary`) closes
   each window by diffing the registry against the previous close, so the
   record path pays nothing and the registry's byte-identical snapshot
   contract is untouched.
@@ -33,7 +33,6 @@ a pure function of (seed, configuration).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -118,7 +117,6 @@ class TelemetryPlane:
         self._counters: dict[MetricKey, deque] = {}  # [window, total]
         self._gauges: dict[MetricKey, deque] = {}  # [window, last value]
         self._hists: dict[MetricKey, deque] = {}  # [window, samples, overflow]
-        self._lock = threading.Lock()
         # set by install(): the runtime clock, the registry being windowed,
         # and the marks (registry totals at the previous close) whose deltas
         # fill the current window — zero cost on the engines' hot paths
@@ -146,42 +144,38 @@ class TelemetryPlane:
 
     def _on_boundary(self, now: float) -> float:
         """Runtime callback: the clock reached the next window boundary."""
-        with self._lock:
-            self._flush_window()
-            self._cur_widx = int(now * self._inv_width)
+        self._flush_window()
+        self._cur_widx = int(now * self._inv_width)
         return (self._cur_widx + 1) * self._width
 
     def _flush_window(self) -> None:
         """Close (or top up) the current window from registry deltas.
 
-        Callers hold ``self._lock``; the registry is read under its own
-        lock, so a flush on the threaded runtime cannot race a recording
-        worker. Safe to run repeatedly mid-window: slots merge on window
-        index, so read-time refreshes never double count."""
+        Safe to run repeatedly mid-window: slots merge on window index, so
+        read-time refreshes never double count."""
         reg = self._registry
         widx = self._cur_widx
-        with reg._lock:
-            marks = self._counter_marks
-            for key, total in reg._counters.items():
-                delta = total - marks.get(key, 0)
-                if delta:
-                    marks[key] = total
-                    self._slot(self._counters, key, widx, 0)[1] += delta
-            gmarks = self._gauge_marks
-            for key, value in reg._gauges.items():
-                if key not in gmarks or gmarks[key] != value:
-                    gmarks[key] = value
-                    self._slot(self._gauges, key, widx, None)[1] = value
-            hmarks = self._hist_marks
-            for key, hist in reg._histograms.items():
-                start = hmarks.get(key, 0)
-                fresh = hist.samples[start:]
-                if fresh:
-                    hmarks[key] = start + len(fresh)
-                    slot = self._slot(self._hists, key, widx, [], 0)
-                    room = self._max_samples - len(slot[1])
-                    slot[1].extend(fresh[:room])
-                    slot[2] += max(0, len(fresh) - room)
+        marks = self._counter_marks
+        for key, total in reg._counters.items():
+            delta = total - marks.get(key, 0)
+            if delta:
+                marks[key] = total
+                self._slot(self._counters, key, widx, 0)[1] += delta
+        gmarks = self._gauge_marks
+        for key, value in reg._gauges.items():
+            if key not in gmarks or gmarks[key] != value:
+                gmarks[key] = value
+                self._slot(self._gauges, key, widx, None)[1] = value
+        hmarks = self._hist_marks
+        for key, hist in reg._histograms.items():
+            start = hmarks.get(key, 0)
+            fresh = hist.samples[start:]
+            if fresh:
+                hmarks[key] = start + len(fresh)
+                slot = self._slot(self._hists, key, widx, [], 0)
+                room = self._max_samples - len(slot[1])
+                slot[1].extend(fresh[:room])
+                slot[2] += max(0, len(fresh) - room)
 
     def _slot(self, table: dict[MetricKey, deque], key: MetricKey, widx: int, *zero):
         """The series' slot for window ``widx``, appended (evicting the
@@ -245,47 +239,46 @@ class TelemetryPlane:
 
     def rollups(self) -> dict[str, Any]:
         """The full windowed rollup state as a canonical, sorted payload."""
-        with self._lock:
-            self._flush_window()  # fold the in-progress window in
-            counters = {
-                render_key(k): [
+        self._flush_window()  # fold the in-progress window in
+        counters = {
+            render_key(k): [
+                {
+                    "window": w,
+                    "start": self.window_start(w),
+                    "count": total,
+                    "rate": total / self._width,
+                }
+                for w, total in self._counters[k]
+            ]
+            for k in sorted(self._counters)
+        }
+        gauges = {
+            render_key(k): [
+                {"window": w, "start": self.window_start(w), "last": v}
+                for w, v in self._gauges[k]
+            ]
+            for k in sorted(self._gauges)
+        }
+        histograms = {}
+        for k in sorted(self._hists):
+            rows = []
+            for w, samples, overflow in self._hists[k]:
+                hist = Histogram()
+                hist.samples = samples
+                summary = hist.summary()
+                rows.append(
                     {
                         "window": w,
                         "start": self.window_start(w),
-                        "count": total,
-                        "rate": total / self._width,
+                        "count": summary["count"],
+                        "sum": summary["sum"],
+                        "p50": summary["p50"],
+                        "p95": summary["p95"],
+                        "p99": summary["p99"],
+                        "overflow": overflow,
                     }
-                    for w, total in self._counters[k]
-                ]
-                for k in sorted(self._counters)
-            }
-            gauges = {
-                render_key(k): [
-                    {"window": w, "start": self.window_start(w), "last": v}
-                    for w, v in self._gauges[k]
-                ]
-                for k in sorted(self._gauges)
-            }
-            histograms = {}
-            for k in sorted(self._hists):
-                rows = []
-                for w, samples, overflow in self._hists[k]:
-                    hist = Histogram()
-                    hist.samples = samples
-                    summary = hist.summary()
-                    rows.append(
-                        {
-                            "window": w,
-                            "start": self.window_start(w),
-                            "count": summary["count"],
-                            "sum": summary["sum"],
-                            "p50": summary["p50"],
-                            "p95": summary["p95"],
-                            "p99": summary["p99"],
-                            "overflow": overflow,
-                        }
-                    )
-                histograms[render_key(k)] = rows
+                )
+            histograms[render_key(k)] = rows
         return {
             "window_width": self._width,
             "max_windows": self.config.max_windows,
@@ -301,13 +294,12 @@ class TelemetryPlane:
         """Mean per-second rate of one counter over its retained windows
         (0.0 for a series that never recorded)."""
         key: MetricKey = (name, tuple(sorted(labels.items())))
-        with self._lock:
-            self._flush_window()
-            ring = self._counters.get(key)
-            if not ring:
-                return 0.0
-            total = sum(t for _w, t in ring)
-            span = (ring[-1][0] - ring[0][0] + 1) * self._width
+        self._flush_window()
+        ring = self._counters.get(key)
+        if not ring:
+            return 0.0
+        total = sum(t for _w, t in ring)
+        span = (ring[-1][0] - ring[0][0] + 1) * self._width
         return total / span
 
     # -- hot-shard detection ---------------------------------------------------
@@ -359,12 +351,11 @@ class TelemetryPlane:
         """Drop every window and re-baseline on the registry's current
         totals, so only work recorded after the call shows up again."""
         reg = self._registry
-        with self._lock, reg._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._hists.clear()
-            self._counter_marks = dict(reg._counters)
-            self._gauge_marks = dict(reg._gauges)
-            self._hist_marks = {
-                key: len(hist.samples) for key, hist in reg._histograms.items()
-            }
+        self._counters.clear()
+        self._gauges.clear()
+        self._hists.clear()
+        self._counter_marks = dict(reg._counters)
+        self._gauge_marks = dict(reg._gauges)
+        self._hist_marks = {
+            key: len(hist.samples) for key, hist in reg._histograms.items()
+        }

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
@@ -189,7 +188,6 @@ class FlightRecorder:
         self._seq = itertools.count(1)
         #: the registry every drop and keep decision is counted into
         self._metrics = metrics
-        self._lock = threading.Lock()
 
     # -- wiring --------------------------------------------------------------
 
@@ -208,10 +206,9 @@ class FlightRecorder:
             self.sampling = sampling
         if max_events is not None:
             self.max_events = max_events
-            with self._lock:
-                while len(self._events) > self.max_events:
-                    evicted = self._events.popleft()
-                    self._note_drop(evicted.travel_id)
+            while len(self._events) > self.max_events:
+                evicted = self._events.popleft()
+                self._note_drop(evicted.travel_id)
 
     @property
     def sampling_active(self) -> bool:
@@ -232,32 +229,31 @@ class FlightRecorder:
     ) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            event = TraceEvent(
-                seq=next(self._seq),
-                clock=self._clock(),
-                kind=kind,
-                travel_id=travel_id,
-                exec_id=exec_id,
-                parent_exec_id=parent_exec_id,
-                server_id=server_id,
-                step=step,
-                attempt=attempt,
-                attrs=attrs,
-            )
-            if self.sampling is not None and travel_id is not None:
-                decision = self._decisions.get(travel_id)
-                if decision is None:
-                    # undecided: buffer until the traversal's terminal
-                    self._pending.setdefault(travel_id, []).append(event)
-                    return
-                if not decision[0]:
-                    self.sampled_out += 1
-                    return
-            self._events.append(event)
-            if len(self._events) > self.max_events:
-                evicted = self._events.popleft()
-                self._note_drop(evicted.travel_id)
+        event = TraceEvent(
+            seq=next(self._seq),
+            clock=self._clock(),
+            kind=kind,
+            travel_id=travel_id,
+            exec_id=exec_id,
+            parent_exec_id=parent_exec_id,
+            server_id=server_id,
+            step=step,
+            attempt=attempt,
+            attrs=attrs,
+        )
+        if self.sampling is not None and travel_id is not None:
+            decision = self._decisions.get(travel_id)
+            if decision is None:
+                # undecided: buffer until the traversal's terminal
+                self._pending.setdefault(travel_id, []).append(event)
+                return
+            if not decision[0]:
+                self.sampled_out += 1
+                return
+        self._events.append(event)
+        if len(self._events) > self.max_events:
+            evicted = self._events.popleft()
+            self._note_drop(evicted.travel_id)
 
     def finalize_travel(
         self, travel_id: int, keep: bool, reason: Optional[str] = None
@@ -269,21 +265,18 @@ class FlightRecorder:
         healthy) is known. Late events for a decided traversal follow the
         decision directly.
         """
-        with self._lock:
-            buffered = self._pending.pop(travel_id, [])
-            self._decisions[travel_id] = (keep, reason)
-            if keep:
-                self._events.extend(buffered)
-                while len(self._events) > self.max_events:
-                    evicted = self._events.popleft()
-                    self._note_drop(evicted.travel_id)
-            else:
-                self.sampled_out += len(buffered)
+        buffered = self._pending.pop(travel_id, [])
+        self._decisions[travel_id] = (keep, reason)
         if keep:
+            self._events.extend(buffered)
+            while len(self._events) > self.max_events:
+                evicted = self._events.popleft()
+                self._note_drop(evicted.travel_id)
             self._metrics.count(
                 "trace.kept_traces", reason=reason or "unspecified"
             )
         else:
+            self.sampled_out += len(buffered)
             self._metrics.count("trace.sampled_out_traces")
             self._metrics.count("trace.sampled_out_events", len(buffered))
 
@@ -295,8 +288,6 @@ class FlightRecorder:
             self.finalize_travel(tid, keep=True, reason=reason)
 
     def _note_drop(self, travel_id: Optional[int] = None) -> None:
-        # callers hold self._lock; trace.dropped_events never routes back
-        # into the recorder, so the metrics call is re-entrancy safe
         self.dropped += 1
         self._dropped_by_travel[travel_id] = (
             self._dropped_by_travel.get(travel_id, 0) + 1
@@ -353,13 +344,12 @@ class FlightRecorder:
         return canonical_json(self.timeline())
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._pending.clear()
-            self._decisions.clear()
-            self._dropped_by_travel.clear()
-            self.dropped = 0
-            self.sampled_out = 0
+        self._events.clear()
+        self._pending.clear()
+        self._decisions.clear()
+        self._dropped_by_travel.clear()
+        self.dropped = 0
+        self.sampled_out = 0
 
 
 # -- DAG reconstruction ------------------------------------------------------

@@ -1,16 +1,9 @@
-"""Execution runtimes: the virtual-time simulator and the thread runtime."""
+"""The execution runtime: the single-threaded virtual-time simulator."""
 
-from repro.runtime.base import InterferencePolicy, Runtime, ServerContext
-from repro.runtime.simulated import SimRuntime, SimServerContext
-from repro.runtime.threaded import ThreadEvent, ThreadRuntime, ThreadServerContext
+from repro.runtime.simulated import InterferencePolicy, SimRuntime, SimServerContext
 
 __all__ = [
     "InterferencePolicy",
-    "Runtime",
-    "ServerContext",
     "SimRuntime",
     "SimServerContext",
-    "ThreadEvent",
-    "ThreadRuntime",
-    "ThreadServerContext",
 ]

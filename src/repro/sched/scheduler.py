@@ -89,12 +89,7 @@ class QueuedTravel:
 
 
 class TraversalScheduler:
-    """Deterministic admission + launch control in front of one coordinator.
-
-    All entry points assume the caller holds the coordinator server's
-    ``runtime.exclusive`` lock (``Cluster.submit`` provides it); callbacks
-    the scheduler arms itself (deadlines, polls) take the lock on their own.
-    """
+    """Deterministic admission + launch control in front of one coordinator."""
 
     def __init__(
         self,
@@ -323,11 +318,10 @@ class TraversalScheduler:
         self.coordinator.notify_terminal(travel_id, "cancelled")
 
     def _deadline_fire(self, travel_id: TravelId) -> None:
-        with self.runtime.exclusive(self.runtime.coordinator_server):
-            entry = self._queued.get(travel_id) or self._inflight.get(travel_id)
-            if entry is None or entry.state in ("done", "cancelled"):
-                return
-            self.cancel(travel_id, reason="deadline exceeded")
+        entry = self._queued.get(travel_id) or self._inflight.get(travel_id)
+        if entry is None or entry.state in ("done", "cancelled"):
+            return
+        self.cancel(travel_id, reason="deadline exceeded")
 
     def on_travel_terminal(self, travel_id: TravelId, status: str) -> None:
         """Terminal listener: a launched traversal reached a terminal state
@@ -454,9 +448,7 @@ class TraversalScheduler:
 
     def _run_job(self, entry: QueuedTravel):
         """Run a job entry's generator on the coordinator context and settle
-        its completion event. Runs as coordinator-hosted in-process code, so
-        no ``exclusive`` lock is taken here (same discipline as the
-        coordinator's own processes)."""
+        its completion event."""
         failure: Optional[Exception] = None
         try:
             yield from entry.job()
@@ -511,10 +503,9 @@ class TraversalScheduler:
         self.runtime.schedule(max(delay, 1e-6), self._poll_fire)
 
     def _poll_fire(self) -> None:
-        with self.runtime.exclusive(self.runtime.coordinator_server):
-            self._poll_armed = False
-            if self._queued:
-                self._pump()
+        self._poll_armed = False
+        if self._queued:
+            self._pump()
 
     # -- coordinator crash recovery (DESIGN.md §13) -------------------------
 

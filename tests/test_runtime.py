@@ -1,7 +1,5 @@
-"""Tests for the simulated runtime (contexts, delivery, disks, interference)
-and the wire/clock contract both runtimes share."""
-
-import time
+"""Tests for the runtime: contexts, delivery, disks, interference, and the
+wire/clock contract."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.net.message import Message, TraverseRequest
 from repro.net.topology import NetworkModel
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.simulated import SimRuntime
-from repro.runtime.threaded import ThreadRuntime
 from repro.storage.costmodel import DiskCostModel, IOCost
 from tests.conftest import DropWhen
 
@@ -172,28 +169,7 @@ def test_invalid_server_count():
         SimRuntime(0)
 
 
-# -- the contract both runtimes share ------------------------------------------
-
-
-def _simulated():
-    rt = SimRuntime(3)
-    return rt, lambda done: rt.sim.run()
-
-
-def _threaded():
-    rt = ThreadRuntime(3, time_scale=1e-3)
-
-    def settle(done):
-        deadline = time.monotonic() + 5.0
-        while not done() and time.monotonic() < deadline:
-            time.sleep(0.002)
-
-    return rt, settle
-
-
-BOTH_RUNTIMES = pytest.mark.parametrize(
-    "make", [_simulated, _threaded], ids=["simulated", "threaded"]
-)
+# -- the wire and clock contract ----------------------------------------------
 
 
 class _Scripted:
@@ -207,9 +183,8 @@ class _Scripted:
         return CLEAN
 
 
-@BOTH_RUNTIMES
-def test_scripted_sends_count_identically_on_both_runtimes(make):
-    rt, settle = make()
+def test_scripted_sends_are_counted_per_verdict():
+    rt = SimRuntime(3)
     metrics = MetricsRegistry()
     rt.bind_metrics(metrics)
     received = []
@@ -217,15 +192,12 @@ def test_scripted_sends_count_identically_on_both_runtimes(make):
         rt.register_handler(addr, lambda m, a=addr: received.append((a, m.travel_id)))
     rt.fault_injector = _Scripted()
     rt.crash_server(2)
-    try:
-        rt.deliver(0, 1, Message(1))  # server -> server
-        rt.deliver(1, COORDINATOR, Message(2))  # the coordinator is an address
-        rt.deliver(0, 2, Message(3))  # to a crashed server
-        rt.deliver(0, 1, Message(4))  # through the dropping injector
-        rt.deliver(1, 0, Message(5))  # one duplicate verdict
-        settle(lambda: len(received) == 4)
-    finally:
-        rt.shutdown()
+    rt.deliver(0, 1, Message(1))  # server -> server
+    rt.deliver(1, COORDINATOR, Message(2))  # the coordinator is an address
+    rt.deliver(0, 2, Message(3))  # to a crashed server
+    rt.deliver(0, 1, Message(4))  # through the dropping injector
+    rt.deliver(1, 0, Message(5))  # one duplicate verdict
+    rt.sim.run()
     assert sorted(received) == [(COORDINATOR, 2), (0, 5), (0, 5), (1, 1)]
     nbytes = Message(0).nbytes
     assert (rt.messages_sent, rt.bytes_sent, rt.messages_dropped) == (4, 4 * nbytes, 2)
@@ -237,9 +209,8 @@ def test_scripted_sends_count_identically_on_both_runtimes(make):
     }
 
 
-@BOTH_RUNTIMES
-def test_clock_boundary_fires_once_per_crossed_threshold(make):
-    rt, settle = make()
+def test_clock_boundary_fires_once_per_crossed_threshold():
+    rt = SimRuntime(3)
     fired = []  # (now, next threshold) per call; thresholds are 10, 20, ...
 
     def on_boundary(now):
@@ -249,13 +220,8 @@ def test_clock_boundary_fires_once_per_crossed_threshold(make):
     rt.on_clock_boundary(on_boundary, 10.0)
     for t in (5.0, 15.0, 38.0):  # the simulator's clock only moves on events
         rt.schedule(t, lambda: None)
-    settle(lambda: fired and fired[-1][1] > 38.0)
-    rt.shutdown()
+    rt.sim.run()
     watched = [10.0] + [nxt for _now, nxt in fired]
     assert watched[-1] > 38.0  # every crossed threshold was seen ...
     for (now, nxt), threshold in zip(fired, watched):
         assert threshold <= now < nxt  # ... exactly once, and never early
-    time.sleep(0.03)  # a tick already in flight at shutdown() may finish
-    count = len(fired)
-    time.sleep(0.05)
-    assert len(fired) == count  # never after shutdown()

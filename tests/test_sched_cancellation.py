@@ -175,20 +175,3 @@ def test_chaos_mixed_cancel_and_crash():
         saw_cancel |= any(v.cancelled for v in outcome.verdicts)
     assert saw_cancel, "no schedule ever cancelled — the mix is vacuous"
 
-
-def test_threaded_runtime_deadline_cancellation():
-    """Wall-clock deadlines fire on the threaded runtime too."""
-    cluster = Cluster.build(
-        chain_graph(),
-        ClusterConfig(
-            nservers=3, engine=EngineKind.GRAPHTREK, runtime="threaded"
-        ),
-    )
-    try:
-        travel_id, event = cluster.submit(kstep(0, 20), deadline=1e-6)
-        with pytest.raises(TraversalCancelled):
-            cluster.runtime.run_until_complete(event)
-        outcome = cluster.traverse(kstep(0, 2), cold=False)
-        assert sorted(outcome.result.vertices) == [2]
-    finally:
-        cluster.shutdown()

@@ -1,8 +1,5 @@
 """Windowed rollups, boundary flushing, and hot-shard detection."""
 
-import threading
-import time
-
 import pytest
 
 from repro.engine import EngineKind
@@ -19,8 +16,8 @@ from tests.conftest import ALL_ENGINES, build_cluster
 
 class FakeRuntime:
     """The two things the plane needs from a runtime: a clock (moved by
-    hand here) and the boundary hook, fired on a crossing the way both real
-    runtimes fire it."""
+    hand here) and the boundary hook, fired on a crossing the way the
+    simulator fires it."""
 
     def __init__(self):
         self.t = 0.0
@@ -193,35 +190,6 @@ def test_registry_snapshot_bytes_unaffected_by_telemetry():
         return cluster.board.obs.metrics.to_json()
 
     assert run(True) == run(False)
-
-
-def test_threaded_runtime_closes_windows_at_boundaries():
-    graph, vids = small_graph()
-    threads_before = set(threading.enumerate())
-    cluster = build_cluster(
-        graph, EngineKind.GRAPHTREK, nservers=2, runtime="threaded"
-    )
-    try:
-        cluster.traverse(GTravel.v(vids[0]).e("link").e("link"))
-        rollups = cluster.rollups()
-        # structural smoke only: threaded timing is not deterministic, but
-        # the boundary ticker must still produce windows for the hot counters
-        assert any(
-            rendered.startswith(EXEC_RATE_METRIC)
-            for rendered in rollups["counters"]
-        )
-    finally:
-        cluster.shutdown()
-    # the ticker is a runtime process: it exits with the workers, so the
-    # thread population is back to what it was before the build
-
-    def born_since_build():
-        return [t for t in threading.enumerate() if t not in threads_before]
-
-    deadline = time.monotonic() + 5.0
-    while born_since_build() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert born_since_build() == []
 
 
 # -- hot-shard detection ------------------------------------------------------
