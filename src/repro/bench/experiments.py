@@ -999,7 +999,7 @@ def exp_coordinator_recovery(env: BenchEnvironment) -> ExperimentResult:
                 "fenced": cluster.obs.metrics.counter_total("coord.fenced"),
                 "journal_size_bytes": cluster.journal.size_bytes(),
                 "leaked_bindings": (
-                    cluster.supervisor.live_bindings
+                    len(cluster.supervisor.sessions)
                     if cluster.supervisor is not None
                     else 0
                 ),

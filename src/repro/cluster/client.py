@@ -13,7 +13,6 @@ from typing import Optional, Union
 
 from repro.cluster.cluster import Cluster
 from repro.engine.base import TraversalOutcome
-from repro.errors import TraversalFailed
 from repro.ids import TravelId
 from repro.lang.gtravel import GTravel, union_results
 from repro.lang.plan import TraversalPlan
@@ -24,14 +23,6 @@ class SubmissionRecord:
     travel_id: TravelId
     plan: TraversalPlan
     outcome: Optional[TraversalOutcome] = None
-
-
-def _lost_to_crash(event) -> bool:
-    """True when a triggered event failed because the submission never
-    became durable (died before its journal ``admit`` record) — the only
-    outcome a client may safely retry without risking a double run."""
-    exc = getattr(event, "_exc", None)
-    return isinstance(exc, TraversalFailed) and "lost in coordinator crash" in str(exc)
 
 
 @dataclass
@@ -83,49 +74,20 @@ class GraphTrekClient:
     ) -> tuple[TravelId, object]:
         """Submit with at-most-once semantics per idempotency ``key``.
 
-        A repeat call with the same key returns the original submission's
-        ``(travel_id, event)`` — whether it is still running or already
-        finished — so a client retrying across a coordinator crash can
-        never double-run an acknowledged traversal. The one case a fresh
-        submission is made for a known key is when the previous attempt was
-        *lost before becoming durable* (its event failed with the
-        pre-durability :class:`~repro.errors.TraversalFailed`): the journal
-        holds no trace of it, so resubmission is side-effect free. This is
-        the client half of the journal's acknowledged-once contract
-        (DESIGN.md §13).
+        A key always maps to its first submission: a repeat call returns
+        the original ``(travel_id, event)``, whether it is still running or
+        already finished. A submission is acknowledged only once its
+        journal ``admit`` record is durable, and recovery resumes or
+        readmits every acknowledged travel, so a client retrying across a
+        coordinator crash joins the recovered travel instead of running it
+        twice (DESIGN.md §13).
         """
-        pending = self.sessions.get(key)
-        if pending is not None:
-            _, event = pending
-            if not (event.triggered and _lost_to_crash(event)):
-                return pending
-        plan = query.compile() if isinstance(query, GTravel) else query
-        travel_id, event = self.cluster.submit(
-            plan, tenant=tenant, priority=priority, deadline=deadline
-        )
-        self.sessions[key] = (travel_id, event)
-        return travel_id, event
-
-    def query_idempotent(
-        self,
-        query: Union[GTravel, TraversalPlan],
-        *,
-        key: str,
-        tenant: str = "default",
-        priority: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> TraversalOutcome:
-        """:meth:`query` with an idempotency key: blocks on (and records)
-        whichever submission owns ``key``."""
-        plan = query.compile() if isinstance(query, GTravel) else query
-        travel_id, event = self.submit_idempotent(
-            plan, key=key, tenant=tenant, priority=priority, deadline=deadline
-        )
-        outcome = self.cluster.runtime.run_until_complete(event)
-        self.history.append(
-            SubmissionRecord(travel_id=travel_id, plan=plan, outcome=outcome)
-        )
-        return outcome
+        if key not in self.sessions:
+            plan = query.compile() if isinstance(query, GTravel) else query
+            self.sessions[key] = self.cluster.submit(
+                plan, tenant=tenant, priority=priority, deadline=deadline
+            )
+        return self.sessions[key]
 
     def profile(
         self, query: Union[GTravel, TraversalPlan], *, cold: bool = False

@@ -20,7 +20,7 @@ from repro.engine.registry import TravelRegistry
 from repro.engine.statistics import StatsBoard
 from repro.engine.sync_engine import SyncServerEngine
 from repro.cluster.coordinator import Coordinator, CoordinatorConfig
-from repro.cluster.journal import JournalStorage, TraversalJournal
+from repro.cluster.journal import TraversalJournal
 from repro.cluster.recovery import RecoverySupervisor
 from repro.cluster.server import BackendServer
 from repro.errors import SimulationError, UnsupportedProfileTarget
@@ -96,9 +96,6 @@ class ClusterConfig:
     #: server crash keeps the legacy semantics (the coordinator actor's
     #: state survives; only the co-located engine loses memory).
     journal: bool = False
-    #: where the journal bytes live; None = in-memory storage that models a
-    #: GPFS-backed journal file (survives the simulated crash)
-    journal_storage: Optional[JournalStorage] = None
     #: per-tenant objectives of the SLO tracker every cluster's telemetry
     #: plane (DESIGN.md §14) feeds; None uses the defaults
     slo_config: Optional[SLOConfig] = None
@@ -234,7 +231,7 @@ class Cluster:
 
         journal: Optional[TraversalJournal] = None
         if config.journal:
-            journal = TraversalJournal(config.journal_storage)
+            journal = TraversalJournal()
         coordinator = Coordinator(
             ctx=runtime.context(config.coordinator_server),
             runtime=runtime,
@@ -344,7 +341,7 @@ class Cluster:
         # Terminal listeners, in the order notify_terminal walks them.
         # Telemetry is first: it reads tenant and admission clock off the
         # scheduler's QoS entry, which the scheduler's listener pops; the
-        # supervisor's binding drop is last.
+        # supervisor's session drop is last.
         coordinator.terminal_listeners.append(
             lambda travel_id, status: telemetry.on_terminal(
                 travel_id, status, entry=scheduler.entry_for(travel_id)
@@ -352,7 +349,7 @@ class Cluster:
         )
         coordinator.terminal_listeners.append(scheduler.on_travel_terminal)
         if supervisor is not None:
-            coordinator.terminal_listeners.append(supervisor.drop_binding)
+            coordinator.terminal_listeners.append(supervisor.drop_session)
 
         def _collect_storage(metrics) -> None:
             for server in servers:
@@ -413,17 +410,9 @@ class Cluster:
             priority=priority,
             deadline=deadline,
         )
-        if self.supervisor is not None:
-            entry = self.scheduler.entry_for(travel_id)
-            if entry is not None:  # still live (not already terminal)
-                self.supervisor.note_submission(
-                    travel_id,
-                    event,
-                    tenant=entry.tenant,
-                    priority=entry.priority,
-                    deadline_abs=entry.deadline,
-                    admit_time=entry.admit_time,
-                )
+        entry = self.scheduler.entry_for(travel_id)
+        if self.supervisor is not None and entry is not None:  # None: terminal
+            self.supervisor.note_submission(entry)
         return travel_id, event
 
     def cancel(self, travel_id: TravelId, reason: str = "cancelled") -> bool:

@@ -16,12 +16,12 @@ attempts, after which the client's event fails with
 The coordinator itself is crash-recoverable (DESIGN.md §13): with a
 :class:`~repro.cluster.journal.TraversalJournal` attached, every state
 transition is journaled *before* its side effects, ``on_host_crash`` models
-losing all in-memory travel state, and ``begin_epoch`` /
-``resume_travel`` / ``resume_composite`` rebuild the coordinator from a
-journal replay under a new epoch. Every outbound message is stamped with
-the current epoch and :meth:`on_message` fences reports carrying an older
-one, so a recovered coordinator can never be confused by its dead
-predecessor's in-flight traffic.
+losing all in-memory travel state, and ``begin_epoch`` / ``resume`` /
+``orphan`` rebuild the coordinator from a journal replay under a new epoch,
+through the same launch sequence a live submission uses. Every outbound
+message is stamped with the current epoch and :meth:`on_message` fences
+reports carrying an older one, so a recovered coordinator can never be
+confused by its dead predecessor's in-flight traffic.
 """
 
 from __future__ import annotations
@@ -270,7 +270,6 @@ class Coordinator:
             planned=planned,
             child_of=_child_of,
         )
-        self._active[travel_id] = at
         self.metrics.count("coord.submitted")
         self.trace.record(
             "travel.submit",
@@ -280,9 +279,15 @@ class Coordinator:
             steps=executed.final_level,
             planner_mode=planned.mode if planned is not None else "off",
         )
-        self._launch(at)
-        self.ctx.spawn(self._watchdog(at), name=f"watchdog-{travel_id}")
+        self._start(at)
         return travel_id, event
+
+    def _start(self, at: ActiveTravel) -> None:
+        """Make ``at`` active, launch its current attempt and watch it (first
+        submit and post-crash resume)."""
+        self._active[at.travel_id] = at
+        self._launch(at)
+        self.ctx.spawn(self._watchdog(at), name=f"watchdog-{at.travel_id}")
 
     def _launch(self, at: ActiveTravel) -> None:
         """The launch tail of first submit, watchdog restart and post-crash
@@ -950,16 +955,6 @@ class Coordinator:
 
     def _restart(self, at: ActiveTravel) -> None:
         """Restart the traversal from scratch under a new attempt number."""
-        attempt = self.registry.bump_attempt(at.travel_id)
-        self.metrics.count("coord.restarts")
-        self.trace.record(
-            "travel.restart",
-            travel_id=at.travel_id,
-            server_id=self.ctx.server_id,
-            attempt=attempt,
-        )
-        self.board.reset(at.travel_id)
-        self.board.stats(at.travel_id).restarts = attempt
         at.returned.clear()
         at.groups.clear()
         at.initial_sent.clear()
@@ -972,7 +967,26 @@ class Coordinator:
         # the failed attempt's unflushed progress deltas die with it
         at.pend_statuses = 0
         at.pend_results = 0
+        self._new_attempt(at, "coord.restarts", "travel.restart")
         self._launch(at)
+
+    def _new_attempt(
+        self, at: ActiveTravel, counter: str, kind: str, **trace_attrs
+    ) -> None:
+        """Bump the attempt — every execution of the old one quiesces as
+        stale — count and trace why, and reset the travel's stats board
+        (watchdog restart and post-crash resume)."""
+        attempt = self.registry.bump_attempt(at.travel_id)
+        self.metrics.count(counter)
+        self.trace.record(
+            kind,
+            travel_id=at.travel_id,
+            server_id=self.ctx.server_id,
+            attempt=attempt,
+            **trace_attrs,
+        )
+        self.board.reset(at.travel_id)
+        self.board.stats(at.travel_id).restarts = attempt
 
     # -- progress (paper §IV-C) -----------------------------------------------------------
 
@@ -998,8 +1012,8 @@ class Coordinator:
         observe ``done`` and exit silently — a real crash would simply have
         killed the process); watchdogs, streamers, and barrier releases exit
         through their ``done`` flags. Client-facing events are *not* failed:
-        they are owned by the recovery supervisor, which either resumes the
-        travel under the next epoch or fails it explicitly.
+        the recovery supervisor keeps them and resumes or readmits every
+        travel under the next epoch.
         """
         self.metrics.count("coord.crash")
         self.trace.record(
@@ -1043,83 +1057,50 @@ class Coordinator:
             "coord.recover", server_id=self.ctx.server_id, epoch=epoch
         )
 
-    def resume_travel(
-        self,
-        travel_id: TravelId,
-        *,
-        client_event: object,
-        submit_time: float,
-        planned: Optional[PlannedQuery] = None,
-    ) -> bool:
-        """Restart one in-doubt linear traversal after a coordinator crash.
+    def resume(self, travel_id: TravelId, record: dict, client_event: object) -> None:
+        """Launch one in-doubt travel of a dead epoch again, from its
+        journal ``dispatch`` record, bound to the client's surviving event.
 
-        The executed plan lives in the surviving cluster-shared registry
-        (the paper ships the plan inside every dispatch); the journal's
-        dispatch record supplies QoS context and the planner audit trail so
-        level remapping of reversed plans survives recovery. The restart
-        reuses the PR-2 path: bump the attempt (quiescing every pre-crash
-        execution), reset the stats board, re-dispatch, new watchdog.
-        Returns False when the registry no longer knows the travel.
+        A linear travel's executed plan lives in the cluster-shared
+        registry, which outlives the coordinator; the record adds the
+        admission time and the planner's audit trail, so reversed plans
+        still map their levels back. It relaunches like a watchdog restart
+        under a fresh attempt. A composite restarts its deterministic
+        program from the first child (:meth:`orphan` disposes of the dead
+        epoch's children), so its result is element-identical.
         """
-        entry = self.registry.get(travel_id)
-        if entry is None:
-            return False
-        attempt = self.registry.bump_attempt(travel_id)
-        entry.epoch = self.epoch
+        submit_time = record["submit_time"]
+        if record["composite"]:
+            ct = self._start_composite(
+                travel_id, record["plan"], client_event, submit_time
+            )
+            ct.stats.restarts += 1
+            self.metrics.count("coord.resumed")
+            self.trace.record(
+                "coord.replay",
+                travel_id=travel_id,
+                server_id=self.ctx.server_id,
+                epoch=self.epoch,
+                composite=True,
+            )
+            return
         at = ActiveTravel(
             travel_id=travel_id,
-            entry=entry,
+            entry=self.registry.get(travel_id),
             submit_time=submit_time,
             client_event=client_event,
-            planned=planned,
+            planned=record["planned"],
         )
-        self._active[travel_id] = at
-        self.board.reset(travel_id)
-        self.board.stats(travel_id).restarts = attempt
-        self.metrics.count("coord.resumed")
-        self.trace.record(
-            "coord.replay",
-            travel_id=travel_id,
-            server_id=self.ctx.server_id,
-            attempt=attempt,
-            epoch=self.epoch,
-        )
-        self._launch(at)
-        self.ctx.spawn(self._watchdog(at), name=f"watchdog-{travel_id}")
-        return True
+        at.entry.epoch = self.epoch
+        self._new_attempt(at, "coord.resumed", "coord.replay", epoch=self.epoch)
+        self._start(at)
 
-    def resume_composite(
-        self,
-        travel_id: TravelId,
-        plan: CompositePlan,
-        *,
-        client_event: object,
-        submit_time: float,
-    ) -> None:
-        """Respawn a composite's orchestrator after a coordinator crash.
-
-        The program restarts from its first child (children are cheap
-        linear traversals and the program is deterministic, so the result
-        is element-identical); pre-crash children were cleaned up by the
-        recovery supervisor and their in-flight traffic is epoch-fenced.
-        """
-        ct = self._start_composite(travel_id, plan, client_event, submit_time)
-        ct.stats.restarts += 1
-        self.metrics.count("coord.resumed")
-        self.trace.record(
-            "coord.replay",
-            travel_id=travel_id,
-            server_id=self.ctx.server_id,
-            epoch=self.epoch,
-            composite=True,
-        )
-
-    def cleanup_travel(self, travel_id: TravelId) -> None:
-        """Recovery-time disposal of a travel that will not be resumed
-        (e.g. a pre-crash composite child whose parent restarts from
-        scratch): drop registry/engine/channel/board state so nothing
-        leaks. Stale in-flight executions quiesce through the registry
-        check as usual."""
+    def orphan(self, travel_id: TravelId) -> None:
+        """Dispose of a dead epoch's composite child (its parent restarts
+        from scratch): journal its ``orphaned`` terminal, then drop its
+        registry, board, engine and channel state. Its stale in-flight
+        executions quiesce through the registry check as usual."""
+        self.journal.append("terminal", tid=travel_id, status="orphaned")
         self.registry.unregister(travel_id)
         self.board.pop(travel_id)
         self.on_complete(travel_id)

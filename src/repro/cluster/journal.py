@@ -16,42 +16,26 @@ bit-rotted record raises the typed
 :class:`~repro.errors.CorruptJournal` on replay.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
-it rewrites the backing storage as a single ``checkpoint`` record carrying
-the reduced :class:`JournalState`, bounding replay work and journal size by
-the number of *live* travels rather than the traversal history.
+it rewrites its storage as a single ``checkpoint`` record carrying the
+reduced :class:`JournalState`, bounding replay work and journal size by the
+number of *live* travels rather than the traversal history.
 
-Storage backends model where the bytes live:
-
-* :class:`MemoryJournalStorage` — bytes that survive the coordinator
-  process (the simulated stand-in for a GPFS-backed journal file);
-* :class:`FileJournalStorage` — a real file, for tests and offline
-  inspection.
+The bytes live in a :class:`JournalFile`, which sits outside the
+coordinator's crash blast radius: the simulated stand-in for a journal file
+on the shared filesystem.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Protocol, Union
+from typing import Optional
 
 from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
 
 
-class JournalStorage(Protocol):
-    """Durable byte sink for the journal. Appends must be atomic at record
-    granularity (the simulated crash model guarantees this; a real
-    implementation would fsync)."""
-
-    def append(self, data: bytes) -> None: ...
-
-    def read(self) -> bytes: ...
-
-    def reset(self, data: bytes) -> None: ...
-
-
-class MemoryJournalStorage:
+class JournalFile:
     """Journal bytes held in memory but *outside* the coordinator's crash
     blast radius — the in-process model of a shared-filesystem journal."""
 
@@ -66,32 +50,6 @@ class MemoryJournalStorage:
 
     def reset(self, data: bytes) -> None:
         self._buf = bytearray(data)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-class FileJournalStorage:
-    """Journal bytes in a real file."""
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
-            self.path.write_bytes(b"")
-
-    def append(self, data: bytes) -> None:
-        with self.path.open("ab") as fh:
-            fh.write(data)
-
-    def read(self) -> bytes:
-        return self.path.read_bytes()
-
-    def reset(self, data: bytes) -> None:
-        self.path.write_bytes(data)
-
-    def __len__(self) -> int:
-        return self.path.stat().st_size
 
 
 @dataclass
@@ -122,29 +80,6 @@ class JournalState:
         if travel_id + 1 > self.next_travel_id:
             self.next_travel_id = travel_id + 1
 
-    def as_payload(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "next_travel_id": self.next_travel_id,
-            "queued": dict(self.queued),
-            "running": dict(self.running),
-            "terminals": dict(self.terminals),
-            "migrations": dict(self.migrations),
-            "routing_version": self.routing_version,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JournalState":
-        return cls(
-            epoch=payload.get("epoch", 0),
-            next_travel_id=payload.get("next_travel_id", 1),
-            queued=dict(payload.get("queued", {})),
-            running=dict(payload.get("running", {})),
-            terminals=dict(payload.get("terminals", {})),
-            migrations=dict(payload.get("migrations", {})),
-            routing_version=payload.get("routing_version", 0),
-        )
-
 
 class TraversalJournal:
     """Append-only WAL of coordinator state transitions with compacting
@@ -161,7 +96,8 @@ class TraversalJournal:
     ``dispatch``  coordinator accepted a submit: tid, executed plan,
                   attempt, epoch, composite flag, child_of, submit_time
     ``progress``  batched exec-tracker deltas for a running travel
-    ``terminal``  travel finished: tid, status (ok/failed/cancelled)
+    ``terminal``  travel finished: tid, status (ok/failed/cancelled, or
+                  orphaned: a dead epoch's composite child)
     ``epoch``     a recovered coordinator started this epoch
     ``migration`` a shard migration's phase transition: mid, phase
                   (copy/dual/cutover/done/aborted), src, dst, vids, and
@@ -171,13 +107,11 @@ class TraversalJournal:
 
     def __init__(
         self,
-        storage: Optional[JournalStorage] = None,
+        storage: Optional[JournalFile] = None,
         *,
         checkpoint_interval: int = 256,
     ):
-        self.storage: JournalStorage = (
-            storage if storage is not None else MemoryJournalStorage()
-        )
+        self.storage = storage if storage is not None else JournalFile()
         self.checkpoint_interval = checkpoint_interval
         #: lifetime counters (survive compaction; used by the bench ablation)
         self.records_appended = 0
@@ -201,7 +135,9 @@ class TraversalJournal:
 
     def compact(self) -> None:
         """Rewrite the storage as one checkpoint record of the live state."""
-        record = {"kind": "checkpoint", "state": self._state.as_payload()}
+        # the state's own attribute dict, in field order, is the payload;
+        # the fold restores it with one update
+        record = {"kind": "checkpoint", "state": vars(self._state)}
         framed = pack_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         self.storage.reset(framed)
         self.checkpoints_written += 1
@@ -242,14 +178,7 @@ class TraversalJournal:
     def _fold(state: JournalState, record: dict) -> None:
         kind = record["kind"]
         if kind == "checkpoint":
-            restored = JournalState.from_payload(record["state"])
-            state.epoch = restored.epoch
-            state.next_travel_id = restored.next_travel_id
-            state.queued = restored.queued
-            state.running = restored.running
-            state.terminals = restored.terminals
-            state.migrations = restored.migrations
-            state.routing_version = restored.routing_version
+            vars(state).update(record["state"])
         elif kind == "admit":
             tid = record["tid"]
             state.note_travel_id(tid)

@@ -3,60 +3,38 @@ into a running coordinator again.
 
 The paper's fault story covers backend servers (RocksDB on GPFS survives
 them) but treats the coordinator as always-up. This module closes that gap
-for the control plane (DESIGN.md §13): the :class:`RecoverySupervisor`
-models the part of the deployment that *survives* a coordinator crash — the
-client session table and the GPFS-backed journal — and drives recovery when
-the coordinator's host comes back:
+for the control plane (DESIGN.md §13). The :class:`RecoverySupervisor`
+models what *survives* a coordinator crash — the client sessions and the
+journal — and drives recovery when the coordinator's host comes back:
 
 1. replay the journal (:class:`~repro.cluster.journal.TraversalJournal`)
    into the reduced queued/running/terminal state;
 2. start the next coordinator **epoch** (journaled first, so a second crash
    during recovery still fences the first epoch's traffic);
-3. dispose of pre-crash composite children (their parents restart the
+3. roll shard migrations forward or back;
+4. orphan the dead epoch's composite children (their parents restart the
    composite program from scratch);
-4. resume every in-doubt running traversal through the PR-2 fine-grained
-   replay path, re-binding the surviving client completion event;
-5. readmit journaled-but-never-launched traversals into the scheduler in
-   their original admission order, with deadlines re-armed on remaining
-   time;
-6. fail the completion event of anything the journal says was alive but
-   cannot be restored — the client sees an explicit
-   :class:`~repro.errors.TraversalFailed`, never a hang.
+5. resume every in-doubt running travel, in travel-id order, through the
+   coordinator's live launch sequence;
+6. readmit journaled-but-never-launched travels into the scheduler in
+   their original admission order, deadlines re-armed on remaining time.
 
-Idempotent resubmission falls out of this design: a submission is
-acknowledged only after its ``admit`` record is durable, so a client that
-saw the acknowledgement never needs to resubmit (the travel is either
-restored or explicitly failed), and one that did not can resubmit without
-double-running anything — the lost attempt left no durable state.
+A client session is the scheduler's own
+:class:`~repro.sched.scheduler.QueuedTravel` entry — completion event and
+QoS in one object — kept here from acknowledgement to terminal. A
+submission is acknowledged only after its ``admit`` record is durable and
+every terminal is journaled before its event settles, so the journal and
+the sessions always name the same live travels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
-
-from repro.errors import TraversalFailed
 from repro.ids import ServerId, TravelId
-
-
-@dataclass
-class ClientBinding:
-    """One live submission's client-side state (survives coordinator loss)."""
-
-    client_event: Any
-    tenant: str = "default"
-    priority: Optional[int] = None
-    deadline_abs: Optional[float] = None
-    admit_time: float = 0.0
+from repro.sched.scheduler import QueuedTravel
 
 
 class RecoverySupervisor:
-    """Crash/recovery listener pair for the coordinator's host.
-
-    Holds the travel-id → client-event bindings (the in-process stand-in
-    for client sessions that outlive the coordinator process) and rebuilds
-    coordinator + scheduler state from the journal when the host recovers.
-    """
+    """Crash/recovery listener pair for the coordinator's host."""
 
     def __init__(
         self, runtime, coordinator, scheduler, journal, migrator, channel=None
@@ -66,42 +44,22 @@ class RecoverySupervisor:
         self.journal = journal
         self.channel = channel
         self.migrator = migrator
-        self.metrics = coordinator.metrics
-        self.trace = coordinator.trace
-        self._bindings: dict[TravelId, ClientBinding] = {}
+        #: travel id -> the scheduler's entry of every acknowledged,
+        #: not yet terminal submission (the client sessions)
+        self.sessions: dict[TravelId, QueuedTravel] = {}
         self._host = runtime.coordinator_server
         runtime.add_crash_listener(self.on_server_crash)
         runtime.add_recovery_listener(self.on_server_recover)
 
-    # -- client bookkeeping --------------------------------------------------
+    # -- client sessions -----------------------------------------------------
 
-    def note_submission(
-        self,
-        travel_id: TravelId,
-        client_event: Any,
-        *,
-        tenant: str = "default",
-        priority: Optional[int] = None,
-        deadline_abs: Optional[float] = None,
-        admit_time: float = 0.0,
-    ) -> None:
-        """Record a live submission's client binding (called by
-        ``Cluster.submit`` once the scheduler acknowledged admission)."""
-        self._bindings[travel_id] = ClientBinding(
-            client_event=client_event,
-            tenant=tenant,
-            priority=priority,
-            deadline_abs=deadline_abs,
-            admit_time=admit_time,
-        )
+    def note_submission(self, entry: QueuedTravel) -> None:
+        """Keep an acknowledged submission's entry (``Cluster.submit``)."""
+        self.sessions[entry.travel_id] = entry
 
-    def drop_binding(self, travel_id: TravelId, status: str) -> None:
-        """Terminal listener: the binding table tracks live travels only."""
-        self._bindings.pop(travel_id, None)
-
-    @property
-    def live_bindings(self) -> int:
-        return len(self._bindings)
+    def drop_session(self, travel_id: TravelId, status: str) -> None:
+        """Terminal listener: the session table tracks live travels only."""
+        self.sessions.pop(travel_id, None)
 
     # -- crash side ----------------------------------------------------------
 
@@ -137,89 +95,17 @@ class RecoverySupervisor:
         # cutovers stay committed and half-done migrations roll back first
         self.migrator.recover(dict(state.migrations))
 
-        # pre-crash composite children are not resumed: the parent restarts
-        # its (deterministic) program from scratch, so dispose of them and
-        # let their stale in-flight executions quiesce via attempt/epoch
-        restored: set[TravelId] = set()
-        for tid in sorted(state.running):
-            record = state.running[tid]
-            if record.get("child_of") is not None:
-                self.coordinator.cleanup_travel(tid)
-                self.journal.append("terminal", tid=tid, status="orphaned")
-                restored.add(tid)
+        # every child first, then every parent and linear travel: the
+        # children's terminals precede the parents' new dispatch records
+        running = sorted(state.running.items())
+        for tid, record in running:
+            if record["child_of"] is not None:
+                self.coordinator.orphan(tid)
+        for tid, record in running:
+            if record["child_of"] is None:
+                entry = self.sessions[tid]
+                self.coordinator.resume(tid, record, entry.client_event)
+                self.scheduler.restore(entry, running=True)
 
-        # resume in-doubt running travels (launch order = travel-id order)
-        for tid in sorted(state.running):
-            record = state.running[tid]
-            if tid in restored:
-                continue
-            binding = self._bindings.get(tid)
-            if binding is None or binding.client_event.triggered:
-                # no live client waits on this travel; drop it cleanly
-                self.coordinator.cleanup_travel(tid)
-                self.journal.append("terminal", tid=tid, status="orphaned")
-                restored.add(tid)
-                continue
-            if record.get("composite"):
-                self.coordinator.resume_composite(
-                    tid,
-                    record["plan"],
-                    client_event=binding.client_event,
-                    submit_time=record["submit_time"],
-                )
-                ok = True
-            else:
-                ok = self.coordinator.resume_travel(
-                    tid,
-                    client_event=binding.client_event,
-                    submit_time=record["submit_time"],
-                    planned=record.get("planned"),
-                )
-            if ok:
-                self.scheduler.restore_inflight(
-                    tid,
-                    record["plan"],
-                    client_event=binding.client_event,
-                    tenant=binding.tenant,
-                    priority=binding.priority,
-                    deadline_abs=binding.deadline_abs,
-                    admit_time=binding.admit_time,
-                )
-            else:
-                self.journal.append("terminal", tid=tid, status="failed")
-                self._lose(tid, "unrecoverable after coordinator crash")
-            restored.add(tid)
-
-        # readmit never-launched travels in original admission order
-        for tid in sorted(
-            state.queued, key=lambda t: state.queued[t].get("seq", t)
-        ):
-            record = state.queued[tid]
-            binding = self._bindings.get(tid)
-            if binding is None or binding.client_event.triggered:
-                self.journal.append("terminal", tid=tid, status="orphaned")
-                continue
-            self.scheduler.readmit(
-                tid,
-                record["plan"],
-                client_event=binding.client_event,
-                tenant=record.get("tenant", binding.tenant),
-                priority=record.get("priority", binding.priority),
-                deadline_abs=record.get("deadline", binding.deadline_abs),
-                admit_time=record.get("admit_time", binding.admit_time),
-            )
-            restored.add(tid)
-
-        # anything the client still waits on that the journal does not know
-        # died before its admit record became durable: fail it explicitly
-        for tid in sorted(self._bindings):
-            if tid in restored:
-                continue
-            if not self._bindings[tid].client_event.triggered:
-                self._lose(tid, "lost in coordinator crash")
-
-    def _lose(self, tid: TravelId, reason: str) -> None:
-        """Fail a live client's event explicitly — never a hang — and forget
-        the binding."""
-        self.metrics.count("coord.lost")
-        self._bindings.pop(tid).client_event.fail(TraversalFailed(tid, reason))
+        for tid in sorted(state.queued, key=lambda t: state.queued[t]["seq"]):
+            self.scheduler.restore(self.sessions[tid], running=False)

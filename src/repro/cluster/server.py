@@ -27,10 +27,6 @@ class BackendServer:
     def vertex_count(self) -> int:
         return self.store.vertex_count()
 
-    @property
-    def queue_length(self) -> int:
-        return self.engine.queue_length if hasattr(self.engine, "queue_length") else 0
-
     def storage_metrics(self) -> dict[str, int]:
         """This server's storage counters (LSM / block cache / bloom)."""
         return self.store.metrics_snapshot()

@@ -106,10 +106,6 @@ class PendingWork:
     def travel_id(self) -> TravelId:
         return self.travel_key[0]
 
-    @property
-    def attempt(self) -> int:
-        return self.travel_key[1]
-
 
 class AsyncServerEngine:
     """Per-server asynchronous traversal engine."""
@@ -635,7 +631,3 @@ class AsyncServerEngine:
         capacity = self.opts.cache_capacity if self.opts.cache_enabled else _UNBOUNDED
         self.seen = TraversalAffiliateCache(capacity)
         self.metrics.count("engine.crashes", server=self.ctx.server_id)
-
-    @property
-    def queue_length(self) -> int:
-        return self.ctx.queue_len(self.queue)

@@ -413,9 +413,9 @@ def chaos_check_many(
             leaked.append(f"active coordinator state for travel {travel_id}")
         if travel_id in cluster.coordinator._composites:
             leaked.append(f"composite coordinator state for travel {travel_id}")
-    if cluster.supervisor is not None and cluster.supervisor.live_bindings:
+    if cluster.supervisor is not None and cluster.supervisor.sessions:
         leaked.append(
-            f"recovery supervisor bindings {cluster.supervisor.live_bindings}"
+            f"recovery supervisor sessions {len(cluster.supervisor.sessions)}"
         )
     if migrate:
         if migration_state is None or migration_state.phase not in (

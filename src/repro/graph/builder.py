@@ -9,7 +9,7 @@ into per-server :class:`~repro.storage.layout.GraphStore` instances.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import GraphError
 from repro.graph.edge import Edge
@@ -86,9 +86,6 @@ class PropertyGraph:
         except KeyError:
             raise GraphError(f"no vertex {vid}") from None
 
-    def vertices(self) -> Iterator[Vertex]:
-        return iter(self._vertices.values())
-
     def vertex_ids(self) -> Iterator[VertexId]:
         return iter(self._vertices.keys())
 
@@ -163,10 +160,6 @@ class GraphBuilder:
 
     def edge(self, src: VertexId, dst: VertexId, label: str, **props: Any) -> None:
         self._graph.add_edge(src, dst, label, props)
-
-    def edges(self, pairs: Iterable[tuple[VertexId, VertexId]], label: str) -> None:
-        for src, dst in pairs:
-            self._graph.add_edge(src, dst, label)
 
     def build(self) -> PropertyGraph:
         graph = self._graph

@@ -40,9 +40,6 @@ class DegreeStats:
     gini: float
     powerlaw_alpha: float
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.__dict__)
-
 
 def fit_powerlaw_alpha(degrees: np.ndarray, dmin: int = 1) -> float:
     """MLE exponent for a discrete power law ``p(d) ~ d^-alpha``.

@@ -228,14 +228,6 @@ class CompositePlan:
             1 for op in self.ops if isinstance(op, (Step, RepeatOp, UnionOp, BackOp))
         )
 
-    @property
-    def num_steps(self) -> int:
-        return self.final_level
-
-    @property
-    def has_intermediate_returns(self) -> bool:
-        return False
-
     def explain(self, planner: Optional[Any] = None) -> dict:
         """Structured EXPLAIN document for the operator tree, with per-op cost
         estimates when a planner (with a graph summary) is supplied. See

@@ -133,10 +133,6 @@ class PlannedQuery:
     #: reversed plan populates a non-trivial map
     level_map: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def rewritten(self) -> bool:
-        return self.executed is not self.original or bool(self.rewrites)
-
     def map_level(self, level: int) -> int:
         return self.level_map.get(level, level)
 

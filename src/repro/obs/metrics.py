@@ -58,10 +58,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.samples.append(float(value))
 
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile; NaN on an empty histogram."""
         if not self.samples:
@@ -148,9 +144,6 @@ class MetricsRegistry:
 
     def gauge_value(self, name: str, **labels: Any) -> Optional[float]:
         return self._gauges.get(metric_key(name, labels))
-
-    def histogram(self, name: str, **labels: Any) -> Optional[Histogram]:
-        return self._histograms.get(metric_key(name, labels))
 
     def snapshot(self) -> dict[str, Any]:
         """Fully sorted plain-dict view; runs collectors first."""

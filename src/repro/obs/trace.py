@@ -343,14 +343,6 @@ class FlightRecorder:
     def to_json(self) -> str:
         return canonical_json(self.timeline())
 
-    def clear(self) -> None:
-        self._events.clear()
-        self._pending.clear()
-        self._decisions.clear()
-        self._dropped_by_travel.clear()
-        self.dropped = 0
-        self.sampled_out = 0
-
 
 # -- DAG reconstruction ------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Graph partitioning: edge-cut (engine default) and vertex-cut (analysis)."""
 
-from repro.partition.balance import PartitionReport, evaluate_partition, per_server_vertices
+from repro.partition.balance import PartitionReport, evaluate_partition
 from repro.partition.edge_cut import (
     GreedyBalancedEdgeCut,
     HashEdgeCut,
@@ -13,7 +13,6 @@ from repro.partition.vertex_cut import VertexCutResult, greedy_vertex_cut
 __all__ = [
     "PartitionReport",
     "evaluate_partition",
-    "per_server_vertices",
     "GreedyBalancedEdgeCut",
     "HashEdgeCut",
     "Partitioner",

@@ -13,7 +13,6 @@ import numpy as np
 from repro.graph.builder import PropertyGraph
 from repro.graph.property import props_size_bytes
 from repro.graph.stats import gini, imbalance_factor
-from repro.ids import VertexId
 from repro.partition.edge_cut import Partitioner
 
 
@@ -69,10 +68,3 @@ def evaluate_partition(graph: PropertyGraph, partitioner: Partitioner) -> Partit
             size += 16 + props_size_bytes(eprops)
         bloads[server] += size
     return PartitionReport(n, vloads, eloads, bloads)
-
-
-def per_server_vertices(
-    graph: PropertyGraph, partitioner: Partitioner
-) -> list[list[VertexId]]:
-    """Convenience: the assignment as vertex lists (same as Partitioner.assign)."""
-    return partitioner.assign(graph)

@@ -567,10 +567,6 @@ class ShardMigrator:
     def active_count(self) -> int:
         return len(self.active)
 
-    @property
-    def dual_vertices(self) -> int:
-        return self.routing.dual_count
-
     def leaked_state(self) -> list[str]:
         """Migration state that should be empty once every migration is
         terminal (mirrors the chaos harness's zero-leak contract)."""

@@ -250,7 +250,7 @@ class TraversalScheduler:
 
     def _note_submitted(self, entry: QueuedTravel) -> None:
         """Count and trace a fresh admission (a post-crash readmission is
-        not one: it only counts ``sched.readmitted``)."""
+        not one: :meth:`restore` only counts ``sched.readmitted``)."""
         self.metrics.count("sched.submitted", tenant=entry.tenant)
         self.trace.record(
             "sched.submit",
@@ -288,21 +288,20 @@ class TraversalScheduler:
         """
         entry = self._queued.pop(travel_id, None)
         if entry is not None:
-            entry.state = "cancelled"
-            self._cancel_queued(travel_id, entry.tenant, entry.client_event, reason)
+            self._cancel_queued(entry, reason)
             self._pump()
             return True
         if travel_id in self._inflight:
             return self.coordinator.cancel(travel_id, reason)
         return False
 
-    def _cancel_queued(
-        self, travel_id: TravelId, tenant: str, client_event: Any, reason: str
-    ) -> None:
+    def _cancel_queued(self, entry: QueuedTravel, reason: str) -> None:
         """The terminal sequence of a travel that never launched (cancelled
         in the queue, or found expired at readmission): count, trace,
         journal, fail the client's event, then tell the coordinator's
         terminal listeners, which never saw this travel run."""
+        travel_id, tenant = entry.travel_id, entry.tenant
+        entry.state = "cancelled"
         self.metrics.count("sched.cancelled", tenant=tenant, where="queued")
         self.trace.record(
             "sched.cancel",
@@ -314,7 +313,7 @@ class TraversalScheduler:
         )
         if self.journal is not None:
             self.journal.append("terminal", tid=travel_id, status="cancelled")
-        client_event.fail(TraversalCancelled(travel_id, reason))
+        entry.client_event.fail(TraversalCancelled(travel_id, reason))
         self.coordinator.notify_terminal(travel_id, "cancelled")
 
     def _deadline_fire(self, travel_id: TravelId) -> None:
@@ -512,10 +511,9 @@ class TraversalScheduler:
     def on_host_crash(self) -> None:
         """The coordinator's host crashed: drop all scheduler state.
 
-        Client completion events are *not* failed here — they survive the
-        crash and are re-bound during recovery (queued travels are
-        readmitted, running ones resumed). The recovery supervisor fails
-        the events of anything it cannot restore.
+        Client completion events are *not* failed here: the recovery
+        supervisor keeps every travel's entry and hands it back through
+        :meth:`restore`.
         """
         self._queued.clear()
         self._heap.clear()
@@ -525,75 +523,30 @@ class TraversalScheduler:
         self._repump = False
         self._poll_armed = False
 
-    def readmit(
-        self,
-        travel_id: TravelId,
-        plan: TraversalPlan,
-        *,
-        client_event: Any,
-        tenant: str = "default",
-        priority: Optional[int] = None,
-        deadline_abs: Optional[float] = None,
-        admit_time: float = 0.0,
-    ) -> bool:
-        """Re-queue a journaled-but-never-launched traversal after a
-        coordinator crash, preserving its tenant/priority/deadline QoS.
+    def restore(self, entry: QueuedTravel, *, running: bool) -> None:
+        """Re-track one travel's surviving entry after a coordinator crash,
+        QoS intact: a travel the recovered coordinator resumed goes back in
+        flight, a never-launched one is readmitted into the queue.
 
-        Call in original admission (``seq``) order so fresh sequence
-        numbers reproduce the pre-crash queue order. Returns False (and
-        cancels the travel) when its deadline already passed.
+        Call running travels first, then queued ones in original admission
+        (``seq``) order, so fresh sequence numbers reproduce the pre-crash
+        queue order. A queued travel whose deadline already passed is
+        cancelled instead; a resumed one's expired deadline fires on the
+        next tick, after it is fully re-dispatched, and cancels it mid-run.
         """
         now = self._ctx.now()
-        if deadline_abs is not None and deadline_abs <= now:
-            self._cancel_queued(travel_id, tenant, client_event, "deadline exceeded")
-            return False
-        entry = QueuedTravel(
-            travel_id=travel_id,
-            plan=plan,
-            tenant=tenant,
-            priority=priority,
-            client_event=client_event,
-            admit_time=admit_time,
-            seq=next(self._seq),
-            deadline=deadline_abs,
-        )
-        if deadline_abs is not None:
-            self._arm_deadline(travel_id, max(deadline_abs - now, 1e-9))
-        self.metrics.count("sched.readmitted", tenant=tenant)
-        self._enqueue(entry)
-        return True
-
-    def restore_inflight(
-        self,
-        travel_id: TravelId,
-        plan: TraversalPlan,
-        *,
-        client_event: Any,
-        tenant: str = "default",
-        priority: Optional[int] = None,
-        deadline_abs: Optional[float] = None,
-        admit_time: float = 0.0,
-    ) -> None:
-        """Re-track a traversal the recovered coordinator resumed, so
-        terminal accounting and deadline cancellation keep working."""
-        entry = QueuedTravel(
-            travel_id=travel_id,
-            plan=plan,
-            tenant=tenant,
-            priority=priority,
-            client_event=client_event,
-            admit_time=admit_time,
-            seq=next(self._seq),
-            deadline=deadline_abs,
-            state="running",
-        )
-        self._inflight[travel_id] = entry
-        if deadline_abs is not None:
-            # expired deadlines fire on the next tick, after the resumed
-            # travel is fully re-dispatched, and cancel it mid-run
-            self._arm_deadline(
-                travel_id, max(deadline_abs - self._ctx.now(), 1e-9)
-            )
+        deadline = entry.deadline
+        if not running and deadline is not None and deadline <= now:
+            self._cancel_queued(entry, "deadline exceeded")
+            return
+        entry.seq = next(self._seq)
+        if deadline is not None:
+            self._arm_deadline(entry.travel_id, max(deadline - now, 1e-9))
+        if running:
+            self._inflight[entry.travel_id] = entry
+        else:
+            self.metrics.count("sched.readmitted", tenant=entry.tenant)
+            self._enqueue(entry)
 
     # -- draining (tests / shutdown hygiene) --------------------------------
 

@@ -19,7 +19,7 @@ All waiting is expressed as events, so processes compose naturally::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
@@ -99,12 +99,6 @@ class Resource:
             _, _, nxt = heapq.heappop(self._waiting)
             self._in_use += 1
             nxt.succeed(nxt)
-
-    def acquire(self, priority: float = 0.0) -> Generator[Event, Any, Request]:
-        """Generator helper: ``req = yield from resource.acquire()``."""
-        req = self.request(priority)
-        yield req
-        return req
 
 
 class Store:

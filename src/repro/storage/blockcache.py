@@ -28,9 +28,6 @@ class BlockCache:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._blocks)
-
     def access(self, table_id: int, block_no: int) -> bool:
         """Record an access; True if it was a cache hit."""
         if self.capacity == 0:

@@ -10,7 +10,7 @@ from repro.workloads.metadata_graph import (
     generate_metadata_graph,
     paper_scaled_config,
 )
-from repro.workloads.properties import blob_props, sized_props
+from repro.workloads.properties import sized_props
 from repro.workloads.queries import (
     agent_exploration,
     audit_scan_query,
@@ -37,7 +37,6 @@ __all__ = [
     "MetadataGraphStats",
     "generate_metadata_graph",
     "paper_scaled_config",
-    "blob_props",
     "sized_props",
     "agent_exploration",
     "audit_scan_query",

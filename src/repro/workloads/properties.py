@@ -16,12 +16,6 @@ from repro.graph.property import props_size_bytes
 _BLOB_OVERHEAD = 8 + 8 + 4 + 1 + 8  # count + keylen + key"blob" + tag + len
 
 
-def blob_props(rng: np.random.Generator, total_bytes: int = 128) -> dict:
-    """A property dict whose serialized size is ≈ ``total_bytes``."""
-    payload = max(1, total_bytes - _BLOB_OVERHEAD)
-    return {"blob": rng.bytes(payload)}
-
-
 def sized_props(rng: np.random.Generator, total_bytes: int, **extra) -> dict:
     """Extra scalar properties padded with a blob up to ``total_bytes``."""
     props = dict(extra)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench import harness
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENTS, ExperimentResult, ShapeCheck
 from repro.bench.harness import (
     BenchEnvironment,
     Cell,
@@ -175,6 +175,13 @@ def test_cheap_experiments_run(name, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
     if name == "table2":
         assert result.all_passed, result.failed_checks()
+
+
+def test_failed_checks_lists_only_the_failures():
+    ok, bad = ShapeCheck("holds", True, ""), ShapeCheck("breaks", False, "why")
+    result = ExperimentResult(checks=[ok, bad])
+    assert not result.all_passed
+    assert result.failed_checks() == [bad]
 
 
 def test_every_registered_experiment_is_pinned():

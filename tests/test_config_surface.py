@@ -8,8 +8,9 @@ Removed so far: ``ClusterConfig.telemetry_enabled`` (the telemetry plane is
 part of every cluster), ``ClusterConfig.trace_max_events``
 (``Cluster.enable_tracing(max_events=)`` bounds the recorder) and
 ``CoordinatorConfig.max_replay_rounds`` (now the module constant
-``MAX_REPLAY_ROUNDS``) and ``ClusterConfig.runtime`` (the simulator is the
-only runtime).
+``MAX_REPLAY_ROUNDS``), ``ClusterConfig.runtime`` (the simulator is the
+only runtime) and ``ClusterConfig.journal_storage`` (the journal lives in
+its one in-memory storage, which outlives the coordinator).
 
 The runtime is single-threaded, so no module under ``src/repro`` may import
 a threading primitive: a lock cannot come back without a diff here.
@@ -47,7 +48,6 @@ SURFACE = {
         "trace_enabled",
         "scheduler_config",
         "journal",
-        "journal_storage",
         "slo_config",
         "trace_sampling",
         "migration",

@@ -200,7 +200,7 @@ def test_terminal_listeners_run_telemetry_then_scheduler_then_supervisor(metadat
         cluster.coordinator, cluster.scheduler, cluster.supervisor,
     )
     listeners = coordinator.terminal_listeners
-    assert listeners[1:] == [scheduler.on_travel_terminal, supervisor.drop_binding]
+    assert listeners[1:] == [scheduler.on_travel_terminal, supervisor.drop_session]
     order, slo_seen = [], []
 
     def named(name, listener):
@@ -212,7 +212,7 @@ def test_terminal_listeners_run_telemetry_then_scheduler_then_supervisor(metadat
                     travel_id,
                     status,
                     scheduler.entry_for(travel_id) is not None,
-                    travel_id in supervisor._bindings,
+                    travel_id in supervisor.sessions,
                 )
             )
             listener(travel_id, status)
@@ -244,7 +244,7 @@ def test_terminal_listeners_run_telemetry_then_scheduler_then_supervisor(metadat
         ("supervisor", queued, "cancelled", False, True),
     ]
     assert slo_seen == []
-    assert queued not in supervisor._bindings
+    assert queued not in supervisor.sessions
     with pytest.raises(TraversalCancelled):
         cluster.runtime.run_until_complete(queued_event)
 
@@ -258,7 +258,7 @@ def test_terminal_listeners_run_telemetry_then_scheduler_then_supervisor(metadat
         ("supervisor", running, "ok", False, True),
     ]
     assert slo_seen == [("alice", "ok")]
-    assert supervisor.live_bindings == 0
+    assert not supervisor.sessions
 
 
 # -- readmission of an expired travel ----------------------------------------------
@@ -266,9 +266,9 @@ def test_terminal_listeners_run_telemetry_then_scheduler_then_supervisor(metadat
 
 def test_deadline_passing_while_host_is_down_cancels_at_readmission(metadata_graph):
     """A queued travel whose deadline passes while the coordinator host is
-    down is cancelled by ``readmit`` through the same queued-side sequence
+    down is cancelled by ``restore`` through the same queued-side sequence
     as a live cancel: counter *and* trace event, a ``terminal`` journal
-    record, the typed error, no supervisor binding left."""
+    record, the typed error, no supervisor session left."""
     graph, ids = metadata_graph
     cluster = Cluster.build(
         graph,
@@ -293,7 +293,7 @@ def test_deadline_passing_while_host_is_down_cancels_at_readmission(metadata_gra
     assert runtime.run_until_complete(running_event).result.vertices
 
     assert cluster.journal.replay().terminals == {"cancelled": 1, "ok": 1}
-    assert cluster.supervisor.live_bindings == 0
+    assert not cluster.supervisor.sessions
     counters = cluster.metrics_snapshot()["counters"]
     assert counters["sched.cancelled{tenant=bob,where=queued}"] == 1
     cancels = [e for e in cluster.obs.trace.events() if e.kind == "sched.cancel"]

@@ -24,7 +24,7 @@ from repro.engine import (
     plain_async_options,
     sync_options,
 )
-from repro.errors import AdmissionRejected, TraversalFailed
+from repro.errors import AdmissionRejected
 from repro.faults.chaos import (
     chaos_check,
     chaos_check_many,
@@ -35,6 +35,7 @@ from repro.faults.chaos import (
 from repro.faults.plan import sample_fault_plan
 from repro.lang import GTravel
 from repro.net.message import ExecStatus, TraverseRequest
+from repro.sched import SchedulerConfig
 from tests.conftest import DropWhen
 
 
@@ -216,7 +217,7 @@ def test_recovery_restarts_under_new_epoch(metadata_graph):
     fenced = [k for k in counters if k.startswith("coord.fenced")]
     assert fenced, counters
     assert cluster.supervisor is not None
-    assert cluster.supervisor.live_bindings == 0
+    assert not cluster.supervisor.sessions
 
 
 # -- epoch fencing unit --------------------------------------------------------
@@ -336,33 +337,54 @@ def test_client_idempotent_key_returns_original_submission(metadata_graph):
     cluster.runtime.run_until_complete(ev_d)
 
 
-def test_client_resubmits_only_after_predurability_loss(metadata_graph):
-    """The one retryable outcome is the pre-durability loss: the submission
-    died before its admit record, so the journal holds no trace of it."""
+def test_every_acknowledged_travel_is_journaled_and_restored(metadata_graph):
+    """``Cluster.submit`` acknowledges a travel only once the journal holds
+    it, queued or running; after a coordinator-host crash recovery resumes
+    every running session and readmits every queued one, so no client
+    event is left without a travel and none needs a resubmission."""
     graph, ids = metadata_graph
     cluster = Cluster.build(
-        graph, ClusterConfig(nservers=3, engine=EngineKind.GRAPHTREK, journal=True)
+        graph,
+        ClusterConfig(
+            nservers=3,
+            engine=EngineKind.GRAPHTREK,
+            journal=True,
+            trace_enabled=True,
+            scheduler_config=SchedulerConfig(max_inflight=2),
+        ),
     )
-    client = GraphTrekClient(cluster)
-    query = GTravel.v(ids["users"][0]).e("run").compile()
+    runtime, host = cluster.runtime, cluster.config.coordinator_server
+    query = recovery_query(ids)
+    events = {}
+    for tenant in ("alice", "bob", "alice", "carol", "bob"):
+        tid, event = cluster.submit(query, tenant=tenant)
+        state = cluster.journal.state
+        assert tid in state.queued or tid in state.running
+        events[tid] = event
+    state = cluster.journal.state
+    running, queued = set(state.running), set(state.queued)
+    assert running and queued and running | queued == set(events)
+    assert set(cluster.supervisor.sessions) == set(events)
 
-    class _Ev:
-        def __init__(self, exc):
-            self.triggered = True
-            self._exc = exc
+    runtime.crash_server(host)
+    runtime.recover_server(host)
+    resumed = {
+        e.travel_id for e in cluster.obs.trace.events() if e.kind == "coord.replay"
+    }
+    assert resumed == running
+    for tid, entry in cluster.supervisor.sessions.items():
+        assert entry is cluster.scheduler.entry_for(tid)
+        assert entry.client_event is events[tid]
+        assert entry.state == ("running" if tid in running else "queued")
+    counters = cluster.metrics_snapshot()["counters"]
+    assert sum(
+        v for k, v in counters.items() if k.startswith("sched.readmitted")
+    ) == len(queued)
 
-    # a travel lost before durability → same key yields a fresh submission
-    client.sessions["req-lost"] = (99, _Ev(TraversalFailed(99, "lost in coordinator crash")))
-    tid, ev = client.submit_idempotent(query, key="req-lost")
-    assert tid != 99
-    cluster.runtime.run_until_complete(ev)
-    # any other failure is NOT retryable through the same key
-    client.sessions["req-failed"] = (
-        98,
-        _Ev(TraversalFailed(98, "restart budget exhausted")),
-    )
-    tid2, _ = client.submit_idempotent(query, key="req-failed")
-    assert tid2 == 98
+    for event in events.values():
+        assert runtime.run_until_complete(event).result.vertices
+    assert cluster.journal.replay().terminals == {"ok": len(events)}
+    assert not cluster.supervisor.sessions
 
 
 def test_query_idempotent_across_coordinator_crash(metadata_graph):
@@ -403,4 +425,4 @@ def test_query_idempotent_across_coordinator_crash(metadata_graph):
     # after completion the key still owns the finished travel
     tid_after, _ = client.submit_idempotent(query, key="ticket-7")
     assert tid_after == first_tid
-    assert cluster.supervisor.live_bindings == 0
+    assert not cluster.supervisor.sessions

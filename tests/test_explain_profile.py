@@ -55,6 +55,10 @@ def test_explain_matches_compiled_plan_explain(metadata_graph):
     _, ids = metadata_graph
     q = query_for(ids)
     assert q.explain() == q.compile().explain()
+    composite = GTravel.v(*ids["users"]).repeat(GTravel.s().e("run")).times(1)
+    doc = composite.explain()
+    assert doc == composite.compile().explain()
+    assert doc["type"] == "composite" and doc["ops"][0]["op"] == "repeat"
 
 
 def test_profile_reconstructs_full_dag_every_engine(metadata_graph):
@@ -109,8 +113,12 @@ def test_profile_is_byte_identical_per_seed_and_config(metadata_graph):
         payloads.append(report.to_json())
         chrome = json.dumps(cluster.trace_payload(), sort_keys=True)
         payloads.append(chrome)
-    assert payloads[0] == payloads[2]  # profile JSON
-    assert payloads[1] == payloads[3]  # Chrome trace JSON
+        dag = cluster.trace_dag(report.travel_id).to_json()
+        assert json.loads(dag) == report.trace
+        payloads.append(dag)
+    assert payloads[0] == payloads[3]  # profile JSON
+    assert payloads[1] == payloads[4]  # Chrome trace JSON
+    assert payloads[2] == payloads[5]  # execution DAG JSON
 
 
 def scan_query():

@@ -1,14 +1,13 @@
 """Unit tests for the durable traversal journal (WAL framing, CRC
-integrity, replay fold, compaction, and the file backend)."""
+integrity, replay fold, and compaction)."""
 
 import pickle
 
 import pytest
 
 from repro.cluster.journal import (
-    FileJournalStorage,
+    JournalFile,
     JournalState,
-    MemoryJournalStorage,
     TraversalJournal,
 )
 from repro.errors import CorruptJournal
@@ -69,7 +68,7 @@ def test_epoch_record_advances_epoch():
 
 
 def test_crc_corruption_raises_typed_error():
-    storage = MemoryJournalStorage()
+    storage = JournalFile()
     journal = TraversalJournal(storage)
     journal.append("epoch", epoch=1)
     data = bytearray(storage.read())
@@ -80,7 +79,7 @@ def test_crc_corruption_raises_typed_error():
 
 
 def test_torn_tail_raises_typed_error():
-    storage = MemoryJournalStorage()
+    storage = JournalFile()
     journal = TraversalJournal(storage)
     journal.append("epoch", epoch=1)
     storage.reset(storage.read()[:-3])  # torn write: length runs past end
@@ -89,15 +88,15 @@ def test_torn_tail_raises_typed_error():
 
 
 def test_undecodable_and_untagged_records_rejected():
-    storage = MemoryJournalStorage(pack_record(b"\x00not-a-pickle"))
+    storage = JournalFile(pack_record(b"\x00not-a-pickle"))
     with pytest.raises(CorruptJournal, match="undecodable"):
         TraversalJournal(storage)
-    storage = MemoryJournalStorage(
+    storage = JournalFile(
         pack_record(pickle.dumps(["no", "kind", "tag"]))
     )
     with pytest.raises(CorruptJournal, match="kind-tagged"):
         TraversalJournal(storage)
-    storage = MemoryJournalStorage(
+    storage = JournalFile(
         pack_record(pickle.dumps({"kind": "wat"}))
     )
     with pytest.raises(CorruptJournal, match="unknown"):
@@ -105,8 +104,15 @@ def test_undecodable_and_untagged_records_rejected():
 
 
 def test_compaction_bounds_size_and_preserves_state():
-    storage = MemoryJournalStorage()
+    storage = JournalFile()
     journal = TraversalJournal(storage, checkpoint_interval=8)
+    journal.append("epoch", epoch=2)
+    journal.append("migration", mid=1, phase="dual", src=0, dst=1,
+                   vids=(4, 5), version=3)
+    journal.append("migration", mid=2, phase="aborted", src=1, dst=0,
+                   vids=(6,), version=5)
+    journal.append("admit", tid=60, plan=_sample_plan(), tenant="t",
+                   priority=None, deadline=None, admit_time=0.0, seq=0)
     for tid in range(1, 40):
         journal.append("dispatch", tid=tid, plan=_sample_plan(), attempt=0,
                        epoch=0, composite=False, child_of=None, submit_time=0.0)
@@ -116,18 +122,24 @@ def test_compaction_bounds_size_and_preserves_state():
     assert journal.checkpoints_written > 0
     # compaction keeps the journal proportional to *live* travels, not history
     assert journal.size_bytes() < journal.bytes_appended / 4
+    live = journal.state
     state = journal.replay()
+    assert state == live
     assert set(state.running) == {100}
+    assert set(state.queued) == {60}
     assert state.terminals["ok"] == 39
     assert state.next_travel_id == 101
+    assert state.epoch == 2
+    assert set(state.migrations) == {1}
+    assert state.routing_version == 5
     # a fresh journal over the same bytes sees the same state
-    cold = TraversalJournal(MemoryJournalStorage(storage.read()))
-    assert cold.state.as_payload() == state.as_payload()
+    cold = TraversalJournal(JournalFile(storage.read()))
+    assert cold.state == state
 
 
 def test_checkpoint_then_tail_replay():
     """Records appended after a compaction fold on top of the checkpoint."""
-    storage = MemoryJournalStorage()
+    storage = JournalFile()
     journal = TraversalJournal(storage, checkpoint_interval=10_000)
     journal.append("dispatch", tid=1, plan=_sample_plan(), attempt=0, epoch=0,
                    composite=False, child_of=None, submit_time=0.0)
@@ -135,29 +147,25 @@ def test_checkpoint_then_tail_replay():
     journal.append("dispatch", tid=2, plan=_sample_plan(), attempt=0, epoch=0,
                    composite=False, child_of=None, submit_time=0.5)
     journal.append("terminal", tid=1, status="ok")
-    state = TraversalJournal(MemoryJournalStorage(storage.read())).state
+    state = TraversalJournal(JournalFile(storage.read())).state
     assert set(state.running) == {2}
     assert state.terminals == {"ok": 1}
 
 
 def test_journal_state_payload_roundtrip():
+    """A checkpoint of a state with every field set replays to an equal
+    state, and a second checkpoint of it writes the same bytes."""
     state = JournalState(epoch=3, next_travel_id=9,
                          queued={1: {"tid": 1}}, running={2: {"tid": 2}},
-                         terminals={"ok": 4})
-    assert JournalState.from_payload(state.as_payload()) == state
-
-
-def test_file_journal_storage_roundtrip(tmp_path):
-    path = tmp_path / "wal" / "journal.bin"
-    journal = TraversalJournal(FileJournalStorage(path))
-    journal.append("dispatch", tid=7, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.0)
-    journal.append("epoch", epoch=1)
-    assert path.exists()
-    # a second process opening the same file sees the same state
-    reopened = TraversalJournal(FileJournalStorage(path))
-    assert set(reopened.state.running) == {7}
-    assert reopened.state.epoch == 1
-    reopened.compact()
-    assert TraversalJournal(FileJournalStorage(path)).state.epoch == 1
-    assert len(FileJournalStorage(path)) == path.stat().st_size
+                         terminals={"ok": 4},
+                         migrations={7: {"mid": 7, "phase": "done"}},
+                         routing_version=11)
+    storage = JournalFile()
+    journal = TraversalJournal(storage)
+    journal._state = state
+    journal.compact()
+    checkpoint = storage.read()
+    replayed = TraversalJournal(JournalFile(checkpoint))
+    assert replayed.state == state
+    replayed.compact()
+    assert replayed.storage.read() == checkpoint

@@ -27,7 +27,8 @@ from repro.errors import QueryError, RepeatDepthExceeded, TraversalCancelled
 from repro.faults.chaos import chaos_check, chaos_check_many
 from repro.graph import PropertyGraph
 from repro.lang import EQ, RANGE, GTravel
-from repro.lang.composite import CompositePlan
+from repro.lang.composite import CompositePlan, FilterNode
+from repro.lang.filters import FilterSet
 from repro.lang.plan import AggregateResult, TraversalPlan
 
 from .conftest import ALL_ENGINES, build_cluster
@@ -184,6 +185,23 @@ def test_back_keeps_only_bound_vertices_with_a_path():
     )
     # survivors are the bound vertices whose 'b' successor has color 0
     assert set(ref.returned) == {3}  # single rtn at the back level
+
+
+def test_filter_after_a_composite_op_describes_and_runs():
+    """``va()`` right after a repeat is a ``FilterNode``: it renders as the
+    chain wrote it and filters the working set on every engine; a filter
+    node without filters is a typed error."""
+    g = ring_graph()
+    query = GTravel.v(0, 1).repeat(GTravel.s().e("a")).times(1).va("color", EQ, 2)
+    plan = query.compile()
+    assert isinstance(plan.ops[-1], FilterNode)
+    assert plan.describe().endswith(plan.ops[-1].describe())
+    assert plan.ops[-1].describe().startswith(".va('color', ")
+    ref = assert_all_match_oracle(g, query)
+    (level,) = ref.returned.values()
+    assert level == {2}
+    with pytest.raises(QueryError):
+        FilterNode(FilterSet())
 
 
 def test_group_count_on_absent_property_buckets_to_none():

@@ -432,12 +432,12 @@ def control_plane_run(engine: EngineKind) -> tuple[Cluster, dict]:
     assert [ok(s).stats.restarts for s in phase] == [1, 0]
 
     assert cluster.coordinator.epoch == 2
-    assert cluster.supervisor.live_bindings == 0
+    assert not cluster.supervisor.sessions
     assert not cluster.scheduler.queue_depth and not cluster.scheduler.inflight_count
     document = {
         "metrics": cluster.metrics_snapshot(),
         "trace": cluster.obs.trace.timeline(),
-        "journal": {"state": journal.replay().as_payload(), "records": records},
+        "journal": {"state": vars(journal.replay()), "records": records},
     }
     return cluster, document
 
