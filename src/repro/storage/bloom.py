@@ -1,9 +1,12 @@
 """Bloom filter over byte keys.
 
 Each SSTable carries one so that point reads skip tables that cannot contain
-the key — the same role RocksDB's per-file bloom filters play. The filter is
-a plain Python ``bytearray`` bitset with double hashing (Kirsch–Mitzenmacher),
-which is plenty fast at the scales the simulation runs at.
+the key — the same role RocksDB's per-file bloom filters play. The table
+builds it on the first point read whose key falls in its key range, not at
+flush: a range scan never consults a filter, and the grouped and interleaved
+edge layouts read by scan only. The filter is a plain Python ``bytearray``
+bitset with double hashing (Kirsch–Mitzenmacher), which is plenty fast at
+the scales the simulation runs at.
 """
 
 from __future__ import annotations

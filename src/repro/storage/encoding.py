@@ -35,6 +35,9 @@ _Q = struct.Struct(">Q")
 #: the fixed-width destination every edge record starts with: a keys-only
 #: read decodes this and skips the property block
 EDGE_DST = _Q
+#: the fixed-width sequence number that ends an edge key: a bulk load
+#: appends it to an :func:`edges_prefix` it encoded once per label
+SEQ = _Q
 _D = struct.Struct(">d")
 _q = struct.Struct(">q")
 

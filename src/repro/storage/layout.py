@@ -43,6 +43,15 @@ def validate_edge_layout(name: str) -> str:
     return name
 
 
+def _by_label(edges: Iterable[tuple[str, VertexId, dict]]) -> dict[str, list]:
+    """``(label, other end, props)`` triples grouped by label, each group in
+    input order: the sequence numbers and blocks a load writes."""
+    grouped: dict[str, list] = {}
+    for label, other, eprops in edges:
+        grouped.setdefault(label, []).append((other, eprops))
+    return grouped
+
+
 class GraphStore:
     """One backend server's graph storage.
 
@@ -108,40 +117,33 @@ class GraphStore:
         """
         items: list[tuple[bytes, bytes]] = []
         count = 0
+        pack_seq = enc.SEQ.pack
+        pack_record = enc.pack_edge_record
         for vid in vids:
             vertex = graph.vertex(vid)
             ns = vertex.vtype
             self._index_vertex(vid, ns)
             count += 1
-            # Reserved attribute makes the vertex discoverable even when it
-            # has no user properties.
-            items.append((enc.attr_key(ns, vid, "__type"), enc.pack_value(ns)))
+            # Key prefixes are encoded once per vertex (and label), not once
+            # per KV pair. The reserved attribute makes the vertex
+            # discoverable even when it has no user properties.
+            attrs = enc.attrs_prefix(ns, vid)
+            items.append((attrs + b"__type", enc.pack_value(ns)))
             for prop, packed in enc.iter_props_pairs(vertex.props):
-                items.append((enc.attr_key(ns, vid, prop), packed))
+                items.append((attrs + prop.encode("utf-8"), packed))
             edges = list(graph.out_edges(vid))
             if reverse_index is not None:
-                per_rlabel: dict[str, int] = {}
-                for label, src, eprops in reverse_index.get(vid, ()):
-                    rlabel = "~" + label
-                    seq = per_rlabel.get(rlabel, 0)
-                    per_rlabel[rlabel] = seq + 1
-                    items.append(
-                        (
-                            enc.edge_key("~" + ns, vid, rlabel, seq),
-                            enc.pack_edge_record(src, eprops),
-                        )
-                    )
+                for label, pairs in _by_label(reverse_index.get(vid, ())).items():
+                    run = enc.edges_prefix("~" + ns, vid, "~" + label)
+                    for seq, (src, eprops) in enumerate(pairs):
+                        items.append((run + pack_seq(seq), pack_record(src, eprops)))
             if self.edge_layout == "grouped":
-                per_label: dict[str, int] = {}
-                for label, dst, eprops in edges:
-                    seq = per_label.get(label, 0)
-                    per_label[label] = seq + 1
-                    self._account_edges(
-                        enc.edge_key(ns, vid, label, seq),
-                        enc.pack_edge_record(dst, eprops),
-                        1,
-                        items,
-                    )
+                for label, pairs in _by_label(edges).items():
+                    run = enc.edges_prefix(ns, vid, label)
+                    for seq, (dst, eprops) in enumerate(pairs):
+                        self._account_edges(
+                            run + pack_seq(seq), pack_record(dst, eprops), 1, items
+                        )
             elif self.edge_layout == "interleaved":
                 for seq, (label, dst, eprops) in enumerate(edges):
                     tagged = {**eprops, _LABEL_PROP: label}
@@ -152,10 +154,7 @@ class GraphStore:
                         items,
                     )
             else:  # columnar: one delta/varint block per (vertex, label)
-                by_label: dict[str, list] = {}
-                for label, dst, eprops in edges:
-                    by_label.setdefault(label, []).append((dst, eprops))
-                for label, pairs in by_label.items():
+                for label, pairs in _by_label(edges).items():
                     block = columnar.AdjacencyBlock.from_edges(vid, label, pairs)
                     self._account_edges(
                         enc.edge_block_key(ns, vid, label),
@@ -533,15 +532,14 @@ class GraphStore:
         after loading. Restored edge records of the other layout's kind
         raise :class:`~repro.errors.EdgeLayoutMismatch`.
         """
-        from repro.storage.memtable import TOMBSTONE
         from repro.storage.sstable import merge_runs
 
         self._edge_bytes = 0
         self._edge_count = 0
-        runs: list[list[tuple[bytes, object]]] = [self.kv.memtable.items_sorted()]
-        runs.extend(list(zip(t.keys, t.values)) for t in self.kv.sstables)
+        runs: list = [self.kv.memtable.items_sorted()]
+        runs.extend(zip(t.keys, t.values) for t in self.kv.sstables)
         for key, value in merge_runs(runs, drop_tombstones=True):
-            if value is TOMBSTONE or key.split(b"\x00", 1)[0].startswith(b"~"):
+            if key.split(b"\x00", 1)[0].startswith(b"~"):
                 continue
             _, vid, tag = enc.vertex_key_tag(key)
             if tag != b"A":

@@ -125,7 +125,7 @@ class LSMStore:
         """Full compaction: merge every SSTable into one, dropping tombstones."""
         if not self.sstables:
             return
-        runs = [list(zip(t.keys, t.values)) for t in self.sstables]
+        runs = [zip(t.keys, t.values) for t in self.sstables]
         merged = merge_runs(runs, drop_tombstones=True)
         for table in self.sstables:
             self.cache.invalidate_table(table.table_id)
@@ -165,7 +165,7 @@ class LSMStore:
         """
         self.stats.scans += 1
         cost = IOCost()
-        buffered = list(self.memtable.scan(start, end)) if len(self.memtable) else []
+        buffered = self.memtable.scan(start, end) if len(self.memtable) else []
         runs: list[list[tuple[bytes, object]]] = [buffered] if buffered else []
         tombstones = bool(buffered)  # a memtable run may hold one: never skip it
         for table in self.sstables:
@@ -210,7 +210,9 @@ class LSMStore:
         out = {f"lsm.{k}": v for k, v in self.stats.as_dict().items()}
         for k, v in self.cache.stats_dict().items():
             out[f"blockcache.{k}"] = v
-        out["bloom.probes"] = sum(t.bloom.probes for t in self.sstables)
-        out["bloom.negatives"] = sum(t.bloom.negatives for t in self.sstables)
+        # a filter no probe has built yet has answered nothing
+        blooms = [t.bloom for t in self.sstables if t.bloom is not None]
+        out["bloom.probes"] = sum(b.probes for b in blooms)
+        out["bloom.negatives"] = sum(b.negatives for b in blooms)
         out["lsm.table_count"] = len(self.sstables)
         return out

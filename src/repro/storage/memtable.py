@@ -3,23 +3,31 @@
 Writes land here first; when the buffered byte size passes a threshold the
 LSM store flushes the memtable into an immutable SSTable. Deletes are
 recorded as tombstones so they can mask older SSTable entries.
+
+The buffer keeps its key order once it has one: the first range scan after a
+clear sorts the keys, and every later new key is inserted in place with
+``bisect.insort``. A live edge insert scans its label's run (to number the
+edge) and then puts, so without that each insert would re-sort the whole
+buffer.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import bisect
+from typing import Optional
 
 #: Sentinel stored for deleted keys until compaction drops them.
 TOMBSTONE = object()
 
 
 class Memtable:
-    """Unsorted write buffer with sort-on-scan.
+    """Hash-indexed write buffer that keeps its key order.
 
-    Point lookups are O(1); range scans sort lazily and cache the order until
-    the next write. This matches the access pattern of the traversal
-    workload: bulk loading goes straight to SSTables, so the memtable only
-    holds live updates and stays small.
+    Point lookups are O(1). The sorted key list is built by the first range
+    scan (or flush) after a clear and maintained from then on: a new key is
+    inserted into it, an overwrite leaves it as is. This matches the access
+    pattern of the traversal workload: bulk loading goes straight to
+    SSTables, so the memtable only holds live updates and stays small.
     """
 
     def __init__(self):
@@ -34,7 +42,8 @@ class Memtable:
         old = self._data.get(key)
         if old is None:
             self.size_bytes += len(key) + len(value)
-            self._sorted_keys = None
+            if self._sorted_keys is not None:
+                bisect.insort(self._sorted_keys, key)
         else:
             self.size_bytes += len(value) - (0 if old is TOMBSTONE else len(old))
         self._data[key] = value
@@ -43,7 +52,8 @@ class Memtable:
         old = self._data.get(key)
         if old is None:
             self.size_bytes += len(key)
-            self._sorted_keys = None
+            if self._sorted_keys is not None:
+                bisect.insort(self._sorted_keys, key)
         elif old is not TOMBSTONE:
             self.size_bytes -= len(old)
         self._data[key] = TOMBSTONE
@@ -57,19 +67,18 @@ class Memtable:
             self._sorted_keys = sorted(self._data)
         return self._sorted_keys
 
-    def scan(self, start: bytes, end: bytes) -> Iterator[tuple[bytes, object]]:
-        """Yield (key, value-or-TOMBSTONE) for start <= key < end, in order."""
-        import bisect
-
+    def scan(self, start: bytes, end: bytes) -> list[tuple[bytes, object]]:
+        """(key, value-or-TOMBSTONE) for start <= key < end, in order."""
         keys = self._ensure_sorted()
         lo = bisect.bisect_left(keys, start)
-        hi = bisect.bisect_left(keys, end)
-        for key in keys[lo:hi]:
-            yield key, self._data[key]
+        hi = bisect.bisect_left(keys, end, lo)
+        data = self._data
+        return [(key, data[key]) for key in keys[lo:hi]]
 
     def items_sorted(self) -> list[tuple[bytes, object]]:
         """All entries in key order (used by flush)."""
-        return [(k, self._data[k]) for k in self._ensure_sorted()]
+        data = self._data
+        return [(k, data[k]) for k in self._ensure_sorted()]
 
     def clear(self) -> None:
         self._data.clear()

@@ -5,13 +5,16 @@ byte-offset index. It is "on disk" for accounting purposes: the LSM store
 charges seeks and block reads for every access, using each entry's byte
 extent to determine which blocks it spans — exactly the property the paper's
 layout exploits (same-label edges adjacent → sequential block reads).
+
+The bloom filter is built by the first probe that reaches it: only point
+``get``s probe, so a table that is only ever scanned never pays for one.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.storage.bloom import BloomFilter
@@ -61,17 +64,22 @@ class SSTable:
         self.values = values
         self.offsets = offsets
         self.size_bytes = pos
-        self.bloom = BloomFilter(max(1, len(keys)), BLOOM_FP_RATE)
-        self.bloom.update(keys)
+        #: built over ``keys`` by the first in-range :meth:`may_contain`
+        self.bloom: Optional[BloomFilter] = None
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def may_contain(self, key: bytes) -> bool:
         """Bloom + key-range check; False means definitely absent."""
-        if not self.keys or key < self.keys[0] or key > self.keys[-1]:
+        keys = self.keys
+        if not keys or key < keys[0] or key > keys[-1]:
             return False
-        return key in self.bloom
+        bloom = self.bloom
+        if bloom is None:
+            bloom = self.bloom = BloomFilter(len(keys), BLOOM_FP_RATE)
+            bloom.update(keys)
+        return key in bloom
 
     def find(self, key: bytes) -> Optional[int]:
         """Index of ``key`` or None."""
@@ -102,30 +110,23 @@ class SSTable:
 
 
 def merge_runs(
-    runs: list[list[tuple[bytes, object]]], drop_tombstones: bool
+    runs: Sequence[Iterable[tuple[bytes, object]]], drop_tombstones: bool
 ) -> list[tuple[bytes, object]]:
-    """Merge sorted runs, newest first; newer entries win on key ties.
+    """Merge runs of ``(key, value)`` pairs, newest first; newer entries win
+    on key ties. Returns the unique keys in order.
 
-    With ``drop_tombstones`` the merged output omits deleted keys entirely
-    (safe only for a *full* merge where no older run survives).
+    One dict fold from the oldest run to the newest (a later write replaces
+    an earlier one), then one sort of the unique keys. With
+    ``drop_tombstones`` the merged output omits deleted keys entirely (safe
+    only for a *full* merge where no older run survives).
     """
-    import heapq
-
-    heap: list[tuple[bytes, int, int]] = []  # (key, run priority, pos)
-    for rank, run in enumerate(runs):
-        if run:
-            heapq.heappush(heap, (run[0][0], rank, 0))
-    out: list[tuple[bytes, object]] = []
-    last_key: Optional[bytes] = None
-    while heap:
-        key, rank, pos = heapq.heappop(heap)
-        value = runs[rank][pos][1]
-        if pos + 1 < len(runs[rank]):
-            heapq.heappush(heap, (runs[rank][pos + 1][0], rank, pos + 1))
-        if key == last_key:
-            continue  # an entry from a newer run already won
-        last_key = key
-        if drop_tombstones and value is TOMBSTONE:
-            continue
-        out.append((key, value))
-    return out
+    latest: dict[bytes, object] = {}
+    for run in reversed(runs):
+        latest.update(run)
+    if drop_tombstones:
+        return [
+            (key, value)
+            for key in sorted(latest)
+            if (value := latest[key]) is not TOMBSTONE
+        ]
+    return [(key, latest[key]) for key in sorted(latest)]

@@ -106,21 +106,28 @@ class MetadataGraph:
 
 
 @lru_cache(maxsize=8)
-def _zipf_probs(n: int, alpha: float) -> np.ndarray:
-    """The normalised rank-frequency vector over [0, n): a generation draws
-    from the same two or three vectors thousands of times, so it is built
+def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
+    """The cumulative rank-frequency distribution over [0, n), normalised the
+    way ``Generator.choice(p=)`` normalises it: a generation draws from the
+    same two or three distributions thousands of times, so each is built
     once per ``(n, alpha)`` and shared read-only."""
     probs = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
     probs /= probs.sum()
-    probs.setflags(write=False)
-    return probs
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
 
 
 def _zipf_choice(
     rng: np.random.Generator, n: int, size: int, alpha: float
 ) -> np.ndarray:
-    """Zipf-distributed indices over [0, n) (rank-frequency power law)."""
-    return rng.choice(n, size=size, p=_zipf_probs(n, alpha))
+    """Zipf-distributed indices over [0, n) (rank-frequency power law).
+
+    The same draws, and the same generator state after them, as
+    ``rng.choice(n, size=size, p=probs)``, without re-validating ``probs``
+    on every call."""
+    return _zipf_cdf(n, alpha).searchsorted(rng.random(size), side="right")
 
 
 def generate_metadata_graph(config: MetadataGraphConfig) -> MetadataGraph:

@@ -28,11 +28,20 @@ traced cell that queues, cancels, replays, restarts and crosses two
 coordinator epochs: the metric snapshot, the trace timeline, the journal's
 replayed state and the order of every journal record, recorded before
 ISSUE 23 folded the coordinator's and the scheduler's copied sequences.
+
+``GOLDEN_WRITE_PATH`` pins the LSM write path per edge layout: a cell that
+ingests (reverse records included), deletes a vertex, flushes past
+``max_sstables`` so compaction runs, traverses and checkpoints/restores
+every server. It hashes the storage counters (``lsm.*``, ``blockcache.*``,
+``bloom.*``), every SSTable's keys, values and offsets before and after the
+restore, and the result; recorded before the SSTables started building
+their bloom filters on first probe.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -46,6 +55,8 @@ from repro.lang import GTravel
 from repro.obs.exporter import canonical_json
 from repro.obs.slo import SLOConfig
 from repro.sched.scheduler import SchedulerConfig
+from repro.storage import TOMBSTONE
+from repro.storage.persist import checkpoint_graph_store, restore_graph_store
 from repro.workloads import (
     MetadataGraphConfig,
     generate_metadata_graph,
@@ -459,4 +470,104 @@ def test_control_plane_matches_golden_digest(engine):
         "counter, trace event and journal record, in order — byte-identical; "
         "the digest may only be re-recorded by a PR that states why virtual "
         "behaviour changed."
+    )
+
+
+#: layout -> sha256 of the write-path document of the cell below, recorded
+#: while every SSTable still built its bloom filter at flush
+GOLDEN_WRITE_PATH = {
+    "grouped": "344e6ecb328416b8bca44f716bb81d9d033900be5dc4890ddefa0df80fc3b4c1",
+    "columnar": "575caa97209ab92a562db518651bbce24c5394410ecf2d82e9a62a6c35d2d36d",
+}
+
+#: ingest rounds of the write-path cell; every round but the last ends in a
+#: flush, so the tables pass ``max_sstables`` (8) once and compact
+WRITE_ROUNDS = 12
+
+
+def _sstables(store) -> list:
+    """Every SSTable of one LSM store as hex keys, values (None for a
+    tombstone) and byte offsets, newest first."""
+    return [
+        [
+            [k.hex() for k in t.keys],
+            [None if v is TOMBSTONE else v.hex() for v in t.values],
+            t.offsets,
+        ]
+        for t in store.sstables
+    ]
+
+
+def write_path_run(layout: str, directory) -> tuple[Cluster, dict]:
+    """Drive the LSM write path of a 4-server cost-planner cell (reverse
+    records on) and return the cluster with the document the digest hashes.
+
+    Each round ingests four new vertices and sixteen edges (half from the
+    round's new vertices, half from loaded ones, all into loaded vertices)
+    and flushes every server; round 5 deletes a vertex ingested (and flushed)
+    in round 0, so tombstones reach an SSTable before the compaction drops
+    them. One traversal then reads across the memtable and several tables,
+    and every server is checkpointed and restored."""
+    config = paper_rmat1(scale=8, seed=1)
+    graph, start = rmat_graph(config), pick_start_vertex(config)
+    cluster = Cluster.build(
+        graph,
+        ClusterConfig(
+            nservers=NSERVERS,
+            engine=options_for(EngineKind.GRAPHTREK, planner="cost"),
+            edge_layout=layout,
+        ),
+    )
+    rng = random.Random(28)
+    nloaded = config.num_vertices
+    next_vid = nloaded
+    victim = None
+    for round_ in range(WRITE_ROUNDS):
+        new = list(range(next_vid, next_vid + 4))
+        next_vid += 4
+        for vid in new:
+            cluster.ingest_vertex(vid, config.vertex_type, {"w": rng.randrange(1000)})
+        for i in range(16):
+            src = rng.choice(new) if i % 2 == 0 else rng.randrange(nloaded)
+            cluster.ingest_edge(src, rng.randrange(nloaded), "link", {"w": i})
+        if round_ == 0:
+            victim = new[0]
+        if round_ == 5:
+            cluster.servers[cluster.routing.owner(victim)].store.delete_vertex(victim)
+        if round_ < WRITE_ROUNDS - 1:
+            for server in cluster.servers:
+                server.store.kv.flush()
+    outcome = cluster.traverse(rmat_kstep_query(start, 3).compile(), cold=True)
+    tables, restored = [], []
+    for server in cluster.servers:
+        path = directory / str(server.server_id)
+        checkpoint_graph_store(server.store, path)
+        tables.append(_sstables(server.store.kv))
+        restored.append(restore_graph_store(path))
+    document = {
+        "result": sorted(outcome.result.vertices),
+        "storage": [s.store.metrics_snapshot() for s in cluster.servers],
+        "tables": tables,
+        "restored": [
+            {"storage": r.metrics_snapshot(), "tables": _sstables(r.kv)}
+            for r in restored
+        ],
+    }
+    return cluster, document
+
+
+@pytest.mark.parametrize("layout", sorted(GOLDEN_WRITE_PATH))
+def test_write_path_matches_golden_digest(layout, tmp_path):
+    cluster, document = write_path_run(layout, tmp_path)
+    assert document["result"], "write-path cell returned nothing; it pins no read"
+    assert all(s.store.kv.stats.compactions for s in cluster.servers), (
+        "a server never compacted; the cell pins no merge"
+    )
+    assert document["restored"][0]["tables"] == document["tables"][0]
+    digest = hashlib.sha256(canonical_json(document).encode()).hexdigest()
+    assert digest == GOLDEN_WRITE_PATH[layout], (
+        f"write path of the {layout} cell drifted: got {digest}. Flush, "
+        "compaction, insert and restore must leave every stored byte, offset "
+        "and storage counter byte-identical; the digest may only be "
+        "re-recorded by a PR that states why the stored data changed."
     )

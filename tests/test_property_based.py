@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from repro.engine.cache import TraversalAffiliateCache
 from repro.engine.frontier import anchors_covered, anchors_union, merge_entry
 from repro.lang import EQ, IN, RANGE, FilterSet, PropertyFilter
-from repro.storage import LSMConfig, LSMStore
+from repro.storage import (
+    TOMBSTONE,
+    BloomFilter,
+    LSMConfig,
+    LSMStore,
+    SSTable,
+    merge_runs,
+)
 from repro.storage import encoding as enc
+from repro.storage.sstable import BLOOM_FP_RATE
 
 # -- value / props codec ------------------------------------------------------
 
@@ -57,21 +65,31 @@ def test_prefix_end_is_tight_upper_bound(prefix):
 
 # -- LSM store: model-based against a dict ------------------------------------------
 
+#: the storage properties run derandomized (the same examples every run) and
+#: without the wall-clock deadline, as the columnar codec suite does
+STORAGE_FIXED = settings(derandomize=True, deadline=None, max_examples=60)
+
+keys_ = st.binary(min_size=1, max_size=2)  # a small key space: scans see the writes
+
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), st.binary(min_size=1, max_size=6),
-                  st.binary(max_size=10)),
-        st.tuples(st.just("del"), st.binary(min_size=1, max_size=6)),
+        st.tuples(st.just("put"), keys_, st.binary(max_size=10)),
+        st.tuples(st.just("del"), keys_),
         st.tuples(st.just("flush")),
         st.tuples(st.just("compact")),
+        st.tuples(st.just("get"), keys_),
+        st.tuples(st.just("scan"), st.binary(max_size=2), st.binary(max_size=2)),
     ),
     max_size=60,
 )
 
 
 @given(ops)
-@settings(max_examples=60, deadline=None)
+@STORAGE_FIXED
 def test_lsm_matches_dict_model(operations):
+    """Every get and scan agrees with a dict as the writes happen, so a
+    memtable that keeps its key order across writes between scans, flushes
+    and compactions is checked at each step, not only at the end."""
     store = LSMStore(LSMConfig(memtable_flush_bytes=256, max_sstables=3))
     model: dict[bytes, bytes] = {}
     for op in operations:
@@ -83,15 +101,66 @@ def test_lsm_matches_dict_model(operations):
             model.pop(op[1], None)
         elif op[0] == "flush":
             store.flush()
-        else:
+        elif op[0] == "compact":
             store.compact()
+        elif op[0] == "get":
+            assert store.get(op[1])[0] == model.get(op[1])
+        else:
+            lo, hi = op[1], op[2]
+            items, _ = store.scan(lo, hi)
+            assert items == sorted((k, v) for k, v in model.items() if lo <= k < hi)
     for key, expected in model.items():
         assert store.get(key)[0] == expected
     items, _ = store.scan(b"", b"\xff" * 8)
-    assert dict(items) == model
-    # scans come back sorted and unique
-    keys = [k for k, _ in items]
-    assert keys == sorted(set(keys))
+    assert items == sorted(model.items())
+
+
+#: runs of unique keys, values bytes or TOMBSTONE, each run sorted
+runs_ = st.lists(
+    st.dictionaries(
+        st.binary(max_size=3), st.one_of(st.binary(max_size=4), st.just(TOMBSTONE)),
+        max_size=12,
+    ).map(lambda d: sorted(d.items())),
+    max_size=5,
+)
+
+
+@given(runs_)
+@STORAGE_FIXED
+def test_merge_runs_matches_newest_wins_model(runs):
+    newest: dict[bytes, object] = {}
+    for run in runs:  # newest first: the first writer of a key wins
+        for key, value in run:
+            newest.setdefault(key, value)
+    want = sorted(newest.items(), key=lambda kv: kv[0])
+    assert merge_runs(runs, drop_tombstones=False) == want
+    assert merge_runs(runs, drop_tombstones=True) == [
+        (k, v) for k, v in want if v is not TOMBSTONE
+    ]
+
+
+@given(
+    st.sets(st.binary(max_size=4), min_size=1, max_size=40),
+    st.lists(st.binary(max_size=4), max_size=40),
+)
+@STORAGE_FIXED
+def test_lazy_bloom_filter_answers_like_an_eager_one(keys, probes):
+    """An SSTable's filter, built by its first in-range probe, answers and
+    counts exactly like one built over the same keys up front."""
+    keys = sorted(keys)
+    table = SSTable([(k, b"") for k in keys])
+    eager = BloomFilter(len(keys), BLOOM_FP_RATE)
+    eager.update(keys)
+    for key in probes:
+        in_range = keys[0] <= key <= keys[-1]
+        assert table.may_contain(key) == (in_range and key in eager)
+    if table.bloom is None:
+        assert eager.probes == 0
+    else:
+        assert (table.bloom.probes, table.bloom.negatives) == (
+            eager.probes, eager.negatives,
+        )
+        assert table.bloom._bits == eager._bits
 
 
 # -- filters ----------------------------------------------------------------------------

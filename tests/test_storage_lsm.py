@@ -67,12 +67,18 @@ def test_memtable_scan_sorted_range():
     assert [k for k, _ in mt.scan(b"a", b"c")] == [b"a", b"b"]
 
 
-def test_memtable_scan_cache_invalidated_on_write():
+def test_memtable_keeps_key_order_across_writes():
     mt = Memtable()
-    mt.put(b"a", b"1")
-    list(mt.scan(b"", b"z"))
-    mt.put(b"b", b"2")
-    assert [k for k, _ in mt.scan(b"", b"z")] == [b"a", b"b"]
+    mt.put(b"b", b"1")
+    mt.scan(b"", b"z")  # sorts the keys once
+    mt.put(b"d", b"2")
+    mt.put(b"a", b"3")
+    mt.delete(b"c")  # a new key as a tombstone
+    mt.put(b"b", b"4")  # an overwrite adds no second copy
+    mt.delete(b"d")
+    assert [k for k, _ in mt.scan(b"", b"z")] == [b"a", b"b", b"c", b"d"]
+    assert mt.scan(b"b", b"d") == [(b"b", b"4"), (b"c", TOMBSTONE)]
+    assert [k for k, _ in mt.items_sorted()] == [b"a", b"b", b"c", b"d"]
 
 
 def test_memtable_size_tracks_updates():
@@ -117,6 +123,21 @@ def test_sstable_may_contain_uses_key_range():
     assert not table.may_contain(b"a")
     assert not table.may_contain(b"z")
     assert table.may_contain(b"m")
+
+
+def test_sstable_builds_its_bloom_filter_on_the_first_in_range_probe():
+    keys = [f"k{i:02d}".encode() for i in range(0, 40, 2)]
+    table = SSTable([(k, b"v") for k in keys])
+    assert table.bloom is None  # a flush or compaction builds none
+    assert not table.may_contain(b"a") and not table.may_contain(b"z")
+    assert table.bloom is None  # the key-range check answered alone
+    assert table.may_contain(b"k04")
+    eager = BloomFilter(len(keys), 0.01)
+    eager.update(keys)
+    assert table.bloom.nbits == eager.nbits
+    assert table.bloom.nhashes == eager.nhashes
+    assert table.bloom._bits == eager._bits
+    assert (table.bloom.probes, table.bloom.negatives) == (1, 0)
 
 
 def test_sstable_overlaps():
@@ -283,6 +304,18 @@ def test_lsm_block_cache_reduces_cost():
     assert GPFS.time(warm) < GPFS.time(cold)
 
 
+def test_lsm_get_builds_only_the_filters_it_probes():
+    store = make_store()
+    for run in ((b"a", b"b", b"c"), (b"d", b"e", b"f"), (b"g", b"h", b"i")):
+        store.bulk_load([(k, k) for k in run])
+    store.scan(b"", b"z")
+    assert [t.bloom for t in store.sstables] == [None, None, None]
+    assert store.get(b"e")[0] == b"e"  # newest first: g..i is out of range
+    assert [t.bloom is not None for t in store.sstables] == [False, True, False]
+    snap = store.metrics_snapshot()
+    assert (snap["bloom.probes"], snap["bloom.negatives"]) == (1, 0)
+
+
 def test_lsm_overwrite_visible_through_scan():
     store = make_store()
     store.put(b"k", b"old")
@@ -383,6 +416,67 @@ def test_columnar_accounting_rebuild_after_flush():
     assert snap_rebuilt["edge_count"] == snap_live["edge_count"]
     assert snap_rebuilt["edge_bytes"] == snap_live["edge_bytes"]
     assert snap_rebuilt["bytes_per_edge"] == snap_live["bytes_per_edge"]
+
+
+def _counting_blooms(monkeypatch) -> list:
+    """Record every bloom filter an SSTable builds from now on."""
+    from repro.storage import sstable
+
+    built = []
+
+    class CountingBloom(BloomFilter):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sstable, "BloomFilter", CountingBloom)
+    return built
+
+
+def _write_path_cluster(layout: str):
+    """A loaded 2-server cluster that traverses, ingests, flushes past
+    ``max_sstables`` (so every server compacts) and traverses again."""
+    from repro.cluster import Cluster, ClusterConfig
+    from repro.workloads import paper_rmat1, pick_start_vertex, rmat_graph, rmat_kstep_query
+
+    config = paper_rmat1(scale=7, seed=3)
+    cluster = Cluster.build(
+        rmat_graph(config), ClusterConfig(nservers=2, edge_layout=layout)
+    )
+    query = rmat_kstep_query(pick_start_vertex(config), 3)
+    assert cluster.traverse(query).result.vertices
+    n = config.num_vertices
+    for i in range(10):
+        for server in cluster.servers:  # every server writes every round
+            src = sorted(server.store.local_vertices())[i]
+            cluster.ingest_edge(src, (7 * i + 1) % n, "link", {"w": i})
+        for server in cluster.servers:
+            server.store.kv.flush()
+    assert all(s.store.kv.stats.compactions for s in cluster.servers)
+    assert cluster.traverse(query).result.vertices
+    return cluster
+
+
+def test_grouped_cluster_builds_no_bloom_filter(monkeypatch):
+    built = _counting_blooms(monkeypatch)
+    cluster = _write_path_cluster("grouped")
+    assert built == []
+    assert all(t.bloom is None for s in cluster.servers for t in s.store.kv.sstables)
+    assert sum(s.storage_metrics()["bloom.probes"] for s in cluster.servers) == 0
+
+
+def test_columnar_cluster_builds_only_the_probed_filters(monkeypatch):
+    built = _counting_blooms(monkeypatch)
+    cluster = _write_path_cluster("columnar")
+    tables = [t for s in cluster.servers for t in s.store.kv.sstables]
+    live = [t.bloom for t in tables if t.bloom is not None]
+    assert live and len(live) < len(tables)  # some tables were never probed
+    assert all(b.probes > 0 for b in built)
+    assert sum(s.storage_metrics()["bloom.probes"] for s in cluster.servers) == sum(
+        b.probes for b in live
+    )
 
 
 def test_corrupt_block_value_raises_typed_error():
