@@ -26,7 +26,7 @@ from repro.cluster.server import BackendServer
 from repro.errors import SimulationError, UnsupportedProfileTarget
 from repro.faults.plan import FaultPlan
 from repro.graph.builder import PropertyGraph
-from repro.graph.stats import GraphSummary
+from repro.graph.stats import GraphSummary, SummaryBuilder
 from repro.lang.optimizer import QueryPlanner
 from repro.ids import COORDINATOR, ServerId, TravelId
 from repro.net.message import MigrateAck, MigrateChunk
@@ -45,7 +45,7 @@ from repro.rebalance.routing import RoutingTable
 from repro.runtime.simulated import InterferencePolicy, SimRuntime
 from repro.sched.scheduler import SchedulerConfig, TraversalScheduler
 from repro.storage.costmodel import GPFS, DiskCostModel
-from repro.storage.layout import GraphStore
+from repro.storage.layout import GraphStore, load_partitions
 from repro.storage.lsm import LSMConfig
 
 
@@ -183,43 +183,39 @@ class Cluster:
             cost_model=config.disk_model,
         )
 
-        # Planner provisioning. "rules"/"cost" build per-server statistics
-        # summaries at load time (the coordinator plans over their merge);
-        # "cost" additionally materializes reverse adjacency (~label edge
-        # records) so reversed chains are executable.
+        # One walk of each partition loads its server's store and, with a
+        # planner ("rules"/"cost"), feeds that server's statistics summary
+        # (the coordinator plans over their merge). "cost" additionally
+        # materializes reverse adjacency (~label edge records) so reversed
+        # chains are executable.
+        stores = [
+            GraphStore(replace(lsm_config), edge_layout=config.edge_layout)
+            for _ in range(config.nservers)
+        ]
+        builders = (
+            [SummaryBuilder(graph) for _ in stores] if opts.planner != "off" else []
+        )
+        load_partitions(
+            graph,
+            stores,
+            assignment,
+            reverse=opts.planner == "cost",
+            observers=[builder.add for builder in builders],
+        )
         planner: Optional[QueryPlanner] = None
-        reverse_index: Optional[dict[int, list]] = None
-        summaries: list[GraphSummary] = []
-        if opts.planner != "off":
-            if opts.planner == "cost":
-                reverse_index = {}
-                for vid in sorted(graph.vertex_ids()):
-                    for label, dst, eprops in graph.out_edges(vid):
-                        reverse_index.setdefault(dst, []).append(
-                            (label, vid, eprops)
-                        )
-
-        servers: list[BackendServer] = []
-        for server_id in range(config.nservers):
-            ctx = runtime.context(server_id)
-            store = GraphStore(replace(lsm_config), edge_layout=config.edge_layout)
-            store.load_partition(
-                graph, assignment[server_id], reverse_index=reverse_index
-            )
-            if opts.planner != "off":
-                summaries.append(
-                    GraphSummary.from_graph(graph, assignment[server_id])
-                )
-            engine_cls = SyncServerEngine if opts.kind is EngineKind.SYNC else AsyncServerEngine
-            engine = engine_cls(ctx, store, registry, routing, opts, board)
-            servers.append(BackendServer(server_id, ctx, store, engine))
-
-        if opts.planner != "off":
+        if builders:
             planner = QueryPlanner(
                 mode=opts.planner,
-                summary=GraphSummary.merged(summaries),
-                reverse_available=reverse_index is not None,
+                summary=GraphSummary.merged(builder.build() for builder in builders),
+                reverse_available=opts.planner == "cost",
             )
+
+        engine_cls = SyncServerEngine if opts.kind is EngineKind.SYNC else AsyncServerEngine
+        servers: list[BackendServer] = []
+        for server_id, store in enumerate(stores):
+            ctx = runtime.context(server_id)
+            engine = engine_cls(ctx, store, registry, routing, opts, board)
+            servers.append(BackendServer(server_id, ctx, store, engine))
 
         channel: Optional[ReliableChannel] = None  # assigned below if reliable
 

@@ -92,13 +92,23 @@ class PropertyGraph:
     def vertices_of_type(self, vtype: str) -> list[VertexId]:
         return [v.vid for v in self._vertices.values() if v.vtype == vtype]
 
+    def adjacency(
+        self, vid: VertexId
+    ) -> Mapping[str, list[tuple[VertexId, dict[str, Any]]]]:
+        """Out-adjacency of ``vid`` as the graph holds it: label -> ``[(dst,
+        props), ...]``, labels in first-insertion order and each list in
+        insertion order. Every list is non-empty. The graph's own
+        containers, not copies: read them, never mutate them."""
+        adj = self._out.get(vid)
+        if adj is None:
+            raise GraphError(f"no vertex {vid}")
+        return adj
+
     def out_edges(
         self, vid: VertexId, label: Optional[str] = None
     ) -> list[tuple[str, VertexId, dict[str, Any]]]:
         """(label, dst, props) triples out of ``vid``; all labels if None."""
-        adj = self._out.get(vid)
-        if adj is None:
-            raise GraphError(f"no vertex {vid}")
+        adj = self.adjacency(vid)
         if label is not None:
             return [(label, dst, props) for dst, props in adj.get(label, [])]
         out = []

@@ -407,68 +407,17 @@ class GraphSummary:
     def from_graph(
         cls, graph: PropertyGraph, vids: Optional[Iterable[int]] = None
     ) -> "GraphSummary":
-        """Deterministically summarize ``vids`` (default: every vertex).
+        """Deterministically summarize ``vids`` (default: every vertex), in
+        ascending id order.
 
         Destination types come from the global graph, matching what a server
         learns from dispatch traffic; everything else is partition-local.
         """
         scope = sorted(vids) if vids is not None else sorted(graph.vertex_ids())
-        type_counts: dict[str, int] = {}
-        prop_counters: dict[str, dict[str, Counter]] = {}
-        label_counts: dict[str, int] = {}
-        src_types: dict[str, Counter] = {}
-        dst_types: dict[str, Counter] = {}
-        src_seen: dict[str, dict[str, set]] = {}
-        dst_seen: dict[str, dict[str, set]] = {}
-        edge_counters: dict[str, dict[str, Counter]] = {}
+        builder = SummaryBuilder(graph)
         for vid in scope:
-            vertex = graph.vertex(vid)
-            vtype = vertex.vtype
-            type_counts[vtype] = type_counts.get(vtype, 0) + 1
-            counters = prop_counters.setdefault(vtype, {})
-            for key, value in vertex.props.items():
-                counters.setdefault(key, Counter())[value] += 1
-            for label, dst, eprops in graph.out_edges(vid):
-                label_counts[label] = label_counts.get(label, 0) + 1
-                src_types.setdefault(label, Counter())[vtype] += 1
-                dtype = graph.vertex(dst).vtype
-                dst_types.setdefault(label, Counter())[dtype] += 1
-                src_seen.setdefault(label, {}).setdefault(vtype, set()).add(vid)
-                dst_seen.setdefault(label, {}).setdefault(dtype, set()).add(dst)
-                ecounters = edge_counters.setdefault(label, {})
-                for key, value in eprops.items():
-                    ecounters.setdefault(key, Counter())[value] += 1
-        vertex_sketches = {
-            vtype: {
-                key: PropertySketch.from_counter(counter, type_counts[vtype])
-                for key, counter in sorted(prop_counters.get(vtype, {}).items())
-            }
-            for vtype in sorted(type_counts)
-        }
-        labels = {}
-        for label in sorted(label_counts):
-            labels[label] = LabelStats(
-                label=label,
-                count=label_counts[label],
-                src_type_counts=dict(sorted(src_types[label].items())),
-                dst_type_counts=dict(sorted(dst_types[label].items())),
-                src_distinct_by_type={
-                    t: len(s) for t, s in sorted(src_seen[label].items())
-                },
-                dst_distinct_by_type={
-                    t: len(s) for t, s in sorted(dst_seen[label].items())
-                },
-                sketches={
-                    key: PropertySketch.from_counter(counter, label_counts[label])
-                    for key, counter in sorted(edge_counters[label].items())
-                },
-            )
-        return cls(
-            total_vertices=len(scope),
-            type_counts=dict(sorted(type_counts.items())),
-            vertex_sketches=vertex_sketches,
-            labels=labels,
-        )
+            builder.add(graph.vertex(vid), graph.adjacency(vid))
+        return builder.build()
 
     @classmethod
     def merged(cls, summaries: Iterable["GraphSummary"]) -> "GraphSummary":
@@ -547,3 +496,119 @@ class GraphSummary:
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical summaries."""
         return canonical_json(self.payload())
+
+
+def _append_values(columns: dict[str, list], props: dict[str, Any]) -> None:
+    """Append each property value to its key's column."""
+    for key, value in props.items():
+        column = columns.get(key)
+        if column is None:
+            columns[key] = [value]
+        else:
+            column.append(value)
+
+
+class _LabelTally:
+    """What :class:`SummaryBuilder` keeps per edge label until ``build``."""
+
+    __slots__ = ("count", "src_types", "src_seen", "dsts", "columns")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.src_types: dict[str, int] = {}
+        self.src_seen: dict[str, set] = {}
+        #: every edge's destination, and every edge property value per key
+        self.dsts: list[int] = []
+        self.columns: dict[str, list] = {}
+
+
+class SummaryBuilder:
+    """Accumulates one partition's :class:`GraphSummary` vertex by vertex.
+
+    :meth:`add` takes a vertex with its label-grouped adjacency
+    (:meth:`~repro.graph.builder.PropertyGraph.adjacency`), so a bulk load
+    that already walks the partition feeds the statistics from the same
+    walk. Per (vertex, label) it counts the run once; per edge it only
+    appends the destination and each property value to a column, and
+    :meth:`build` counts every column once. Nothing is allocated per edge.
+
+    Every count is independent of the order vertices arrive in. Only the
+    first value added of several equal ones of different types (``1``,
+    ``1.0``, ``True``) names their shared sketch entry, as in any
+    :class:`~collections.Counter`.
+    """
+
+    def __init__(self, graph: PropertyGraph):
+        #: destination types come from the global graph
+        self._vertex = graph.vertex
+        self._total = 0
+        self._type_counts: dict[str, int] = {}
+        #: vertex type -> property key -> every value, in arrival order
+        self._vertex_columns: dict[str, dict[str, list]] = {}
+        self._labels: dict[str, _LabelTally] = {}
+
+    def add(self, vertex, adjacency) -> None:
+        """Count one vertex and its out-edges (``adjacency``: label ->
+        ``[(dst, props), ...]``)."""
+        vid, vtype = vertex.vid, vertex.vtype
+        self._total += 1
+        self._type_counts[vtype] = self._type_counts.get(vtype, 0) + 1
+        columns = self._vertex_columns.get(vtype)
+        if columns is None:
+            columns = self._vertex_columns[vtype] = {}
+        _append_values(columns, vertex.props)
+        labels = self._labels
+        for label, pairs in adjacency.items():
+            tally = labels.get(label)
+            if tally is None:
+                tally = labels[label] = _LabelTally()
+            tally.count += len(pairs)
+            tally.src_types[vtype] = tally.src_types.get(vtype, 0) + len(pairs)
+            seen = tally.src_seen.get(vtype)
+            if seen is None:
+                seen = tally.src_seen[vtype] = set()
+            seen.add(vid)
+            dsts, edge_columns = tally.dsts, tally.columns
+            for dst, eprops in pairs:
+                dsts.append(dst)
+                if eprops:
+                    _append_values(edge_columns, eprops)
+
+    def build(self) -> GraphSummary:
+        type_counts = self._type_counts
+        vertex_sketches = {
+            vtype: {
+                key: PropertySketch.from_counter(Counter(values), type_counts[vtype])
+                for key, values in sorted(self._vertex_columns[vtype].items())
+            }
+            for vtype in sorted(type_counts)
+        }
+        labels = {}
+        for label in sorted(self._labels):
+            tally = self._labels[label]
+            dst_types: dict[str, int] = {}
+            dst_distinct: dict[str, int] = {}
+            for dst, n in Counter(tally.dsts).items():
+                dtype = self._vertex(dst).vtype
+                dst_types[dtype] = dst_types.get(dtype, 0) + n
+                dst_distinct[dtype] = dst_distinct.get(dtype, 0) + 1
+            labels[label] = LabelStats(
+                label=label,
+                count=tally.count,
+                src_type_counts=dict(sorted(tally.src_types.items())),
+                dst_type_counts=dict(sorted(dst_types.items())),
+                src_distinct_by_type={
+                    t: len(s) for t, s in sorted(tally.src_seen.items())
+                },
+                dst_distinct_by_type=dict(sorted(dst_distinct.items())),
+                sketches={
+                    key: PropertySketch.from_counter(Counter(values), tally.count)
+                    for key, values in sorted(tally.columns.items())
+                },
+            )
+        return GraphSummary(
+            total_vertices=self._total,
+            type_counts=dict(sorted(type_counts.items())),
+            vertex_sketches=vertex_sketches,
+            labels=labels,
+        )

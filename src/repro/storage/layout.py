@@ -18,10 +18,13 @@ All read methods return ``(result, IOCost)``.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import EdgeLayoutMismatch, KeyNotFound, UnknownEdgeLayout
 from repro.graph.builder import PropertyGraph
+from repro.graph.vertex import Vertex
 from repro.ids import VertexId
 from repro.storage import columnar, encoding as enc
 from repro.storage.costmodel import IOCost
@@ -43,13 +46,51 @@ def validate_edge_layout(name: str) -> str:
     return name
 
 
-def _by_label(edges: Iterable[tuple[str, VertexId, dict]]) -> dict[str, list]:
-    """``(label, other end, props)`` triples grouped by label, each group in
-    input order: the sequence numbers and blocks a load writes."""
-    grouped: dict[str, list] = {}
-    for label, other, eprops in edges:
-        grouped.setdefault(label, []).append((other, eprops))
-    return grouped
+def load_partitions(
+    graph: PropertyGraph,
+    stores: Sequence["GraphStore"],
+    parts: Sequence[Iterable[VertexId]],
+    *,
+    reverse: bool = False,
+    observers: Optional[Sequence[Callable[[Vertex, Mapping], None]]] = None,
+) -> list[int]:
+    """Bulk-load ``stores[i]`` with the vertices ``parts[i]`` of ``graph``,
+    walking each partition once; returns the vertices loaded per store.
+
+    The walk reads each vertex's label-grouped adjacency
+    (:meth:`~repro.graph.builder.PropertyGraph.adjacency`) as the graph
+    holds it, indexes the vertex, encodes its attributes and out-edges in
+    the store's layout, and calls ``observers[i](vertex, adjacency)`` (the
+    cluster build feeds its planner statistics this way).
+
+    ``reverse`` additionally materializes reverse adjacency as ``~label``
+    edge records, so the cost-based planner can evaluate a chain
+    backwards. A reverse record shares the forward edge's properties,
+    packed once for both. Reverse records live in a disjoint ``~<ns>``
+    namespace (always label-grouped, whatever ``edge_layout`` is): the
+    forward key region packs into exactly the same blocks whether or not
+    they are built, so plans that never go backwards pay nothing for them.
+    Only edges whose source is in ``parts`` are reversed.
+
+    A vertex's reverse records come from every partition, so each store
+    builds its one SSTable after every partition has been walked. Until
+    then a store's pairs wait as two flat lists, keys and values: pairing
+    them up one store at a time keeps the peak memory close to that of
+    loading one partition at a time.
+    """
+    inbound: Optional[dict[VertexId, list]] = {} if reverse else None
+    staged = [
+        store._stage(graph, vids, inbound, observers[i] if observers else None)
+        for i, (store, vids) in enumerate(zip(stores, parts))
+    ]
+    for store, (vids, keys, values) in zip(stores, staged):
+        if inbound is not None:
+            store._stage_reverse(vids, inbound, keys, values)
+        if keys:
+            store.kv.bulk_load(sorted(zip(keys, values), key=itemgetter(0)))
+        keys.clear()  # the table holds the bytes now
+        values.clear()
+    return [len(vids) for vids, _, _ in staged]
 
 
 class GraphStore:
@@ -95,96 +136,124 @@ class GraphStore:
 
     # -- loading ---------------------------------------------------------
 
-    def load_partition(
-        self,
-        graph: PropertyGraph,
-        vids: Iterable[VertexId],
-        reverse_index: Optional[dict[VertexId, list]] = None,
-    ) -> int:
-        """Bulk-load the given vertices (attributes + out-edges) from ``graph``.
+    def load_partition(self, graph: PropertyGraph, vids: Iterable[VertexId]) -> int:
+        """Bulk-load the given vertices (attributes + out-edges) from ``graph``
+        into this store; :func:`load_partitions` with one partition.
 
         Returns the number of vertices loaded. Uses SSTable ingestion, so the
         data starts compact and cold, as in the paper's cold-start runs.
-
-        ``reverse_index`` (vertex id → ``[(label, src, eprops), ...]`` of the
-        edges *pointing at* it) additionally materializes reverse adjacency
-        as ``~label`` edge records, so the cost-based planner can evaluate a
-        chain backwards. Reverse edges share the forward edge's properties.
-        They live in a disjoint ``~<ns>`` namespace (always label-grouped,
-        whatever ``edge_layout`` is): the forward key region packs into
-        exactly the same blocks whether or not the index is built, so plans
-        that never go backwards pay nothing for it.
         """
-        items: list[tuple[bytes, bytes]] = []
-        count = 0
-        pack_seq = enc.SEQ.pack
-        pack_record = enc.pack_edge_record
+        return load_partitions(graph, [self], [vids])[0]
+
+    def _stage(
+        self,
+        graph: PropertyGraph,
+        vids: Iterable[VertexId],
+        inbound: Optional[dict[VertexId, list]],
+        observe: Optional[Callable[[Vertex, Mapping], None]],
+    ) -> tuple[list[VertexId], list[bytes], list[bytes]]:
+        """Walk ``vids`` once: index each vertex, encode its attributes and
+        out-edges as unsorted keys and values, hand the vertex and its
+        adjacency to ``observe``, and append ``(label, src, record)`` to
+        ``inbound[dst]`` for every edge, where ``record`` is the edge's
+        destination and packed properties (a grouped store's forward
+        value). Returns ``(vids, keys, values)``."""
+        loaded: list[VertexId] = []
+        keys: list[bytes] = []
+        values: list[bytes] = []
+        add_key, add_value = keys.append, values.append
+        layout = self.edge_layout
+        pack_seq, seq_size, pack_record = enc.SEQ.pack, enc.SEQ.size, enc.pack_edge_record
+        edge_bytes = edge_count = 0
         for vid in vids:
             vertex = graph.vertex(vid)
+            adjacency = graph.adjacency(vid)
             ns = vertex.vtype
             self._index_vertex(vid, ns)
-            count += 1
+            loaded.append(vid)
+            if observe is not None:
+                observe(vertex, adjacency)
             # Key prefixes are encoded once per vertex (and label), not once
             # per KV pair. The reserved attribute makes the vertex
             # discoverable even when it has no user properties.
             attrs = enc.attrs_prefix(ns, vid)
-            items.append((attrs + b"__type", enc.pack_value(ns)))
+            add_key(attrs + b"__type")
+            add_value(enc.pack_value(ns))
             for prop, packed in enc.iter_props_pairs(vertex.props):
-                items.append((attrs + prop.encode("utf-8"), packed))
-            edges = list(graph.out_edges(vid))
-            if reverse_index is not None:
-                for label, pairs in _by_label(reverse_index.get(vid, ())).items():
-                    run = enc.edges_prefix("~" + ns, vid, "~" + label)
-                    for seq, (src, eprops) in enumerate(pairs):
-                        items.append((run + pack_seq(seq), pack_record(src, eprops)))
-            if self.edge_layout == "grouped":
-                for label, pairs in _by_label(edges).items():
+                add_key(attrs + prop.encode("utf-8"))
+                add_value(packed)
+            seq_all = 0  # interleaved: one sequence across the vertex's labels
+            for label, pairs in adjacency.items():
+                edge_count += len(pairs)
+                records = None
+                if inbound is not None or layout == "grouped":
+                    records = [pack_record(dst, eprops) for dst, eprops in pairs]
+                if inbound is not None:
+                    for (dst, _), record in zip(pairs, records):
+                        entries = inbound.get(dst)
+                        if entries is None:
+                            inbound[dst] = [(label, vid, record)]
+                        else:
+                            entries.append((label, vid, record))
+                if layout == "grouped":
                     run = enc.edges_prefix(ns, vid, label)
-                    for seq, (dst, eprops) in enumerate(pairs):
-                        self._account_edges(
-                            run + pack_seq(seq), pack_record(dst, eprops), 1, items
-                        )
-            elif self.edge_layout == "interleaved":
-                for seq, (label, dst, eprops) in enumerate(edges):
-                    tagged = {**eprops, _LABEL_PROP: label}
-                    self._account_edges(
-                        enc.edge_key_interleaved(ns, vid, label, seq),
-                        enc.pack_edge_record(dst, tagged),
-                        1,
-                        items,
-                    )
-            else:  # columnar: one delta/varint block per (vertex, label)
-                for label, pairs in _by_label(edges).items():
-                    block = columnar.AdjacencyBlock.from_edges(vid, label, pairs)
-                    self._account_edges(
-                        enc.edge_block_key(ns, vid, label),
-                        block.encode(),
-                        len(pairs),
-                        items,
-                    )
-        items.sort(key=lambda kv: kv[0])
-        if items:
-            self.kv.bulk_load(items)
-        return count
+                    keys.extend([run + pack_seq(seq) for seq in range(len(records))])
+                    values.extend(records)
+                    edge_bytes += (len(run) + seq_size) * len(records)
+                    edge_bytes += sum(map(len, records))
+                elif layout == "interleaved":
+                    for dst, eprops in pairs:
+                        key = enc.edge_key_interleaved(ns, vid, label, seq_all)
+                        value = pack_record(dst, {**eprops, _LABEL_PROP: label})
+                        edge_bytes += len(key) + len(value)
+                        add_key(key)
+                        add_value(value)
+                        seq_all += 1
+                else:  # columnar: one delta/varint block per (vertex, label)
+                    key = enc.edge_block_key(ns, vid, label)
+                    value = columnar.AdjacencyBlock.from_edges(vid, label, pairs).encode()
+                    edge_bytes += len(key) + len(value)
+                    add_key(key)
+                    add_value(value)
+        self._edge_bytes += edge_bytes
+        self._edge_count += edge_count
+        return loaded, keys, values
+
+    def _stage_reverse(
+        self,
+        vids: list[VertexId],
+        inbound: dict[VertexId, list],
+        keys: list[bytes],
+        values: list[bytes],
+    ) -> None:
+        """Append the ``~label`` records of every edge into ``vids``, taking
+        their entries out of ``inbound``. Per ``(vertex, label)``, sequence
+        numbers follow ascending source id, and a source's parallel edges
+        keep their adjacency order."""
+        pack_seq, pack_dst, dst_size = enc.SEQ.pack, enc.EDGE_DST.pack, enc.EDGE_DST.size
+        for vid in vids:
+            entries = inbound.pop(vid, None)
+            if entries is None:
+                continue
+            # stable: a source's entries stay in the order its walk added them
+            entries.sort(key=itemgetter(0, 1))
+            rns = "~" + self._ns_of[vid]
+            for label, run in groupby(entries, key=itemgetter(0)):
+                prefix = enc.edges_prefix(rns, vid, "~" + label)
+                for seq, (_, src, record) in enumerate(run):
+                    keys.append(prefix + pack_seq(seq))
+                    values.append(pack_dst(src) + record[dst_size:])
 
     def _index_vertex(self, vid: VertexId, ns: str) -> None:
         self._ns_of[vid] = ns
         self._by_type.setdefault(ns, []).append(vid)
 
     def _account_edges(
-        self,
-        key: bytes,
-        value: bytes,
-        n_edges: int,
-        items: Optional[list[tuple[bytes, bytes]]] = None,
-        sign: int = 1,
+        self, key: bytes, value: bytes, n_edges: int, sign: int = 1
     ) -> None:
-        """Track the forward-edge footprint for the bytes/edge gauge; with
-        ``items`` given, also append the pair to a bulk-load batch."""
+        """Track the forward-edge footprint for the bytes/edge gauge."""
         self._edge_bytes += sign * (len(key) + len(value))
         self._edge_count += sign * n_edges
-        if items is not None:
-            items.append((key, value))
 
     def _edge_record_count(self, vid: VertexId, tag: bytes, value: bytes) -> int:
         """Edges held by one forward-edge record arriving from outside this

@@ -36,6 +36,14 @@ every server. It hashes the storage counters (``lsm.*``, ``blockcache.*``,
 ``bloom.*``), every SSTable's keys, values and offsets before and after the
 restore, and the result; recorded before the SSTables started building
 their bloom filters on first probe.
+
+``GOLDEN_BUILD`` pins what ``Cluster.build`` loads, per edge layout, under
+each planner mode: every server's SSTables, location-index order and storage
+gauges, the planner's merged statistics, and one traversal planned over
+them. It covers a generated Darshan graph and a hand-made one with
+out-of-order ids, parallel edges and self-loops; recorded while the build
+still walked each partition twice and the whole graph once more for the
+reverse records.
 """
 
 from __future__ import annotations
@@ -570,4 +578,98 @@ def test_write_path_matches_golden_digest(layout, tmp_path):
         "compaction, insert and restore must leave every stored byte, offset "
         "and storage counter byte-identical; the digest may only be "
         "re-recorded by a PR that states why the stored data changed."
+    )
+
+
+#: (graph, layout) -> sha256 of the cluster-build document of the cells
+#: below, recorded while the build still walked every partition twice (load,
+#: then statistics) and the whole graph once more for the reverse index
+GOLDEN_BUILD = {
+    ("audit-seed3", "columnar"): "3ba47eefccd1b68e9dc9cf499c086434ad5e6c802aa40beda87ec2fdba8710bf",
+    ("audit-seed3", "grouped"): "e4a42eb0531f27209e66635a7dc1252b666df7f375c044fcb8edf519a8fad95f",
+    ("audit-seed3", "interleaved"): "cbd075ec8a3df0235a14ea2a87f063e4cff8f9026de4d9a36cbfb082296a8bfa",
+    ("irregular", "columnar"): "4da465f0b44d18fa47f9325d30e3226a2d518e0d03574ecd14986eb7163969ad",
+    ("irregular", "grouped"): "c7b7adf3f40edafbcc11492715bffa1544a3e6365b1ca4dc6be362995ea7f373",
+    ("irregular", "interleaved"): "22706fc395ad38ceadc0d0fb28a7dc2de223150034fb18202db36c6d6e60614d",
+}
+
+
+def _irregular_cell():
+    """A graph the generators never make: vertex ids inserted out of order,
+    vertices without properties or edges, self-loops, parallel same-label
+    edges, and each vertex's labels added interleaved, so the load has to
+    regroup nothing and the reverse records of one vertex arrive from every
+    partition."""
+    from repro.graph.builder import PropertyGraph
+
+    rng = random.Random(29)
+    graph = PropertyGraph()
+    vids = list(range(60))
+    rng.shuffle(vids)
+    for vid in vids:
+        props = {} if vid % 7 == 0 else {"c": rng.randrange(4), "s": "x" * (vid % 3)}
+        graph.add_vertex(vid, "ABC"[vid % 3], props)
+    hub = vids[0]
+    for i in range(6):
+        graph.add_edge(hub, vids[1], "ab"[i % 2], {"w": i})
+        graph.add_edge(hub, hub, "c", {})
+    for _ in range(400):
+        src, dst = rng.choice(vids[:50]), rng.choice(vids)
+        props = {"w": rng.randrange(5), "t": rng.random()} if rng.random() < 0.8 else {}
+        graph.add_edge(src, dst, rng.choice("abc"), props)
+    return graph, GTravel.v(hub).e("a").e("b").e("c")
+
+
+BUILD_CELLS = {"audit-seed3": _audit_cell, "irregular": _irregular_cell}
+
+
+def build_document(cell: str, layout: str) -> dict:
+    """Build the cell's graph into a 4-server cluster under every planner
+    mode and record what the build left behind: every server's SSTables,
+    location index and storage gauges, the planner's merged statistics,
+    and the metrics and result of one traversal planned over them."""
+    document = {}
+    for mode in ("off", "rules", "cost"):
+        graph, query = BUILD_CELLS[cell]()
+        cluster = Cluster.build(
+            graph,
+            ClusterConfig(
+                nservers=NSERVERS,
+                engine=options_for(EngineKind.GRAPHTREK, planner=mode),
+                edge_layout=layout,
+            ),
+        )
+        servers = [
+            {
+                "tables": _sstables(s.store.kv),
+                "vertices": s.store.local_vertices(),
+                "by_type": {
+                    t: s.store.local_vertices_of_type(t)
+                    for t in sorted(graph.type_counts())
+                },
+                "storage": s.store.metrics_snapshot(),
+            }
+            for s in cluster.servers
+        ]
+        planner = cluster.coordinator.planner
+        outcome = cluster.traverse(query.compile(), cold=True)
+        document[mode] = {
+            "servers": servers,
+            "summary": planner.summary.payload() if planner is not None else None,
+            "result": sorted(outcome.result.vertices),
+            "metrics": cluster.metrics_snapshot(),
+        }
+    return document
+
+
+@pytest.mark.parametrize("cell,layout", sorted(GOLDEN_BUILD))
+def test_cluster_build_matches_golden_digest(cell, layout):
+    document = build_document(cell, layout)
+    assert document["cost"]["result"], "build cell returned nothing; it pins no read"
+    digest = hashlib.sha256(canonical_json(document).encode()).hexdigest()
+    assert digest == GOLDEN_BUILD[cell, layout], (
+        f"cluster build of the {cell} cell ({layout}) drifted: got {digest}. "
+        "Loading and summarising a partition must leave every stored byte, "
+        "index order and planner statistic byte-identical; the digest may "
+        "only be re-recorded by a PR that states why the loaded data changed."
     )

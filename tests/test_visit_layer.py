@@ -17,6 +17,7 @@ from repro.lang import EQ, FilterSet, GTravel
 from repro.lang.filters import PropertyFilter
 from repro.storage import GraphStore, LSMConfig
 from repro.storage.costmodel import IOCost
+from repro.storage.layout import load_partitions
 
 
 @pytest.fixture()
@@ -181,17 +182,13 @@ def _two_label_store(layout, scenario):
         b.edge(v, w, "x" if i % 2 else "y", n=i, note="p" * i)
         b.edge(w, v, "x", n=10 + i)
     graph = b.build()
-    reverse = {}
-    for src in graph.vertex_ids():
-        for label, dst, props in graph.out_edges(src):
-            reverse.setdefault(dst, []).append((label, src, props))
     store = GraphStore(LSMConfig(), edge_layout=layout)
     if scenario == "flushed-tombstone":
         store.insert_vertex(v, "T", {"color": "red"})
         for label, dst, props in graph.out_edges(v):
             store.insert_edge(v, dst, label, props)
     else:
-        store.load_partition(graph, [v, *others], reverse_index=reverse)
+        load_partitions(graph, [store], [[v, *others]], reverse=True)
     if scenario == "memtable":
         store.insert_edge(v, others[0], "x", {"n": 99})
     if scenario in ("tombstone", "flushed-tombstone"):
