@@ -33,26 +33,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.engine.cache import TraversalAffiliateCache
-from repro.engine.frontier import (
-    EMPTY_ANCHORS,
-    anchors_covered,
-    intermediate_rtn_levels,
-    merge_entries,
-)
+from repro.engine.frontier import EMPTY_ANCHORS, anchors_covered, merge_entries
 from repro.engine.options import EngineOptions
 from repro.engine.registry import TravelEntry, TravelRegistry
 from repro.engine.statistics import StatsBoard
-from repro.engine.visit import (
-    ExpandSinks,
-    VisitData,
-    expand_vertex,
-    labels_needed,
-    needs_edge_props,
-    needs_props,
-    read_vertex,
-)
+from repro.engine.visit import ExpandSinks, VisitData, expand, read_vertex, visit_spec
 from repro.ids import ExecId, ServerId, TravelId, VertexId
-from repro.lang.filters import FilterSet
 from repro.net.message import (
     Anchors,
     Entries,
@@ -294,8 +280,7 @@ class AsyncServerEngine:
             return
         plan = entry.plan
         level = work.level
-        rtn_levels = intermediate_rtn_levels(plan)
-        level0_override = self._level0_override(work, entry)
+        sources_indexed = self._sources_indexed(work, entry)
 
         items: list[tuple[VertexId, Anchors]] = list(work.entries.items())
         if work.all_sources:
@@ -337,8 +322,8 @@ class AsyncServerEngine:
                 self._note_cache_hits(work, hits)
                 hits = 0
             did_io = yield from self._visit(
-                work, plan, level, vid, anchors, sinks, rtn_levels,
-                level0_override, first_in_batch,
+                work, entry, level, vid, anchors, sinks, sources_indexed,
+                first_in_batch,
             )
             if did_io:
                 first_in_batch = False
@@ -361,14 +346,10 @@ class AsyncServerEngine:
             epoch=entry.epoch,
         )
 
-    def _level0_override(
-        self, work: PendingWork, entry: TravelEntry
-    ) -> Optional[FilterSet]:
+    def _sources_indexed(self, work: PendingWork, entry: TravelEntry) -> bool:
         """When enumerating sources via the type index, the type filter is
         already satisfied and must not force an attribute read."""
-        if work.level == 0 and work.all_sources and entry.source_info.index_type:
-            return entry.source_info.reduced_filters
-        return None
+        return work.level == 0 and work.all_sources and bool(entry.source_info.index_type)
 
     def _source_candidates(self, entry: TravelEntry) -> list[VertexId]:
         info = entry.source_info
@@ -386,13 +367,12 @@ class AsyncServerEngine:
     def _visit(
         self,
         work: PendingWork,
-        plan,
+        entry: TravelEntry,
         level: int,
         vid: VertexId,
         anchors: Anchors,
         sinks: ExpandSinks,
-        rtn_levels: tuple[int, ...],
-        level0_override: Optional[FilterSet],
+        sources_indexed: bool,
         first_in_batch: bool,
     ):
         """Serve one vertex request that is stored here and survived the
@@ -407,25 +387,16 @@ class AsyncServerEngine:
             if len(todo) > 1:
                 self._count["engine.merged_items"](len(todo) - 1)
 
-        levels = [lvl for lvl, _ in todo]
-        want_labels = labels_needed(plan, levels)
-        want_props = needs_props(plan, levels, level0_override)
-        edge_preds: Optional[dict[str, FilterSet]] = None
-        if plan.pushdown and len(todo) == 1 and level < plan.final_level:
-            # predicate pushdown: single-level visits hand the step's edge
-            # filters to the storage scan (merged multi-level visits keep
-            # the unfiltered block — other levels may need other edges)
-            step = plan.steps[level]
-            if step.edge_filters:
-                edge_preds = {l: step.edge_filters for l in step.labels}
-        if not want_labels and not want_props:
+        levels = (level,) if len(todo) == 1 else tuple(lvl for lvl, _ in todo)
+        spec = visit_spec(entry, levels, sources_indexed)
+        if not spec.reads:
             # Nothing to read (e.g. unfiltered final level): served from the
             # request itself, still one real visit for accounting.
             data = None
         else:
             data = read_vertex(
-                self.store, vid, want_labels, want_props, edge_preds,
-                needs_edge_props(plan, levels),
+                self.store, vid, spec.labels, spec.want_props, spec.edge_preds,
+                spec.edge_props,
             )
             cost = data.cost
             if not first_in_batch and cost.seeks:
@@ -447,7 +418,7 @@ class AsyncServerEngine:
         if data is None:
             data = VisitData(props=None, edges={}, cost=IOCost())
         owner_fn = self.routing.owner
-        for lvl, anc in todo:
+        for (lvl, anc), facts in zip(todo, spec.facts):
             stored = self.seen.lookup(tkey, lvl, vid)
             if stored is not None and anchors_covered(anc, stored):
                 # Already expanded with these anchors (post-I/O duplicate in
@@ -455,10 +426,7 @@ class AsyncServerEngine:
                 # skip the downstream dispatch to preserve termination.
                 continue
             self.seen.insert(tkey, lvl, vid, anc)
-            expand_vertex(
-                plan, lvl, vid, anc, data, owner_fn, sinks, rtn_levels,
-                vertex_type, level0_override if lvl == 0 else None,
-            )
+            expand(facts, vid, anc, data, owner_fn, sinks, vertex_type)
         return data.cost.seeks > 0 or data.cost.blocks > 0
 
     def _extract_merged(

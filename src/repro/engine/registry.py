@@ -49,6 +49,10 @@ class TravelEntry:
     #: can fence reports that belong to its dead predecessor
     epoch: int = 0
     source_info: SourceInfo = field(default_factory=lambda: SourceInfo(None, FilterSet()))
+    #: (levels, sources indexed) -> VisitSpec, filled by
+    #: :func:`repro.engine.visit.visit_spec`; emptied when the travel is
+    #: unregistered
+    visit_specs: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class TravelRegistry:
@@ -73,4 +77,8 @@ class TravelRegistry:
         return entry.attempt
 
     def unregister(self, travel_id: TravelId) -> None:
-        self._entries.pop(travel_id, None)
+        entry = self._entries.pop(travel_id, None)
+        if entry is not None:
+            # the coordinator's watchdog may hold the entry until its next
+            # tick; the visit specs need not wait with it
+            entry.visit_specs.clear()

@@ -22,23 +22,14 @@ coordinator as :class:`~repro.net.message.ResultReport` messages.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.engine.frontier import EMPTY_ANCHORS, intermediate_rtn_levels, merge_entries
+from repro.engine.frontier import EMPTY_ANCHORS, merge_entries
 from repro.engine.options import EngineOptions
 from repro.engine.registry import TravelEntry, TravelRegistry
 from repro.engine.statistics import StatsBoard
-from repro.engine.visit import (
-    ExpandSinks,
-    VisitData,
-    expand_vertex,
-    labels_needed,
-    needs_edge_props,
-    needs_props,
-    read_vertex,
-)
+from repro.engine.visit import ExpandSinks, VisitData, expand, read_vertex, visit_spec
 from repro.ids import ServerId, TravelId, VertexId
-from repro.lang.filters import FilterSet
 from repro.net.message import (
     Anchors,
     Entries,
@@ -174,14 +165,10 @@ class SyncServerEngine:
             return
         plan = entry.plan
         coord_epoch = entry.epoch
-        rtn_levels = intermediate_rtn_levels(plan)
         all_sources = level == 0 and plan.source_ids is None
-        level0_override: Optional[FilterSet] = None
         if all_sources:
             for vid in self._source_candidates(entry):
                 entries.setdefault(vid, EMPTY_ANCHORS)
-            if entry.source_info.index_type:
-                level0_override = entry.source_info.reduced_filters
 
         items = sorted(entries.items(), key=lambda iv: iv[0])
         server = self.ctx.server_id
@@ -191,25 +178,20 @@ class SyncServerEngine:
         )
 
         sinks = ExpandSinks()
-        want_labels = labels_needed(plan, [level])
-        want_props = needs_props(plan, [level], level0_override)
-        want_edge_props = needs_edge_props(plan, [level])
-        edge_preds: Optional[dict[str, FilterSet]] = None
-        if plan.pushdown and level < plan.final_level:
-            # predicate pushdown: hand the step's edge filters to the scan
-            step_ = plan.steps[level]
-            if step_.edge_filters:
-                edge_preds = {l: step_.edge_filters for l in step_.labels}
+        # via the type index the type filter is already met (see visit_spec)
+        sources_indexed = all_sources and bool(entry.source_info.index_type)
+        spec = visit_spec(entry, (level,), sources_indexed)
+        (facts,) = spec.facts
         decoded0 = self.store.decoded_blocks
         first_in_batch = True
         n_real = 0
         for vid, anchors in items:
             if not self.store.has_vertex(vid):
                 continue
-            if want_labels or want_props:
+            if spec.reads:
                 data = read_vertex(
-                    self.store, vid, want_labels, want_props, edge_preds,
-                    want_edge_props,
+                    self.store, vid, spec.labels, spec.want_props, spec.edge_preds,
+                    spec.edge_props,
                 )
                 cost = data.cost
                 if not first_in_batch and cost.seeks:
@@ -223,10 +205,9 @@ class SyncServerEngine:
             self.board.visit(travel_id, self.ctx.server_id, "real")
             self._count_real()
             n_real += 1
-            expand_vertex(
-                plan, level, vid, anchors, data, self.routing.owner, sinks, rtn_levels,
+            expand(
+                facts, vid, anchors, data, self.routing.owner, sinks,
                 self.store.namespace_of(vid),
-                level0_override,
             )
 
         results_sent = self._emit_results(travel_id, attempt, coord_epoch, plan, sinks)

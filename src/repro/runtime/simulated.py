@@ -11,8 +11,8 @@ yields the waitables returned by context methods::
             yield self.ctx.disk(cost, level=item.level)
             self.ctx.send(dst, msg)
 
-Disks are capacity-limited :class:`~repro.sim.resources.Resource` objects
-charged via the :class:`~repro.storage.costmodel.DiskCostModel`, messages
+A disk is a capacity-limited FIFO of :class:`DiskAccess` events charged via
+the :class:`~repro.storage.costmodel.DiskCostModel`, messages
 arrive after :class:`~repro.net.topology.NetworkModel` latency, and elapsed
 traversal time is read off the virtual clock. Determinism: same seed + same
 configuration → identical event order and identical timings.
@@ -25,6 +25,7 @@ shared across OS threads.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import SimulationError
@@ -33,7 +34,7 @@ from repro.ids import COORDINATOR, ServerId
 from repro.net.message import Message
 from repro.net.topology import INFINIBAND_QDR, NetworkModel
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import PriorityStore, Store
 from repro.storage.costmodel import GPFS, DiskCostModel, IOCost
 
 _DROP = FaultDecision(drop=True)
@@ -44,6 +45,105 @@ class InterferencePolicy(Protocol):
     access on ``server`` while the accessing execution works at ``level``."""
 
     def delay(self, server: ServerId, level: Optional[int]) -> float: ...
+
+
+class _Disk:
+    """One server's disk: ``capacity`` concurrent accesses, the rest wait
+    FIFO (a :class:`~repro.sim.resources.Resource` without priorities, whose
+    waiters are the accesses themselves)."""
+
+    __slots__ = ("capacity", "in_use", "waiting")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.in_use = 0
+        self.waiting: deque[DiskAccess] = deque()
+
+
+class DiskAccess(Event):
+    """One access to a server's disk, as a single event that triggers once
+    the access has been served.
+
+    It makes the five heap entries, in the order, that a generator process
+    holding a :class:`~repro.sim.resources.Resource` slot across a
+    :class:`~repro.sim.core.Timeout` makes — no generator, process, request
+    or timeout is built:
+
+    1. *request* (at creation): take a free slot, else queue FIFO;
+    2. *grant* (at once, or when a holder releases): price the service —
+       the cost model, then one interference draw per access;
+    3. *service end*, ``service`` seconds later (skipped when ``service``
+       is not positive: the release then happens at the grant);
+    4. *release*: free the slot (scheduling the next waiter's grant) and
+       trigger;
+    5. *wake-up*: each waiter's callback, scheduled by the trigger.
+
+    A cost model or interference policy that raises releases the slot and
+    fails the event with that exception, so the waiting process sees it.
+    """
+
+    __slots__ = ("_rt", "_server", "_cost", "_level", "_accesses", "_disk")
+
+    def __init__(
+        self,
+        runtime: "SimRuntime",
+        server_id: ServerId,
+        cost: IOCost,
+        level: Optional[int],
+        accesses: int,
+        name: str,
+    ):
+        super().__init__(runtime.sim, name)
+        self._rt = runtime
+        self._server = server_id
+        self._cost = cost
+        self._level = level
+        self._accesses = accesses
+        self._disk = runtime._disks[server_id]
+        runtime.sim.schedule(0.0, self._request)
+
+    def _request(self) -> None:
+        disk = self._disk
+        if disk.in_use < disk.capacity and not disk.waiting:
+            disk.in_use += 1
+            self.sim.schedule(0.0, self._grant)
+        else:
+            disk.waiting.append(self)
+
+    def _grant(self) -> None:
+        rt = self._rt
+        try:
+            service = rt.disk_model.time(self._cost)
+            if rt.interference is not None:
+                for _ in range(max(1, self._accesses)):
+                    service += rt.interference.delay(self._server, self._level)
+        except Exception as err:  # the waiter gets it, as from a process it awaited
+            self._free_slot()
+            if not self.callbacks:  # a crash nobody waits for must surface
+                self.sim.orphan_failures.append((self.name, err))
+            self.fail(err)
+            return
+        if service > 0:
+            self.sim.schedule(service, self._service_end)
+        else:
+            self._free_slot()
+            self.succeed()
+
+    def _service_end(self) -> None:
+        self.sim.schedule(0.0, self._release)
+
+    def _release(self) -> None:
+        self._free_slot()
+        self.succeed()
+
+    def _free_slot(self) -> None:
+        disk = self._disk
+        disk.in_use -= 1
+        if disk.waiting:
+            disk.in_use += 1
+            self.sim.schedule(0.0, disk.waiting.popleft()._grant)
 
 
 class SimServerContext:
@@ -108,9 +208,8 @@ class SimServerContext:
         ``level`` tags the traversal step for the interference policy;
         ``accesses`` is how many logical vertex accesses the cost covers.
         """
-        return self._rt.sim.process(
-            self._rt._disk_proc(self.server_id, cost, level, accesses),
-            name=self._disk_name,
+        return DiskAccess(
+            self._rt, self.server_id, cost, level, accesses, self._disk_name
         )
 
     def cpu(self, dt: float):
@@ -158,9 +257,7 @@ class SimRuntime:
         self.network = network  # per-message latency
         self.disk_model = disk_model
         self.interference = interference
-        self._disks = [
-            Resource(self.sim, disk_capacity, name=f"disk{s}") for s in range(nservers)
-        ]
+        self._disks = [_Disk(disk_capacity) for _ in range(nservers)]
         self.metrics = None  # bound MetricsRegistry, or None
         self.trace = None  # bound FlightRecorder, or None
         self.channel = None  # installed ReliableChannel, or None
@@ -366,24 +463,6 @@ class SimRuntime:
             self.sim.schedule(
                 delay + (i + 1) * max(verdict.dup_spacing, 1e-6), handler, msg
             )
-
-    # -- disk ----------------------------------------------------------------------
-
-    def _disk_proc(
-        self, server_id: ServerId, cost: IOCost, level: Optional[int], accesses: int
-    ):
-        disk = self._disks[server_id]
-        req = disk.request()
-        yield req
-        try:
-            service = self.disk_model.time(cost)
-            if self.interference is not None:
-                for _ in range(max(1, accesses)):
-                    service += self.interference.delay(server_id, level)
-            if service > 0:
-                yield self.sim.timeout(service)
-        finally:
-            disk.release(req)
 
     # -- driving ----------------------------------------------------------------------
 

@@ -38,6 +38,9 @@ EDGE_DST = _Q
 #: the fixed-width sequence number that ends an edge key: a bulk load
 #: appends it to an :func:`edges_prefix` it encoded once per label
 SEQ = _Q
+#: the fixed-width vertex id inside every vertex key: a reader places it
+#: between the cached parts of an :func:`edges_range` / :func:`attrs_range`
+VID = _Q
 _D = struct.Struct(">d")
 _q = struct.Struct(">q")
 
@@ -214,6 +217,26 @@ def vertex_key_tag(key: bytes) -> tuple[str, int, bytes]:
         raise StorageError(f"not a vertex key: {key!r}")
     (vid,) = _Q.unpack_from(rest, 1)
     return ns.decode("utf-8"), vid, rest[9:10]
+
+
+def edges_range(namespace: str, label: str) -> tuple[bytes, bytes, bytes]:
+    """``(head, start, end)`` such that, for every vertex id,
+    ``head + VID.pack(vid) + start`` is :func:`edges_prefix` and
+    ``head + VID.pack(vid) + end`` its :func:`prefix_end`: the scan range of
+    one (vertex, label) run with the id left out, so a reader encodes and
+    validates it once per (namespace, label). The prefix ends in the NUL
+    separator, so its end is the same bytes with that NUL bumped to 0x01."""
+    raw_label = label.encode("utf-8")
+    if _SEP in raw_label:
+        raise StorageError(f"edge label may not contain NUL: {label!r}")
+    head = _ns_bytes(namespace) + _SEP + _VPREFIX
+    return head, _EDGE + raw_label + _SEP, _EDGE + raw_label + b"\x01"
+
+
+def attrs_range(namespace: str) -> tuple[bytes, bytes, bytes]:
+    """:func:`edges_range` for :func:`attrs_prefix`: its last byte is the
+    attribute tag ``A``, so the end is ``B``."""
+    return _ns_bytes(namespace) + _SEP + _VPREFIX, _ATTR, _BLOCK
 
 
 def all_edges_prefix(namespace: str, vid: int) -> bytes:

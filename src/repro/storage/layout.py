@@ -34,6 +34,8 @@ from repro.storage.lsm import LSMConfig, LSMStore
 #: reserved edge property carrying the label in the interleaved layout
 _LABEL_PROP = "__label"
 
+_pack_vid = enc.VID.pack
+
 #: registered edge layouts — the single source of truth for validation
 EDGE_LAYOUTS = ("grouped", "interleaved", "columnar")
 
@@ -133,6 +135,10 @@ class GraphStore:
         #: entirely. Simulated I/O is charged before decode, so this only
         #: removes repeated in-process work, never accounted disk cost.
         self._decode_memo: dict[bytes, tuple] = {}
+        #: (namespace, label or None for attributes) -> the key range parts
+        #: of :func:`~repro.storage.encoding.edges_range` /
+        #: :func:`~repro.storage.encoding.attrs_range`, encoded on first read
+        self._ranges: dict[tuple[str, Optional[str]], tuple[bytes, bytes, bytes]] = {}
 
     # -- loading ---------------------------------------------------------
 
@@ -278,8 +284,7 @@ class GraphStore:
         """Live insert of an out-edge of a locally stored vertex."""
         ns = self._require_ns(src)
         if self.edge_layout == "grouped":
-            prefix = enc.edges_prefix(ns, src, label)
-            existing, _ = self.kv.scan_prefix(prefix)
+            existing, _ = self._scan_run(ns, src, label)
             seq = len(existing)
             key = enc.edge_key(ns, src, label, seq)
             value = enc.pack_edge_record(dst, props)
@@ -313,7 +318,7 @@ class GraphStore:
         :meth:`load_partition`: the region is label-grouped in every layout)."""
         rns = "~" + self._require_ns(dst)
         rlabel = "~" + label
-        existing, _ = self.kv.scan_prefix(enc.edges_prefix(rns, dst, rlabel))
+        existing, _ = self._scan_run(rns, dst, rlabel)
         self.kv.put(
             enc.edge_key(rns, dst, rlabel, len(existing)),
             enc.pack_edge_record(src, props),
@@ -426,7 +431,7 @@ class GraphStore:
         :meth:`repro.graph.vertex.Vertex.effective_props`.
         """
         ns = self._require_ns(vid)
-        pairs, cost = self.kv.scan_prefix(enc.attrs_prefix(ns, vid))
+        pairs, cost = self._scan_run(ns, vid)
         props: dict[str, Any] = {}
         for key, value in pairs:
             _, _, prop = enc.parse_attr_key(key)
@@ -473,7 +478,7 @@ class GraphStore:
         elif self.edge_layout == "columnar":
             return self._edges_columnar(ns, vid, label, pred)
         if self.edge_layout == "grouped" or label.startswith("~"):
-            pairs, cost = self.kv.scan_prefix(enc.edges_prefix(ns, vid, label))
+            pairs, cost = self._scan_run(ns, vid, label)
             if props or pred is not None:
                 decoded = [enc.unpack_edge_record(value) for _, value in pairs]
                 return self._filter_decoded(decoded, pred), cost
@@ -482,6 +487,22 @@ class GraphStore:
         preds = {label: pred} if pred is not None else None
         all_edges, cost = self.all_edges(vid, preds)
         return [(dst, eprops) for lbl, dst, eprops in all_edges if lbl == label], cost
+
+    def _scan_run(
+        self, ns: str, vid: VertexId, label: Optional[str] = None
+    ) -> tuple[list[tuple[bytes, bytes]], IOCost]:
+        """Scan one vertex's attributes (``label`` None) or one label's
+        grouped edge run: the same range as ``scan_prefix`` of
+        :func:`~repro.storage.encoding.attrs_prefix` /
+        :func:`~repro.storage.encoding.edges_prefix`, built from parts
+        cached per (namespace, label)."""
+        parts = self._ranges.get((ns, label))
+        if parts is None:
+            parts = enc.attrs_range(ns) if label is None else enc.edges_range(ns, label)
+            self._ranges[(ns, label)] = parts
+        head, start, end = parts
+        vertex = head + _pack_vid(vid)
+        return self.kv.scan(vertex + start, vertex + end)
 
     def _decode_block(
         self, vid: VertexId, label: str, value: bytes
