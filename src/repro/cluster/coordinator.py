@@ -460,7 +460,7 @@ class Coordinator:
                     )
                     ct.current_child = child_id
                     ct.children += 1
-                    outcome = yield self.ctx.wait(child_event)
+                    outcome = yield child_event
                     ct.current_child = None
                     if ct.done:
                         return  # cancelled while the child was completing

@@ -211,7 +211,7 @@ class AsyncServerEngine:
         self._pending[key] = work
         self._count["engine.units_enqueued"]()
         priority = msg.level if self.opts.priority_schedule else 0
-        self.ctx.queue_put(self.queue, (priority, next(self._seq), key))
+        self.queue.put((priority, next(self._seq), key))
 
     def _on_success(self, msg: SuccessReport) -> None:
         """An rtn server learning which of its anchors completed a path."""
@@ -261,7 +261,7 @@ class AsyncServerEngine:
 
     def _worker(self):
         while True:
-            item = yield self.ctx.queue_get(self.queue)
+            item = yield self.queue.get()
             _, _, key = item
             work = self._pending.pop(key, None)
             if work is None:  # pragma: no cover - defensive
@@ -290,7 +290,7 @@ class AsyncServerEngine:
         items.sort(key=lambda iv: iv[0])  # key-ordered batch (elevator pass)
         self._observe["engine.queue_wait_seconds"](self.ctx.now() - work.enqueued_at)
         self._observe["engine.unit_vertices"](len(items))
-        yield self.ctx.cpu(
+        yield self.ctx.sleep(
             self.opts.cpu_per_request
             + self.opts.cpu_async_overhead
             + self.opts.cpu_per_vertex * len(items)

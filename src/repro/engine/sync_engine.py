@@ -124,13 +124,13 @@ class SyncServerEngine:
             return
         if self._batch_counts.get(key, 0) >= expected[0]:
             del self._expected[key]
-            self.ctx.queue_put(self.queue, (0, next(self._seq), key, self._epoch))
+            self.queue.put((0, next(self._seq), key, self._epoch))
 
     # -- step processing ------------------------------------------------------------
 
     def _worker(self):
         while True:
-            item = yield self.ctx.queue_get(self.queue)
+            item = yield self.queue.get()
             _, _, key, epoch = item
             if epoch != self._epoch:
                 continue  # queued before a crash; its buffers are gone
@@ -173,7 +173,7 @@ class SyncServerEngine:
         items = sorted(entries.items(), key=lambda iv: iv[0])
         server = self.ctx.server_id
         self.metrics.observe("engine.unit_vertices", len(items), server=server)
-        yield self.ctx.cpu(
+        yield self.ctx.sleep(
             self.opts.cpu_per_request + self.opts.cpu_per_vertex * len(items)
         )
 

@@ -590,35 +590,48 @@ def _estimate_step_run(
     return rows, cost
 
 
+def _repeat_iters(op) -> int:
+    """Iterations a repeat is costed at: its bound, or the assumed count."""
+    if op.times is not None:
+        return op.times
+    return min(op.max_depth, UNTIL_ASSUMED_ITERS)
+
+
+def _estimate_op(
+    summary: GraphSummary, params: CostParams, rows: float, op, cost: float = 0.0
+) -> tuple[float, float]:
+    """(rows_out, ``cost`` plus the op's cost) of one step, filter, repeat or
+    union run from a ``rows``-vertex frontier. The op's cost is added into
+    ``cost`` term by term, so a sub-chain and a top-level operator sum their
+    floats in the same order."""
+    from repro.lang.composite import FilterNode, RepeatOp, Step
+
+    if isinstance(op, Step):
+        rows, c = _estimate_step_run(summary, params, rows, (op,))
+        return rows, cost + c
+    if isinstance(op, FilterNode):
+        cost += rows * (params.seek + params.props_scan + params.visit)
+        return rows * FILTER_ASSUMED_SELECTIVITY, cost
+    if isinstance(op, RepeatOp):
+        for _ in range(_repeat_iters(op)):
+            rows, c = _estimate_sub_ops(summary, params, rows, op.body)
+            cost += c
+        return rows, cost
+    merged = 0.0  # a union: every branch runs on the same frontier
+    for branch in op.branches:
+        out, c = _estimate_sub_ops(summary, params, rows, branch)
+        merged += out
+        cost += c
+    return min(merged, float(max(summary.total_vertices, 1))), cost
+
+
 def _estimate_sub_ops(
     summary: GraphSummary, params: CostParams, rows: float, ops
 ) -> tuple[float, float]:
     """(rows_out, cost) of a repeat-body / union-branch sub-chain."""
-    from repro.lang.composite import FilterNode, RepeatOp, Step, UnionOp
-
     cost = 0.0
     for op in ops:
-        if isinstance(op, Step):
-            rows, c = _estimate_step_run(summary, params, rows, (op,))
-            cost += c
-        elif isinstance(op, FilterNode):
-            cost += rows * (params.seek + params.props_scan + params.visit)
-            rows *= FILTER_ASSUMED_SELECTIVITY
-        elif isinstance(op, RepeatOp):
-            iters = op.times if op.times is not None else min(
-                op.max_depth, UNTIL_ASSUMED_ITERS
-            )
-            for _ in range(iters):
-                rows, c = _estimate_sub_ops(summary, params, rows, op.body)
-                cost += c
-        elif isinstance(op, UnionOp):
-            total_v = float(max(summary.total_vertices, 1))
-            merged = 0.0
-            for branch in op.branches:
-                out, c = _estimate_sub_ops(summary, params, rows, branch)
-                merged += out
-                cost += c
-            rows = min(merged, total_v)
+        rows, cost = _estimate_op(summary, params, rows, op, cost)
     return rows, cost
 
 
@@ -630,7 +643,6 @@ def estimate_composite_plan(cplan, summary: GraphSummary, params: CostParams):
         FilterNode,
         RepeatOp,
         Step,
-        UnionOp,
         describe_ops,
     )
 
@@ -649,49 +661,6 @@ def estimate_composite_plan(cplan, summary: GraphSummary, params: CostParams):
             bindings[op.name] = rows
             steps_since[op.name] = []
             ops.append(CompositeOpEstimate("as", f"as_({op.name!r})", rows, 0.0))
-            continue
-        if isinstance(op, Step):
-            for trail in steps_since.values():
-                trail.append(op)
-            rows, cost = _estimate_step_run(summary, params, rows, (op,))
-            ops.append(
-                CompositeOpEstimate("step", op.describe().lstrip("."), rows, cost)
-            )
-        elif isinstance(op, FilterNode):
-            cost = rows * (params.seek + params.props_scan + params.visit)
-            rows *= FILTER_ASSUMED_SELECTIVITY
-            ops.append(CompositeOpEstimate("filter", "va(...)", rows, cost))
-        elif isinstance(op, RepeatOp):
-            iters = op.times if op.times is not None else min(
-                op.max_depth, UNTIL_ASSUMED_ITERS
-            )
-            cost = 0.0
-            for _ in range(iters):
-                rows, c = _estimate_sub_ops(summary, params, rows, op.body)
-                cost += c
-            kind = (
-                f"times({op.times})"
-                if op.times is not None
-                else f"until(..., max_depth={op.max_depth}) ~{iters} iter(s)"
-            )
-            ops.append(
-                CompositeOpEstimate(
-                    "repeat", f"repeat({describe_ops(op.body)}).{kind}", rows, cost
-                )
-            )
-        elif isinstance(op, UnionOp):
-            total_v = float(max(summary.total_vertices, 1))
-            merged, cost = 0.0, 0.0
-            for branch in op.branches:
-                out, c = _estimate_sub_ops(summary, params, rows, branch)
-                merged += out
-                cost += c
-            rows = min(merged, total_v)
-            ops.append(
-                CompositeOpEstimate(
-                    "union", f"union of {len(op.branches)} branch(es)", rows, cost
-                )
-            )
         elif isinstance(op, BackOp):
             bound = bindings.get(op.name, rows)
             # one reverse pass over the intervening steps (or a forward
@@ -703,6 +672,26 @@ def estimate_composite_plan(cplan, summary: GraphSummary, params: CostParams):
             ops.append(
                 CompositeOpEstimate("back", f"back({op.name!r})", rows, cost)
             )
+        else:
+            rows, cost = _estimate_op(summary, params, rows, op)
+            if isinstance(op, Step):
+                for trail in steps_since.values():
+                    trail.append(op)
+                kind, detail = "step", op.describe().lstrip(".")
+            elif isinstance(op, FilterNode):
+                kind, detail = "filter", "va(...)"
+            elif isinstance(op, RepeatOp):
+                loop = (
+                    f"times({op.times})"
+                    if op.times is not None
+                    else f"until(..., max_depth={op.max_depth}) "
+                    f"~{_repeat_iters(op)} iter(s)"
+                )
+                kind, detail = "repeat", f"repeat({describe_ops(op.body)}).{loop}"
+            else:
+                kind = "union"
+                detail = f"union of {len(op.branches)} branch(es)"
+            ops.append(CompositeOpEstimate(kind, detail, rows, cost))
     if cplan.aggregate is not None:
         ops.append(
             CompositeOpEstimate(

@@ -357,7 +357,7 @@ class ShardMigrator:
                 tenant=cfg.tenant,
                 priority=cfg.priority,
             )
-            yield self.ctx.wait(event)  # throws RebalanceError on job failure
+            yield event  # throws RebalanceError on job failure
 
     def _chunk_job(self, state: MigrationState, seq: int, chunk):
         """One scheduler job: ship one chunk and wait for its ack, with

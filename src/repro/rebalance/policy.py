@@ -155,7 +155,7 @@ class Rebalancer:
             _, event = self.migrator.migrate(
                 choice.src, choice.dst, vids=choice.vids
             )
-            state = yield self.migrator.ctx.wait(event)
+            state = yield event
             self.migrations.append(state)
             yield self.migrator.ctx.sleep(cfg.cooldown)
         self._running = False

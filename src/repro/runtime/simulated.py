@@ -3,11 +3,12 @@ discrete-event kernel.
 
 Engines are written as generator-based actors against
 :class:`SimServerContext`; they never touch the simulator directly. An engine
-yields the waitables returned by context methods::
+yields kernel events: the ones context methods return, its queue's ``get()``
+and the completion events it was handed::
 
     def worker(self):
         while True:
-            item = yield self.ctx.queue_get(self.queue)
+            item = yield self.queue.get()
             yield self.ctx.disk(cost, level=item.level)
             self.ctx.send(dst, msg)
 
@@ -177,29 +178,6 @@ class SimServerContext:
         cls = PriorityStore if priority else Store
         return cls(self._rt.sim, name=f"s{self.server_id}:{name}")
 
-    def queue_put(self, q, item) -> None:
-        q.put(item)
-
-    def queue_get(self, q):
-        """Waitable resolving to the next item."""
-        return q.get()
-
-    def queue_len(self, q) -> int:
-        return len(q)
-
-    # -- events --------------------------------------------------------------
-
-    def wait(self, event):
-        """Waitable resolving to a completion event's value.
-
-        ``event`` is a one-shot event from :meth:`SimRuntime.completion_event`.
-        Sim events are themselves waitables: yielding one suspends the
-        process until it triggers, or throws the exception it failed with
-        into the process, so orchestrating actors can catch child-traversal
-        failures.
-        """
-        return event
-
     # -- I/O ---------------------------------------------------------------------
 
     def disk(self, cost: IOCost, level: Optional[int] = None, accesses: int = 1):
@@ -211,10 +189,6 @@ class SimServerContext:
         return DiskAccess(
             self._rt, self.server_id, cost, level, accesses, self._disk_name
         )
-
-    def cpu(self, dt: float):
-        """Waitable modelling per-request processing overhead."""
-        return self._rt.sim.timeout(dt)
 
     # -- messaging ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ every simulation run with the same seed reproduces the same trace.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
@@ -101,69 +101,6 @@ class Timeout(Event):
         sim.schedule(delay, self.succeed, value)
 
 
-class AnyOf(Event):
-    """Triggers when the first of ``events`` triggers.
-
-    The value is a dict mapping the triggered events to their values at the
-    moment this composite fired (late stragglers are ignored).
-    """
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="any_of")
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for ev in self._events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.failed:
-            self.fail(ev._exc)  # propagate first failure
-            return
-        done = {e: e._value for e in self._events if e.triggered and not e.failed}
-        self.succeed(done)
-
-
-class AllOf(Event):
-    """Triggers when all of ``events`` have triggered.
-
-    The value is a list of the child values in construction order.
-    """
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if self._remaining == 0:
-            sim.schedule(0.0, self.succeed, [])
-            return
-        for ev in self._events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.failed:
-            self.fail(ev._exc)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e._value for e in self._events])
-
-
-class Interrupt(Exception):
-    """Raised inside a process when it is interrupted.
-
-    Carries an arbitrary ``cause`` (e.g. a reason string).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause
-
-
 class Process(Event):
     """Drives a generator as a simulation process.
 
@@ -178,31 +115,13 @@ class Process(Event):
                 f"Process body must be a generator, got {type(body).__name__}"
             )
         self._body = body
-        self._waiting_on: Optional[Event] = None
         # Kick off on the next scheduling round at the current time.
         sim.schedule(0.0, self._step, None, None)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            return
-        # Detach from whatever we were waiting on; the stale callback is
-        # ignored via the _waiting_on identity check in _resume.
-        self._waiting_on = None
-        self.sim.schedule(0.0, self._step, None, Interrupt(cause))
-
     def _resume(self, ev: Event) -> None:
-        if self.triggered or ev is not self._waiting_on:
-            return  # stale wakeup (e.g. after an interrupt)
-        self._waiting_on = None
-        if ev.failed:
-            self._step(None, ev._exc)
-        else:
-            self._step(ev._value, None)
+        self._step(ev._value, ev._exc)  # a failed event's value is None
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self.triggered:
-            return
         try:
             if exc is not None:
                 target = self._body.throw(exc)
@@ -210,9 +129,6 @@ class Process(Event):
                 target = self._body.send(value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as unhandled:
-            self._fail_noting_orphan(unhandled)
             return
         except Exception as err:
             self._fail_noting_orphan(err)
@@ -226,7 +142,6 @@ class Process(Event):
                 )
             )
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def _fail_noting_orphan(self, exc: BaseException) -> None:
@@ -310,12 +225,6 @@ class Simulator:
 
     def process(self, body: ProcessBody, name: str = "proc") -> Process:
         return Process(self, body, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- execution -----------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Shared-resource primitives for the simulation kernel.
 
-* :class:`Resource` — a counted resource (disk heads, worker slots). Requests
-  queue FIFO, or by priority when ``priority=True``.
+* :class:`Resource` — a counted resource. Requests queue FIFO, or by
+  priority when ``priority=True``. No engine holds one: the runtime's disk
+  (:class:`~repro.runtime.simulated.DiskAccess`) makes the heap entries a
+  process holding a ``Resource`` slot makes, and the tests keep ``Resource``
+  as the reference it is checked against.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``.
 * :class:`PriorityStore` — a store whose ``get`` returns the smallest item
   first; used by the GraphTrek execution scheduler (smallest step id wins).
@@ -140,9 +143,6 @@ class PriorityStore(Store):
     tuples). The waiting-getter path is identical to :class:`Store`.
     """
 
-    def __init__(self, sim: Simulator, name: str = "pstore"):
-        super().__init__(sim, name)
-
     def put(self, item: Any) -> None:
         if self._getters:
             getter = self._getters.pop(0)
@@ -157,50 +157,3 @@ class PriorityStore(Store):
         else:
             self._getters.append(ev)
         return ev
-
-    def drain_matching(self, pred) -> list[Any]:
-        """Remove and return every queued item for which ``pred`` holds.
-
-        Used by execution merging: the worker pulls all queued requests that
-        touch the vertex it is about to read so one disk access serves them
-        all. Heap order among the remaining items is preserved.
-        """
-        kept, taken = [], []
-        for item in self._items:
-            (taken if pred(item) else kept).append(item)
-        if taken:
-            self._items = kept
-            heapq.heapify(self._items)
-        return taken
-
-
-class TokenBucket:
-    """Simple rate limiter: ``cost`` units consumed per use at ``rate``/sec.
-
-    Not used by the core engines, but available for modelling bandwidth
-    shares in workloads that add background traffic.
-    """
-
-    def __init__(self, sim: Simulator, rate: float, burst: float):
-        if rate <= 0 or burst <= 0:
-            raise SimulationError("rate and burst must be positive")
-        self.sim = sim
-        self.rate = rate
-        self.burst = burst
-        self._tokens = burst
-        self._last = sim.now
-
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-        self._last = now
-
-    def delay_for(self, cost: float) -> float:
-        """Virtual seconds a consumer of ``cost`` units must wait."""
-        self._refill()
-        if self._tokens >= cost:
-            self._tokens -= cost
-            return 0.0
-        deficit = cost - self._tokens
-        self._tokens = 0.0
-        return deficit / self.rate

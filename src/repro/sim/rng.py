@@ -1,8 +1,8 @@
 """Named, seeded random streams.
 
-Every stochastic component draws from its own named stream derived from a
-single experiment seed, so adding a new random consumer never perturbs the
-draws of existing ones — a standard reproducibility idiom for simulation
+Every stochastic component seeds its own stream from a single experiment
+seed and the stream's name, so adding a new random consumer never perturbs
+the draws of existing ones — a standard reproducibility idiom for simulation
 studies.
 """
 
@@ -10,30 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from ``root_seed`` and a stream ``name``."""
     digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-class RngRegistry:
-    """Hands out independent :class:`numpy.random.Generator` streams by name."""
-
-    def __init__(self, root_seed: int = 0):
-        self.root_seed = root_seed
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for ``name``."""
-        gen = self._streams.get(name)
-        if gen is None:
-            gen = np.random.default_rng(derive_seed(self.root_seed, name))
-            self._streams[name] = gen
-        return gen
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        return RngRegistry(derive_seed(self.root_seed, f"fork:{name}"))

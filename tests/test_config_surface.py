@@ -14,6 +14,13 @@ its one in-memory storage, which outlives the coordinator).
 
 The runtime is single-threaded, so no module under ``src/repro`` may import
 a threading primitive: a lock cannot come back without a diff here.
+
+The simulation kernel and the runtime seam are pinned the same way: the
+names ``repro.sim`` exports and the public methods of ``SimServerContext``.
+Removed so far: ``AnyOf``, ``AllOf``, ``Interrupt``, ``TokenBucket`` and
+``RngRegistry`` (nothing scheduled on them), and the context's
+``queue_put``/``queue_get``/``queue_len``/``wait``/``cpu`` (engines use
+their queue, the events they were handed and ``sleep`` directly).
 """
 
 import ast
@@ -22,11 +29,13 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim
 from repro.cluster import ClusterConfig, CoordinatorConfig
 from repro.engine import EngineOptions
 from repro.net import ReliableConfig
 from repro.obs import SLOConfig, TelemetryConfig
 from repro.rebalance import MigrationConfig, RebalancerConfig
+from repro.runtime import SimServerContext
 from repro.sched import SchedulerConfig
 from repro.storage import LSMConfig
 
@@ -123,6 +132,42 @@ SURFACE = {
 def test_config_fields_are_pinned(config):
     fields = tuple(f.name for f in dataclasses.fields(config))
     assert fields == SURFACE[config]
+
+
+SIM_EXPORTS = (
+    "Event",
+    "Process",
+    "Simulator",
+    "Timeout",
+    "PriorityStore",
+    "Request",
+    "Resource",
+    "Store",
+    "derive_seed",
+)
+
+SERVER_CONTEXT_METHODS = (
+    "disk",
+    "now",
+    "queue",
+    "send",
+    "send_coordinator",
+    "sleep",
+    "spawn",
+)
+
+
+def test_sim_kernel_exports_are_pinned():
+    assert tuple(repro.sim.__all__) == SIM_EXPORTS
+
+
+def test_server_context_methods_are_pinned():
+    methods = tuple(
+        name
+        for name, member in sorted(vars(SimServerContext).items())
+        if callable(member) and not name.startswith("_")
+    )
+    assert methods == SERVER_CONTEXT_METHODS
 
 
 THREADING_MODULES = {"threading", "queue", "concurrent", "_thread"}

@@ -19,8 +19,9 @@ documents of a two-tenant cell with a rejected submission and a fired alert.
 ``GOLDEN_EVENT_ORDER`` pins the simulation kernel itself: the ``(now,
 label)`` log of a scripted ``Simulator`` run that crosses every tie-break
 (equal-time timeouts, zero-delay chains, a priority resource, both stores,
-``AnyOf``/``AllOf``, an interrupt), recorded before ISSUE 21 replaced the
-kernel's per-event closures with argument-carrying heap entries.
+processes joined by yielding them, an event failed into its waiter),
+re-recorded when the kernel's unused ``AnyOf``/``AllOf`` and interrupts
+were deleted.
 
 ``GOLDEN_CONTROL_PLANE`` pins the control plane end to end — scheduler,
 coordinator, recovery supervisor and journal together — on one journaled,
@@ -226,18 +227,21 @@ def test_telemetry_documents_match_golden_digest():
 
 
 #: sha256 of the ``(now, label)`` log of the scripted kernel run below,
-#: recorded before the request-path diet touched ``sim/core.py``
-GOLDEN_EVENT_ORDER = "50ae60bc96af832c6a979cf88e5bd098cb0871d1afe381baeb57e2053bfacfb4"
+#: recorded on the kernel that still carried ``AnyOf``/``AllOf`` and
+#: ``Process.interrupt``, once the scenario stopped using them and before
+#: they were deleted
+GOLDEN_EVENT_ORDER = "c8574cb05027c5783c3d411127cf9afb5b9740623b6952212bc4eb39c9a8e085"
 
 
 def _kernel_event_log() -> list[tuple[float, str]]:
     """A seeded ``Simulator`` run that crosses every tie-break the kernel
-    has: eight processes contending on one ``Resource``, a ``Store`` and a
-    ``PriorityStore``, ``AnyOf``/``AllOf``, an interrupt, zero-delay chains,
-    equal-time timeouts and a callback added to an already-triggered event."""
+    has: eight processes contending on one priority ``Resource``, a
+    ``Store`` and a ``PriorityStore``, processes joined by yielding them, an
+    event failed into its waiter, zero-delay chains, equal-time timeouts and
+    callbacks, and a callback added to an already-triggered event."""
     import random
 
-    from repro.sim.core import Interrupt, Simulator
+    from repro.sim.core import Simulator
     from repro.sim.resources import PriorityStore, Resource, Store
 
     rng = random.Random(21)
@@ -246,6 +250,7 @@ def _kernel_event_log() -> list[tuple[float, str]]:
     disk = Resource(sim, capacity=2, priority=True, name="disk")
     inbox = Store(sim, name="inbox")
     ranked = PriorityStore(sim, name="ranked")
+    alarm = sim.event("alarm")
 
     def note(label: str) -> None:
         log.append((sim.now, label))
@@ -276,31 +281,31 @@ def _kernel_event_log() -> list[tuple[float, str]]:
 
     def sleeper():
         try:
-            yield sim.timeout(1.0)
+            yield alarm
             note("sleeper.woke")
-        except Interrupt as intr:
-            note(f"sleeper.interrupted:{intr.cause}")
+        except RuntimeError as err:
+            note(f"sleeper.failed:{err}")
             yield sim.timeout(0.002)
             note("sleeper.resumed")
         return "slept"
 
     def racer(procs):
-        first = yield sim.any_of([sim.timeout(0.002, "t2"), sim.timeout(0.002, "t2b")])
-        note(f"racer.any:{sorted(first.values())}")
-        done = yield sim.all_of(procs)
+        done = []
+        for proc in procs:
+            done.append((yield proc))
         note(f"racer.all:{done}")
         late = sim.event("late")
         late.succeed("v")
         late.add_callback(lambda ev: note(f"racer.late:{ev.value}"))
-        yield sim.all_of([])
-        note("racer.empty_all")
+        value = yield late
+        note(f"racer.joined_late:{value}")
 
     contenders = [sim.process(contender(i), name=f"c{i}") for i in range(8)]
     sim.process(consumer("fifo", inbox, 24), name="fifo")
     sim.process(consumer("prio", ranked, 24), name="prio")
     nap = sim.process(sleeper(), name="sleeper")
     sim.process(racer(contenders), name="racer")
-    sim.schedule(0.004, lambda: (note("poke"), nap.interrupt("poke")))
+    sim.schedule(0.004, lambda: (note("poke"), alarm.fail(RuntimeError("poke"))))
     for k in range(4):  # equal-time bare callbacks: schedule order breaks the tie
         sim.schedule(0.003, lambda k=k: note(f"tick{k}"))
     sim.run()

@@ -133,17 +133,17 @@ def test_queue_roundtrip_through_context():
     ctx = rt.context(0)
     q = ctx.queue(priority=True)
     got = []
-    def consumer(ctx, q):
-        item = yield ctx.queue_get(q)
+    def consumer(q):
+        item = yield q.get()
         got.append(item)
-    rt.sim.process(consumer(ctx, q))
-    ctx.queue_put(q, (2, 0, "low"))
-    ctx.queue_put(q, (1, 1, "high"))
+    rt.sim.process(consumer(q))
+    q.put((2, 0, "low"))
+    q.put((1, 1, "high"))
     rt.sim.run()
     # both puts landed before the consumer's first get ran, so the heap
     # ordering applies and the smallest priority wins
     assert got == [(1, 1, "high")]
-    assert ctx.queue_len(q) == 1
+    assert len(q) == 1
 
 
 def test_sleep_and_now():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import Event, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -163,76 +163,40 @@ def test_run_with_until_stops_clock():
     assert sim.now == 30
 
 
-def test_any_of_first_wins():
+def test_joining_processes_waits_for_the_last():
     sim = Simulator()
-    def proc(sim):
-        t1 = sim.timeout(5, "slow")
-        t2 = sim.timeout(2, "fast")
-        result = yield sim.any_of([t1, t2])
-        return list(result.values())
-    p = sim.process(proc(sim))
-    sim.run_until(p)
-    assert p.value == ["fast"]
-    assert sim.now >= 2
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    def proc(sim):
-        values = yield sim.all_of([sim.timeout(1, "a"), sim.timeout(3, "b")])
+    def child(sim, dt, value):
+        yield sim.timeout(dt)
+        return value
+    def parent(sim):
+        kids = [sim.process(child(sim, 3, "a")), sim.process(child(sim, 1, "b"))]
+        values = []
+        for kid in kids:
+            values.append((yield kid))
         return values
-    p = sim.process(proc(sim))
+    p = sim.process(parent(sim))
     sim.run_until(p)
     assert p.value == ["a", "b"]
     assert sim.now == 3
 
 
-def test_all_of_empty_succeeds_immediately():
+def test_failed_event_wakes_its_waiter_which_recovers():
     sim = Simulator()
-    def proc(sim):
-        values = yield sim.all_of([])
-        return values
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == []
-
-
-def test_any_of_empty_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.any_of([])
-
-
-def test_interrupt_raises_in_process():
-    sim = Simulator()
+    alarm = sim.event("alarm")
     log = []
     def proc(sim):
         try:
-            yield sim.timeout(100)
-        except Interrupt as intr:
-            log.append(intr.cause)
+            yield alarm
+        except RuntimeError as err:
+            log.append((sim.now, str(err)))
             yield sim.timeout(1)
         return "recovered"
     p = sim.process(proc(sim))
-    sim.schedule(2.0, lambda: p.interrupt("stop"))
+    sim.schedule(2.0, lambda: alarm.fail(RuntimeError("stop")))
     sim.run_until(p)
-    assert log == ["stop"]
+    assert log == [(2.0, "stop")]
     assert p.value == "recovered"
-    # the process finished at t=3; the abandoned timeout(100) stays queued
     assert sim.now == pytest.approx(3.0)
-    sim.run()
-    assert sim.now == pytest.approx(100.0)
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-    def proc(sim):
-        yield sim.timeout(1)
-    p = sim.process(proc(sim))
-    sim.run()
-    p.interrupt("late")  # must not raise
-    sim.run()
-    assert not p.failed
 
 
 def test_callback_on_triggered_event_fires_async():

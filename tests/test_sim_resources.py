@@ -1,9 +1,9 @@
-"""Unit tests for simulation resources, stores, and the token bucket."""
+"""Unit tests for simulation resources and stores."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import PriorityStore, Resource, Simulator, Store, TokenBucket
+from repro.sim import PriorityStore, Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity():
@@ -138,38 +138,3 @@ def test_priority_store_waiting_getter_bypasses_heap():
     store.put((9, 0, "x"))
     sim.run()
     assert g.value == (9, 0, "x")
-
-
-def test_priority_store_drain_matching():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    for i in range(6):
-        store.put((i, i, f"item{i}"))
-    taken = store.drain_matching(lambda item: item[0] % 2 == 0)
-    assert [t[2] for t in taken] == ["item0", "item2", "item4"]
-    g = store.get()
-    sim.run()
-    assert g.value == (1, 1, "item1")
-    assert len(store) == 2
-
-
-def test_token_bucket_delays_when_drained():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=10.0, burst=5.0)
-    assert bucket.delay_for(5.0) == 0.0  # burst covers it
-    delay = bucket.delay_for(10.0)
-    assert delay == pytest.approx(1.0)  # 10 units at 10/sec
-
-
-def test_token_bucket_refills_over_time():
-    sim = Simulator()
-    bucket = TokenBucket(sim, rate=1.0, burst=2.0)
-    bucket.delay_for(2.0)
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    assert bucket.delay_for(2.0) == 0.0
-
-
-def test_token_bucket_validates_params():
-    with pytest.raises(SimulationError):
-        TokenBucket(Simulator(), rate=0, burst=1)
