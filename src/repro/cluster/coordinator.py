@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Optional, Union
 
@@ -74,11 +74,6 @@ class CoordinatorConfig:
     #: their original dispatches. Receiver-side (travel, step, vertex)
     #: deduplication makes replays idempotent. Async engines only.
     fine_grained_recovery: bool = False
-    #: buffered result pipeline (the paper's future work): stream result
-    #: chunks to the client while the traversal is still running, instead of
-    #: one bulk reply at the end. Pays off when the return set is large.
-    stream_results: bool = False
-    stream_chunk_vertices: int = 1024
     #: per-control-message handling time at the barrier controller. The
     #: synchronous engine's coordinator must receive N step-done reports and
     #: send N step-start orders *on the critical path* of every step; the
@@ -105,13 +100,6 @@ class ActiveTravel:
     #: coordinator-side replay buffer for its own initial dispatches
     initial_sent: dict[int, tuple[ServerId, object]] = field(default_factory=dict)
     replay_rounds: int = 0
-    #: buffered result pipeline state: vertices not yet streamed, vertices
-    #: already on the wire, and the count of chunks shipped.
-    stream_backlog: dict[int, set[VertexId]] = field(default_factory=dict)
-    streamed: dict[int, set[VertexId]] = field(default_factory=dict)
-    stream_chunks: int = 0
-    streamer_busy: bool = False
-    stream_done_time: float = 0.0
     #: the planner's audit trail; None when the traversal runs as written
     planned: Optional[PlannedQuery] = None
     #: parent composite travel id when this is an orchestrated child; its
@@ -347,7 +335,6 @@ class Coordinator:
             at.initial_sent[eid] = (server, request)
             self._send(at.travel_id, server, request)
         tracker.register_initial(initial, self.ctx.now())
-        self.board.stats(at.travel_id).executions += 0  # materialize stats early
         self._check_complete(at)  # zero-source traversals complete immediately
 
     def _dispatch_sync(self, at: ActiveTravel) -> None:
@@ -508,7 +495,7 @@ class Coordinator:
         if aggregate is not None:
             # aggregates reply with the reduced groups, not the vertex set
             reply_bytes = 64 + 16 * max(1, len(aggregate.groups))
-        self._stamp_reply(stats, self.ctx.now(), ct.submit_time, reply_bytes, total)
+        self._stamp_reply(stats, ct.submit_time, reply_bytes, total)
         result = TraversalResult(
             travel_id=ct.travel_id,
             returned={ct.plan.final_level: frozenset(frontier)},
@@ -530,19 +517,14 @@ class Coordinator:
         self._terminate(ct, status, exc, restarts=ct.stats.restarts, reason=str(exc))
 
     def _stamp_reply(
-        self,
-        stats: TraversalStats,
-        finished_at: float,
-        submit_time: float,
-        reply_bytes: int,
-        results: int,
+        self, stats: TraversalStats, submit_time: float, reply_bytes: int, results: int
     ) -> None:
-        """Stamp the client-observed elapsed time — coordinator time plus the
-        GTravel upload hop and a reply of ``reply_bytes`` over the client
-        link — and feed the two per-travel histograms."""
+        """Stamp the client-observed elapsed time — coordinator time until
+        now plus the GTravel upload hop and a reply of ``reply_bytes`` over
+        the client link — and feed the two per-travel histograms."""
         network = self.runtime.network  # type: ignore[attr-defined]
         stats.elapsed = (
-            finished_at - submit_time
+            self.ctx.now() - submit_time
             + network.client_latency(512) + network.client_latency(reply_bytes)
         )
         self.metrics.observe(
@@ -672,8 +654,6 @@ class Coordinator:
             at.returned.setdefault(msg.level, set()).update(msg.vertices)
             if msg.groups:
                 at.groups.update(msg.groups)
-            if self.config.stream_results:
-                self._stream_enqueue(at, msg.level, msg.vertices)
             at.tracker.on_result(self.ctx.now())
             self._journal_progress(at, results=1)
             self._check_complete(at)
@@ -731,59 +711,16 @@ class Coordinator:
                 ),
             )
 
-    # -- buffered result pipeline (paper §IV-B future work) -----------------------
-
-    def _stream_enqueue(self, at: ActiveTravel, level: int, vertices) -> None:
-        """Queue freshly returned vertices for streaming to the client."""
-        already = at.streamed.setdefault(level, set())
-        backlog = at.stream_backlog.setdefault(level, set())
-        fresh = set(vertices) - already - backlog
-        if not fresh:
-            return
-        backlog.update(fresh)
-        if not at.streamer_busy:
-            at.streamer_busy = True
-            self.ctx.spawn(self._streamer(at), name=f"stream-{at.travel_id}")
-
-    def _streamer(self, at: ActiveTravel):
-        """Ship result chunks to the client over the (slower) client link,
-        overlapping with the still-running traversal."""
-        network = self.runtime.network  # type: ignore[attr-defined]
-        chunk_size = self.config.stream_chunk_vertices
-        while True:
-            level = next((l for l, s in at.stream_backlog.items() if s), None)
-            if level is None:
-                break
-            backlog = at.stream_backlog[level]
-            chunk = [backlog.pop() for _ in range(min(chunk_size, len(backlog)))]
-            at.streamed[level].update(chunk)
-            at.stream_chunks += 1
-            yield self.ctx.sleep(network.client_latency(64 + 8 * len(chunk)))
-        at.streamer_busy = False
-        at.stream_done_time = self.ctx.now()
-        self._check_complete(at)
-
     # -- completion ------------------------------------------------------------------
 
     def _check_complete(self, at: ActiveTravel) -> None:
         if at.done or not at.tracker.complete:
             return
-        if self.config.stream_results and (
-            at.streamer_busy or any(at.stream_backlog.values())
-        ):
-            return  # the streamer finalizes once the pipeline drains
         stats = self.board.stats(at.travel_id)
         total_results = sum(len(v) for v in at.returned.values())
         # bulk reply: the whole result set crosses the client link now
-        finished_at = self.ctx.now()
-        reply_bytes = 64 + 8 * total_results
-        if self.config.stream_results:
-            # results already on the client; just the final status reply
-            finished_at = max(finished_at, at.stream_done_time)
-            reply_bytes = 64
-            stats.result_chunks = at.stream_chunks
         self._stamp_reply(
-            stats, finished_at, at.submit_time, reply_bytes, total_results
+            stats, at.submit_time, 64 + 8 * total_results, total_results
         )
         # a reversed plan returns levels in its own numbering; map them back
         # to the original chain's levels before the client sees them
@@ -959,11 +896,6 @@ class Coordinator:
         at.groups.clear()
         at.initial_sent.clear()
         at.replay_rounds = 0
-        # restarted traversals re-stream from scratch; the client discards
-        # chunks from the failed attempt
-        at.stream_backlog.clear()
-        at.streamed.clear()
-        at.stream_chunks = 0
         # the failed attempt's unflushed progress deltas die with it
         at.pend_statuses = 0
         at.pend_results = 0
@@ -1140,16 +1072,10 @@ def _merge_child_stats(agg: TraversalStats, child: TraversalStats) -> None:
     end-to-end elapsed time; summing per-child elapsed would double-count
     the client hops each child's completion charged.
     """
-    agg.real_io_visits += child.real_io_visits
-    agg.combined_visits += child.combined_visits
-    agg.redundant_visits += child.redundant_visits
-    agg.messages += child.messages
-    agg.bytes_sent += child.bytes_sent
-    agg.barrier_rounds += child.barrier_rounds
-    agg.executions += child.executions
-    agg.restarts += child.restarts
-    agg.replays += child.replays
-    agg.result_chunks += child.result_chunks
+    for f in fields(child):
+        value = getattr(child, f.name)
+        if isinstance(value, int):
+            setattr(agg, f.name, getattr(agg, f.name) + value)
     for server, counts in child.per_server.items():
         bucket = agg.per_server.setdefault(server, {})
         for kind, n in counts.items():

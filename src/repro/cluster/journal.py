@@ -13,7 +13,9 @@ Records use the framed format shared with checkpoints
 (:func:`repro.storage.persist.pack_record`): ``[u32 len][u32 crc32]``
 followed by a pickled dict with a ``kind`` discriminator. A torn or
 bit-rotted record raises the typed
-:class:`~repro.errors.CorruptJournal` on replay.
+:class:`~repro.errors.CorruptJournal` on replay, and so does a record that
+names any global outside the record vocabulary (:data:`RECORD_GLOBALS`):
+replay never resolves, let alone calls, anything else.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
 it rewrites its storage as a single ``checkpoint`` record carrying the
@@ -27,12 +29,40 @@ on the shared filesystem.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
+
+
+#: every global a journal record may name, by module: the plan, filter,
+#: composite and planner-audit classes ``admit``/``dispatch`` records carry,
+#: and numpy's dtype and scalar reconstructor (``numpy._core`` in numpy 2)
+RECORD_GLOBALS = {
+    "repro.lang.plan": {"Step", "TraversalPlan", "AggregateSpec"},
+    "repro.lang.filters": {"FilterOp", "PropertyFilter", "FilterSet"},
+    "repro.lang.composite": {
+        "FilterNode", "RepeatOp", "UnionOp", "AsOp", "BackOp", "CompositePlan",
+    },
+    "repro.lang.optimizer": {"PlannedQuery", "Rewrite", "LevelEstimate", "PlanCost"},
+    "numpy": {"dtype"},
+    "numpy.core.multiarray": {"scalar"},
+    "numpy._core.multiarray": {"scalar"},
+}
+
+
+class _RecordUnpickler(pickle.Unpickler):
+    """Unpickles one record; a global outside :data:`RECORD_GLOBALS` raises."""
+
+    def find_class(self, module: str, name: str):
+        if name not in RECORD_GLOBALS.get(module, ()):
+            raise CorruptJournal(
+                f"journal record names {module}.{name}, outside the record vocabulary"
+            )
+        return super().find_class(module, name)
 
 
 class JournalFile:
@@ -164,7 +194,7 @@ class TraversalJournal:
         state = JournalState()
         for payload in iter_records(data, CorruptJournal):
             try:
-                record = pickle.loads(payload)
+                record = _RecordUnpickler(io.BytesIO(payload)).load()
             except Exception as exc:
                 raise CorruptJournal(f"undecodable journal record: {exc}") from exc
             if not isinstance(record, dict) or "kind" not in record:

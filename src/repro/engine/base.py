@@ -77,17 +77,12 @@ class TraversalStats:
     executions: int = 0
     restarts: int = 0
     replays: int = 0  # fine-grained recovery re-dispatches
-    result_chunks: int = 0  # buffered result pipeline chunks streamed
     per_server: dict[int, dict[str, int]] = field(default_factory=dict)
 
     @property
     def total_visits(self) -> int:
         """All vertex requests received = real + combined + redundant."""
         return self.real_io_visits + self.combined_visits + self.redundant_visits
-
-    def server_counts(self, metric: str) -> dict[int, int]:
-        """Per-server value of one visit metric (for Fig. 7 style plots)."""
-        return {s: d.get(metric, 0) for s, d in self.per_server.items()}
 
     def record_visit(self, server: int, kind: str, n: int = 1) -> None:
         if kind == "real":

@@ -110,13 +110,3 @@ class TraversalAffiliateCache:
         """Release all attempts of one travel id (keys are (id, attempt))."""
         for key in [k for k in self._data if isinstance(k, tuple) and k[0] == travel_id]:
             self.forget_travel(key)
-
-    def level_span(self, travel: TravelKey) -> tuple[int, int]:
-        """(min, max) step currently cached for a traversal; (-1, -1) if none.
-
-        The scheduling optimization exists to keep this span small (§V-B).
-        """
-        levels = self._data.get(travel)
-        if not levels:
-            return (-1, -1)
-        return (min(levels), max(levels))

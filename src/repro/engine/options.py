@@ -62,10 +62,6 @@ class EngineOptions:
     #: Resource limits live in ``ClusterConfig.scheduler_config``.
     scheduler: str = "fifo"
 
-    @property
-    def is_async(self) -> bool:
-        return self.kind is not EngineKind.SYNC
-
 
 def graphtrek_options(**overrides) -> EngineOptions:
     """The full GraphTrek engine (paper §V)."""

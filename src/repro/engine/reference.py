@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.engine.base import EngineKind, TraversalResult, TraversalStats
+from repro.engine.base import TraversalResult
 from repro.graph.builder import PropertyGraph
 from repro.ids import TravelId, VertexId
 from repro.lang.composite import CompositePlan, composite_program
@@ -141,10 +141,3 @@ class ReferenceEngine:
             returned={cplan.final_level: frozenset(frontier)},
             aggregate=aggregate,
         )
-
-    def run_with_stats(
-        self, plan: TraversalPlan, travel_id: TravelId = 0
-    ) -> tuple[TraversalResult, TraversalStats]:
-        result = self.run(plan, travel_id)
-        stats = TraversalStats(engine=EngineKind.REFERENCE)
-        return result, stats

@@ -200,23 +200,6 @@ class RebalanceError(ReproError):
         self.reason = reason
 
 
-class StaleRoutingVersion(RebalanceError):
-    """A migration-protocol action carried a routing-table version that is
-    no longer current — the dispatch is fenced, never applied.
-
-    Carries the ``expected`` (current) and ``got`` (stale) versions.
-    """
-
-    def __init__(self, expected: int, got: int, what: str = "dispatch"):
-        super().__init__(
-            f"stale routing version for {what}: got v{got}, table is at "
-            f"v{expected}"
-        )
-        self.expected = expected
-        self.got = got
-        self.what = what
-
-
 class TraceError(ReproError):
     """Raised when a recorded traversal trace cannot be reconstructed into a
     well-formed execution DAG (orphan executions, cycles)."""

@@ -9,15 +9,12 @@ from repro.graph.stats import (
     GraphSummary,
     LabelStats,
     PropertySketch,
-    degree_histogram,
     degree_stats,
-    effective_diameter_sample,
     fit_powerlaw_alpha,
     gini,
     imbalance_factor,
     in_degree_stats,
     out_degree_stats,
-    small_world_summary,
 )
 from repro.graph.vertex import Vertex
 
@@ -35,13 +32,10 @@ __all__ = [
     "GraphSummary",
     "LabelStats",
     "PropertySketch",
-    "degree_histogram",
     "degree_stats",
-    "effective_diameter_sample",
     "fit_powerlaw_alpha",
     "gini",
     "imbalance_factor",
     "in_degree_stats",
     "out_degree_stats",
-    "small_world_summary",
 ]

@@ -95,14 +95,6 @@ def in_degree_stats(graph: PropertyGraph) -> DegreeStats:
     return degree_stats(degrees)
 
 
-def degree_histogram(graph: PropertyGraph) -> Counter:
-    """out-degree -> vertex count."""
-    hist: Counter = Counter()
-    for vid in graph.vertex_ids():
-        hist[graph.out_degree(vid)] += 1
-    return hist
-
-
 def imbalance_factor(loads: np.ndarray) -> float:
     """max/mean load ratio — 1.0 is perfectly balanced.
 
@@ -114,55 +106,6 @@ def imbalance_factor(loads: np.ndarray) -> float:
     if mean == 0:
         return 1.0
     return float(loads.max() / mean)
-
-
-def small_world_summary(graph: PropertyGraph) -> dict[str, float]:
-    """A compact structural fingerprint used by workload tests."""
-    out = out_degree_stats(graph)
-    inn = in_degree_stats(graph)
-    return {
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "out_alpha": out.powerlaw_alpha,
-        "in_alpha": inn.powerlaw_alpha,
-        "out_gini": out.gini,
-        "in_gini": inn.gini,
-        "max_out_degree": out.maximum,
-        "max_in_degree": inn.maximum,
-        "mean_out_degree": out.mean,
-    }
-
-
-def effective_diameter_sample(
-    graph: PropertyGraph, rng: np.random.Generator, samples: int = 8
-) -> float:
-    """Approximate 90th-percentile BFS eccentricity from sampled sources.
-
-    Treats edges as undirected is *not* done — we follow out-edges only,
-    matching what a traversal can reach. Unreachable vertices are ignored.
-    """
-    vids = list(graph.vertex_ids())
-    if not vids:
-        return 0.0
-    dists: list[int] = []
-    for _ in range(min(samples, len(vids))):
-        src = vids[int(rng.integers(len(vids)))]
-        seen = {src: 0}
-        frontier = [src]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for _, dst, _ in graph.out_edges(v):
-                    if dst not in seen:
-                        seen[dst] = depth
-                        nxt.append(dst)
-            frontier = nxt
-        dists.extend(seen.values())
-    if not dists:
-        return 0.0
-    return float(np.percentile(np.array(dists), 90))
 
 
 # -- planner statistics (property sketches, label stats, graph summary) --------

@@ -14,15 +14,16 @@ layers that shard migration drives:
 Every mutation bumps a monotonic ``version``. Versions never go backwards
 — not even across a coordinator crash: recovery replays the journal's
 migration records and restores the table *past* the highest journaled
-version, so any in-flight protocol step stamped with an older version is
-fenced via :meth:`require_current` instead of applied.
+version, so the migration fence holds across it: ``ShardMigrator._on_chunk``
+drops (never applies, never acks) a chunk whose ``routing_version`` differs
+from its migration's, counting ``rebalance.fenced``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.errors import RebalanceError, StaleRoutingVersion
+from repro.errors import RebalanceError
 from repro.ids import ServerId, VertexId
 
 
@@ -75,13 +76,6 @@ class RoutingTable:
         if dual is not None:
             return dual
         return (self.owner(vid),)
-
-    # -- versioning / fencing ----------------------------------------------
-
-    def require_current(self, version: int, what: str = "dispatch") -> None:
-        """Fence a protocol step stamped with a superseded table version."""
-        if version != self.version:
-            raise StaleRoutingVersion(self.version, version, what)
 
     def _bump(self) -> int:
         self.version += 1

@@ -8,7 +8,7 @@ simulated runtime converts to virtual disk time.
 
 from repro.storage.blockcache import BlockCache
 from repro.storage.bloom import BloomFilter
-from repro.storage.columnar import AdjacencyBlock, decode_block, encode_block
+from repro.storage.columnar import AdjacencyBlock
 from repro.storage.costmodel import GPFS, LOCAL_DISK, DiskCostModel, IOCost
 from repro.storage.layout import EDGE_LAYOUTS, GraphStore, validate_edge_layout
 from repro.storage.lsm import LSMConfig, LSMStats, LSMStore
@@ -26,8 +26,6 @@ __all__ = [
     "BlockCache",
     "BloomFilter",
     "EDGE_LAYOUTS",
-    "decode_block",
-    "encode_block",
     "validate_edge_layout",
     "DiskCostModel",
     "GPFS",

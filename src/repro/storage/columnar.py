@@ -7,25 +7,25 @@ delta-encoded varint column (swh-graph compresses billion-edge graphs to a
 few bits per edge with exactly this trick), so a whole adjacency list is one
 point lookup plus one decode.
 
-Block wire format (:func:`encode_block`, the id column)::
+The one frame a store writes or accepts (:meth:`AdjacencyBlock.encode`)::
 
-    0xC7                      magic byte
+    0xC8                      magic byte
     varint(count)             number of neighbor ids
     zigzag-varint * count     first id, then deltas from the previous id
+    0 | 1 + blob * count      props column (blob: varint(len) + pack_props)
     crc32:4 BE                over everything before it
 
-Deltas are *zigzag*-encoded, so the codec round-trips any id sequence
+Deltas are *zigzag*-encoded, so the id column round-trips any id sequence
 exactly — unsorted and duplicate-bearing inputs included (a duplicate is a
 zero delta, an inversion a negative one). Sorted lists, the layout's case,
 get the small-positive-delta packing the compression relies on.
 
-:class:`AdjacencyBlock` wraps the id column together with a parallel edge
-property column (elided entirely in the overwhelmingly common all-empty
-case) under the same framing and CRC.
-
 Every decode failure raises :class:`~repro.errors.CorruptAdjacencyBlock` —
 a truncated varint, a count overrunning the payload, trailing bytes, a
-bit-flip caught by the CRC. Never silent garbage.
+bit-flip caught by the CRC. Never silent garbage. :func:`block_entry_count`
+checks the frame (magic, length, CRC, a count the payload can hold) without
+decoding the columns, so a block arriving from outside a store — a
+migration chunk, a restored checkpoint — is rejected where it arrives.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from typing import Any, Sequence
 from repro.errors import CorruptAdjacencyBlock
 from repro.storage.encoding import pack_props, unpack_props
 
-#: magic byte opening every id-column block
-BLOCK_MAGIC = 0xC7
 #: magic byte opening every AdjacencyBlock (ids + props columns)
 ADJ_MAGIC = 0xC8
 
@@ -112,69 +110,33 @@ def _decode_one_varint(buf: bytes, offset: int) -> tuple[int, int]:
     return values[0], offset
 
 
-# -- id-column codec ----------------------------------------------------------
-
-
-def encode_block(neighbors: Sequence[int]) -> bytes:
-    """Encode a neighbor-id list into one delta/varint column with CRC.
-
-    Round-trips *exactly*: :func:`decode_block` returns the ids in the
-    order given, duplicates and inversions included.
-    """
-    out = bytearray([BLOCK_MAGIC])
-    encode_varints((len(neighbors),), out)
-    deltas = []
-    prev = 0
-    for vid in neighbors:
-        deltas.append(zigzag_encode(vid - prev))
-        prev = vid
-    encode_varints(deltas, out)
-    out += _CRC.pack(zlib.crc32(out))
-    return bytes(out)
-
-
-def decode_block(buf: bytes) -> list[int]:
-    """Inverse of :func:`encode_block`.
-
-    Raises :class:`~repro.errors.CorruptAdjacencyBlock` on any framing or
-    integrity violation.
-    """
-    if len(buf) < 6:  # magic + count + crc is the minimum (empty block)
+def _checked_body(buf: bytes) -> bytes:
+    """The frame minus its CRC, once length, magic byte and CRC check out."""
+    if len(buf) < 7:  # magic + count + props flag + crc: an empty block
         raise CorruptAdjacencyBlock(
-            f"block of {len(buf)} bytes is shorter than the minimal frame"
+            f"adjacency block of {len(buf)} bytes is shorter than the "
+            "minimal frame"
         )
-    if buf[0] != BLOCK_MAGIC:
+    if buf[0] != ADJ_MAGIC:
         raise CorruptAdjacencyBlock(
-            f"bad magic byte {buf[0]:#04x}, expected {BLOCK_MAGIC:#04x}"
+            f"bad adjacency magic {buf[0]:#04x}, expected {ADJ_MAGIC:#04x}"
         )
     body, crc_bytes = buf[:-4], buf[-4:]
     if zlib.crc32(body) != _CRC.unpack(crc_bytes)[0]:
-        raise CorruptAdjacencyBlock("block CRC32 mismatch")
-    count, offset = _decode_one_varint(body, 1)
-    deltas, offset = decode_varints(body, offset, count)
-    if offset != len(body):
-        raise CorruptAdjacencyBlock(
-            f"{len(body) - offset} trailing bytes after {count} ids"
-        )
-    out: list[int] = []
-    append = out.append
-    prev = 0
-    for d in deltas:
-        prev += zigzag_decode(d)
-        append(prev)
-    return out
+        raise CorruptAdjacencyBlock("adjacency block CRC32 mismatch")
+    return body
 
 
 def block_entry_count(buf: bytes) -> int:
-    """Edge count of an encoded block without decoding the columns.
-
-    Accepts either frame (:func:`encode_block` or
-    :meth:`AdjacencyBlock.encode`); used by the storage layer's bytes/edge
-    accounting when blocks move wholesale (migration import, deletes).
-    """
-    if not buf or buf[0] not in (BLOCK_MAGIC, ADJ_MAGIC):
-        raise CorruptAdjacencyBlock("not an adjacency block")
-    count, _ = _decode_one_varint(buf, 1)
+    """Edge count of an :meth:`AdjacencyBlock.encode` frame without decoding
+    its columns, for the bytes/edge accounting when blocks move wholesale
+    (migration import, restore, deletes). Any other frame, a damaged one, or
+    a count its payload cannot hold (an id takes a byte at least, the props
+    flag one more) raises :class:`~repro.errors.CorruptAdjacencyBlock`."""
+    body = _checked_body(buf)
+    count, offset = _decode_one_varint(body, 1)
+    if count > len(body) - offset - 1:
+        raise CorruptAdjacencyBlock(f"count {count} overruns the payload")
     return count
 
 
@@ -243,18 +205,7 @@ class AdjacencyBlock:
 
     @classmethod
     def decode(cls, vertex: int, label: str, buf: bytes) -> "AdjacencyBlock":
-        if len(buf) < 7:
-            raise CorruptAdjacencyBlock(
-                f"adjacency block of {len(buf)} bytes is shorter than the "
-                "minimal frame"
-            )
-        if buf[0] != ADJ_MAGIC:
-            raise CorruptAdjacencyBlock(
-                f"bad adjacency magic {buf[0]:#04x}, expected {ADJ_MAGIC:#04x}"
-            )
-        body, crc_bytes = buf[:-4], buf[-4:]
-        if zlib.crc32(body) != _CRC.unpack(crc_bytes)[0]:
-            raise CorruptAdjacencyBlock("adjacency block CRC32 mismatch")
+        body = _checked_body(buf)
         count, offset = _decode_one_varint(body, 1)
         deltas, offset = decode_varints(body, offset, count)
         targets: list[int] = []

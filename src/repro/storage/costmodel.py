@@ -78,12 +78,6 @@ class DiskCostModel:
             + cost.cache_hits * self.cache_hit_time
         )
 
-    def blocks_for(self, nbytes: int) -> int:
-        """Number of blocks a contiguous payload of ``nbytes`` spans."""
-        if nbytes <= 0:
-            return 0
-        return -(-nbytes // self.block_size)  # ceil division
-
 
 #: A model for local hard disks (paper: ~10% faster than GPFS end-to-end).
 LOCAL_DISK = DiskCostModel(seek_time=1.6e-3, block_time=4.0e-5, cache_hit_time=20e-6)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import StorageError
 from repro.storage.bloom import BloomFilter
@@ -97,11 +97,6 @@ class SSTable:
         lo = bisect.bisect_left(self.keys, start)
         hi = bisect.bisect_left(self.keys, end)
         return lo, hi
-
-    def scan(self, start: bytes, end: bytes) -> Iterator[tuple[bytes, object]]:
-        lo, hi = self.range_indices(start, end)
-        for i in range(lo, hi):
-            yield self.keys[i], self.values[i]
 
     def overlaps(self, start: bytes, end: bytes) -> bool:
         if not self.keys:

@@ -98,12 +98,6 @@ class MetadataGraph:
     execution_ids: list[int]
     file_ids: list[int]
 
-    def user_named(self, name: str) -> int:
-        for uid in self.user_ids:
-            if self.graph.vertex(uid).props.get("name") == name:
-                return uid
-        raise KeyError(name)
-
 
 @lru_cache(maxsize=8)
 def _zipf_cdf(n: int, alpha: float) -> np.ndarray:

@@ -66,8 +66,6 @@ SURFACE = {
         "watch_interval",
         "max_restarts",
         "fine_grained_recovery",
-        "stream_results",
-        "stream_chunk_vertices",
         "control_overhead_per_msg",
     ),
     EngineOptions: (

@@ -18,17 +18,25 @@ hold the columnar layout to that on random graphs and queries:
 
 import json
 import random
+import struct
+import zlib
 
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind, ReferenceEngine, options_for
-from repro.errors import EdgeLayoutMismatch, StorageError, UnknownEdgeLayout
+from repro.errors import (
+    CorruptAdjacencyBlock,
+    EdgeLayoutMismatch,
+    StorageError,
+    UnknownEdgeLayout,
+)
 from repro.faults.chaos import chaos_check
 from repro.graph import GraphBuilder, PropertyGraph, hpc_metadata_schema
 from repro.lang import GTravel
 from repro.rebalance import MigrationConfig
 from repro.storage import GraphStore, LSMConfig
+from repro.storage import encoding as enc
 from repro.storage.persist import checkpoint_graph_store, restore_graph_store
 from tests.conftest import ALL_ENGINES, assert_engines_match_oracle
 
@@ -428,6 +436,53 @@ def test_cross_layout_import_raises_typed_error(exporter, importer):
     assert err.value.layout == importer
     assert err.value.tag == (b"B" if exporter == "columnar" else b"E")
     assert isinstance(err.value, StorageError)
+
+
+def id_only_frame(ids):
+    """The retired 0xC7 id-only block frame (magic, count, zigzag deltas,
+    CRC32): no store writes it, so none may accept it."""
+    body = bytearray([0xC7, len(ids)])
+    prev = 0
+    for vid in ids:  # small non-negative deltas: one zigzag byte each
+        body.append((vid - prev) << 1)
+        prev = vid
+    return bytes(body) + struct.pack(">I", zlib.crc32(body))
+
+
+def wrong_frames(stored: bytes):
+    return {"id-only": id_only_frame([1, 2, 3]), "truncated": stored[:-1]}
+
+
+@pytest.mark.parametrize("frame", ["id-only", "truncated"])
+def test_import_rejects_a_foreign_block_frame(multi_label_vertex, frame):
+    """A migration chunk whose block is not a stored ``AdjacencyBlock`` frame
+    fails at the import, not at the first read of the vertex."""
+    graph, v, _ = multi_label_vertex
+    pairs, meta = load(graph, [v], "columnar").export_vertices([v])
+    key, stored = next(
+        (k, val) for k, val in pairs if enc.vertex_key_tag(k)[2] == b"B"
+    )
+    bad = tuple((k, wrong_frames(stored)[frame] if k == key else val)
+                for k, val in pairs)
+    target = GraphStore(LSMConfig(), edge_layout="columnar")
+    with pytest.raises(CorruptAdjacencyBlock):
+        target.import_vertices(bad, meta)
+
+
+@pytest.mark.parametrize("frame", ["id-only", "truncated"])
+def test_restore_rejects_a_foreign_block_frame(
+    multi_label_vertex, tmp_path, frame
+):
+    """The same frames in a checkpoint fail at restore (the accounting
+    rebuild), not at the first read."""
+    graph, v, _ = multi_label_vertex
+    store = load(graph, [v], "columnar")
+    key = enc.edge_block_key(store.namespace_of(v), v, "read")
+    stored, _ = store.kv.get(key)
+    store.kv.put(key, wrong_frames(stored)[frame])
+    checkpoint_graph_store(store, tmp_path)
+    with pytest.raises(CorruptAdjacencyBlock):
+        restore_graph_store(tmp_path)
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.value)

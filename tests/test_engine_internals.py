@@ -114,14 +114,6 @@ def test_cache_forget_travel():
     assert cache.lookup(("u", 0), 1, 3) is not None
 
 
-def test_cache_level_span():
-    cache = TraversalAffiliateCache(10)
-    assert cache.level_span("t") == (-1, -1)
-    cache.insert("t", 2, 1, EMPTY_ANCHORS)
-    cache.insert("t", 5, 1, EMPTY_ANCHORS)
-    assert cache.level_span("t") == (2, 5)
-
-
 def test_cache_capacity_validation():
     with pytest.raises(ValueError):
         TraversalAffiliateCache(0)
@@ -245,8 +237,8 @@ def test_option_presets():
     pa = plain_async_options()
     assert not (pa.cache_enabled or pa.merge_enabled or pa.priority_schedule)
     sy = sync_options()
-    assert sy.kind is EngineKind.SYNC and not sy.is_async
-    assert gt.is_async and pa.is_async
+    assert sy.kind is EngineKind.SYNC
+    assert gt.kind is EngineKind.GRAPHTREK and pa.kind is EngineKind.ASYNC
 
 
 def test_options_for_lookup_and_overrides():
@@ -267,7 +259,7 @@ def test_stats_board_accumulates():
     assert st.real_io_visits == 2 and st.redundant_visits == 1
     assert st.messages == 1 and st.bytes_sent == 100
     assert st.total_visits == 3
-    assert st.server_counts("real") == {0: 2, 1: 0}
+    assert st.per_server == {0: {"real": 2}, 1: {"redundant": 1}}
 
 
 def test_stats_board_reset_keeps_restarts():

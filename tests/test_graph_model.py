@@ -9,8 +9,6 @@ from repro.graph import (
     PropertyGraph,
     Schema,
     Vertex,
-    degree_histogram,
-    effective_diameter_sample,
     fit_powerlaw_alpha,
     gini,
     hpc_metadata_schema,
@@ -18,7 +16,6 @@ from repro.graph import (
     in_degree_stats,
     out_degree_stats,
     props_size_bytes,
-    small_world_summary,
     validate_props,
 )
 
@@ -226,24 +223,3 @@ def test_powerlaw_alpha_insufficient_data():
     assert np.isnan(fit_powerlaw_alpha(np.array([], dtype=np.int64)))
 
 
-def test_degree_histogram():
-    g = star_graph(3)
-    hist = degree_histogram(g)
-    assert hist[3] == 1 and hist[0] == 3
-
-
-def test_small_world_summary_keys():
-    summary = small_world_summary(star_graph(4))
-    assert summary["vertices"] == 5 and summary["edges"] == 4
-    assert "out_alpha" in summary and "in_gini" in summary
-
-
-def test_effective_diameter_sample_chain():
-    g = PropertyGraph()
-    for i in range(6):
-        g.add_vertex(i, "A")
-    for i in range(5):
-        g.add_edge(i, i + 1, "to")
-    rng = np.random.default_rng(1)
-    d = effective_diameter_sample(g, rng, samples=6)
-    assert 0 < d <= 5

@@ -103,6 +103,66 @@ def test_undecodable_and_untagged_records_rejected():
         TraversalJournal(storage)
 
 
+FLAG = {"ran": False}
+
+
+def _set_flag():
+    FLAG["ran"] = True
+
+
+class _Hostile:
+    """Pickles as a REDUCE that calls :func:`_set_flag` on load."""
+
+    def __reduce__(self):
+        return (_set_flag, ())
+
+
+def test_hostile_record_raises_and_never_runs_code():
+    """A framed record whose pickle calls a function on load is refused
+    before the call: replay resolves only the record vocabulary."""
+    FLAG["ran"] = False
+    record = {"kind": "launch", "tid": 1, "payload": _Hostile()}
+    storage = JournalFile(pack_record(pickle.dumps(record)))
+    with pytest.raises(CorruptJournal, match="record vocabulary"):
+        TraversalJournal(storage)
+    assert FLAG["ran"] is False
+
+
+def test_plan_records_replay_through_the_vocabulary():
+    """What the coordinator journals — plans with filters, aggregates and
+    composite operators, and the planner's audit with numpy estimates —
+    replays under the restricted unpickler."""
+    import numpy as np
+
+    from repro.lang import EQ, RANGE, GTravel
+    from repro.lang.optimizer import LevelEstimate, PlanCost, PlannedQuery, Rewrite
+
+    plan = (
+        GTravel.v(1, 2).va("kind", EQ, "x").e("run").ea("ts", RANGE, (0, 9))
+        .group_count("kind").compile()
+    )
+    composite = (
+        GTravel.v(1).repeat(GTravel.s().e("run")).times(2)
+        .union(GTravel.s().e("x"), GTravel.s().e("y")).va("k", EQ, 1)
+        .as_("a").e("z").back("a").compile()
+    )
+    estimate = LevelEstimate(
+        level=0, rows_in=np.float64(2.0), rows_out=np.float64(2.5), cost=1.0
+    )
+    planned = PlannedQuery(
+        original=plan, executed=plan, mode="cost",
+        rewrites=(Rewrite("fuse", "kept"),),
+        cost_original=PlanCost(levels=(estimate,), total=np.float64(3.0)),
+    )
+    journal = TraversalJournal()
+    journal.append("admit", tid=1, plan=composite, tenant="t")
+    journal.append("dispatch", tid=2, plan=plan, planned=planned)
+    state = journal.replay()
+    assert state.queued[1]["plan"] == composite
+    assert state.running[2]["plan"] == plan
+    assert state.running[2]["planned"] == planned
+
+
 def test_compaction_bounds_size_and_preserves_state():
     storage = JournalFile()
     journal = TraversalJournal(storage, checkpoint_interval=8)

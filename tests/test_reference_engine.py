@@ -156,11 +156,3 @@ def test_label_isolation():
     assert run(g, GTravel.v(0).e("y")).vertices == {2}
     assert run(g, GTravel.v(0).e("z")).vertices == set()
 
-
-def test_run_with_stats_returns_reference_kind(diamond):
-    from repro.engine import EngineKind
-
-    engine = ReferenceEngine(diamond)
-    result, stats = engine.run_with_stats(GTravel.v(0).e("to").compile())
-    assert stats.engine is EngineKind.REFERENCE
-    assert result.vertices == {1, 2}

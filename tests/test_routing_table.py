@@ -1,11 +1,15 @@
 """Unit tests for the versioned routing table: the single source of truth
-for vertex ownership during an online shard migration."""
+for vertex ownership during an online shard migration — and for the fence
+that keeps a superseded migration's chunks out of the target store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import RebalanceError, ReproError, StaleRoutingVersion
+from repro.cluster import Cluster, ClusterConfig
+from repro.errors import RebalanceError
+from repro.graph.builder import PropertyGraph
+from repro.net.message import MigrateChunk
 from repro.rebalance import RoutingTable
 
 
@@ -58,17 +62,38 @@ def test_crash_then_restore_stays_past_journaled_high_water():
 # -- stale-version fencing -----------------------------------------------------
 
 
-def test_require_current_fences_stale_and_future_versions():
-    t = make_table()
-    good = t.version
-    t.require_current(good)  # no raise
-    t.begin_dual([0], src=0, dst=1)
-    with pytest.raises(StaleRoutingVersion) as excinfo:
-        t.require_current(good, what="chunk apply")
-    err = excinfo.value
-    assert isinstance(err, RebalanceError) and isinstance(err, ReproError)
-    assert err.expected == t.version and err.got == good
-    assert "chunk apply" in str(err)
+def test_chunk_with_a_superseded_routing_version_is_fenced():
+    """The migration fence: a copy chunk stamped with any routing version but
+    its migration's is dropped (never applied, never acked) and counted as
+    ``rebalance.fenced``; the same chunk at the current version applies."""
+    g = PropertyGraph()
+    for vid in range(12):
+        g.add_vertex(vid, "node", {})
+    for vid in range(12):
+        g.add_edge(vid, (vid + 1) % 12, "link", {})
+    cluster = Cluster.build(g, ClusterConfig(nservers=3))
+    vid = sorted(cluster.servers[1].store.local_vertices())[0]
+    mid, _ = cluster.rebalance(1, 2, vids=(vid,), wait=False)
+    version = cluster.migrator.active[mid].routing_version
+    pairs, meta = cluster.servers[1].store.export_vertices([vid])
+
+    def chunk(routing_version):
+        return MigrateChunk(
+            mid, mid=mid, seq=0, pairs=pairs, meta=meta,
+            routing_version=routing_version, from_server=1,
+        )
+
+    def fenced():
+        counters = cluster.metrics_snapshot()["counters"]
+        return counters.get("rebalance.fenced{server=2}", 0)
+
+    for stale in (version - 1, version + 1):
+        cluster.migrator.on_message(2, chunk(stale))
+    assert fenced() == 2
+    assert not cluster.servers[2].store.has_vertex(vid)
+    cluster.migrator.on_message(2, chunk(version))
+    assert fenced() == 2
+    assert cluster.servers[2].store.has_vertex(vid)
 
 
 # -- double routing ------------------------------------------------------------

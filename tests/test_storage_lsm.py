@@ -115,7 +115,8 @@ def test_sstable_requires_strict_sorting():
 
 def test_sstable_scan_range():
     table = SSTable([(bytes([i]), b"v") for i in range(10)])
-    assert [k for k, _ in table.scan(bytes([3]), bytes([6]))] == [bytes([3]), bytes([4]), bytes([5])]
+    lo, hi = table.range_indices(bytes([3]), bytes([6]))
+    assert table.keys[lo:hi] == [bytes([3]), bytes([4]), bytes([5])]
 
 
 def test_sstable_may_contain_uses_key_range():
@@ -334,13 +335,6 @@ def test_iocost_addition():
 
 def test_iocost_time_monotonic_in_blocks():
     assert GPFS.time(IOCost(seeks=1, blocks=10)) > GPFS.time(IOCost(seeks=1, blocks=1))
-
-
-def test_blocks_for_ceiling():
-    assert GPFS.blocks_for(0) == 0
-    assert GPFS.blocks_for(1) == 1
-    assert GPFS.blocks_for(4096) == 1
-    assert GPFS.blocks_for(4097) == 2
 
 
 def test_block_cache_lru_eviction():

@@ -189,13 +189,6 @@ def test_zipf_choice_draws_match_the_unmemoised_vector():
         assert np.array_equal(got, want)
 
 
-def test_metadata_user_named(md):
-    uid = md.user_named("user0003")
-    assert md.graph.vertex(uid).props["name"] == "user0003"
-    with pytest.raises(KeyError):
-        md.user_named("nobody")
-
-
 def test_paper_scaled_config_ratios():
     small = paper_scaled_config(0.5)
     big = paper_scaled_config(2.0)
