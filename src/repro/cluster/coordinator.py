@@ -623,17 +623,18 @@ class Coordinator:
             tracker: ExecTracker = at.tracker  # type: ignore[assignment]
             fresh = tracker.on_status(msg, self.ctx.now())
             self.metrics.count("coord.exec_status", server=msg.server)
-            self.trace.record(
-                "coord.status",
-                travel_id=msg.travel_id,
-                exec_id=msg.exec_id,
-                server_id=msg.server,
-                step=msg.level,
-                attempt=attempt,
-                fresh=fresh,
-                created=len(msg.created),
-                results_sent=msg.results_sent,
-            )
+            if self.trace.enabled:
+                self.trace.record(
+                    "coord.status",
+                    travel_id=msg.travel_id,
+                    exec_id=msg.exec_id,
+                    server_id=msg.server,
+                    step=msg.level,
+                    attempt=attempt,
+                    fresh=fresh,
+                    created=len(msg.created),
+                    results_sent=msg.results_sent,
+                )
             if fresh:
                 # Fresh terminations only: duplicate reports from replayed
                 # executions must not inflate the executions statistic.

@@ -162,14 +162,17 @@ class AsyncServerEngine:
     def _on_request(self, msg: TraverseRequest) -> None:
         server = self.ctx.server_id
         self._count["engine.requests"]()
-        self.trace.record(
-            "exec.received",
-            travel_id=msg.travel_id,
-            exec_id=msg.exec_id,
-            server_id=server,
-            step=msg.level,
-            attempt=msg.attempt,
-        )
+        # tested at every per-request record site: a disabled record() still
+        # pays for binding its keywords
+        if self.trace.enabled:
+            self.trace.record(
+                "exec.received",
+                travel_id=msg.travel_id,
+                exec_id=msg.exec_id,
+                server_id=server,
+                step=msg.level,
+                attempt=msg.attempt,
+            )
         entry = self.registry.get(msg.travel_id)
         if entry is None or entry.attempt != msg.attempt:
             # Stale attempt: terminate the execution so old accounting
@@ -451,19 +454,21 @@ class AsyncServerEngine:
         travel_id, attempt = work.travel_key
         sent = self._sent.setdefault(work.travel_key, {})
         created: list[tuple[ExecId, ServerId, int]] = []
+        traced = self.trace.enabled
         for (nlvl, target), entries in sorted(sinks.out.items()):
             eid = next(self._next_exec)
             created.append((eid, target, nlvl))
-            self.trace.record(
-                "exec.created",
-                travel_id=travel_id,
-                exec_id=eid,
-                parent_exec_id=work.exec_id,
-                server_id=target,
-                step=nlvl,
-                attempt=attempt,
-                edge="forward",
-            )
+            if traced:
+                self.trace.record(
+                    "exec.created",
+                    travel_id=travel_id,
+                    exec_id=eid,
+                    parent_exec_id=work.exec_id,
+                    server_id=target,
+                    step=nlvl,
+                    attempt=attempt,
+                    edge="forward",
+                )
             request = TraverseRequest(
                 travel_id,
                 epoch=epoch,
@@ -478,16 +483,17 @@ class AsyncServerEngine:
         for (rtn_level, owner), anchors in sorted(sinks.anchors_by_owner.items()):
             eid = next(self._next_exec)
             created.append((eid, owner, plan.final_level))
-            self.trace.record(
-                "exec.created",
-                travel_id=travel_id,
-                exec_id=eid,
-                parent_exec_id=work.exec_id,
-                server_id=owner,
-                step=plan.final_level,
-                attempt=attempt,
-                edge="rtn",
-            )
+            if traced:
+                self.trace.record(
+                    "exec.created",
+                    travel_id=travel_id,
+                    exec_id=eid,
+                    parent_exec_id=work.exec_id,
+                    server_id=owner,
+                    step=plan.final_level,
+                    attempt=attempt,
+                    edge="rtn",
+                )
             success = SuccessReport(
                 travel_id,
                 epoch=epoch,
@@ -527,16 +533,17 @@ class AsyncServerEngine:
         reason: str,
         **attrs,
     ) -> None:
-        self.trace.record(
-            "exec.terminated",
-            travel_id=travel_id,
-            exec_id=exec_id,
-            server_id=self.ctx.server_id,
-            step=level,
-            attempt=attempt,
-            reason=reason,
-            **attrs,
-        )
+        if self.trace.enabled:
+            self.trace.record(
+                "exec.terminated",
+                travel_id=travel_id,
+                exec_id=exec_id,
+                server_id=self.ctx.server_id,
+                step=level,
+                attempt=attempt,
+                reason=reason,
+                **attrs,
+            )
 
     def _send(self, travel_id: TravelId, dst: ServerId, msg: Message) -> None:
         self.board.message(travel_id, msg.nbytes)

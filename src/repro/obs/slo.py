@@ -90,30 +90,41 @@ class SLOAlert:
 
 
 @dataclass
-class _ObjectiveState:
-    """Trailing observations and alert latch for one (tenant, objective)."""
+class _Window:
+    """The observations of one trailing window with their running
+    ``(total, bad)`` counts; each observation is added once and pruned once
+    from the left, so a burn reading costs O(1)."""
 
-    #: (clock, bad) observations inside the slow window
+    span: float
+    #: (clock, bad) observations with clock >= the latest clock - span
     events: deque = field(default_factory=deque)
-    firing: bool = False
+    bad: int = 0
 
-    def prune(self, now: float, horizon: float) -> None:
-        cutoff = now - horizon
-        while self.events and self.events[0][0] < cutoff:
-            self.events.popleft()
+    def add(self, now: float, is_bad: bool) -> None:
+        """Observe at ``now`` (runtime clocks never decrease) and prune."""
+        events = self.events
+        events.append((now, is_bad))
+        self.bad += is_bad
+        cutoff = now - self.span
+        while events and events[0][0] < cutoff:
+            self.bad -= events.popleft()[1]
 
-    def burn(self, now: float, window: float, budget: float) -> tuple[float, int]:
-        """(burn rate, observation count) over the trailing ``window``."""
-        cutoff = now - window
-        total = bad = 0
-        for clock, is_bad in reversed(self.events):
-            if clock < cutoff:
-                break
-            total += 1
-            bad += 1 if is_bad else 0
+    def burn(self, budget: float) -> tuple[float, int]:
+        """(burn rate, observation count) over the window."""
+        total = len(self.events)
         if total == 0:
             return 0.0, 0
-        return (bad / total) / budget, total
+        return (self.bad / total) / budget, total
+
+
+@dataclass
+class _ObjectiveState:
+    """Fast and slow windows and the alert latch of one (tenant, objective).
+    The fast window never reaches past the slow one."""
+
+    fast: _Window
+    slow: _Window
+    firing: bool = False
 
 
 class SLOTracker:
@@ -172,11 +183,14 @@ class SLOTracker:
         cfg = self.config
         state = self._states.get((tenant, objective))
         if state is None:
-            state = self._states[(tenant, objective)] = _ObjectiveState()
-        state.events.append((now, bad))
-        state.prune(now, cfg.slow_window)
-        burn_fast, n_fast = state.burn(now, cfg.fast_window, cfg.error_budget)
-        burn_slow, n_slow = state.burn(now, cfg.slow_window, cfg.error_budget)
+            state = self._states[(tenant, objective)] = _ObjectiveState(
+                fast=_Window(min(cfg.fast_window, cfg.slow_window)),
+                slow=_Window(cfg.slow_window),
+            )
+        state.fast.add(now, bad)
+        state.slow.add(now, bad)
+        burn_fast, n_fast = state.fast.burn(cfg.error_budget)
+        burn_slow, n_slow = state.slow.burn(cfg.error_budget)
         should_fire = (
             n_fast >= cfg.min_events
             and n_slow >= cfg.min_events

@@ -139,6 +139,16 @@ class GraphStore:
         #: of :func:`~repro.storage.encoding.edges_range` /
         #: :func:`~repro.storage.encoding.attrs_range`, encoded on first read
         self._ranges: dict[tuple[str, Optional[str]], tuple[bytes, bytes, bytes]] = {}
+        #: vertex -> {(namespace, label): live records in that run}, the
+        #: sequence number of the run's next live insert. The label is None
+        #: for an interleaved vertex's one edge sequence. A run gets its count
+        #: from one scan the first time an insert touches it, except on
+        #: vertices in ``_born``, whose runs all start empty. Writes that
+        #: bypass the count (delete, import) drop the vertex's entry, so its
+        #: next insert counts by scan again; a restored store starts empty.
+        self._run_len: dict[VertexId, dict[tuple[str, Optional[str]], int]] = {}
+        #: vertices created by :meth:`insert_vertex`
+        self._born: set[VertexId] = set()
 
     # -- loading ---------------------------------------------------------
 
@@ -272,7 +282,12 @@ class GraphStore:
     # -- live updates -----------------------------------------------------
 
     def insert_vertex(self, vid: VertexId, vtype: str, props: dict[str, Any]) -> None:
-        """Live insert of a vertex (memtable path)."""
+        """Live insert of a vertex (memtable path). A new vertex's edge runs
+        start empty, so its edge inserts are numbered without a scan."""
+        if vid in self._ns_of:
+            self._forget_runs(vid)
+        else:
+            self._born.add(vid)
         self._index_vertex(vid, vtype)
         self.kv.put(enc.attr_key(vtype, vid, "__type"), enc.pack_value(vtype))
         for prop, packed in enc.iter_props_pairs(props):
@@ -284,15 +299,13 @@ class GraphStore:
         """Live insert of an out-edge of a locally stored vertex."""
         ns = self._require_ns(src)
         if self.edge_layout == "grouped":
-            existing, _ = self._scan_run(ns, src, label)
-            seq = len(existing)
-            key = enc.edge_key(ns, src, label, seq)
+            key = self._next_key(ns, src, label)
             value = enc.pack_edge_record(dst, props)
             self._account_edges(key, value, 1)
             self.kv.put(key, value)
         elif self.edge_layout == "interleaved":
-            existing, _ = self.kv.scan_prefix(enc.all_edges_prefix(ns, src))
-            seq = len(existing)
+            prefix = enc.all_edges_prefix(ns, src)
+            seq = self._next_seq(src, (ns, None), prefix, enc.prefix_end(prefix))
             tagged = {**props, _LABEL_PROP: label}
             key = enc.edge_key_interleaved(ns, src, label, seq)
             value = enc.pack_edge_record(dst, tagged)
@@ -317,12 +330,46 @@ class GraphStore:
         ``src -> dst``, on the store holding ``dst`` (see
         :meth:`load_partition`: the region is label-grouped in every layout)."""
         rns = "~" + self._require_ns(dst)
-        rlabel = "~" + label
-        existing, _ = self._scan_run(rns, dst, rlabel)
         self.kv.put(
-            enc.edge_key(rns, dst, rlabel, len(existing)),
-            enc.pack_edge_record(src, props),
+            self._next_key(rns, dst, "~" + label), enc.pack_edge_record(src, props)
         )
+
+    def _next_key(self, ns: str, vid: VertexId, label: str) -> bytes:
+        """Key of the next record of one grouped edge run: the run's prefix
+        plus :meth:`_next_seq`."""
+        start, end = self._run_bounds(ns, vid, label)
+        return start + enc.SEQ.pack(self._next_seq(vid, (ns, label), start, end))
+
+    def _next_seq(
+        self, vid: VertexId, run: tuple[str, Optional[str]], start: bytes, end: bytes
+    ) -> int:
+        """Number the next live insert into the run [start, end) of ``vid``
+        from the run's count, and charge the read that numbering by scan
+        would make.
+
+        The count equals the run's live record count, the length a scan of
+        [start, end) returns (``tests/test_run_counts.py`` checks this after
+        every kind of write). The read stays charged on purpose: it warms
+        the block cache exactly as the scan did, so counters and virtual
+        time are unchanged. A run with no count yet is scanned once."""
+        runs = self._run_len.get(vid)
+        if runs is None:
+            runs = self._run_len[vid] = {}
+        n = runs.get(run)
+        if n is None and vid in self._born:
+            n = 0
+        if n is None:
+            n = len(self.kv.scan(start, end)[0])
+        else:
+            self.kv.charge_scan(start, end, n)
+        runs[run] = n + 1
+        return n
+
+    def _forget_runs(self, vid: VertexId) -> None:
+        """Drop ``vid``'s run counts: its next insert into a run counts the
+        run by scan."""
+        self._run_len.pop(vid, None)
+        self._born.discard(vid)
 
     def set_vertex_prop(self, vid: VertexId, prop: str, value: Any) -> None:
         ns = self._require_ns(vid)
@@ -344,6 +391,7 @@ class GraphStore:
             self.kv.delete(key)
         for key, _ in rpairs:
             self.kv.delete(key)
+        self._forget_runs(vid)
         del self._ns_of[vid]
         self._by_type[ns].remove(vid)
 
@@ -391,6 +439,7 @@ class GraphStore:
                 n_edges = self._edge_record_count(vid, tag, value)
                 if vid in fresh:
                     self._account_edges(key, value, n_edges)
+            self._forget_runs(vid)
             self.kv.put(key, value)
         added = 0
         for vid, ns in meta:
@@ -492,7 +541,14 @@ class GraphStore:
         self, ns: str, vid: VertexId, label: Optional[str] = None
     ) -> tuple[list[tuple[bytes, bytes]], IOCost]:
         """Scan one vertex's attributes (``label`` None) or one label's
-        grouped edge run: the same range as ``scan_prefix`` of
+        grouped edge run (see :meth:`_run_bounds`)."""
+        return self.kv.scan(*self._run_bounds(ns, vid, label))
+
+    def _run_bounds(
+        self, ns: str, vid: VertexId, label: Optional[str] = None
+    ) -> tuple[bytes, bytes]:
+        """The range of one vertex's attributes (``label`` None) or of one
+        label's grouped edge run: the ``scan_prefix`` range of
         :func:`~repro.storage.encoding.attrs_prefix` /
         :func:`~repro.storage.encoding.edges_prefix`, built from parts
         cached per (namespace, label)."""
@@ -502,7 +558,7 @@ class GraphStore:
             self._ranges[(ns, label)] = parts
         head, start, end = parts
         vertex = head + _pack_vid(vid)
-        return self.kv.scan(vertex + start, vertex + end)
+        return vertex + start, vertex + end
 
     def _decode_block(
         self, vid: VertexId, label: str, value: bytes

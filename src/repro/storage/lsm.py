@@ -14,7 +14,7 @@ actual data movement, not a mock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
 from repro.storage.blockcache import BlockCache
@@ -168,15 +168,7 @@ class LSMStore:
         buffered = self.memtable.scan(start, end) if len(self.memtable) else []
         runs: list[list[tuple[bytes, object]]] = [buffered] if buffered else []
         tombstones = bool(buffered)  # a memtable run may hold one: never skip it
-        for table in self.sstables:
-            if not table.overlaps(start, end):
-                continue
-            lo, hi = table.range_indices(start, end)
-            if lo == hi:
-                continue
-            byte_start = table.offsets[lo]
-            byte_end = table.offsets[hi]
-            cost += self._charge_extent(table, byte_start, byte_end)
+        for table, lo, hi in self._scan_extents(start, end, cost):
             runs.append(list(zip(table.keys[lo:hi], table.values[lo:hi])))
             tombstones = tombstones or table.has_tombstones
         if len(runs) == 1 and not tombstones:
@@ -185,6 +177,35 @@ class LSMStore:
             merged = merge_runs(runs, drop_tombstones=True)
         self.stats.entries_scanned += len(merged)
         return merged, cost  # type: ignore[return-value]
+
+    def charge_scan(self, start: bytes, end: bytes, entries: int) -> IOCost:
+        """Account a :meth:`scan` of [start, end) without reading it, for a
+        caller that already knows the range holds ``entries`` live entries:
+        the same ``scans`` / ``entries_scanned`` counts, the same block-cache
+        accesses in the same order, the same cost."""
+        self.stats.scans += 1
+        cost = IOCost()
+        for _ in self._scan_extents(start, end, cost):
+            pass
+        self.stats.entries_scanned += entries
+        return cost
+
+    def _scan_extents(
+        self, start: bytes, end: bytes, cost: IOCost
+    ) -> Iterator[tuple[SSTable, int, int]]:
+        """The SSTable part of a scan of [start, end), newest table first:
+        charge each table's in-range extent to ``cost`` (one seek plus its
+        blocks, cache-aware), then yield ``(table, lo, hi)``, its in-range
+        entry indices. Tables holding no key in the range cost nothing."""
+        for table in self.sstables:
+            if not table.overlaps(start, end):
+                continue
+            lo, hi = table.range_indices(start, end)
+            if lo == hi:
+                continue
+            offsets = table.offsets
+            cost += self._charge_extent(table, offsets[lo], offsets[hi])
+            yield table, lo, hi
 
     def scan_prefix(self, prefix: bytes) -> tuple[list[tuple[bytes, bytes]], IOCost]:
         return self.scan(prefix, prefix_end(prefix))

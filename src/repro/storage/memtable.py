@@ -6,9 +6,12 @@ recorded as tombstones so they can mask older SSTable entries.
 
 The buffer keeps its key order once it has one: the first range scan after a
 clear sorts the keys, and every later new key is inserted in place with
-``bisect.insort``. A live edge insert scans its label's run (to number the
-edge) and then puts, so without that each insert would re-sort the whole
-buffer.
+``bisect.insort``. Live ingest interleaves puts with reads of the buffer (a
+traversal between two ingest batches), so without that each read after a put
+would re-sort the whole buffer. A live edge insert itself does not read the
+buffer: it numbers its record from the run count the graph store keeps, and
+the read it is charged for (see ``LSMStore.charge_scan``) skips the memtable,
+which costs nothing.
 """
 
 from __future__ import annotations

@@ -80,9 +80,19 @@ def test_reads_of_namespaces_first_seen_at_ingest_scan_the_prefix_range(layout):
     assert sorted(p["ts"] for _, p in fwd) == [1.0, 2.0]
     if layout == "grouped":
         assert seen.pop() == _expected(enc.edges_prefix(ns, 0, label))
-        # the next live insert counts the run through the same range
+        # the next live insert numbers its record from the run's count and
+        # charges the read of the same range, without scanning it
+        charged = []
+        charge = store.kv.charge_scan
+
+        def recorded_charge(start, end, entries):
+            charged.append((start, end, entries))
+            return charge(start, end, entries)
+
+        store.kv.charge_scan = recorded_charge
         store.insert_edge(0, MAX_ID, label, {"ts": 3.0})
-        assert seen.pop() == _expected(enc.edges_prefix(ns, 0, label))
+        assert seen == []
+        assert charged == [(*_expected(enc.edges_prefix(ns, 0, label)), 2)]
         assert len(store.edges(0, label)[0]) == 3
 
 

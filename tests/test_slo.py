@@ -1,6 +1,8 @@
 """Per-tenant SLO burn-rate alerting: math, transitions, and feeds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOConfig, SLOTracker
@@ -150,3 +152,80 @@ def test_alert_log_payload_is_canonical_and_stable():
         "burn_fast", "burn_slow", "window_events",
     }
     assert tracker.to_json() == tracker.to_json()
+
+
+#: (fast_window, slow_window): fast inside slow, equal, and wider than slow
+WINDOWS = ((5.0, 30.0), (2.0, 2.0), (10.0, 3.0))
+#: clock steps on a 0.25 grid, so observations land exactly on a cutoff
+steps = st.integers(0, 24).map(lambda q: q * 0.25)
+feeds = st.lists(
+    st.tuples(
+        steps,
+        st.sampled_from(("a", "b")),
+        st.sampled_from(("ok", "failed", "cancelled", "rejected")),
+        st.sampled_from((0.1, 1.0, 1.5)),
+    ),
+    max_size=60,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(feed=feeds, windows=st.sampled_from(WINDOWS), min_events=st.integers(1, 4))
+def test_running_window_counts_match_a_scan_of_every_observation(
+    feed, windows, min_events
+):
+    fast_window, slow_window = windows
+    tracker, _m, _t = make_tracker(
+        fast_window=fast_window, slow_window=slow_window, min_events=min_events
+    )
+    cfg = tracker.config
+    observed = []
+    observe = tracker._observe
+
+    def recorded(tenant, objective, *, bad, now):
+        observed.append((tenant, objective, bad, now))
+        observe(tenant, objective, bad=bad, now=now)
+
+    tracker._observe = recorded
+    now = 0.0
+    for step, tenant, status, latency in feed:
+        now += step
+        if status == "rejected":
+            tracker.record_rejection(tenant, now=now)
+        else:
+            tracker.record_terminal(tenant, status, latency, now=now)
+
+    def scanned_alert_log():
+        """Every observation kept for the slow window and read back in full,
+        newest first, at each observation."""
+        events, firing, log = {}, {}, []
+        for tenant, objective, bad, at in observed:
+            kept = events.setdefault((tenant, objective), [])
+            kept.append((at, bad))
+            kept[:] = [e for e in kept if e[0] >= at - slow_window]
+
+            def burn(window):
+                total = n_bad = 0
+                for clock, is_bad in reversed(kept):
+                    if clock < at - window:
+                        break
+                    total += 1
+                    n_bad += is_bad
+                return ((n_bad / total) / cfg.error_budget if total else 0.0), total
+
+            burn_fast, n_fast = burn(fast_window)
+            burn_slow, n_slow = burn(slow_window)
+            fire = (
+                min(n_fast, n_slow) >= min_events
+                and min(burn_fast, burn_slow) > cfg.burn_threshold
+            )
+            if fire != firing.get((tenant, objective), False):
+                firing[(tenant, objective)] = fire
+                log.append((at, tenant, objective, fire, burn_fast, burn_slow, n_slow))
+        return log
+
+    assert [
+        (a.clock, a.tenant, a.objective, a.state == "firing",
+         a.burn_fast, a.burn_slow, a.window_events)
+        for a in tracker.alert_log
+    ] == scanned_alert_log()
