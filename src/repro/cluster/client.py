@@ -48,7 +48,7 @@ class GraphTrekClient:
 
         ``cold=True`` drops every server's block cache first, as
         :meth:`Cluster.traverse` does. QoS attributes pass straight to the
-        scheduler: ``tenant`` for fair queueing/quotas, ``priority`` for the
+        scheduler: ``tenant`` for fair queueing, ``priority`` for the
         priority policy, ``deadline`` (seconds) for cancellation — which
         surfaces here as :class:`~repro.errors.TraversalCancelled`."""
         plan = query.compile() if isinstance(query, GTravel) else query

@@ -40,7 +40,6 @@ from repro.obs.slo import SLOConfig
 from repro.obs.trace import SamplingPolicy
 from repro.partition.edge_cut import Partitioner, make_partitioner
 from repro.rebalance.migrate import MigrationConfig, ShardMigrator
-from repro.rebalance.policy import Rebalancer, RebalancerConfig
 from repro.rebalance.routing import RoutingTable
 from repro.runtime.simulated import InterferencePolicy, SimRuntime
 from repro.sched.scheduler import SchedulerConfig, TraversalScheduler
@@ -86,9 +85,9 @@ class ClusterConfig:
     #: stream costs memory on long runs (bounded by
     #: ``Cluster.enable_tracing(max_events=)``).
     trace_enabled: bool = False
-    #: admission/fairness/backpressure limits for the traversal scheduler
+    #: admission and fairness limits for the traversal scheduler
     #: (:mod:`repro.sched`). None = the transparent default config: no
-    #: bounds, no quotas — submissions launch immediately, as before. The
+    #: bounds — submissions launch immediately, as before. The
     #: launch *policy* is selected by ``EngineOptions.scheduler``.
     scheduler_config: Optional[SchedulerConfig] = None
     #: durable traversal journal + crash recovery for the coordinator
@@ -105,7 +104,7 @@ class ClusterConfig:
     trace_sampling: Optional[SamplingPolicy] = None
     #: knobs for online shard migrations (:mod:`repro.rebalance`); None uses
     #: the defaults. The migrator itself is always wired — migrations only
-    #: run when :meth:`Cluster.rebalance` or the rebalancer loop asks.
+    #: run when :meth:`Cluster.rebalance` asks.
     migration: Optional[MigrationConfig] = None
 
     def engine_options(self) -> EngineOptions:
@@ -146,8 +145,6 @@ class Cluster:
         self.supervisor = supervisor
         self.routing = routing
         self.migrator = migrator
-        #: the policy loop, once ``start_rebalancer`` has been called
-        self.rebalancer: Optional[Rebalancer] = None
 
     @property
     def journal(self):
@@ -392,7 +389,7 @@ class Cluster:
     ):
         """Asynchronously submit; returns (travel_id, completion event).
 
-        ``tenant`` attributes the submission for fair queueing and quotas,
+        ``tenant`` attributes the submission for fair queueing,
         ``priority`` overrides the priority policy's default class, and
         ``deadline`` (seconds from admission) arms cancellation: if the
         traversal has not completed by then it fails with
@@ -483,35 +480,6 @@ class Cluster:
         if not wait:
             return mid, event
         return self.runtime.run_until_complete(event)
-
-    def start_rebalancer(
-        self, config: Optional[RebalancerConfig] = None
-    ) -> Rebalancer:
-        """Start the closed-loop rebalancer: it samples the hot-shard report
-        every ``config.interval`` seconds and migrates ranges off flagged
-        servers."""
-        telemetry = self.board.obs.telemetry
-        nservers = self.config.nservers
-
-        def report_fn():
-            return telemetry.hot_shards(
-                self.coordinator.inflight_by_server(), nservers
-            )
-
-        def loads_fn():
-            return {
-                s.server_id: sorted(s.store.local_vertices())
-                for s in self.servers
-            }
-
-        rebalancer = Rebalancer(self.migrator, report_fn, loads_fn, config)
-        self.rebalancer = rebalancer
-        rebalancer.start()
-        return rebalancer
-
-    def stop_rebalancer(self) -> None:
-        if self.rebalancer is not None:
-            self.rebalancer.stop()
 
     # -- observability -------------------------------------------------------------
 

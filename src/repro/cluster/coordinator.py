@@ -797,7 +797,7 @@ class Coordinator:
 
     def inflight_by_server(self) -> dict[ServerId, int]:
         """Outstanding executions per backend server across every active
-        traversal — the scheduler's backpressure signal. Async engines
+        traversal — the in-flight skew of the hot-shard report. Async engines
         count tracker-pending executions at their target servers; the sync
         barrier counts one outstanding unit per server still owing its
         step-done report."""

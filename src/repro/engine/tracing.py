@@ -122,7 +122,7 @@ class ExecTracker:
 
     def owing_servers(self) -> Iterator[ServerId]:
         """The target server of every outstanding execution (one entry per
-        execution: the scheduler's backpressure signal counts them)."""
+        execution: the hot-shard report's in-flight skew counts them)."""
         return (target for target, _level, _origin in self.pending.values())
 
     def replayable(

@@ -17,8 +17,9 @@ production metadata service needs while traversals are still in flight
   contract is untouched.
 * **Hot-shard detection** — a ranked :class:`HotShardReport` over per-server
   execution rates (windowed ``engine.real_visits``) and in-flight skew
-  (:meth:`Coordinator.inflight_by_server`), the signal a future rebalancer
-  subscribes to.
+  (:meth:`Coordinator.inflight_by_server`), from which
+  :func:`~repro.rebalance.policy.select_migration` picks a move for
+  :meth:`Cluster.rebalance`.
 * **SLO feeding** — traversal terminals are forwarded to the per-tenant
   :class:`~repro.obs.slo.SLOTracker` (the scheduler feeds its rejections
   there itself), and the combined verdict drives the flight recorder's

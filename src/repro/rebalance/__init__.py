@@ -12,28 +12,21 @@ package makes ownership *mutable* while traversals run:
   wire (paced through the admission scheduler as a low-priority tenant),
   a double-routing window where the coordinator dispatches to both owners,
   an atomic journaled cutover, and a drained source drop.
-* :class:`~repro.rebalance.policy.Rebalancer` — the closed loop: subscribes
-  to ``Cluster.hot_shard_report()`` and picks range + target automatically
-  via a pure, deterministic selection function.
+* :func:`~repro.rebalance.policy.select_migration` — a pure, deterministic
+  choice of source, target and vertex set from
+  ``Cluster.hot_shard_report()``, for :meth:`Cluster.rebalance` to run.
 
 See DESIGN.md §15 for the migration protocol and its crash matrix.
 """
 
 from repro.rebalance.migrate import MigrationConfig, MigrationState, ShardMigrator
-from repro.rebalance.policy import (
-    MigrationChoice,
-    Rebalancer,
-    RebalancerConfig,
-    select_migration,
-)
+from repro.rebalance.policy import MigrationChoice, select_migration
 from repro.rebalance.routing import RoutingTable
 
 __all__ = [
     "MigrationChoice",
     "MigrationConfig",
     "MigrationState",
-    "Rebalancer",
-    "RebalancerConfig",
     "RoutingTable",
     "ShardMigrator",
     "select_migration",

@@ -11,7 +11,7 @@ ownership epoch):
              messages. Each chunk transfer is submitted through the
              admission scheduler as a low-priority tenant job, so copy
              traffic queues behind interactive traversals under every
-             policy and quota. Imports are idempotent (deduped by
+             policy. Imports are idempotent (deduped by
              ``(mid, seq)``), acks are resent-safe, and unacked chunks
              are re-sent a bounded number of times before the migration
              aborts.
@@ -362,7 +362,7 @@ class ShardMigrator:
     def _chunk_job(self, state: MigrationState, seq: int, chunk):
         """One scheduler job: ship one chunk and wait for its ack, with
         bounded resends. Runs paced by the admission scheduler, so copy
-        bandwidth is subject to policy order, quotas, and backpressure."""
+        bandwidth is subject to policy order and the in-flight cap."""
         cfg = self.config
 
         def job():

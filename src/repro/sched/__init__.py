@@ -1,5 +1,5 @@
-"""Multi-tenant traversal scheduling: admission control, fair queueing,
-backpressure, and deadline cancellation (DESIGN.md §11)."""
+"""Multi-tenant traversal scheduling: admission control, fair queueing and
+deadline cancellation (DESIGN.md §11)."""
 
 from repro.sched.policy import (
     POLICY_NAMES,

@@ -1,19 +1,14 @@
-"""The multi-traversal scheduler: admission control, fair queueing,
-backpressure, and deadline cancellation.
+"""The multi-traversal scheduler: admission control, fair queueing and
+deadline cancellation.
 
 Sits between ``Client.submit`` and the coordinator (paper §I motivates this
 layer: "interferences among traversals easily create stragglers" in an
 online metadata store). Every submission is *admitted* into a bounded
 pending queue — or rejected with :class:`~repro.errors.AdmissionRejected`
-when the queue is full — and *launched* into the coordinator when the
-configured policy and resource limits allow:
+when the queue is full — and *launched* into the coordinator in policy-key
+order:
 
 * ``max_inflight`` caps concurrently running traversals;
-* ``per_server_inflight`` is backpressure on the paper's execution model:
-  while any backend server has that many outstanding executions, no new
-  traversal launches (dispatch throttling instead of queue explosion);
-* per-tenant token buckets (``quota_capacity`` / ``quota_refill_rate``)
-  rate-limit launches per tenant, refilled on the runtime clock;
 * a per-submission deadline cancels a traversal wherever it is — still
   queued, or mid-run via
   :meth:`~repro.cluster.coordinator.Coordinator.cancel`, which quiesces
@@ -39,32 +34,20 @@ from repro.sched.policy import SchedPolicy, make_policy
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Admission, fairness, and backpressure knobs.
+    """Admission and fairness knobs.
 
     The default configuration is *transparent*: no pending bound, no
-    in-flight caps, no quotas, no deadline — every submission launches
-    synchronously inside ``submit`` and the cluster behaves exactly as it
-    did without a scheduler.
+    in-flight cap, no deadline — every submission launches synchronously
+    inside ``submit`` and the cluster behaves exactly as it did without a
+    scheduler.
     """
 
     #: bounded admission queue; ``None`` = unbounded (never reject)
     max_pending: Optional[int] = None
     #: concurrently *running* traversal cap; ``None`` = unbounded
     max_inflight: Optional[int] = None
-    #: backpressure: defer launches while any server has this many
-    #: outstanding executions; ``None`` = off
-    per_server_inflight: Optional[int] = None
     #: WFQ tenant weights (unlisted tenants weigh 1.0)
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
-    #: per-tenant token bucket on launches; ``None`` = no quota
-    quota_capacity: Optional[float] = None
-    #: tokens per virtual second
-    quota_refill_rate: float = 1.0
-
-
-#: re-check interval (virtual seconds) while launches are blocked on
-#: per-server backpressure
-BACKPRESSURE_POLL = 0.005
 
 
 @dataclass
@@ -111,10 +94,8 @@ class TraversalScheduler:
         self._heap: list[tuple[tuple, int, TravelId]] = []
         self._queued: dict[TravelId, QueuedTravel] = {}
         self._inflight: dict[TravelId, QueuedTravel] = {}
-        self._buckets: dict[str, tuple[float, float]] = {}  # tokens, last refill
         self._pumping = False
         self._repump = False
-        self._poll_armed = False
         #: SLO feed: ``fn(tenant, now)`` for every refused submission
         self.on_reject = on_reject
 
@@ -142,12 +123,6 @@ class TraversalScheduler:
         """The queued or in-flight entry for ``travel_id`` (None once
         terminal)."""
         return self._queued.get(travel_id) or self._inflight.get(travel_id)
-
-    def tenant_tokens(self, tenant: str) -> Optional[float]:
-        """Current token balance (after refill), or None without quotas."""
-        if self.config.quota_capacity is None:
-            return None
-        return self._refill(tenant, self._ctx.now())
 
     # -- submission ---------------------------------------------------------
 
@@ -221,8 +196,8 @@ class TraversalScheduler:
     ):
         """Admit a plan-less *job* — a zero-arg callable returning a
         generator to run on the coordinator context. Jobs flow through the
-        same policy key, launch-order heap, in-flight caps, backpressure,
-        and per-tenant quotas as traversals, which is exactly the point:
+        same policy key, launch-order heap and in-flight cap as
+        traversals, which is exactly the point:
         shard-migration copy traffic submits here as a low-priority tenant
         so bulk data movement queues behind interactive traversals.
 
@@ -375,46 +350,17 @@ class TraversalScheduler:
             and len(self._inflight) >= cfg.max_inflight
         ):
             return False  # a completion will pump again
-        if self._backpressured():
-            self._arm_poll(BACKPRESSURE_POLL)
-            return False
-        entry = self._pop_eligible()
-        if entry is None:
-            return False
-        self._launch(entry)
+        self._launch(self._pop_eligible())
         return True
 
-    def _backpressured(self) -> bool:
-        cap = self.config.per_server_inflight
-        if cap is None:
-            return False
-        counts = self.coordinator.inflight_by_server()
-        return bool(counts) and max(counts.values()) >= cap
-
-    def _pop_eligible(self) -> Optional[QueuedTravel]:
-        """Smallest-key queued entry whose tenant has quota, skipping (and
-        re-queueing) entries of exhausted tenants. Arms a refill poll when
-        everything queued is quota-blocked."""
-        now = self._ctx.now()
-        skipped: list[tuple[tuple, int, TravelId]] = []
-        chosen: Optional[QueuedTravel] = None
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            entry = self._queued.get(item[2])
-            if entry is None:
-                continue  # cancelled while queued; drop the stale heap slot
-            if self._try_consume(entry.tenant, now):
-                chosen = entry
-                break
-            skipped.append(item)
-        for item in skipped:
-            heapq.heappush(self._heap, item)
-        if chosen is None:
-            if self._queued:  # every tenant is out of tokens: wait for refill
-                self._arm_poll(self._refill_eta(now))
-            return None
-        del self._queued[chosen.travel_id]
-        return chosen
+    def _pop_eligible(self) -> QueuedTravel:
+        """The smallest-key queued entry, dropping the stale heap slots of
+        entries cancelled while queued. Call only while ``_queued`` is
+        non-empty: every queued entry has a live heap slot."""
+        while True:
+            entry = self._queued.pop(heapq.heappop(self._heap)[2], None)
+            if entry is not None:
+                return entry
 
     def _launch(self, entry: QueuedTravel) -> None:
         now = self._ctx.now()
@@ -464,48 +410,6 @@ class TraversalScheduler:
             else:
                 entry.client_event.succeed(True)
 
-    # -- token buckets ------------------------------------------------------
-
-    def _refill(self, tenant: str, now: float) -> float:
-        cap = self.config.quota_capacity
-        assert cap is not None
-        tokens, last = self._buckets.get(tenant, (cap, now))
-        tokens = min(cap, tokens + (now - last) * self.config.quota_refill_rate)
-        self._buckets[tenant] = (tokens, now)
-        return tokens
-
-    def _try_consume(self, tenant: str, now: float) -> bool:
-        if self.config.quota_capacity is None:
-            return True
-        tokens = self._refill(tenant, now)
-        if tokens < 1.0:
-            return False
-        self._buckets[tenant] = (tokens - 1.0, now)
-        return True
-
-    def _refill_eta(self, now: float) -> float:
-        """Seconds until the best-off queued tenant reaches one token."""
-        rate = max(self.config.quota_refill_rate, 1e-9)
-        best = None
-        for entry in self._queued.values():
-            tokens = self._refill(entry.tenant, now)
-            need = max(0.0, (1.0 - tokens) / rate)
-            best = need if best is None else min(best, need)
-        return max(best if best is not None else 0.0, 1e-6)
-
-    # -- blocked-state polling ---------------------------------------------
-
-    def _arm_poll(self, delay: float) -> None:
-        if self._poll_armed:
-            return
-        self._poll_armed = True
-        self.runtime.schedule(max(delay, 1e-6), self._poll_fire)
-
-    def _poll_fire(self) -> None:
-        self._poll_armed = False
-        if self._queued:
-            self._pump()
-
     # -- coordinator crash recovery (DESIGN.md §13) -------------------------
 
     def on_host_crash(self) -> None:
@@ -518,10 +422,8 @@ class TraversalScheduler:
         self._queued.clear()
         self._heap.clear()
         self._inflight.clear()
-        self._buckets.clear()
         self._pumping = False
         self._repump = False
-        self._poll_armed = False
 
     def restore(self, entry: QueuedTravel, *, running: bool) -> None:
         """Re-track one travel's surviving entry after a coordinator crash,

@@ -22,7 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.errors import EdgeLayoutMismatch, KeyNotFound, UnknownEdgeLayout
+from repro.errors import EdgeLayoutMismatch, GraphError, KeyNotFound, UnknownEdgeLayout
 from repro.graph.builder import PropertyGraph
 from repro.graph.vertex import Vertex
 from repro.ids import VertexId
@@ -283,12 +283,20 @@ class GraphStore:
 
     def insert_vertex(self, vid: VertexId, vtype: str, props: dict[str, Any]) -> None:
         """Live insert of a vertex (memtable path). A new vertex's edge runs
-        start empty, so its edge inserts are numbered without a scan."""
-        if vid in self._ns_of:
-            self._forget_runs(vid)
-        else:
+        start empty, so its edge inserts are numbered without a scan.
+
+        Re-inserting a held vertex under its own type overwrites the given
+        attributes; under another type it raises
+        :class:`~repro.errors.GraphError`, since the vertex's keys live in
+        its type's namespace."""
+        ns = self._ns_of.get(vid)
+        if ns is None:
             self._born.add(vid)
-        self._index_vertex(vid, vtype)
+            self._index_vertex(vid, vtype)
+        elif ns != vtype:
+            raise GraphError(f"vertex {vid} is held as {ns!r}, not {vtype!r}")
+        else:
+            self._forget_runs(vid)
         self.kv.put(enc.attr_key(vtype, vid, "__type"), enc.pack_value(vtype))
         for prop, packed in enc.iter_props_pairs(props):
             self.kv.put(enc.attr_key(vtype, vid, prop), packed)

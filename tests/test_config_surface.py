@@ -11,6 +11,15 @@ part of every cluster), ``ClusterConfig.trace_max_events``
 ``MAX_REPLAY_ROUNDS``), ``ClusterConfig.runtime`` (the simulator is the
 only runtime) and ``ClusterConfig.journal_storage`` (the journal lives in
 its one in-memory storage, which outlives the coordinator).
+``SchedulerConfig.per_server_inflight``, ``quota_capacity`` and
+``quota_refill_rate`` went with launch backpressure and the tenant token
+buckets, and ``RebalancerConfig`` with the closed-loop rebalancer: no entry
+point ran them.
+
+The public methods of ``Cluster`` and ``TraversalScheduler`` are pinned
+too. Removed so far: ``Cluster.start_rebalancer``/``stop_rebalancer``
+(a caller picks a move with ``select_migration`` and runs it with
+``Cluster.rebalance``) and ``TraversalScheduler.tenant_tokens``.
 
 The runtime is single-threaded, so no module under ``src/repro`` may import
 a threading primitive: a lock cannot come back without a diff here.
@@ -30,13 +39,13 @@ from pathlib import Path
 import pytest
 
 import repro.sim
-from repro.cluster import ClusterConfig, CoordinatorConfig
+from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
 from repro.engine import EngineOptions
 from repro.net import ReliableConfig
 from repro.obs import SLOConfig, TelemetryConfig
-from repro.rebalance import MigrationConfig, RebalancerConfig
+from repro.rebalance import MigrationConfig
 from repro.runtime import SimServerContext
-from repro.sched import SchedulerConfig
+from repro.sched import SchedulerConfig, TraversalScheduler
 from repro.storage import LSMConfig
 
 SURFACE = {
@@ -82,14 +91,7 @@ SURFACE = {
         "planner",
         "scheduler",
     ),
-    SchedulerConfig: (
-        "max_pending",
-        "max_inflight",
-        "per_server_inflight",
-        "tenant_weights",
-        "quota_capacity",
-        "quota_refill_rate",
-    ),
+    SchedulerConfig: ("max_pending", "max_inflight", "tenant_weights"),
     MigrationConfig: (
         "chunk_vertices",
         "dual_window",
@@ -98,14 +100,6 @@ SURFACE = {
         "drain_timeout",
         "tenant",
         "priority",
-    ),
-    RebalancerConfig: (
-        "interval",
-        "fraction",
-        "max_vertices",
-        "cooldown",
-        "max_migrations",
-        "require_hot",
     ),
     SLOConfig: (
         "latency_objective",
@@ -143,6 +137,66 @@ SIM_EXPORTS = (
     "Store",
     "derive_seed",
 )
+
+
+def public_methods(cls) -> tuple:
+    """The public names a class defines itself: methods, classmethods and
+    properties, sorted."""
+    return tuple(name for name in sorted(vars(cls)) if not name.startswith("_"))
+
+
+METHOD_SURFACE = {
+    Cluster: (
+        "alert_log",
+        "build",
+        "cancel",
+        "cold_start",
+        "enable_tracing",
+        "explain",
+        "export_observability",
+        "health",
+        "health_json",
+        "hot_shard_report",
+        "ingest_edge",
+        "ingest_vertex",
+        "journal",
+        "metrics_snapshot",
+        "now",
+        "obs",
+        "openmetrics",
+        "profile",
+        "progress",
+        "rebalance",
+        "rollups",
+        "server_loads",
+        "slo",
+        "submit",
+        "telemetry",
+        "trace_dag",
+        "trace_payload",
+        "traverse",
+        "traverse_many",
+    ),
+    TraversalScheduler: (
+        "cancel",
+        "drain_queued",
+        "entry_for",
+        "for_cluster",
+        "inflight_count",
+        "on_host_crash",
+        "on_travel_terminal",
+        "queue_depth",
+        "restore",
+        "submit",
+        "submit_job",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", METHOD_SURFACE, ids=lambda cls: cls.__name__)
+def test_public_methods_are_pinned(cls):
+    assert public_methods(cls) == METHOD_SURFACE[cls]
+
 
 SERVER_CONTEXT_METHODS = (
     "disk",

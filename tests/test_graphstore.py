@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import KeyNotFound
+from repro.errors import GraphError, KeyNotFound
 from repro.graph import GraphBuilder, hpc_metadata_schema
 from repro.storage import GraphStore, LSMConfig
 
@@ -108,6 +108,33 @@ def test_live_insert_vertex_and_edge(sample):
     edges, _ = store.edges(u, "run")
     assert (100, {"ts": 20.0}) in edges
     assert (j, {"ts": 10.0}) in edges
+
+
+def test_reinsert_under_the_same_type_updates_without_reindexing(sample):
+    graph, (u, *_rest) = sample
+    store = loaded_store(graph, [u])
+    store.insert_vertex(100, "Job", {"jobid": 2})
+    store.insert_vertex(100, "Job", {"jobid": 3})
+    store.insert_vertex(u, "User", {"uid": 8})
+    assert store.local_vertices_of_type("Job") == [100]
+    assert store.local_vertices_of_type("User") == [u]
+    assert sorted(store.local_vertices()) == sorted([u, 100])
+    assert store.vertex_props(100)[0]["jobid"] == 3
+    props, _ = store.vertex_props(u)
+    assert props["uid"] == 8 and props["name"] == "sam"
+    store.delete_vertex(100)
+    assert store.local_vertices_of_type("Job") == []
+
+
+def test_reinsert_under_another_type_is_refused(sample):
+    graph, (u, *_rest) = sample
+    store = loaded_store(graph, [u])
+    before = store.kv.scan_prefix(b"")[0]
+    with pytest.raises(GraphError):
+        store.insert_vertex(u, "Job", {"jobid": 2})
+    assert store.namespace_of(u) == "User"
+    assert store.local_vertices_of_type("Job") == []
+    assert store.kv.scan_prefix(b"")[0] == before
 
 
 def test_live_insert_edge_sequencing(sample):

@@ -1,9 +1,11 @@
-"""Unit + closed-loop tests for the telemetry-driven rebalancer policy.
+"""Tests for the telemetry-driven migration choice.
 
 ``select_migration`` is a pure function, pinned here against a hand-built
 :class:`HotShardReport` fixture so the choice is exactly reproducible; the
-closed-loop legs drive ``Cluster.start_rebalancer`` on a skewed workload
-and watch it move load off the hot server without changing any answer.
+live leg heats one server of a cluster, feeds its hot-shard report to
+``select_migration`` and runs the choice with ``Cluster.rebalance`` — the
+path the ``rebalance`` experiment takes — and checks that load moves off
+the hot server without changing any answer.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.graph import GraphBuilder
 from repro.lang import GTravel
 from repro.obs.telemetry import HotShardReport
-from repro.rebalance import (
-    MigrationConfig,
-    RebalancerConfig,
-    select_migration,
-)
+from repro.rebalance import MigrationConfig, select_migration
 
 
 def pinned_report(hot=(0,)):
@@ -96,7 +94,7 @@ def test_single_server_report_is_never_actionable():
     assert select_migration(report, {0: [1, 2, 3]}) is None
 
 
-# -- the closed loop on a live cluster -----------------------------------------
+# -- select, then rebalance, on a live cluster -------------------------------------
 
 
 def chain_graph():
@@ -132,44 +130,25 @@ def test_rebalancer_moves_load_off_the_hot_server():
     cluster, vids = skewed_cluster()
     hot = cluster.routing.owner(vids[0])
     heat(cluster, hot, vids)
-    assert cluster.hot_shard_report().hottest == hot
-    before = len(cluster.servers[hot].store.local_vertices())
+    report = cluster.hot_shard_report()
+    assert report.hottest == hot
+    loads = {
+        s.server_id: sorted(s.store.local_vertices()) for s in cluster.servers
+    }
+    before = len(loads[hot])
 
-    rebalancer = cluster.start_rebalancer(
-        RebalancerConfig(
-            interval=0.05, cooldown=0.05, max_migrations=1, require_hot=False
-        )
-    )
-    sim = cluster.runtime.sim
-    sim.run(until=sim.now + 5.0)
-    assert not rebalancer.running, "loop must stop at max_migrations"
-    assert len(rebalancer.migrations) == 1
-    state = rebalancer.migrations[0]
+    choice = select_migration(report, loads, require_hot=False)
+    assert choice is not None and choice.src == hot
+    state = cluster.rebalance(choice.src, choice.dst, vids=choice.vids)
     assert state.phase == "done", state.abort_reason
-    assert state.src == hot
+    assert state.src == hot and state.vids == choice.vids
     after = len(cluster.servers[hot].store.local_vertices())
     assert after == before - len(state.vids) and len(state.vids) > 0
-    # answers survive the autonomous move
+    # answers survive the move
     fresh = Cluster.build(chain_graph()[0], ClusterConfig(nservers=3))
     for v in vids[:6]:
         got = cluster.traverse(GTravel.v(v).e("link"), cold=False)
         want = fresh.traverse(GTravel.v(v).e("link"), cold=False)
         assert sorted(got.result.vertices) == sorted(want.result.vertices)
-    assert cluster.migrator.leaked_state() == []
-
-
-def test_rebalancer_stop_halts_the_loop_and_leaks_nothing():
-    cluster, vids = skewed_cluster()
-    heat(cluster, cluster.routing.owner(vids[0]), vids)
-    rebalancer = cluster.start_rebalancer(
-        RebalancerConfig(interval=0.05, cooldown=0.05, require_hot=False)
-    )
-    sim = cluster.runtime.sim
-    sim.run(until=sim.now + 1.0)
-    cluster.stop_rebalancer()
-    assert not rebalancer.running
-    moved = len(rebalancer.migrations)
-    sim.run(until=sim.now + 1.0)
-    assert len(rebalancer.migrations) == moved, "stopped loop kept migrating"
     assert cluster.migrator.active_count == 0
     assert cluster.migrator.leaked_state() == []

@@ -1,5 +1,5 @@
-"""Unit tests for the admission scheduler (repro.sched): policies, admission
-control, quotas, and backpressure."""
+"""Unit tests for the admission scheduler (repro.sched): policies and
+admission control."""
 
 from __future__ import annotations
 
@@ -182,58 +182,6 @@ def test_launch_order_respects_policy():
     ]
     assert launches[0] == submissions[0][0]
     assert launches[1] == submissions[2][0]  # the short one jumped the queue
-
-
-# -- quotas & backpressure -----------------------------------------------------
-
-
-def test_token_bucket_throttles_tenant():
-    cluster = build(
-        "fifo",
-        sched=SchedulerConfig(quota_capacity=2.0, quota_refill_rate=50.0),
-    )
-    events = [cluster.submit(kstep(i, 1), tenant="t")[1] for i in range(4)]
-    # bucket holds 2 tokens: two launch instantly, two wait for refill
-    assert cluster.scheduler.inflight_count == 2
-    assert cluster.scheduler.queue_depth == 2
-    for event in events:
-        outcome = cluster.runtime.run_until_complete(event)
-        assert len(outcome.result.vertices) == 1
-    assert cluster.scheduler.queue_depth == 0
-
-
-def test_quota_only_throttles_the_exhausted_tenant():
-    cluster = build(
-        "fifo",
-        sched=SchedulerConfig(quota_capacity=1.0, quota_refill_rate=50.0),
-    )
-    ev_a = cluster.submit(kstep(0, 1), tenant="a")[1]
-    ev_a2 = cluster.submit(kstep(1, 1), tenant="a")[1]  # a is out of tokens
-    ev_b = cluster.submit(kstep(2, 1), tenant="b")[1]  # b is not
-    assert cluster.scheduler.inflight_count == 2  # a's first + b
-    assert cluster.scheduler.queue_depth == 1
-    for event in (ev_a, ev_a2, ev_b):
-        cluster.runtime.run_until_complete(event)
-
-
-def test_tenant_tokens_introspection():
-    cluster = build(sched=SchedulerConfig(quota_capacity=3.0))
-    assert cluster.scheduler.tenant_tokens("t") == 3.0
-    cluster.runtime.run_until_complete(cluster.submit(kstep(0, 1), tenant="t")[1])
-    assert cluster.scheduler.tenant_tokens("t") < 3.0
-    assert build().scheduler.tenant_tokens("t") is None  # quotas off
-
-
-def test_per_server_backpressure_defers_launches():
-    cluster = build(sched=SchedulerConfig(per_server_inflight=1))
-    first_id, first_ev = cluster.submit(kstep(0, 4))
-    second_id, second_ev = cluster.submit(kstep(5, 4))
-    # the first traversal has outstanding executions, so the second waits
-    assert cluster.scheduler.inflight_count == 1
-    assert cluster.scheduler.queue_depth == 1
-    cluster.runtime.run_until_complete(first_ev)
-    outcome = cluster.runtime.run_until_complete(second_ev)
-    assert sorted(outcome.result.vertices) == [9]
 
 
 def test_wait_metrics_and_gauges():
