@@ -593,22 +593,13 @@ class Cluster:
         return chrome_trace(self.board.obs.trace, label=label)
 
     def explain(self, query: Union[GTravel, TraversalPlan, CompositePlan]) -> dict:
-        """EXPLAIN against *this* cluster's planner: when a planner mode is
-        configured, the document shows original vs. optimized plan with the
-        applied rewrites and (in ``cost`` mode) per-level cost estimates;
-        with the planner off it is the plain plan document. Composite plans
-        (repeat/union/back) get the operator-tree document with per-operator
-        cost estimates in ``cost`` mode; child plans are (re)planned
-        individually at dispatch, so rewrites never cross operator scopes.
-        No traversal runs."""
-        from repro.obs.explain import explain_composite, explain_plan, explain_planned
-
-        plan = self._compile(query)
-        if isinstance(plan, CompositePlan):
-            return explain_composite(plan, planner=self.coordinator.planner)
-        if self.coordinator.planner is not None:
-            return explain_planned(self.coordinator.planner.plan(plan))
-        return explain_plan(plan)
+        """EXPLAIN against *this* cluster's planner: the plan as compiled and
+        as it will execute, the applied rewrites and (in ``cost`` mode)
+        per-level cost estimates — one document shape for every plan and
+        planner mode. Composite plans run unrewritten: their child plans are
+        planned individually at dispatch, so rewrites never cross operator
+        scopes. No traversal runs."""
+        return self._compile(query).explain(planner=self.coordinator.planner)
 
     def profile(
         self,
@@ -622,10 +613,9 @@ class Cluster:
 
         The report carries per-step fan-out, visit/cache attribution,
         per-server execution counts and skew, wall-clock per step on the
-        virtual clock, and the full reconstructed trace — plus, when a
-        planner is configured, the rewrite audit trail and estimated-vs-
-        actual cardinality rows. Deterministic per (seed, config) on the
-        simulated runtime.
+        virtual clock, the full reconstructed trace and the run's EXPLAIN
+        document — plus, in ``cost`` mode, estimated-vs-actual cardinality
+        rows. Deterministic per (seed, config) on the simulated runtime.
         """
         from repro.errors import TraversalFailed
         from repro.obs.explain import profile_traversal
@@ -643,11 +633,7 @@ class Cluster:
             )
         # re-planning here is safe: the planner is pure, so this PlannedQuery
         # matches the one the coordinator derives at submit time
-        planned = (
-            self.coordinator.planner.plan(plan)
-            if self.coordinator.planner is not None
-            else None
-        )
+        planned = (self.coordinator.planner or QueryPlanner()).plan(plan)
         # tail sampling must not sample out the profile's own traversal
         recorder = self.board.obs.trace
         saved_sampling = recorder.sampling
@@ -656,7 +642,7 @@ class Cluster:
             outcome = self.traverse(plan, cold=cold, limit=limit)
         except TraversalFailed as err:
             dag = self.trace_dag(err.travel_id)
-            report = profile_traversal(dag, plan, planned=planned)
+            report = profile_traversal(dag, planned)
             return None, report
         finally:
             recorder.configure(sampling=saved_sampling)
@@ -664,11 +650,10 @@ class Cluster:
         dag = self.trace_dag(travel_id)
         report = profile_traversal(
             dag,
-            plan,
+            planned,
             elapsed=outcome.stats.elapsed,
             result_count=len(outcome.result.vertices),
             queue_wait=self._queue_wait(travel_id),
-            planned=planned,
         )
         return outcome, report
 

@@ -228,13 +228,8 @@ class CompositePlan:
             1 for op in self.ops if isinstance(op, (Step, RepeatOp, UnionOp, BackOp))
         )
 
-    def explain(self, planner: Optional[Any] = None) -> dict:
-        """Structured EXPLAIN document for the operator tree, with per-op cost
-        estimates when a planner (with a graph summary) is supplied. See
-        :func:`repro.obs.explain.explain_composite`."""
-        from repro.obs.explain import explain_composite
-
-        return explain_composite(self, planner=planner)
+    #: the one EXPLAIN of every plan (the document of the operator tree)
+    explain = TraversalPlan.explain
 
     def describe(self) -> str:
         if self.source_ids is None:

@@ -360,15 +360,12 @@ class GTravel:
         return self.compile().describe()
 
     def explain(self, planner: Optional[Any] = None) -> dict:
-        """Compile and explain: the step plan with selectors, filters, and
-        rtn marks as a structured dict (no traversal runs). An empty chain
-        (no ``v()`` yet) explains to a well-formed empty plan document
-        rather than raising. With a ``planner``, the document shows
-        original vs. optimized plans with cost estimates."""
+        """Compile and explain under ``planner`` (no traversal runs); see
+        :func:`repro.obs.explain.explain_document`. An empty chain (no
+        ``v()`` yet) explains as the bare ``v()`` it would start from rather
+        than raising."""
         if not self._source_set and not self._sub:
-            from repro.obs.explain import empty_plan_document
-
-            return empty_plan_document()
+            return GTravel.v().explain(planner=planner)
         return self.compile().explain(planner=planner)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

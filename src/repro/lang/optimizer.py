@@ -45,9 +45,10 @@ byte-identical :class:`PlannedQuery` payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import QueryError
+from repro.lang.composite import AsOp, BackOp, CompositePlan, FilterNode, RepeatOp
 from repro.lang.filters import FilterOp, FilterSet, PropertyFilter
 from repro.lang.plan import Step, TraversalPlan
 
@@ -121,10 +122,10 @@ class PlanCost:
 @dataclass(frozen=True)
 class PlannedQuery:
     """The planner's output: the plan as compiled, the plan to execute, and
-    the audit trail connecting them."""
+    the audit trail connecting them. A composite plan executes as compiled."""
 
-    original: TraversalPlan
-    executed: TraversalPlan
+    original: Union[TraversalPlan, CompositePlan]
+    executed: Union[TraversalPlan, CompositePlan]
     mode: str
     rewrites: tuple[Rewrite, ...] = ()
     cost_original: Optional[PlanCost] = None
@@ -302,6 +303,22 @@ def _reversal_candidate(
 
 
 # -- cost model ----------------------------------------------------------------
+#
+# One walk prices every plan: a linear chain is the all-steps case of the
+# operator list. Composite operators (repeat / union / back) execute as a
+# sequence of linear child plans, each planned individually at dispatch, so
+# no rewrite crosses an operator boundary; the walk prices them for EXPLAIN.
+
+#: assumed iterations for ``repeat().until()`` loops, whose true depth is
+#: data-dependent (bounded by the op's ``max_depth``)
+UNTIL_ASSUMED_ITERS = 4
+
+
+def _repeat_iters(op) -> int:
+    """Iterations a repeat is costed at: its bound, or the assumed count."""
+    if op.times is not None:
+        return op.times
+    return min(op.max_depth, UNTIL_ASSUMED_ITERS)
 
 
 def _fs_needs_props(fs: FilterSet) -> bool:
@@ -310,13 +327,27 @@ def _fs_needs_props(fs: FilterSet) -> bool:
     return any(f.key != "type" for f in fs.filters)
 
 
-def _source_frontier(plan: TraversalPlan, summary: GraphSummary) -> dict[str, float]:
-    """Estimated level-0 working set, per vertex type."""
+def _filter_cost(rows: float, fs: FilterSet, params: CostParams) -> float:
+    """Read and filter ``rows`` vertices: a seek each, plus a props-block
+    scan when ``fs`` needs properties."""
+    return rows * (
+        params.seek
+        + (params.props_scan if _fs_needs_props(fs) else 0.0)
+        + params.visit
+    )
+
+
+def _source_frontier(
+    plan: Union[TraversalPlan, CompositePlan], summary: GraphSummary
+) -> tuple[float, dict[str, float]]:
+    """Level-0 candidates enumerated, and the estimated level-0 working set
+    per vertex type."""
     if plan.source_ids is not None:
-        total = float(len(set(plan.source_ids)))
+        candidates = float(len(set(plan.source_ids)))
         all_vertices = max(summary.total_vertices, 1)
         frontier = {
-            t: total * c / all_vertices for t, c in sorted(summary.type_counts.items())
+            t: candidates * c / all_vertices
+            for t, c in sorted(summary.type_counts.items())
         }
     else:
         type_eq = next(
@@ -328,109 +359,165 @@ def _source_frontier(plan: TraversalPlan, summary: GraphSummary) -> dict[str, fl
             None,
         )
         if type_eq is not None:
-            frontier = {
-                str(type_eq.value): float(
-                    summary.type_counts.get(type_eq.value, 0)
-                )
-            }
+            candidates = float(summary.type_counts.get(type_eq.value, 0))
+            frontier = {str(type_eq.value): candidates}
         else:
+            candidates = float(summary.total_vertices)
             frontier = {
                 t: float(c) for t, c in sorted(summary.type_counts.items())
             }
-    return {
+    return candidates, {
         t: w * summary.vertex_selectivity(t, plan.source_filters)
         for t, w in frontier.items()
     }
 
 
+def _price_step(
+    frontier: dict[str, float],
+    step: Step,
+    summary: GraphSummary,
+    params: CostParams,
+    final: bool = False,
+    short_circuit: bool = False,
+) -> tuple[dict[str, float], float, float]:
+    """(per-type frontier after ``step``'s vertex filters, rows processed,
+    cost) of one step from ``frontier``. A final step's vertices are only
+    *recorded* unless a filter forces a visit — and cost 0 when
+    short-circuited."""
+    next_frontier: dict[str, float] = {}
+    edges_total = 0.0
+    for vtype in sorted(frontier):
+        weight = frontier[vtype]
+        if weight <= 0.0:
+            continue
+        for label in step.labels:
+            stats = summary.label_stats(label)
+            src_count = stats.src_type_counts.get(vtype, 0)
+            type_total = summary.type_counts.get(vtype, 0)
+            if src_count <= 0 or type_total <= 0:
+                continue
+            edges = weight * src_count / type_total
+            edges *= stats.edge_selectivity(step.edge_filters)
+            dst_total = sum(stats.dst_type_counts.values())
+            if dst_total <= 0:
+                continue
+            edges_total += edges
+            for dtype in sorted(stats.dst_type_counts):
+                share = edges * stats.dst_type_counts[dtype] / dst_total
+                next_frontier[dtype] = next_frontier.get(dtype, 0.0) + share
+    # dedupe against the type population, then apply vertex filters
+    out: dict[str, float] = {}
+    for dtype in sorted(next_frontier):
+        unique = min(next_frontier[dtype], float(summary.type_counts.get(dtype, 0)))
+        out[dtype] = unique * summary.vertex_selectivity(dtype, step.vertex_filters)
+    arriving = sum(
+        min(next_frontier[t], float(summary.type_counts.get(t, 0)))
+        for t in next_frontier
+    )
+    if final and short_circuit:
+        # destinations are recorded by the sender; no dispatch, no visit
+        return out, 0.0, edges_total * params.record
+    if final and not step.vertex_filters:
+        # final level vertices are recorded, not expanded
+        return out, arriving, (
+            arriving * (params.dispatch * 0.25) + edges_total * params.record
+        )
+    return out, arriving, arriving * (
+        params.dispatch
+        + params.seek
+        + (params.props_scan if _fs_needs_props(step.vertex_filters) else 0.0)
+        + params.visit
+    ) + edges_total * params.record
+
+
+def _price_ops(
+    frontier: dict[str, float], ops, summary: GraphSummary, params: CostParams
+) -> tuple[dict[str, float], float, float]:
+    """(frontier, rows processed, cost) of an op sequence from ``frontier``:
+    a filter scales each type by its selectivity, a repeat runs its body
+    ``_repeat_iters`` times, and a union sums its branch frontiers per type,
+    capped at the type's population."""
+    rows_in = cost = 0.0
+    for op in ops:
+        if isinstance(op, Step):
+            frontier, rows, c = _price_step(frontier, op, summary, params)
+        elif isinstance(op, FilterNode):
+            rows = sum(frontier.values())
+            c = _filter_cost(rows, op.filters, params)
+            frontier = {
+                t: w * summary.vertex_selectivity(t, op.filters)
+                for t, w in frontier.items()
+            }
+        elif isinstance(op, RepeatOp):
+            rows = c = 0.0
+            for _ in range(_repeat_iters(op)):
+                frontier, r, cc = _price_ops(frontier, op.body, summary, params)
+                rows, c = rows + r, c + cc
+        else:  # a union: every branch runs on the same frontier
+            rows = c = 0.0
+            merged: dict[str, float] = {}
+            for branch in op.branches:
+                out, r, cc = _price_ops(frontier, branch, summary, params)
+                rows, c = rows + r, c + cc
+                for t, w in out.items():
+                    merged[t] = merged.get(t, 0.0) + w
+            frontier = {
+                t: min(merged[t], float(summary.type_counts.get(t, 0)))
+                for t in sorted(merged)
+            }
+        rows_in, cost = rows_in + rows, cost + c
+    return frontier, rows_in, cost
+
+
 def estimate_plan(
-    plan: TraversalPlan, summary: GraphSummary, params: CostParams
+    plan: Union[TraversalPlan, CompositePlan],
+    summary: GraphSummary,
+    params: CostParams,
 ) -> PlanCost:
-    """Walk the plan over the summary, tracking a per-type frontier.
+    """Walk the plan's operator list over the summary, tracking a per-type
+    frontier; one :class:`LevelEstimate` per level, 0 to ``final_level``.
 
     ``rows_in`` at level k is the number of vertices processed (read +
-    expanded) there; the final level's vertices are only *recorded* unless
-    a later filter forces a visit — and cost 0 when short-circuited.
+    expanded) there. ``as_()`` and a filter stay on their level;
+    ``back()`` restores the bound frontier at the price of the levels it
+    rewinds over.
     """
-    levels: list[LevelEstimate] = []
-    # level 0: enumerate + filter candidate sources
-    if plan.source_ids is not None:
-        candidates = float(len(set(plan.source_ids)))
-    else:
-        type_eq = next(
-            (
-                f
-                for f in plan.source_filters.filters
-                if f.key == "type" and f.op is FilterOp.EQ
-            ),
-            None,
+    candidates, frontier = _source_frontier(plan, summary)
+    levels = [
+        LevelEstimate(
+            0,
+            candidates,
+            sum(frontier.values()),
+            _filter_cost(candidates, plan.source_filters, params),
         )
-        if type_eq is not None:
-            candidates = float(summary.type_counts.get(type_eq.value, 0))
-        else:
-            candidates = float(summary.total_vertices)
-    frontier = _source_frontier(plan, summary)
-    rows_out = sum(frontier.values())
-    cost0 = candidates * (
-        params.seek
-        + (params.props_scan if _fs_needs_props(plan.source_filters) else 0.0)
-        + params.visit
-    )
-    levels.append(LevelEstimate(0, candidates, rows_out, cost0))
-    for k, step in enumerate(plan.steps, start=1):
-        next_frontier: dict[str, float] = {}
-        edges_total = 0.0
-        for vtype in sorted(frontier):
-            weight = frontier[vtype]
-            if weight <= 0.0:
-                continue
-            for label in step.labels:
-                stats = summary.label_stats(label)
-                src_count = stats.src_type_counts.get(vtype, 0)
-                type_total = summary.type_counts.get(vtype, 0)
-                if src_count <= 0 or type_total <= 0:
-                    continue
-                edges = weight * src_count / type_total
-                edges *= stats.edge_selectivity(step.edge_filters)
-                dst_total = sum(stats.dst_type_counts.values())
-                if dst_total <= 0:
-                    continue
-                edges_total += edges
-                for dtype in sorted(stats.dst_type_counts):
-                    share = edges * stats.dst_type_counts[dtype] / dst_total
-                    next_frontier[dtype] = next_frontier.get(dtype, 0.0) + share
-        # dedupe against the type population, then apply vertex filters
-        frontier = {}
-        for dtype in sorted(next_frontier):
-            unique = min(
-                next_frontier[dtype], float(summary.type_counts.get(dtype, 0))
+    ]
+    linear = isinstance(plan, TraversalPlan)
+    bound: dict[str, tuple[dict[str, float], int]] = {}
+    for op in plan.steps if linear else plan.ops:
+        if isinstance(op, AsOp):
+            bound[op.name] = (frontier, len(levels))
+            continue
+        if isinstance(op, BackOp):
+            frontier, at = bound[op.name]
+            rows_in = sum(lv.rows_in for lv in levels[at:])
+            cost = sum(lv.cost for lv in levels[at:])
+        elif isinstance(op, Step):
+            frontier, rows_in, cost = _price_step(
+                frontier,
+                op,
+                summary,
+                params,
+                final=len(levels) == plan.final_level,
+                short_circuit=linear and plan.short_circuit_final,
             )
-            sel = summary.vertex_selectivity(dtype, step.vertex_filters)
-            frontier[dtype] = unique * sel
-        arriving = sum(
-            min(next_frontier[t], float(summary.type_counts.get(t, 0)))
-            for t in next_frontier
-        )
-        rows_out = sum(frontier.values())
-        needs_props = _fs_needs_props(step.vertex_filters)
-        is_final = k == plan.final_level
-        if is_final and plan.short_circuit_final:
-            # destinations are recorded by the sender; no dispatch, no visit
-            cost = edges_total * params.record
-            rows_in = 0.0
-        elif is_final and not needs_props and not step.vertex_filters:
-            # final level vertices are recorded, not expanded
-            cost = arriving * (params.dispatch * 0.25) + edges_total * params.record
-            rows_in = arriving
         else:
-            cost = arriving * (
-                params.dispatch
-                + params.seek
-                + (params.props_scan if needs_props else 0.0)
-                + params.visit
-            ) + edges_total * params.record
-            rows_in = arriving
-        levels.append(LevelEstimate(k, rows_in, rows_out, cost))
+            frontier, rows_in, cost = _price_ops(frontier, (op,), summary, params)
+            if isinstance(op, FilterNode):
+                last = levels.pop()
+                rows_in, cost = last.rows_in + rows_in, last.cost + cost
+        levels.append(
+            LevelEstimate(len(levels), rows_in, sum(frontier.values()), cost)
+        )
     return PlanCost(tuple(levels), sum(lv.cost for lv in levels))
 
 
@@ -447,6 +534,9 @@ class QueryPlanner:
         short-circuit);
       * ``cost``  — ``rules`` plus cost-estimated chain reversal, with
         per-level estimates attached for ``explain()``/``profile()``.
+
+    A composite plan comes back unrewritten (with its estimate in ``cost``
+    mode): the coordinator plans each child chain when it dispatches it.
 
     ``summary`` is the merged per-server :class:`GraphSummary` (required for
     costing; without it, ``cost`` degrades to ``rules``). ``reverse_available``
@@ -466,9 +556,23 @@ class QueryPlanner:
                 f"{', '.join(PLANNER_MODES)}"
             )
 
-    def plan(self, plan: TraversalPlan) -> PlannedQuery:
+    def plan(self, plan: Union[TraversalPlan, CompositePlan]) -> PlannedQuery:
         if self.mode == "off":
             return PlannedQuery(original=plan, executed=plan, mode=self.mode)
+        if isinstance(plan, CompositePlan):
+            # runs unrewritten: the orchestrator plans each child at dispatch
+            cost = (
+                estimate_plan(plan, self.summary, self.params)
+                if self.mode == "cost" and self.summary is not None
+                else None
+            )
+            return PlannedQuery(
+                original=plan,
+                executed=plan,
+                mode=self.mode,
+                cost_original=cost,
+                cost_executed=cost,
+            )
         rewrites: list[Rewrite] = []
         fused, fr = fuse_filters(plan)
         rewrites += fr
@@ -511,191 +615,3 @@ class QueryPlanner:
             cost_executed=cost_executed,
             level_map=level_map,
         )
-
-
-# -- composite cost estimation -------------------------------------------------
-#
-# Composite plans (repeat / union / back) execute as a sequence of linear
-# child plans driven by the coordinator's orchestrator; each child is planned
-# individually at dispatch time, so rewrite boundaries are pinned at
-# repeat/union scopes by construction (a rewrite can never cross an operator
-# boundary — it only ever sees one child). The estimator below exists for
-# EXPLAIN: a coarse, deterministic per-operator cost walk over the summary.
-
-#: assumed iterations for ``repeat().until()`` loops, whose true depth is
-#: data-dependent (bounded by the op's ``max_depth``)
-UNTIL_ASSUMED_ITERS = 4
-
-#: assumed selectivity for a standalone filter node in a sub-chain
-FILTER_ASSUMED_SELECTIVITY = 0.5
-
-
-@dataclass(frozen=True)
-class CompositeOpEstimate:
-    """Per-top-level-operator estimate for a composite plan's EXPLAIN."""
-
-    op: str
-    detail: str
-    rows_out: float
-    cost: float
-
-    def payload(self) -> dict:
-        return {
-            "op": self.op,
-            "detail": self.detail,
-            "rows_out": round(self.rows_out, 3),
-            "cost": round(self.cost, 6),
-        }
-
-
-@dataclass(frozen=True)
-class CompositePlanCost:
-    ops: tuple[CompositeOpEstimate, ...]
-    total: float
-
-    def payload(self) -> dict:
-        return {
-            "total": round(self.total, 6),
-            "ops": [op.payload() for op in self.ops],
-        }
-
-
-def _label_fanout(summary: GraphSummary, labels) -> float:
-    """Expected out-edges per frontier vertex across ``labels``."""
-    total_v = float(max(summary.total_vertices, 1))
-    edges = 0.0
-    for label in labels:
-        stats = summary.label_stats(label)
-        edges += float(sum(stats.src_type_counts.values()))
-    return edges / total_v
-
-
-def _estimate_step_run(
-    summary: GraphSummary, params: CostParams, rows: float, steps
-) -> tuple[float, float]:
-    """(rows_out, cost) of running ``steps`` from a ``rows``-vertex frontier."""
-    total_v = float(max(summary.total_vertices, 1))
-    cost = 0.0
-    for step in steps:
-        edges = rows * _label_fanout(summary, step.labels)
-        nxt = min(edges, total_v)
-        cost += (
-            rows * (params.seek + params.visit)
-            + edges * params.record
-            + nxt * params.dispatch
-        )
-        if step.vertex_filters:
-            nxt *= FILTER_ASSUMED_SELECTIVITY
-        rows = nxt
-    return rows, cost
-
-
-def _repeat_iters(op) -> int:
-    """Iterations a repeat is costed at: its bound, or the assumed count."""
-    if op.times is not None:
-        return op.times
-    return min(op.max_depth, UNTIL_ASSUMED_ITERS)
-
-
-def _estimate_op(
-    summary: GraphSummary, params: CostParams, rows: float, op, cost: float = 0.0
-) -> tuple[float, float]:
-    """(rows_out, ``cost`` plus the op's cost) of one step, filter, repeat or
-    union run from a ``rows``-vertex frontier. The op's cost is added into
-    ``cost`` term by term, so a sub-chain and a top-level operator sum their
-    floats in the same order."""
-    from repro.lang.composite import FilterNode, RepeatOp, Step
-
-    if isinstance(op, Step):
-        rows, c = _estimate_step_run(summary, params, rows, (op,))
-        return rows, cost + c
-    if isinstance(op, FilterNode):
-        cost += rows * (params.seek + params.props_scan + params.visit)
-        return rows * FILTER_ASSUMED_SELECTIVITY, cost
-    if isinstance(op, RepeatOp):
-        for _ in range(_repeat_iters(op)):
-            rows, c = _estimate_sub_ops(summary, params, rows, op.body)
-            cost += c
-        return rows, cost
-    merged = 0.0  # a union: every branch runs on the same frontier
-    for branch in op.branches:
-        out, c = _estimate_sub_ops(summary, params, rows, branch)
-        merged += out
-        cost += c
-    return min(merged, float(max(summary.total_vertices, 1))), cost
-
-
-def _estimate_sub_ops(
-    summary: GraphSummary, params: CostParams, rows: float, ops
-) -> tuple[float, float]:
-    """(rows_out, cost) of a repeat-body / union-branch sub-chain."""
-    cost = 0.0
-    for op in ops:
-        rows, cost = _estimate_op(summary, params, rows, op, cost)
-    return rows, cost
-
-
-def estimate_composite_plan(cplan, summary: GraphSummary, params: CostParams):
-    """Coarse per-operator estimate of a composite plan, for EXPLAIN."""
-    from repro.lang.composite import (
-        AsOp,
-        BackOp,
-        FilterNode,
-        RepeatOp,
-        Step,
-        describe_ops,
-    )
-
-    rows = float(len(cplan.source_ids))
-    ops: list[CompositeOpEstimate] = []
-    bindings: dict[str, float] = {}
-    source_cost = rows * (
-        params.seek
-        + (params.props_scan if _fs_needs_props(cplan.source_filters) else 0.0)
-        + params.visit
-    )
-    ops.append(CompositeOpEstimate("source", "v(...)", rows, source_cost))
-    steps_since: dict[str, list] = {}
-    for op in cplan.ops:
-        if isinstance(op, AsOp):
-            bindings[op.name] = rows
-            steps_since[op.name] = []
-            ops.append(CompositeOpEstimate("as", f"as_({op.name!r})", rows, 0.0))
-        elif isinstance(op, BackOp):
-            bound = bindings.get(op.name, rows)
-            # one reverse pass over the intervening steps (or a forward
-            # replay from the binding — same step count either way)
-            _, cost = _estimate_step_run(
-                summary, params, rows, steps_since.get(op.name, ())
-            )
-            rows = bound
-            ops.append(
-                CompositeOpEstimate("back", f"back({op.name!r})", rows, cost)
-            )
-        else:
-            rows, cost = _estimate_op(summary, params, rows, op)
-            if isinstance(op, Step):
-                for trail in steps_since.values():
-                    trail.append(op)
-                kind, detail = "step", op.describe().lstrip(".")
-            elif isinstance(op, FilterNode):
-                kind, detail = "filter", "va(...)"
-            elif isinstance(op, RepeatOp):
-                loop = (
-                    f"times({op.times})"
-                    if op.times is not None
-                    else f"until(..., max_depth={op.max_depth}) "
-                    f"~{_repeat_iters(op)} iter(s)"
-                )
-                kind, detail = "repeat", f"repeat({describe_ops(op.body)}).{loop}"
-            else:
-                kind = "union"
-                detail = f"union of {len(op.branches)} branch(es)"
-            ops.append(CompositeOpEstimate(kind, detail, rows, cost))
-    if cplan.aggregate is not None:
-        ops.append(
-            CompositeOpEstimate(
-                "aggregate", cplan.aggregate.describe().lstrip("."), rows, 0.0
-            )
-        )
-    return CompositePlanCost(tuple(ops), sum(op.cost for op in ops))

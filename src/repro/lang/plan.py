@@ -210,16 +210,13 @@ class TraversalPlan:
         return any(level < self.final_level for level in self.return_levels)
 
     def explain(self, planner: Optional["object"] = None) -> dict:
-        """The compiled step plan as a structured dict (Gremlin-style
-        ``explain()``): source selector, per-step labels and filters, rtn
-        marks. With a :class:`~repro.lang.optimizer.QueryPlanner`, returns
-        the original-vs-optimized document with cost estimates instead.
-        See :mod:`repro.obs.explain`."""
-        from repro.obs.explain import explain_plan, explain_planned
+        """The EXPLAIN document (Gremlin-style ``explain()``) of this plan
+        under ``planner`` — a :class:`~repro.lang.optimizer.QueryPlanner`,
+        ``off`` when omitted. See :func:`repro.obs.explain.explain_document`."""
+        from repro.lang.optimizer import QueryPlanner
+        from repro.obs.explain import explain_document
 
-        if planner is not None:
-            return explain_planned(planner.plan(self))
-        return explain_plan(self)
+        return explain_document((planner or QueryPlanner()).plan(self))
 
     def describe(self) -> str:
         """A printable, paper-style rendering of the plan."""

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from repro.obs.explain import (
     ProfileReport,
     StepProfile,
-    explain_plan,
+    explain_document,
     profile_traversal,
 )
 from repro.obs.exporter import (
@@ -96,7 +96,7 @@ __all__ = [
     "chrome_trace",
     "validate_trace",
     "sync_exec_id",
-    "explain_plan",
+    "explain_document",
     "profile_traversal",
     "ProfileReport",
     "StepProfile",

@@ -1,9 +1,10 @@
 """GTravel ``explain()`` and ``Client.profile()`` (Gremlin-style, paper §III).
 
-``explain_plan`` renders a compiled :class:`~repro.lang.plan.TraversalPlan`
-as a structured, JSON-safe description of what the engines will execute:
-source selector, per-step edge labels and property filters, and rtn()
-redirection marks. No traversal runs.
+``explain_document`` renders a :class:`~repro.lang.optimizer.PlannedQuery`
+— linear or composite, under any planner mode — as one structured,
+JSON-safe document: the source selector, the operator list (steps with their
+labels, property filters and rtn() marks; repeat, union, as_ and back), the
+rewrites, and in ``cost`` mode the per-level estimates. No traversal runs.
 
 ``profile_traversal`` is the post-hoc half: given the flight-recorder DAG of
 a completed traversal, it produces a per-step :class:`ProfileReport` —
@@ -15,11 +16,19 @@ simulated runtime the report is a pure function of (seed, configuration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
+from repro.lang.composite import (
+    AsOp,
+    BackOp,
+    CompositePlan,
+    FilterNode,
+    RepeatOp,
+    UnionOp,
+)
 from repro.lang.filters import FilterSet
-from repro.lang.optimizer import PlannedQuery
-from repro.lang.plan import TraversalPlan
+from repro.lang.optimizer import PlanCost, PlannedQuery
+from repro.lang.plan import Step, TraversalPlan
 from repro.obs.metrics import canonical_json
 from repro.obs.trace import TraversalDag
 
@@ -55,60 +64,8 @@ def _aggregate_payload(spec) -> Optional[dict[str, Any]]:
     return {"kind": spec.kind, "by": spec.by}
 
 
-def explain_plan(plan: TraversalPlan) -> dict[str, Any]:
-    """The compiled step plan as a structured, canonical-JSON-safe dict."""
-    steps = []
-    for level, step in enumerate(plan.steps, start=1):
-        steps.append(
-            {
-                "level": level,
-                "labels": list(step.labels),
-                "edge_filters": _filters_payload(step.edge_filters),
-                "vertex_filters": _filters_payload(step.vertex_filters),
-                "rtn": level in plan.rtn_levels,
-            }
-        )
-    return {
-        "query": plan.describe(),
-        "source": {
-            "ids": list(plan.source_ids) if plan.source_ids is not None else "all",
-            "filters": _filters_payload(plan.source_filters),
-            "rtn": 0 in plan.rtn_levels,
-        },
-        "steps": steps,
-        "final_level": plan.final_level,
-        "rtn_levels": sorted(plan.rtn_levels),
-        "return_levels": sorted(plan.return_levels),
-        "has_intermediate_returns": plan.has_intermediate_returns,
-        "aggregate": _aggregate_payload(plan.aggregate),
-        "annotations": {
-            "pushdown": plan.pushdown,
-            "short_circuit_final": plan.short_circuit_final,
-        },
-    }
-
-
-def empty_plan_document() -> dict[str, Any]:
-    """A well-formed EXPLAIN document for a chain with no ``v()`` yet: the
-    same shape as :func:`explain_plan`, with an empty source and no steps."""
-    return {
-        "query": "GTravel",
-        "source": {"ids": [], "filters": [], "rtn": False},
-        "steps": [],
-        "final_level": 0,
-        "rtn_levels": [],
-        "return_levels": [0],
-        "has_intermediate_returns": False,
-        "aggregate": None,
-        "annotations": {"pushdown": False, "short_circuit_final": False},
-    }
-
-
-def _composite_op_payload(op) -> dict[str, Any]:
-    """One composite operator (recursively) as a JSON-safe dict."""
-    from repro.lang.composite import AsOp, BackOp, FilterNode, RepeatOp, UnionOp
-    from repro.lang.plan import Step
-
+def _op_payload(op) -> dict[str, Any]:
+    """One operator of an op list (recursively) as a JSON-safe dict."""
     if isinstance(op, Step):
         return {
             "op": "step",
@@ -121,7 +78,7 @@ def _composite_op_payload(op) -> dict[str, Any]:
     if isinstance(op, RepeatOp):
         doc: dict[str, Any] = {
             "op": "repeat",
-            "body": [_composite_op_payload(o) for o in op.body],
+            "body": [_op_payload(o) for o in op.body],
         }
         if op.times is not None:
             doc["times"] = op.times
@@ -132,72 +89,57 @@ def _composite_op_payload(op) -> dict[str, Any]:
     if isinstance(op, UnionOp):
         return {
             "op": "union",
-            "branches": [
-                [_composite_op_payload(o) for o in branch]
-                for branch in op.branches
-            ],
+            "branches": [[_op_payload(o) for o in branch] for branch in op.branches],
         }
-    if isinstance(op, AsOp):
-        return {"op": "as", "name": op.name}
-    if isinstance(op, BackOp):
-        return {"op": "back", "name": op.name}
-    raise TypeError(f"unknown composite op {type(op).__name__}")  # pragma: no cover
+    return {"op": "as" if isinstance(op, AsOp) else "back", "name": op.name}
 
 
-def explain_composite(cplan, planner=None) -> dict[str, Any]:
-    """EXPLAIN for a composite (repeat/union/back/aggregate) plan.
-
-    Renders the operator tree and, when a ``cost``-mode planner with a graph
-    summary is supplied, the per-operator cost estimates from
-    :func:`~repro.lang.optimizer.estimate_composite_plan`. Rewrite boundaries
-    are structural: the orchestrator plans every child chain it dispatches
-    individually, so no rewrite ever crosses a repeat/union scope.
-    """
-    doc: dict[str, Any] = {
-        "query": cplan.describe(),
-        "type": "composite",
+def _plan_payload(
+    plan: Union[TraversalPlan, CompositePlan], cost: Optional[PlanCost]
+) -> dict[str, Any]:
+    """One plan — a linear chain is the all-steps case of the op list — with
+    its cost estimate (None outside ``cost`` mode). Every top-level op
+    carries the level it leaves the working set at; a step also carries
+    its ``rtn()`` mark."""
+    linear = isinstance(plan, TraversalPlan)
+    rtn_levels = plan.rtn_levels if linear else frozenset()
+    ops = []
+    level = 0
+    for op in plan.steps if linear else plan.ops:
+        level += isinstance(op, (Step, RepeatOp, UnionOp, BackOp))
+        doc = {"level": level, **_op_payload(op)}
+        if isinstance(op, Step):
+            doc["rtn"] = level in rtn_levels
+        ops.append(doc)
+    return {
+        "query": plan.describe(),
         "source": {
-            "ids": list(cplan.source_ids or ()),
-            "filters": _filters_payload(cplan.source_filters),
+            "ids": list(plan.source_ids) if plan.source_ids is not None else "all",
+            "filters": _filters_payload(plan.source_filters),
+            "rtn": 0 in rtn_levels,
         },
-        "ops": [_composite_op_payload(op) for op in cplan.ops],
-        "final_level": cplan.final_level,
-        "aggregate": _aggregate_payload(cplan.aggregate),
-        "planner": planner.mode if planner is not None else "off",
-        "estimate": None,
+        "ops": ops,
+        "final_level": plan.final_level,
+        "return_levels": sorted(plan.return_levels) if linear else [plan.final_level],
+        "aggregate": _aggregate_payload(plan.aggregate),
+        "annotations": {
+            "pushdown": linear and plan.pushdown,
+            "short_circuit_final": linear and plan.short_circuit_final,
+        },
+        "estimate": cost.payload() if cost is not None else None,
     }
-    if (
-        planner is not None
-        and planner.mode == "cost"
-        and planner.summary is not None
-    ):
-        from repro.lang.optimizer import estimate_composite_plan
-
-        doc["estimate"] = estimate_composite_plan(
-            cplan, planner.summary, planner.params
-        ).payload()
-    return doc
 
 
-def explain_planned(planned: PlannedQuery) -> dict[str, Any]:
-    """EXPLAIN with the planner in the loop: the plan as compiled, the plan
-    as it will execute, the rewrites connecting them, and (in ``cost`` mode)
-    the per-level cardinality/cost estimates for both."""
+def explain_document(planned: PlannedQuery) -> dict[str, Any]:
+    """The EXPLAIN document of every plan under every planner mode: the plan
+    as compiled, the plan as it will execute, the rewrites connecting them
+    and the executed level -> compiled level map. In ``cost`` mode each plan
+    carries its per-level estimate."""
     return {
         "planner": planned.mode,
-        "original": explain_plan(planned.original),
-        "optimized": explain_plan(planned.executed),
+        "plan": _plan_payload(planned.original, planned.cost_original),
+        "executed": _plan_payload(planned.executed, planned.cost_executed),
         "rewrites": [r.payload() for r in planned.rewrites],
-        "cost_original": (
-            planned.cost_original.payload()
-            if planned.cost_original is not None
-            else None
-        ),
-        "cost_optimized": (
-            planned.cost_executed.payload()
-            if planned.cost_executed is not None
-            else None
-        ),
         "level_map": {str(k): v for k, v in sorted(planned.level_map.items())},
     }
 
@@ -251,6 +193,7 @@ class ProfileReport:
     travel_id: int
     status: str
     query: str
+    #: the EXPLAIN document of the run (:func:`explain_document`)
     plan: dict[str, Any]
     elapsed: Optional[float]
     attempts: int
@@ -262,9 +205,6 @@ class ProfileReport:
     #: admission-queue wait (sched.submit → sched.launch, virtual seconds);
     #: None when the scheduler launched synchronously or tracing missed it
     queue_wait: Optional[float] = None
-    #: planner audit trail (mode, rewrites, executed query) — empty dict
-    #: when the run executed the plan as written
-    planner: dict[str, Any] = field(default_factory=dict)
     #: estimated-vs-actual cardinality rows, one per executed level — empty
     #: when no cost estimate was attached to the run
     estimates: list[dict[str, Any]] = field(default_factory=list)
@@ -291,7 +231,6 @@ class ProfileReport:
             "warnings": list(self.warnings),
             "steps": [s.as_dict() for s in self.steps],
             "trace": self.trace,
-            "planner": self.planner,
             "estimates": self.estimates,
         }
 
@@ -327,22 +266,20 @@ class ProfileReport:
 
 def profile_traversal(
     dag: TraversalDag,
-    plan: TraversalPlan,
+    planned: PlannedQuery,
     *,
     elapsed: Optional[float] = None,
     result_count: Optional[int] = None,
     queue_wait: Optional[float] = None,
-    planned: Optional[PlannedQuery] = None,
 ) -> ProfileReport:
     """Aggregate one traversal's execution DAG into a per-step profile.
 
-    With ``planned``, the per-level rows follow the *executed* plan (which
-    may be reversed or short-circuited), the report carries the planner's
-    audit trail, and — when a cost estimate is attached — estimated-vs-actual
-    cardinality rows so estimator error is directly observable.
+    The per-level rows follow the *executed* plan (which may be reversed or
+    short-circuited), the report carries the run's EXPLAIN document, and —
+    when a cost estimate is attached — estimated-vs-actual cardinality rows
+    so estimator error is directly observable.
     """
-    if planned is not None:
-        plan = planned.executed
+    plan = planned.executed
     by_level: dict[int, StepProfile] = {}
 
     def step(level: int) -> StepProfile:
@@ -390,36 +327,27 @@ def profile_traversal(
         for server, n in sp.per_server.items():
             per_server[server] = per_server.get(server, 0) + n
 
-    planner_doc: dict[str, Any] = {}
     estimates: list[dict[str, Any]] = []
-    if planned is not None and planned.mode != "off":
-        planner_doc = {
-            "mode": planned.mode,
-            "rewrites": [r.payload() for r in planned.rewrites],
-            "executed_query": planned.executed.describe(),
-            "level_map": {str(k): v for k, v in sorted(planned.level_map.items())},
-        }
-        if planned.cost_executed is not None:
-            for est in planned.cost_executed.levels:
-                actual = by_level.get(est.level)
-                actual_rows = (
-                    actual.stats.get("vertices", 0) if actual is not None else 0
-                )
-                estimates.append(
-                    {
-                        "level": est.level,
-                        "original_level": planned.map_level(est.level),
-                        "estimated_rows": round(est.rows_in, 3),
-                        "actual_rows": actual_rows,
-                        "estimated_cost": round(est.cost, 6),
-                    }
-                )
+    if planned.cost_executed is not None:
+        for est in planned.cost_executed.levels:
+            actual = by_level.get(est.level)
+            estimates.append(
+                {
+                    "level": est.level,
+                    "original_level": planned.map_level(est.level),
+                    "estimated_rows": round(est.rows_in, 3),
+                    "actual_rows": (
+                        actual.stats.get("vertices", 0) if actual is not None else 0
+                    ),
+                    "estimated_cost": round(est.cost, 6),
+                }
+            )
 
     return ProfileReport(
         travel_id=dag.travel_id,
         status=dag.status,
-        query=(planned.original if planned is not None else plan).describe(),
-        plan=explain_plan(planned.original if planned is not None else plan),
+        query=planned.original.describe(),
+        plan=explain_document(planned),
         elapsed=elapsed,
         attempts=dag.attempts,
         steps=[by_level[level] for level in sorted(by_level)],
@@ -428,6 +356,5 @@ def profile_traversal(
         trace=dag.to_payload(),
         result_count=result_count,
         queue_wait=queue_wait,
-        planner=planner_doc,
         estimates=estimates,
     )

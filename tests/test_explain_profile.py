@@ -14,7 +14,6 @@ from repro.cluster.client import GraphTrekClient
 from repro.engine import EngineKind, graphtrek_options
 from repro.lang import GTravel
 from repro.lang.filters import EQ
-from repro.obs.explain import empty_plan_document
 from repro.obs.trace import validate_trace
 
 from tests.conftest import ALL_ENGINES, build_cluster
@@ -35,20 +34,21 @@ def test_explain_is_structural_and_runs_no_traversal(metadata_graph):
         .e("read")
         .va("kind", EQ, "text")
     )
-    plan = q.explain()
+    doc = q.explain()
+    plan = doc["plan"]
+    assert doc["planner"] == "off" and doc["executed"] == plan
     assert plan["final_level"] == 3
-    assert [s["labels"] for s in plan["steps"]] == [
-        ["run"], ["hasExecutions"], ["read"]
+    assert [(op["op"], op["level"], op["labels"]) for op in plan["ops"]] == [
+        ("step", 1, ["run"]), ("step", 2, ["hasExecutions"]), ("step", 3, ["read"])
     ]
-    assert plan["steps"][1]["vertex_filters"] == [
+    assert plan["ops"][1]["vertex_filters"] == [
         {"key": "model", "op": "EQ", "value": "A"}
     ]
-    assert plan["steps"][1]["rtn"] and not plan["steps"][0]["rtn"]
-    assert plan["rtn_levels"] == [2]
-    assert plan["has_intermediate_returns"]
+    assert plan["ops"][1]["rtn"] and not plan["ops"][0]["rtn"]
+    assert plan["return_levels"] == [2]
     assert sorted(v for v in ids["users"]) == sorted(plan["source"]["ids"])
     # canonical-JSON-safe: frozenset/tuple filter values already converted
-    json.dumps(plan, sort_keys=True)
+    json.dumps(doc, sort_keys=True)
 
 
 def test_explain_matches_compiled_plan_explain(metadata_graph):
@@ -58,7 +58,8 @@ def test_explain_matches_compiled_plan_explain(metadata_graph):
     composite = GTravel.v(*ids["users"]).repeat(GTravel.s().e("run")).times(1)
     doc = composite.explain()
     assert doc == composite.compile().explain()
-    assert doc["type"] == "composite" and doc["ops"][0]["op"] == "repeat"
+    assert doc["plan"]["ops"][0]["op"] == "repeat"
+    assert doc["plan"]["ops"][0]["body"][0]["labels"] == ["run"]
 
 
 def test_profile_reconstructs_full_dag_every_engine(metadata_graph):
@@ -145,26 +146,59 @@ def test_explain_with_planner_shows_both_plans_and_costs(metadata_graph):
     doc = cluster.explain(scan_query())
     assert doc["planner"] == "cost"
     # both plan documents are complete EXPLAIN structures
-    for side in ("original", "optimized"):
-        assert doc[side]["steps"], side
+    for side in ("plan", "executed"):
+        assert doc[side]["ops"], side
         assert "annotations" in doc[side], side
     # cost mode always carries numeric per-level estimates for both plans
-    for side in ("cost_original", "cost_optimized"):
-        assert doc[side] is not None, side
-        assert doc[side]["total"] > 0.0, side
-        assert len(doc[side]["levels"]) >= 1, side
-        for row in doc[side]["levels"]:
+    for side in ("plan", "executed"):
+        estimate = doc[side]["estimate"]
+        assert estimate is not None, side
+        assert estimate["total"] > 0.0, side
+        assert len(estimate["levels"]) == doc[side]["final_level"] + 1, side
+        for row in estimate["levels"]:
             assert set(row) == {"level", "rows_in", "rows_out", "cost"}
     assert isinstance(doc["rewrites"], list)
     json.dumps(doc, sort_keys=True)
     # rules mode explains without cost estimates
     rules_doc = planner_cluster(graph, "rules").explain(scan_query())
     assert rules_doc["planner"] == "rules"
-    assert rules_doc["cost_original"] is None
-    # and the planner-free cluster keeps the plain single-plan document
+    assert rules_doc["plan"]["estimate"] is None
+    # and the planner-free cluster's document is the identity plan
     plain_doc = build_cluster(graph, EngineKind.GRAPHTREK).explain(scan_query())
-    assert "planner" not in plain_doc
-    assert plain_doc["steps"]
+    assert plain_doc["planner"] == "off"
+    assert plain_doc["plan"]["ops"] and plain_doc["executed"] == plain_doc["plan"]
+    assert plain_doc["rewrites"] == [] and plain_doc["level_map"] == {}
+
+
+def test_explain_has_one_document_shape(metadata_graph):
+    """Linear and composite plans under every planner mode share one set of
+    top-level keys (and one set of per-plan keys); in ``cost`` mode every
+    plan has one estimate level per plan level."""
+    graph, ids = metadata_graph
+    composite = (
+        GTravel.v(*ids["users"])
+        .e("run")
+        .as_("jobs")
+        .e("hasExecutions")
+        .back("jobs")
+        .union(GTravel.s().e("hasExecutions"), GTravel.s().e("hasExecutions").e("read"))
+        .va("type", EQ, "File")
+        .count()
+    )
+    keys = set()
+    for mode in ("off", "rules", "cost"):
+        cluster = planner_cluster(graph, mode)
+        for query in (scan_query(), composite):
+            doc = cluster.explain(query)
+            keys.add((tuple(sorted(doc)), tuple(sorted(doc["plan"]))))
+            for side in ("plan", "executed"):
+                estimate = doc[side]["estimate"]
+                if mode != "cost":
+                    assert estimate is None
+                    continue
+                levels = [row["level"] for row in estimate["levels"]]
+                assert levels == list(range(doc[side]["final_level"] + 1))
+    assert len(keys) == 1, keys
 
 
 def test_profile_with_planner_reports_estimated_vs_actual(metadata_graph):
@@ -172,7 +206,7 @@ def test_profile_with_planner_reports_estimated_vs_actual(metadata_graph):
     cluster = planner_cluster(graph, "cost")
     _, report = cluster.profile(scan_query())
     assert report.status == "ok"
-    assert report.planner["mode"] == "cost"
+    assert report.plan["planner"] == "cost"
     assert report.estimates, "cost mode must attach estimate rows"
     actual_by_level = {s.level: s.stats.get("vertices", 0) for s in report.steps}
     for row in report.estimates:
@@ -182,7 +216,7 @@ def test_profile_with_planner_reports_estimated_vs_actual(metadata_graph):
         }
         assert row["actual_rows"] == actual_by_level.get(row["level"], 0)
     # the report's query/plan keep the ORIGINAL chain the user wrote
-    assert report.plan["steps"][0]["labels"] == ["read"]
+    assert report.plan["plan"]["ops"][0]["labels"] == ["read"]
     json.dumps(report.payload(), sort_keys=True)
 
 
@@ -201,9 +235,10 @@ def test_profile_with_planner_is_byte_identical_per_seed_and_config(metadata_gra
 def test_empty_chain_explain_is_well_formed():
     """Regression: ``GTravel().explain()`` used to blow up before ``v()``."""
     doc = GTravel().explain()
-    assert doc == empty_plan_document()
-    assert doc["final_level"] == 0
-    assert doc["steps"] == []
+    assert doc == GTravel.v().explain()
+    assert set(doc) == set(scan_query().explain())
+    assert doc["plan"]["final_level"] == 0
+    assert doc["plan"]["ops"] == []
     json.dumps(doc, sort_keys=True)
 
 

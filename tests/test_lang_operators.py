@@ -7,7 +7,7 @@ under every planner mode, including a seeded random sweep. On top: builder
 validation, the edge cases (``times(0)`` identity, ``until`` depth cap,
 degenerate unions, unbound ``back``, absent ``group_count`` properties),
 chaos legs (crash mid-repeat, cancellation of a unioned traversal), and
-EXPLAIN determinism with per-operator cost estimates.
+EXPLAIN determinism with per-level cost estimates.
 """
 
 import json
@@ -443,14 +443,34 @@ def test_explain_renders_composite_operators_and_costs():
         g, ClusterConfig(nservers=3, engine=graphtrek_options(planner="cost"))
     )
     doc = cluster.explain(explore_query())
-    assert doc["type"] == "composite"
-    kinds = [op["op"] for op in doc["ops"]]
-    assert "repeat" in kinds and "union" in kinds and "back" in kinds
-    assert doc["aggregate"] == {"kind": "group_count", "by": "color"}
+    plan = doc["plan"]
+    kinds = [op["op"] for op in plan["ops"]]
+    assert kinds == ["step", "as", "step", "back", "repeat", "union"]
+    assert [op["level"] for op in plan["ops"]] == [1, 1, 2, 3, 4, 5]
+    assert plan["aggregate"] == {"kind": "group_count", "by": "color"}
     assert doc["planner"] == "cost"
-    est = doc["estimate"]
+    # a composite runs unrewritten; its children are planned at dispatch
+    assert doc["executed"] == plan and doc["rewrites"] == []
+    est = plan["estimate"]
     assert est is not None and est["total"] > 0
-    assert all("cost" in op for op in est["ops"])
+    assert [lv["level"] for lv in est["levels"]] == list(range(6))
+    assert all(lv["cost"] > 0 for lv in est["levels"])
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.__name__)
+def test_explain_prices_a_scan_sourced_composite(preset):
+    """Regression: a composite whose source is a ``v()`` scan (no ids) used
+    to raise ``TypeError`` when the cost planner priced it."""
+    g = ring_graph(10)
+    cluster = Cluster.build(
+        g, ClusterConfig(nservers=3, engine=preset(planner="cost"))
+    )
+    q = GTravel.v().va("type", EQ, "T").repeat(GTravel.s().e("a")).times(1)
+    doc = cluster.explain(q)
+    estimate = doc["plan"]["estimate"]
+    assert [lv["level"] for lv in estimate["levels"]] == [0, 1]
+    assert estimate["levels"][0]["rows_out"] == 10.0
+    assert estimate["total"] > 0
 
 
 def test_explain_is_deterministic_and_runs_no_traversal():
@@ -474,8 +494,8 @@ def test_explain_off_mode_has_no_estimate():
         g, ClusterConfig(nservers=2, engine=graphtrek_options(planner="off"))
     )
     doc = cluster.explain(GTravel.v(0).union(GTravel.s().e("a")))
-    assert doc["type"] == "composite"
-    assert doc.get("estimate") is None
+    assert doc["plan"]["ops"][0]["op"] == "union"
+    assert doc["plan"]["estimate"] is None
 
 
 def test_profile_rejects_composites_with_a_clear_error():

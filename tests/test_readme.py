@@ -1,27 +1,62 @@
 """README's python blocks run: the Quickstart, "Elastic scale-out" and
 "Concurrency & QoS" blocks execute in order in one namespace (the later
-blocks reuse the Quickstart's ``graph`` and ``query``), so a change that
-breaks the documented surface fails here.
+blocks reuse the Quickstart's ``graph`` and ``query``), and the
+"EXPLAIN / PROFILE" and "Query planning" blocks run on the generated
+Darshan-like graph ``md`` the "Chaos testing" block builds, so a change
+that breaks the documented surface fails here.
 """
 
 import re
 from pathlib import Path
+
+from repro.workloads import MetadataGraphConfig, generate_metadata_graph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: 1-based positions of the ```python blocks this test runs, in order
 RUN_BLOCKS = (1, 6, 9)
 
+#: the EXPLAIN / PROFILE block and the query-planning block, run after the
+#: Quickstart (for its imports) on ``md``
+MD_BLOCKS = (4, 7)
+
+#: the top-level keys the README names for every EXPLAIN document
+DOCUMENT_KEYS = {"planner", "plan", "executed", "rewrites", "level_map"}
+
 
 def python_blocks() -> list[str]:
     return re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def run_block(blocks: list[str], n: int, namespace: dict) -> None:
+    exec(compile(blocks[n - 1], f"README.md python block {n}", "exec"), namespace)
 
 
 def test_readme_blocks_run_in_one_namespace(capsys):
     blocks = python_blocks()
     namespace: dict = {"__name__": "readme"}
     for n in RUN_BLOCKS:
-        exec(compile(blocks[n - 1], f"README.md python block {n}", "exec"), namespace)
+        run_block(blocks, n, namespace)
     assert namespace["state"].phase == "done"
     assert sorted(namespace["outcome"].result.vertices) == [namespace["data"]]
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_explain_profile_and_planning_blocks_run(capsys):
+    blocks = python_blocks()
+    md = generate_metadata_graph(MetadataGraphConfig(users=12, files=512, seed=42))
+    namespace: dict = {"__name__": "readme", "md": md}
+    run_block(blocks, 1, namespace)
+    explain_block, planning_block = MD_BLOCKS
+    run_block(blocks, explain_block, namespace)
+    doc, report = namespace["doc"], namespace["report"]
+    assert set(doc) == DOCUMENT_KEYS
+    assert [op["level"] for op in doc["plan"]["ops"]] == [1, 2, 3]
+    assert set(report.plan) == DOCUMENT_KEYS
+    assert report.result_count > 0
+    assert "L3" in capsys.readouterr().out
+    run_block(blocks, planning_block, namespace)
+    doc = namespace["doc"]
+    assert set(doc) == DOCUMENT_KEYS
+    assert [r["name"] for r in doc["rewrites"]] == ["reverse_chain"]
+    assert doc["plan"]["estimate"] and doc["executed"]["estimate"]
