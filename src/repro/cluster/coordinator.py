@@ -185,6 +185,9 @@ class Coordinator:
         #: coordinator incarnation; bumped by ``begin_epoch`` on recovery and
         #: stamped on every outbound message for fencing
         self.epoch = 0
+        #: pre-bound ``coord.exec_status{server}`` handles: one status
+        #: arrives per work unit
+        self._exec_status: dict[ServerId, Callable[..., None]] = {}
         self._active: dict[TravelId, ActiveTravel] = {}
         self._composites: dict[TravelId, CompositeTravel] = {}
         self._travel_ids = itertools.count(1)
@@ -622,7 +625,12 @@ class Coordinator:
         if isinstance(msg, ExecStatus):
             tracker: ExecTracker = at.tracker  # type: ignore[assignment]
             fresh = tracker.on_status(msg, self.ctx.now())
-            self.metrics.count("coord.exec_status", server=msg.server)
+            count_status = self._exec_status.get(msg.server)
+            if count_status is None:
+                count_status = self._exec_status[msg.server] = self.metrics.counter(
+                    "coord.exec_status", server=msg.server
+                )
+            count_status()
             if self.trace.enabled:
                 self.trace.record(
                     "coord.status",

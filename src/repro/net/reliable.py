@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.ids import COORDINATOR, ServerId, TravelId
 from repro.net.message import Message
-from repro.sim.rng import derive_seed
+from repro.sim.rng import derive_seed, uniform_stream
 
 _FRAME_OVERHEAD = 16  # seq + framing on top of the payload's wire size
 
@@ -78,20 +76,26 @@ class ReliableConfig:
     window: int = 32  # per-(src, dst) unacked frames
 
 
-@dataclass
 class _InFlight:
     """Sender-side state of one unacked payload."""
 
-    seq: int
-    src: ServerId
-    dst: ServerId
-    payload: Message
-    frame: DataFrame
-    attempts: int = 0
+    __slots__ = ("seq", "src", "dst", "payload", "frame", "attempts", "link")
 
-    @property
-    def link(self) -> tuple[ServerId, ServerId]:
-        return (self.src, self.dst)
+    def __init__(
+        self, seq: int, src: ServerId, dst: ServerId, payload: Message,
+        frame: DataFrame,
+    ):
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.frame = frame
+        self.attempts = 0
+        self.link: tuple[ServerId, ServerId] = (src, dst)
+
+
+def _discard(n: float = 1) -> None:
+    """The counter handle of a channel built without a metrics registry."""
 
 
 class ReliableChannel:
@@ -110,7 +114,8 @@ class ReliableChannel:
         self.config = config or ReliableConfig()
         self.metrics = metrics
         self.trace = trace
-        self._rng = np.random.default_rng(derive_seed(seed, "net.reliable"))
+        #: one retransmit-jitter uniform per transmission, in draw order
+        self._uniforms = uniform_stream(derive_seed(seed, "net.reliable"))
         self._seq = itertools.count(1)
         self._inflight: dict[int, _InFlight] = {}
         self._queued: dict[tuple[ServerId, ServerId], deque] = {}
@@ -126,6 +131,9 @@ class ReliableChannel:
         #: supervisor so frames from a dead epoch are never acked (the
         #: sender retries until its own stale attempt quiesces)
         self.coordinator_epoch: int = 0
+        #: pre-bound ``net.sends{type}`` handles, one per payload class
+        self._sends: dict[type, Callable[..., None]] = {}
+        self._acks = self._counter("net.acks")
 
     # -- wiring (called by SimRuntime.install_channel) ----------------------
 
@@ -135,9 +143,10 @@ class ReliableChannel:
 
     def frame_handler(self, addr: ServerId):
         def handle(msg: Message) -> None:
-            if isinstance(msg, AckFrame):
+            cls = type(msg)
+            if cls is AckFrame:
                 self._on_ack(msg)
-            elif isinstance(msg, DataFrame):
+            elif cls is DataFrame:
                 self._on_data(addr, msg)
             else:  # raw message injected below the channel (tests)
                 self._upper[addr](msg)
@@ -151,8 +160,12 @@ class ReliableChannel:
         :data:`~repro.ids.COORDINATOR`)."""
         seq = next(self._seq)
         frame = DataFrame(payload.travel_id, seq=seq, src=src, dst=dst, payload=payload)
-        entry = _InFlight(seq=seq, src=src, dst=dst, payload=payload, frame=frame)
-        self._count("net.sends", type=type(payload).__name__)
+        entry = _InFlight(seq, src, dst, payload, frame)
+        cls = type(payload)
+        sends = self._sends.get(cls)
+        if sends is None:
+            sends = self._sends[cls] = self._counter("net.sends", type=cls.__name__)
+        sends()
         link = entry.link
         if self._link_inflight.get(link, 0) >= self.config.window:
             self._queued.setdefault(link, deque()).append(entry)
@@ -170,10 +183,9 @@ class ReliableChannel:
         entry.attempts += 1
         self.runtime.raw_deliver(entry.src, entry.dst, entry.frame)
         timeout = self.config.ack_timeout * (RETRY_BACKOFF ** (entry.attempts - 1))
-        u = float(self._rng.uniform())
+        u = next(self._uniforms)
         timeout *= 1.0 + RETRY_JITTER * (2.0 * u - 1.0)
-        expected = entry.attempts
-        self.runtime.schedule(timeout, lambda: self._on_timeout(entry.seq, expected))
+        self.runtime.schedule(timeout, self._on_timeout, entry.seq, entry.attempts)
 
     def _on_timeout(self, seq: int, expected_attempts: int) -> None:
         entry = self._inflight.get(seq)
@@ -205,7 +217,7 @@ class ReliableChannel:
         entry = self._inflight.get(ack.seq)
         if entry is None:
             return  # duplicate ack, or sender state lost to a crash
-        self._count("net.acks")
+        self._acks()
         self._release(entry)
 
     def _on_data(self, addr: ServerId, frame: DataFrame) -> None:
@@ -233,7 +245,12 @@ class ReliableChannel:
             getattr(payload, "attempt", 0),
             frame.seq,
         )
-        seen = self._seen.setdefault(addr, {}).setdefault(frame.travel_id, set())
+        per_travel = self._seen.get(addr)
+        if per_travel is None:
+            per_travel = self._seen[addr] = {}
+        seen = per_travel.get(frame.travel_id)
+        if seen is None:
+            seen = per_travel[frame.travel_id] = set()
         if key in seen:
             self._count("net.dup_suppressed", type=type(payload).__name__)
             if self.trace is not None:
@@ -308,6 +325,13 @@ class ReliableChannel:
     def _count(self, name: str, n: float = 1, **labels: Any) -> None:
         if self.metrics is not None:
             self.metrics.count(name, n, **labels)
+
+    def _counter(self, name: str, **labels: Any) -> Callable[..., None]:
+        """A pre-bound handle for a per-frame counter (see
+        :meth:`~repro.obs.metrics.MetricsRegistry.counter`)."""
+        if self.metrics is None:
+            return _discard
+        return self.metrics.counter(name, **labels)
 
     def _trace_event(self, kind: str, entry: _InFlight) -> None:
         if self.trace is None:

@@ -180,8 +180,10 @@ class FlightRecorder:
         self.sampled_out = 0
         self._clock: Callable[[], float] = lambda: 0.0
         self._events: deque[TraceEvent] = deque()
-        #: per-travel buffers awaiting their terminal keep/drop decision
-        self._pending: dict[int, list[TraceEvent]] = {}
+        #: per-travel buffers awaiting their terminal keep/drop decision, as
+        #: plain ``TraceEvent`` field tuples: most are sampled out, so the
+        #: event object is built only once a buffer is kept or read
+        self._pending: dict[int, list[tuple]] = {}
         #: travel id → (keep, reason) once decided
         self._decisions: dict[int, tuple[bool, Optional[str]]] = {}
         self._dropped_by_travel: dict[Optional[int], int] = {}
@@ -229,28 +231,27 @@ class FlightRecorder:
     ) -> None:
         if not self.enabled:
             return
-        event = TraceEvent(
-            seq=next(self._seq),
-            clock=self._clock(),
-            kind=kind,
-            travel_id=travel_id,
-            exec_id=exec_id,
-            parent_exec_id=parent_exec_id,
-            server_id=server_id,
-            step=step,
-            attempt=attempt,
-            attrs=attrs,
-        )
+        seq = next(self._seq)
+        clock = self._clock()
         if self.sampling is not None and travel_id is not None:
             decision = self._decisions.get(travel_id)
             if decision is None:
                 # undecided: buffer until the traversal's terminal
-                self._pending.setdefault(travel_id, []).append(event)
+                buffered = self._pending.get(travel_id)
+                if buffered is None:
+                    buffered = self._pending[travel_id] = []
+                buffered.append((
+                    seq, clock, kind, travel_id, exec_id, parent_exec_id,
+                    server_id, step, attempt, attrs,
+                ))
                 return
             if not decision[0]:
                 self.sampled_out += 1
                 return
-        self._events.append(event)
+        self._events.append(TraceEvent(
+            seq, clock, kind, travel_id, exec_id, parent_exec_id, server_id,
+            step, attempt, attrs,
+        ))
         if len(self._events) > self.max_events:
             evicted = self._events.popleft()
             self._note_drop(evicted.travel_id)
@@ -268,7 +269,7 @@ class FlightRecorder:
         buffered = self._pending.pop(travel_id, [])
         self._decisions[travel_id] = (keep, reason)
         if keep:
-            self._events.extend(buffered)
+            self._events.extend(itertools.starmap(TraceEvent, buffered))
             while len(self._events) > self.max_events:
                 evicted = self._events.popleft()
                 self._note_drop(evicted.travel_id)
@@ -316,7 +317,7 @@ class FlightRecorder:
             return list(self._events)
         merged = list(self._events)
         for buffered in self._pending.values():
-            merged.extend(buffered)
+            merged.extend(itertools.starmap(TraceEvent, buffered))
         merged.sort(key=lambda e: e.seq)
         return merged
 

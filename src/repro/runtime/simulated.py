@@ -255,10 +255,10 @@ class SimRuntime:
     def now(self) -> float:
         return self.sim.now
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` virtual seconds (message arrivals,
-        fault events and transport retries, never engine work)."""
-        self.sim.schedule(delay, fn)
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` virtual seconds (message
+        arrivals, fault events and transport retries, never engine work)."""
+        self.sim.schedule(delay, fn, *args)
 
     def on_clock_boundary(self, fn: Callable[[float], float], threshold: float) -> None:
         """Call ``fn(now)`` once the clock reaches ``threshold``; it returns

@@ -171,7 +171,9 @@ class LSMStore:
         for table, lo, hi in self._scan_extents(start, end, cost):
             runs.append(list(zip(table.keys[lo:hi], table.values[lo:hi])))
             tombstones = tombstones or table.has_tombstones
-        if len(runs) == 1 and not tombstones:
+        if not runs:
+            merged = []  # no run overlaps the range
+        elif len(runs) == 1 and not tombstones:
             merged = runs[0]  # its own merge: the state of every bulk-loaded store
         else:
             merged = merge_runs(runs, drop_tombstones=True)

@@ -1,5 +1,8 @@
 """Unit tests for fault plans, the injector, and runtime drop accounting."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -7,6 +10,7 @@ from repro.engine import EngineKind, ReferenceEngine
 from repro.errors import SimulationError
 from repro.faults import (
     CrashEvent,
+    FaultDecision,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -15,8 +19,9 @@ from repro.faults import (
 )
 from repro.ids import COORDINATOR
 from repro.lang import GTravel
-from repro.net.message import ExecStatus, TraverseRequest
+from repro.net.message import ExecStatus, ResultReport, TraverseRequest
 from repro.net.reliable import AckFrame, DataFrame
+from repro.sim.rng import derive_seed
 from tests.conftest import DropWhen
 
 
@@ -75,6 +80,66 @@ def test_injector_honours_probability_zero_and_one():
     assert all(d.clean for d in never)
     always = _decisions(FaultPlan(seed=1, default=FaultSpec(drop=1.0)))
     assert all(d.drop for d in always)
+
+
+class ScalarDrawInjector:
+    """Reference for :class:`FaultInjector`: four scalar ``uniform()`` numpy
+    calls per decided message from the same named stream, then the same
+    decision rules."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.rng = np.random.default_rng(derive_seed(plan.seed, "faults.wire"))
+
+    def decide(self, src, dst, msg) -> FaultDecision:
+        spec = self.plan.spec_for(payload_type_name(msg))
+        u_drop, u_dup, u_delay, u_reorder = (
+            float(self.rng.uniform()) for _ in range(4)
+        )
+        if u_drop < spec.drop:
+            return FaultDecision(drop=True)
+        duplicates = 1 if u_dup < spec.duplicate else 0
+        extra = 0.0
+        if u_delay < spec.delay:
+            extra += spec.delay_seconds
+        if u_reorder < spec.reorder:
+            extra += spec.reorder_window * (u_reorder / max(spec.reorder, 1e-12))
+        return FaultDecision(
+            duplicates=duplicates,
+            extra_delay=extra,
+            dup_spacing=spec.reorder_window if duplicates else 0.0,
+        )
+
+
+def test_injector_decisions_equal_scalar_draws():
+    """The injector's block-drawn uniforms give, message for message, the
+    decisions of one scalar draw per uniform, across block boundaries and
+    message types with different specs."""
+    plan = FaultPlan(
+        seed=17,
+        default=FaultSpec(drop=0.05, duplicate=0.1, delay=0.2, reorder=0.3),
+        per_type={
+            "ExecStatus": FaultSpec(drop=0.3, delay=0.5, delay_seconds=0.01),
+            "Ack": FaultSpec(duplicate=0.4, reorder=0.6, reorder_window=0.004),
+            "ResultReport": FaultSpec(),
+        },
+    )
+    status = ExecStatus(1, exec_id=1, server=0, created=(), results_sent=0)
+    messages = [
+        TraverseRequest(1, level=0, entries={}, exec_id=1, from_server=0),
+        status,
+        DataFrame(1, seq=1, src=0, dst=1, payload=status),
+        AckFrame(1, seq=1),
+        ResultReport(1, level=0),
+    ]
+    rng = random.Random(40)
+    stream = [rng.choice(messages) for _ in range(12_000)]
+    injector, reference = FaultInjector(plan), ScalarDrawInjector(plan)
+    got = [injector.decide(0, 1, m) for m in stream]
+    want = [reference.decide(0, 1, m) for m in stream]
+    assert got == want
+    assert injector.decisions == len(stream)
+    assert len(set(got)) > 4, "the specs produced too few decision kinds"
 
 
 def test_payload_type_name_unwraps_frames():

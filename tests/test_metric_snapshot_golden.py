@@ -45,6 +45,14 @@ them. It covers a generated Darshan graph and a hand-made one with
 out-of-order ids, parallel edges and self-loops; recorded while the build
 still walked each partition twice and the whole graph once more for the
 reverse records.
+
+``GOLDEN_SAMPLED_TRACE`` pins a tail-sampled recorder: the metrics snapshot
+and the recorder's timeline of one round of the mixed-tenant workload on a
+``wfq`` + journal + reliable-channel cell tracing one travel in eight, so
+the buffers of the healthy travels it throws away, the kept ones and the
+``net.*`` counters of the reliable channel are all fixed; recorded before
+the transport drew its jitter in blocks and before pending buffers held
+plain records instead of ``TraceEvent`` objects.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from repro.faults.plan import sample_fault_plan
 from repro.lang import GTravel
 from repro.obs.exporter import canonical_json
 from repro.obs.slo import SLOConfig
+from repro.obs.trace import SamplingPolicy
 from repro.sched.scheduler import SchedulerConfig
 from repro.storage import TOMBSTONE
 from repro.storage.persist import checkpoint_graph_store, restore_graph_store
@@ -71,6 +80,7 @@ from repro.workloads import (
     generate_metadata_graph,
     paper_rmat1,
     pick_start_vertex,
+    qos_mixed_workload,
     rmat_graph,
     rmat_kstep_query,
     suspicious_user_query,
@@ -109,6 +119,10 @@ GOLDEN_WIRE = {
 
 #: sha256(rollups_json + slo.to_json + health_json) of the two-tenant cell
 GOLDEN_TELEMETRY = "d44bad819622c2b985fa128c64625d22cae5664f0f242f44276112600396bb9a"
+
+#: sha256(canonical metrics snapshot + recorder.to_json()) of one tail-sampled
+#: mixed-tenant round over the reliable channel
+GOLDEN_SAMPLED_TRACE = "ecf3a4777444ebb1c728187eaa848cbab11f1f300a75096e8d43da2710f9392c"
 
 
 def _rmat_cell(seed: int):
@@ -223,6 +237,52 @@ def test_telemetry_documents_match_golden_digest():
         "refactor must leave every rollup window, SLO observation and alert "
         "byte-identical; the digest may only be re-recorded by a PR that "
         "states why virtual behaviour changed."
+    )
+
+
+def sampled_trace_run() -> Cluster:
+    """One round of the mixed-tenant workload (one 4-step scan beside
+    sixteen 2-step interactive travels) on a ``wfq`` + journal + reliable
+    cell whose recorder keeps one healthy travel in eight."""
+    config = paper_rmat1(scale=8, edge_factor=16, seed=1)
+    cluster = Cluster.build(
+        rmat_graph(config),
+        ClusterConfig(
+            nservers=NSERVERS,
+            engine=options_for(EngineKind.GRAPHTREK, scheduler="wfq"),
+            scheduler_config=SchedulerConfig(
+                max_inflight=4, tenant_weights={"interactive": 4.0, "batch": 1.0}
+            ),
+            journal=True,
+            reliable=True,
+            trace_enabled=True,
+            trace_sampling=SamplingPolicy(sample_every_n=8, seed=1),
+        ),
+    )
+    items = qos_mixed_workload(
+        1000, config.num_vertices, nscans=1, nsmall=16, scan_steps=4
+    )
+    outcomes = cluster.traverse_many(
+        [it["query"] for it in items], cold=False, qos=[it["qos"] for it in items]
+    )
+    assert all(o.result.vertices for o in outcomes), "a travel returned nothing"
+    return cluster
+
+
+def test_sampled_trace_matches_golden_digest():
+    cluster = sampled_trace_run()
+    recorder = cluster.obs.trace
+    counters = cluster.metrics_snapshot()["counters"]
+    assert recorder.sampled_out, "the cell sampled nothing out; it pins no drop"
+    assert recorder.travel_ids(), "the cell kept no travel; it pins no commit"
+    assert counters.get("net.acks"), "the cell sent no reliable frame"
+    payload = canonical_json(cluster.metrics_snapshot()) + recorder.to_json()
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    assert digest == GOLDEN_SAMPLED_TRACE, (
+        f"tail-sampled trace of the mixed-tenant cell drifted: got {digest}. A "
+        "refactor must leave every kept event, sample-out count and transport "
+        "counter byte-identical; the digest may only be re-recorded by a PR "
+        "that states why virtual behaviour changed."
     )
 
 

@@ -1,12 +1,21 @@
 """Channel-level tests for the at-least-once reliable transport."""
 
+import numpy as np
 import pytest
 
 from repro.ids import COORDINATOR
 from repro.net.message import ExecStatus, TraverseRequest
-from repro.net.reliable import AckFrame, DataFrame, ReliableChannel, ReliableConfig
+from repro.net.reliable import (
+    RETRY_BACKOFF,
+    RETRY_JITTER,
+    AckFrame,
+    DataFrame,
+    ReliableChannel,
+    ReliableConfig,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.simulated import SimRuntime
+from repro.sim.rng import derive_seed
 from tests.conftest import DropWhen
 
 
@@ -108,6 +117,50 @@ def test_retry_exhaustion_reports_delivery_failure():
     assert counters["net.delivery_failed{dst=1}"] == 1
     assert counters["net.retries{type=ExecStatus}"] == 2
     assert channel.inflight_count == 0
+
+
+def test_retransmit_delays_follow_the_scalar_jitter_stream():
+    """Every retransmit timer is ``ack_timeout * RETRY_BACKOFF**(k-1)``
+    scaled by ``1 + RETRY_JITTER*(2u-1)``, each ``u`` the next scalar
+    ``uniform()`` of the channel's named stream, in transmission order, past
+    the channel's first block of draws; and the timer sits on the heap as
+    the channel's bound method, not a closure."""
+    runtime, inboxes, _ = make_runtime()
+    channel, metrics = install(runtime, ack_timeout=0.001, max_retries=8)
+    config = channel.config
+    wire: list[float] = []  # virtual time of every frame offered to the wire
+
+    def drop_data(src, dst, msg):
+        if isinstance(msg, DataFrame):
+            wire.append(runtime.now())
+            return True
+        return False
+
+    failed: list[float] = []
+    channel.on_delivery_failure = lambda src, dst, p: failed.append(runtime.now())
+    runtime.fault_injector = DropWhen(drop_data)
+    uniforms = np.random.default_rng(derive_seed(1, "net.reliable"))
+    want_wire: list[float] = []
+    want_failed: list[float] = []
+    for n in range(30):  # 30 payloads x 9 transmissions: past a 256-draw block
+        runtime.deliver(0, 1, payload(travel_id=n + 1))
+        (timer,) = runtime.sim._heap  # the first transmission's timer
+        fn = timer[2]
+        assert fn.__self__ is channel and fn.__func__ is ReliableChannel._on_timeout
+        t = runtime.now()
+        for k in range(1, config.max_retries + 2):
+            want_wire.append(t)
+            u = float(uniforms.uniform())
+            delay = config.ack_timeout * RETRY_BACKOFF ** (k - 1)
+            delay *= 1.0 + RETRY_JITTER * (2.0 * u - 1.0)
+            t = t + delay
+        want_failed.append(t)
+        runtime.sim.run()
+    assert wire == want_wire
+    assert failed == want_failed
+    assert inboxes[1] == []
+    counters = metrics.snapshot()["counters"]
+    assert counters["net.retries{type=ExecStatus}"] == 30 * config.max_retries
 
 
 def test_window_bounds_inflight_and_drains_in_order():

@@ -2,6 +2,8 @@
 per-traversal dropped-event attribution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
@@ -11,7 +13,7 @@ from repro.faults.plan import CrashEvent, FaultPlan
 from repro.graph import GraphBuilder
 from repro.lang import GTravel
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import FlightRecorder, SamplingPolicy
+from repro.obs.trace import FlightRecorder, SamplingPolicy, TraceEvent
 from tests.conftest import build_cluster
 
 NEVER = SamplingPolicy(sample_every_n=0)  # only the always-keep rules apply
@@ -99,6 +101,126 @@ def test_finalize_counts_kept_and_sampled_out_metrics():
     assert metrics.counter_value("trace.sampled_out_traces") == 1
     assert metrics.counter_value("trace.sampled_out_events") == 2
     assert metrics.counter_value("trace.kept_traces", reason="slow") == 1
+
+
+# -- lazy pending buffers against an eager reference -------------------------
+
+
+class EagerRecorder(FlightRecorder):
+    """Reference recorder: every record builds its ``TraceEvent`` at once,
+    and undecided buffers hold the events themselves."""
+
+    def record(self, kind, travel_id=None, exec_id=None, parent_exec_id=None,
+               server_id=None, step=None, attempt=0, **attrs):
+        if not self.enabled:
+            return
+        event = TraceEvent(
+            seq=next(self._seq), clock=self._clock(), kind=kind,
+            travel_id=travel_id, exec_id=exec_id,
+            parent_exec_id=parent_exec_id, server_id=server_id, step=step,
+            attempt=attempt, attrs=attrs,
+        )
+        if self.sampling is not None and travel_id is not None:
+            decision = self._decisions.get(travel_id)
+            if decision is None:
+                self._pending.setdefault(travel_id, []).append(event)
+                return
+            if not decision[0]:
+                self.sampled_out += 1
+                return
+        self._events.append(event)
+        if len(self._events) > self.max_events:
+            self._note_drop(self._events.popleft().travel_id)
+
+    def finalize_travel(self, travel_id, keep, reason=None):
+        buffered = self._pending.pop(travel_id, [])
+        self._decisions[travel_id] = (keep, reason)
+        if keep:
+            self._events.extend(buffered)
+            while len(self._events) > self.max_events:
+                self._note_drop(self._events.popleft().travel_id)
+            self._metrics.count("trace.kept_traces", reason=reason or "unspecified")
+        else:
+            self.sampled_out += len(buffered)
+            self._metrics.count("trace.sampled_out_traces")
+            self._metrics.count("trace.sampled_out_events", len(buffered))
+
+    def _view(self):
+        if not self._pending:
+            return list(self._events)
+        merged = list(self._events)
+        for buffered in self._pending.values():
+            merged.extend(buffered)
+        merged.sort(key=lambda e: e.seq)
+        return merged
+
+
+TRAVELS = st.one_of(st.none(), st.integers(1, 6))
+RECORDER_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"), st.sampled_from(("exec.created", "coord.status")),
+            TRAVELS, st.integers(0, 3),
+        ),
+        st.tuples(st.just("tick"), st.floats(0.0, 1.0)),
+        st.tuples(
+            st.just("finalize"), st.integers(1, 6), st.booleans(),
+            st.sampled_from((None, "sampled", "slow")),
+        ),
+        st.tuples(st.just("keep_all_pending")),
+        st.tuples(st.just("sampling"), st.booleans()),
+        st.tuples(st.just("events")),
+        st.tuples(st.just("events_for"), st.integers(1, 6)),
+        st.tuples(st.just("len")),
+    ),
+    min_size=20, max_size=80,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(script=RECORDER_OPS, max_events=st.sampled_from((4, 16, 1000)))
+def test_lazy_pending_buffers_match_an_eager_recorder(script, max_events):
+    """Buffers of plain records give the same events (seq, clock, attrs),
+    the same sample-out and drop counts and the same counters as buffers of
+    ``TraceEvent`` objects, whatever the order of records, keep/drop
+    decisions, crash flushes, sampling toggles and mid-flight reads."""
+    now = [0.0]
+    recorders = []
+    for cls in (FlightRecorder, EagerRecorder):
+        rec = cls(MetricsRegistry(), enabled=True, max_events=max_events)
+        rec.configure(sampling=NEVER)
+        rec.bind_clock(lambda: now[0])
+        recorders.append(rec)
+    lazy, eager = recorders
+    for op in script:
+        if op[0] == "tick":
+            now[0] += op[1]
+            continue
+        seen = []
+        for rec in recorders:
+            if op[0] == "record":
+                _, kind, tid, n = op
+                rec.record(kind, travel_id=tid, exec_id=n, step=n, n=n)
+            elif op[0] == "finalize":
+                rec.finalize_travel(op[1], keep=op[2], reason=op[3])
+            elif op[0] == "keep_all_pending":
+                rec.keep_all_pending(reason="coord.crash")
+            elif op[0] == "sampling":
+                rec.configure(sampling=NEVER if op[1] else None)
+            elif op[0] == "events":
+                seen.append(rec.events())
+            elif op[0] == "events_for":
+                seen.append(rec.events_for(op[1]))
+            else:
+                seen.append(len(rec))
+            seen.append((rec.sampled_out, rec.dropped))
+        assert seen[: len(seen) // 2] == seen[len(seen) // 2 :], op
+    assert lazy.to_json() == eager.to_json()
+    assert lazy.travel_ids() == eager.travel_ids()
+    assert [lazy.dropped_for(t) for t in range(7)] == [
+        eager.dropped_for(t) for t in range(7)
+    ]
+    assert lazy._metrics.snapshot() == eager._metrics.snapshot()
 
 
 # -- dropped-event attribution (ring eviction) --------------------------------
