@@ -36,6 +36,9 @@ _LABEL_PROP = "__label"
 
 _pack_vid = enc.VID.pack
 
+#: the memo entry of a run whose scan found and charged nothing
+_NO_RUN: tuple[tuple, tuple] = ((), ())
+
 #: registered edge layouts — the single source of truth for validation
 EDGE_LAYOUTS = ("grouped", "interleaved", "columnar")
 
@@ -149,6 +152,13 @@ class GraphStore:
         self._run_len: dict[VertexId, dict[tuple[str, Optional[str]], int]] = {}
         #: vertices created by :meth:`insert_vertex`
         self._born: set[VertexId] = set()
+        #: label -> vertex -> (records, extents) of each keys-only edge run
+        #: read (see :meth:`edges`; a ``~label`` names the reverse region),
+        #: valid while ``kv`` is the store it was filled from, at the write
+        #: version it was filled at
+        self._run_memo: dict[str, dict[VertexId, tuple[tuple, tuple]]] = {}
+        self._run_memo_kv: Optional[LSMStore] = None
+        self._run_memo_version = -1
 
     # -- loading ---------------------------------------------------------
 
@@ -503,7 +513,7 @@ class GraphStore:
 
     def edges(
         self, vid: VertexId, label: str, pred=None, props: bool = True
-    ) -> tuple[list[tuple[VertexId, Optional[dict[str, Any]]]], IOCost]:
+    ) -> tuple[Sequence[tuple[VertexId, Optional[dict[str, Any]]]], IOCost]:
         """Out-edges of ``vid`` with ``label``.
 
         Grouped layout: one sequential scan of exactly that label's run.
@@ -525,9 +535,14 @@ class GraphStore:
 
         ``props=False`` is the keys-only projection: with no ``pred`` to
         feed, a label-grouped read decodes just each record's 8-byte
-        destination and returns ``None`` for the properties. Same scan, same
-        cost. Interleaved (its label lives in the props) and columnar (the
-        block decodes as a whole) return full records regardless.
+        destination and returns ``None`` for the properties. Interleaved
+        (its label lives in the props) and columnar (the block decodes as a
+        whole) return full records regardless. A keys-only read of a
+        label-grouped or ``~label`` run is memoized until the store's next
+        write: a re-read returns the same records as a tuple and replays
+        the first read's charge (:meth:`~repro.storage.lsm.LSMStore.replay_scan`:
+        same counters, same block-cache accesses, same cost) without
+        scanning.
         """
         ns = self._require_ns(vid)
         if label.startswith("~"):
@@ -535,15 +550,38 @@ class GraphStore:
         elif self.edge_layout == "columnar":
             return self._edges_columnar(ns, vid, label, pred)
         if self.edge_layout == "grouped" or label.startswith("~"):
-            pairs, cost = self._scan_run(ns, vid, label)
             if props or pred is not None:
+                pairs, cost = self._scan_run(ns, vid, label)
                 decoded = [enc.unpack_edge_record(value) for _, value in pairs]
                 return self._filter_decoded(decoded, pred), cost
-            dst_of = enc.EDGE_DST.unpack_from
-            return [(dst_of(value)[0], None) for _, value in pairs], cost
+            return self._keys_only_run(ns, vid, label)
         preds = {label: pred} if pred is not None else None
         all_edges, cost = self.all_edges(vid, preds)
         return [(dst, eprops) for lbl, dst, eprops in all_edges if lbl == label], cost
+
+    def _keys_only_run(
+        self, ns: str, vid: VertexId, label: str
+    ) -> tuple[tuple[tuple[VertexId, None], ...], IOCost]:
+        """One grouped edge run's destinations, scanned on the first read
+        after a write to the store and replayed from the memo after that."""
+        kv = self.kv
+        memo = self._run_memo
+        if self._run_memo_version != kv.version or self._run_memo_kv is not kv:
+            memo.clear()
+            self._run_memo_kv, self._run_memo_version = kv, kv.version
+        runs = memo.get(label)
+        if runs is None:
+            runs = memo[label] = {}
+        hit = runs.get(vid)
+        if hit is not None:
+            records, extents = hit
+            return records, kv.replay_scan(extents, len(records))
+        extents: list[tuple[int, int, int]] = []
+        pairs, cost = kv.scan(*self._run_bounds(ns, vid, label), extents)
+        dst_of = enc.EDGE_DST.unpack_from
+        records = tuple([(dst_of(value)[0], None) for _, value in pairs])
+        runs[vid] = (records, tuple(extents)) if records or extents else _NO_RUN
+        return records, cost
 
     def _scan_run(
         self, ns: str, vid: VertexId, label: Optional[str] = None

@@ -62,25 +62,31 @@ class LSMStore:
         self.sstables: list[SSTable] = []  # newest first
         self.cache = BlockCache(self.config.block_cache_blocks)
         self.stats = LSMStats()
+        #: write version: bumped by every write that can change what a scan
+        #: returns or which extents it charges (put, delete, flush, bulk
+        #: load, compaction, a restored table), so a reader can tell that
+        #: the store is unchanged since it last read
+        self.version = 0
 
     # -- internal cost helpers ------------------------------------------
 
-    def _charge_extent(self, table: SSTable, start: int, end: int) -> IOCost:
-        """Cost of reading bytes [start, end) from ``table``."""
-        model = self.config.cost_model
-        cost = IOCost(bytes=end - start)
-        first_block = start // model.block_size
-        last_block = max(first_block, (end - 1) // model.block_size) if end > start else first_block
+    def _charge_extent(self, cost: IOCost, table_id: int, start: int, end: int) -> None:
+        """Add to ``cost`` the cost of reading bytes [start, end) from table
+        ``table_id``: its blocks, cache-aware, plus one seek if any missed."""
+        block_size = self.config.cost_model.block_size
+        first_block = start // block_size
+        last_block = max(first_block, (end - 1) // block_size) if end > start else first_block
+        cost.bytes += end - start
+        access = self.cache.access
         any_miss = False
         for block_no in range(first_block, last_block + 1):
-            if self.cache.access(table.table_id, block_no):
+            if access(table_id, block_no):
                 cost.cache_hits += 1
             else:
                 cost.blocks += 1
                 any_miss = True
         if any_miss:
             cost.seeks += 1
-        return cost
 
     # -- writes -----------------------------------------------------------
 
@@ -88,12 +94,14 @@ class LSMStore:
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise StorageError("keys and values must be bytes")
         self.stats.puts += 1
+        self.version += 1
         self.memtable.put(key, value)
         if self.memtable.size_bytes >= self.config.memtable_flush_bytes:
             self.flush()
 
     def delete(self, key: bytes) -> None:
         self.stats.deletes += 1
+        self.version += 1
         self.memtable.delete(key)
         if self.memtable.size_bytes >= self.config.memtable_flush_bytes:
             self.flush()
@@ -105,6 +113,7 @@ class LSMStore:
         table = SSTable(self.memtable.items_sorted())
         self.sstables.insert(0, table)
         self.memtable.clear()
+        self.version += 1
         self.stats.flushes += 1
         if len(self.sstables) > self.config.max_sstables:
             self.compact()
@@ -118,8 +127,13 @@ class LSMStore:
         entries = list(items)
         if any(not isinstance(k, bytes) or not isinstance(v, bytes) for k, v in entries):
             raise StorageError("bulk_load requires bytes keys and values")
-        table = SSTable(entries)
-        self.sstables.insert(0, table)
+        self.add_table(SSTable(entries), newest=True)
+
+    def add_table(self, table: SSTable, newest: bool) -> None:
+        """Place an already built table as the newest (a bulk load) or the
+        oldest (a restore, which rebuilds tables newest first)."""
+        self.sstables.insert(0 if newest else len(self.sstables), table)
+        self.version += 1
 
     def compact(self) -> None:
         """Full compaction: merge every SSTable into one, dropping tombstones."""
@@ -130,6 +144,7 @@ class LSMStore:
         for table in self.sstables:
             self.cache.invalidate_table(table.table_id)
         self.sstables = [SSTable(merged)] if merged else []
+        self.version += 1
         self.stats.compactions += 1
 
     # -- reads ------------------------------------------------------------
@@ -149,26 +164,31 @@ class LSMStore:
                 # Bloom false positive: we paid a probe into the table.
                 self.stats.bloom_false_positives += 1
                 start, _ = table.entry_extent(0) if len(table) else (0, 0)
-                cost += self._charge_extent(table, start, start + 1)
+                self._charge_extent(cost, table.table_id, start, start + 1)
                 continue
             start, end = table.entry_extent(idx)
-            cost += self._charge_extent(table, start, end)
+            self._charge_extent(cost, table.table_id, start, end)
             value = table.values[idx]
             return (None if value is TOMBSTONE else value), cost  # type: ignore[return-value]
         return None, cost
 
-    def scan(self, start: bytes, end: bytes) -> tuple[list[tuple[bytes, bytes]], IOCost]:
+    def scan(
+        self, start: bytes, end: bytes, extents: Optional[list] = None
+    ) -> tuple[list[tuple[bytes, bytes]], IOCost]:
         """Range scan [start, end): merged view across memtable and tables.
 
         Cost: per overlapping SSTable, one seek plus the sequential blocks
         the in-range extent spans (cache-aware). The memtable is free.
+        Given ``extents``, the scan appends each extent it charged as
+        ``(table_id, start, end)`` byte offsets, in charge order: what
+        :meth:`replay_scan` needs to charge the same read again.
         """
         self.stats.scans += 1
         cost = IOCost()
         buffered = self.memtable.scan(start, end) if len(self.memtable) else []
         runs: list[list[tuple[bytes, object]]] = [buffered] if buffered else []
         tombstones = bool(buffered)  # a memtable run may hold one: never skip it
-        for table, lo, hi in self._scan_extents(start, end, cost):
+        for table, lo, hi in self._scan_extents(start, end, cost, extents):
             runs.append(list(zip(table.keys[lo:hi], table.values[lo:hi])))
             tombstones = tombstones or table.has_tombstones
         if not runs:
@@ -187,18 +207,31 @@ class LSMStore:
         accesses in the same order, the same cost."""
         self.stats.scans += 1
         cost = IOCost()
-        for _ in self._scan_extents(start, end, cost):
+        for _ in self._scan_extents(start, end, cost, None):
             pass
         self.stats.entries_scanned += entries
         return cost
 
+    def replay_scan(self, extents: Iterable[tuple[int, int, int]], entries: int) -> IOCost:
+        """Account a :meth:`scan` again from the ``extents`` it reported,
+        for a caller holding its ``entries`` results while :attr:`version`
+        is unchanged: the counts, block-cache accesses and cost of
+        :meth:`charge_scan`, without searching the tables."""
+        self.stats.scans += 1
+        cost = IOCost()
+        for table_id, start, end in extents:
+            self._charge_extent(cost, table_id, start, end)
+        self.stats.entries_scanned += entries
+        return cost
+
     def _scan_extents(
-        self, start: bytes, end: bytes, cost: IOCost
+        self, start: bytes, end: bytes, cost: IOCost, extents: Optional[list]
     ) -> Iterator[tuple[SSTable, int, int]]:
         """The SSTable part of a scan of [start, end), newest table first:
         charge each table's in-range extent to ``cost`` (one seek plus its
-        blocks, cache-aware), then yield ``(table, lo, hi)``, its in-range
-        entry indices. Tables holding no key in the range cost nothing."""
+        blocks, cache-aware) and append it to ``extents`` if given, then
+        yield ``(table, lo, hi)``, its in-range entry indices. Tables
+        holding no key in the range cost nothing."""
         for table in self.sstables:
             if not table.overlaps(start, end):
                 continue
@@ -206,7 +239,10 @@ class LSMStore:
             if lo == hi:
                 continue
             offsets = table.offsets
-            cost += self._charge_extent(table, offsets[lo], offsets[hi])
+            extent = (table.table_id, offsets[lo], offsets[hi])
+            self._charge_extent(cost, *extent)
+            if extents is not None:
+                extents.append(extent)
             yield table, lo, hi
 
     def scan_prefix(self, prefix: bytes) -> tuple[list[tuple[bytes, bytes]], IOCost]:

@@ -220,7 +220,7 @@ def restore_store(
                 f"checkpoint table {name} has {len(entries)} entries, "
                 f"expected {expected}"
             )
-        store.sstables.append(SSTable(entries))
+        store.add_table(SSTable(entries), newest=False)
     return store
 
 

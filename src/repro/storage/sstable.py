@@ -35,7 +35,7 @@ class SSTable:
 
     __slots__ = (
         "table_id", "keys", "values", "offsets", "bloom", "size_bytes",
-        "has_tombstones",
+        "has_tombstones", "__weakref__",
     )
 
     def __init__(self, entries: Iterable[tuple[bytes, object]]):
