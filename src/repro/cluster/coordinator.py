@@ -105,9 +105,6 @@ class ActiveTravel:
     #: parent composite travel id when this is an orchestrated child; its
     #: client_event is then coordinator-internal, not client-facing
     child_of: Optional[TravelId] = None
-    #: journal progress-delta batching (flushed every ~32 fresh reports)
-    pend_statuses: int = 0
-    pend_results: int = 0
 
     @property
     def plan(self) -> TraversalPlan:
@@ -287,10 +284,7 @@ class Coordinator:
         of its side effects (messages, tracker registration) can run."""
         attempt = at.entry.attempt
         at.tracker = self._new_tracker(attempt=attempt, last_activity=self.ctx.now())
-        self._journal_dispatch(
-            at.travel_id, at.plan, attempt,
-            child_of=at.child_of, submit_time=at.submit_time, planned=at.planned,
-        )
+        self._journal_dispatch(at.travel_id, at.submit_time, at.child_of)
         self._dispatch(at)
 
     def _source_groups(self, plan: TraversalPlan) -> dict[ServerId, list[VertexId]]:
@@ -421,7 +415,7 @@ class Coordinator:
             submit_time=submit_time,
             stats=TraversalStats(engine=self.engine_kind),
         )
-        self._journal_dispatch(travel_id, plan, 0, submit_time=submit_time)
+        self._journal_dispatch(travel_id, submit_time)
         self._composites[travel_id] = ct
         self.ctx.spawn(self._orchestrate(ct), name=f"composite-{travel_id}")
         return ct
@@ -538,26 +532,16 @@ class Coordinator:
     def _journal_dispatch(
         self,
         travel_id: TravelId,
-        plan: Union[TraversalPlan, CompositePlan],
-        attempt: int,
-        *,
         submit_time: float,
         child_of: Optional[TravelId] = None,
-        planned: Optional[PlannedQuery] = None,
     ) -> None:
         """Append the ``dispatch`` record of one launch (see :meth:`_launch`
-        and :meth:`_start_composite`, its only callers)."""
+        and :meth:`_start_composite`, its only callers): what recovery needs
+        besides the session — orphan a child, resume the rest from their
+        admission time."""
         if self.journal is not None:
             self.journal.append(
-                "dispatch",
-                tid=travel_id,
-                plan=plan,
-                attempt=attempt,
-                epoch=self.epoch,
-                composite=isinstance(plan, CompositePlan),
-                child_of=child_of,
-                submit_time=submit_time,
-                planned=planned,
+                "dispatch", tid=travel_id, child_of=child_of, submit_time=submit_time
             )
 
     def _terminate(
@@ -647,7 +631,6 @@ class Coordinator:
                 # Fresh terminations only: duplicate reports from replayed
                 # executions must not inflate the executions statistic.
                 self.board.execution(msg.travel_id)
-                self._journal_progress(at, statuses=1)
             else:
                 self.metrics.count("coord.duplicate_status")
             self._check_complete(at)
@@ -664,11 +647,9 @@ class Coordinator:
             if msg.groups:
                 at.groups.update(msg.groups)
             at.tracker.on_result(self.ctx.now())
-            self._journal_progress(at, results=1)
             self._check_complete(at)
         elif isinstance(msg, SyncStepDone):
             self.metrics.count("coord.step_done", server=msg.server)
-            self._journal_progress(at, statuses=1)
             self._on_step_done(at, msg)
         else:  # pragma: no cover - protocol misuse guard
             raise TypeError(f"coordinator got unexpected {type(msg).__name__}")
@@ -905,9 +886,6 @@ class Coordinator:
         at.groups.clear()
         at.initial_sent.clear()
         at.replay_rounds = 0
-        # the failed attempt's unflushed progress deltas die with it
-        at.pend_statuses = 0
-        at.pend_results = 0
         self._new_attempt(at, "coord.restarts", "travel.restart")
         self._launch(at)
 
@@ -998,22 +976,25 @@ class Coordinator:
             "coord.recover", server_id=self.ctx.server_id, epoch=epoch
         )
 
-    def resume(self, travel_id: TravelId, record: dict, client_event: object) -> None:
+    def resume(self, travel_id: TravelId, record: dict, session) -> None:
         """Launch one in-doubt travel of a dead epoch again, from its
-        journal ``dispatch`` record, bound to the client's surviving event.
+        journal ``dispatch`` record and its client ``session`` (the
+        scheduler's ``QueuedTravel``: the plan as submitted and the client's
+        surviving event).
 
         A linear travel's executed plan lives in the cluster-shared
-        registry, which outlives the coordinator; the record adds the
-        admission time and the planner's audit trail, so reversed plans
-        still map their levels back. It relaunches like a watchdog restart
-        under a fresh attempt. A composite restarts its deterministic
-        program from the first child (:meth:`orphan` disposes of the dead
-        epoch's children), so its result is element-identical.
+        registry, which outlives the coordinator; re-planning the session's
+        plan with the pure planner restores the audit trail, so a reversed
+        plan still maps its levels back (and ``planner.*`` is not counted
+        again). It relaunches like a watchdog restart under a fresh attempt.
+        A composite restarts its deterministic program from the first child
+        (:meth:`orphan` disposes of the dead epoch's children), so its
+        result is element-identical.
         """
-        submit_time = record["submit_time"]
-        if record["composite"]:
+        submit_time, plan = record["submit_time"], session.plan
+        if isinstance(plan, CompositePlan):
             ct = self._start_composite(
-                travel_id, record["plan"], client_event, submit_time
+                travel_id, plan, session.client_event, submit_time
             )
             ct.stats.restarts += 1
             self.metrics.count("coord.resumed")
@@ -1029,8 +1010,8 @@ class Coordinator:
             travel_id=travel_id,
             entry=self.registry.get(travel_id),
             submit_time=submit_time,
-            client_event=client_event,
-            planned=record["planned"],
+            client_event=session.client_event,
+            planned=self.planner.plan(plan) if self.planner is not None else None,
         )
         at.entry.epoch = self.epoch
         self._new_attempt(at, "coord.resumed", "coord.replay", epoch=self.epoch)
@@ -1047,26 +1028,6 @@ class Coordinator:
         self.on_complete(travel_id)
 
     # -- plumbing -----------------------------------------------------------------------------
-
-    def _journal_progress(
-        self, at: ActiveTravel, *, statuses: int = 0, results: int = 0
-    ) -> None:
-        """Batch per-travel progress deltas into one journal record per ~32
-        fresh reports — the journal stays an audit of forward progress
-        without paying a durable append per status message."""
-        if self.journal is None:
-            return
-        at.pend_statuses += statuses
-        at.pend_results += results
-        if at.pend_statuses + at.pend_results >= 32:
-            self.journal.append(
-                "progress",
-                tid=at.travel_id,
-                statuses=at.pend_statuses,
-                results=at.pend_results,
-            )
-            at.pend_statuses = 0
-            at.pend_results = 0
 
     def _send(self, travel_id: TravelId, dst: ServerId, msg: Message) -> None:
         msg.epoch = self.epoch

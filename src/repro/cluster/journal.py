@@ -3,19 +3,21 @@
 The paper keeps backend stores crash-safe by running RocksDB on GPFS "for
 fault tolerance against server failures" (§VII) but leaves the coordinator's
 travel bookkeeping in memory. This module extends the same durability story
-to the control plane: every coordinator state transition — scheduler
-admission, launch, dispatch (with the executed plan), batched progress
-deltas, terminal outcomes, epoch bumps — is appended to a journal *before*
-the transition's side effects run, so a crashed coordinator can rebuild
-what was queued, what was running, and what already finished.
+to the control plane: every coordinator state transition recovery needs —
+scheduler admission, dispatch, terminal outcomes, epoch bumps, shard
+migration phases — is appended to a journal *before* the transition's side
+effects run, so a crashed coordinator can rebuild what was queued, what was
+running, and what already finished. A record holds only the fields a
+recovery reader reads; the request itself (plan and QoS) lives in the
+client session, which survives the crash beside the journal.
 
 Records use the framed format shared with checkpoints
 (:func:`repro.storage.persist.pack_record`): ``[u32 len][u32 crc32]``
-followed by a pickled dict with a ``kind`` discriminator. A torn or
-bit-rotted record raises the typed
+followed by a pickled dict of plain values with a ``kind`` discriminator. A
+torn or bit-rotted record raises the typed
 :class:`~repro.errors.CorruptJournal` on replay, and so does a record that
-names any global outside the record vocabulary (:data:`RECORD_GLOBALS`):
-replay never resolves, let alone calls, anything else.
+names any global at all: replay never resolves, let alone calls, a class or
+function.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
 it rewrites its storage as a single ``checkpoint`` record carrying the
@@ -38,31 +40,13 @@ from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
 
 
-#: every global a journal record may name, by module: the plan, filter,
-#: composite and planner-audit classes ``admit``/``dispatch`` records carry,
-#: and numpy's dtype and scalar reconstructor (``numpy._core`` in numpy 2)
-RECORD_GLOBALS = {
-    "repro.lang.plan": {"Step", "TraversalPlan", "AggregateSpec"},
-    "repro.lang.filters": {"FilterOp", "PropertyFilter", "FilterSet"},
-    "repro.lang.composite": {
-        "FilterNode", "RepeatOp", "UnionOp", "AsOp", "BackOp", "CompositePlan",
-    },
-    "repro.lang.optimizer": {"PlannedQuery", "Rewrite", "LevelEstimate", "PlanCost"},
-    "numpy": {"dtype"},
-    "numpy.core.multiarray": {"scalar"},
-    "numpy._core.multiarray": {"scalar"},
-}
-
-
 class _RecordUnpickler(pickle.Unpickler):
-    """Unpickles one record; a global outside :data:`RECORD_GLOBALS` raises."""
+    """Unpickles one record of plain values; any global raises."""
 
     def find_class(self, module: str, name: str):
-        if name not in RECORD_GLOBALS.get(module, ()):
-            raise CorruptJournal(
-                f"journal record names {module}.{name}, outside the record vocabulary"
-            )
-        return super().find_class(module, name)
+        raise CorruptJournal(
+            f"journal record names {module}.{name}; records hold plain values only"
+        )
 
 
 class JournalFile:
@@ -89,8 +73,8 @@ class JournalState:
     ``queued`` maps travel id to its ``admit`` record (admitted by the
     scheduler, never launched). ``running`` maps travel id to its
     ``dispatch`` record (launched / directly submitted, no terminal yet) —
-    including composite parents (``composite`` True) and their children
-    (``child_of`` set). ``terminals`` counts finished travels by status.
+    including composite parents and their children (``child_of`` set).
+    ``terminals`` counts finished travels by status.
     """
 
     epoch: int = 0
@@ -118,14 +102,11 @@ class TraversalJournal:
     ``append(kind, **fields)`` frames and durably appends one record, then
     folds it into the journal's live :class:`JournalState` mirror (the same
     fold :meth:`replay` applies, so the mirror and a cold replay always
-    agree). Record kinds:
+    agree). Record kinds, each with only the fields recovery reads:
 
-    ``admit``     scheduler admission: tid, original plan, tenant,
-                  priority, absolute deadline, admit_time, seq
-    ``launch``    scheduler launched the travel (audit only)
-    ``dispatch``  coordinator accepted a submit: tid, executed plan,
-                  attempt, epoch, composite flag, child_of, submit_time
-    ``progress``  batched exec-tracker deltas for a running travel
+    ``admit``     scheduler admission: tid, seq (readmission order)
+    ``dispatch``  coordinator launched an attempt: tid, child_of (a
+                  composite child is orphaned, not resumed), submit_time
     ``terminal``  travel finished: tid, status (ok/failed/cancelled, or
                   orphaned: a dead epoch's composite child)
     ``epoch``     a recovered coordinator started this epoch
@@ -213,24 +194,11 @@ class TraversalJournal:
             tid = record["tid"]
             state.note_travel_id(tid)
             state.queued[tid] = record
-        elif kind == "launch":
-            pass  # audit only; the dispatch record that follows moves state
         elif kind == "dispatch":
             tid = record["tid"]
             state.note_travel_id(tid)
-            qos = state.queued.pop(tid, None)
-            entry = dict(record)
-            if qos is not None:
-                entry["qos"] = qos
-            state.running[tid] = entry
-        elif kind == "progress":
-            tid = record["tid"]
-            entry = state.running.get(tid)
-            if entry is not None:
-                prog = entry.setdefault("progress", {})
-                for key in ("statuses", "results"):
-                    if key in record:
-                        prog[key] = prog.get(key, 0) + record[key]
+            state.queued.pop(tid, None)
+            state.running[tid] = record
         elif kind == "terminal":
             tid = record["tid"]
             state.queued.pop(tid, None)

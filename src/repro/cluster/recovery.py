@@ -20,11 +20,13 @@ journal — and drives recovery when the coordinator's host comes back:
    their original admission order, deadlines re-armed on remaining time.
 
 A client session is the scheduler's own
-:class:`~repro.sched.scheduler.QueuedTravel` entry — completion event and
-QoS in one object — kept here from acknowledgement to terminal. A
-submission is acknowledged only after its ``admit`` record is durable and
-every terminal is journaled before its event settles, so the journal and
-the sessions always name the same live travels.
+:class:`~repro.sched.scheduler.QueuedTravel` entry — plan, QoS and
+completion event in one object, the request's durable copy — kept here from
+acknowledgement to terminal; the journal adds only which travels were
+admitted, dispatched and finished. A submission is acknowledged only after
+its ``admit`` record is durable and every terminal is journaled before its
+event settles, so the journal and the sessions always name the same live
+travels.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class RecoverySupervisor:
                 self.coordinator.orphan(tid)
         for tid, record in running:
             if record["child_of"] is None:
-                entry = self.sessions[tid]
-                self.coordinator.resume(tid, record, entry.client_event)
-                self.scheduler.restore(entry, running=True)
+                session = self.sessions[tid]
+                self.coordinator.resume(tid, record, session)
+                self.scheduler.restore(session, running=True)
 
         for tid in sorted(state.queued, key=lambda t: state.queued[t]["seq"]):
             self.scheduler.restore(self.sessions[tid], running=False)

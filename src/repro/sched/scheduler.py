@@ -173,16 +173,7 @@ class TraversalScheduler:
             entry.deadline = now + deadline
             self._arm_deadline(travel_id, deadline)
         if self.journal is not None:
-            self.journal.append(
-                "admit",
-                tid=travel_id,
-                plan=plan,
-                tenant=tenant,
-                priority=priority,
-                deadline=entry.deadline,
-                admit_time=now,
-                seq=entry.seq,
-            )
+            self.journal.append("admit", tid=travel_id, seq=entry.seq)
         self._note_submitted(entry)
         self._enqueue(entry)
         return travel_id, event
@@ -382,8 +373,6 @@ class TraversalScheduler:
                 self._run_job(entry), name=f"job-{entry.travel_id}"
             )
             return
-        if self.journal is not None:
-            self.journal.append("launch", tid=entry.travel_id, tenant=entry.tenant)
         self.coordinator.submit(
             entry.plan,
             travel_id=entry.travel_id,

@@ -41,11 +41,13 @@ TINY = BenchEnvironment(scale=6, edge_factor=4, servers=(2, 3))
 # them) were deleted — every key they share with the parent's payload is
 # equal. ``telemetry`` was re-recorded once more when its telemetry-off leg
 # went (the plane is part of every cluster): the payload lost exactly the
-# ``telemetry_costs_zero_virtual_time`` check and nothing else. A refactor
-# must pass it unchanged; re-record a digest only when virtual behaviour or
-# a shape check is meant to change, and say why in the PR. Tier-1 runs the
-# entries under 1.5 s; CI runs all twenty (``-m ""``) under PYTHONHASHSEED=0
-# and =random.
+# ``telemetry_costs_zero_virtual_time`` check and nothing else.
+# ``coordinator_recovery`` was re-recorded when journal records were cut to
+# the fields recovery reads: only its journal record and byte counts moved.
+# A refactor must pass it unchanged; re-record a digest only when virtual
+# behaviour or a shape check is meant to change, and say why in the PR.
+# Tier-1 runs the entries under 1.5 s; CI runs all twenty (``-m ""``) under
+# PYTHONHASHSEED=0 and =random.
 MANIFEST_ENV = BenchEnvironment(scale=8, edge_factor=16, servers=(2, 4), seed=1)
 TIER1_MANIFEST = {
     "table1": "aff466fa0fac1b4158cf367ebf2993900ded0eb6c9c8d5d2a9d92664bb0a7f20",
@@ -65,7 +67,7 @@ SLOW_MANIFEST = {
     "planner": "7dcc5cc8c89931fe83a8044cf05802e84e7271c49883710bb58f5a3fc95f915e",
     "ablation_layout": "fd8574805cc4c39005d6768c0bace261c7481c037eed3ef918dd472a6bb98838",
     "chaos": "dd19c6e99923da0d51425f1f59809010f287b2dd1d622822d828e841747ad240",
-    "coordinator_recovery": "1b2b7aea3e95c7e651e6d7686047d59164f58e1afbc58dda36792225d00ee87a",
+    "coordinator_recovery": "86c50670aa474e7ed31584384e0d59879604fada4ac24e069408ff2ebc5e70ed",
     "lang_ops": "492cfb09a7d442203a8a394f3f777093581893f7f16b18b288c050d92df6caaf",
     "telemetry": "a8edb77b63800a0eeaab6d8e4822a1272caa111355911919d078e9b8499a7b39",
     "rebalance": "6365df438b583a50d59fcc0f78ec0d637a847eacae15413e418395f28498bfea",

@@ -10,16 +10,18 @@ client's result set must equal the fault-free run's. Covered here: ten
 seeded plans on GraphTrek, the engine × planner-mode matrix, concurrent
 workloads under both scheduler policies (with composite repeat/union legs
 and a deadline-cancel leg), zero leaked state, journal replay determinism
-(byte-identical recovered metrics snapshots), epoch fencing, and the client
+(byte-identical recovered metrics snapshots), a cost-planned reversed chain
+re-planned from its session, epoch fencing, and the client
 idempotent-resubmission contract.
 """
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
+from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.client import GraphTrekClient
 from repro.engine import (
     EngineKind,
+    ReferenceEngine,
     graphtrek_options,
     plain_async_options,
     sync_options,
@@ -34,9 +36,10 @@ from repro.faults.chaos import (
 )
 from repro.faults.plan import sample_fault_plan
 from repro.lang import GTravel
-from repro.net.message import ExecStatus, TraverseRequest
+from repro.net.message import ExecStatus
 from repro.sched import SchedulerConfig
 from tests.conftest import DropWhen
+from tests.test_planner_equivalence import bipartite_scan_case
 
 
 RECOVERY_SEEDS = list(range(10))
@@ -220,6 +223,48 @@ def test_recovery_restarts_under_new_epoch(metadata_graph):
     assert not cluster.supervisor.sessions
 
 
+# -- a planned travel across a crash ---------------------------------------------
+
+
+def test_reversed_chain_resumes_with_its_level_map_and_plans_once():
+    """A ``cost``-planned travel the planner reverses (a non-empty level
+    map) crosses a coordinator crash. Recovery re-plans the session's plan
+    with the pure planner, so the result maps back to the original levels
+    and equals the oracle, and ``planner.*`` counts the travel once, exactly
+    as a crash-free run does."""
+    graph, query = bipartite_scan_case()
+    plan = query.compile()
+    want = ReferenceEngine(graph).run(plan)
+
+    def run(crash_at=None):
+        cluster = Cluster.build(
+            graph,
+            ClusterConfig(
+                nservers=3, engine=graphtrek_options(planner="cost"), journal=True
+            ),
+        )
+        assert cluster.coordinator.planner.plan(plan).level_map
+        runtime, host = cluster.runtime, cluster.config.coordinator_server
+        _tid, event = cluster.submit(plan)
+        if crash_at is not None:
+            runtime.schedule(crash_at, lambda: runtime.crash_server(host))
+            runtime.schedule(2 * crash_at, lambda: runtime.recover_server(host))
+        outcome = runtime.run_until_complete(event)
+        return outcome, cluster.metrics_snapshot()["counters"]
+
+    clean, clean_counters = run()
+    crashed, counters = run(crash_at=0.3 * clean.stats.elapsed)
+    assert counters.get("coord.resumed") == 1, "the crash missed the travel"
+    assert crashed.result.same_vertices(want)
+    assert crashed.result.returned == clean.result.returned
+
+    def planner(c):
+        return {k: v for k, v in c.items() if k.startswith("planner.")}
+
+    assert planner(clean_counters)["planner.rewrite.reverse_chain"] == 1
+    assert planner(counters) == planner(clean_counters)
+
+
 # -- epoch fencing unit --------------------------------------------------------
 
 
@@ -262,44 +307,6 @@ def test_outbound_coordinator_messages_carry_epoch(metadata_graph):
 
 
 # -- admission while the coordinator host is down ------------------------------
-
-
-def test_restart_discards_the_failed_attempts_unflushed_progress(metadata_graph):
-    """Progress deltas are journaled in batches; the remainder a failed
-    attempt had not flushed yet must not be journaled under the next one."""
-    graph, ids = metadata_graph
-    cluster = Cluster.build(
-        graph,
-        ClusterConfig(
-            nservers=3,
-            engine=EngineKind.GRAPHTREK,
-            journal=True,
-            coordinator_config=CoordinatorConfig(exec_timeout=0.5, watch_interval=0.1),
-        ),
-    )
-    dropped = []
-
-    def drop_first_forward(src, dst, msg):
-        first = isinstance(msg, TraverseRequest) and msg.level > 0 and not dropped
-        if first:
-            dropped.append(msg)
-        return first
-
-    cluster.runtime.fault_injector = DropWhen(drop_first_forward)
-    coordinator, pending = cluster.coordinator, []
-    restart = coordinator._restart
-
-    def spy(at):
-        before = at.pend_statuses + at.pend_results
-        restart(at)
-        pending.append((before, at.pend_statuses + at.pend_results))
-
-    coordinator._restart = spy
-    out = cluster.traverse(GTravel.v(ids["users"][0]).e("run").e("hasExecutions").compile())
-    assert out.stats.restarts == 1
-    ((before, after),) = pending
-    assert before > 0, "test premise: attempt 0 left unflushed progress deltas"
-    assert after == 0
 
 
 def test_submit_rejected_while_coordinator_host_down(metadata_graph):

@@ -1,63 +1,57 @@
 """Unit tests for the durable traversal journal (WAL framing, CRC
 integrity, replay fold, and compaction)."""
 
+import functools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.journal import (
     JournalFile,
     JournalState,
     TraversalJournal,
 )
 from repro.errors import CorruptJournal
+from repro.lang import GTravel
+from repro.sched import SchedulerConfig
 from repro.storage.persist import pack_record
+from repro.workloads import MetadataGraphConfig, generate_metadata_graph
 
 
-def _sample_plan():
-    return {"steps": ["run", "hasExecutions"]}
+def _dispatch(journal, tid, submit_time=0.0, child_of=None):
+    journal.append("dispatch", tid=tid, child_of=child_of, submit_time=submit_time)
 
 
 def test_append_replay_roundtrip():
     journal = TraversalJournal()
-    journal.append("admit", tid=1, plan=_sample_plan(), tenant="batch",
-                   priority=2, deadline=5.0, admit_time=0.1, seq=0)
-    journal.append("launch", tid=1, tenant="batch")
-    journal.append("dispatch", tid=1, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.2)
+    journal.append("admit", tid=1, seq=0)
+    assert journal.state.queued == {1: {"kind": "admit", "tid": 1, "seq": 0}}
+    _dispatch(journal, 1, submit_time=0.2)
     state = journal.replay()
     assert 1 in state.running and not state.queued
-    entry = state.running[1]
-    assert entry["qos"]["tenant"] == "batch"
-    assert entry["qos"]["deadline"] == 5.0
+    # the dispatch record is the running entry: what recovery reads, nothing
+    # merged from the admission
+    assert state.running[1] == {
+        "kind": "dispatch", "tid": 1, "child_of": None, "submit_time": 0.2,
+    }
     assert state.next_travel_id == 2
     # the live mirror and a cold replay agree
-    assert journal.state.running.keys() == state.running.keys()
+    assert journal.state == state
 
 
 def test_terminal_clears_state_and_counts():
     journal = TraversalJournal()
-    journal.append("dispatch", tid=3, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.0)
+    _dispatch(journal, 3)
     journal.append("terminal", tid=3, status="ok")
-    journal.append("admit", tid=4, plan=_sample_plan(), tenant="t",
-                   priority=None, deadline=None, admit_time=0.0, seq=1)
+    journal.append("admit", tid=4, seq=1)
     journal.append("terminal", tid=4, status="cancelled")
     state = journal.replay()
     assert not state.running and not state.queued
     assert state.terminals == {"ok": 1, "cancelled": 1}
     assert state.next_travel_id == 5
-
-
-def test_progress_records_accumulate():
-    journal = TraversalJournal()
-    journal.append("dispatch", tid=2, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.0)
-    journal.append("progress", tid=2, statuses=10, results=3)
-    journal.append("progress", tid=2, statuses=5, results=1)
-    journal.append("progress", tid=99, statuses=7)  # unknown tid: ignored
-    state = journal.replay()
-    assert state.running[2]["progress"] == {"statuses": 15, "results": 4}
 
 
 def test_epoch_record_advances_epoch():
@@ -119,48 +113,22 @@ class _Hostile:
 
 def test_hostile_record_raises_and_never_runs_code():
     """A framed record whose pickle calls a function on load is refused
-    before the call: replay resolves only the record vocabulary."""
+    before the call, and so is one that names a class the journal once
+    carried: a record holds plain values, so replay resolves no global."""
+    from repro.lang import GTravel
+
     FLAG["ran"] = False
-    record = {"kind": "launch", "tid": 1, "payload": _Hostile()}
+    record = {"kind": "admit", "tid": 1, "seq": 0, "payload": _Hostile()}
     storage = JournalFile(pack_record(pickle.dumps(record)))
-    with pytest.raises(CorruptJournal, match="record vocabulary"):
+    with pytest.raises(CorruptJournal, match="plain values only"):
         TraversalJournal(storage)
     assert FLAG["ran"] is False
-
-
-def test_plan_records_replay_through_the_vocabulary():
-    """What the coordinator journals — plans with filters, aggregates and
-    composite operators, and the planner's audit with numpy estimates —
-    replays under the restricted unpickler."""
-    import numpy as np
-
-    from repro.lang import EQ, RANGE, GTravel
-    from repro.lang.optimizer import LevelEstimate, PlanCost, PlannedQuery, Rewrite
-
-    plan = (
-        GTravel.v(1, 2).va("kind", EQ, "x").e("run").ea("ts", RANGE, (0, 9))
-        .group_count("kind").compile()
-    )
-    composite = (
-        GTravel.v(1).repeat(GTravel.s().e("run")).times(2)
-        .union(GTravel.s().e("x"), GTravel.s().e("y")).va("k", EQ, 1)
-        .as_("a").e("z").back("a").compile()
-    )
-    estimate = LevelEstimate(
-        level=0, rows_in=np.float64(2.0), rows_out=np.float64(2.5), cost=1.0
-    )
-    planned = PlannedQuery(
-        original=plan, executed=plan, mode="cost",
-        rewrites=(Rewrite("fuse", "kept"),),
-        cost_original=PlanCost(levels=(estimate,), total=np.float64(3.0)),
-    )
-    journal = TraversalJournal()
-    journal.append("admit", tid=1, plan=composite, tenant="t")
-    journal.append("dispatch", tid=2, plan=plan, planned=planned)
-    state = journal.replay()
-    assert state.queued[1]["plan"] == composite
-    assert state.running[2]["plan"] == plan
-    assert state.running[2]["planned"] == planned
+    plan = GTravel.v(1).e("run").compile()
+    record = {"kind": "dispatch", "tid": 2, "child_of": None, "submit_time": 0.0,
+              "plan": plan}
+    storage = JournalFile(pack_record(pickle.dumps(record)))
+    with pytest.raises(CorruptJournal, match="repro.lang.plan.TraversalPlan"):
+        TraversalJournal(storage)
 
 
 def test_compaction_bounds_size_and_preserves_state():
@@ -171,14 +139,11 @@ def test_compaction_bounds_size_and_preserves_state():
                    vids=(4, 5), version=3)
     journal.append("migration", mid=2, phase="aborted", src=1, dst=0,
                    vids=(6,), version=5)
-    journal.append("admit", tid=60, plan=_sample_plan(), tenant="t",
-                   priority=None, deadline=None, admit_time=0.0, seq=0)
+    journal.append("admit", tid=60, seq=0)
     for tid in range(1, 40):
-        journal.append("dispatch", tid=tid, plan=_sample_plan(), attempt=0,
-                       epoch=0, composite=False, child_of=None, submit_time=0.0)
+        _dispatch(journal, tid)
         journal.append("terminal", tid=tid, status="ok")
-    journal.append("dispatch", tid=100, plan=_sample_plan(), attempt=0,
-                   epoch=0, composite=False, child_of=None, submit_time=1.0)
+    _dispatch(journal, 100, submit_time=1.0)
     assert journal.checkpoints_written > 0
     # compaction keeps the journal proportional to *live* travels, not history
     assert journal.size_bytes() < journal.bytes_appended / 4
@@ -201,11 +166,9 @@ def test_checkpoint_then_tail_replay():
     """Records appended after a compaction fold on top of the checkpoint."""
     storage = JournalFile()
     journal = TraversalJournal(storage, checkpoint_interval=10_000)
-    journal.append("dispatch", tid=1, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.0)
+    _dispatch(journal, 1)
     journal.compact()
-    journal.append("dispatch", tid=2, plan=_sample_plan(), attempt=0, epoch=0,
-                   composite=False, child_of=None, submit_time=0.5)
+    _dispatch(journal, 2, submit_time=0.5)
     journal.append("terminal", tid=1, status="ok")
     state = TraversalJournal(JournalFile(storage.read())).state
     assert set(state.running) == {2}
@@ -229,3 +192,56 @@ def test_journal_state_payload_roundtrip():
     assert replayed.state == state
     replayed.compact()
     assert replayed.storage.read() == checkpoint
+
+
+@functools.lru_cache(maxsize=None)
+def _real_journal() -> bytes:
+    """The bytes a journaled cluster wrote: admissions, dispatches and
+    terminals of linear and composite travels, a shard migration's phases,
+    a coordinator crash inside a running composite (epoch, orphaned child,
+    resumed parent), then a checkpoint with records after it."""
+    md = generate_metadata_graph(MetadataGraphConfig(users=4, files=64, seed=3))
+    cluster = Cluster.build(
+        md.graph,
+        ClusterConfig(
+            nservers=3, journal=True,
+            scheduler_config=SchedulerConfig(max_inflight=1),
+        ),
+    )
+    runtime, users = cluster.runtime, md.user_ids
+    linear = GTravel.v(*users).e("run").e("hasExecutions").compile()
+    composite = GTravel.v(*users).repeat(GTravel.s().e("run")).times(1).compile()
+    vids = tuple(sorted(cluster.servers[1].store.local_vertices())[:4])
+    assert cluster.rebalance(1, 2, vids=vids).phase == "done"
+    events = [cluster.submit(q)[1] for q in (composite, linear, linear)]
+    runtime.schedule(1e-3, lambda: runtime.crash_server(0))
+    runtime.schedule(2e-3, lambda: runtime.recover_server(0))
+    runtime.run_until_complete(events[0])
+    cluster.journal.compact()
+    for event in events[1:] + [cluster.submit(linear)[1]]:
+        runtime.run_until_complete(event)
+    assert cluster.coordinator.epoch == 1
+    return cluster.journal.storage.read()
+
+
+def _replay(data: bytes) -> None:
+    try:
+        TraversalJournal(JournalFile(data))
+    except CorruptJournal:
+        pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_damaged_real_journal_raises_only_corrupt_journal(data):
+    """Byte flips and truncations of a journal a cluster wrote either replay
+    (a cut on a record boundary is a shorter valid journal) or raise the
+    typed ``CorruptJournal``; nothing else escapes replay."""
+    journal = bytearray(_real_journal())
+    if data.draw(st.booleans(), label="truncate"):
+        journal = journal[: data.draw(st.integers(0, len(journal) - 1), label="cut")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            at = data.draw(st.integers(0, len(journal) - 1), label="at")
+            journal[at] ^= data.draw(st.integers(1, 255), label="mask")
+    _replay(bytes(journal))

@@ -27,8 +27,8 @@ were deleted.
 coordinator, recovery supervisor and journal together — on one journaled,
 traced cell that queues, cancels, replays, restarts and crosses two
 coordinator epochs: the metric snapshot, the trace timeline, the journal's
-replayed state and the order of every journal record, recorded before
-ISSUE 23 folded the coordinator's and the scheduler's copied sequences.
+replayed state and the order of every journal record, re-recorded when the
+journal stopped writing records no recovery reader reads.
 
 ``GOLDEN_WRITE_PATH`` pins the LSM write path per edge layout: a cell that
 ingests (reverse records included), deletes a vertex, flushes past
@@ -52,7 +52,8 @@ and the recorder's timeline of one round of the mixed-tenant workload on a
 the buffers of the healthy travels it throws away, the kept ones and the
 ``net.*`` counters of the reliable channel are all fixed; recorded before
 the transport drew its jitter in blocks and before pending buffers held
-plain records instead of ``TraceEvent`` objects.
+plain records instead of ``TraceEvent`` objects, and re-recorded when the
+journal (whose gauges the snapshot holds) shrank.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ GOLDEN_WIRE = {
 GOLDEN_TELEMETRY = "d44bad819622c2b985fa128c64625d22cae5664f0f242f44276112600396bb9a"
 
 #: sha256(canonical metrics snapshot + recorder.to_json()) of one tail-sampled
-#: mixed-tenant round over the reliable channel
-GOLDEN_SAMPLED_TRACE = "ecf3a4777444ebb1c728187eaa848cbab11f1f300a75096e8d43da2710f9392c"
+#: mixed-tenant round over the reliable channel; re-recorded when journal
+#: records were cut to the fields recovery reads (only the ``journal.*``
+#: gauges moved)
+GOLDEN_SAMPLED_TRACE = "657ba7bfbae4e12d564d46bb8b2b7a80da7e6d0556e270ed7b7ad154f11f6cb7"
 
 
 def _rmat_cell(seed: int):
@@ -386,10 +389,12 @@ def test_kernel_event_order_matches_golden_digest():
 
 
 #: engine -> sha256 of {metrics, trace, journal} of the control-plane cell
-#: below, recorded at the parent of ISSUE 23 (PR 21)
+#: below; re-recorded when journal records were cut to the fields recovery
+#: reads (no ``launch`` or ``progress`` records, no attempt or epoch on a
+#: dispatch): only the ``journal.*`` gauges and the logged record list moved
 GOLDEN_CONTROL_PLANE = {
-    "Sync-GT": "d8c2f085d6dd22345d860fa3d76c41e060a25be90d00771298c7ca7093178ee7",
-    "GraphTrek": "b2b16f85373e6071a5b8d2dd8d98aae2c617a24ca4bebc054645a233cd51703c",
+    "Sync-GT": "af012bc2bf2a8beca947292b47ddf35da1b96a61c84c2d38598c9540bb2e5929",
+    "GraphTrek": "6dcb521848a95fa2581897a486e3d7da910f7cf32d7d99df945b97da96c49adc",
 }
 
 
