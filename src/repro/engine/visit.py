@@ -73,12 +73,6 @@ def filters_at(
     return plan.steps[level - 1].vertex_filters
 
 
-def fs_needs_props(fs: FilterSet) -> bool:
-    """True if evaluating ``fs`` needs the attribute block: the vertex type
-    is known from the location index, so a type-only filter set does not."""
-    return any(f.key != "type" for f in fs.filters)
-
-
 def needs_props(
     plan: TraversalPlan, levels: Sequence[int], level0_override: Optional[FilterSet]
 ) -> bool:
@@ -91,7 +85,7 @@ def needs_props(
         fs = filters_at(plan, lvl, level0_override)
         if not fs:
             continue
-        if plan.pushdown and not fs_needs_props(fs):
+        if plan.pushdown and not fs.needs_props:
             # planner annotation: elide the attribute scan when only the
             # key-encoded type is filtered (expand_vertex injects it)
             continue

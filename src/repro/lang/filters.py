@@ -109,6 +109,13 @@ class FilterSet:
     def matches(self, props: Mapping[str, Any]) -> bool:
         return all(f.matches(props) for f in self.filters)
 
+    @property
+    def needs_props(self) -> bool:
+        """True if evaluating the set needs the vertex's attribute block: the
+        vertex type is encoded in its key (the location index knows it), so
+        a type-only set does not."""
+        return any(f.key != "type" for f in self.filters)
+
     def describe(self) -> str:
         if not self.filters:
             return "*"

@@ -321,18 +321,12 @@ def _repeat_iters(op) -> int:
     return min(op.max_depth, UNTIL_ASSUMED_ITERS)
 
 
-def _fs_needs_props(fs: FilterSet) -> bool:
-    """True if evaluating ``fs`` requires the properties block (the vertex
-    type is encoded in the key, so a type-only filter set does not)."""
-    return any(f.key != "type" for f in fs.filters)
-
-
 def _filter_cost(rows: float, fs: FilterSet, params: CostParams) -> float:
     """Read and filter ``rows`` vertices: a seek each, plus a props-block
     scan when ``fs`` needs properties."""
     return rows * (
         params.seek
-        + (params.props_scan if _fs_needs_props(fs) else 0.0)
+        + (params.props_scan if fs.needs_props else 0.0)
         + params.visit
     )
 
@@ -425,7 +419,7 @@ def _price_step(
     return out, arriving, arriving * (
         params.dispatch
         + params.seek
-        + (params.props_scan if _fs_needs_props(step.vertex_filters) else 0.0)
+        + (params.props_scan if step.vertex_filters.needs_props else 0.0)
         + params.visit
     ) + edges_total * params.record
 
