@@ -34,8 +34,10 @@ duplicate nodes. :func:`chrome_trace` renders recorded traversals in Chrome
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
@@ -88,6 +90,9 @@ DEFAULT_MAX_EVENTS = 500_000
 
 #: configure(...) sentinel: "leave the sampling policy unchanged"
 _UNSET = object()
+
+#: the one order of recorded events
+_SEQ = operator.attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,9 @@ class FlightRecorder:
     ring buffer caps memory on long chaos runs; evicted events bump
     ``dropped`` and the ``trace.dropped_events`` counter so downstream
     consumers (DAG assembly, profiles) can surface the truncation instead of
-    mis-reading a partial trace as complete.
+    mis-reading a partial trace as complete. The ring is kept in ``seq``
+    (record) order — a kept buffer is merged in, not appended — so every
+    read sees one order and eviction drops the oldest event.
     """
 
     def __init__(
@@ -269,7 +276,15 @@ class FlightRecorder:
         buffered = self._pending.pop(travel_id, [])
         self._decisions[travel_id] = (keep, reason)
         if keep:
-            self._events.extend(itertools.starmap(TraceEvent, buffered))
+            # the buffer's seqs ascend: lift the ring's events recorded after
+            # its first, merge the two ascending runs back in
+            events, later = self._events, []
+            while events and buffered and events[-1].seq > buffered[0][0]:
+                later.append(events.pop())
+            events.extend(heapq.merge(
+                reversed(later), itertools.starmap(TraceEvent, buffered),
+                key=_SEQ,
+            ))
             while len(self._events) > self.max_events:
                 evicted = self._events.popleft()
                 self._note_drop(evicted.travel_id)
@@ -312,14 +327,15 @@ class FlightRecorder:
     # -- reading -------------------------------------------------------------
 
     def _view(self) -> list[TraceEvent]:
-        """Committed ring plus still-pending buffers, in record order."""
+        """Committed ring plus still-pending buffers, merged in ``seq``
+        (record) order."""
         if not self._pending:
             return list(self._events)
-        merged = list(self._events)
-        for buffered in self._pending.values():
-            merged.extend(itertools.starmap(TraceEvent, buffered))
-        merged.sort(key=lambda e: e.seq)
-        return merged
+        return list(heapq.merge(
+            self._events,
+            *(itertools.starmap(TraceEvent, b) for b in self._pending.values()),
+            key=_SEQ,
+        ))
 
     def __len__(self) -> int:
         return len(self._events) + sum(len(b) for b in self._pending.values())

@@ -53,7 +53,8 @@ the buffers of the healthy travels it throws away, the kept ones and the
 ``net.*`` counters of the reliable channel are all fixed; recorded before
 the transport drew its jitter in blocks and before pending buffers held
 plain records instead of ``TraceEvent`` objects, and re-recorded when the
-journal (whose gauges the snapshot holds) shrank.
+journal (whose gauges the snapshot holds) shrank and when kept buffers
+started landing in the ring in ``seq`` order.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ GOLDEN_TELEMETRY = "d44bad819622c2b985fa128c64625d22cae5664f0f242f44276112600396
 #: sha256(canonical metrics snapshot + recorder.to_json()) of one tail-sampled
 #: mixed-tenant round over the reliable channel; re-recorded when journal
 #: records were cut to the fields recovery reads (only the ``journal.*``
-#: gauges moved)
-GOLDEN_SAMPLED_TRACE = "657ba7bfbae4e12d564d46bb8b2b7a80da7e6d0556e270ed7b7ad154f11f6cb7"
+#: gauges moved), then when the recorder merged kept buffers into its ring
+#: in ``seq`` order (the same 940 events, only their order moved)
+GOLDEN_SAMPLED_TRACE = "fe7063af048699d9236d01d8729039b426ce358133ac3d45c8d4001f17759606"
 
 
 def _rmat_cell(seed: int):

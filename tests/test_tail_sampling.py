@@ -1,6 +1,10 @@
 """Tail-based trace sampling: keep/drop routing, crash retention, and
 per-traversal dropped-event attribution."""
 
+import itertools
+import operator
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,12 +107,45 @@ def test_finalize_counts_kept_and_sampled_out_metrics():
     assert metrics.counter_value("trace.kept_traces", reason="slow") == 1
 
 
+def test_a_kept_buffer_lands_in_record_order():
+    """A travel's buffer kept after an untracked event was committed reads
+    back in record order, and reads the same whether or not another travel
+    is still undecided: the ring holds one order, ``seq``."""
+    rec = FlightRecorder(MetricsRegistry(), enabled=True)
+    rec.configure(sampling=NEVER)
+    rec.record("exec.created", travel_id=1)
+    rec.record("coord.recover")
+    rec.keep_all_pending(reason="coord.crash")
+    assert [(e.seq, e.kind) for e in rec.events()] == [
+        (1, "exec.created"), (2, "coord.recover"),
+    ]
+    rec.record("exec.created", travel_id=2)  # undecided: read through a merge
+    assert [e.seq for e in rec.events()] == [1, 2, 3]
+
+
+def test_ring_eviction_drops_the_oldest_event():
+    """A full ring evicts the smallest ``seq``, even when the event that
+    overflows it is a kept buffer recorded before the ring's tail."""
+    rec = FlightRecorder(MetricsRegistry(), enabled=True, max_events=2)
+    rec.configure(sampling=NEVER)
+    rec.record("exec.created", travel_id=1)
+    rec.record("coord.recover")
+    rec.record("coord.crash")
+    rec.finalize_travel(1, keep=True, reason="sampled")
+    assert [e.seq for e in rec.events()] == [2, 3]
+    assert rec.dropped_for(1) == 1
+
+
 # -- lazy pending buffers against an eager reference -------------------------
+
+
+SEQ = operator.attrgetter("seq")
 
 
 class EagerRecorder(FlightRecorder):
     """Reference recorder: every record builds its ``TraceEvent`` at once,
-    and undecided buffers hold the events themselves."""
+    undecided buffers hold the events themselves, and the ring and every
+    read are sorted by ``seq`` outright."""
 
     def record(self, kind, travel_id=None, exec_id=None, parent_exec_id=None,
                server_id=None, step=None, attempt=0, **attrs):
@@ -136,7 +173,7 @@ class EagerRecorder(FlightRecorder):
         buffered = self._pending.pop(travel_id, [])
         self._decisions[travel_id] = (keep, reason)
         if keep:
-            self._events.extend(buffered)
+            self._events = deque(sorted([*self._events, *buffered], key=SEQ))
             while len(self._events) > self.max_events:
                 self._note_drop(self._events.popleft().travel_id)
             self._metrics.count("trace.kept_traces", reason=reason or "unspecified")
@@ -146,13 +183,8 @@ class EagerRecorder(FlightRecorder):
             self._metrics.count("trace.sampled_out_events", len(buffered))
 
     def _view(self):
-        if not self._pending:
-            return list(self._events)
-        merged = list(self._events)
-        for buffered in self._pending.values():
-            merged.extend(buffered)
-        merged.sort(key=lambda e: e.seq)
-        return merged
+        pending = itertools.chain.from_iterable(self._pending.values())
+        return sorted([*self._events, *pending], key=SEQ)
 
 
 TRAVELS = st.one_of(st.none(), st.integers(1, 6))
