@@ -40,6 +40,21 @@ from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
 
 
+#: kind -> the fields its record keeps: those a recovery reader reads
+#: (DESIGN.md §13). :meth:`TraversalJournal.append` writes no other field a
+#: caller passes, so no plan or other object reaches the bytes. A
+#: ``progress`` record (per-report deltas, which no reader reads) is not
+#: written at all; the journal probe of ``benchmarks/perf`` still appends it.
+RECORD_FIELDS: dict[str, Optional[tuple[str, ...]]] = {
+    "admit": ("tid", "seq"),
+    "dispatch": ("tid", "child_of", "submit_time"),
+    "terminal": ("tid", "status"),
+    "epoch": ("epoch",),
+    "migration": ("mid", "phase", "src", "dst", "vids", "version"),
+    "progress": None,
+}
+
+
 class _RecordUnpickler(pickle.Unpickler):
     """Unpickles one record of plain values; any global raises."""
 
@@ -99,10 +114,11 @@ class TraversalJournal:
     """Append-only WAL of coordinator state transitions with compacting
     checkpoints.
 
-    ``append(kind, **fields)`` frames and durably appends one record, then
-    folds it into the journal's live :class:`JournalState` mirror (the same
-    fold :meth:`replay` applies, so the mirror and a cold replay always
-    agree). Record kinds, each with only the fields recovery reads:
+    ``append(kind, **fields)`` frames and durably appends one record of the
+    kind's :data:`RECORD_FIELDS`, then folds it into the journal's live
+    :class:`JournalState` mirror (the same fold :meth:`replay` applies, so
+    the mirror and a cold replay always agree). Record kinds, each with only
+    the fields recovery reads:
 
     ``admit``     scheduler admission: tid, seq (readmission order)
     ``dispatch``  coordinator launched an attempt: tid, child_of (a
@@ -134,7 +150,10 @@ class TraversalJournal:
     # -- writing ---------------------------------------------------------------
 
     def append(self, kind: str, **fields) -> None:
-        record = {"kind": kind, **fields}
+        names = RECORD_FIELDS.get(kind, ())
+        if names is None:
+            return
+        record = {"kind": kind, **{name: fields[name] for name in names}}
         framed = pack_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         self.storage.append(framed)
         self.records_appended += 1

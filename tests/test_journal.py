@@ -42,6 +42,24 @@ def test_append_replay_roundtrip():
     assert journal.state == state
 
 
+def test_a_record_keeps_only_what_recovery_reads():
+    """``append`` writes a kind's ``RECORD_FIELDS`` and nothing else a caller
+    passes — a plan never reaches the bytes — and writes no ``progress``
+    record at all."""
+    plan = GTravel.v(1).e("run").compile()
+    journal = TraversalJournal()
+    journal.append("admit", tid=1, plan=plan, tenant="batch", priority=2,
+                   deadline=5.0, admit_time=0.1, seq=0)
+    journal.append("dispatch", tid=1, plan=plan, attempt=0, epoch=0,
+                   composite=False, child_of=None, submit_time=0.2)
+    journal.append("progress", tid=1, statuses=32, results=8)
+    assert journal.records_appended == 2
+    assert journal.replay().running == {
+        1: {"kind": "dispatch", "tid": 1, "child_of": None, "submit_time": 0.2},
+    }
+    assert b"TraversalPlan" not in journal.storage.read()
+
+
 def test_terminal_clears_state_and_counts():
     journal = TraversalJournal()
     _dispatch(journal, 3)
