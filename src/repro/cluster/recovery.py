@@ -20,13 +20,10 @@ journal — and drives recovery when the coordinator's host comes back:
    their original admission order, deadlines re-armed on remaining time.
 
 A client session is the scheduler's own
-:class:`~repro.sched.scheduler.QueuedTravel` entry — plan, QoS and
-completion event in one object, the request's durable copy — kept here from
-acknowledgement to terminal; the journal adds only which travels were
-admitted, dispatched and finished. A submission is acknowledged only after
-its ``admit`` record is durable and every terminal is journaled before its
-event settles, so the journal and the sessions always name the same live
-travels.
+:class:`~repro.sched.scheduler.QueuedTravel` entry (plan, QoS and event: the
+request's durable copy), kept from acknowledgement to terminal. Admission is
+acknowledged once its ``admit`` record is durable and every terminal is
+journaled before its event settles, so both name the same live travels.
 """
 
 from __future__ import annotations
