@@ -65,12 +65,7 @@ from repro.graph import (
 )
 from repro.faults import CrashEvent, FaultPlan, FaultSpec, sample_fault_plan
 from repro.lang import EQ, IN, RANGE, FilterOp, GTravel, TraversalPlan, union_results
-from repro.net import (
-    ETHERNET_10G,
-    INFINIBAND_QDR,
-    NetworkModel,
-    ReliableConfig,
-)
+from repro.net import ETHERNET_10G, INFINIBAND_QDR, NetworkModel
 from repro.storage import GPFS, LOCAL_DISK, DiskCostModel, GraphStore, LSMConfig, LSMStore
 from repro.workloads import (
     MetadataGraphConfig,
@@ -120,7 +115,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "sample_fault_plan",
-    "ReliableConfig",
     "Edge",
     "GraphBuilder",
     "PropertyGraph",

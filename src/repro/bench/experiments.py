@@ -131,7 +131,7 @@ def exp_table1(env: BenchEnvironment) -> ExperimentResult:
     """Table I: Sync-GT / Async-GT / GraphTrek, 8-step traversal on RMAT-1."""
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
-    cells = harness.run_engine_comparison(graph, plan, env.servers, trace=env.trace)
+    cells = harness.run_engine_comparison(graph, plan, env.servers, trace_enabled=env.trace)
     lookup = cell_lookup(cells)
     n_max, n_min = max(env.servers), min(env.servers)
     checks = [
@@ -186,7 +186,7 @@ def exp_fig7(env: BenchEnvironment) -> ExperimentResult:
     nservers = max(env.servers)
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, 8)
-    cell = harness.run_cell(graph, plan, EngineKind.GRAPHTREK, nservers, trace=env.trace)
+    cell = harness.run_cell(graph, plan, EngineKind.GRAPHTREK, nservers, trace_enabled=env.trace)
     # merging intensity vs storage weight per server (the paper found the
     # byte-heavy hub servers merge the most)
     per_server = cell.per_server
@@ -230,7 +230,8 @@ def exp_step_sweep(env: BenchEnvironment, steps: int) -> ExperimentResult:
     graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
     plan = harness.kstep_plan(env, steps)
     cells = harness.run_engine_comparison(
-        graph, plan, env.servers, (EngineKind.SYNC, EngineKind.GRAPHTREK), trace=env.trace
+        graph, plan, env.servers, (EngineKind.SYNC, EngineKind.GRAPHTREK),
+        trace_enabled=env.trace,
     )
     lookup = cell_lookup(cells)
     n_max, n_min = max(env.servers), min(env.servers)
@@ -293,7 +294,7 @@ def exp_fig11(env: BenchEnvironment) -> ExperimentResult:
             samples = [
                 harness.run_cell(
                     graph, harness.kstep_plan(env, 8, pick=7 + pick), engine, nservers,
-                    trace=env.trace, interference_factory=interference,
+                    trace_enabled=env.trace, interference_factory=interference,
                 )
                 for pick in range(runs)
             ]
@@ -394,7 +395,7 @@ def exp_table3(env: BenchEnvironment) -> ExperimentResult:
     md, plan = _darshan_audit()
     expected = ReferenceEngine(md.graph).run(plan)
     cells = harness.run_engine_comparison(
-        md.graph, plan, [nservers], trace=env.trace, block_cache_blocks=0
+        md.graph, plan, [nservers], trace_enabled=env.trace, block_cache_blocks=0
     )
     lookup = cell_lookup(cells)
     checks = [
@@ -439,7 +440,7 @@ def exp_ablation_optimizations(env: BenchEnvironment) -> ExperimentResult:
         "graphtrek": graphtrek_options(),
     }
     by = {
-        name: harness.run_cell(graph, plan, opts, nservers, label=name, trace=env.trace)
+        name: harness.run_cell(graph, plan, opts, nservers, label=name, trace_enabled=env.trace)
         for name, opts in variants.items()
     }
     rows = {name: report.fmt_time(cell.elapsed) for name, cell in by.items()}
@@ -484,7 +485,7 @@ def exp_ablation_planner(env: BenchEnvironment) -> ExperimentResult:
     by = {
         f"{workload}-{mode}": harness.run_cell(
             graph, plan, graphtrek_options(planner=mode), nservers,
-            label=f"{workload}-{mode}", trace=env.trace,
+            label=f"{workload}-{mode}", trace_enabled=env.trace,
         )
         for workload, (graph, plan) in workloads.items()
         for mode in ("off", "rules", "cost")
@@ -549,7 +550,7 @@ def exp_concurrent_traversals(env: BenchEnvironment) -> ExperimentResult:
     cells = []
     for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK):
         solo = [harness.run_cell(graph, plan, engine, nservers).elapsed for plan in plans]
-        cluster = harness.build_cluster(graph, engine, nservers, trace=env.trace)
+        cluster = harness.build_cluster(graph, engine, nservers, trace_enabled=env.trace)
         cell, outcomes = harness.measure(cluster, plans, stats_of=-1)
         cells.append(cell)
         concurrent = [o.stats.elapsed for o in outcomes]
@@ -590,7 +591,7 @@ def exp_ablation_layout(env: BenchEnvironment) -> ExperimentResult:
     by = {
         layout: harness.run_cell(
             md.graph, plan, EngineKind.GRAPHTREK, nservers,
-            label=f"{GT}/{layout}", trace=env.trace, edge_layout=layout,
+            label=f"{GT}/{layout}", trace_enabled=env.trace, edge_layout=layout,
             block_cache_blocks=0,  # cold: layout differences are I/O
         )
         for layout in ("grouped", "interleaved")
@@ -621,7 +622,7 @@ def exp_ablation_partitioning(env: BenchEnvironment) -> ExperimentResult:
     cells = [
         harness.run_cell(
             graph, plan, engine, nservers,
-            label=f"{engine.value}/{part}", trace=env.trace, partitioner=part,
+            label=f"{engine.value}/{part}", trace_enabled=env.trace, partitioner=part,
         )
         for part in ("hash", "greedy")
         for engine in (EngineKind.SYNC, EngineKind.GRAPHTREK)
@@ -795,7 +796,7 @@ def exp_scheduler(env: BenchEnvironment) -> ExperimentResult:
     for policy in POLICY_NAMES:
         cluster = harness.build_cluster(
             graph, graphtrek_options(scheduler=policy), nservers,
-            trace=env.trace, scheduler_config=sched_config,
+            trace_enabled=env.trace, scheduler_config=sched_config,
         )
         # Cell is keyed (engine, nservers); disambiguate the three
         # same-engine cells by policy name.
@@ -890,7 +891,7 @@ def exp_lang_ops(env: BenchEnvironment) -> ExperimentResult:
     for qname, plan in queries.items():
         ref = ReferenceEngine(md.graph).run(plan)
         for kind in harness.ENGINE_ORDER:
-            cluster = harness.build_cluster(md.graph, kind, nservers, trace=env.trace)
+            cluster = harness.build_cluster(md.graph, kind, nservers, trace_enabled=env.trace)
             cell, (outcome,) = harness.measure(cluster, [plan], label=f"{kind.value}:{qname}")
             cells.append(cell)
             # after measure: the cell's snapshot and trace cover its own
@@ -1360,7 +1361,7 @@ def exp_columnar(env: BenchEnvironment) -> ExperimentResult:
     cells, virt, bpe, results = [], {}, {}, {}
     for name in ("grouped", "columnar"):
         cluster = harness.build_cluster(
-            graph, EngineKind.GRAPHTREK, nservers, trace=env.trace, edge_layout=name
+            graph, EngineKind.GRAPHTREK, nservers, trace_enabled=env.trace, edge_layout=name
         )
         outcomes = [cluster.traverse(plan) for plan in plans[:-1]]
         # the cell reports the last traversal the long-lived cluster served

@@ -156,7 +156,6 @@ def build_cluster(
     engine: Union[EngineKind, EngineOptions],
     nservers: int,
     *,
-    trace: bool = False,
     interference_factory=None,
     **cluster_kwargs,
 ) -> Cluster:
@@ -164,8 +163,6 @@ def build_cluster(
     config = ClusterConfig(nservers=nservers, engine=engine, **cluster_kwargs)
     if interference_factory is not None:
         config.interference = interference_factory()
-    if trace:
-        config.trace_enabled = True
     return Cluster.build(graph, config)
 
 

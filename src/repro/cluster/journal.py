@@ -15,9 +15,9 @@ Records use the framed format shared with checkpoints
 (:func:`repro.storage.persist.pack_record`): ``[u32 len][u32 crc32]``
 followed by a pickled dict of plain values with a ``kind`` discriminator. A
 torn or bit-rotted record raises the typed
-:class:`~repro.errors.CorruptJournal` on replay, and so does a record that
-names any global at all: replay never resolves, let alone calls, a class or
-function.
+:class:`~repro.errors.CorruptJournal` on replay, and so does a record whose
+keys are not its kind's, or one that names any global at all: replay never
+resolves, let alone calls, a class or function.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
 it rewrites its storage as a single ``checkpoint`` record carrying the
@@ -53,6 +53,10 @@ RECORD_FIELDS: dict[str, Optional[tuple[str, ...]]] = {
     "migration": ("mid", "phase", "src", "dst", "vids", "version"),
     "progress": None,
 }
+#: the keys replay accepts per kind: a written kind's fields, or a
+#: checkpoint's ``state`` (which holds :class:`JournalState`'s fields)
+_RECORD_KEYS = {kind: {"kind", *names} for kind, names in RECORD_FIELDS.items() if names}
+_RECORD_KEYS["checkpoint"] = {"kind", "state"}
 
 
 class _RecordUnpickler(pickle.Unpickler):
@@ -114,7 +118,7 @@ class TraversalJournal:
     """Append-only WAL of coordinator state transitions with compacting
     checkpoints.
 
-    ``append(kind, **fields)`` frames and durably appends one record of the
+    ``append(kind, **values)`` frames and durably appends one record of the
     kind's :data:`RECORD_FIELDS`, then folds it into the journal's live
     :class:`JournalState` mirror (the same fold :meth:`replay` applies, so
     the mirror and a cold replay always agree). Record kinds, each with only
@@ -149,11 +153,14 @@ class TraversalJournal:
 
     # -- writing ---------------------------------------------------------------
 
-    def append(self, kind: str, **fields) -> None:
-        names = RECORD_FIELDS.get(kind, ())
+    def append(self, kind: str, **values) -> None:
+        """An unknown ``kind`` is refused before a byte is written."""
+        if kind not in RECORD_FIELDS:
+            raise ValueError(f"unknown journal record kind {kind!r}")
+        names = RECORD_FIELDS[kind]
         if names is None:
             return
-        record = {"kind": kind, **{name: fields[name] for name in names}}
+        record = {"kind": kind, **{name: values[name] for name in names}}
         framed = pack_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         self.storage.append(framed)
         self.records_appended += 1
@@ -197,8 +204,14 @@ class TraversalJournal:
                 record = _RecordUnpickler(io.BytesIO(payload)).load()
             except Exception as exc:
                 raise CorruptJournal(f"undecodable journal record: {exc}") from exc
-            if not isinstance(record, dict) or "kind" not in record:
+            if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
                 raise CorruptJournal("journal record is not a kind-tagged dict")
+            kind, keys = record["kind"], _RECORD_KEYS.get(record["kind"])
+            if keys is None:
+                raise CorruptJournal(f"unknown journal record kind {kind!r}")
+            if record.keys() != keys:
+                fields = sorted(map(str, record))
+                raise CorruptJournal(f"journal {kind} record has fields {fields}")
             self._fold(state, record)
         return state
 
@@ -208,7 +221,10 @@ class TraversalJournal:
     def _fold(state: JournalState, record: dict) -> None:
         kind = record["kind"]
         if kind == "checkpoint":
-            vars(state).update(record["state"])
+            saved = record["state"]
+            if not isinstance(saved, dict) or saved.keys() != vars(JournalState()).keys():
+                raise CorruptJournal("journal checkpoint does not hold a JournalState")
+            vars(state).update(saved)
         elif kind == "admit":
             tid = record["tid"]
             state.note_travel_id(tid)
@@ -222,18 +238,15 @@ class TraversalJournal:
             tid = record["tid"]
             state.queued.pop(tid, None)
             state.running.pop(tid, None)
-            status = record.get("status", "ok")
+            status = record["status"]
             state.terminals[status] = state.terminals.get(status, 0) + 1
         elif kind == "epoch":
             state.epoch = record["epoch"]
-        elif kind == "migration":
+        else:  # migration
             mid = record["mid"]
-            state.routing_version = max(
-                state.routing_version, record.get("version", 0)
-            )
-            if record.get("phase") == "aborted":
+            state.routing_version = max(state.routing_version, record["version"])
+            if record["phase"] == "aborted":
                 state.migrations.pop(mid, None)
             else:
                 state.migrations[mid] = record
-        else:
-            raise CorruptJournal(f"unknown journal record kind {kind!r}")
+

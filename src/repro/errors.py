@@ -85,8 +85,8 @@ class EdgeLayoutMismatch(StorageError):
 class CorruptJournal(StorageError):
     """A traversal-journal record failed its integrity check on replay.
 
-    Raised when a record's length prefix runs past the end of the journal
-    or its CRC32 does not match. Replay fails loudly rather than silently
+    Raised when a record's length prefix runs past the end of the journal,
+    its CRC32 does not match, or its keys are not its kind's. Replay fails loudly rather than silently
     rebuilding coordinator state from a damaged log.
     """
 

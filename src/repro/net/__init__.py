@@ -13,14 +13,13 @@ from repro.net.message import (
     TraverseRequest,
     entries_nbytes,
 )
-from repro.net.reliable import AckFrame, DataFrame, ReliableChannel, ReliableConfig
+from repro.net.reliable import AckFrame, DataFrame, ReliableChannel
 from repro.net.topology import ETHERNET_10G, INFINIBAND_QDR, NetworkModel
 
 __all__ = [
     "AckFrame",
     "DataFrame",
     "ReliableChannel",
-    "ReliableConfig",
     "Anchors",
     "Entries",
     "ExecStatus",

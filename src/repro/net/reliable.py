@@ -7,10 +7,10 @@ TCP does over IP:
 
 * every payload is wrapped in a :class:`DataFrame` with a globally unique
   ``seq`` and retransmitted on a seeded exponential backoff (+/- jitter)
-  until the receiver's :class:`AckFrame` arrives or ``max_retries`` is
+  until the receiver's :class:`AckFrame` arrives or :data:`MAX_RETRIES` is
   exhausted;
-* a bounded per-link in-flight window throttles senders, so a dead receiver
-  cannot absorb unbounded retransmission state;
+* a bounded per-link in-flight :data:`WINDOW` throttles senders, so a dead
+  receiver cannot absorb unbounded retransmission state;
 * the receiver deduplicates on ``(travel_id, attempt, seq)`` before handing
   the payload to the engine/coordinator handler — so the layers above see
   *effectively-once* delivery and whole-traversal restarts become the last
@@ -38,7 +38,14 @@ from repro.sim.rng import derive_seed, uniform_stream
 
 _FRAME_OVERHEAD = 16  # seq + framing on top of the payload's wire size
 
-#: retransmission timer: ``ack_timeout * RETRY_BACKOFF**(attempts-1)``, scaled
+#: ack/retry policy, in virtual seconds: ``ACK_TIMEOUT`` before the first
+#: retransmission, ``MAX_RETRIES`` retransmissions before a delivery failure,
+#: and at most ``WINDOW`` unacked frames per (src, dst) link
+ACK_TIMEOUT = 0.002
+MAX_RETRIES = 8
+WINDOW = 32
+
+#: retransmission timer: ``ACK_TIMEOUT * RETRY_BACKOFF**(attempts-1)``, scaled
 #: by a +/- RETRY_JITTER fraction drawn from the seeded stream
 RETRY_BACKOFF = 2.0
 RETRY_JITTER = 0.25
@@ -65,15 +72,6 @@ class AckFrame(Message):
 
     def _wire_size(self) -> int:
         return _FRAME_OVERHEAD
-
-
-@dataclass(frozen=True)
-class ReliableConfig:
-    """Ack/retry policy, in virtual seconds."""
-
-    ack_timeout: float = 0.002  # before the first retransmission
-    max_retries: int = 8
-    window: int = 32  # per-(src, dst) unacked frames
 
 
 class _InFlight:
@@ -105,13 +103,11 @@ class ReliableChannel:
         self,
         runtime,
         *,
-        config: Optional[ReliableConfig] = None,
         metrics=None,
         trace=None,
         seed: int = 0,
     ):
         self.runtime = runtime
-        self.config = config or ReliableConfig()
         self.metrics = metrics
         self.trace = trace
         #: one retransmit-jitter uniform per transmission, in draw order
@@ -167,7 +163,7 @@ class ReliableChannel:
             sends = self._sends[cls] = self._counter("net.sends", type=cls.__name__)
         sends()
         link = entry.link
-        if self._link_inflight.get(link, 0) >= self.config.window:
+        if self._link_inflight.get(link, 0) >= WINDOW:
             self._queued.setdefault(link, deque()).append(entry)
             self._count("net.window_stalls")
             return
@@ -182,7 +178,7 @@ class ReliableChannel:
     def _transmit(self, entry: _InFlight) -> None:
         entry.attempts += 1
         self.runtime.raw_deliver(entry.src, entry.dst, entry.frame)
-        timeout = self.config.ack_timeout * (RETRY_BACKOFF ** (entry.attempts - 1))
+        timeout = ACK_TIMEOUT * (RETRY_BACKOFF ** (entry.attempts - 1))
         u = next(self._uniforms)
         timeout *= 1.0 + RETRY_JITTER * (2.0 * u - 1.0)
         self.runtime.schedule(timeout, self._on_timeout, entry.seq, entry.attempts)
@@ -191,7 +187,7 @@ class ReliableChannel:
         entry = self._inflight.get(seq)
         if entry is None or entry.attempts != expected_attempts:
             return  # acked, lost to a crash, or superseded by a retry
-        if entry.attempts <= self.config.max_retries:
+        if entry.attempts <= MAX_RETRIES:
             self._count("net.retries", type=type(entry.payload).__name__)
             self._trace_event("net.retry", entry)
             self._transmit(entry)
@@ -208,7 +204,7 @@ class ReliableChannel:
         link = entry.link
         self._link_inflight[link] = max(0, self._link_inflight.get(link, 1) - 1)
         q = self._queued.get(link)
-        while q and self._link_inflight[link] < self.config.window:
+        while q and self._link_inflight[link] < WINDOW:
             self._admit(q.popleft())
 
     # -- receiving ----------------------------------------------------------

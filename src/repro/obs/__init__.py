@@ -36,7 +36,7 @@ from repro.obs.metrics import (
     render_key,
 )
 from repro.obs.slo import SLOAlert, SLOConfig, SLOTracker
-from repro.obs.telemetry import HotShardReport, TelemetryConfig, TelemetryPlane
+from repro.obs.telemetry import HotShardReport, TelemetryPlane
 from repro.obs.trace import (
     EVENT_KINDS,
     FlightRecorder,
@@ -79,7 +79,6 @@ __all__ = [
     "FlightRecorder",
     "SamplingPolicy",
     "TelemetryPlane",
-    "TelemetryConfig",
     "HotShardReport",
     "SLOTracker",
     "SLOConfig",

@@ -15,10 +15,10 @@ Two objectives per tenant (DESIGN.md §14):
   :class:`~repro.errors.AdmissionRejected`. Client-initiated cancellations
   are neither good nor bad: they spend no error budget.
 
-Burn rate is the classic SRE ratio: ``(bad / total) / error_budget`` over a
+Burn rate is the classic SRE ratio: ``(bad / total) / ERROR_BUDGET`` over a
 trailing window — 1.0 means the tenant burns budget exactly as fast as the
 objective allows. An alert *fires* when the burn rate exceeds
-``burn_threshold`` over **both** the fast and the slow window (the
+``BURN_THRESHOLD`` over **both** the fast and the slow window (the
 multi-window rule: the fast window gives reaction time, the slow window
 vetoes blips), and *resolves* when either drops back to the threshold or
 below. Every transition appends one :class:`SLOAlert` to the typed alert
@@ -43,21 +43,23 @@ from repro.obs.metrics import canonical_json
 OBJECTIVES = ("latency", "errors")
 
 
+#: fraction of requests allowed to be bad (the error budget); applies to
+#: both objectives
+ERROR_BUDGET = 0.05
+#: trailing windows (virtual seconds) for the multi-window burn evaluation
+FAST_WINDOW = 5.0
+SLOW_WINDOW = 30.0
+#: fire when burn rate over BOTH windows exceeds this multiple
+BURN_THRESHOLD = 2.0
+
+
 @dataclass(frozen=True)
 class SLOConfig:
-    """Objectives and burn-rate alerting knobs (virtual seconds)."""
+    """The per-cluster objective (virtual seconds)."""
 
     #: a completed traversal is latency-good at or under this many seconds,
     #: measured admission → terminal (queue wait included)
     latency_objective: float = 1.0
-    #: fraction of requests allowed to be bad (the error budget); applies
-    #: to both objectives
-    error_budget: float = 0.05
-    #: trailing windows (seconds) for the multi-window burn evaluation
-    fast_window: float = 5.0
-    slow_window: float = 30.0
-    #: fire when burn rate over BOTH windows exceeds this multiple
-    burn_threshold: float = 2.0
     #: do not evaluate a window holding fewer observations than this — a
     #: single bad request in an otherwise idle window is not a page
     min_events: int = 4
@@ -119,8 +121,7 @@ class _Window:
 
 @dataclass
 class _ObjectiveState:
-    """Fast and slow windows and the alert latch of one (tenant, objective).
-    The fast window never reaches past the slow one."""
+    """Fast and slow windows and the alert latch of one (tenant, objective)."""
 
     fast: _Window
     slow: _Window
@@ -180,22 +181,21 @@ class SLOTracker:
     # -- evaluation ----------------------------------------------------------
 
     def _observe(self, tenant: str, objective: str, *, bad: bool, now: float) -> None:
-        cfg = self.config
+        min_events = self.config.min_events
         state = self._states.get((tenant, objective))
         if state is None:
             state = self._states[(tenant, objective)] = _ObjectiveState(
-                fast=_Window(min(cfg.fast_window, cfg.slow_window)),
-                slow=_Window(cfg.slow_window),
+                fast=_Window(FAST_WINDOW), slow=_Window(SLOW_WINDOW)
             )
         state.fast.add(now, bad)
         state.slow.add(now, bad)
-        burn_fast, n_fast = state.fast.burn(cfg.error_budget)
-        burn_slow, n_slow = state.slow.burn(cfg.error_budget)
+        burn_fast, n_fast = state.fast.burn(ERROR_BUDGET)
+        burn_slow, n_slow = state.slow.burn(ERROR_BUDGET)
         should_fire = (
-            n_fast >= cfg.min_events
-            and n_slow >= cfg.min_events
-            and burn_fast > cfg.burn_threshold
-            and burn_slow > cfg.burn_threshold
+            n_fast >= min_events
+            and n_slow >= min_events
+            and burn_fast > BURN_THRESHOLD
+            and burn_slow > BURN_THRESHOLD
         )
         if should_fire == state.firing:
             return

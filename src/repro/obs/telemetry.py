@@ -49,17 +49,13 @@ EXEC_RATE_METRIC = "engine.real_visits"
 HOT_SCORE_THRESHOLD = 3.0
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Windowing knobs (clock units are virtual seconds)."""
-
-    #: fixed window width on the runtime clock
-    window_width: float = 0.25
-    #: bounded ring: windows retained per series
-    max_windows: int = 64
-    #: histogram samples kept per window (first-N, deterministic); overflow
-    #: is counted, never silently lost
-    max_samples_per_window: int = 512
+#: fixed window width on the runtime clock (virtual seconds)
+WINDOW_WIDTH = 0.25
+#: bounded ring: windows retained per series
+MAX_WINDOWS = 64
+#: histogram samples kept per window (first-N, deterministic); overflow is
+#: counted, never silently lost
+MAX_SAMPLES_PER_WINDOW = 512
 
 
 @dataclass
@@ -104,16 +100,9 @@ class TelemetryPlane:
     reads it).
     """
 
-    def __init__(
-        self, config: Optional[TelemetryConfig] = None, *, slo, recorder
-    ):
-        self.config = config or TelemetryConfig()
+    def __init__(self, *, slo, recorder):
         self.slo = slo
         self._recorder = recorder
-        self._width = self.config.window_width
-        self._inv_width = 1.0 / self.config.window_width
-        self._max_windows = self.config.max_windows
-        self._max_samples = self.config.max_samples_per_window
         # per-series bounded rings of window slots, oldest first
         self._counters: dict[MetricKey, deque] = {}  # [window, total]
         self._gauges: dict[MetricKey, deque] = {}  # [window, last value]
@@ -138,16 +127,16 @@ class TelemetryPlane:
         record path."""
         self._clock = runtime.now
         self._registry = registry
-        self._cur_widx = int(runtime.now() * self._inv_width)
+        self._cur_widx = int(runtime.now() / WINDOW_WIDTH)
         runtime.on_clock_boundary(
-            self._on_boundary, (self._cur_widx + 1) * self._width
+            self._on_boundary, (self._cur_widx + 1) * WINDOW_WIDTH
         )
 
     def _on_boundary(self, now: float) -> float:
         """Runtime callback: the clock reached the next window boundary."""
         self._flush_window()
-        self._cur_widx = int(now * self._inv_width)
-        return (self._cur_widx + 1) * self._width
+        self._cur_widx = int(now / WINDOW_WIDTH)
+        return (self._cur_widx + 1) * WINDOW_WIDTH
 
     def _flush_window(self) -> None:
         """Close (or top up) the current window from registry deltas.
@@ -174,7 +163,7 @@ class TelemetryPlane:
             if fresh:
                 hmarks[key] = start + len(fresh)
                 slot = self._slot(self._hists, key, widx, [], 0)
-                room = self._max_samples - len(slot[1])
+                room = MAX_SAMPLES_PER_WINDOW - len(slot[1])
                 slot[1].extend(fresh[:room])
                 slot[2] += max(0, len(fresh) - room)
 
@@ -186,7 +175,7 @@ class TelemetryPlane:
             ring = table[key] = deque()
         if not ring or ring[-1][0] != widx:
             ring.append([widx, *zero])
-            if len(ring) > self._max_windows:
+            if len(ring) > MAX_WINDOWS:
                 ring.popleft()
         return ring[-1]
 
@@ -236,7 +225,7 @@ class TelemetryPlane:
     # -- reading: rollups ------------------------------------------------------
 
     def window_start(self, widx: int) -> float:
-        return widx * self._width
+        return widx * WINDOW_WIDTH
 
     def rollups(self) -> dict[str, Any]:
         """The full windowed rollup state as a canonical, sorted payload."""
@@ -247,7 +236,7 @@ class TelemetryPlane:
                     "window": w,
                     "start": self.window_start(w),
                     "count": total,
-                    "rate": total / self._width,
+                    "rate": total / WINDOW_WIDTH,
                 }
                 for w, total in self._counters[k]
             ]
@@ -281,8 +270,8 @@ class TelemetryPlane:
                 )
             histograms[render_key(k)] = rows
         return {
-            "window_width": self._width,
-            "max_windows": self.config.max_windows,
+            "window_width": WINDOW_WIDTH,
+            "max_windows": MAX_WINDOWS,
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
@@ -300,7 +289,7 @@ class TelemetryPlane:
         if not ring:
             return 0.0
         total = sum(t for _w, t in ring)
-        span = (ring[-1][0] - ring[0][0] + 1) * self._width
+        span = (ring[-1][0] - ring[0][0] + 1) * WINDOW_WIDTH
         return total / span
 
     # -- hot-shard detection ---------------------------------------------------
@@ -340,7 +329,7 @@ class TelemetryPlane:
         hot = [r["server"] for r in rows if r["score"] >= HOT_SCORE_THRESHOLD]
         return HotShardReport(
             clock=self._clock(),
-            window_width=self._width,
+            window_width=WINDOW_WIDTH,
             servers=rows,
             ranked=ranked,
             hot=hot,

@@ -56,6 +56,20 @@ MIGRATION_ID_BASE = 1 << 48
 #: while a cutover drains the travels that were active when it committed
 ACK_POLL = 0.002
 DRAIN_POLL = 0.005
+#: per-chunk ack timeout (virtual seconds) before a resend
+ACK_TIMEOUT = 0.25
+#: resends per chunk before the migration aborts
+MAX_RESENDS = 8
+#: safety valve: drop the source copy after this long (virtual seconds)
+#: even if a traversal from before cutover is still running
+DRAIN_TIMEOUT = 60.0
+#: tenant the chunk-copy jobs are attributed to; give it a small WFQ weight
+#: (or rely on FIFO arrival order) so migration traffic cannot starve
+#: interactive QoS classes
+TENANT = "rebalance"
+#: priority class for the chunk jobs under the priority policy (large =
+#: launches after every interactive class)
+PRIORITY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,20 +80,6 @@ class MigrationConfig:
     chunk_vertices: int = 8
     #: how long the double-routing window stays open before cutover
     dual_window: float = 0.02
-    #: per-chunk ack timeout before a resend
-    ack_timeout: float = 0.25
-    #: resends per chunk before the migration aborts
-    max_resends: int = 8
-    #: safety valve: drop the source copy after this long even if a
-    #: traversal from before cutover is still running
-    drain_timeout: float = 60.0
-    #: tenant the chunk-copy jobs are attributed to; give it a small WFQ
-    #: weight (or rely on FIFO arrival order) so migration traffic cannot
-    #: starve interactive QoS classes
-    tenant: str = "rebalance"
-    #: priority class for the chunk jobs under the priority policy
-    #: (large = launches after every interactive class)
-    priority: int = 1 << 20
 
 
 @dataclass
@@ -344,18 +344,17 @@ class ShardMigrator:
                 self._abort(state, str(exc))
 
     def _copy(self, state: MigrationState):
-        cfg = self.config
+        size = self.config.chunk_vertices
         chunks = [
-            state.vids[i : i + cfg.chunk_vertices]
-            for i in range(0, len(state.vids), cfg.chunk_vertices)
+            state.vids[i : i + size] for i in range(0, len(state.vids), size)
         ]
         for seq, chunk in enumerate(chunks):
             if state.crashed:
                 return
             _, event = self.scheduler.submit_job(
                 self._chunk_job(state, seq, chunk),
-                tenant=cfg.tenant,
-                priority=cfg.priority,
+                tenant=TENANT,
+                priority=PRIORITY,
             )
             yield event  # throws RebalanceError on job failure
 
@@ -363,7 +362,6 @@ class ShardMigrator:
         """One scheduler job: ship one chunk and wait for its ack, with
         bounded resends. Runs paced by the admission scheduler, so copy
         bandwidth is subject to policy order and the in-flight cap."""
-        cfg = self.config
 
         def job():
             if state.crashed or state.phase != "copy":
@@ -379,7 +377,7 @@ class ShardMigrator:
                 from_server=state.src,
             )
             key = (state.mid, seq)
-            for attempt in range(cfg.max_resends + 1):
+            for attempt in range(MAX_RESENDS + 1):
                 if state.crashed:
                     return
                 if self.runtime.is_down(state.src) or self.runtime.is_down(
@@ -392,21 +390,20 @@ class ShardMigrator:
                     state.resends += 1
                     self.metrics.count("rebalance.resends")
                 self.servers[state.src].ctx.send(state.dst, msg)
-                deadline = self.ctx.now() + cfg.ack_timeout
+                deadline = self.ctx.now() + ACK_TIMEOUT
                 while self.ctx.now() < deadline:
                     if key in self._acked:
                         return
                     yield self.ctx.sleep(ACK_POLL)
             raise RebalanceError(
-                f"chunk {seq} unacked after {cfg.max_resends} resends",
+                f"chunk {seq} unacked after {MAX_RESENDS} resends",
                 mid=state.mid,
             )
 
         return job
 
     def _drain(self, state: MigrationState, watched):
-        cfg = self.config
-        deadline = self.ctx.now() + cfg.drain_timeout
+        deadline = self.ctx.now() + DRAIN_TIMEOUT
         while self.ctx.now() < deadline:
             if state.crashed:
                 return

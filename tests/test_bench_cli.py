@@ -84,14 +84,14 @@ def test_traced_run_without_cells_fails(capsys, results_dir):
 
 
 def test_traced_run_names_the_cell_that_dropped_tracing(capsys, monkeypatch, results_dir):
-    """One build site that forgets ``trace=env.trace`` fails the run even
+    """One build site that forgets ``trace_enabled=env.trace`` fails the run even
     though the other cells recorded events."""
 
     def forgetful(env):
         graph = harness.rmat1_graph(env.scale, env.edge_factor)
         plan = harness.kstep_plan(env, 2)
         cells = [
-            harness.run_cell(graph, plan, EngineKind.SYNC, 2, trace=env.trace),
+            harness.run_cell(graph, plan, EngineKind.SYNC, 2, trace_enabled=env.trace),
             harness.run_cell(graph, plan, EngineKind.GRAPHTREK, 2),
         ]
         return ExperimentResult(cells, "stub", [])

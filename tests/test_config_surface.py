@@ -16,6 +16,24 @@ its one in-memory storage, which outlives the coordinator).
 buckets, and ``RebalancerConfig`` with the closed-loop rebalancer: no entry
 point ran them.
 
+Fifteen more went because no workload, experiment, example or README block
+set them; each is now a module constant with its old default:
+
+- ``ReliableConfig`` (``ack_timeout``, ``max_retries``, ``window``): no
+  cluster ever passed one; ``ACK_TIMEOUT``, ``MAX_RETRIES`` and ``WINDOW``
+  in ``repro.net.reliable``.
+- ``TelemetryConfig`` (``window_width``, ``max_windows``,
+  ``max_samples_per_window``): no ``Observability`` ever passed one;
+  ``WINDOW_WIDTH``, ``MAX_WINDOWS`` and ``MAX_SAMPLES_PER_WINDOW`` in
+  ``repro.obs.telemetry``.
+- ``SLOConfig.error_budget``, ``fast_window``, ``slow_window`` and
+  ``burn_threshold``: the burn policy; ``ERROR_BUDGET``, ``FAST_WINDOW``,
+  ``SLOW_WINDOW`` and ``BURN_THRESHOLD`` in ``repro.obs.slo``.
+- ``MigrationConfig.ack_timeout``, ``max_resends``, ``drain_timeout``,
+  ``tenant`` and ``priority``: migration pacing; ``ACK_TIMEOUT``,
+  ``MAX_RESENDS``, ``DRAIN_TIMEOUT``, ``TENANT`` and ``PRIORITY`` in
+  ``repro.rebalance.migrate``.
+
 The public methods of ``Cluster`` and ``TraversalScheduler`` are pinned
 too. Removed so far: ``Cluster.start_rebalancer``/``stop_rebalancer``
 (a caller picks a move with ``select_migration`` and runs it with
@@ -41,8 +59,7 @@ import pytest
 import repro.sim
 from repro.cluster import Cluster, ClusterConfig, CoordinatorConfig
 from repro.engine import EngineOptions
-from repro.net import ReliableConfig
-from repro.obs import SLOConfig, TelemetryConfig
+from repro.obs import SLOConfig
 from repro.rebalance import MigrationConfig
 from repro.runtime import SimServerContext
 from repro.sched import SchedulerConfig, TraversalScheduler
@@ -92,25 +109,8 @@ SURFACE = {
         "scheduler",
     ),
     SchedulerConfig: ("max_pending", "max_inflight", "tenant_weights"),
-    MigrationConfig: (
-        "chunk_vertices",
-        "dual_window",
-        "ack_timeout",
-        "max_resends",
-        "drain_timeout",
-        "tenant",
-        "priority",
-    ),
-    SLOConfig: (
-        "latency_objective",
-        "error_budget",
-        "fast_window",
-        "slow_window",
-        "burn_threshold",
-        "min_events",
-    ),
-    TelemetryConfig: ("window_width", "max_windows", "max_samples_per_window"),
-    ReliableConfig: ("ack_timeout", "max_retries", "window"),
+    MigrationConfig: ("chunk_vertices", "dual_window"),
+    SLOConfig: ("latency_objective", "min_events"),
     LSMConfig: (
         "memtable_flush_bytes",
         "max_sstables",

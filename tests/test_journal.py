@@ -115,6 +115,58 @@ def test_undecodable_and_untagged_records_rejected():
         TraversalJournal(storage)
 
 
+def _framed(record) -> JournalFile:
+    return JournalFile(pack_record(pickle.dumps(record)))
+
+
+def test_a_record_of_the_wrong_shape_raises_typed_error():
+    """A CRC-valid record whose keys are not its kind's is refused, not
+    folded: a ``dispatch`` without ``tid`` (once a ``KeyError``), a
+    ``terminal`` without ``status`` (once counted as ``ok``), a record
+    with a field its kind does not keep, and a ``progress`` record, a kind
+    no longer written."""
+    for record, message in (
+        ({"kind": "dispatch"}, "dispatch record has fields"),
+        ({"kind": "terminal", "tid": 1}, "terminal record has fields"),
+        ({"kind": "admit", "tid": 1, "seq": 0, "tenant": "batch"},
+         "admit record has fields"),
+        ({"kind": "progress", "tid": 1, "statuses": 32, "results": 8},
+         "unknown journal record kind 'progress'"),
+    ):
+        with pytest.raises(CorruptJournal, match=message):
+            TraversalJournal(_framed(record))
+
+
+def test_a_checkpoint_with_foreign_state_keys_raises_typed_error():
+    """A checkpoint restores a ``JournalState`` only: a state with a key the
+    dataclass lacks, or without one of its fields, is refused."""
+    state = vars(JournalState())
+    for checkpoint in (
+        {"kind": "checkpoint", "state": {**state, "plans": {}}},
+        {"kind": "checkpoint", "state": {k: v for k, v in state.items() if k != "epoch"}},
+        {"kind": "checkpoint", "state": list(state)},
+        {"kind": "checkpoint", "state": state, "seq": 1},
+    ):
+        with pytest.raises(CorruptJournal, match="journal checkpoint"):
+            TraversalJournal(_framed(checkpoint))
+    assert TraversalJournal(_framed({"kind": "checkpoint", "state": state})).state == (
+        JournalState()
+    )
+
+
+def test_a_refused_append_leaves_no_bytes():
+    """An unknown kind is refused before a byte is written, so the journal
+    still replays."""
+    journal = TraversalJournal()
+    journal.append("epoch", epoch=1)
+    size = journal.size_bytes()
+    with pytest.raises(ValueError, match="unknown journal record kind 'bogus'"):
+        journal.append("bogus", tid=1)
+    assert journal.size_bytes() == size
+    assert journal.records_appended == 1
+    assert journal.replay().epoch == 1
+
+
 FLAG = {"ran": False}
 
 

@@ -1,6 +1,7 @@
 """README's python blocks run: the Quickstart, "Elastic scale-out" and
 "Concurrency & QoS" blocks execute in order in one namespace (the later
-blocks reuse the Quickstart's ``graph`` and ``query``), and the
+blocks reuse the Quickstart's ``graph`` and ``query``), the "Operations"
+telemetry block runs after the Quickstart on its graph, and the
 "EXPLAIN / PROFILE" and "Query planning" blocks run on the generated
 Darshan-like graph ``md`` the "Chaos testing" block builds, so a change
 that breaks the documented surface fails here.
@@ -9,12 +10,17 @@ that breaks the documented surface fails here.
 import re
 from pathlib import Path
 
+from repro.obs import validate_openmetrics
 from repro.workloads import MetadataGraphConfig, generate_metadata_graph
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: 1-based positions of the ```python blocks this test runs, in order
 RUN_BLOCKS = (1, 6, 9)
+
+#: the "Operations" block (SLO, sampling, rollups, alerts, hot shards,
+#: health, OpenMetrics), run after the Quickstart
+TELEMETRY_BLOCK = 5
 
 #: the EXPLAIN / PROFILE block and the query-planning block, run after the
 #: Quickstart (for its imports) on ``md``
@@ -60,3 +66,21 @@ def test_readme_explain_profile_and_planning_blocks_run(capsys):
     assert set(doc) == DOCUMENT_KEYS
     assert [r["name"] for r in doc["rewrites"]] == ["reverse_chain"]
     assert doc["plan"]["estimate"] and doc["executed"]["estimate"]
+
+
+def test_readme_telemetry_block_runs(capsys):
+    blocks = python_blocks()
+    namespace: dict = {"__name__": "readme"}
+    run_block(blocks, 1, namespace)
+    capsys.readouterr()
+    run_block(blocks, TELEMETRY_BLOCK, namespace)
+    cluster = namespace["cluster"]
+    # the Quickstart query outlasts the block's 5 ms objective
+    assert [(a["objective"], a["state"]) for a in cluster.alert_log()] == [
+        ("latency", "firing"),
+    ]
+    assert cluster.health()["status"] == "degraded"
+    assert cluster.rollups()["counters"]
+    text = capsys.readouterr().out.removesuffix("\n")  # print's newline
+    assert "rollup_engine_real_visits_rate" in text
+    assert validate_openmetrics(text) == []

@@ -190,9 +190,7 @@ def test_coordinator_crash_after_cutover_commits():
         ClusterConfig(
             nservers=3,
             journal=True,
-            migration=MigrationConfig(
-                chunk_vertices=8, dual_window=0.01, drain_timeout=60.0
-            ),
+            migration=MigrationConfig(chunk_vertices=8, dual_window=0.01),
         ),
     )
     sim = cluster.runtime.sim
@@ -247,9 +245,7 @@ def test_drop_and_reorder_on_migration_traffic():
             nservers=3,
             fault_plan=plan,
             journal=True,
-            migration=MigrationConfig(
-                chunk_vertices=2, dual_window=0.01, max_resends=12
-            ),
+            migration=MigrationConfig(chunk_vertices=2, dual_window=0.01),
         ),
     )
     vids = tuple(sorted(cluster.servers[1].store.local_vertices())[:8])

@@ -6,12 +6,14 @@ import pytest
 from repro.ids import COORDINATOR
 from repro.net.message import ExecStatus, TraverseRequest
 from repro.net.reliable import (
+    ACK_TIMEOUT,
+    MAX_RETRIES,
     RETRY_BACKOFF,
     RETRY_JITTER,
+    WINDOW,
     AckFrame,
     DataFrame,
     ReliableChannel,
-    ReliableConfig,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.simulated import SimRuntime
@@ -29,11 +31,9 @@ def make_runtime(nservers=2):
     return runtime, inboxes, coord_inbox
 
 
-def install(runtime, **cfg):
+def install(runtime):
     metrics = MetricsRegistry()
-    channel = ReliableChannel(
-        runtime, config=ReliableConfig(**cfg), metrics=metrics, seed=1
-    )
+    channel = ReliableChannel(runtime, metrics=metrics, seed=1)
     runtime.install_channel(channel)
     return channel, metrics
 
@@ -104,30 +104,29 @@ def test_lost_ack_causes_retransmit_but_dedup_suppresses():
 
 def test_retry_exhaustion_reports_delivery_failure():
     runtime, inboxes, _ = make_runtime()
-    channel, metrics = install(runtime, max_retries=2, ack_timeout=0.001)
+    channel, metrics = install(runtime)
     failures = []
     channel.on_delivery_failure = lambda src, dst, p: failures.append((src, dst, p))
     runtime.fault_injector = DropWhen(lambda src, dst, msg: isinstance(msg, DataFrame) and dst == 1)
     msg = payload()
     runtime.deliver(0, 1, msg)
-    drain(runtime)
+    runtime.sim.run()  # every backoff, however long, runs out
     assert failures == [(0, 1, msg)]
     assert inboxes[1] == []
     counters = metrics.snapshot()["counters"]
     assert counters["net.delivery_failed{dst=1}"] == 1
-    assert counters["net.retries{type=ExecStatus}"] == 2
+    assert counters["net.retries{type=ExecStatus}"] == MAX_RETRIES
     assert channel.inflight_count == 0
 
 
 def test_retransmit_delays_follow_the_scalar_jitter_stream():
-    """Every retransmit timer is ``ack_timeout * RETRY_BACKOFF**(k-1)``
+    """Every retransmit timer is ``ACK_TIMEOUT * RETRY_BACKOFF**(k-1)``
     scaled by ``1 + RETRY_JITTER*(2u-1)``, each ``u`` the next scalar
     ``uniform()`` of the channel's named stream, in transmission order, past
     the channel's first block of draws; and the timer sits on the heap as
     the channel's bound method, not a closure."""
     runtime, inboxes, _ = make_runtime()
-    channel, metrics = install(runtime, ack_timeout=0.001, max_retries=8)
-    config = channel.config
+    channel, metrics = install(runtime)
     wire: list[float] = []  # virtual time of every frame offered to the wire
 
     def drop_data(src, dst, msg):
@@ -148,10 +147,10 @@ def test_retransmit_delays_follow_the_scalar_jitter_stream():
         fn = timer[2]
         assert fn.__self__ is channel and fn.__func__ is ReliableChannel._on_timeout
         t = runtime.now()
-        for k in range(1, config.max_retries + 2):
+        for k in range(1, MAX_RETRIES + 2):
             want_wire.append(t)
             u = float(uniforms.uniform())
-            delay = config.ack_timeout * RETRY_BACKOFF ** (k - 1)
+            delay = ACK_TIMEOUT * RETRY_BACKOFF ** (k - 1)
             delay *= 1.0 + RETRY_JITTER * (2.0 * u - 1.0)
             t = t + delay
         want_failed.append(t)
@@ -160,21 +159,21 @@ def test_retransmit_delays_follow_the_scalar_jitter_stream():
     assert failed == want_failed
     assert inboxes[1] == []
     counters = metrics.snapshot()["counters"]
-    assert counters["net.retries{type=ExecStatus}"] == 30 * config.max_retries
+    assert counters["net.retries{type=ExecStatus}"] == 30 * MAX_RETRIES
 
 
 def test_window_bounds_inflight_and_drains_in_order():
     runtime, inboxes, _ = make_runtime()
-    channel, metrics = install(runtime, window=1)
+    channel, metrics = install(runtime)
     msgs = [
         TraverseRequest(1, level=i, entries={}, exec_id=i, from_server=0)
-        for i in range(4)
+        for i in range(WINDOW + 3)
     ]
     for m in msgs:
         runtime.deliver(0, 1, m)
-    assert channel.inflight_count == 1  # rest are queued behind the window
+    assert channel.inflight_count == WINDOW  # the rest queue behind the window
     drain(runtime)
-    assert [m.level for m in inboxes[1]] == [0, 1, 2, 3]
+    assert [m.level for m in inboxes[1]] == list(range(WINDOW + 3))
     counters = metrics.snapshot()["counters"]
     assert counters["net.window_stalls"] == 3
 
@@ -190,7 +189,7 @@ def test_coordinator_destination_roundtrip():
 
 def test_sender_crash_abandons_inflight_frames():
     runtime, inboxes, _ = make_runtime()
-    channel, metrics = install(runtime, ack_timeout=0.001)
+    channel, metrics = install(runtime)
     runtime.fault_injector = DropWhen(lambda src, dst, msg: isinstance(msg, DataFrame))
     runtime.deliver(0, 1, payload())
     assert channel.inflight_count == 1
@@ -300,9 +299,9 @@ def test_coordinator_crash_drops_inflight_and_queued_frames():
     reset drops both in-flight and window-queued frames toward it instead of
     letting them burn their retry budget against a dead link."""
     runtime, _, coord_inbox = make_runtime()
-    channel, metrics = install(runtime, window=2)
+    channel, metrics = install(runtime)
     runtime.crash_server(runtime.coordinator_server)
-    for _ in range(5):
+    for _ in range(WINDOW + 3):
         runtime.deliver(1, COORDINATOR, payload())
     assert coord_inbox == []
     assert channel.inflight_count >= 1

@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLOConfig, SLOTracker
+from repro.obs.slo import (
+    BURN_THRESHOLD,
+    ERROR_BUDGET,
+    FAST_WINDOW,
+    SLOW_WINDOW,
+    SLOConfig,
+    SLOTracker,
+)
 from repro.obs.trace import FlightRecorder
 
 
 def make_tracker(**cfg):
-    defaults = dict(
-        latency_objective=1.0,
-        error_budget=0.5,
-        fast_window=5.0,
-        slow_window=30.0,
-        burn_threshold=1.0,
-        min_events=2,
-    )
+    defaults = dict(latency_objective=1.0, min_events=2)
     defaults.update(cfg)
     metrics = MetricsRegistry()
     trace = FlightRecorder(metrics, enabled=True)
@@ -27,7 +27,7 @@ def make_tracker(**cfg):
 
 def test_error_burn_fires_and_resolves_with_transitions_only():
     tracker, metrics, trace = make_tracker()
-    # 2 failures out of 2: burn = (2/2)/0.5 = 2.0 > threshold 1.0 -> firing
+    # 2 failures out of 2: burn = (2/2)/0.05 = 20 > threshold 2 -> firing
     tracker.record_terminal("alpha", "failed", None, now=1.0)
     assert tracker.alert_log == []  # min_events not met yet
     tracker.record_terminal("alpha", "failed", None, now=2.0)
@@ -36,38 +36,41 @@ def test_error_burn_fires_and_resolves_with_transitions_only():
     # staying bad appends nothing: the log records transitions, not states
     tracker.record_terminal("alpha", "failed", None, now=3.0)
     assert len(tracker.alert_log) == 1
-    # successes dilute the ratio until burn <= threshold -> resolved
-    for t in (4.0, 5.0, 6.0):
-        tracker.record_terminal("alpha", "ok", 0.1, now=t)
+    # successes dilute the ratio until burn <= threshold: 3 bad in 29 burns
+    # 2.07, 3 bad in 30 burns (3/30)/0.05 = 2.0 -> resolved
+    for i in range(26):
+        tracker.record_terminal("alpha", "ok", 0.1, now=3.0 + 0.01 * (i + 1))
+    assert [a.state for a in tracker.alert_log] == ["firing"]
+    tracker.record_terminal("alpha", "ok", 0.1, now=3.5)
     assert [a.state for a in tracker.alert_log] == ["firing", "resolved"]
     assert not tracker.alert_active("alpha")
 
 
 def test_burn_math_is_ratio_over_budget():
-    tracker, _m, _t = make_tracker(error_budget=0.25, burn_threshold=2.0)
-    tracker.record_terminal("a", "failed", None, now=0.0)
-    tracker.record_terminal("a", "ok", 0.1, now=0.1)
-    # 1 bad / 2 total = 0.5; over budget 0.25 -> burn 2.0, NOT > threshold
+    tracker, _m, _t = make_tracker()
+    for i in range(9):
+        tracker.record_terminal("a", "ok", 0.1, now=0.1 * i)
+    tracker.record_terminal("a", "failed", None, now=1.0)
+    # 1 bad / 10 total = 0.1; over budget 0.05 -> burn 2.0, NOT > threshold
     assert tracker.alert_log == []
-    tracker.record_terminal("a", "failed", None, now=0.2)
-    # 2/3 / 0.25 = 2.67 > 2.0 on both windows -> fires
+    tracker.record_terminal("a", "failed", None, now=1.1)
+    # 2/11 / 0.05 = 3.64 > 2.0 on both windows -> fires
     (alert,) = tracker.alert_log
-    assert alert.burn_fast == pytest.approx((2 / 3) / 0.25)
+    assert alert.burn_fast == pytest.approx((2 / 11) / 0.05)
     assert alert.burn_slow == alert.burn_fast
-    assert alert.window_events == 3
+    assert alert.window_events == 11
 
 
 def test_slow_window_vetoes_a_fast_blip():
     # an old run of successes parks good events in the slow window only;
     # a burst of failures then maxes the fast burn but not the slow one
-    tracker, _m, _t = make_tracker(
-        fast_window=1.0, slow_window=100.0, burn_threshold=1.5
-    )
-    for i in range(10):
+    tracker, _m, _t = make_tracker()
+    for i in range(20):
         tracker.record_terminal("a", "ok", 0.1, now=float(i))
-    tracker.record_terminal("a", "failed", None, now=50.0)
-    tracker.record_terminal("a", "failed", None, now=50.5)
-    # fast burn = (2/2)/0.5 = 2.0 > 1.5, slow burn = (2/12)/0.5 = 0.33
+    tracker.record_terminal("a", "failed", None, now=25.0)
+    tracker.record_terminal("a", "failed", None, now=25.5)
+    # fast window (20.5, 25.5]: burn = (2/2)/0.05 = 20 > 2; slow window
+    # holds all 22: burn = (2/22)/0.05 = 1.82 <= 2
     assert tracker.alert_log == []
 
 
@@ -75,8 +78,8 @@ def test_latency_objective_counts_queue_to_terminal_time():
     tracker, _m, _t = make_tracker(latency_objective=0.5)
     tracker.record_terminal("a", "ok", 0.5, now=1.0)  # exactly at: good
     tracker.record_terminal("a", "ok", 0.6, now=2.0)  # over: bad
-    tracker.record_terminal("a", "ok", 0.7, now=3.0)
-    # 2 bad / 3 = 0.67 over budget 0.5 -> 1.33 > 1.0 -> latency alert
+    # 1 bad / 2 = 0.5 over budget 0.05 -> 10 > 2 -> latency alert
+    tracker.record_terminal("a", "ok", 0.7, now=3.0)  # and it stays firing
     (alert,) = tracker.alert_log
     assert alert.objective == "latency" and alert.state == "firing"
     assert tracker.violates_latency(0.6)
@@ -130,15 +133,18 @@ def test_tenants_are_isolated_and_active_alerts_sorted():
 
 
 def test_observations_age_out_of_the_slow_window():
-    tracker, _m, _t = make_tracker(slow_window=10.0)
+    tracker, _m, _t = make_tracker()
     tracker.record_terminal("a", "failed", None, now=0.0)
     tracker.record_terminal("a", "failed", None, now=1.0)
     assert tracker.alert_active("a")
     # much later, two clean completions: the old failures fell out, so the
-    # window holds only good events and the alert resolves
+    # windows hold only good events and the alert resolves
     tracker.record_terminal("a", "ok", 0.1, now=100.0)
     tracker.record_terminal("a", "ok", 0.1, now=101.0)
     assert not tracker.alert_active("a")
+    assert [e[0] for e in tracker._states[("a", "errors")].slow.events] == [
+        100.0, 101.0,
+    ]
 
 
 def test_alert_log_payload_is_canonical_and_stable():
@@ -154,8 +160,6 @@ def test_alert_log_payload_is_canonical_and_stable():
     assert tracker.to_json() == tracker.to_json()
 
 
-#: (fast_window, slow_window): fast inside slow, equal, and wider than slow
-WINDOWS = ((5.0, 30.0), (2.0, 2.0), (10.0, 3.0))
 #: clock steps on a 0.25 grid, so observations land exactly on a cutoff
 steps = st.integers(0, 24).map(lambda q: q * 0.25)
 feeds = st.lists(
@@ -170,15 +174,9 @@ feeds = st.lists(
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
-@given(feed=feeds, windows=st.sampled_from(WINDOWS), min_events=st.integers(1, 4))
-def test_running_window_counts_match_a_scan_of_every_observation(
-    feed, windows, min_events
-):
-    fast_window, slow_window = windows
-    tracker, _m, _t = make_tracker(
-        fast_window=fast_window, slow_window=slow_window, min_events=min_events
-    )
-    cfg = tracker.config
+@given(feed=feeds, min_events=st.integers(1, 4))
+def test_running_window_counts_match_a_scan_of_every_observation(feed, min_events):
+    tracker, _m, _t = make_tracker(min_events=min_events)
     observed = []
     observe = tracker._observe
 
@@ -202,7 +200,7 @@ def test_running_window_counts_match_a_scan_of_every_observation(
         for tenant, objective, bad, at in observed:
             kept = events.setdefault((tenant, objective), [])
             kept.append((at, bad))
-            kept[:] = [e for e in kept if e[0] >= at - slow_window]
+            kept[:] = [e for e in kept if e[0] >= at - SLOW_WINDOW]
 
             def burn(window):
                 total = n_bad = 0
@@ -211,13 +209,13 @@ def test_running_window_counts_match_a_scan_of_every_observation(
                         break
                     total += 1
                     n_bad += is_bad
-                return ((n_bad / total) / cfg.error_budget if total else 0.0), total
+                return ((n_bad / total) / ERROR_BUDGET if total else 0.0), total
 
-            burn_fast, n_fast = burn(fast_window)
-            burn_slow, n_slow = burn(slow_window)
+            burn_fast, n_fast = burn(FAST_WINDOW)
+            burn_slow, n_slow = burn(SLOW_WINDOW)
             fire = (
                 min(n_fast, n_slow) >= min_events
-                and min(burn_fast, burn_slow) > cfg.burn_threshold
+                and min(burn_fast, burn_slow) > BURN_THRESHOLD
             )
             if fire != firing.get((tenant, objective), False):
                 firing[(tenant, objective)] = fire

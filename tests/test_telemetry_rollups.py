@@ -7,8 +7,10 @@ from repro.lang import GTravel
 from repro.obs import Observability
 from repro.obs.telemetry import (
     EXEC_RATE_METRIC,
+    MAX_SAMPLES_PER_WINDOW,
+    MAX_WINDOWS,
+    WINDOW_WIDTH,
     HotShardReport,
-    TelemetryConfig,
     TelemetryPlane,
 )
 from tests.conftest import ALL_ENGINES, build_cluster
@@ -36,11 +38,9 @@ class FakeRuntime:
             self._threshold = self._fn(t)
 
 
-def make_plane(**cfg):
+def make_plane():
     runtime, obs = FakeRuntime(), Observability()
-    plane = TelemetryPlane(
-        TelemetryConfig(**cfg), slo=obs.slo, recorder=obs.trace
-    )
+    plane = TelemetryPlane(slo=obs.slo, recorder=obs.trace)
     plane.install(runtime, obs.metrics)
     return plane, obs.metrics, runtime
 
@@ -49,57 +49,62 @@ def make_plane(**cfg):
 
 
 def test_counters_bin_into_clock_windows_with_rates():
-    plane, registry, runtime = make_plane(window_width=1.0)
+    plane, registry, runtime = make_plane()
     registry.count("coord.submitted", 2)
-    runtime.advance(0.9)
+    runtime.advance(0.9 * WINDOW_WIDTH)
     registry.count("coord.submitted", 1)
-    runtime.advance(2.5)  # skips window 1 entirely
+    runtime.advance(2.5 * WINDOW_WIDTH)  # skips window 1 entirely
     registry.count("coord.submitted", 4)
     windows = plane.rollups()["counters"]["coord.submitted"]
     assert [(w["window"], w["count"], w["rate"]) for w in windows] == [
-        (0, 3, 3.0),
-        (2, 4, 4.0),
+        (0, 3, 3 / WINDOW_WIDTH),
+        (2, 4, 4 / WINDOW_WIDTH),
     ]
-    assert windows[0]["start"] == 0.0 and windows[1]["start"] == 2.0
+    assert windows[0]["start"] == 0.0 and windows[1]["start"] == 2 * WINDOW_WIDTH
 
 
 def test_window_ring_is_bounded_and_evicts_oldest():
-    plane, registry, runtime = make_plane(window_width=1.0, max_windows=4)
-    for w in range(10):
-        runtime.advance(float(w))
+    plane, registry, runtime = make_plane()
+    for w in range(MAX_WINDOWS + 1):
+        runtime.advance(w * WINDOW_WIDTH)
         registry.count("x")
-    windows = plane.rollups()["counters"]["x"]
-    assert [w["window"] for w in windows] == [6, 7, 8, 9]
+    rollups = plane.rollups()
+    # one window past the bound: window 0 is the one evicted
+    assert [w["window"] for w in rollups["counters"]["x"]] == list(
+        range(1, MAX_WINDOWS + 1)
+    )
+    assert (rollups["window_width"], rollups["max_windows"]) == (0.25, 64)
 
 
 def test_gauges_keep_last_sample_per_window():
-    plane, registry, runtime = make_plane(window_width=1.0)
+    plane, registry, runtime = make_plane()
     registry.set_gauge("depth", 5)
     registry.set_gauge("depth", 7)
-    runtime.advance(1.5)
+    runtime.advance(1.5 * WINDOW_WIDTH)
     registry.set_gauge("depth", 2)
     windows = plane.rollups()["gauges"]["depth"]
     assert [(w["window"], w["last"]) for w in windows] == [(0, 7), (1, 2)]
 
 
 def test_histogram_windows_summarize_with_bounded_samples():
-    plane, registry, _runtime = make_plane(
-        window_width=1.0, max_samples_per_window=3
-    )
-    for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-        registry.observe("lat", v)
+    plane, registry, _runtime = make_plane()
+    for v in range(1, MAX_SAMPLES_PER_WINDOW + 2):
+        registry.observe("lat", float(v))
     (row,) = plane.rollups()["histograms"]["lat"]
-    # first-N retention: 3 samples kept, 2 counted as overflow, never lost
-    assert row["count"] == 3 and row["overflow"] == 2
-    assert row["p50"] == 2.0
+    # first-N retention: 512 samples kept, the 513th counted as overflow,
+    # never lost
+    assert row["count"] == MAX_SAMPLES_PER_WINDOW and row["overflow"] == 1
+    assert row["p50"] == MAX_SAMPLES_PER_WINDOW / 2
 
 
 def test_recent_rate_spans_retained_windows():
-    plane, registry, runtime = make_plane(window_width=0.5)
+    plane, registry, runtime = make_plane()
     registry.count("hits", 3, server=1)
-    runtime.advance(1.0)  # window 2: span covers windows 0..2
+    runtime.advance(2 * WINDOW_WIDTH)  # window 2: span covers windows 0..2
     registry.count("hits", 3, server=1)
-    assert plane.recent_rate("hits", server=1) == pytest.approx(6 / 1.5)
+    assert plane.recent_rate("hits", server=1) == pytest.approx(
+        6 / (3 * WINDOW_WIDTH)
+    )
     assert plane.recent_rate("hits", server=9) == 0.0
 
 
@@ -196,7 +201,7 @@ def test_registry_snapshot_bytes_unaffected_by_telemetry():
 
 
 def test_hot_shard_ranking_scores_and_threshold():
-    plane, registry, _runtime = make_plane(window_width=1.0)
+    plane, registry, _runtime = make_plane()
     # server 0 does 6x the work of servers 1..2 and holds all the in-flight
     registry.count(EXEC_RATE_METRIC, 12, server=0)
     for s in (1, 2):
