@@ -677,10 +677,11 @@ def exp_chaos(
     the metadata graph, every third plan with a mid-traversal server crash.
 
     Each run must either reproduce the baseline result set exactly or fail
-    cleanly with ``TraversalFailed``; on top, one plan is rerun to assert the
-    ``net.*``/``faults.*`` counter snapshot is deterministic. The clusters
-    are built inside :mod:`repro.faults.chaos`, not through the harness seam,
-    so ``--trace`` has no cell to record here and the reporter fails it.
+    cleanly with ``TraversalFailed``, and leak no cluster state; on top, one
+    plan is rerun to assert the ``net.*``/``faults.*`` counter snapshot is
+    deterministic. The clusters are built inside :mod:`repro.faults.chaos`,
+    not through the harness seam, so ``--trace`` has no cell to record here
+    and the reporter fails it.
     """
     plans = 10
     md = harness.darshan_graph(scale_users=12, seed=env.seed)
@@ -695,13 +696,16 @@ def exp_chaos(
     seeds = list(range(fault_seed, fault_seed + plans))
     rows: dict = {}
     outcomes = []
+    verdicts = []
     for i, seed in enumerate(seeds):
         outcome = chaos_check(
-            md.graph, query, seed=seed, crash=i % 3 == 1, coordinator_config=cc
+            md.graph, [query], seed=seed, crash=i % 3 == 1, coordinator_config=cc
         )
         outcomes.append(outcome)
-        verdict = "match" if outcome.matched else (
-            "clean-fail" if outcome.failed_cleanly else "WRONG RESULT"
+        (v,) = outcome.verdicts
+        verdicts.append(v)
+        verdict = "match" if v.matched else (
+            "clean-fail" if v.failed_cleanly else "WRONG RESULT"
         )
         rows[f"plan seed {seed}"] = (
             f"{verdict}  (retries={_counter_sum(outcome.net_counters, 'net.retries')}, "
@@ -712,7 +716,7 @@ def exp_chaos(
     probe = sample_fault_plan(
         seeds[1], nservers=3, crash_window=(0.2 * duration, 3.0 * duration)
     )
-    reruns = [run_under_faults(md.graph, query, probe, coordinator_config=cc) for _ in range(2)]
+    reruns = [run_under_faults(md.graph, [query], probe, coordinator_config=cc) for _ in range(2)]
     deterministic = reruns[0] == reruns[1]
     crash_bearing = [o for o in outcomes if o.plan.crashes]
     crash_fired = sum(
@@ -723,8 +727,8 @@ def exp_chaos(
         ShapeCheck(
             "chaos_differential_contract",
             all(o.ok for o in outcomes),
-            f"{sum(o.matched for o in outcomes)}/{len(outcomes)} matched, "
-            f"{sum(o.failed_cleanly for o in outcomes)} failed cleanly, "
+            f"{sum(v.matched for v in verdicts)}/{len(outcomes)} matched, "
+            f"{sum(v.failed_cleanly for v in verdicts)} failed cleanly, "
             f"{sum(not o.ok for o in outcomes)} violated the contract",
         ),
         ShapeCheck(
@@ -753,12 +757,12 @@ def exp_chaos(
         "outcomes": [
             {
                 "seed": o.seed,
-                "matched": o.matched,
-                "failed_cleanly": o.failed_cleanly,
-                "error": o.error,
+                "matched": v.matched,
+                "failed_cleanly": v.failed_cleanly,
+                "error": v.error,
                 "net_counters": o.net_counters,
             }
-            for o in outcomes
+            for o, v in zip(outcomes, verdicts)
         ],
     }
     return ExperimentResult([], rendered, checks, extra=extra)

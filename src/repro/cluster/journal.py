@@ -16,7 +16,8 @@ Records use the framed format shared with checkpoints
 followed by a pickled dict of plain values with a ``kind`` discriminator. A
 torn or bit-rotted record raises the typed
 :class:`~repro.errors.CorruptJournal` on replay, and so does a record whose
-keys are not its kind's, or one that names any global at all: replay never
+keys are not its kind's, one with a field of the wrong type (a checkpoint's
+nested records included), or one that names any global at all: replay never
 resolves, let alone calls, a class or function.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
@@ -34,29 +35,109 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
 
 
-#: kind -> the fields its record keeps: those a recovery reader reads
-#: (DESIGN.md §13). :meth:`TraversalJournal.append` writes no other field a
+def _is_int(value) -> bool:
+    """An int, not a bool."""
+    return type(value) is int
+
+
+def _is_time(value) -> bool:
+    """A virtual time: a float, or an int (not a bool)."""
+    return type(value) in (int, float)
+
+
+def _is_optional_int(value) -> bool:
+    return value is None or type(value) is int
+
+
+def _is_vids(value) -> bool:
+    return type(value) is tuple and all(type(v) is int for v in value)
+
+
+def _one_of(*vocabulary: str) -> Callable[[object], bool]:
+    return lambda value: type(value) is str and value in vocabulary
+
+
+#: the statuses a ``terminal`` record carries: a travel's end, or a dead
+#: epoch's orphaned composite child
+TERMINAL_STATUSES = ("ok", "failed", "cancelled", "orphaned")
+#: the phases a ``migration`` record carries
+MIGRATION_PHASES = ("copy", "dual", "cutover", "done", "aborted")
+
+#: kind -> the fields its record keeps, those a recovery reader reads
+#: (DESIGN.md §13), each with the type replay checks (taken from what the
+#: writers pass). :meth:`TraversalJournal.append` writes no other field a
 #: caller passes, so no plan or other object reaches the bytes. A
 #: ``progress`` record (per-report deltas, which no reader reads) is not
 #: written at all; the journal probe of ``benchmarks/perf`` still appends it.
-RECORD_FIELDS: dict[str, Optional[tuple[str, ...]]] = {
-    "admit": ("tid", "seq"),
-    "dispatch": ("tid", "child_of", "submit_time"),
-    "terminal": ("tid", "status"),
-    "epoch": ("epoch",),
-    "migration": ("mid", "phase", "src", "dst", "vids", "version"),
+RECORD_FIELDS: dict[str, Optional[dict[str, Callable[[object], bool]]]] = {
+    "admit": {"tid": _is_int, "seq": _is_int},
+    "dispatch": {"tid": _is_int, "child_of": _is_optional_int, "submit_time": _is_time},
+    "terminal": {"tid": _is_int, "status": _one_of(*TERMINAL_STATUSES)},
+    "epoch": {"epoch": _is_int},
+    "migration": {
+        "mid": _is_int,
+        "phase": _one_of(*MIGRATION_PHASES),
+        "src": _is_int,
+        "dst": _is_int,
+        "vids": _is_vids,
+        "version": _is_int,
+    },
     "progress": None,
 }
 #: the keys replay accepts per kind: a written kind's fields, or a
 #: checkpoint's ``state`` (which holds :class:`JournalState`'s fields)
 _RECORD_KEYS = {kind: {"kind", *names} for kind, names in RECORD_FIELDS.items() if names}
 _RECORD_KEYS["checkpoint"] = {"kind", "state"}
+#: the :class:`JournalState` tables of records, and the kind each holds
+_STATE_TABLES = {"queued": "admit", "running": "dispatch", "migrations": "migration"}
+
+
+def _check_record(record, kind: Optional[str] = None) -> None:
+    """Raise :class:`CorruptJournal` unless ``record`` is a well-typed
+    record — of ``kind``, when given (a checkpoint's nested records)."""
+    if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
+        raise CorruptJournal("journal record is not a kind-tagged dict")
+    got = record["kind"]
+    keys = _RECORD_KEYS.get(got)
+    if keys is None:
+        raise CorruptJournal(f"unknown journal record kind {got!r}")
+    if kind is not None and got != kind:
+        raise CorruptJournal(f"journal checkpoint holds {got!r} where {kind!r} records belong")
+    if record.keys() != keys:
+        raise CorruptJournal(f"journal {got} record has fields {sorted(map(str, record))}")
+    if got == "checkpoint":
+        _check_state(record["state"])
+        return
+    for name, valid in RECORD_FIELDS[got].items():
+        if not valid(record[name]):
+            raise CorruptJournal(f"journal {got} record has {name}={record[name]!r}")
+
+
+def _check_state(saved) -> None:
+    """A checkpoint restores a well-typed :class:`JournalState` only."""
+    if not isinstance(saved, dict) or saved.keys() != vars(JournalState()).keys():
+        raise CorruptJournal("journal checkpoint does not hold a JournalState")
+    for name, value in saved.items():
+        if name == "terminals":
+            ok = type(value) is dict and all(
+                status in TERMINAL_STATUSES and _is_int(count)
+                for status, count in value.items()
+            )
+        elif name in _STATE_TABLES:
+            ok = type(value) is dict and all(map(_is_int, value))
+        else:
+            ok = _is_int(value)
+        if not ok:
+            raise CorruptJournal(f"journal checkpoint has {name}={value!r}")
+        if name in _STATE_TABLES:
+            for record in value.values():
+                _check_record(record, _STATE_TABLES[name])
 
 
 class _RecordUnpickler(pickle.Unpickler):
@@ -204,14 +285,7 @@ class TraversalJournal:
                 record = _RecordUnpickler(io.BytesIO(payload)).load()
             except Exception as exc:
                 raise CorruptJournal(f"undecodable journal record: {exc}") from exc
-            if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
-                raise CorruptJournal("journal record is not a kind-tagged dict")
-            kind, keys = record["kind"], _RECORD_KEYS.get(record["kind"])
-            if keys is None:
-                raise CorruptJournal(f"unknown journal record kind {kind!r}")
-            if record.keys() != keys:
-                fields = sorted(map(str, record))
-                raise CorruptJournal(f"journal {kind} record has fields {fields}")
+            _check_record(record)
             self._fold(state, record)
         return state
 
@@ -221,9 +295,12 @@ class TraversalJournal:
     def _fold(state: JournalState, record: dict) -> None:
         kind = record["kind"]
         if kind == "checkpoint":
-            saved = record["state"]
-            if not isinstance(saved, dict) or saved.keys() != vars(JournalState()).keys():
-                raise CorruptJournal("journal checkpoint does not hold a JournalState")
+            saved = dict(record["state"])
+            # rebuild each record under this module's "kind" key: pickle
+            # memoises by identity, so the next checkpoint of the replayed
+            # state then writes the bytes the live state's would
+            for name in _STATE_TABLES:
+                saved[name] = {k: {"kind": r["kind"], **r} for k, r in saved[name].items()}
             vars(state).update(saved)
         elif kind == "admit":
             tid = record["tid"]

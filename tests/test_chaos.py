@@ -1,11 +1,11 @@
-"""Chaos differential tests (the PR's acceptance criterion).
+"""Chaos differential tests.
 
 For ≥10 seeded fault plans — wire drops, duplicates, delay spikes, plus one
 mid-traversal server crash on a subset — every traversal must either return
 a result set identical to the fault-free run at the same seed, or fail
-cleanly with ``TraversalFailed`` after ``max_restarts``. And on the simulated
-runtime, rerunning the same plan + seed must reproduce the same
-``net.*``/``faults.*`` counters exactly.
+cleanly with ``TraversalFailed`` after ``max_restarts``, and leave no cluster
+state behind. And on the simulated runtime, rerunning the same plan + seed
+must reproduce the same ``net.*``/``faults.*`` counters exactly.
 """
 
 import pytest
@@ -29,11 +29,12 @@ def chaos_query(ids):
 def test_chaos_differential_graphtrek(metadata_graph, seed):
     graph, ids = metadata_graph
     outcome = chaos_check(
-        graph, chaos_query(ids), seed=seed, crash=seed in CRASH_SEEDS
+        graph, [chaos_query(ids)], seed=seed, crash=seed in CRASH_SEEDS
     )
+    (v,) = outcome.verdicts
     assert outcome.ok, (
         f"seed {seed}: faulty run returned a wrong result set "
-        f"(matched={outcome.matched}, error={outcome.error})\n"
+        f"(matched={v.matched}, error={v.error}, leaked={outcome.leaked})\n"
         f"plan={outcome.plan}\ncounters={outcome.net_counters}"
     )
     if seed in CRASH_SEEDS:
@@ -48,12 +49,15 @@ def test_chaos_differential_sync_engine(metadata_graph, seed):
     graph, ids = metadata_graph
     outcome = chaos_check(
         graph,
-        chaos_query(ids),
+        [chaos_query(ids)],
         seed=seed,
         engine=EngineKind.SYNC,
         max_drop=0.06,  # sync barriers lose a whole step per drop; keep it sane
     )
-    assert outcome.ok, f"seed {seed}: {outcome.error}, counters={outcome.net_counters}"
+    assert outcome.ok, (
+        f"seed {seed}: {outcome.verdicts[0].error}, leaked={outcome.leaked}, "
+        f"counters={outcome.net_counters}"
+    )
 
 
 def test_chaos_metric_snapshots_are_deterministic(metadata_graph):
@@ -65,11 +69,11 @@ def test_chaos_metric_snapshots_are_deterministic(metadata_graph):
     from repro.faults.chaos import chaos_coordinator_config
 
     cc = chaos_coordinator_config(duration)
-    runs = [run_under_faults(graph, query, plan, coordinator_config=cc) for _ in range(2)]
-    (res_a, err_a, net_a, _), (res_b, err_b, net_b, _) = runs
+    runs = [run_under_faults(graph, [query], plan, coordinator_config=cc) for _ in range(2)]
+    (res_a, net_a, _, leaked_a, _), (res_b, net_b, _, leaked_b, _) = runs
     assert net_a == net_b
-    assert res_a == res_b
-    assert err_a == err_b
+    assert res_a == res_b  # payloads and errors
+    assert leaked_a == leaked_b == []
     # and the faulty run actually exercised the machinery
     assert any(k.startswith("faults.crashes") for k in net_a)
 
@@ -81,9 +85,12 @@ def test_chaos_without_reliable_channel_still_converges_or_fails_cleanly(
     only safety net, and the contract must still hold."""
     graph, ids = metadata_graph
     outcome = chaos_check(
-        graph, chaos_query(ids), seed=6, reliable=False, max_drop=0.05
+        graph, [chaos_query(ids)], seed=6, reliable=False, max_drop=0.05
     )
-    assert outcome.ok, f"{outcome.error}, counters={outcome.net_counters}"
+    assert outcome.ok, (
+        f"{outcome.verdicts[0].error}, leaked={outcome.leaked}, "
+        f"counters={outcome.net_counters}"
+    )
 
 
 def test_fault_free_plan_under_channel_matches_baseline(metadata_graph):
@@ -94,7 +101,10 @@ def test_fault_free_plan_under_channel_matches_baseline(metadata_graph):
     graph, ids = metadata_graph
     query = chaos_query(ids)
     baseline, _ = run_fault_free(graph, query)
-    res, err, net, _ = run_under_faults(graph, query, FaultPlan(seed=0))
+    [(res, err, _)], net, _, leaked, _ = run_under_faults(
+        graph, [query], FaultPlan(seed=0)
+    )
     assert err is None
     assert res == baseline
+    assert leaked == []
     assert not any(k.startswith("net.retries") for k in net)

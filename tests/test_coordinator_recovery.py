@@ -23,16 +23,15 @@ from repro.engine import (
     EngineKind,
     ReferenceEngine,
     graphtrek_options,
+    options_for,
     plain_async_options,
     sync_options,
 )
 from repro.errors import AdmissionRejected
 from repro.faults.chaos import (
     chaos_check,
-    chaos_check_many,
     chaos_coordinator_config,
     run_fault_free,
-    run_under_faults,
 )
 from repro.faults.plan import sample_fault_plan
 from repro.lang import GTravel
@@ -75,14 +74,16 @@ def mixed_queries(ids):
 def test_coordinator_crash_differential_graphtrek(metadata_graph, seed):
     graph, ids = metadata_graph
     outcome = chaos_check(
-        graph, recovery_query(ids), seed=seed, crash_coordinator=True
+        graph, [recovery_query(ids)], seed=seed, crash_coordinator=True
     )
     # recovery must reproduce the fault-free result set — a clean failure is
     # NOT acceptable here, the whole point is that the travel survives
-    assert outcome.matched, (
-        f"seed {seed}: recovered run diverged (error={outcome.error})\n"
+    (v,) = outcome.verdicts
+    assert v.matched, (
+        f"seed {seed}: recovered run diverged (error={v.error})\n"
         f"plan={outcome.plan}\ncounters={outcome.net_counters}"
     )
+    assert not outcome.leaked, outcome.leaked
     # and the coordinator host really did crash
     assert outcome.net_counters.get("faults.crashes{server=0}") == 1, (
         outcome.net_counters
@@ -99,16 +100,18 @@ def test_coordinator_crash_engines_and_planner_modes(metadata_graph, preset, mod
     for seed in (1, 4):
         outcome = chaos_check(
             graph,
-            recovery_query(ids),
+            [recovery_query(ids)],
             seed=seed,
             engine=opts,
             crash_coordinator=True,
             max_drop=0.06,
         )
-        assert outcome.matched, (
-            f"{preset}/planner={mode} seed {seed}: {outcome.error}\n"
+        (v,) = outcome.verdicts
+        assert v.matched, (
+            f"{preset}/planner={mode} seed {seed}: {v.error}\n"
             f"counters={outcome.net_counters}"
         )
+        assert not outcome.leaked, outcome.leaked
 
 
 # -- concurrent: scheduler policies, composites, deadline cancel, zero leak ----
@@ -122,11 +125,11 @@ def test_coordinator_crash_concurrent_mixed(metadata_graph, policy, seed):
     the deadline leg, cancel cleanly) and nothing may leak."""
     graph, ids = metadata_graph
     queries = mixed_queries(ids)
-    outcome = chaos_check_many(
+    outcome = chaos_check(
         graph,
         queries,
         seed=seed,
-        scheduler=policy,
+        engine=options_for(EngineKind.GRAPHTREK, scheduler=policy),
         crash_coordinator=True,
         deadlines=[None, None, None, 5e-4],
         tenants=["default", "batch", "default", "batch"],

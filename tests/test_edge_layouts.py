@@ -378,16 +378,18 @@ def test_chaos_crash_columnar():
     for seed in range(4):
         outcome = chaos_check(
             graph,
-            plan,
+            [plan],
             seed=seed,
             engine=EngineKind.GRAPHTREK,
             crash=True,
             edge_layout="columnar",
         )
-        assert outcome.matched or outcome.failed_cleanly, (
-            f"seed {seed}: diverged under faults: {outcome.error}"
+        (v,) = outcome.verdicts
+        assert v.matched or v.failed_cleanly, (
+            f"seed {seed}: diverged under faults: {v.error}"
         )
-        ok += outcome.matched
+        assert not outcome.leaked, outcome.leaked
+        ok += v.matched
     assert ok >= 2, "crash chaos never completed successfully"
 
 

@@ -120,11 +120,14 @@ def _framed(record) -> JournalFile:
 
 
 def test_a_record_of_the_wrong_shape_raises_typed_error():
-    """A CRC-valid record whose keys are not its kind's is refused, not
-    folded: a ``dispatch`` without ``tid`` (once a ``KeyError``), a
-    ``terminal`` without ``status`` (once counted as ``ok``), a record
-    with a field its kind does not keep, and a ``progress`` record, a kind
-    no longer written."""
+    """A CRC-valid record whose keys are not its kind's, or whose field has
+    the wrong type, is refused, not folded: a ``dispatch`` without ``tid``
+    (once a ``KeyError``), a ``terminal`` without ``status`` (once counted
+    as ``ok``), a record with a field its kind does not keep, a
+    ``progress`` record, a kind no longer written, a string ``tid`` and a
+    ``None`` migration ``version`` (once a ``TypeError``), a status outside
+    the vocabulary (once counted silently), and a float ``tid`` (once
+    accepted, setting ``next_travel_id`` to 2.5)."""
     for record, message in (
         ({"kind": "dispatch"}, "dispatch record has fields"),
         ({"kind": "terminal", "tid": 1}, "terminal record has fields"),
@@ -132,6 +135,14 @@ def test_a_record_of_the_wrong_shape_raises_typed_error():
          "admit record has fields"),
         ({"kind": "progress", "tid": 1, "statuses": 32, "results": 8},
          "unknown journal record kind 'progress'"),
+        ({"kind": "dispatch", "tid": "x", "child_of": None, "submit_time": 0.0},
+         "dispatch record has tid='x'"),
+        ({"kind": "migration", "mid": 1, "phase": "dual", "src": 0, "dst": 1,
+          "vids": (4,), "version": None},
+         "migration record has version=None"),
+        ({"kind": "terminal", "tid": 1, "status": 7},
+         "terminal record has status=7"),
+        ({"kind": "admit", "tid": 1.5, "seq": 0}, "admit record has tid=1.5"),
     ):
         with pytest.raises(CorruptJournal, match=message):
             TraversalJournal(_framed(record))
@@ -139,7 +150,8 @@ def test_a_record_of_the_wrong_shape_raises_typed_error():
 
 def test_a_checkpoint_with_foreign_state_keys_raises_typed_error():
     """A checkpoint restores a ``JournalState`` only: a state with a key the
-    dataclass lacks, or without one of its fields, is refused."""
+    dataclass lacks, without one of its fields, or with a value or nested
+    record of the wrong type, is refused."""
     state = vars(JournalState())
     for checkpoint in (
         {"kind": "checkpoint", "state": {**state, "plans": {}}},
@@ -149,6 +161,19 @@ def test_a_checkpoint_with_foreign_state_keys_raises_typed_error():
     ):
         with pytest.raises(CorruptJournal, match="journal checkpoint"):
             TraversalJournal(_framed(checkpoint))
+    # the state's values are typed too, its nested records included
+    for values, message in (
+        ({"epoch": None}, "journal checkpoint has epoch=None"),
+        ({"terminals": {"ok": 1.5}}, "journal checkpoint has terminals"),
+        ({"queued": {"1": {"kind": "admit", "tid": 1, "seq": 0}}},
+         "journal checkpoint has queued"),
+        ({"queued": {1: {"kind": "admit", "tid": "x", "seq": 0}}},
+         "admit record has tid='x'"),
+        ({"running": {2: {"kind": "admit", "tid": 2, "seq": 0}}},
+         "holds 'admit' where 'dispatch' records belong"),
+    ):
+        with pytest.raises(CorruptJournal, match=message):
+            TraversalJournal(_framed({"kind": "checkpoint", "state": {**state, **values}}))
     assert TraversalJournal(_framed({"kind": "checkpoint", "state": state})).state == (
         JournalState()
     )
@@ -248,11 +273,16 @@ def test_checkpoint_then_tail_replay():
 def test_journal_state_payload_roundtrip():
     """A checkpoint of a state with every field set replays to an equal
     state, and a second checkpoint of it writes the same bytes."""
-    state = JournalState(epoch=3, next_travel_id=9,
-                         queued={1: {"tid": 1}}, running={2: {"tid": 2}},
-                         terminals={"ok": 4},
-                         migrations={7: {"mid": 7, "phase": "done"}},
-                         routing_version=11)
+    state = JournalState(
+        epoch=3, next_travel_id=9,
+        queued={1: {"kind": "admit", "tid": 1, "seq": 0}},
+        running={2: {"kind": "dispatch", "tid": 2, "child_of": None,
+                     "submit_time": 0.5}},
+        terminals={"ok": 4},
+        migrations={7: {"kind": "migration", "mid": 7, "phase": "done",
+                        "src": 1, "dst": 2, "vids": (4, 5), "version": 11}},
+        routing_version=11,
+    )
     storage = JournalFile()
     journal = TraversalJournal(storage)
     journal._state = state

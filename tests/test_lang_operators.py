@@ -24,7 +24,7 @@ from repro.engine import (
     sync_options,
 )
 from repro.errors import QueryError, RepeatDepthExceeded, TraversalCancelled
-from repro.faults.chaos import chaos_check, chaos_check_many
+from repro.faults.chaos import chaos_check
 from repro.graph import PropertyGraph
 from repro.lang import EQ, RANGE, GTravel
 from repro.lang.composite import CompositePlan, FilterNode
@@ -349,8 +349,10 @@ def test_chaos_crash_mid_repeat_keeps_the_contract():
     g = ring_graph(10)
     q = GTravel.v(0).repeat(GTravel.s().e("a").e("b")).times(3)
     for seed, crash in ((1, True), (4, True), (7, False)):
-        outcome = chaos_check(g, q, seed=seed, crash=crash, trace=crash)
-        assert outcome.ok, (seed, outcome.error, outcome.net_counters)
+        outcome = chaos_check(g, [q], seed=seed, crash=crash, trace=crash)
+        assert outcome.ok, (
+            seed, outcome.verdicts[0].error, outcome.leaked, outcome.net_counters
+        )
         if crash and outcome.traces is not None:
             # every reconstructed DAG assembled cleanly (assemble_all raises
             # on orphans/cycles); composite parents contribute vacuous DAGs
@@ -364,11 +366,12 @@ def test_chaos_union_aggregate_payload_is_fault_checked():
         GTravel.s().e("a"), GTravel.s().e("b")
     ).group_count(by="color")
     for seed in (0, 2):
-        outcome = chaos_check(g, q, seed=seed, crash=seed == 2)
-        assert outcome.ok, (seed, outcome.error)
-        assert "aggregate" in outcome.baseline  # the payload carries it
-        if outcome.matched:
-            assert outcome.faulty["aggregate"] == outcome.baseline["aggregate"]
+        outcome = chaos_check(g, [q], seed=seed, crash=seed == 2)
+        (v,) = outcome.verdicts
+        assert outcome.ok, (seed, v.error, outcome.leaked)
+        assert "aggregate" in v.baseline  # the payload carries it
+        if v.matched:
+            assert v.faulty["aggregate"] == v.baseline["aggregate"]
 
 
 def test_chaos_many_cancels_unioned_traversal_cleanly():
@@ -377,7 +380,7 @@ def test_chaos_many_cancels_unioned_traversal_cleanly():
         GTravel.s().e("a").e("a"), GTravel.s().e("b").e("b")
     )
     plain_q = GTravel.v(3).e("a")
-    outcome = chaos_check_many(
+    outcome = chaos_check(
         g,
         [union_q, plain_q],
         seed=5,

@@ -177,12 +177,14 @@ def test_cost_mode_survives_fault_injection():
     g, q = bipartite_scan_case()
     for seed, crash in ((3, False), (5, True)):
         outcome = chaos_check(
-            g, q, seed=seed, engine=graphtrek_options(planner="cost"), crash=crash
+            g, [q], seed=seed, engine=graphtrek_options(planner="cost"), crash=crash
         )
+        (v,) = outcome.verdicts
         assert outcome.ok, (
-            f"seed {seed} crash={crash}: {outcome.error or outcome.faulty}"
+            f"seed {seed} crash={crash}: {v.error or v.faulty}, "
+            f"leaked={outcome.leaked}"
         )
-        assert outcome.matched or crash, (
+        assert v.matched or crash, (
             f"seed {seed}: drop/duplicate faults alone must not lose results"
         )
 
@@ -192,6 +194,6 @@ def test_rules_mode_survives_fault_injection_on_random_chain():
     graph = seeded_graph(rng)
     plan = seeded_plan(rng, graph)
     outcome = chaos_check(
-        graph, plan, seed=11, engine=graphtrek_options(planner="rules")
+        graph, [plan], seed=11, engine=graphtrek_options(planner="rules")
     )
-    assert outcome.ok, outcome.error
+    assert outcome.ok, (outcome.verdicts[0].error, outcome.leaked)

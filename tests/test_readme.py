@@ -1,10 +1,11 @@
 """README's python blocks run: the Quickstart, "Elastic scale-out" and
 "Concurrency & QoS" blocks execute in order in one namespace (the later
 blocks reuse the Quickstart's ``graph`` and ``query``), the "Operations"
-telemetry block runs after the Quickstart on its graph, and the
+telemetry block runs after the Quickstart on its graph, the
 "EXPLAIN / PROFILE" and "Query planning" blocks run on the generated
-Darshan-like graph ``md`` the "Chaos testing" block builds, so a change
-that breaks the documented surface fails here.
+Darshan-like graph ``md`` the "Chaos testing" block builds, and the "Chaos
+testing" block runs on its own, so a change that breaks the documented
+surface fails here.
 """
 
 import re
@@ -25,6 +26,10 @@ TELEMETRY_BLOCK = 5
 #: the EXPLAIN / PROFILE block and the query-planning block, run after the
 #: Quickstart (for its imports) on ``md``
 MD_BLOCKS = (4, 7)
+
+#: the "Chaos testing" block: the one-call differential check, then an
+#: explicit fault plan wired into a cluster
+CHAOS_BLOCK = 8
 
 #: the top-level keys the README names for every EXPLAIN document
 DOCUMENT_KEYS = {"planner", "plan", "executed", "rewrites", "level_map"}
@@ -84,3 +89,16 @@ def test_readme_telemetry_block_runs(capsys):
     text = capsys.readouterr().out.removesuffix("\n")  # print's newline
     assert "rollup_engine_real_visits_rate" in text
     assert validate_openmetrics(text) == []
+
+
+def test_readme_chaos_block_runs(capsys):
+    blocks = python_blocks()
+    namespace: dict = {"__name__": "readme"}
+    run_block(blocks, CHAOS_BLOCK, namespace)
+    outcome = namespace["outcome"]
+    assert outcome.ok
+    assert outcome.leaked == []
+    (verdict,) = outcome.verdicts
+    # the explicit-plan leg returns the fault-free set
+    assert namespace["result"].result.returned == verdict.baseline
+    assert "faults.crashes" in capsys.readouterr().out

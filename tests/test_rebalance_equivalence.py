@@ -19,6 +19,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
 from repro.engine.options import options_for
 from repro.errors import TraversalCancelled
+from repro.faults.chaos import leaked_state
 from repro.graph.builder import PropertyGraph
 from repro.lang.gtravel import GTravel
 from repro.rebalance import MigrationConfig
@@ -108,10 +109,7 @@ def run_with_migration(cluster, plans, qos=None):
 
 
 def assert_no_leaks(cluster):
-    assert cluster.migrator.leaked_state() == []
-    assert cluster.routing.dual_count == 0
-    assert cluster.scheduler.queue_depth == 0
-    assert cluster.scheduler.inflight_count == 0
+    assert leaked_state(cluster, ()) == []
 
 
 def assert_moved(cluster, vids):

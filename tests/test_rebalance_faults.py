@@ -17,7 +17,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind
-from repro.faults.chaos import chaos_check_many
+from repro.engine.options import options_for
+from repro.faults.chaos import chaos_check, leaked_state
 from repro.faults.plan import CrashEvent, FaultPlan, FaultSpec
 from repro.graph.builder import PropertyGraph
 from repro.lang.gtravel import GTravel
@@ -46,18 +47,8 @@ def random_queries(rng: random.Random, nvertices: int, n: int = 4):
     return queries
 
 
-def assert_ownership_consistent(cluster, vids, nservers=3):
-    for vid in vids:
-        owner = cluster.routing.owner(vid)
-        assert cluster.servers[owner].store.has_vertex(vid), (
-            f"vertex {vid} lost: routed to {owner} which lacks it"
-        )
-        extra = [
-            s
-            for s in range(nservers)
-            if s != owner and cluster.servers[s].store.has_vertex(vid)
-        ]
-        assert not extra, f"vertex {vid} owned twice: {owner} and {extra}"
+def assert_ownership_consistent(cluster, vids):
+    assert leaked_state(cluster, (), vids) == []
 
 
 def test_chaos_many_with_concurrent_migration():
@@ -67,11 +58,11 @@ def test_chaos_many_with_concurrent_migration():
     for seed in range(4):
         rng = random.Random(500 + seed)
         graph = random_graph(rng)
-        outcome = chaos_check_many(
+        outcome = chaos_check(
             graph,
             random_queries(rng, 24),
             seed=seed,
-            scheduler="wfq",
+            engine=options_for(EngineKind.GRAPHTREK, scheduler="wfq"),
             scheduler_config=SchedulerConfig(max_inflight=2),
             migrate=True,
             migration=MigrationConfig(chunk_vertices=2, dual_window=0.01),
@@ -91,7 +82,7 @@ def test_chaos_many_migration_with_server_crash():
     for seed in range(6):
         rng = random.Random(600 + seed)
         graph = random_graph(rng)
-        outcome = chaos_check_many(
+        outcome = chaos_check(
             graph,
             random_queries(rng, 24),
             seed=seed,
@@ -114,7 +105,7 @@ def test_chaos_many_migration_with_coordinator_crash():
     for seed in range(6):
         rng = random.Random(700 + seed)
         graph = random_graph(rng)
-        outcome = chaos_check_many(
+        outcome = chaos_check(
             graph,
             random_queries(rng, 24),
             seed=seed,

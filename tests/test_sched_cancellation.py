@@ -12,6 +12,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.engine import EngineKind, ReferenceEngine
 from repro.engine.options import options_for
 from repro.errors import TraversalCancelled
+from repro.faults.chaos import chaos_check, leaked_state
 from repro.graph.builder import PropertyGraph
 from repro.lang.gtravel import GTravel
 from repro.sched import SchedulerConfig
@@ -36,11 +37,7 @@ def kstep(src: int, steps: int) -> GTravel:
 
 
 def assert_no_leaks(cluster, travel_id):
-    assert cluster.registry.get(travel_id) is None
-    assert travel_id not in cluster.coordinator._active
-    assert cluster.scheduler.inflight_count == 0
-    assert cluster.scheduler.queue_depth == 0
-    assert not cluster.coordinator.inflight_by_server()
+    assert leaked_state(cluster, [travel_id]) == []
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda e: e.value)
@@ -144,20 +141,18 @@ def test_cancelled_travel_metrics_and_trace():
 
 
 def test_chaos_mixed_cancel_and_crash():
-    """chaos_check_many drives cancel + crash schedules concurrently: every
+    """chaos_check drives cancel + crash schedules concurrently: every
     non-cancelled query matches its oracle or fails cleanly, deadline
     queries may cancel, and nothing leaks."""
-    from repro.faults.chaos import chaos_check_many
-
     graph = chain_graph()
     queries = [kstep(0, 10), kstep(5, 2), kstep(15, 2), kstep(25, 3)]
     saw_cancel = False
     for seed in range(6):
-        outcome = chaos_check_many(
+        outcome = chaos_check(
             graph,
             queries,
             seed=seed,
-            scheduler="wfq",
+            engine=options_for(EngineKind.GRAPHTREK, scheduler="wfq"),
             scheduler_config=SchedulerConfig(
                 max_inflight=2,
                 tenant_weights={"interactive": 3.0, "batch": 1.0},

@@ -106,17 +106,17 @@ def test_concurrent_under_faults_with_crash(policy: str):
     """The same differential contract under a PR-2 fault plan with one
     mid-run server crash: every query matches its serial fault-free oracle
     or fails cleanly, and the cluster leaks no state."""
-    from repro.faults.chaos import chaos_check_many
+    from repro.faults.chaos import chaos_check
 
     for seed in (0, 1, 2, 3):
         rng = random.Random(100 + seed)
         graph = random_graph(rng)
         plans = random_queries(rng, 24, n=3)
-        outcome = chaos_check_many(
+        outcome = chaos_check(
             graph,
             plans,
             seed=seed,
-            scheduler=policy,
+            engine=options_for(EngineKind.GRAPHTREK, scheduler=policy),
             scheduler_config=SCHED,
             tenants=[spec["tenant"] for spec in qos_specs(rng, len(plans))],
             crash=True,

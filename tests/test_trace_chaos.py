@@ -27,16 +27,17 @@ def chaos_query(ids):
 def test_chaos_trace_reconstructs_valid_dag(metadata_graph, seed):
     graph, ids = metadata_graph
     outcome = chaos_check(
-        graph, chaos_query(ids), seed=seed, crash=seed in CRASH_SEEDS, trace=True
+        graph, [chaos_query(ids)], seed=seed, crash=seed in CRASH_SEEDS, trace=True
     )
-    assert outcome.ok, f"seed {seed}: {outcome.error}"
+    (v,) = outcome.verdicts
+    assert outcome.ok, f"seed {seed}: {v.error}, leaked={outcome.leaked}"
     assert outcome.traces, f"seed {seed}: traced run recorded no traversals"
-    # run_under_faults submits exactly one traversal (restarts reuse its id)
+    # one query submits exactly one traversal (restarts reuse its id)
     assert len(outcome.traces) == 1
     (dag,) = outcome.traces.values()
     # assemble_all already ran verify(): rooted, acyclic, no orphans. Check
     # the terminal event agrees with the differential verdict.
-    if outcome.matched:
+    if v.matched:
         assert dag.status == "ok", f"seed {seed}"
     else:
         assert dag.status == "failed", (
@@ -60,7 +61,7 @@ def test_chaos_trace_annotates_retries_and_dups_somewhere(metadata_graph):
     annotated = 0
     for seed in CHAOS_SEEDS:
         outcome = chaos_check(
-            graph, chaos_query(ids), seed=seed, crash=seed in CRASH_SEEDS, trace=True
+            graph, [chaos_query(ids)], seed=seed, crash=seed in CRASH_SEEDS, trace=True
         )
         if not outcome.traces:
             continue
@@ -82,7 +83,7 @@ def test_crash_seed_trace_records_fault_events(metadata_graph):
     evidence inside the recorded event stream, and the DAG still verifies."""
     graph, ids = metadata_graph
     outcome = chaos_check(
-        graph, chaos_query(ids), seed=1, crash=True, trace=True
+        graph, [chaos_query(ids)], seed=1, crash=True, trace=True
     )
     assert outcome.ok
     crashed = any(
