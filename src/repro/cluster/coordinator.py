@@ -27,6 +27,7 @@ confused by its dead predecessor's in-flight traffic.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -275,7 +276,9 @@ class Coordinator:
         submit and post-crash resume)."""
         self._active[at.travel_id] = at
         self._launch(at)
-        self.ctx.spawn(self._watchdog(at), name=f"watchdog-{at.travel_id}")
+        self.ctx.spawn(
+            self._watchdog(weakref.ref(at)), name=f"watchdog-{at.travel_id}"
+        )
 
     def _launch(self, at: ActiveTravel) -> None:
         """The launch tail of first submit, watchdog restart and post-crash
@@ -799,11 +802,25 @@ class Coordinator:
 
     # -- failure detection and restart (paper §IV-C) ------------------------------------
 
-    def _watchdog(self, at: ActiveTravel):
+    def _watchdog(self, ref: "weakref.ref[ActiveTravel]"):
+        """Every ``watch_interval``, restart (or fail) a travel that made no
+        progress for ``exec_timeout``.
+
+        The travel is held only through ``ref``, and no strong name survives
+        a ``yield``: a finished travel is freed at its terminal, not at this
+        process's next wake. Every :class:`ActiveTravel` that leaves
+        ``_active`` is ``done`` (:meth:`_terminate` and :meth:`on_host_crash`
+        set it), so a dead reference means the same as ``done``: exit. The
+        wake stays scheduled either way, so the event order is unchanged.
+        The travel is never looked up by id: :meth:`resume` reuses the id,
+        and an old watchdog must not adopt the new travel."""
         restarts = 0
-        while not at.done:
+        at = ref()
+        while at is not None and not at.done:
+            at = None
             yield self.ctx.sleep(self.config.watch_interval)
-            if at.done:
+            at = ref()
+            if at is None or at.done:
                 return
             idle = self.ctx.now() - at.tracker.last_activity
             if idle <= self.config.exec_timeout:
@@ -929,8 +946,11 @@ class Coordinator:
         travel state is lost. Composite orchestrators parked on a child's
         internal completion event are woken by failing that event (they
         observe ``done`` and exit silently — a real crash would simply have
-        killed the process); watchdogs, streamers, and barrier releases exit
-        through their ``done`` flags. Client-facing events are *not* failed:
+        killed the process); barrier releases exit through their ``done``
+        flags, and watchdogs, which hold their travel only by weak reference,
+        exit at their next wake because it is ``done`` or already freed.
+        Every travel leaves ``_active`` here ``done``, as it does in
+        :meth:`_terminate`. Client-facing events are *not* failed:
         the recovery supervisor keeps them and resumes or readmits every
         travel under the next epoch.
         """

@@ -11,12 +11,13 @@ Determinism contract: recording never reads the wall clock, never consults
 ``id()``/``hash`` ordering, and the snapshot serializes with sorted keys —
 so two runs of the same seeded workload on the simulated runtime produce
 byte-identical JSON. Histogram quantiles use the nearest-rank method over
-the raw sample list (no interpolation, no numpy state).
+every raw sample (no interpolation, no numpy state).
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -42,45 +43,53 @@ def render_key(key: MetricKey) -> str:
     return f"{name}{{{inner}}}"
 
 
+def _nearest_rank(ordered, q: float) -> float:
+    """Nearest-rank ``q`` quantile of the non-empty sorted ``ordered``."""
+    rank = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.5) - 1))
+    return ordered[rank]
+
+
 class Histogram:
     """All observed samples plus a deterministic summary.
 
-    Samples are kept verbatim (the simulation scales this repo runs at make
-    that affordable) so that p50/p95/p99 are exact nearest-rank quantiles,
-    not bucket approximations.
+    Samples are stored in observation order as C doubles in an
+    ``array('d')``: 8 bytes each, against 32 for a boxed float in a list.
+    Every sample is kept, so p50/p95/p99 are exact nearest-rank quantiles,
+    not bucket approximations; sums and quantiles read the same doubles in
+    the same order a list would hold, so they are bit-identical to it.
     """
 
     __slots__ = ("samples",)
 
     def __init__(self) -> None:
-        self.samples: list[float] = []
+        self.samples = array("d")
 
     def observe(self, value: float) -> None:
-        self.samples.append(float(value))
+        self.samples.append(value)
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile; NaN on an empty histogram."""
         if not self.samples:
             return float("nan")
-        ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.5) - 1))
-        return ordered[rank]
+        return _nearest_rank(sorted(self.samples), q)
 
     def summary(self) -> dict[str, float]:
-        if not self.samples:
+        samples = self.samples
+        if not samples:
             nan = float("nan")
             return {"count": 0, "sum": 0.0, "min": nan, "max": nan,
                     "mean": nan, "p50": nan, "p95": nan, "p99": nan}
-        total = sum(self.samples)
+        total = sum(samples)
+        ordered = sorted(samples)
         return {
-            "count": len(self.samples),
+            "count": len(samples),
             "sum": total,
-            "min": min(self.samples),
-            "max": max(self.samples),
-            "mean": total / len(self.samples),
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "min": min(samples),
+            "max": max(samples),
+            "mean": total / len(samples),
+            "p50": _nearest_rank(ordered, 0.50),
+            "p95": _nearest_rank(ordered, 0.95),
+            "p99": _nearest_rank(ordered, 0.99),
         }
 
 
@@ -123,7 +132,7 @@ class MetricsRegistry:
         hist = self._histograms.get(key)
         if hist is None:
             hist = self._histograms[key] = Histogram()
-        hist.samples.append(float(value))
+        hist.samples.append(value)
 
     def observer(self, name: str, **labels: Any) -> Callable[[float], None]:
         """Pre-bound histogram handle (see :meth:`counter`): the returned

@@ -34,6 +34,7 @@ a pure function of (seed, configuration).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -162,7 +163,7 @@ class TelemetryPlane:
             fresh = hist.samples[start:]
             if fresh:
                 hmarks[key] = start + len(fresh)
-                slot = self._slot(self._hists, key, widx, [], 0)
+                slot = self._slot(self._hists, key, widx, array("d"), 0)
                 room = MAX_SAMPLES_PER_WINDOW - len(slot[1])
                 slot[1].extend(fresh[:room])
                 slot[2] += max(0, len(fresh) - room)

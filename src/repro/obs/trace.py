@@ -131,9 +131,10 @@ def sync_exec_id(attempt: int, level: int, server: int) -> int:
     return ((attempt * 4096 + level) * 4096 + server) + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
-    """One causally-significant record in the flight recorder."""
+    """One causally-significant record in the flight recorder (slotted:
+    the recorder may keep hundreds of thousands)."""
 
     seq: int
     clock: float

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 from repro.obs import (
     Histogram,
@@ -61,6 +62,34 @@ class TestHistogram:
         for v in sorted(values):
             b.observe(v)
         assert a.summary() == b.summary()
+
+    def test_summary_equals_a_float_list_reference(self):
+        """Samples are stored as C doubles; the summary equals, bit for bit,
+        the one a plain float list gives, and its p50/p95/p99 (one sort)
+        equal ``quantile`` (a sort each)."""
+        rng = random.Random(7)
+        values = [rng.expovariate(3.0) for _ in range(999)] + [3, 0, 1e-300]
+        reg = MetricsRegistry()
+        for v in values:
+            reg.observe("lat", v)
+        (hist,) = reg._histograms.values()
+        assert hist.samples.itemsize == 8
+        floats = [float(v) for v in values]
+        ordered = sorted(floats)
+
+        def rank(q):
+            return ordered[max(0, min(len(ordered) - 1, int(q * len(ordered) + 0.5) - 1))]
+
+        total = sum(floats)
+        assert reg.snapshot()["histograms"]["lat"] == {
+            "count": len(floats), "sum": total, "min": ordered[0],
+            "max": ordered[-1], "mean": total / len(floats),
+            "p50": rank(0.50), "p95": rank(0.95), "p99": rank(0.99),
+        }
+        summary = hist.summary()
+        assert [summary["p50"], summary["p95"], summary["p99"]] == [
+            hist.quantile(0.50), hist.quantile(0.95), hist.quantile(0.99)
+        ]
 
 
 class TestMetricsRegistry:

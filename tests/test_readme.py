@@ -1,13 +1,15 @@
 """README's python blocks run: the Quickstart, "Elastic scale-out" and
 "Concurrency & QoS" blocks execute in order in one namespace (the later
-blocks reuse the Quickstart's ``graph`` and ``query``), the "Operations"
-telemetry block runs after the Quickstart on its graph, the
+blocks reuse the Quickstart's ``graph`` and ``query``), the "Observability"
+block and the "Operations" telemetry block each run after the Quickstart on
+its cluster or graph, the
 "EXPLAIN / PROFILE" and "Query planning" blocks run on the generated
 Darshan-like graph ``md`` the "Chaos testing" block builds, and the "Chaos
 testing" block runs on its own, so a change that breaks the documented
 surface fails here.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -18,6 +20,13 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: 1-based positions of the ```python blocks this test runs, in order
 RUN_BLOCKS = (1, 6, 9)
+
+#: the "Observability" block (metrics snapshot, profile, Chrome trace,
+#: export), run after the Quickstart on its cluster
+OBSERVABILITY_BLOCK = 3
+
+#: the keys of every histogram summary in a metrics snapshot
+HISTOGRAM_KEYS = {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}
 
 #: the "Operations" block (SLO, sampling, rollups, alerts, hot shards,
 #: health, OpenMetrics), run after the Quickstart
@@ -51,6 +60,24 @@ def test_readme_blocks_run_in_one_namespace(capsys):
     assert namespace["state"].phase == "done"
     assert sorted(namespace["outcome"].result.vertices) == [namespace["data"]]
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_observability_block_runs(tmp_path, monkeypatch, capsys):
+    blocks = python_blocks()
+    namespace: dict = {"__name__": "readme"}
+    run_block(blocks, 1, namespace)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)  # the block exports run.json into the cwd
+    run_block(blocks, OBSERVABILITY_BLOCK, namespace)
+    snap, srv = namespace["snap"], namespace["srv"]
+    disk = snap["histograms"]["disk.access_seconds" + srv]
+    assert set(disk) == HISTOGRAM_KEYS
+    assert disk["count"] > 0 and disk["min"] <= disk["p50"] <= disk["max"]
+    assert namespace["report"].result_count == 1
+    assert "L3" in capsys.readouterr().out
+    assert namespace["chrome"]["traceEvents"]
+    exported = json.loads((tmp_path / "run.json").read_text())
+    assert set(exported) == {"metrics", "trace"}
 
 
 def test_readme_explain_profile_and_planning_blocks_run(capsys):
