@@ -2,12 +2,10 @@
 
 Usage::
 
-    python -m repro.bench                 # every table and figure
+    python -m repro.bench                 # every table, figure and ablation
     python -m repro.bench table1 fig11    # a subset
     REPRO_BENCH_SCALE=14 python -m repro.bench table1
-
-    # robustness: 10 seeded fault plans with a tightened watchdog
-    python -m repro.bench chaos --fault-plan 7 --exec-timeout 0.2 --max-restarts 2
+    python -m repro.bench fig7 --trace-out fig7.json   # plus a Chrome trace
 
 Prints the paper-style tables and writes JSON to benchmarks/results/.
 Exit code 1 if any shape check fails, a metric snapshot carries NaN/inf, or
@@ -30,35 +28,13 @@ from repro.bench.report import banner, report_experiment
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Reproduce the paper's tables/figures and robustness runs.",
+        description="Reproduce the paper's tables, figures and ablations.",
     )
     parser.add_argument(
         "names",
         nargs="*",
         metavar="experiment",
         help=f"subset to run (default: all). Choices: {', '.join(EXPERIMENTS)}",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="base seed for the chaos experiment's sampled fault plans "
-        "(implies running 'chaos' if no experiments were named)",
-    )
-    parser.add_argument(
-        "--exec-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="override the chaos watchdog's per-execution timeout "
-        "(virtual seconds)",
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=None,
-        help="override the chaos watchdog's whole-traversal restart budget",
     )
     parser.add_argument(
         "--trace",
@@ -81,16 +57,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str]) -> int:
     args = _parse_args(argv)
-    chaos_knobs = {
-        key: value
-        for key, value in (
-            ("fault_seed", args.fault_plan),
-            ("exec_timeout", args.exec_timeout),
-            ("max_restarts", args.max_restarts),
-        )
-        if value is not None
-    }
-    names = args.names or (["chaos"] if chaos_knobs else list(EXPERIMENTS))
+    names = args.names or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)}")
@@ -104,7 +71,7 @@ def main(argv: list[str]) -> int:
     all_passed = True
     for name in names:
         print(banner(name))
-        result = EXPERIMENTS[name](env, **(chaos_knobs if name == "chaos" else {}))
+        result = EXPERIMENTS[name](env)
         all_passed &= report_experiment(
             name, result, traced=env.trace, trace_out=args.trace_out
         )

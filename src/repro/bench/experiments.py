@@ -2,19 +2,18 @@
 
 Each ``exp_*`` function takes the :class:`BenchEnvironment` of the run and
 returns an :class:`ExperimentResult` carrying the measured cells, a rendered
-paper-style report, the shape checks the paper's claims imply, and any text
-artifacts. Experiments write no files: ``EXPERIMENTS`` (bottom of this
+paper-style report, the shape checks the paper's claims imply, and any
+extra payload. Experiments write no files: ``EXPERIMENTS`` (bottom of this
 module) names them, ``report.report_experiment`` prints, validates and saves
 what they return. EXPERIMENTS.md records the outcomes.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,33 +27,16 @@ from repro.engine import (
     graphtrek_options,
     plain_async_options,
 )
-from repro.faults.chaos import (
-    chaos_check,
-    chaos_coordinator_config,
-    leaked_state,
-    run_fault_free,
-    run_under_faults,
-)
-from repro.faults.plan import CrashEvent, FaultPlan, sample_fault_plan
+from repro.faults.chaos import chaos_coordinator_config, leaked_state
+from repro.faults.plan import CrashEvent, FaultPlan
 from repro.graph import in_degree_stats, out_degree_stats
 from repro.lang import GTravel
-from repro.obs.exporter import validate_openmetrics
-from repro.obs.slo import SLOConfig
 from repro.obs.telemetry import EXEC_RATE_METRIC
-from repro.obs.trace import SamplingPolicy
 from repro.partition import HashEdgeCut, evaluate_partition, greedy_vertex_cut
 from repro.partition.edge_cut import GreedyBalancedEdgeCut
 from repro.rebalance import MigrationConfig, select_migration
-from repro.sched import POLICY_NAMES, SchedulerConfig
-from repro.workloads import (
-    PAPER_TABLE2,
-    agent_exploration,
-    audit_scan_query,
-    k_hop_lineage,
-    qos_mixed_workload,
-    rmat_kstep_query,
-    suspicious_user_query,
-)
+from repro.sched import SchedulerConfig
+from repro.workloads import PAPER_TABLE2, rmat_kstep_query, suspicious_user_query
 
 SYNC = EngineKind.SYNC.value
 ASYNC = EngineKind.ASYNC.value
@@ -88,9 +70,6 @@ class ExperimentResult:
     rendered: str = ""
     checks: list[ShapeCheck] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    #: text artifacts (file name -> content) the reporter writes beside the
-    #: payload
-    artifacts: dict[str, str] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -109,12 +88,6 @@ class ExperimentResult:
 
 def _ratio(lookup, engine: str, baseline: str, n: int) -> float:
     return lookup[(engine, n)].elapsed / lookup[(baseline, n)].elapsed
-
-
-def _counter_sum(counters: dict, prefix: str) -> int:
-    """Total of one counter family in a snapshot's ``name{labels}`` keys (a
-    live cluster answers ``obs.metrics.counter_total(name)`` itself)."""
-    return sum(v for k, v in counters.items() if k.startswith(prefix))
 
 
 def _hotspot(graph, owner, server: int, count: int, label: str):
@@ -466,70 +439,6 @@ def exp_ablation_optimizations(env: BenchEnvironment) -> ExperimentResult:
     return ExperimentResult(list(by.values()), rendered, checks)
 
 
-def exp_ablation_planner(env: BenchEnvironment) -> ExperimentResult:
-    """Planner ablation: off / rules / cost on the two motivating queries.
-
-    The Darshan audit scan is written forwards from the huge Execution set;
-    the cost planner reverses it to start from the far smaller filtered File
-    set. The 8-step RMAT chain has an unfiltered final hop, which the rule
-    planner short-circuits (no final-level visits).
-    """
-    nservers = max(env.servers)
-    audit_graph = harness.darshan_graph(scale_users=max(16, env.scale * 8), seed=42).graph
-    workloads = {
-        "audit": (audit_graph, audit_scan_query().compile()),
-        "kstep8": (
-            harness.rmat1_graph(env.scale, env.edge_factor, env.seed),
-            harness.kstep_plan(env, 8),
-        ),
-    }
-    by = {
-        f"{workload}-{mode}": harness.run_cell(
-            graph, plan, graphtrek_options(planner=mode), nservers,
-            label=f"{workload}-{mode}", trace_enabled=env.trace,
-        )
-        for workload, (graph, plan) in workloads.items()
-        for mode in ("off", "rules", "cost")
-    }
-    rows = {
-        name: f"{report.fmt_time(cell.elapsed)}  ({cell.visits} visits)"
-        for name, cell in by.items()
-    }
-    checks = [
-        ShapeCheck(
-            "audit_cost_fewer_visits",
-            by["audit-cost"].visits < by["audit-off"].visits,
-            f"audit cost {by['audit-cost'].visits} visits < "
-            f"off {by['audit-off'].visits}",
-        ),
-        ShapeCheck(
-            "audit_cost_faster",
-            by["audit-cost"].elapsed < by["audit-off"].elapsed,
-            f"audit cost {report.fmt_time(by['audit-cost'].elapsed)} vs off "
-            f"{report.fmt_time(by['audit-off'].elapsed)}",
-        ),
-        ShapeCheck(
-            "kstep_cost_faster",
-            by["kstep8-cost"].elapsed < by["kstep8-off"].elapsed,
-            f"kstep8 cost {report.fmt_time(by['kstep8-cost'].elapsed)} vs off "
-            f"{report.fmt_time(by['kstep8-off'].elapsed)}",
-        ),
-        ShapeCheck(
-            "rules_never_slower_than_off",
-            by["audit-rules"].elapsed <= by["audit-off"].elapsed * 1.02
-            and by["kstep8-rules"].elapsed <= by["kstep8-off"].elapsed * 1.02,
-            f"audit rules {report.fmt_time(by['audit-rules'].elapsed)} vs off "
-            f"{report.fmt_time(by['audit-off'].elapsed)}; kstep8 rules "
-            f"{report.fmt_time(by['kstep8-rules'].elapsed)} vs off "
-            f"{report.fmt_time(by['kstep8-off'].elapsed)}",
-        ),
-    ]
-    rendered = report.kv_table(
-        f"Ablation — query planner (off/rules/cost) on {nservers} servers", rows
-    )
-    return ExperimentResult(list(by.values()), rendered, checks)
-
-
 def exp_concurrent_traversals(env: BenchEnvironment) -> ExperimentResult:
     """Concurrent-workload experiment (motivated by the paper's §I: "the
     interferences among traversals easily create stragglers").
@@ -663,291 +572,6 @@ def exp_ablation_partitioning(env: BenchEnvironment) -> ExperimentResult:
     return ExperimentResult(cells, rendered, checks)
 
 
-# -- Chaos (robustness) -------------------------------------------------------
-
-
-def exp_chaos(
-    env: BenchEnvironment,
-    *,
-    fault_seed: int = 0,
-    exec_timeout: Optional[float] = None,
-    max_restarts: Optional[int] = None,
-) -> ExperimentResult:
-    """Chaos differential: ten sampled fault plans (seeds
-    ``fault_seed..fault_seed+9``) against the fault-free baseline on
-    the metadata graph, every third plan with a mid-traversal server crash.
-
-    Each run must either reproduce the baseline result set exactly or fail
-    cleanly with ``TraversalFailed``, and leak no cluster state; on top, one
-    plan is rerun to assert the ``net.*``/``faults.*`` counter snapshot is
-    deterministic. The clusters are built inside :mod:`repro.faults.chaos`,
-    not through the harness seam, so ``--trace`` has no cell to record here
-    and the reporter fails it.
-    """
-    plans = 10
-    md = harness.darshan_graph(scale_users=12, seed=env.seed)
-    query = GTravel.v(*md.user_ids).e("run").e("hasExecutions").e("read").compile()
-    baseline, duration = run_fault_free(md.graph, query)
-    cc = chaos_coordinator_config(duration)
-    if exec_timeout is not None:
-        cc = replace(cc, exec_timeout=exec_timeout, watch_interval=exec_timeout / 4.0)
-    if max_restarts is not None:
-        cc = replace(cc, max_restarts=max_restarts)
-
-    seeds = list(range(fault_seed, fault_seed + plans))
-    rows: dict = {}
-    outcomes = []
-    verdicts = []
-    for i, seed in enumerate(seeds):
-        outcome = chaos_check(
-            md.graph, [query], seed=seed, crash=i % 3 == 1, coordinator_config=cc
-        )
-        outcomes.append(outcome)
-        (v,) = outcome.verdicts
-        verdicts.append(v)
-        verdict = "match" if v.matched else (
-            "clean-fail" if v.failed_cleanly else "WRONG RESULT"
-        )
-        rows[f"plan seed {seed}"] = (
-            f"{verdict}  (retries={_counter_sum(outcome.net_counters, 'net.retries')}, "
-            f"crashes={_counter_sum(outcome.net_counters, 'faults.crashes')})"
-        )
-
-    # Determinism probe: replay the first crash plan twice, compare snapshots.
-    probe = sample_fault_plan(
-        seeds[1], nservers=3, crash_window=(0.2 * duration, 3.0 * duration)
-    )
-    reruns = [run_under_faults(md.graph, [query], probe, coordinator_config=cc) for _ in range(2)]
-    deterministic = reruns[0] == reruns[1]
-    crash_bearing = [o for o in outcomes if o.plan.crashes]
-    crash_fired = sum(
-        any(k.startswith("faults.crashes") for k in o.net_counters) for o in crash_bearing
-    )
-
-    checks = [
-        ShapeCheck(
-            "chaos_differential_contract",
-            all(o.ok for o in outcomes),
-            f"{sum(v.matched for v in verdicts)}/{len(outcomes)} matched, "
-            f"{sum(v.failed_cleanly for v in verdicts)} failed cleanly, "
-            f"{sum(not o.ok for o in outcomes)} violated the contract",
-        ),
-        ShapeCheck(
-            "crash_plans_actually_crashed",
-            # a sampled crash time can land past the faulty run's completion,
-            # so require that the machinery fired on at least one plan
-            crash_fired > 0,
-            f"crash fired on {crash_fired}/{len(crash_bearing)} crash-bearing plans",
-        ),
-        ShapeCheck(
-            "fault_snapshots_deterministic",
-            deterministic,
-            "same plan + seed reproduced identical results and "
-            "net.*/faults.* counters" if deterministic
-            else "rerun diverged — fault injection is not deterministic",
-        ),
-    ]
-    rows["watchdog"] = f"exec_timeout={cc.exec_timeout:.3f}s max_restarts={cc.max_restarts}"
-    rendered = report.kv_table(
-        f"Chaos — {plans} fault plans vs fault-free baseline (base seed {fault_seed})", rows
-    )
-    extra = {
-        "fault_seed": fault_seed,
-        "plans": plans,
-        "baseline_duration": duration,
-        "outcomes": [
-            {
-                "seed": o.seed,
-                "matched": v.matched,
-                "failed_cleanly": v.failed_cleanly,
-                "error": v.error,
-                "net_counters": o.net_counters,
-            }
-            for o, v in zip(outcomes, verdicts)
-        ],
-    }
-    return ExperimentResult([], rendered, checks, extra=extra)
-
-
-def exp_scheduler(env: BenchEnvironment) -> ExperimentResult:
-    """Scheduler-policy ablation: the QoS mixed workload (three 8-step batch
-    scans submitted ahead of eight 2-step interactive queries) under every
-    admission policy, same graph, same 4-server cluster, same
-    ``max_inflight=2`` cap.
-
-    The metric is interactive-tenant latency *including queue wait* (the
-    scheduler stamps submission time at admission, so ``stats.elapsed``
-    covers the time spent queued). FIFO launches in arrival order, so every
-    small query waits behind the whole batch; weighted-fair queueing
-    (interactive weighted 4:1 over batch) lets the cheap interactive work
-    overtake queued scans — the claim checked here is a lower interactive
-    p99. Result sets must be identical across policies: scheduling reorders
-    work, never answers.
-    """
-    nscans, nsmall, nservers, max_inflight = 3, 8, 4, 2
-    graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
-    items = qos_mixed_workload(env.seed, 1 << env.scale, nscans=nscans, nsmall=nsmall)
-    queries = [item["query"] for item in items]
-    qos = [item["qos"] for item in items]
-    sched_config = SchedulerConfig(
-        max_inflight=max_inflight, tenant_weights={"interactive": 4.0, "batch": 1.0}
-    )
-
-    cells = []
-    rows: dict[str, str] = {}
-    per_policy: dict[str, dict] = {}
-    result_sets: dict[str, list] = {}
-    launched: dict[str, int] = {}
-    for policy in POLICY_NAMES:
-        cluster = harness.build_cluster(
-            graph, graphtrek_options(scheduler=policy), nservers,
-            trace_enabled=env.trace, scheduler_config=sched_config,
-        )
-        # Cell is keyed (engine, nservers); disambiguate the three
-        # same-engine cells by policy name.
-        cell, outcomes = harness.measure(cluster, queries, qos=qos, label=f"{GT}:{policy}")
-        cells.append(cell)
-        smalls, scans = (
-            [o.stats.elapsed for o, item in zip(outcomes, items) if item["kind"] == kind]
-            for kind in ("small", "scan")
-        )
-        result_sets[policy] = [sorted(o.result.vertices) for o in outcomes]
-        launched[policy] = cluster.obs.metrics.counter_total("sched.launched")
-        per_policy[policy] = {
-            "small_p50": float(np.percentile(smalls, 50)),
-            "small_p99": float(np.percentile(smalls, 99)),
-            "small_mean": float(np.mean(smalls)),
-            "scan_max": max(scans),
-            "makespan": cell.elapsed,
-        }
-        for row, key in (
-            ("interactive p99", "small_p99"),
-            ("interactive p50", "small_p50"),
-            ("batch max", "scan_max"),
-            ("makespan", "makespan"),
-        ):
-            rows[f"{policy} {row}"] = report.fmt_time(per_policy[policy][key])
-
-    wfq, fifo = per_policy["wfq"], per_policy["fifo"]
-    agree = all(result_sets[p] == result_sets["fifo"] for p in POLICY_NAMES)
-    checks = [
-        ShapeCheck(
-            "wfq_beats_fifo_on_interactive_p99",
-            wfq["small_p99"] < fifo["small_p99"],
-            f"interactive p99 incl. queue wait: wfq "
-            f"{report.fmt_time(wfq['small_p99'])} vs fifo "
-            f"{report.fmt_time(fifo['small_p99'])} (weighted-fair lets cheap "
-            "interactive work overtake queued batch scans)",
-        ),
-        ShapeCheck(
-            "policies_agree_on_results",
-            agree,
-            f"every policy returned identical vertex sets for all {len(queries)} queries"
-            if agree else "policies returned DIFFERENT result sets",
-        ),
-        ShapeCheck(
-            "all_submissions_launched",
-            all(n == len(queries) for n in launched.values()),
-            f"sched.launched == {len(queries)} for every policy "
-            f"(got {launched})",
-        ),
-    ]
-    rendered = report.kv_table(
-        f"Scheduler ablation — {nscans} batch scans + {nsmall} interactive "
-        f"queries, {nservers} servers, max_inflight={max_inflight}",
-        rows,
-    )
-    return ExperimentResult(cells, rendered, checks, extra={"per_policy": per_policy})
-
-
-# -- traversal-operator ablation (repeat / union / back / aggregate) ----------
-
-
-def exp_lang_ops(env: BenchEnvironment) -> ExperimentResult:
-    """Traversal-operator ablation on the Darshan metadata graph: the
-    ``repeat``-based k-hop lineage, the server-side ``union``, and the mixed
-    ``agent_exploration`` query (``as_``/``back`` + ``union`` +
-    ``group_count``) on all three engines.
-
-    Claims checked: every engine reproduces the single-node oracle (result
-    sets *and* aggregates); the server-side ``union`` beats the client-side
-    ``union_results`` workaround (two full cold traversals) on both elapsed
-    time and message count, because the shared prefix runs once; and a rerun
-    of every query is byte-identical (canonical ordering end to end).
-    """
-    nservers = 4
-    md = harness.darshan_graph(scale_users=12, seed=env.seed)
-    user = md.user_ids[0]
-    prefix = GTravel.v(user).e("run").e("hasExecutions")
-    queries = {
-        "k_hop_lineage": k_hop_lineage(md.file_ids[0], hops=3).compile(),
-        "union": prefix.union(GTravel.s().e("read"), GTravel.s().e("write")).compile(),
-        "agent_exploration": agent_exploration(user, kind="text").compile(),
-    }
-    client_legs = [
-        GTravel.v(user).e("run").e("hasExecutions").e("read").compile(),
-        GTravel.v(user).e("run").e("hasExecutions").e("write").compile(),
-    ]
-
-    cells = []
-    rows: dict[str, str] = {}
-    oracle_ok = True
-    rerun_ok = True
-    for qname, plan in queries.items():
-        ref = ReferenceEngine(md.graph).run(plan)
-        for kind in harness.ENGINE_ORDER:
-            cluster = harness.build_cluster(md.graph, kind, nservers, trace_enabled=env.trace)
-            cell, (outcome,) = harness.measure(cluster, [plan], label=f"{kind.value}:{qname}")
-            cells.append(cell)
-            # after measure: the cell's snapshot and trace cover its own
-            # traversal, not this determinism leg
-            rerun = cluster.traverse(plan)
-            oracle_ok &= outcome.result.same_result(ref)
-            rerun_ok &= rerun.result.same_result(outcome.result)
-            rows[f"{qname} {kind.value}"] = (
-                f"{report.fmt_time(outcome.stats.elapsed)}  "
-                f"(msgs={outcome.stats.messages})"
-            )
-
-    # Client-side OR-composition baseline: two full cold traversals whose
-    # results are merged at the client (the paper's workaround).
-    server_cell = cell_lookup(cells)[(f"{GT}:union", nservers)]
-    cluster = harness.build_cluster(md.graph, EngineKind.GRAPHTREK, nservers)
-    legs = [cluster.traverse(p) for p in client_legs]
-    client_elapsed = sum(o.stats.elapsed for o in legs)
-    client_msgs = sum(o.stats.messages for o in legs)
-    rows["union (client-side, 2 traversals)"] = (
-        f"{report.fmt_time(client_elapsed)}  (msgs={client_msgs})"
-    )
-
-    checks = [
-        ShapeCheck(
-            "engines_match_oracle",
-            oracle_ok,
-            "all engines reproduced the oracle's vertex sets and aggregates"
-            if oracle_ok else "an engine DIVERGED from the oracle",
-        ),
-        ShapeCheck(
-            "reruns_identical",
-            rerun_ok,
-            "second run of every query returned identical results",
-        ),
-        ShapeCheck(
-            "server_union_beats_client_union",
-            server_cell.elapsed < client_elapsed
-            and server_cell.messages < client_msgs,
-            f"server-side union {report.fmt_time(server_cell.elapsed)}/"
-            f"{server_cell.messages} msgs vs client-side "
-            f"{report.fmt_time(client_elapsed)}/{client_msgs} msgs "
-            "(shared prefix runs once)",
-        ),
-    ]
-    rendered = report.kv_table(
-        f"Traversal operators — metadata graph, {nservers} servers", rows
-    )
-    return ExperimentResult(cells, rendered, checks)
-
-
 # -- coordinator recovery ablation (DESIGN.md §13) ----------------------------
 
 
@@ -1073,107 +697,6 @@ def exp_coordinator_recovery(env: BenchEnvironment) -> ExperimentResult:
         "legs": legs,
     }
     return ExperimentResult([], rendered, checks, extra=extra)
-
-
-# -- telemetry plane ----------------------------------------------------------
-
-
-def exp_telemetry(env: BenchEnvironment) -> ExperimentResult:
-    """The telemetry plane every cluster runs (DESIGN.md §14).
-
-    Two claims (its wall-clock cost is ``benchmarks/perf``'s to measure:
-    every workload runs with the plane on and ``tenants_ops`` reports
-    ``obs.self_share``):
-
-    * **Determinism** — the OpenMetrics dump, the health document, and the
-      SLO alert log are byte-identical across reruns per (seed, config) on
-      all three engines, and every dump passes the OpenMetrics linter.
-    * **Hot-shard detection** — on a workload hot-spotted onto one server,
-      the detector ranks that server first and flags it hot.
-
-    Artifacts: the GraphTrek cell's OpenMetrics text, health JSON, and
-    alert-log JSON are returned for the reporter to write (CI uploads them).
-    """
-    graph = harness.rmat1_graph(env.scale, env.edge_factor, env.seed)
-
-    # -- determinism: exports byte-identical across reruns, 3 engines --------
-    def exports(engine: EngineKind) -> tuple:
-        cluster = harness.build_cluster(
-            graph,
-            engine,
-            min(env.servers),
-            trace_enabled=True,
-            trace_sampling=SamplingPolicy(sample_every_n=4, seed=env.seed),
-            # every completion breaches a 1 µs objective: the burn-rate
-            # alert deterministically fires, populating the alert log
-            slo_config=SLOConfig(latency_objective=1e-6, min_events=2),
-        )
-        plans = [harness.kstep_plan(env, 4, pick=7 + i) for i in range(4)]
-        qos = [{"tenant": ("alpha", "beta")[i % 2]} for i in range(4)]
-        cluster.traverse_many(plans, qos=qos)
-        return cluster.openmetrics(), cluster.health_json(), cluster.slo.to_json()
-
-    lint_problems: list[str] = []
-    mismatched: list[str] = []
-    alert_counts: dict[str, int] = {}
-    artifacts: dict[str, str] = {}
-    for engine in harness.ENGINE_ORDER:
-        first, second = exports(engine), exports(engine)
-        if first != second:
-            mismatched.append(engine.value)
-        lint_problems.extend(validate_openmetrics(first[0]))
-        alert_counts[engine.value] = len(json.loads(first[2]))
-        if engine is EngineKind.GRAPHTREK:
-            artifacts = {
-                "telemetry_openmetrics.txt": first[0],
-                "telemetry_health.json": first[1],
-                "telemetry_alerts.json": first[2],
-            }
-
-    # -- hot-shard detection: load concentrated on one server ----------------
-    hot_server = 1
-    cluster = harness.build_cluster(graph, EngineKind.GRAPHTREK, 4)
-    _, pinned_plans = _hotspot(
-        graph, cluster.partitioner.owner, hot_server, 16, "__telemetry_hotspot__"
-    )
-    cluster.traverse_many(pinned_plans, cold=False)
-    shard_report = cluster.hot_shard_report()
-
-    checks = [
-        ShapeCheck(
-            "exports_pass_openmetrics_linter",
-            not lint_problems,
-            f"{len(lint_problems)} linter problems: {lint_problems[:3]}",
-        ),
-        ShapeCheck(
-            "exports_byte_identical_across_reruns",
-            not mismatched,
-            "openmetrics+health+alert-log reran byte-identically on "
-            f"sync/async/graphtrek (mismatches: {mismatched or 'none'})",
-        ),
-        ShapeCheck(
-            "slo_alerts_fired_on_breached_objective",
-            all(n > 0 for n in alert_counts.values()),
-            f"alert-log transitions per engine: {alert_counts}",
-        ),
-        ShapeCheck(
-            "hot_shard_ranked_first",
-            shard_report.hottest == hot_server and hot_server in shard_report.hot,
-            f"hot-spotted server {hot_server}: ranked={shard_report.ranked} "
-            f"hot={shard_report.hot}",
-        ),
-    ]
-
-    rows = {
-        "alert transitions (gt)": str(alert_counts.get(GT, 0)),
-        "hot-shard ranking": " > ".join(str(s) for s in shard_report.ranked),
-        "artifacts": ", ".join(artifacts),
-    }
-    rendered = report.kv_table(
-        f"Telemetry plane — GraphTrek, scale {env.scale}", rows
-    )
-    extra = {"alert_counts": alert_counts, "hot_shard": shard_report.to_payload()}
-    return ExperimentResult([], rendered, checks, extra=extra, artifacts=artifacts)
 
 
 # -- elastic scale-out ablation -----------------------------------------------
@@ -1427,8 +950,8 @@ def exp_columnar(env: BenchEnvironment) -> ExperimentResult:
 
 #: name -> experiment, in report order. The name is the CLI name, the
 #: artifact stem and ``payload["experiment"]``; every entry is called as
-#: ``fn(env, **knobs)`` (only ``chaos`` has CLI knobs).
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
+#: ``fn(env)``.
+EXPERIMENTS: dict[str, Callable[[BenchEnvironment], ExperimentResult]] = {
     "table1": exp_table1,
     "fig7": exp_fig7,
     "fig8": partial(exp_step_sweep, steps=2),
@@ -1439,14 +962,9 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table3": exp_table3,
     "concurrent": exp_concurrent_traversals,
     "ablation_opts": exp_ablation_optimizations,
-    "planner": exp_ablation_planner,
     "ablation_partition": exp_ablation_partitioning,
     "ablation_layout": exp_ablation_layout,
-    "chaos": exp_chaos,
     "coordinator_recovery": exp_coordinator_recovery,
-    "scheduler": exp_scheduler,
-    "lang_ops": exp_lang_ops,
-    "telemetry": exp_telemetry,
     "rebalance": exp_rebalance,
     "columnar": exp_columnar,
 }

@@ -228,17 +228,12 @@ def cell_lookup(cells: Sequence[Cell]) -> dict[tuple[str, int], Cell]:
     return {(c.engine, c.nservers): c for c in cells}
 
 
-def save_text(filename: str, text: str) -> Path:
-    """Persist one artifact under benchmarks/results/."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / filename
-    path.write_text(text)
-    return path
-
-
 def save_results(name: str, payload) -> Path:
     """Persist experiment output under benchmarks/results/<name>.json."""
-    return save_text(f"{name}.json", json.dumps(payload, indent=2, default=str))
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path = RESULTS_DIR / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=2, default=str))
+    return path
 
 
 def cells_payload(cells: Sequence[Cell]) -> list[dict]:

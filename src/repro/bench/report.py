@@ -17,7 +17,6 @@ from repro.bench.harness import (
     cell_lookup,
     metrics_payload,
     save_results,
-    save_text,
     trace_payload,
 )
 from repro.obs.exporter import validate_snapshot
@@ -134,8 +133,8 @@ def report_experiment(
     name: str, result, *, traced: bool = False, trace_out: Optional[Path] = None
 ) -> bool:
     """The one way an experiment's result becomes evidence: print the table
-    and the verdicts, save ``<name>.json``, the per-cell metric snapshots,
-    the merged Chrome trace of a traced run and the returned text artifacts.
+    and the verdicts, save ``<name>.json``, the per-cell metric snapshots
+    and the merged Chrome trace of a traced run.
 
     Returns False when a shape check failed, a snapshot carries NaN/inf
     (broken instrumentation), the trace is malformed, or a traced run
@@ -157,8 +156,6 @@ def report_experiment(
                     print(f"  [FAIL] metrics snapshot {cell_name}: {problem}")
                     passed = False
         print(f"  metrics -> {save_results(name + '_metrics', snapshots)}")
-    for filename, text in result.artifacts.items():
-        print(f"  artifact -> {save_text(filename, text)}")
     if traced:
         # a cell without events is a build site that dropped ``env.trace``
         problems = [

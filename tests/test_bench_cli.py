@@ -41,27 +41,6 @@ def test_single_cheap_experiment_runs(capsys, results_dir):
     assert json.loads((results_dir / "table2.json").read_text())["experiment"] == "table2"
 
 
-def test_chaos_knobs_reach_the_experiment(capsys, monkeypatch, results_dir):
-    """--fault-plan/--exec-timeout/--max-restarts reach the registered chaos
-    function as keyword arguments, and naming no experiment while passing a
-    fault knob implies 'chaos'."""
-    calls = []
-
-    def fake_chaos(env, **kwargs):
-        calls.append(kwargs)
-        return ExperimentResult([], "stub", [])
-
-    monkeypatch.setitem(EXPERIMENTS, "chaos", fake_chaos)
-    code = main(["--fault-plan", "11", "--exec-timeout", "0.5", "--max-restarts", "2"])
-    assert code == 0
-    assert calls == [{"fault_seed": 11, "exec_timeout": 0.5, "max_restarts": 2}]
-    assert "chaos" in capsys.readouterr().out
-
-
-def test_chaos_registered():
-    assert "chaos" in EXPERIMENTS
-
-
 def test_traced_run_records_every_cell(capsys, results_dir):
     """``--trace`` reaches every cluster an experiment builds for a cell:
     ``concurrent`` hand-built its clusters and wrote a 0-event trace."""

@@ -36,17 +36,14 @@ TINY = BenchEnvironment(scale=6, edge_factor=4, servers=(2, 3))
 # ``canonical_json({cells, checks, extra})`` per experiment at MANIFEST_ENV,
 # keyed by CLI name (the hash excludes the name). Recorded at the commit
 # before the one-evidence-path refactor, before any other edit, except
-# ``telemetry`` and ``columnar``: their parent payloads carried wall-clock
-# readings, so they are recorded after those keys (and the two checks gating
-# them) were deleted — every key they share with the parent's payload is
-# equal. ``telemetry`` was re-recorded once more when its telemetry-off leg
-# went (the plane is part of every cluster): the payload lost exactly the
-# ``telemetry_costs_zero_virtual_time`` check and nothing else.
-# ``coordinator_recovery`` was re-recorded when journal records were cut to
-# the fields recovery reads: only its journal record and byte counts moved.
+# ``columnar``: its parent payload carried wall-clock readings, so it is
+# recorded after those keys (and the check gating them) were deleted — every
+# key it shares with the parent's payload is equal. ``coordinator_recovery``
+# was re-recorded when journal records were cut to the fields recovery reads:
+# only its journal record and byte counts moved.
 # A refactor must pass it unchanged; re-record a digest only when virtual
 # behaviour or a shape check is meant to change, and say why in the PR.
-# Tier-1 runs the entries under 1.5 s; CI runs all twenty (``-m ""``) under
+# Tier-1 runs the entries under 1.5 s; CI runs all fifteen (``-m ""``) under
 # PYTHONHASHSEED=0 and =random.
 MANIFEST_ENV = BenchEnvironment(scale=8, edge_factor=16, servers=(2, 4), seed=1)
 TIER1_MANIFEST = {
@@ -59,17 +56,12 @@ TIER1_MANIFEST = {
     "concurrent": "91e8ab3856e1ef3dd742bc4534d7a57874096bf6cea6c024f8b01a3a27306f0b",
     "ablation_opts": "d1b1eae1e17817ae0ba6ff87a37880b71970f8aa0c138e4a96571d702940d25f",
     "ablation_partition": "8f840ebcb8f11b3d6af9a6cc033311564468df7342428e5983866acaed31993e",
-    "scheduler": "3ba5575b0426cd68725b6f57bad760248d6f74d37d23db2c6d61e8e8cc07c307",
 }
 SLOW_MANIFEST = {
     "table2": "f23ffbe3ceb8ce2d5c20969e03ea2c42306cd3976cba5cb701bc00bbe73cadc4",
     "table3": "c825f2ee1264b92b10bd9ea95a5e0d704142b717360a345bc74f6180d42fc16b",
-    "planner": "7dcc5cc8c89931fe83a8044cf05802e84e7271c49883710bb58f5a3fc95f915e",
     "ablation_layout": "fd8574805cc4c39005d6768c0bace261c7481c037eed3ef918dd472a6bb98838",
-    "chaos": "dd19c6e99923da0d51425f1f59809010f287b2dd1d622822d828e841747ad240",
     "coordinator_recovery": "86c50670aa474e7ed31584384e0d59879604fada4ac24e069408ff2ebc5e70ed",
-    "lang_ops": "492cfb09a7d442203a8a394f3f777093581893f7f16b18b288c050d92df6caaf",
-    "telemetry": "a8edb77b63800a0eeaab6d8e4822a1272caa111355911919d078e9b8499a7b39",
     "rebalance": "6365df438b583a50d59fcc0f78ec0d637a847eacae15413e418395f28498bfea",
     "columnar": "f8c68479725836684dc283d9aabf38b1950518727ed72015a7fc1eef79d7c678",
 }

@@ -26,7 +26,7 @@ from repro.engine import (
 from repro.errors import QueryError, RepeatDepthExceeded, TraversalCancelled
 from repro.faults.chaos import chaos_check
 from repro.graph import PropertyGraph
-from repro.lang import EQ, RANGE, GTravel
+from repro.lang import EQ, RANGE, GTravel, union_results
 from repro.lang.composite import CompositePlan, FilterNode
 from repro.lang.filters import FilterSet
 from repro.lang.plan import AggregateResult, TraversalPlan
@@ -175,6 +175,29 @@ def test_union_deduplicates_overlapping_branches():
         ),
     )
     assert ref.returned[1] == {1, 2}
+
+
+def test_server_union_beats_client_union(metadata_graph):
+    """The server-side ``union`` runs the shared prefix once, so it returns
+    what the client-side ``union_results`` of two full cold traversals
+    returns in fewer virtual seconds and fewer messages. The prefix starts
+    from every user: the composite runs one more traversal than the two
+    legs, whose control messages a one-user prefix does not outweigh."""
+    graph, ids = metadata_graph
+
+    def prefix():  # the builder extends itself in place
+        return GTravel.v(*ids["users"]).e("run").e("hasExecutions")
+
+    server = build_cluster(graph, EngineKind.GRAPHTREK).traverse(
+        prefix().union(GTravel.s().e("read"), GTravel.s().e("write"))
+    )
+    cluster = build_cluster(graph, EngineKind.GRAPHTREK)
+    legs = [cluster.traverse(prefix().e(label)) for label in ("read", "write")]
+    assert sorted(server.result.vertices) == list(
+        union_results(*(leg.result.vertices for leg in legs))
+    )
+    assert server.stats.elapsed < sum(leg.stats.elapsed for leg in legs)
+    assert server.stats.messages < sum(leg.stats.messages for leg in legs)
 
 
 def test_back_keeps_only_bound_vertices_with_a_path():

@@ -1,6 +1,7 @@
 """README's python blocks run: the Quickstart, "Elastic scale-out" and
 "Concurrency & QoS" blocks execute in order in one namespace (the later
-blocks reuse the Quickstart's ``graph`` and ``query``), the "Observability"
+blocks reuse the Quickstart's ``graph`` and ``query``), each expression of
+the "Query language" block runs against the oracle, the "Observability"
 block and the "Operations" telemetry block each run after the Quickstart on
 its cluster or graph, the
 "EXPLAIN / PROFILE" and "Query planning" blocks run on the generated
@@ -9,10 +10,13 @@ testing" block runs on its own, so a change that breaks the documented
 surface fails here.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
 
+from repro.cluster import Cluster, ClusterConfig
+from repro.engine import EngineKind, ReferenceEngine
 from repro.obs import validate_openmetrics
 from repro.workloads import MetadataGraphConfig, generate_metadata_graph
 
@@ -20,6 +24,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: 1-based positions of the ```python blocks this test runs, in order
 RUN_BLOCKS = (1, 6, 9)
+
+#: the "Query language" block: five operator expressions over the free names
+#: ``f`` (a file), ``u`` (a user) and ``ex`` (an execution)
+QUERY_LANGUAGE_BLOCK = 2
 
 #: the "Observability" block (metrics snapshot, profile, Chrome trace,
 #: export), run after the Quickstart on its cluster
@@ -60,6 +68,36 @@ def test_readme_blocks_run_in_one_namespace(capsys):
     assert namespace["state"].phase == "done"
     assert sorted(namespace["outcome"].result.vertices) == [namespace["data"]]
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_query_language_block_matches_the_oracle():
+    """Bind the block's free names on a small generated graph, evaluate each
+    top-level expression, and run it on a 3-server GraphTrek cluster: vertex
+    sets and aggregates equal the oracle's."""
+    md = generate_metadata_graph(MetadataGraphConfig(users=4, files=64, seed=42))
+    namespace: dict = {
+        "f": md.file_ids[0],
+        "u": md.user_ids[0],
+        "ex": md.execution_ids[0],
+    }
+    name = f"README.md python block {QUERY_LANGUAGE_BLOCK}"
+    queries = []
+    for node in ast.parse(python_blocks()[QUERY_LANGUAGE_BLOCK - 1]).body:
+        if isinstance(node, ast.Expr):
+            expression = compile(ast.Expression(node.value), name, "eval")
+            queries.append(eval(expression, namespace))
+        else:
+            exec(compile(ast.Module([node], []), name, "exec"), namespace)
+    assert len(queries) == 5
+    oracle = ReferenceEngine(md.graph)
+    for query in queries:
+        plan = query.compile()
+        cluster = Cluster.build(
+            md.graph, ClusterConfig(nservers=3, engine=EngineKind.GRAPHTREK)
+        )
+        assert cluster.traverse(plan).result.same_result(oracle.run(plan)), (
+            plan.describe()
+        )
 
 
 def test_readme_observability_block_runs(tmp_path, monkeypatch, capsys):

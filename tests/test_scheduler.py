@@ -3,6 +3,7 @@ admission control."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -19,6 +20,7 @@ from repro.sched import (
     WfqPolicy,
     make_policy,
 )
+from repro.workloads import paper_rmat1, qos_mixed_workload, rmat_graph
 
 
 def chain_graph(n: int = 40) -> PropertyGraph:
@@ -201,7 +203,7 @@ def test_wait_metrics_and_gauges():
 
 def test_elapsed_includes_queue_wait():
     """stats.elapsed is measured from admission, so a queued traversal's
-    latency covers its time in the queue — the bench's p99 metric."""
+    latency covers its time in the queue, as the p99 below counts it."""
     solo_small = build().traverse(kstep(1, 2), cold=False).stats.elapsed
     solo_scan = build().traverse(kstep(0, 8), cold=False).stats.elapsed
     cluster = build(sched=SchedulerConfig(max_inflight=1))
@@ -212,6 +214,43 @@ def test_elapsed_includes_queue_wait():
     # the small query waited for the whole scan, so its latency exceeds the
     # scan's solo duration — far more than its own solo run
     assert queued > solo_scan > solo_small
+
+
+def test_wfq_beats_fifo_on_interactive_p99():
+    """The QoS mixed workload: three 8-step batch scans submitted ahead of
+    eight 2-step interactive queries, two in flight at once. FIFO makes every
+    interactive query wait behind the batch; weighted-fair queueing
+    (interactive 4:1 over batch) lets the cheap work overtake the queued
+    scans, so the interactive p99, queue wait included, is lower. Both
+    policies return the same answers."""
+    scale = 8
+    graph = rmat_graph(paper_rmat1(scale=scale, edge_factor=16, seed=1))
+    items = qos_mixed_workload(1, 1 << scale, nscans=3, nsmall=8)
+    sched = SchedulerConfig(
+        max_inflight=2, tenant_weights={"interactive": 4.0, "batch": 1.0}
+    )
+    p99, answers = {}, {}
+    for policy in ("fifo", "wfq"):
+        cluster = Cluster.build(
+            graph,
+            ClusterConfig(
+                nservers=4,
+                engine=graphtrek_options(scheduler=policy),
+                scheduler_config=sched,
+            ),
+        )
+        outcomes = cluster.traverse_many(
+            [item["query"] for item in items], qos=[item["qos"] for item in items]
+        )
+        interactive = [
+            o.stats.elapsed
+            for o, item in zip(outcomes, items)
+            if item["kind"] == "small"
+        ]
+        p99[policy] = float(np.percentile(interactive, 99))
+        answers[policy] = [o.result.returned for o in outcomes]
+    assert p99["wfq"] < p99["fifo"], p99
+    assert answers["wfq"] == answers["fifo"]
 
 
 def test_drain_queued():
