@@ -174,7 +174,7 @@ class Coordinator:
         #: called in order with (travel_id, "ok"|"failed"|"cancelled") by
         #: :meth:`notify_terminal`; ``Cluster.build`` states the order
         self.terminal_listeners: list[Callable[[TravelId, str], None]] = []
-        #: durable WAL of state transitions; None runs journal-free (legacy)
+        #: durable WAL of state transitions; None when ClusterConfig.journal is off
         self.journal = journal
         #: versioned routing table (repro.rebalance); when set, level-0
         #: dispatch consults ``routing.owners`` so vertices inside a

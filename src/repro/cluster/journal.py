@@ -13,12 +13,13 @@ client session, which survives the crash beside the journal.
 
 Records use the framed format shared with checkpoints
 (:func:`repro.storage.persist.pack_record`): ``[u32 len][u32 crc32]``
-followed by a pickled dict of plain values with a ``kind`` discriminator. A
-torn or bit-rotted record raises the typed
-:class:`~repro.errors.CorruptJournal` on replay, and so does a record whose
-keys are not its kind's, one with a field of the wrong type (a checkpoint's
-nested records included), or one that names any global at all: replay never
-resolves, let alone calls, a class or function.
+followed by a one-byte kind tag and that kind's fixed little-endian
+:mod:`struct` layout (:data:`RECORD_FIELDS`). The layout types every field,
+so replay decodes plain values and nothing else. A torn or bit-rotted record
+raises the typed :class:`~repro.errors.CorruptJournal` on replay, and so
+does a CRC-valid payload the layout refuses: an unknown tag, a short or long
+payload, an out-of-range status or phase index, a count past the payload's
+end, or a checkpoint table holding a record of another kind.
 
 The journal compacts itself: every ``checkpoint_interval`` appended records
 it rewrites its storage as a single ``checkpoint`` record carrying the
@@ -32,36 +33,12 @@ on the shared filesystem.
 
 from __future__ import annotations
 
-import io
-import pickle
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import CorruptJournal
 from repro.storage.persist import iter_records, pack_record
-
-
-def _is_int(value) -> bool:
-    """An int, not a bool."""
-    return type(value) is int
-
-
-def _is_time(value) -> bool:
-    """A virtual time: a float, or an int (not a bool)."""
-    return type(value) in (int, float)
-
-
-def _is_optional_int(value) -> bool:
-    return value is None or type(value) is int
-
-
-def _is_vids(value) -> bool:
-    return type(value) is tuple and all(type(v) is int for v in value)
-
-
-def _one_of(*vocabulary: str) -> Callable[[object], bool]:
-    return lambda value: type(value) is str and value in vocabulary
-
 
 #: the statuses a ``terminal`` record carries: a travel's end, or a dead
 #: epoch's orphaned composite child
@@ -70,83 +47,113 @@ TERMINAL_STATUSES = ("ok", "failed", "cancelled", "orphaned")
 MIGRATION_PHASES = ("copy", "dual", "cutover", "done", "aborted")
 
 #: kind -> the fields its record keeps, those a recovery reader reads
-#: (DESIGN.md §13), each with the type replay checks (taken from what the
-#: writers pass). :meth:`TraversalJournal.append` writes no other field a
-#: caller passes, so no plan or other object reaches the bytes. A
-#: ``progress`` record (per-report deltas, which no reader reads) is not
-#: written at all; the journal probe of ``benchmarks/perf`` still appends it.
-RECORD_FIELDS: dict[str, Optional[dict[str, Callable[[object], bool]]]] = {
-    "admit": {"tid": _is_int, "seq": _is_int},
-    "dispatch": {"tid": _is_int, "child_of": _is_optional_int, "submit_time": _is_time},
-    "terminal": {"tid": _is_int, "status": _one_of(*TERMINAL_STATUSES)},
-    "epoch": {"epoch": _is_int},
-    "migration": {
-        "mid": _is_int,
-        "phase": _one_of(*MIGRATION_PHASES),
-        "src": _is_int,
-        "dst": _is_int,
-        "vids": _is_vids,
-        "version": _is_int,
-    },
+#: (DESIGN.md §13), in layout order with their :mod:`struct` codes. A payload
+#: is the kind's tag (its position here) then this layout: ``status`` and
+#: ``phase`` are an index into their vocabulary, ``child_of`` a has-parent
+#: flag and an id, and ``vids`` a count of the u64 ids after the fixed part.
+#: :meth:`TraversalJournal.append` writes no other field a caller passes, and
+#: no ``progress`` record (per-report deltas, which no reader reads); the
+#: journal probe of ``benchmarks/perf`` still appends both.
+RECORD_FIELDS: dict[str, Optional[dict[str, str]]] = {
+    "admit": {"tid": "q", "seq": "q"},
+    "dispatch": {"tid": "q", "child_of": "?q", "submit_time": "d"},
+    "terminal": {"tid": "q", "status": "B"},
+    "epoch": {"epoch": "q"},
+    "migration": {"mid": "q", "phase": "B", "src": "q", "dst": "q", "vids": "I", "version": "q"},
     "progress": None,
 }
-#: the keys replay accepts per kind: a written kind's fields, or a
-#: checkpoint's ``state`` (which holds :class:`JournalState`'s fields)
-_RECORD_KEYS = {kind: {"kind", *names} for kind, names in RECORD_FIELDS.items() if names}
-_RECORD_KEYS["checkpoint"] = {"kind", "state"}
-#: the :class:`JournalState` tables of records, and the kind each holds
-_STATE_TABLES = {"queued": "admit", "running": "dispatch", "migrations": "migration"}
+_VOCABULARY = {"status": TERMINAL_STATUSES, "phase": MIGRATION_PHASES}
+_KINDS = tuple(kind for kind, fields in RECORD_FIELDS.items() if fields)
+_LAYOUTS = {kind: struct.Struct("<B" + "".join(RECORD_FIELDS[kind].values())) for kind in _KINDS}
+_COUNT = struct.Struct("<I")
+#: a checkpoint: its tag (after the kinds'), ``epoch``, ``next_travel_id``,
+#: ``routing_version`` and one count per terminal status, then each
+#: :class:`JournalState` table (of the kind keyed by the field) as a count
+#: and that many records
+_CHECKPOINT = struct.Struct(f"<BqQq{len(TERMINAL_STATUSES)}q")
+_CHECKPOINT_TAG = bytes((len(_KINDS),))
+_TABLES = {"queued": ("admit", "tid"), "running": ("dispatch", "tid"), "migrations": ("migration", "mid")}
 
 
-def _check_record(record, kind: Optional[str] = None) -> None:
-    """Raise :class:`CorruptJournal` unless ``record`` is a well-typed
-    record — of ``kind``, when given (a checkpoint's nested records)."""
-    if not isinstance(record, dict) or not isinstance(record.get("kind"), str):
-        raise CorruptJournal("journal record is not a kind-tagged dict")
-    got = record["kind"]
-    keys = _RECORD_KEYS.get(got)
-    if keys is None:
-        raise CorruptJournal(f"unknown journal record kind {got!r}")
-    if kind is not None and got != kind:
-        raise CorruptJournal(f"journal checkpoint holds {got!r} where {kind!r} records belong")
-    if record.keys() != keys:
-        raise CorruptJournal(f"journal {got} record has fields {sorted(map(str, record))}")
-    if got == "checkpoint":
-        _check_state(record["state"])
-        return
-    for name, valid in RECORD_FIELDS[got].items():
-        if not valid(record[name]):
-            raise CorruptJournal(f"journal {got} record has {name}={record[name]!r}")
+def _read(layout: struct.Struct, data: bytes, at: int, what: str) -> tuple[tuple, int]:
+    if len(data) - at < layout.size:
+        raise CorruptJournal(f"journal {what} is short: {len(data) - at} of {layout.size} bytes")
+    return layout.unpack_from(data, at), at + layout.size
 
 
-def _check_state(saved) -> None:
-    """A checkpoint restores a well-typed :class:`JournalState` only."""
-    if not isinstance(saved, dict) or saved.keys() != vars(JournalState()).keys():
-        raise CorruptJournal("journal checkpoint does not hold a JournalState")
-    for name, value in saved.items():
-        if name == "terminals":
-            ok = type(value) is dict and all(
-                status in TERMINAL_STATUSES and _is_int(count)
-                for status, count in value.items()
-            )
-        elif name in _STATE_TABLES:
-            ok = type(value) is dict and all(map(_is_int, value))
+def _pack(kind: str, record: dict) -> bytes:
+    wire: list = [_KINDS.index(kind)]
+    for name in RECORD_FIELDS[kind]:
+        value = record[name]
+        if name == "child_of":
+            wire += (value is not None, 0 if value is None else value)
+        elif name == "vids":
+            wire.append(len(value))
         else:
-            ok = _is_int(value)
-        if not ok:
-            raise CorruptJournal(f"journal checkpoint has {name}={value!r}")
-        if name in _STATE_TABLES:
-            for record in value.values():
-                _check_record(record, _STATE_TABLES[name])
+            wire.append(_VOCABULARY[name].index(value) if name in _VOCABULARY else value)
+    payload = _LAYOUTS[kind].pack(*wire)
+    if kind == "migration":
+        payload += struct.pack(f"<{len(record['vids'])}Q", *record["vids"])
+    return payload
 
 
-class _RecordUnpickler(pickle.Unpickler):
-    """Unpickles one record of plain values; any global raises."""
+def _unpack(data: bytes, at: int = 0) -> tuple[dict, int]:
+    """The record (of any kind but ``checkpoint``) at ``data[at]``, and the
+    offset past it."""
+    tag = data[at : at + 1]
+    if not tag or tag[0] >= len(_KINDS):
+        raise CorruptJournal(f"journal record at byte {at} has unknown kind tag {tag.hex()!r}")
+    kind = _KINDS[tag[0]]
+    wire, at = _read(_LAYOUTS[kind], data, at, f"{kind} record")
+    wire = iter(wire[1:])
+    record = {"kind": kind}
+    for name in RECORD_FIELDS[kind]:
+        value = next(wire)
+        if name == "child_of":
+            parent = next(wire)
+            value = parent if value else None
+        elif name == "vids":
+            if 8 * value > len(data) - at:
+                raise CorruptJournal(f"journal {kind} record counts {value} vids past its end")
+            value, at = struct.unpack_from(f"<{value}Q", data, at), at + 8 * value
+        elif name in _VOCABULARY:
+            if value >= len(_VOCABULARY[name]):
+                raise CorruptJournal(f"journal {kind} record has {name} index {value}")
+            value = _VOCABULARY[name][value]
+        record[name] = value
+    return record, at
 
-    def find_class(self, module: str, name: str):
-        raise CorruptJournal(
-            f"journal record names {module}.{name}; records hold plain values only"
-        )
+
+def _pack_checkpoint(state: JournalState) -> bytes:
+    counts = [state.terminals.get(status, 0) for status in TERMINAL_STATUSES]
+    parts = [_CHECKPOINT.pack(
+        _CHECKPOINT_TAG[0], state.epoch, state.next_travel_id, state.routing_version, *counts
+    )]
+    for name, (kind, _key) in _TABLES.items():
+        table = getattr(state, name)
+        parts += [_COUNT.pack(len(table)), *(_pack(kind, r) for r in table.values())]
+    return b"".join(parts)
+
+
+def _unpack_checkpoint(data: bytes) -> tuple[JournalState, int]:
+    (_tag, epoch, next_travel_id, version, *counts), at = _read(_CHECKPOINT, data, 0, "checkpoint")
+    state = JournalState(
+        epoch, next_travel_id, routing_version=version,
+        terminals={status: n for status, n in zip(TERMINAL_STATUSES, counts) if n},
+    )
+    for name, (kind, key) in _TABLES.items():
+        (count,), at = _read(_COUNT, data, at, f"checkpoint {name} count")
+        if count * _LAYOUTS[kind].size > len(data) - at:
+            raise CorruptJournal(f"journal checkpoint counts {count} {name} past its end")
+        table = getattr(state, name)
+        for _ in range(count):
+            record, at = _unpack(data, at)
+            if record["kind"] != kind:
+                raise CorruptJournal(
+                    f"journal checkpoint holds {record['kind']!r} where {kind!r} records belong"
+                )
+            table[record[key]] = record
+    return state, at
 
 
 class JournalFile:
@@ -155,6 +162,9 @@ class JournalFile:
 
     def __init__(self, initial: bytes = b""):
         self._buf = bytearray(initial)
+
+    def __len__(self) -> int:
+        return len(self._buf)
 
     def append(self, data: bytes) -> None:
         self._buf.extend(data)
@@ -200,29 +210,14 @@ class TraversalJournal:
     checkpoints.
 
     ``append(kind, **values)`` frames and durably appends one record of the
-    kind's :data:`RECORD_FIELDS`, then folds it into the journal's live
-    :class:`JournalState` mirror (the same fold :meth:`replay` applies, so
-    the mirror and a cold replay always agree). Record kinds, each with only
-    the fields recovery reads:
-
-    ``admit``     scheduler admission: tid, seq (readmission order)
-    ``dispatch``  coordinator launched an attempt: tid, child_of (a
-                  composite child is orphaned, not resumed), submit_time
-    ``terminal``  travel finished: tid, status (ok/failed/cancelled, or
-                  orphaned: a dead epoch's composite child)
-    ``epoch``     a recovered coordinator started this epoch
-    ``migration`` a shard migration's phase transition: mid, phase
-                  (copy/dual/cutover/done/aborted), src, dst, vids, and
-                  the routing-table version the step commits
-    ``checkpoint`` compaction snapshot (written by the journal itself)
+    kind's :data:`RECORD_FIELDS`, then folds the record its bytes decode to
+    into the journal's live :class:`JournalState` mirror (the fold
+    :meth:`replay` applies, so the mirror and a cold replay always agree).
+    DESIGN.md §13 says who reads each kind's fields; a ``checkpoint``, the
+    compaction snapshot, is written by the journal itself.
     """
 
-    def __init__(
-        self,
-        storage: Optional[JournalFile] = None,
-        *,
-        checkpoint_interval: int = 256,
-    ):
+    def __init__(self, storage: Optional[JournalFile] = None, *, checkpoint_interval: int = 256):
         self.storage = storage if storage is not None else JournalFile()
         self.checkpoint_interval = checkpoint_interval
         #: lifetime counters (survive compaction; used by the bench ablation)
@@ -235,29 +230,30 @@ class TraversalJournal:
     # -- writing ---------------------------------------------------------------
 
     def append(self, kind: str, **values) -> None:
-        """An unknown ``kind`` is refused before a byte is written."""
+        """An unknown ``kind``, or a value its layout cannot hold, is
+        refused before a byte is written."""
         if kind not in RECORD_FIELDS:
             raise ValueError(f"unknown journal record kind {kind!r}")
         names = RECORD_FIELDS[kind]
         if names is None:
             return
-        record = {"kind": kind, **{name: values[name] for name in names}}
-        framed = pack_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        record = {name: values[name] for name in names}
+        try:
+            payload = _pack(kind, record)
+        except (struct.error, TypeError, ValueError) as exc:
+            raise ValueError(f"journal {kind} record cannot hold {record}: {exc}") from exc
+        framed = pack_record(payload)
         self.storage.append(framed)
         self.records_appended += 1
         self.bytes_appended += len(framed)
-        self._fold(self._state, record)
+        self._fold(self._state, _unpack(payload)[0])
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_interval:
             self.compact()
 
     def compact(self) -> None:
         """Rewrite the storage as one checkpoint record of the live state."""
-        # the state's own attribute dict, in field order, is the payload;
-        # the fold restores it with one update
-        record = {"kind": "checkpoint", "state": vars(self._state)}
-        framed = pack_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-        self.storage.reset(framed)
+        self.storage.reset(pack_record(_pack_checkpoint(self._state)))
         self.checkpoints_written += 1
         self._since_checkpoint = 0
 
@@ -276,17 +272,19 @@ class TraversalJournal:
         return self._state
 
     def size_bytes(self) -> int:
-        return len(self.storage.read())
+        return len(self.storage)
 
     def _replay_bytes(self, data: bytes) -> JournalState:
         state = JournalState()
         for payload in iter_records(data, CorruptJournal):
-            try:
-                record = _RecordUnpickler(io.BytesIO(payload)).load()
-            except Exception as exc:
-                raise CorruptJournal(f"undecodable journal record: {exc}") from exc
-            _check_record(record)
-            self._fold(state, record)
+            checkpoint = payload[:1] == _CHECKPOINT_TAG
+            decoded, end = (_unpack_checkpoint if checkpoint else _unpack)(payload)
+            if end != len(payload):
+                raise CorruptJournal(f"journal record has {len(payload) - end} bytes past its end")
+            if checkpoint:  # the whole state, so it replaces what came before
+                state = decoded
+            else:
+                self._fold(state, decoded)
         return state
 
     # -- the fold --------------------------------------------------------------
@@ -294,15 +292,7 @@ class TraversalJournal:
     @staticmethod
     def _fold(state: JournalState, record: dict) -> None:
         kind = record["kind"]
-        if kind == "checkpoint":
-            saved = dict(record["state"])
-            # rebuild each record under this module's "kind" key: pickle
-            # memoises by identity, so the next checkpoint of the replayed
-            # state then writes the bytes the live state's would
-            for name in _STATE_TABLES:
-                saved[name] = {k: {"kind": r["kind"], **r} for k, r in saved[name].items()}
-            vars(state).update(saved)
-        elif kind == "admit":
+        if kind == "admit":
             tid = record["tid"]
             state.note_travel_id(tid)
             state.queued[tid] = record
@@ -326,4 +316,3 @@ class TraversalJournal:
                 state.migrations.pop(mid, None)
             else:
                 state.migrations[mid] = record
-

@@ -86,7 +86,10 @@ class CorruptJournal(StorageError):
     """A traversal-journal record failed its integrity check on replay.
 
     Raised when a record's length prefix runs past the end of the journal,
-    its CRC32 does not match, or its keys are not its kind's. Replay fails loudly rather than silently
+    its CRC32 does not match, or its payload does not fit its kind's fixed
+    layout: an unknown kind tag, a payload short or long, an out-of-range
+    status or phase index, a count past the payload's end, or a checkpoint
+    table record of another kind. Replay fails loudly rather than silently
     rebuilding coordinator state from a damaged log.
     """
 

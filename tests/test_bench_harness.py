@@ -39,8 +39,10 @@ TINY = BenchEnvironment(scale=6, edge_factor=4, servers=(2, 3))
 # ``columnar``: its parent payload carried wall-clock readings, so it is
 # recorded after those keys (and the check gating them) were deleted — every
 # key it shares with the parent's payload is equal. ``coordinator_recovery``
-# was re-recorded when journal records were cut to the fields recovery reads:
-# only its journal record and byte counts moved.
+# was re-recorded when journal records were cut to the fields recovery reads
+# (only its journal record and byte counts moved), and again when records
+# took one fixed ``struct`` layout per kind in place of pickle (only its
+# journal byte counts moved).
 # A refactor must pass it unchanged; re-record a digest only when virtual
 # behaviour or a shape check is meant to change, and say why in the PR.
 # Tier-1 runs the entries under 1.5 s; CI runs all fifteen (``-m ""``) under
@@ -61,7 +63,7 @@ SLOW_MANIFEST = {
     "table2": "f23ffbe3ceb8ce2d5c20969e03ea2c42306cd3976cba5cb701bc00bbe73cadc4",
     "table3": "c825f2ee1264b92b10bd9ea95a5e0d704142b717360a345bc74f6180d42fc16b",
     "ablation_layout": "fd8574805cc4c39005d6768c0bace261c7481c037eed3ef918dd472a6bb98838",
-    "coordinator_recovery": "86c50670aa474e7ed31584384e0d59879604fada4ac24e069408ff2ebc5e70ed",
+    "coordinator_recovery": "6ff4dcc3148a7539c1ad0b0ec49025bbef9074f1d9a8dbb31eae7ff933a6a033",
     "rebalance": "6365df438b583a50d59fcc0f78ec0d637a847eacae15413e418395f28498bfea",
     "columnar": "f8c68479725836684dc283d9aabf38b1950518727ed72015a7fc1eef79d7c678",
 }

@@ -1,8 +1,9 @@
 """Unit tests for the durable traversal journal (WAL framing, CRC
-integrity, replay fold, and compaction)."""
+integrity, the fixed-layout record codec, replay fold, and compaction)."""
 
 import functools
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.journal import (
+    MIGRATION_PHASES,
+    TERMINAL_STATUSES,
     JournalFile,
     JournalState,
     TraversalJournal,
@@ -17,7 +20,7 @@ from repro.cluster.journal import (
 from repro.errors import CorruptJournal
 from repro.lang import GTravel
 from repro.sched import SchedulerConfig
-from repro.storage.persist import pack_record
+from repro.storage.persist import iter_records, pack_record
 from repro.workloads import MetadataGraphConfig, generate_metadata_graph
 
 
@@ -101,17 +104,17 @@ def test_torn_tail_raises_typed_error():
 
 def test_undecodable_and_untagged_records_rejected():
     storage = JournalFile(pack_record(b"\x00not-a-pickle"))
-    with pytest.raises(CorruptJournal, match="undecodable"):
+    with pytest.raises(CorruptJournal, match="admit record is short"):
         TraversalJournal(storage)
     storage = JournalFile(
         pack_record(pickle.dumps(["no", "kind", "tag"]))
     )
-    with pytest.raises(CorruptJournal, match="kind-tagged"):
+    with pytest.raises(CorruptJournal, match="unknown kind tag"):
         TraversalJournal(storage)
     storage = JournalFile(
         pack_record(pickle.dumps({"kind": "wat"}))
     )
-    with pytest.raises(CorruptJournal, match="unknown"):
+    with pytest.raises(CorruptJournal, match="unknown kind tag"):
         TraversalJournal(storage)
 
 
@@ -127,22 +130,23 @@ def test_a_record_of_the_wrong_shape_raises_typed_error():
     ``progress`` record, a kind no longer written, a string ``tid`` and a
     ``None`` migration ``version`` (once a ``TypeError``), a status outside
     the vocabulary (once counted silently), and a float ``tid`` (once
-    accepted, setting ``next_travel_id`` to 2.5)."""
+    accepted, setting ``next_travel_id`` to 2.5). Pickled, every one is
+    refused at its first byte, which tags no kind."""
     for record, message in (
-        ({"kind": "dispatch"}, "dispatch record has fields"),
-        ({"kind": "terminal", "tid": 1}, "terminal record has fields"),
+        ({"kind": "dispatch"}, "unknown kind tag"),
+        ({"kind": "terminal", "tid": 1}, "unknown kind tag"),
         ({"kind": "admit", "tid": 1, "seq": 0, "tenant": "batch"},
-         "admit record has fields"),
+         "unknown kind tag"),
         ({"kind": "progress", "tid": 1, "statuses": 32, "results": 8},
-         "unknown journal record kind 'progress'"),
+         "unknown kind tag"),
         ({"kind": "dispatch", "tid": "x", "child_of": None, "submit_time": 0.0},
-         "dispatch record has tid='x'"),
+         "unknown kind tag"),
         ({"kind": "migration", "mid": 1, "phase": "dual", "src": 0, "dst": 1,
           "vids": (4,), "version": None},
-         "migration record has version=None"),
+         "unknown kind tag"),
         ({"kind": "terminal", "tid": 1, "status": 7},
-         "terminal record has status=7"),
-        ({"kind": "admit", "tid": 1.5, "seq": 0}, "admit record has tid=1.5"),
+         "unknown kind tag"),
+        ({"kind": "admit", "tid": 1.5, "seq": 0}, "unknown kind tag"),
     ):
         with pytest.raises(CorruptJournal, match=message):
             TraversalJournal(_framed(record))
@@ -159,37 +163,143 @@ def test_a_checkpoint_with_foreign_state_keys_raises_typed_error():
         {"kind": "checkpoint", "state": list(state)},
         {"kind": "checkpoint", "state": state, "seq": 1},
     ):
-        with pytest.raises(CorruptJournal, match="journal checkpoint"):
+        with pytest.raises(CorruptJournal, match="unknown kind tag"):
             TraversalJournal(_framed(checkpoint))
     # the state's values are typed too, its nested records included
     for values, message in (
-        ({"epoch": None}, "journal checkpoint has epoch=None"),
-        ({"terminals": {"ok": 1.5}}, "journal checkpoint has terminals"),
+        ({"epoch": None}, "unknown kind tag"),
+        ({"terminals": {"ok": 1.5}}, "unknown kind tag"),
         ({"queued": {"1": {"kind": "admit", "tid": 1, "seq": 0}}},
-         "journal checkpoint has queued"),
+         "unknown kind tag"),
         ({"queued": {1: {"kind": "admit", "tid": "x", "seq": 0}}},
-         "admit record has tid='x'"),
+         "unknown kind tag"),
         ({"running": {2: {"kind": "admit", "tid": 2, "seq": 0}}},
-         "holds 'admit' where 'dispatch' records belong"),
+         "unknown kind tag"),
     ):
         with pytest.raises(CorruptJournal, match=message):
             TraversalJournal(_framed({"kind": "checkpoint", "state": {**state, **values}}))
-    assert TraversalJournal(_framed({"kind": "checkpoint", "state": state})).state == (
-        JournalState()
-    )
+    # the codec's own checkpoint of an empty state restores one
+    empty = TraversalJournal()
+    empty.compact()
+    assert TraversalJournal(JournalFile(empty.storage.read())).state == JournalState()
 
 
 def test_a_refused_append_leaves_no_bytes():
-    """An unknown kind is refused before a byte is written, so the journal
-    still replays."""
+    """An unknown kind, or a value its kind's layout cannot hold, is refused
+    before a byte is written, so the journal still replays."""
     journal = TraversalJournal()
     journal.append("epoch", epoch=1)
     size = journal.size_bytes()
+    assert size == len(journal.storage.read())
     with pytest.raises(ValueError, match="unknown journal record kind 'bogus'"):
         journal.append("bogus", tid=1)
+    for kind, values in (
+        ("admit", {"tid": "x", "seq": 0}),
+        ("terminal", {"tid": 1, "status": "lost"}),
+        ("migration", {"mid": 1, "phase": "dual", "src": 0, "dst": 1,
+                       "vids": (4, 2**64), "version": 2}),
+    ):
+        with pytest.raises(ValueError, match=f"journal {kind} record cannot hold"):
+            journal.append(kind, **values)
     assert journal.size_bytes() == size
     assert journal.records_appended == 1
     assert journal.replay().epoch == 1
+
+
+def test_a_payload_its_layout_refuses_raises_typed_error():
+    """A CRC-valid payload is decoded by its kind's fixed layout alone: an
+    unknown tag, a payload short or long by a byte, a status or phase index
+    past its vocabulary, a count the bytes left cannot hold (refused before
+    anything is allocated for it) and a checkpoint table holding a record of
+    another kind are each refused."""
+    journal = TraversalJournal(checkpoint_interval=1 << 30)
+    journal.append("admit", tid=1, seq=0)
+    journal.append("terminal", tid=1, status="ok")
+    journal.append("migration", mid=1, phase="dual", src=0, dst=1,
+                   vids=(4, 5), version=3)
+    admit, terminal, migration = iter_records(journal.storage.read())
+    journal.compact()
+    (checkpoint,) = iter_records(journal.storage.read())
+    # a checkpoint is its 57-byte head (tag, epoch, next travel id, routing
+    # version, four terminal counts), then a u32 count and the records of
+    # each table: queued admits, running dispatches, migrations
+    head, empty_queued, tables = checkpoint[:57], checkpoint[57:61], checkpoint[61:]
+    assert empty_queued == struct.pack("<I", 0)
+    too_many_vids = bytearray(migration)
+    struct.pack_into("<I", too_many_vids, 26, 2**32 - 1)
+    for payload, message in (
+        (b"", "unknown kind tag ''"),
+        (b"\x06" + admit[1:], "unknown kind tag '06'"),
+        (admit[:-1], "admit record is short"),
+        (admit + b"\x00", "1 bytes past its end"),
+        (terminal[:-1] + bytes((len(TERMINAL_STATUSES),)), "status index 4"),
+        (migration[:9] + bytes((len(MIGRATION_PHASES),)) + migration[10:],
+         "phase index 5"),
+        (bytes(too_many_vids), "counts 4294967295 vids past its end"),
+        (head + struct.pack("<I", 2**32 - 1) + tables, "counts 4294967295 queued"),
+        (head + struct.pack("<II", 0, 1) + migration + struct.pack("<I", 0),
+         "holds 'migration' where 'dispatch' records belong"),
+        (head + struct.pack("<I", 1) + checkpoint, "unknown kind tag '05'"),
+        (head[:-1], "checkpoint is short: 56 of 57 bytes"),
+        (head + b"\x00\x00", "checkpoint queued count is short"),
+    ):
+        with pytest.raises(CorruptJournal, match=message):
+            TraversalJournal(JournalFile(pack_record(payload)))
+
+
+_ID = st.sampled_from((0, 2**63 - 1)) | st.integers(0, 2**63 - 1)
+_VID = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1)
+_STEPS = st.one_of(
+    st.builds(lambda tid, seq: ("admit", {"tid": tid, "seq": seq}), _ID, _ID),
+    st.builds(
+        lambda tid, child_of, submit_time: (
+            "dispatch", {"tid": tid, "child_of": child_of, "submit_time": submit_time},
+        ),
+        _ID, st.none() | _ID,
+        st.integers(0, 2**53) | st.floats(allow_nan=False),
+    ),
+    st.builds(lambda tid, status: ("terminal", {"tid": tid, "status": status}),
+              _ID, st.sampled_from(TERMINAL_STATUSES)),
+    st.builds(lambda epoch: ("epoch", {"epoch": epoch}), st.integers(-(2**63), 2**63 - 1)),
+    st.builds(
+        lambda mid, phase, src, dst, vids, version: ("migration", {
+            "mid": mid, "phase": phase, "src": src, "dst": dst, "vids": tuple(vids),
+            "version": version,
+        }),
+        _ID, st.sampled_from(MIGRATION_PHASES), st.integers(0, 63), st.integers(0, 63),
+        st.lists(_VID, max_size=4), _ID,
+    ),
+    st.just(("compact", None)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(_STEPS, max_size=24))
+def test_codec_roundtrips_every_kind_at_its_extremes(steps):
+    """Records of every kind at the edges of their layout (vids 0 and
+    2**64-1, ``child_of`` unset and set, every status and phase, int and
+    float ``submit_time``), compacted at random points: the live mirror is
+    the fold of the values appended (``submit_time`` read back as a float),
+    a cold replay sees it, and the replayed state compacts to the bytes the
+    live one does."""
+    journal = TraversalJournal(checkpoint_interval=1 << 30)
+    expected = JournalState()
+    for kind, values in steps:
+        if kind == "compact":
+            journal.compact()
+            continue
+        journal.append(kind, **values)
+        if kind == "dispatch":
+            values = {**values, "submit_time": float(values["submit_time"])}
+        TraversalJournal._fold(expected, {"kind": kind, **values})
+    live = journal.state
+    assert live == expected
+    cold = TraversalJournal(JournalFile(journal.storage.read()))
+    assert cold.state == live
+    journal.compact()
+    cold.compact()
+    assert cold.storage.read() == journal.storage.read()
+    assert journal.replay() == live
 
 
 FLAG = {"ran": False}
@@ -209,20 +319,20 @@ class _Hostile:
 def test_hostile_record_raises_and_never_runs_code():
     """A framed record whose pickle calls a function on load is refused
     before the call, and so is one that names a class the journal once
-    carried: a record holds plain values, so replay resolves no global."""
+    carried: replay decodes fixed layouts, so it resolves no global."""
     from repro.lang import GTravel
 
     FLAG["ran"] = False
     record = {"kind": "admit", "tid": 1, "seq": 0, "payload": _Hostile()}
     storage = JournalFile(pack_record(pickle.dumps(record)))
-    with pytest.raises(CorruptJournal, match="plain values only"):
+    with pytest.raises(CorruptJournal, match="unknown kind tag"):
         TraversalJournal(storage)
     assert FLAG["ran"] is False
     plan = GTravel.v(1).e("run").compile()
     record = {"kind": "dispatch", "tid": 2, "child_of": None, "submit_time": 0.0,
               "plan": plan}
     storage = JournalFile(pack_record(pickle.dumps(record)))
-    with pytest.raises(CorruptJournal, match="repro.lang.plan.TraversalPlan"):
+    with pytest.raises(CorruptJournal, match="unknown kind tag"):
         TraversalJournal(storage)
 
 
@@ -331,17 +441,40 @@ def _replay(data: bytes) -> None:
         pass
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+def _flip(data, buf: bytearray) -> None:
+    for _ in range(data.draw(st.integers(1, 4), label="flips")):
+        at = data.draw(st.integers(0, len(buf) - 1), label="at")
+        buf[at] ^= data.draw(st.integers(1, 255), label="mask")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_damaged_real_journal_raises_only_corrupt_journal(data):
     """Byte flips and truncations of a journal a cluster wrote either replay
     (a cut on a record boundary is a shorter valid journal) or raise the
-    typed ``CorruptJournal``; nothing else escapes replay."""
+    typed ``CorruptJournal``; nothing else escapes replay. So does one
+    record's payload truncated, extended or flipped and then re-framed with
+    a valid CRC, which leaves the decoder alone to refuse it: a payload cut
+    or grown by any byte always is."""
     journal = bytearray(_real_journal())
-    if data.draw(st.booleans(), label="truncate"):
+    damage = data.draw(st.sampled_from(("truncate", "flip", "payload")), label="damage")
+    if damage == "truncate":
         journal = journal[: data.draw(st.integers(0, len(journal) - 1), label="cut")]
+    elif damage == "flip":
+        _flip(data, journal)
     else:
-        for _ in range(data.draw(st.integers(1, 4), label="flips")):
-            at = data.draw(st.integers(0, len(journal) - 1), label="at")
-            journal[at] ^= data.draw(st.integers(1, 255), label="mask")
+        payloads = [bytearray(p) for p in iter_records(bytes(journal))]
+        payload = data.draw(st.sampled_from(payloads), label="record")
+        how = data.draw(st.sampled_from(("truncate", "extend", "flip")), label="how")
+        if how == "flip":
+            _flip(data, payload)
+        else:
+            if how == "truncate":
+                del payload[data.draw(st.integers(0, len(payload) - 1), label="cut"):]
+            else:
+                payload += data.draw(st.binary(min_size=1, max_size=16), label="tail")
+            with pytest.raises(CorruptJournal):
+                TraversalJournal(JournalFile(b"".join(map(pack_record, payloads))))
+            return
+        journal = b"".join(map(pack_record, payloads))
     _replay(bytes(journal))

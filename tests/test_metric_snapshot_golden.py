@@ -28,7 +28,8 @@ coordinator, recovery supervisor and journal together — on one journaled,
 traced cell that queues, cancels, replays, restarts and crosses two
 coordinator epochs: the metric snapshot, the trace timeline, the journal's
 replayed state and the order of every journal record, re-recorded when the
-journal stopped writing records no recovery reader reads.
+journal stopped writing records no recovery reader reads and when its
+records took one fixed ``struct`` layout per kind in place of pickle.
 
 ``GOLDEN_WRITE_PATH`` pins the LSM write path per edge layout: a cell that
 ingests (reverse records included), deletes a vertex, flushes past
@@ -53,8 +54,9 @@ the buffers of the healthy travels it throws away, the kept ones and the
 ``net.*`` counters of the reliable channel are all fixed; recorded before
 the transport drew its jitter in blocks and before pending buffers held
 plain records instead of ``TraceEvent`` objects, and re-recorded when the
-journal (whose gauges the snapshot holds) shrank and when kept buffers
-started landing in the ring in ``seq`` order.
+journal (whose gauges the snapshot holds) shrank, when kept buffers
+started landing in the ring in ``seq`` order, and when the journal's
+records took a fixed ``struct`` layout (its byte gauges shrank again).
 """
 
 from __future__ import annotations
@@ -126,8 +128,11 @@ GOLDEN_TELEMETRY = "d44bad819622c2b985fa128c64625d22cae5664f0f242f44276112600396
 #: mixed-tenant round over the reliable channel; re-recorded when journal
 #: records were cut to the fields recovery reads (only the ``journal.*``
 #: gauges moved), then when the recorder merged kept buffers into its ring
-#: in ``seq`` order (the same 940 events, only their order moved)
-GOLDEN_SAMPLED_TRACE = "fe7063af048699d9236d01d8729039b426ce358133ac3d45c8d4001f17759606"
+#: in ``seq`` order (the same 940 events, only their order moved), then when
+#: journal records took one fixed ``struct`` layout per kind in place of
+#: pickle (only ``journal.size_bytes``/``bytes_appended`` moved, 3 468 ->
+#: 1 309 B)
+GOLDEN_SAMPLED_TRACE = "1dc8cd931bfed00b2864b66329e160cd950072160952ed97b8ed4ae9a172b0c6"
 
 
 def _rmat_cell(seed: int):
@@ -393,10 +398,13 @@ def test_kernel_event_order_matches_golden_digest():
 #: engine -> sha256 of {metrics, trace, journal} of the control-plane cell
 #: below; re-recorded when journal records were cut to the fields recovery
 #: reads (no ``launch`` or ``progress`` records, no attempt or epoch on a
-#: dispatch): only the ``journal.*`` gauges and the logged record list moved
+#: dispatch): only the ``journal.*`` gauges and the logged record list moved;
+#: re-recorded when records took one fixed ``struct`` layout per kind in
+#: place of pickle: only ``journal.size_bytes``/``bytes_appended`` moved
+#: (4 320 -> 1 573 B for both engines)
 GOLDEN_CONTROL_PLANE = {
-    "Sync-GT": "af012bc2bf2a8beca947292b47ddf35da1b96a61c84c2d38598c9540bb2e5929",
-    "GraphTrek": "6dcb521848a95fa2581897a486e3d7da910f7cf32d7d99df945b97da96c49adc",
+    "Sync-GT": "103ba1c6af9155f5329eba54516d5cf034f6e4bf2561d6c6ead892fdb3d7357f",
+    "GraphTrek": "5172920ee9a6830007831313e535adf2cbc7f2eb927fb3a4e02936b5628a511f",
 }
 
 
